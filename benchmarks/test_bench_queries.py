@@ -2,7 +2,7 @@
 
 Benchmarks the CI-sized query row (bucketed-geometric n=2000, 512 queries
 over an 8-source pool), asserts the exact-distance contract between the
-per-query heapq reference and the batched generation-stamped engine, and —
+per-query heapq reference and the source-grouped batched engine, and —
 under the ``bench_regression`` marker — emits a fresh ``BENCH_queries.json``
 run and diffs its deterministic ``query_settles`` / ``engine_sources``
 counters against the committed baseline in ``benchmarks/BENCH_queries.json``

@@ -46,7 +46,7 @@ checked in both documents like the repair gate.
 
 The query-throughput benchmark (``repro bench-queries``) emits
 ``query_settles`` / ``engine_sources`` counters per strategy plus the
-``queries_match`` cross-check flag (the batched generation-stamped engine
+``queries_match`` cross-check flag (the source-grouped batched engine
 must return the exact distance list of the per-query heapq reference);
 pass ``--fresh-queries`` / ``--baseline-queries`` to gate it.  Runs marked
 ``gate_query_speedup`` must record a ``query_speedup`` — per-query heapq

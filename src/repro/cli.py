@@ -1333,7 +1333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-queries",
         help=(
             "benchmark batched multi-source query throughput (per-query heapq "
-            "vs the generation-stamped engine) and emit BENCH_queries.json"
+            "vs the source-grouped engine) and emit BENCH_queries.json"
         ),
     )
     query_bench_parser.add_argument(

@@ -184,8 +184,8 @@ class _IndexedOracle(DistanceOracle):
 
         The engine shares the mirror's live adjacency arrays, so edges
         reported through :meth:`notify_edge_added` are observed without any
-        rebuild; its one heap and generation-stamped scratch persist across
-        batches.
+        rebuild.  It holds no search state between batches, only its
+        cumulative counters.
         """
         if self._engine is None:
             self._engine = QueryEngine(self._index)

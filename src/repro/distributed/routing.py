@@ -270,8 +270,8 @@ class RoutingScheme:
         """The scheme's batched distance engine over the indexed overlay.
 
         Built lazily on first use and shared across batches: one
-        preallocated heap with generation-stamped reset, one search per
-        distinct source (see :class:`repro.core.query_engine.QueryEngine`).
+        early-stopped search per distinct source (see
+        :class:`repro.core.query_engine.QueryEngine`).
         """
         if self._query_engine is None:
             self._query_engine = QueryEngine(self._indexed)

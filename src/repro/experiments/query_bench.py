@@ -5,14 +5,13 @@ the spanner is *built*; this matrix gates how fast it is *queried*.  Both
 strategies answer the same deterministic batch of ``(source, target)``
 distance queries on one shared workload instance:
 
-* ``per-query-heapq`` — :meth:`repro.core.query_engine.QueryEngine.reference_queries_ids`:
+* ``per-query-heapq`` — :func:`repro.core.query_engine.reference_queries_ids`:
   one fresh C-``heapq`` Dijkstra per query, fresh dict state each time.  This
   is the seed idiom every caller used before the engine existed, and the
   denominator of the gated ``query_speedup``.
 * ``batched-engine`` — :meth:`repro.core.query_engine.QueryEngine.run_queries_ids`:
-  queries grouped by source, one :class:`~repro.graph.heap.IndexedDaryHeap`
-  and one distance slab reused across the whole batch via generation-stamped
-  lazy reset — no per-query ``O(n)`` reinitialisation.
+  queries grouped by source, one C-``heapq`` Dijkstra per distinct source,
+  early-stopped when its last target settles.
 
 Every strategy must return the *exact same* distance list — the
 ``queries_match`` cross-check flag that ``scripts/check_bench_regression.py``

@@ -24,9 +24,10 @@ Three structures live here:
 * :class:`IndexedDaryHeap` — the int-indexed decrease-key variant:
   preallocated to ``n``, position map for ``O(d log_d n)``
   :meth:`~IndexedDaryHeap.decrease`, and a generation stamp per slot so
-  :meth:`~IndexedDaryHeap.clear` is O(1) — the trick the batched query
-  engine leans on to reuse one heap across thousands of queries without a
-  per-query O(n) reinitialisation sweep.
+  :meth:`~IndexedDaryHeap.clear` is O(1) — what lets the target-bounded
+  and ball searches reuse one heap across many short searches without an
+  O(n) reinitialisation sweep each.  Full searches (the query engine's)
+  run faster on C :mod:`heapq` with lazy deletion.
 * :class:`EventQueue` — the shared ``(time, sequence, *payload)`` event
   heap of the distributed engines.  The auto-incremented sequence makes
   the order total; :meth:`EventQueue.drop` consumes a sequence number
@@ -157,7 +158,7 @@ class IndexedDaryHeap:
     A slot is *seen* in the current generation once inserted; after
     :meth:`pop_min` it stays seen with ``position == -1`` (settled).
     :meth:`clear` bumps the generation counter, which unsees every slot at
-    once — no O(n) sweep, the property the batched query engine relies on.
+    once — no O(n) sweep, the property the bounded and ball searches rely on.
     """
 
     __slots__ = (

@@ -2,7 +2,7 @@
 
 The engine's contract is exact: batched answers equal the seed per-query
 ``heapq`` path element for element (same floats, not approximately), while
-grouping queries by source and reusing one generation-stamped heap.  The
+running one early-stopped search per distinct source.  The
 hypothesis cases draw tie-heavy dyadic weights — where pop ordering could
 actually diverge — plus disconnected graphs (``inf`` answers), repeated
 sources and degenerate ``source == target`` pairs.
@@ -88,14 +88,49 @@ def test_single_target_batches_settle_exactly_like_reference(case):
     assert engine.settled_count == ref_settles
 
 
+@settings(max_examples=80, deadline=None)
+@given(case=graph_with_queries())
+def test_multi_target_sources_settle_exactly_like_reference_to_last_target(case):
+    """Each source settles exactly what the reference settles to its last target.
+
+    The engine stops a source's search when the last of its targets settles:
+    the one with the largest ``(distance, id)``.  The reference's single
+    search to that target pops the same vertices, so the counters agree per
+    source and in total — a loop that counted stale pops or stopped one
+    target early would not.  An unreachable target drains the source's
+    component in both paths.
+    """
+    graph, sources, targets = case
+    engine = QueryEngine(graph)
+    indexed = engine.indexed
+    distances, _ = reference_queries(indexed, sources, targets)
+    last: dict = {}
+    for source, target, distance in zip(sources, targets, distances):
+        if source != target:
+            key = (distance, indexed.id_of(target))
+            last[source] = max(last.get(source, key), key)
+    expected_total = 0
+    for source, (_, last_target) in last.items():
+        _, expected = reference_queries_ids(
+            indexed, [indexed.id_of(source)], [last_target]
+        )
+        pairs = [(s, t) for s, t in zip(sources, targets) if s == source]
+        before = engine.settled_count
+        engine.run_queries([s for s, _ in pairs], [t for _, t in pairs])
+        assert engine.settled_count - before == expected
+        expected_total += expected
+    batched = QueryEngine(indexed)
+    batched.run_queries(sources, targets)
+    assert batched.settled_count == expected_total
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=graph_with_queries())
 def test_batches_are_independent(case):
     """Re-running the same batch gives the same answers: no cross-batch residue.
 
-    This is the generational-reset law at the engine level — one heap
-    serves every batch, and nothing a previous search stamped may leak into
-    the next one's distances.
+    One engine serves every batch, and nothing a previous batch computed
+    may leak into the next one's distances.
     """
     graph, sources, targets = case
     engine = QueryEngine(graph)
@@ -150,7 +185,7 @@ def test_engine_observes_growing_shared_graph():
     # A shortcut edge appended later must be observed (live adjacency)...
     indexed.append_edge_unchecked(0, 1, 0.5)
     assert engine.run_queries_ids([0], [1]) == [0.5]
-    # ...and newly interned vertices regrow the heap capacity lazily.
+    # ...and so must newly interned vertices.
     indexed.add_edge(1, 2, 1.0)
     assert engine.run_queries_ids([0], [2]) == [1.5]
 
