@@ -4,11 +4,11 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Each benchmark file regenerates one experiment from DESIGN.md's index (E1–E8).
+Each benchmark file regenerates one of experiments E1–E8 (``repro experiment``).
 Two things happen per file:
 
-* pytest-benchmark times the core construction step (so the timing columns of
-  EXPERIMENTS.md are regenerated), and
+* pytest-benchmark times the core construction step (the timing columns of
+  the tables ``scripts/regenerate_experiments.py`` writes), and
 * the full experiment table is printed to stdout (``-s`` not required: the
   tables are emitted through the ``record_property`` mechanism *and* printed at
   the end of the run via a session-scoped report collector).
@@ -47,7 +47,7 @@ def pytest_sessionfinish(session, exitstatus):
         return
     print("\n")
     print("=" * 78)
-    print("EXPERIMENT TABLES (paper-claim reproductions; see EXPERIMENTS.md)")
+    print("EXPERIMENT TABLES (paper-claim reproductions)")
     print("=" * 78)
     for report in _REPORTS:
         print()

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for two design choices of the greedy implementations.
 
 Two ablations:
 

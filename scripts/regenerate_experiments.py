@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md from a full run of every experiment.
+"""Regenerate EXPERIMENTS.md from a full run of the paper-claim experiments.
 
 Run from the repository root::
 
     python scripts/regenerate_experiments.py
 
-The script executes every experiment of DESIGN.md's index (the same code the
-benchmarks call), renders the measured tables, and writes EXPERIMENTS.md with
-one section per experiment: the paper's claim, the measured table, and the
+The script executes experiments E1–E8 of ``repro experiment`` (the same code
+the benchmarks call), renders the measured tables, and writes EXPERIMENTS.md
+with one section per experiment: the paper's claim, the measured table, and the
 shape-check notes.  Wall-clock: a few minutes on a laptop (the exact greedy
 spanner on the largest metric workloads dominates).
 """
@@ -42,7 +42,7 @@ therefore (a) Figure 1, (b) every lemma/observation as an executable check,
 (c) the corollaries' size/lightness/degree bounds as measured growth shapes,
 and (d) the empirical folklore the paper quotes from the experimental
 literature (greedy ≈10× sparser / ≈30× lighter than other constructions).
-DESIGN.md maps each of these to an experiment id (E1–E8); this file records
+`repro experiment <id>` runs each of these as experiment E1–E8; this file records
 the measured outcome for each.
 
 **How to read the tables.**  Absolute values depend on the synthetic

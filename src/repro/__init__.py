@@ -14,7 +14,7 @@ The package is organised around the paper's structure:
 * :mod:`repro.distributed` — the motivating application substrate
   (broadcast / synchronizers over spanner overlays, Section 1.1),
 * :mod:`repro.experiments` — the harness that regenerates the paper's
-  figures and claims (see DESIGN.md's per-experiment index).
+  figures and claims (``repro experiment <id>``, E1–E15).
 
 Quickstart::
 

@@ -5,8 +5,8 @@ Entry points (also usable as ``python -m repro.cli <command>``):
 * ``list-workloads`` — print the workload registry.
 * ``list-builders`` — print the spanner-builder registry.
 * ``figure1`` — reproduce the paper's Figure 1 example.
-* ``experiment <id>`` — run one experiment from DESIGN.md's index (E1–E14)
-  and print its table.  ``--quick`` shrinks the workloads.
+* ``experiment <id>`` — run one experiment of the ``_EXPERIMENTS`` index
+  below (E1–E15) and print its table.  ``--quick`` shrinks the workloads.
 * ``compare`` — run the Euclidean construction comparison on a chosen
   workload size and stretch.
 * ``spanner`` — build a spanner of a registered workload with any registered
@@ -859,7 +859,7 @@ def _job_rows(jobs) -> list[dict[str, object]]:
 
 
 def _command_service_status(args: argparse.Namespace) -> int:
-    from repro.errors import JobNotFoundError
+    from repro.errors import CorruptJobRecordError, JobNotFoundError
     from repro.service.queue import JobQueue
 
     queue = JobQueue(args.root)
@@ -872,7 +872,7 @@ def _command_service_status(args: argparse.Namespace) -> int:
         return 1 if bad else 0
     try:
         job = queue.get(args.job_id)
-    except JobNotFoundError as error:
+    except (JobNotFoundError, CorruptJobRecordError) as error:
         print(str(error))
         return 2
     print(render_table(_job_rows([job]), title=f"job {job.job_id}"))

@@ -12,7 +12,7 @@ doubling metrics, possibly unbounded degree.  Algorithm
    the Theorem 2 substrate of the paper's Section 5) and the Θ-graph (planar
    Euclidean metrics only — the substrate the original Euclidean algorithm of
    [DN97, GLN02] builds on).  The Θ-graph's constants are far smaller, so the
-   Euclidean scaling experiments use it; DESIGN.md records the substitution.
+   Euclidean scaling experiments use it.
 2. Let ``D`` be the maximum edge weight of ``G'`` and ``E₀ ⊆ E'`` the *light*
    edges of weight at most ``D/n``.  All light edges go straight into the
    output (their total weight is ``O(D) = O(w(MST))``).

@@ -57,27 +57,11 @@ from repro.graph.shortest_paths import (
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 
-#: Inner-search engines accepted by the indexed oracles (the ``mode=`` seam
-#: of :mod:`repro.graph.shortest_paths`): ``"list"`` is the seed lazy-heapq
-#: path, ``"heap"`` the int-indexed d-ary decrease-key twin.
-SEARCH_MODES = ("list", "heap")
-
-
 class DistanceOracle(abc.ABC):
-    """Answers "is δ_H(u, v) ≤ cutoff?" queries against a growing spanner ``H``.
+    """Answers "is δ_H(u, v) ≤ cutoff?" queries against a growing spanner ``H``."""
 
-    ``search_mode`` selects the inner-search engine on the indexed oracles
-    (``"list"``, the default, or ``"heap"``); the dict-based reference
-    oracles accept and ignore it, so every strategy constructs uniformly.
-    """
-
-    def __init__(self, spanner: WeightedGraph, *, search_mode: str = "list") -> None:
-        if search_mode not in SEARCH_MODES:
-            raise ValueError(
-                f"search_mode must be one of {SEARCH_MODES}, got {search_mode!r}"
-            )
+    def __init__(self, spanner: WeightedGraph) -> None:
         self.spanner = spanner
-        self.search_mode = search_mode
         self.query_count = 0
         self.settled_count = 0
 
@@ -162,8 +146,8 @@ class _IndexedOracle(DistanceOracle):
     mutations of the spanner that bypass the hook are not observed.
     """
 
-    def __init__(self, spanner: WeightedGraph, *, search_mode: str = "list") -> None:
-        super().__init__(spanner, search_mode=search_mode)
+    def __init__(self, spanner: WeightedGraph) -> None:
+        super().__init__(spanner)
         self._index = IndexedGraph.from_weighted_graph(spanner)
         self._engine: QueryEngine | None = None
 
@@ -238,7 +222,7 @@ class BidirectionalDijkstraOracle(_IndexedOracle):
         vid = self._vertex_id(v)
         guard = 0.0 if math.isinf(cutoff) else cutoff * self.BOUNDARY_GUARD
         distance, settled_f, settled_b = indexed_bidirectional_cutoff(
-            self._index, uid, vid, cutoff + guard, mode=self.search_mode
+            self._index, uid, vid, cutoff + guard
         )
         self.settled_count += len(settled_f) + len(settled_b)
         if distance <= cutoff - guard:
@@ -249,7 +233,7 @@ class BidirectionalDijkstraOracle(_IndexedOracle):
             return math.inf
         # Within the boundary band: defer to the forward-order search.
         distance, settled = indexed_dijkstra_with_cutoff(
-            self._index, uid, vid, cutoff, mode=self.search_mode
+            self._index, uid, vid, cutoff
         )
         self.settled_count += len(settled)
         return distance
@@ -310,8 +294,8 @@ class CachedDijkstraOracle(_IndexedOracle):
     #: When True, callers promise non-decreasing cutoffs per run (see above).
     monotone_cutoffs: bool
 
-    def __init__(self, spanner: WeightedGraph, *, search_mode: str = "list") -> None:
-        super().__init__(spanner, search_mode=search_mode)
+    def __init__(self, spanner: WeightedGraph) -> None:
+        super().__init__(spanner)
         self._bounds: dict[int, float] = {}
         self._ball_bits: dict[int, "np.ndarray"] = {}
         self.cache_hits = 0
@@ -350,7 +334,7 @@ class CachedDijkstraOracle(_IndexedOracle):
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        settled = indexed_ball(self._index, uid, cutoff, mode=self.search_mode)
+        settled = indexed_ball(self._index, uid, cutoff)
         self.settled_count += len(settled)
         self._harvest(uid, settled)
         distance = settled.get(vid)
@@ -413,17 +397,12 @@ ORACLE_FACTORIES = {
 }
 
 
-def make_oracle(
-    name: str, spanner: WeightedGraph, *, search_mode: str = "list"
-) -> DistanceOracle:
+def make_oracle(name: str, spanner: WeightedGraph) -> DistanceOracle:
     """Instantiate the oracle strategy called ``name`` over ``spanner``.
 
     Valid names are ``"cached"`` (default strategy of the greedy algorithm),
     ``"bidirectional"``, ``"bounded"`` and ``"full"``; see the module
     docstring and ``docs/PERFORMANCE.md`` for the trade-offs.
-    ``search_mode`` selects the inner-search engine of the indexed
-    strategies (``"list"`` or ``"heap"`` — identical answers, see
-    :mod:`repro.graph.heap`).
     """
     try:
         factory = ORACLE_FACTORIES[name]
@@ -431,4 +410,4 @@ def make_oracle(
         raise ValueError(
             f"unknown oracle {name!r}; valid names: {sorted(ORACLE_FACTORIES)}"
         ) from exc
-    return factory(spanner, search_mode=search_mode)
+    return factory(spanner)

@@ -48,7 +48,6 @@ def greedy_spanner(
     t: float,
     *,
     oracle: str = "cached",
-    search_mode: str = "list",
     progress: Optional[ProgressCallback] = None,
     edges: Optional[Iterable[WeightedEdge]] = None,
     seed_edges: Optional[Iterable[WeightedEdge]] = None,
@@ -71,10 +70,6 @@ def greedy_spanner(
         ``"bounded"`` (the textbook cutoff-pruned Dijkstra) or ``"full"``.
         Every strategy produces the identical greedy spanner; they differ
         only in speed (see ``docs/PERFORMANCE.md``).
-    search_mode:
-        Inner-search engine of the indexed oracles: ``"list"`` (seed
-        lazy-heapq, default) or ``"heap"`` (int-indexed d-ary decrease-key
-        twin) — identical spanners and operation counts either way.
     progress:
         Optional callback invoked as ``progress(examined, total)`` after each
         edge examination; used by long-running experiments.
@@ -115,7 +110,7 @@ def greedy_spanner(
         for u, v, weight in seed_edges:
             spanner_graph.add_edge(u, v, weight)
             seeded += 1
-    distance_oracle = make_oracle(oracle, spanner_graph, search_mode=search_mode)
+    distance_oracle = make_oracle(oracle, spanner_graph)
     if hasattr(distance_oracle, "monotone_cutoffs"):
         # The loop below examines each pair once with non-decreasing cutoffs,
         # so the caching oracle can certify hits by ball membership alone —
@@ -164,7 +159,6 @@ def greedy_spanner_of_metric(
     t: float,
     *,
     oracle: str = "cached",
-    search_mode: str = "list",
     progress: Optional[ProgressCallback] = None,
 ) -> Spanner:
     """Run the greedy algorithm on the complete graph of a finite metric space.
@@ -185,7 +179,6 @@ def greedy_spanner_of_metric(
         closure,
         t,
         oracle=oracle,
-        search_mode=search_mode,
         progress=progress,
         edges=sorted_pair_stream(metric),
     )

@@ -58,9 +58,8 @@ import numpy as np
 from repro.errors import InvalidStretchError
 from repro.core.spanner import Spanner
 from repro.graph.csr import CSRAdjacency, SharedCSRDescriptor, attach_csr, share_csr
-from repro.graph.heap import IndexedDaryHeap
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import csr_bounded_search, indexed_bidirectional_cutoff
+from repro.graph.shortest_paths import indexed_bidirectional_cutoff
 from repro.graph.weighted_graph import WeightedEdge, WeightedGraph
 from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
@@ -71,13 +70,6 @@ from repro.metric.stream import edge_bands, sorted_pair_stream
 #: but more per-band synchronization and more filter balls per source; the
 #: measured sweet spot on the bench workloads is small (docs/PERFORMANCE.md).
 DEFAULT_BANDS = 8
-
-#: Average degree (``nnz / n``) above which the vectorized numpy ball kernel
-#: beats the scalar loop over bulk-converted CSR lists.  Per-settle numpy
-#: overhead (~10 µs of small-array calls) only amortizes once the adjacency
-#: slices are long — dense metric closures, not sparse geometric graphs
-#: (measured in docs/PERFORMANCE.md).
-SCALAR_KERNEL_MAX_DEGREE = 64.0
 
 #: A group is ``(source_id, [(canonical_index, target_id, weight), ...])``
 #: with items in canonical order, so the last item carries the max weight.
@@ -90,7 +82,7 @@ FilterGroup = tuple[int, list[tuple[int, int, float]]]
 ShardResult = tuple[list[int], int, list[int]]
 
 # Worker-side caches of the attached frozen snapshot (and its bulk pair-row
-# conversion for the scalar kernel): bands reuse one attachment until the
+# conversion for the ball kernel): bands reuse one attachment until the
 # parent publishes a new block under a new name.
 _ATTACHED: Optional[tuple[str, CSRAdjacency]] = None
 _ATTACHED_PAIRS: Optional[tuple[str, list[list[tuple[float, int]]]]] = None
@@ -141,15 +133,10 @@ def _csr_as_pairs(csr: CSRAdjacency) -> list[list[tuple[float, int]]]:
     return [flat[bounds[v]:bounds[v + 1]] for v in range(len(bounds) - 1)]
 
 
-# Per-process scratch of the scalar filter kernel, keyed by vertex count:
-# a flat tentative-distance array plus a generation stamp so starting a ball
-# is one counter increment, not an O(n) clear (the same trick as the CSR
-# search scratch and the d-ary heap's lazy reset).
+# Per-process scratch of the filter kernel, keyed by vertex count: a flat
+# tentative-distance array plus a generation stamp so starting a ball is one
+# counter increment, not an O(n) clear.
 _SCALAR_SCRATCH: dict[int, tuple[list[float], list[int], list[int]]] = {}
-
-# Per-process decrease-key heaps of the ``search_mode="heap"`` filter
-# kernel, keyed by vertex count (generation-stamped, so reuse is O(1)).
-_HEAP_SCRATCH: dict[int, IndexedDaryHeap] = {}
 
 
 def _scalar_scratch(n: int) -> tuple[list[float], list[int], list[int]]:
@@ -167,14 +154,14 @@ def _scalar_ball(
     stamp: list[int],
     gen: int,
 ) -> list[int]:
-    """Bounded Dijkstra ball over pre-zipped pair rows — the scalar filter kernel.
+    """Bounded Dijkstra ball over pre-zipped pair rows — the filter kernel.
 
     Same settled set (contents, settle order and therefore settle count,
-    with IEEE-identical distance sums) as ``_list_bounded`` /
-    ``csr_bounded_search`` in :mod:`repro.graph.shortest_paths`.  Unlike
-    the seed loop it prunes non-improving pushes through a
-    generation-stamped tentative-distance array: a pruned entry is never
-    the minimum entry of its vertex, so the pop order of *first* pops — the
+    with IEEE-identical distance sums) as
+    :func:`~repro.graph.shortest_paths.indexed_ball`.  Unlike that loop it
+    prunes non-improving pushes through a generation-stamped
+    tentative-distance array: a pruned entry is never the minimum entry of
+    its vertex, so the pop order of *first* pops — the
     only observable order — is untouched while the heap stays a fraction of
     the size (the dominant cost of dense bands; docs/PERFORMANCE.md).  A
     settled vertex needs no membership test on relaxation: its tentative
@@ -218,128 +205,57 @@ def _scalar_ball(
     return settled_ids
 
 
-def _heap_ball(
-    pairs: list[list[tuple[float, int]]],
-    source: int,
-    radius: float,
-    heap: IndexedDaryHeap,
-    dist: list[float],
-    stamp: list[int],
-    gen: int,
-) -> list[int]:
-    """The decrease-key twin of :func:`_scalar_ball` on the d-ary heap core.
-
-    Identical settled ids and distances by the total-order argument of
-    :mod:`repro.graph.heap` (the builds-match tests assert the resulting
-    spanner is byte-identical for ``search_mode="heap"``).  Results are
-    reported through the same ``(dist, stamp, gen)`` scratch interface as
-    the scalar kernel so the caller's candidate checks are kernel-agnostic.
-    """
-    heap.clear()
-    heap.insert(source, 0.0)
-    settled_ids: list[int] = []
-    append = settled_ids.append
-    pop_min = heap.pop_min
-    relax = heap.relax
-    while len(heap):
-        d, vertex = pop_min()
-        append(vertex)
-        dist[vertex] = d
-        stamp[vertex] = gen
-        for weight, neighbour in pairs[vertex]:
-            new_dist = d + weight
-            if new_dist > radius:
-                break  # rows are weight-sorted: every later neighbour overshoots
-            relax(neighbour, new_dist)
-    return settled_ids
-
-
 def _filter_groups(
-    frozen: CSRAdjacency,
-    pairs: Optional[list[list[tuple[float, int]]]],
+    pairs: list[list[tuple[float, int]]],
     groups: list[FilterGroup],
     t: float,
-    search_mode: str = "list",
 ) -> ShardResult:
     """Decide one shard of per-source groups against the frozen snapshot.
 
-    Returns ``(candidate_indices, settles, covered)``: the canonical indices
-    of the edges the frozen spanner could NOT reject, the ball settle count,
-    and every settled ``(source, x)`` pair packed into the coverage cache's
+    ``pairs`` is the snapshot's :func:`_csr_as_pairs` rows.  Returns
+    ``(candidate_indices, settles, covered)``: the canonical indices of the
+    edges the frozen spanner could NOT reject, the ball settle count, and
+    every settled ``(source, x)`` pair packed into the coverage cache's
     ``(min << 32) | max`` key encoding — the packing is vectorized here (one
     numpy min/max/shift per ball) so the parent's merge is a single
-    ``set.update``.  Pure function of the arguments — and the kernel choice
-    is part of the arguments (``pairs`` non-None selects the scalar kernel,
-    ``search_mode`` the queue discipline), so verdicts, counts and harvests
-    never depend on the worker count: the determinism anchor.
+    ``set.update``.  Pure function of the arguments, so verdicts, counts
+    and harvests never depend on the worker count: the determinism anchor.
     """
     candidates: list[int] = []
     settles = 0
     covered: list[int] = []
-    heap_kernel = search_mode == "heap" and pairs is not None
-    if pairs is not None:
-        dist, stamp, genbox = _scalar_scratch(len(pairs))
-        if heap_kernel:
-            n = len(pairs)
-            heap = _HEAP_SCRATCH.get(n)
-            if heap is None:
-                heap = _HEAP_SCRATCH[n] = IndexedDaryHeap(n)
+    dist, stamp, genbox = _scalar_scratch(len(pairs))
     for source_id, items in groups:
-        if pairs is not None:
-            radius = t * items[-1][2]  # canonical order: last item has max weight
-            genbox[0] += 1
-            gen = genbox[0]
-            if heap_kernel:
-                settled_ids = _heap_ball(
-                    pairs, source_id, radius, heap, dist, stamp, gen,
-                )
-            else:
-                settled_ids = _scalar_ball(
-                    pairs, source_id, radius, dist, stamp, gen,
-                )
-            settles += len(settled_ids)
-            ids = np.fromiter(settled_ids, dtype=np.int64, count=len(settled_ids))
-            packed = (np.minimum(ids, source_id) << 32) | np.maximum(ids, source_id)
-            covered.extend(packed.tolist())
-            for canonical_index, target_id, weight in items:
-                if stamp[target_id] != gen or dist[target_id] > t * weight:
-                    candidates.append(canonical_index)
-        else:
-            radius = t * items[-1][2]  # canonical order: last item has max weight
-            settled = csr_bounded_search(frozen, source_id, radius)[1]
-            settles += len(settled)
-            ids = np.fromiter(settled, dtype=np.int64, count=len(settled))
-            packed = (np.minimum(ids, source_id) << 32) | np.maximum(ids, source_id)
-            covered.extend(packed.tolist())
-            for canonical_index, target_id, weight in items:
-                distance = settled.get(target_id)
-                if distance is None or distance > t * weight:
-                    candidates.append(canonical_index)
+        radius = t * items[-1][2]  # canonical order: last item has max weight
+        genbox[0] += 1
+        gen = genbox[0]
+        settled_ids = _scalar_ball(pairs, source_id, radius, dist, stamp, gen)
+        settles += len(settled_ids)
+        ids = np.fromiter(settled_ids, dtype=np.int64, count=len(settled_ids))
+        packed = (np.minimum(ids, source_id) << 32) | np.maximum(ids, source_id)
+        covered.extend(packed.tolist())
+        for canonical_index, target_id, weight in items:
+            if stamp[target_id] != gen or dist[target_id] > t * weight:
+                candidates.append(canonical_index)
     return candidates, settles, covered
 
 
 def _filter_shard(payload) -> ShardResult:
     """Worker entry point: attach the published snapshot, decide the shard."""
     global _ATTACHED_PAIRS
-    frozen, shard, t, scalar_kernel, band_index, search_mode = payload
+    frozen, shard, t, band_index = payload
     if _KILL_AT_BAND is not None and band_index == _KILL_AT_BAND:
         # Chaos injection: die exactly the way a OOM-killed or crashed
         # worker would — no exception, no cleanup, the process just stops.
         os.kill(os.getpid(), signal.SIGKILL)
     if isinstance(frozen, SharedCSRDescriptor):
         name = frozen.name
-        frozen = _attached_csr(frozen)
+        if _ATTACHED_PAIRS is None or _ATTACHED_PAIRS[0] != name:
+            _ATTACHED_PAIRS = (name, _csr_as_pairs(_attached_csr(frozen)))
+        pairs = _ATTACHED_PAIRS[1]
     else:
-        name = None
-    pairs = None
-    if scalar_kernel:
-        if name is not None:
-            if _ATTACHED_PAIRS is None or _ATTACHED_PAIRS[0] != name:
-                _ATTACHED_PAIRS = (name, _csr_as_pairs(frozen))
-            pairs = _ATTACHED_PAIRS[1]
-        else:
-            pairs = _csr_as_pairs(frozen)
-    return _filter_groups(frozen, pairs, shard, t, search_mode)
+        pairs = _csr_as_pairs(frozen)
+    return _filter_groups(pairs, shard, t)
 
 
 def _pack_pair(a: int, b: int) -> int:
@@ -422,7 +338,6 @@ def parallel_greedy_spanner(
     bands: int = DEFAULT_BANDS,
     band_edges: Optional[int] = None,
     edges: Optional[Iterable[WeightedEdge]] = None,
-    search_mode: str = "list",
 ) -> Spanner:
     """Build the greedy ``t``-spanner on the CSR + band-parallel path.
 
@@ -449,12 +364,6 @@ def parallel_greedy_spanner(
     edges:
         Optional canonical-order edge source overriding
         ``graph.edges_sorted_by_weight()`` (e.g. the streaming pipeline).
-    search_mode:
-        ``"list"`` (default) runs the seed lazy-heapq filter/replay
-        kernels; ``"heap"`` runs the decrease-key twins on the int-indexed
-        d-ary heap core of :mod:`repro.graph.heap`.  Byte-identical spanner
-        and identical deterministic counters either way (the total-order
-        tie-break argument; asserted by the builds-match tests).
 
     Returns
     -------
@@ -469,10 +378,6 @@ def parallel_greedy_spanner(
     """
     if t < 1.0:
         raise InvalidStretchError(f"stretch must be at least 1, got {t}")
-    if search_mode not in ("list", "heap"):
-        raise ValueError(
-            f"unknown search mode {search_mode!r} (expected 'list' or 'heap')"
-        )
     from repro.experiments.harness import (
         deterministic_shards,
         fork_available,
@@ -502,7 +407,6 @@ def parallel_greedy_spanner(
     used_shared_memory = False
     pool_fallbacks = 0
     worker_deaths = 0
-    scalar_bands = 0
     #: Monotone coverage cache: packed unordered pairs (u, x) certified
     #: ``δ(u, x) ≤ r`` by some earlier ball or replay search of radius
     #: ``r ≤ t·w`` for every weight ``w`` still ahead in the canonical order
@@ -552,9 +456,6 @@ def parallel_greedy_spanner(
                 info[canonical_index] = (u, v, uid, vid, weight)
             examined += len(band)
             frozen = mirror.finalize()
-            scalar_kernel = frozen.nnz <= SCALAR_KERNEL_MAX_DEGREE * max(1, frozen.n)
-            if scalar_kernel:
-                scalar_bands += 1
             group_items: list[FilterGroup] = list(groups.items())
             results: Optional[list[ShardResult]] = None
             if pool is not None and len(group_items) > 1:
@@ -569,17 +470,7 @@ def parallel_greedy_spanner(
                         payload_frozen = frozen  # pickled fallback, still exact
                     results = pool.map(
                         _filter_shard,
-                        [
-                            (
-                                payload_frozen,
-                                shard,
-                                t,
-                                scalar_kernel,
-                                band_count - 1,
-                                search_mode,
-                            )
-                            for shard in shards
-                        ],
+                        [(payload_frozen, shard, t, band_count - 1) for shard in shards],
                     )
                 except WorkerDeathError:
                     # A worker was killed mid-band (SIGKILL/OOM).  The band's
@@ -597,8 +488,7 @@ def parallel_greedy_spanner(
                         shm.close()
                         shm.unlink()
             if results is None and group_items:
-                pairs = _csr_as_pairs(frozen) if scalar_kernel else None
-                results = [_filter_groups(frozen, pairs, group_items, t, search_mode)]
+                results = [_filter_groups(_csr_as_pairs(frozen), group_items, t)]
             results = results or []
             candidates = sorted(chain.from_iterable(part for part, _, _ in results))
             filter_settles += sum(settles for _, settles, _ in results)
@@ -609,7 +499,7 @@ def parallel_greedy_spanner(
                 u, v, uid, vid, weight = info[canonical_index]
                 cutoff = t * weight
                 distance, settled_f, settled_b = indexed_bidirectional_cutoff(
-                    mirror, uid, vid, cutoff, mode=search_mode
+                    mirror, uid, vid, cutoff
                 )
                 replay_settles += len(settled_f) + len(settled_b)
                 # Replay half-balls are certified bounds on the live (even
@@ -639,7 +529,6 @@ def parallel_greedy_spanner(
         "build_candidate_edges": float(candidate_total),
         "build_cache_hits": float(cache_hits),
         "build_bands": float(band_count),
-        "build_scalar_bands": float(scalar_bands),
         "build_workers": float(worker_count),
         "build_shared_memory": 1.0 if used_shared_memory else 0.0,
         "build_pool_fallbacks": float(pool_fallbacks),
@@ -660,7 +549,6 @@ def parallel_greedy_spanner_of_metric(
     *,
     workers: Optional[int] = 1,
     bands: int = DEFAULT_BANDS,
-    search_mode: str = "list",
 ) -> Spanner:
     """Band-parallel greedy on the complete graph of a finite metric space.
 
@@ -676,7 +564,6 @@ def parallel_greedy_spanner_of_metric(
         workers=workers,
         bands=bands,
         edges=sorted_pair_stream(metric),
-        search_mode=search_mode,
     )
     spanner.algorithm = "greedy-parallel-metric"
     return spanner

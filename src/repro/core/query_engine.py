@@ -13,9 +13,8 @@ Grouping is the whole win; the search itself is the seed's relaxation
 loop — ``(dist, id)`` tuples on C :mod:`heapq`, strict ``<`` improvement,
 stale pops skipped — over a flat distance list filled fresh per source.
 On full searches like these, C :mod:`heapq` with lazy deletion runs about
-2.5× faster per batch than the pure-Python decrease-key
-:class:`~repro.graph.heap.IndexedDaryHeap` (measurements in
-``docs/PERFORMANCE.md``).
+2.5× faster per batch than a pure-Python decrease-key d-ary heap
+(measurements in ``docs/PERFORMANCE.md``).
 
 The batched answers are **exactly** the reference answers, not merely
 close: for a fixed adjacency, every Dijkstra variant settles a vertex at

@@ -176,6 +176,18 @@ class JobStateError(ServiceError, ValueError):
     """A job state transition that the lifecycle state machine forbids."""
 
 
+class CorruptJobRecordError(ServiceError):
+    """A job record on disk does not parse as a job.
+
+    The queue moves the record aside to ``<name>.corrupt`` before raising,
+    so one truncated record never breaks listing or claiming.
+    """
+
+    def __init__(self, job_id: str, reason: str) -> None:
+        super().__init__(f"job record {job_id!r} is corrupt ({reason}); moved aside")
+        self.job_id = job_id
+
+
 class StaleLeaseError(ServiceError):
     """A worker acted on a job whose lease it no longer holds.
 

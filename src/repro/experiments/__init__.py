@@ -1,4 +1,7 @@
-"""Experiment harness: workloads, runners and the per-claim experiments of DESIGN.md."""
+"""Experiment harness: workloads, runners and the per-claim experiments.
+
+Each experiment runs from the command line as ``repro experiment <id>``.
+"""
 
 from repro.experiments.harness import (
     ExperimentResult,

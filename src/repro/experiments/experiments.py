@@ -1,10 +1,10 @@
-"""One function per paper claim: the experiments of DESIGN.md's index (E1–E8).
+"""One function per paper claim: experiments E1–E8 of ``repro experiment``.
 
 Each function regenerates the measurable content of one figure, corollary or
 quoted empirical claim of *The Greedy Spanner is Existentially Optimal* and
 returns an :class:`~repro.experiments.harness.ExperimentResult`.  The
-benchmarks in ``benchmarks/`` call these functions (so the numbers in
-EXPERIMENTS.md are regenerated by ``pytest benchmarks/ --benchmark-only``),
+benchmarks in ``benchmarks/`` call these functions (so the experiment
+tables are regenerated by ``pytest benchmarks/ --benchmark-only``),
 and the integration tests assert the *shape* of the results (who wins, what
 grows, what stays flat) without pinning fragile absolute numbers.
 """
@@ -241,8 +241,8 @@ def experiment_approximate_greedy(
 
             start = time.perf_counter()
             # The 2-dimensional Euclidean workload uses the Θ-graph base spanner
-            # (the substrate of the original Euclidean algorithm of DN97/GLN02);
-            # see DESIGN.md for the substitution rationale.
+            # (the substrate of the original Euclidean algorithm of DN97/GLN02),
+            # whose constants are far smaller than the net-tree's.
             approx = build_spanner(
                 "approx-greedy", metric, 1.0 + epsilon, epsilon=epsilon, base="theta"
             )
@@ -781,7 +781,7 @@ def experiment_build_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Convenience: run everything (used by the EXPERIMENTS.md regeneration script)
+# Convenience: run everything (used by scripts/regenerate_experiments.py)
 # ---------------------------------------------------------------------------
 def experiment_service_matrix(
     n: int = 150,

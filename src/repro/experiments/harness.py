@@ -1,11 +1,11 @@
 """Experiment harness: result records, timing helpers and the sharded executor.
 
 Every experiment in :mod:`repro.experiments.experiments` returns an
-:class:`ExperimentResult` — the experiment id from DESIGN.md's index, the
+:class:`ExperimentResult` — the ``repro experiment`` id (``E1``–``E15``), the
 rows of the regenerated table, and free-text notes recording the paper claim
 the rows should be compared against.  Benchmarks print the rendered table so
-that ``pytest benchmarks/ --benchmark-only`` output doubles as the data for
-EXPERIMENTS.md.
+that ``pytest benchmarks/ --benchmark-only`` output doubles as the data of
+the tables ``scripts/regenerate_experiments.py`` writes.
 
 The sharded executor (:func:`run_sharded` with :func:`deterministic_shards`
 and :func:`merge_counters`) is the ``multiprocessing`` fan-out behind the
@@ -41,7 +41,7 @@ class ExperimentResult:
     Attributes
     ----------
     experiment_id:
-        The DESIGN.md identifier, e.g. ``"E3"``.
+        The ``repro experiment`` identifier, e.g. ``"E3"``.
     title:
         Human-readable experiment title.
     paper_claim:

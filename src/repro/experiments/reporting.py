@@ -3,7 +3,8 @@
 The benchmark harness prints the same kind of rows the paper's claims are
 about (edge counts, lightness, degrees, ratios).  Rendering is kept trivial —
 fixed-width text tables — because the repository must run without plotting
-libraries; the EXPERIMENTS.md tables are produced from the same code.
+libraries; the tables ``scripts/regenerate_experiments.py`` writes are
+produced from the same code.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 A *workload* is a reproducible instance (a graph or a metric space) with a
 descriptive name, a seed and the parameters used to generate it.  Keeping the
-registry in one place guarantees that the numbers reported in EXPERIMENTS.md
-and the numbers produced by ``pytest benchmarks/`` come from identical
-instances.
+registry in one place guarantees that the experiment tables, the examples
+and ``pytest benchmarks/`` all run on identical instances.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ def list_workloads(kind: str | None = None) -> list[WorkloadSpec]:
 
 
 def _register_default_workloads() -> None:
-    """Populate the registry with the workloads referenced by DESIGN.md."""
+    """Populate the registry with the workloads the experiments reference."""
     register(WorkloadSpec(
         name="random-graph-small",
         kind="graph",

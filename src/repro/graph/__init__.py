@@ -9,12 +9,9 @@ helpers.
 from repro.graph.weighted_graph import WeightedGraph
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.csr import CSRAdjacency, SharedCSRDescriptor, attach_csr, share_csr
-from repro.graph.heap import DaryHeap, EventQueue, IndexedDaryHeap, merge_sorted_runs
+from repro.graph.heap import EventQueue
 from repro.graph.shortest_paths import (
     all_pairs_distances,
-    csr_bidirectional_cutoff,
-    csr_bounded_search,
-    csr_sssp,
     dijkstra,
     dijkstra_with_cutoff,
     dijkstra_with_cutoff_stats,
@@ -52,14 +49,8 @@ __all__ = [
     "SharedCSRDescriptor",
     "attach_csr",
     "share_csr",
-    "DaryHeap",
     "EventQueue",
-    "IndexedDaryHeap",
-    "merge_sorted_runs",
     "all_pairs_distances",
-    "csr_bidirectional_cutoff",
-    "csr_bounded_search",
-    "csr_sssp",
     "dijkstra",
     "dijkstra_with_cutoff",
     "dijkstra_with_cutoff_stats",

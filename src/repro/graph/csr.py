@@ -1,28 +1,24 @@
 """Compressed-sparse-row (CSR) adjacency: the array-native graph substrate.
 
 :class:`~repro.graph.indexed_graph.IndexedGraph` stores adjacency as Python
-list-of-lists — the right structure for amortized O(1) edge appends, but every
-relaxation still walks boxed Python floats.  :class:`CSRAdjacency` is the
-*finalized* form of the same graph: three flat numpy arrays
+list-of-lists — the right structure for amortized O(1) edge appends and for
+the scalar search loops.  :class:`CSRAdjacency` is the *finalized* form of
+the same graph: three flat numpy arrays that can cross a process boundary
+without pickling:
 
 * ``indptr``  — ``int64[n + 1]``, vertex ``v``'s neighbours live at
   ``indices[indptr[v]:indptr[v + 1]]``,
 * ``indices`` — ``int64[2m]``, neighbour ids of each directed half-edge,
 * ``weights`` — ``float64[2m]``, the parallel weight of each half-edge,
 
-with each vertex's slice preserving the exact adjacency *order* of the list
-representation, so a search that relaxes a CSR slice front-to-back pushes the
-same heap entries in the same order as the list path — the property the
-``mode="csr"`` kernels in :mod:`repro.graph.shortest_paths` rely on for
-bit-identical results.
+(each vertex's slice preserving the exact adjacency *order* of the list
+representation).
 
 CSR views are immutable snapshots: :meth:`IndexedGraph.finalize` caches one
-and invalidates it on any mutation, so alternating append/search phases pay
-one O(n + m) rebuild per phase, amortized against the searches that reuse it.
-
-For the parallel spanner builder (:mod:`repro.core.parallel_greedy`) the
-three arrays of a frozen snapshot are published to worker processes through
-one :class:`multiprocessing.shared_memory.SharedMemory` block —
+and invalidates it on any mutation.  The parallel spanner builder
+(:mod:`repro.core.parallel_greedy`) takes one per construction band and
+publishes its three arrays to worker processes through one
+:class:`multiprocessing.shared_memory.SharedMemory` block —
 :func:`share_csr` / :func:`attach_csr` — so each construction band ships a
 ~16-byte descriptor per task instead of pickling O(m) arrays.
 """

@@ -238,10 +238,9 @@ class IndexedGraph:
         ``indptr`` / ``indices`` / ``weights`` arrays preserving per-vertex
         neighbour order) is cached on the graph and invalidated by *any*
         mutation: interning a new vertex, appending a half-edge, or
-        overwriting an edge weight.  Alternating mutate/search phases
-        therefore pay one O(n + m) rebuild per phase, amortized across every
-        ``mode="csr"`` search that reuses it.  Callers must treat the
-        returned arrays as immutable.
+        overwriting an edge weight.  The parallel spanner builder takes one
+        snapshot per construction band to share with its worker processes.
+        Callers must treat the returned arrays as immutable.
         """
         csr = self._csr
         if csr is None:

@@ -175,7 +175,7 @@ def mst_weight(graph: WeightedGraph) -> float:
     return forest.total_weight()
 
 
-def mst_weight_indexed(graph: WeightedGraph, *, mode: str = "list") -> float:
+def mst_weight_indexed(graph: WeightedGraph) -> float:
     """Indexed-Prim fast path for ``w(MST(G))`` on plain weighted graphs.
 
     Runs Prim's algorithm over the flat adjacency arrays of an
@@ -188,21 +188,12 @@ def mst_weight_indexed(graph: WeightedGraph, *, mode: str = "list") -> float:
     spanning tree either way; with tied weights a different minimum tree of
     the same total weight may be chosen).
 
-    ``mode="heap"`` runs the same Prim sweep on the decrease-key
-    :class:`~repro.graph.heap.IndexedDaryHeap`.  The accumulation order —
-    hence the returned float, bit for bit — is identical to the lazy
-    ``mode="list"`` path: the (key, vertex) order is total, the lazy path's
-    improvement prune keeps exactly one *live* entry per vertex, and the
-    sum adds keys in pop order, which both queues share.
-
     Raises :class:`DisconnectedGraphError` for disconnected graphs, matching
     :func:`mst_weight`.
     """
     dense = getattr(graph, "dense_metric_mst_weight", None)
     if dense is not None:
         return dense()
-    if mode not in ("list", "heap"):
-        raise ValueError(f"unknown search mode {mode!r} (expected 'list' or 'heap')")
     from repro.graph.indexed_graph import IndexedGraph
 
     indexed = IndexedGraph.from_weighted_graph(graph)
@@ -216,41 +207,22 @@ def mst_weight_indexed(graph: WeightedGraph, *, mode: str = "list") -> float:
     best[0] = 0.0
     total = 0.0
     reached = 0
-    if mode == "heap":
-        from repro.graph.heap import IndexedDaryHeap
-
-        dary = IndexedDaryHeap(n)
-        dary.insert(0, 0.0)
-        pop_min = dary.pop_min
-        relax = dary.relax
-        while len(dary):
-            weight, vertex = pop_min()
-            in_tree[vertex] = True
-            reached += 1
-            total += weight
-            for neighbour, edge_weight in zip(
-                neighbour_ids[vertex], neighbour_weights[vertex]
-            ):
-                if not in_tree[neighbour] and edge_weight < best[neighbour]:
-                    best[neighbour] = edge_weight
-                    relax(neighbour, edge_weight)
-    else:
-        heap: list[tuple[float, int]] = [(0.0, 0)]
-        push = heapq.heappush
-        pop = heapq.heappop
-        while heap:
-            weight, vertex = pop(heap)
-            if in_tree[vertex]:
-                continue
-            in_tree[vertex] = True
-            reached += 1
-            total += weight
-            for neighbour, edge_weight in zip(
-                neighbour_ids[vertex], neighbour_weights[vertex]
-            ):
-                if not in_tree[neighbour] and edge_weight < best[neighbour]:
-                    best[neighbour] = edge_weight
-                    push(heap, (edge_weight, neighbour))
+    heap: list[tuple[float, int]] = [(0.0, 0)]
+    push = heapq.heappush
+    pop = heapq.heappop
+    while heap:
+        weight, vertex = pop(heap)
+        if in_tree[vertex]:
+            continue
+        in_tree[vertex] = True
+        reached += 1
+        total += weight
+        for neighbour, edge_weight in zip(
+            neighbour_ids[vertex], neighbour_weights[vertex]
+        ):
+            if not in_tree[neighbour] and edge_weight < best[neighbour]:
+                best[neighbour] = edge_weight
+                push(heap, (edge_weight, neighbour))
     if reached != n:
         raise DisconnectedGraphError(
             "MST weight requested for a disconnected graph "

@@ -40,22 +40,14 @@ oracles and the cluster graphs (see ``docs/PERFORMANCE.md``):
   routing-table and synchronizer kernels of the distributed overlay engine
   (:mod:`repro.distributed`).
 
-Every ported ``indexed_*`` search accepts ``mode="list"`` (default — walk
-the list-of-lists adjacency), ``mode="csr"`` (walk the graph's finalized
-:class:`~repro.graph.csr.CSRAdjacency` snapshot with vectorized batched
-relaxations) or ``mode="heap"`` (the int-indexed d-ary heap core of
-:mod:`repro.graph.heap`: decrease-key via a position map where the seed
-discipline allows it, a lazy d-ary queue where stale heap tops are
-observable — see :func:`indexed_bidirectional_cutoff`).  All paths are
-bit-identical — same distances, same settled maps, same operation counts —
-because every search's priority order is *total* ((dist, vertex) with
-unique vertex ids), so any correct queue pops the identical sequence with
-IEEE-identical float64 sums; the hypothesis suites
-``tests/graph/test_csr_equivalence.py`` and
-``tests/graph/test_heap_properties.py`` prove it per function.  The raw
-CSR kernels (:func:`csr_bounded_search`, :func:`csr_bidirectional_cutoff`,
-:func:`csr_sssp`) are public for callers that hold a bare snapshot, e.g.
-the parallel builder's worker processes attached to shared memory.
+Each search kind has exactly one production kernel: a lazy C :mod:`heapq`
+loop over the list-of-lists adjacency with ``(dist, vertex)`` entries.
+Because that priority order is *total* (vertex ids are unique), every run
+pops an identical sequence with IEEE-identical float64 sums, so settled
+maps and operation counts are deterministic.  The per-kind measurements
+that retired the CSR-array and d-ary-heap twins are in
+``docs/PERFORMANCE.md``; ``tests/graph/test_csr_equivalence.py`` checks
+every kernel against the :class:`WeightedGraph` seed searches above.
 
 All functions treat unreachable vertices as being at distance ``math.inf``.
 """
@@ -67,11 +59,7 @@ import math
 from collections.abc import Iterable
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import VertexNotFoundError
-from repro.graph.csr import CSRAdjacency
-from repro.graph.heap import DaryHeap, IndexedDaryHeap
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
@@ -210,22 +198,13 @@ def dijkstra_with_cutoff_stats(
 # Indexed (dense integer id) fast-path searches
 # ----------------------------------------------------------------------
 # The bounded settled-dict family — single-pair cutoff search, ball harvest
-# and the deleted-edge search — used to be three hand-copied heapq loops.
-# They now share ONE parameterized inner loop per representation:
-# :func:`_list_bounded` walks the list-of-lists adjacency, and
-# :func:`csr_bounded_search` walks a finalized :class:`CSRAdjacency` with
-# vectorized batched relaxations.  The two loops are the single seam the
-# ``mode="csr"`` selection switches between; they are bit-identical in
-# returned distances, settled maps (contents *and* insertion order) and
-# therefore operation counts, because a binary heap's pop sequence depends
-# only on the multiset of its (dist, vertex) entries and both loops push the
-# same multiset with IEEE-identical float64 sums (hypothesis-proven in
-# ``tests/graph/test_csr_equivalence.py``).
+# and the deleted-edge search — shares ONE parameterized inner loop,
+# :func:`_bounded_search`.
 
 _UNUSED = -1  # sentinel vertex id: never equals a real dense id (ids are >= 0)
 
 
-def _list_bounded(
+def _bounded_search(
     graph: IndexedGraph,
     source: int,
     cutoff: float,
@@ -233,7 +212,7 @@ def _list_bounded(
     skip_u: int = _UNUSED,
     skip_v: int = _UNUSED,
 ) -> tuple[float, dict[int, float]]:
-    """The shared list-adjacency bounded-Dijkstra inner loop.
+    """The shared bounded-Dijkstra inner loop.
 
     Grows the ball around ``source`` up to ``cutoff``; stops early when
     ``target`` settles; never relaxes the undirected edge
@@ -269,195 +248,11 @@ def _list_bounded(
     return math.inf, settled
 
 
-class _CSRScratch:
-    """Reusable flat search state for one vertex-count ``n``.
-
-    Validity is tracked by a generation counter instead of clearing: a stamp
-    equal to the current generation marks a live entry, so starting a search
-    is one integer increment, not an O(n) memset — the property that keeps
-    tiny bounded balls O(|ball|) on the array path too.
-    """
-
-    __slots__ = (
-        "settled_a",
-        "settled_b",
-        "tentative_a",
-        "tentative_b",
-        "dist_a",
-        "dist_b",
-        "generation",
-    )
-
-    def __init__(self, n: int) -> None:
-        self.settled_a = np.zeros(n, dtype=np.int64)
-        self.settled_b = np.zeros(n, dtype=np.int64)
-        self.tentative_a = np.zeros(n, dtype=np.int64)
-        self.tentative_b = np.zeros(n, dtype=np.int64)
-        self.dist_a = np.zeros(n, dtype=np.float64)
-        self.dist_b = np.zeros(n, dtype=np.float64)
-        self.generation = 0
-
-    def next_generation(self) -> int:
-        self.generation += 1
-        return self.generation
-
-
-_CSR_SCRATCH: dict[int, _CSRScratch] = {}
-
-
-def _scratch_for(n: int) -> _CSRScratch:
-    scratch = _CSR_SCRATCH.get(n)
-    if scratch is None:
-        scratch = _CSR_SCRATCH[n] = _CSRScratch(n)
-    return scratch
-
-
-def clear_csr_scratch() -> None:
-    """Drop all cached CSR search scratch arrays (test/memory hygiene)."""
-    _CSR_SCRATCH.clear()
-
-
-#: Arity of the ``mode="heap"`` search twins.  The pop order is provably
-#: independent of this value (the (dist, vertex) order is total), which the
-#: equivalence suite exercises by monkeypatching it; 4 measured best — see
-#: docs/PERFORMANCE.md.
-DEFAULT_HEAP_ARITY = 4
-
-_HEAP_SCRATCH: dict[tuple[int, int], IndexedDaryHeap] = {}
-
-
-def _heap_for(n: int) -> IndexedDaryHeap:
-    """The cached decrease-key heap for vertex count ``n`` (O(1) reset)."""
-    key = (n, DEFAULT_HEAP_ARITY)
-    scratch = _HEAP_SCRATCH.get(key)
-    if scratch is None:
-        scratch = _HEAP_SCRATCH[key] = IndexedDaryHeap(n, arity=DEFAULT_HEAP_ARITY)
-    return scratch
-
-
-def clear_heap_scratch() -> None:
-    """Drop all cached indexed d-ary heaps (test/memory hygiene)."""
-    _HEAP_SCRATCH.clear()
-
-
-def _heap_bounded(
-    graph: IndexedGraph,
-    source: int,
-    cutoff: float,
-    target: int = _UNUSED,
-    skip_u: int = _UNUSED,
-    skip_v: int = _UNUSED,
-) -> tuple[float, dict[int, float]]:
-    """The decrease-key twin of :func:`_list_bounded` on the d-ary heap core.
-
-    At most one entry per vertex lives in the queue; a relaxation that
-    improves an enqueued vertex decreases its key in place instead of
-    pushing a duplicate.  The settle order is nevertheless *identical* to
-    the lazy list loop: under the total (dist, vertex) order a vertex
-    settles exactly when its minimum pushed entry is the global minimum
-    among unsettled entries, and the decrease-key queue tracks exactly
-    those minima.  Stale entries are unobservable in this family — the
-    loop's only outputs are the settled map and the target distance — so
-    eliding them changes nothing (unlike the bidirectional search, whose
-    heap-top side selection *can* observe them).
-    """
-    settled: dict[int, float] = {}
-    neighbour_ids, neighbour_weights = graph.adjacency_arrays()
-    heap = _heap_for(graph.number_of_vertices)
-    heap.clear()
-    heap.insert(source, 0.0)
-    relax = heap.relax
-    pop_min = heap.pop_min
-    skip = skip_u >= 0
-    while len(heap):
-        dist, vertex = pop_min()
-        if dist > cutoff:
-            return math.inf, settled
-        settled[vertex] = dist
-        if vertex == target:
-            return dist, settled
-        for neighbour, weight in zip(neighbour_ids[vertex], neighbour_weights[vertex]):
-            if skip and (
-                (vertex == skip_u and neighbour == skip_v)
-                or (vertex == skip_v and neighbour == skip_u)
-            ):
-                continue
-            new_dist = dist + weight
-            if new_dist <= cutoff:
-                relax(neighbour, new_dist)
-    return math.inf, settled
-
-
-def csr_bounded_search(
-    csr: CSRAdjacency,
-    source: int,
-    cutoff: float,
-    *,
-    target: int = _UNUSED,
-    skip_u: int = _UNUSED,
-    skip_v: int = _UNUSED,
-) -> tuple[float, dict[int, float]]:
-    """The CSR twin of :func:`_list_bounded`: array-native bounded Dijkstra.
-
-    Relaxations are batched per settled vertex: one slice of the CSR arrays,
-    one vectorized ``dist + weights`` float64 add (IEEE-identical to the
-    scalar adds of the list loop), one vectorized cutoff/settled/skip mask,
-    then only the surviving ``(new_dist, neighbour)`` pairs touch the heap.
-    Exposed publicly because the parallel spanner builder's worker processes
-    run it directly on a shared-memory :class:`CSRAdjacency` snapshot with no
-    :class:`IndexedGraph` in sight.
-    """
-    indptr = csr.indptr
-    indices = csr.indices
-    weights = csr.weights
-    scratch = _scratch_for(csr.n)
-    stamp = scratch.settled_a
-    gen = scratch.next_generation()
-    order: list[int] = []
-    dists: list[float] = []
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    skip = skip_u >= 0
-    distance = math.inf
-    while heap:
-        dist, vertex = pop(heap)
-        if dist > cutoff:
-            break
-        if stamp[vertex] == gen:
-            continue
-        stamp[vertex] = gen
-        order.append(vertex)
-        dists.append(dist)
-        if vertex == target:
-            distance = dist
-            break
-        start = indptr[vertex]
-        end = indptr[vertex + 1]
-        nbrs = indices[start:end]
-        new_dist = dist + weights[start:end]
-        ok = new_dist <= cutoff
-        ok &= stamp[nbrs] != gen
-        if skip:
-            if vertex == skip_u:
-                ok &= nbrs != skip_v
-            elif vertex == skip_v:
-                ok &= nbrs != skip_u
-        if not ok.all():
-            nbrs = nbrs[ok]
-            new_dist = new_dist[ok]
-        for entry in zip(new_dist.tolist(), nbrs.tolist()):
-            push(heap, entry)
-    return distance, dict(zip(order, dists))
-
-
 def indexed_dijkstra_with_cutoff(
     graph: IndexedGraph,
     source: int,
     target: int,
     cutoff: float,
-    *,
-    mode: str = "list",
 ) -> tuple[float, dict[int, float]]:
     """Bounded single-pair Dijkstra over an :class:`IndexedGraph`.
 
@@ -468,106 +263,10 @@ def indexed_dijkstra_with_cutoff(
     distance at search time and therefore a valid upper bound forever in a
     graph whose distances only shrink (the property the caching oracle's
     full-ball variant, :func:`indexed_ball`, exploits).
-
-    ``mode="csr"`` runs the same search on the graph's finalized
-    :class:`CSRAdjacency` snapshot — bit-identical result, vectorized
-    relaxations; best when many searches run between mutations.
-    ``mode="heap"`` runs the decrease-key twin on the int-indexed d-ary
-    heap core — bit-identical too (see :func:`_heap_bounded`).
     """
     if source == target:
         return 0.0, {source: 0.0}
-    if mode == "list":
-        return _list_bounded(graph, source, cutoff, target)
-    if mode == "csr":
-        return csr_bounded_search(graph.finalize(), source, cutoff, target=target)
-    if mode == "heap":
-        return _heap_bounded(graph, source, cutoff, target)
-    raise ValueError(
-        f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-    )
-
-
-def csr_bidirectional_cutoff(
-    csr: CSRAdjacency,
-    source: int,
-    target: int,
-    cutoff: float,
-) -> tuple[float, dict[int, float], dict[int, float]]:
-    """The CSR twin of :func:`indexed_bidirectional_cutoff`'s list loop.
-
-    Same meet-in-the-middle semantics with vectorized batched relaxations;
-    tentative distances live in generation-stamped flat arrays so the
-    improvement prune (``new_dist >= dist_this[neighbour]``) is one gather.
-    The running ``best`` meeting value is updated with a batch minimum —
-    order-free, hence equal to the list loop's sequential minimum.
-    """
-    if source == target:
-        return 0.0, {source: 0.0}, {target: 0.0}
-    indptr = csr.indptr
-    indices = csr.indices
-    weights = csr.weights
-    scratch = _scratch_for(csr.n)
-    gen = scratch.next_generation()
-    inf = math.inf
-    best = inf
-    settled_f: dict[int, float] = {}
-    settled_b: dict[int, float] = {}
-    settled_stamps = (scratch.settled_a, scratch.settled_b)
-    tentative_stamps = (scratch.tentative_a, scratch.tentative_b)
-    tentative_dists = (scratch.dist_a, scratch.dist_b)
-    tentative_stamps[0][source] = gen
-    tentative_dists[0][source] = 0.0
-    tentative_stamps[1][target] = gen
-    tentative_dists[1][target] = 0.0
-    heaps = ([(0.0, source)], [(0.0, target)])
-    settled_maps = (settled_f, settled_b)
-    push = heapq.heappush
-    pop = heapq.heappop
-
-    while heaps[0] and heaps[1]:
-        top_f = heaps[0][0][0]
-        top_b = heaps[1][0][0]
-        frontier_sum = top_f + top_b
-        if frontier_sum >= best or frontier_sum > cutoff:
-            break
-        side = 0 if top_f <= top_b else 1
-        heap = heaps[side]
-        my_settled = settled_stamps[side]
-        my_tentative = tentative_stamps[side]
-        my_dist = tentative_dists[side]
-        other_tentative = tentative_stamps[1 - side]
-        other_dist = tentative_dists[1 - side]
-        dist, vertex = pop(heap)
-        if my_settled[vertex] == gen:
-            continue
-        my_settled[vertex] = gen
-        settled_maps[side][vertex] = dist
-        start = indptr[vertex]
-        end = indptr[vertex + 1]
-        nbrs = indices[start:end]
-        new_dist = dist + weights[start:end]
-        current = np.where(my_tentative[nbrs] == gen, my_dist[nbrs], inf)
-        ok = my_settled[nbrs] != gen
-        ok &= new_dist <= cutoff
-        ok &= new_dist < current
-        if not ok.all():
-            nbrs = nbrs[ok]
-            new_dist = new_dist[ok]
-        if nbrs.shape[0]:
-            my_tentative[nbrs] = gen
-            my_dist[nbrs] = new_dist
-            for entry in zip(new_dist.tolist(), nbrs.tolist()):
-                push(heap, entry)
-            met = other_tentative[nbrs] == gen
-            if met.any():
-                meeting = float((new_dist[met] + other_dist[nbrs[met]]).min())
-                if meeting < best:
-                    best = meeting
-
-    if best <= cutoff:
-        return best, settled_f, settled_b
-    return math.inf, settled_f, settled_b
+    return _bounded_search(graph, source, cutoff, target)
 
 
 def indexed_bidirectional_cutoff(
@@ -575,8 +274,6 @@ def indexed_bidirectional_cutoff(
     source: int,
     target: int,
     cutoff: float,
-    *,
-    mode: str = "list",
 ) -> tuple[float, dict[int, float], dict[int, float]]:
     """Bounded *bidirectional* Dijkstra over an :class:`IndexedGraph`.
 
@@ -591,24 +288,8 @@ def indexed_bidirectional_cutoff(
     exactly ``δ(source, target)`` if at most ``cutoff``, else ``math.inf``;
     the settled maps hold exact distances from ``source`` (resp. to
     ``target``) for every settled vertex — their sizes are the search's
-    operation count.  ``mode="csr"`` delegates to
-    :func:`csr_bidirectional_cutoff` on the finalized snapshot
-    (bit-identical result); ``mode="heap"`` runs the identical loop on the
-    lazy :class:`~repro.graph.heap.DaryHeap`.  The heap twin deliberately
-    keeps the *lazy duplicate* discipline rather than decrease-key: the
-    side-selection test (``top_f <= top_b``) and the frontier-sum
-    termination test read the heap *tops*, where a stale entry is
-    observable — eliding duplicates could flip which side expands next, so
-    only an order-identical lazy queue is bit-identical here.
+    operation count.
     """
-    if mode == "csr":
-        return csr_bidirectional_cutoff(graph.finalize(), source, target, cutoff)
-    if mode == "heap":
-        return _heap_bidirectional_cutoff(graph, source, target, cutoff)
-    if mode != "list":
-        raise ValueError(
-            f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-        )
     if source == target:
         return 0.0, {source: 0.0}, {target: 0.0}
     neighbour_ids, neighbour_weights = graph.adjacency_arrays()
@@ -661,88 +342,16 @@ def indexed_bidirectional_cutoff(
     return math.inf, settled_f, settled_b
 
 
-def _heap_bidirectional_cutoff(
-    graph: IndexedGraph,
-    source: int,
-    target: int,
-    cutoff: float,
-) -> tuple[float, dict[int, float], dict[int, float]]:
-    """The d-ary-heap twin of the bidirectional list loop (lazy duplicates).
-
-    Same (dist, vertex) total order, same push multiset, same lazy
-    discipline — only the queue's internal layout differs, so every pop,
-    side selection and termination test coincides with the list loop.
-    """
-    if source == target:
-        return 0.0, {source: 0.0}, {target: 0.0}
-    neighbour_ids, neighbour_weights = graph.adjacency_arrays()
-    inf = math.inf
-    best = inf
-    dist_f: dict[int, float] = {source: 0.0}
-    dist_b: dict[int, float] = {target: 0.0}
-    settled_f: dict[int, float] = {}
-    settled_b: dict[int, float] = {}
-    heap_f = DaryHeap(arity=DEFAULT_HEAP_ARITY)
-    heap_b = DaryHeap(arity=DEFAULT_HEAP_ARITY)
-    heap_f.push(0.0, source)
-    heap_b.push(0.0, target)
-    get_f = dist_f.get
-    get_b = dist_b.get
-
-    while len(heap_f) and len(heap_b):
-        top_f = heap_f.peek()[0]
-        top_b = heap_b.peek()[0]
-        frontier_sum = top_f + top_b
-        if frontier_sum >= best or frontier_sum > cutoff:
-            break
-        if top_f <= top_b:
-            heap, settled, dist_this = heap_f, settled_f, dist_f
-            get_this, get_other = get_f, get_b
-        else:
-            heap, settled, dist_this = heap_b, settled_b, dist_b
-            get_this, get_other = get_b, get_f
-        dist, vertex = heap.pop()
-        if vertex in settled:
-            continue
-        settled[vertex] = dist
-        push = heap.push
-        for neighbour, weight in zip(neighbour_ids[vertex], neighbour_weights[vertex]):
-            if neighbour in settled:
-                continue
-            new_dist = dist + weight
-            if new_dist > cutoff or new_dist >= get_this(neighbour, inf):
-                continue
-            dist_this[neighbour] = new_dist
-            push(new_dist, neighbour)
-            other = get_other(neighbour)
-            if other is not None and new_dist + other < best:
-                best = new_dist + other
-
-    if best <= cutoff:
-        return best, settled_f, settled_b
-    return math.inf, settled_f, settled_b
-
-
-def indexed_ball(
-    graph: IndexedGraph, source: int, radius: float, *, mode: str = "list"
-) -> dict[int, float]:
+def indexed_ball(graph: IndexedGraph, source: int, radius: float) -> dict[int, float]:
     """Return ``{vertex_id: distance}`` for every vertex within ``radius`` of ``source``.
 
     The indexed twin of the cluster-construction search: used by
     :class:`~repro.core.cluster_graph.ClusterGraph` to absorb all vertices
     within spanner distance ``radius`` of a new cluster centre, and by the
     caching oracle's batch harvest.  A ball is the bounded search with no
-    target, so all modes flow through the shared bounded loop.
+    target.
     """
-    if mode == "list":
-        return _list_bounded(graph, source, radius)[1]
-    if mode == "csr":
-        return csr_bounded_search(graph.finalize(), source, radius)[1]
-    if mode == "heap":
-        return _heap_bounded(graph, source, radius)[1]
-    raise ValueError(
-        f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-    )
+    return _bounded_search(graph, source, radius)[1]
 
 
 def indexed_greedy_clustering(
@@ -820,7 +429,6 @@ def indexed_cutoff_excluding_edge(
     cutoff: float,
     *,
     excluded: tuple[int, int],
-    mode: str = "list",
 ) -> tuple[float, int]:
     """Bounded single-pair search that never relaxes the ``excluded`` edge.
 
@@ -835,67 +443,11 @@ def indexed_cutoff_excluding_edge(
     if source == target:
         return 0.0, 0
     skip_u, skip_v = excluded
-    if mode == "list":
-        distance, settled = _list_bounded(
-            graph, source, cutoff, target, skip_u, skip_v
-        )
-    elif mode == "csr":
-        distance, settled = csr_bounded_search(
-            graph.finalize(), source, cutoff, target=target, skip_u=skip_u, skip_v=skip_v
-        )
-    elif mode == "heap":
-        distance, settled = _heap_bounded(
-            graph, source, cutoff, target, skip_u, skip_v
-        )
-    else:
-        raise ValueError(
-            f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-        )
+    distance, settled = _bounded_search(graph, source, cutoff, target, skip_u, skip_v)
     return distance, len(settled)
 
 
-def csr_sssp(csr: CSRAdjacency, source: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Array-native full single-source Dijkstra over a :class:`CSRAdjacency`.
-
-    The CSR twin of :func:`indexed_sssp`'s list loop, returning numpy
-    ``(dist, parent, settles)`` with the identical improvement-pruned push
-    rule — the heap receives the same (dist, vertex) multiset, so ``settles``
-    (pops *including* stale entries) matches the list path exactly.
-    """
-    indptr = csr.indptr
-    indices = csr.indices
-    weights = csr.weights
-    dist = np.full(csr.n, np.inf, dtype=np.float64)
-    parent = np.full(csr.n, -1, dtype=np.int64)
-    dist[source] = 0.0
-    settles = 0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d, vertex = pop(heap)
-        settles += 1
-        if d > dist[vertex]:
-            continue  # stale entry superseded by a strict improvement
-        start = indptr[vertex]
-        end = indptr[vertex + 1]
-        nbrs = indices[start:end]
-        new_dist = d + weights[start:end]
-        ok = new_dist < dist[nbrs]
-        if not ok.all():
-            nbrs = nbrs[ok]
-            new_dist = new_dist[ok]
-        if nbrs.shape[0]:
-            dist[nbrs] = new_dist
-            parent[nbrs] = vertex
-            for entry in zip(new_dist.tolist(), nbrs.tolist()):
-                push(heap, entry)
-    return dist, parent, settles
-
-
-def indexed_sssp(
-    graph: IndexedGraph, source: int, *, mode: str = "list"
-) -> tuple[list[float], list[int], int]:
+def indexed_sssp(graph: IndexedGraph, source: int) -> tuple[list[float], list[int], int]:
     """Full single-source Dijkstra over an :class:`IndexedGraph`.
 
     The routing-table kernel of :mod:`repro.distributed.routing`: one call
@@ -911,21 +463,7 @@ def indexed_sssp(
     search's true work, which unlike the settled-vertex count (always ``n``
     for a full sweep) varies with the overlay's density and is the
     operation count the overlay bench gates on.
-
-    ``mode="csr"`` delegates to :func:`csr_sssp` on the finalized snapshot
-    and converts back to lists — identical values, vectorized relaxations.
-    ``mode="heap"`` runs the decrease-key twin on the d-ary heap core; its
-    ``settles`` is reported bit-identically (see :func:`_heap_sssp`).
     """
-    if mode == "csr":
-        dist_array, parent_array, settles = csr_sssp(graph.finalize(), source)
-        return dist_array.tolist(), parent_array.tolist(), settles
-    if mode == "heap":
-        return _heap_sssp(graph, source)
-    if mode != "list":
-        raise ValueError(
-            f"unknown search mode {mode!r} (expected 'list', 'csr' or 'heap')"
-        )
     neighbour_ids, neighbour_weights = graph.adjacency_arrays()
     n = graph.number_of_vertices
     inf = math.inf
@@ -948,41 +486,6 @@ def indexed_sssp(
                 parent[neighbour] = vertex
                 push(heap, (new_dist, neighbour))
     return dist, parent, settles
-
-
-def _heap_sssp(graph: IndexedGraph, source: int) -> tuple[list[float], list[int], int]:
-    """The decrease-key twin of :func:`indexed_sssp`'s list loop.
-
-    The lazy loop's ``settles`` counts *every* pop, stale ones included;
-    since it drains the heap, that equals its push count, which is one
-    initial push plus one push per strict improvement.  Improvements are a
-    property of the relaxation sequence — identical across queue
-    disciplines because the settle order is (total (dist, vertex) order) —
-    so reporting ``improvements + 1`` here is bit-identical to the lazy
-    twins' counter, even though this queue never holds a stale entry.
-    """
-    neighbour_ids, neighbour_weights = graph.adjacency_arrays()
-    n = graph.number_of_vertices
-    inf = math.inf
-    dist: list[float] = [inf] * n
-    parent: list[int] = [-1] * n
-    dist[source] = 0.0
-    heap = _heap_for(n)
-    heap.clear()
-    heap.insert(source, 0.0)
-    pop_min = heap.pop_min
-    relax = heap.relax
-    improvements = 0
-    while len(heap):
-        d, vertex = pop_min()
-        for neighbour, weight in zip(neighbour_ids[vertex], neighbour_weights[vertex]):
-            new_dist = d + weight
-            if new_dist < dist[neighbour]:
-                dist[neighbour] = new_dist
-                parent[neighbour] = vertex
-                relax(neighbour, new_dist)
-                improvements += 1
-    return dist, parent, improvements + 1
 
 
 def indexed_eccentricity(graph: IndexedGraph, source: int) -> tuple[float, int]:

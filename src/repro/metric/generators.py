@@ -144,9 +144,9 @@ def star_metric(n: int, *, centre_distance: float = 1.0) -> ExplicitMetric:
     the reason the greedy spanner cannot have bounded degree in general
     metrics.  (The paper's citation achieves the blowup even with doubling
     dimension 1; this simpler family has doubling dimension ``Θ(log n)`` —
-    the substitution is recorded in DESIGN.md and does not affect what the
-    experiment demonstrates, namely that greedy degree can grow linearly
-    while bounded-degree constructions exist.)
+    the substitution does not affect what the experiment demonstrates,
+    namely that greedy degree can grow linearly while bounded-degree
+    constructions exist.)
 
     Point 0 is the hub; points ``1 .. n-1`` are the leaves.
     """

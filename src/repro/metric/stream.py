@@ -35,10 +35,8 @@ materialized one — while buffering only ``O(buffer)`` pairs at a time:
    stable sort that ``edges_sorted_by_weight`` performs, and bands are
    disjoint weight intervals, so equal weights never straddle a band
    boundary: the concatenated band outputs are the materialized order.
-   The merge runs on the d-ary heap core
-   (:func:`repro.graph.heap.merge_sorted_runs`, whose output order is
-   provably identical to the stable ``heapq.merge``); ``merge_mode="heapq"``
-   keeps the seed path as the reference twin for the equivalence tests.
+   The merge is :func:`heapq.merge`, which breaks key ties toward the
+   earlier run — exactly that stability contract.
 
 Degenerate weight distributions (e.g. every pair at the same distance)
 collapse into a single band and temporarily buffer that band's pairs — the
@@ -54,7 +52,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import EmptyMetricError, InvalidWeightError, MetricAxiomError
-from repro.graph.heap import merge_sorted_runs
 from repro.metric.base import FiniteMetric, Point
 
 #: ``(u, v, weight)`` triples, oriented with ``u`` before ``v`` in point order.
@@ -235,7 +232,6 @@ def sorted_pair_stream(
     metric: FiniteMetric,
     *,
     max_buffer: Optional[int] = None,
-    merge_mode: str = "dary",
 ) -> Iterator[PairTriple]:
     """Yield all pairs of ``metric`` in the exact ``edges_sorted_by_weight`` order.
 
@@ -256,16 +252,7 @@ def sorted_pair_stream(
         Soft cap on pairs buffered at once (default ``max(65536, 32·n)``).
         Smaller values lower peak memory at the cost of extra recomputation
         sweeps; tests use tiny values to force multi-band runs.
-    merge_mode:
-        ``"dary"`` (default) merges the per-row runs on the d-ary heap
-        core; ``"heapq"`` keeps the seed :func:`heapq.merge` path.  Both
-        are stable with ties breaking toward the earlier run, so the
-        output order is identical — the stream equivalence tests assert it.
     """
-    if merge_mode not in ("dary", "heapq"):
-        raise ValueError(
-            f"unknown merge mode {merge_mode!r} (expected 'dary' or 'heapq')"
-        )
     n = len(metric.point_tuple)
     if n == 0:
         raise EmptyMetricError("cannot stream the pairs of an empty metric")
@@ -287,10 +274,8 @@ def sorted_pair_stream(
             continue
         if len(runs) == 1:
             yield from runs[0]
-        elif merge_mode == "heapq":
-            yield from heapq.merge(*runs, key=pair_sort_key)
         else:
-            yield from merge_sorted_runs(runs, key=pair_sort_key)
+            yield from heapq.merge(*runs, key=pair_sort_key)
 
 
 def stream_is_order_identical(metric: FiniteMetric, **kwargs: object) -> bool:

@@ -14,10 +14,10 @@ committed artifact — never a torn write that reads as truth.
 
 **Integrity on read is non-negotiable**: :meth:`ArtifactCache.get` re-hashes
 the payload bytes against the manifest on every hit.  A mismatch (bit rot, a
-truncated copy, the bench's injected bit-flip) quarantines the artifact
-directory under ``<root>/quarantine/`` and raises
-:class:`~repro.errors.ArtifactIntegrityError` — a corrupted artifact is
-rebuilt and re-verified, never served.
+truncated copy, the bench's injected bit-flip) or a manifest that does not
+parse quarantines the artifact directory under ``<root>/quarantine/`` and
+raises :class:`~repro.errors.ArtifactIntegrityError` — a corrupted artifact
+is rebuilt and re-verified, never served.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from repro.errors import ArtifactIntegrityError
 from repro.graph.io import atomic_write_json
 
 SCHEMA_VERSION = 1
+
+#: The digest recorded for a manifest that does not parse (never a sha256).
+UNREADABLE_MANIFEST = "(unreadable manifest)"
 
 
 def canonical_request(
@@ -123,21 +126,35 @@ class ArtifactCache:
         self.counters["puts"] += 1
         return manifest
 
+    def _manifest_sha256(self, key: str) -> str:
+        """The payload sha256 the manifest records.
+
+        A manifest that does not parse records :data:`UNREADABLE_MANIFEST`,
+        which no digest equals, so its artifact fails verification.
+        """
+        try:
+            manifest = json.loads(self.manifest_path(key).read_bytes().decode("utf-8"))
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
+            return UNREADABLE_MANIFEST
+        if not isinstance(manifest, dict):
+            return UNREADABLE_MANIFEST
+        return str(manifest.get("sha256", ""))
+
     def get(self, key: str) -> Optional[dict]:
         """Return the verified payload, ``None`` on a miss.
 
         Raises :class:`ArtifactIntegrityError` — after quarantining — when
-        the payload bytes do not hash to the manifest's sha256.
+        the payload bytes do not hash to the manifest's sha256, or the
+        manifest does not parse.
         """
         manifest_path = self.manifest_path(key)
         payload_path = self.payload_path(key)
         if not manifest_path.exists() or not payload_path.exists():
             self.counters["misses"] += 1
             return None
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        expected = self._manifest_sha256(key)
         data = payload_path.read_bytes()
         actual = _sha256_bytes(data)
-        expected = str(manifest.get("sha256", ""))
         if actual != expected:
             self.quarantine(key)
             self.counters["corrupt_quarantined"] += 1
@@ -180,10 +197,7 @@ class ArtifactCache:
         """
         report: dict[str, dict] = {}
         for key in self.keys():
-            manifest = json.loads(
-                self.manifest_path(key).read_text(encoding="utf-8")
-            )
-            expected = str(manifest.get("sha256", ""))
+            expected = self._manifest_sha256(key)
             payload_path = self.payload_path(key)
             if not payload_path.exists():
                 entry = {"ok": False, "expected": expected, "actual": "(missing)"}

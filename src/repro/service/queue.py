@@ -36,7 +36,12 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.errors import JobNotFoundError, JobStateError, StaleLeaseError
+from repro.errors import (
+    CorruptJobRecordError,
+    JobNotFoundError,
+    JobStateError,
+    StaleLeaseError,
+)
 from repro.graph.io import atomic_write_json
 
 SCHEMA_VERSION = 1
@@ -139,8 +144,13 @@ class JobQueue:
         self.clock = clock
         #: Counters of supervision events (read by the service bench):
         #: ``lease_reclaims`` — expired leases re-claimed, ``quarantined`` —
-        #: poison jobs fenced off.
-        self.counters: dict[str, int] = {"lease_reclaims": 0, "quarantined": 0}
+        #: poison jobs fenced off, ``corrupt_records`` — unparseable records
+        #: moved aside.
+        self.counters: dict[str, int] = {
+            "lease_reclaims": 0,
+            "quarantined": 0,
+            "corrupt_records": 0,
+        }
 
     # ------------------------------------------------------------------
     # Record I/O
@@ -152,18 +162,51 @@ class JobQueue:
         job.updated_at = self.clock()
         atomic_write_json(self._path(job.job_id), job.as_dict())
 
+    def _read(self, path: Path, job_id: str) -> Job:
+        """Parse the record at ``path`` (the job's record or its claim file).
+
+        A record that does not parse as a job is moved aside to
+        ``<job_id>.json.corrupt`` — outside the ``job-*.json`` glob — and
+        :class:`CorruptJobRecordError` is raised, so the bad record is
+        reported once and never read again.
+        """
+        try:
+            data = json.loads(path.read_bytes().decode("utf-8"))
+            if not isinstance(data, dict):
+                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            return Job.from_dict(data)
+        except (ValueError, TypeError) as error:
+            import os
+
+            try:
+                os.replace(path, self._path(job_id).with_suffix(".json.corrupt"))
+            except FileNotFoundError:
+                pass  # another reader moved it aside first
+            self.counters["corrupt_records"] += 1
+            raise CorruptJobRecordError(job_id, str(error)) from error
+
     def get(self, job_id: str) -> Job:
-        """Load one job record; :class:`JobNotFoundError` if absent."""
+        """Load one job record.
+
+        Raises :class:`JobNotFoundError` if absent and
+        :class:`CorruptJobRecordError` if it does not parse.
+        """
         path = self._path(job_id)
         if not path.exists():
             raise JobNotFoundError(job_id)
-        return Job.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return self._read(path, job_id)
 
     def list_jobs(self, state: Optional[str] = None) -> list[Job]:
-        """All job records in job-id order, optionally filtered by state."""
+        """All job records in job-id order, optionally filtered by state.
+
+        Unparseable records are moved aside and skipped.
+        """
         jobs = []
         for path in sorted(self.jobs_dir.glob("job-*.json")):
-            job = Job.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            try:
+                job = self._read(path, path.stem)
+            except CorruptJobRecordError:
+                continue
             if state is None or job.state == state:
                 jobs.append(job)
         return jobs
@@ -233,7 +276,10 @@ class JobQueue:
             os.rename(path, claim)
         except FileNotFoundError:
             return None
-        job = Job.from_dict(json.loads(claim.read_text(encoding="utf-8")))
+        try:
+            job = self._read(claim, job_id)
+        except CorruptJobRecordError:
+            return None
         # Restore the canonical record immediately (atomic); the claim file
         # is only the exclusivity token and is removed now that we won.
         atomic_write_json(path, job.as_dict())

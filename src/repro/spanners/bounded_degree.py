@@ -25,10 +25,10 @@ The per-level degree of a net point is bounded by a packing argument
 ``(2γ)^{O(ddim)}`` net points at mutual distance more than ``r``.  The naive
 union over levels multiplies this by the number of levels a point is a net
 centre of; the classical constructions remove this factor with an extra
-degree-redistribution step.  We omit that step (documented substitution in
-DESIGN.md): the experiments show the measured maximum degree stays far below
-the greedy spanner's worst case and essentially flat in ``n``, which is the
-behaviour Theorem 2 is used for in the paper.
+degree-redistribution step.  We omit that step: the experiments show the
+measured maximum degree stays far below the greedy spanner's worst case and
+essentially flat in ``n``, which is the behaviour Theorem 2 is used for in
+the paper.
 """
 
 from __future__ import annotations

@@ -60,21 +60,12 @@ from repro.graph.shortest_paths import (
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 _MODES = ("indexed", "reference")
-_SEARCH_MODES = ("list", "heap")
 
 
 def check_mode(mode: str) -> None:
     """Reject unknown engine modes (shared by every mode-switched checker)."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def check_search_mode(search_mode: str) -> None:
-    """Reject unknown inner-search engines (the ``mode=`` seam of the kernels)."""
-    if search_mode not in _SEARCH_MODES:
-        raise ValueError(
-            f"search_mode must be one of {_SEARCH_MODES}, got {search_mode!r}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +90,9 @@ class VerificationEngine:
         "metric",
         "base_indexed",
         "sub_indexed",
-        "search_mode",
     )
 
-    def __init__(
-        self,
-        base: WeightedGraph,
-        subgraph: WeightedGraph,
-        *,
-        search_mode: str = "list",
-    ) -> None:
-        check_search_mode(search_mode)
-        self.search_mode = search_mode
+    def __init__(self, base: WeightedGraph, subgraph: WeightedGraph) -> None:
         self.base = base
         self.subgraph = subgraph
         self.vertices: list[Vertex] = list(base.vertices())
@@ -149,12 +131,12 @@ class VerificationEngine:
                     count=self.n,
                 )
             return row, 0
-        dist, _, settles = indexed_sssp(self.base_indexed, source_id, mode=self.search_mode)
+        dist, _, settles = indexed_sssp(self.base_indexed, source_id)
         return np.asarray(dist, dtype=float), settles
 
     def sub_row(self, source_id: int) -> tuple[np.ndarray, int]:
         """Return ``(distances in the subgraph, settles)`` via one indexed SSSP."""
-        dist, _, settles = indexed_sssp(self.sub_indexed, source_id, mode=self.search_mode)
+        dist, _, settles = indexed_sssp(self.sub_indexed, source_id)
         return np.asarray(dist, dtype=float), settles
 
     # -- grouped base edges ---------------------------------------------
@@ -323,9 +305,7 @@ def _verify_one_source(
 ) -> tuple[bool, int]:
     """Check one source's grouped base edges with a single bounded ball."""
     cutoff = max(t * weight * (1.0 + tolerance) for weight in weights)
-    settled = indexed_ball(
-        engine.sub_indexed, source_id, cutoff, mode=engine.search_mode
-    )
+    settled = indexed_ball(engine.sub_indexed, source_id, cutoff)
     inf = math.inf
     for target, weight in zip(targets, weights):
         if settled.get(target, inf) > t * weight * (1.0 + tolerance):
@@ -363,7 +343,6 @@ def verify_spanner_edges(
     *,
     tolerance: float = 1e-9,
     mode: str = "indexed",
-    search_mode: str = "list",
     workers: Optional[int] = None,
     engine: Optional[VerificationEngine] = None,
 ) -> bool:
@@ -374,7 +353,6 @@ def verify_spanner_edges(
         t,
         tolerance=tolerance,
         mode=mode,
-        search_mode=search_mode,
         workers=workers,
         engine=engine,
     ).ok
@@ -387,20 +365,15 @@ def verify_spanner_edges_detailed(
     *,
     tolerance: float = 1e-9,
     mode: str = "indexed",
-    search_mode: str = "list",
     workers: Optional[int] = None,
     engine: Optional[VerificationEngine] = None,
 ) -> EdgeVerification:
-    """Edge verification with the operation counts the bench trajectory records.
-
-    ``search_mode`` selects the indexed engine's inner-search kernel
-    (``"list"`` or ``"heap"``); a prebuilt ``engine`` keeps its own setting.
-    """
+    """Edge verification with the operation counts the bench trajectory records."""
     check_mode(mode)
     if mode == "reference":
         return _verify_edges_reference(subgraph, base, t, tolerance)
     if engine is None:
-        engine = VerificationEngine(base, subgraph, search_mode=search_mode)
+        engine = VerificationEngine(base, subgraph)
     return _verify_edges_indexed(engine, t, tolerance, workers)
 
 
@@ -532,7 +505,6 @@ def verify_spanner_sampled(
     seed: Optional[int] = None,
     tolerance: float = 1e-9,
     mode: str = "indexed",
-    search_mode: str = "list",
     engine: Optional[VerificationEngine] = None,
 ) -> bool:
     """Spot-check the stretch guarantee on ``samples`` random vertex pairs.
@@ -567,7 +539,7 @@ def verify_spanner_sampled(
         return True
 
     if engine is None:
-        engine = VerificationEngine(spanner.base, spanner.subgraph, search_mode=search_mode)
+        engine = VerificationEngine(spanner.base, spanner.subgraph)
     distances, _, _ = _sampled_pair_distances(engine, pairs)
     return all(
         sub_distance <= threshold * base_distance
@@ -585,7 +557,6 @@ def stretch_profile(
     samples: int = 500,
     seed: Optional[int] = None,
     mode: str = "indexed",
-    search_mode: str = "list",
     workers: Optional[int] = None,
     sources: Optional[Sequence[Vertex]] = None,
     engine: Optional[VerificationEngine] = None,
@@ -605,7 +576,6 @@ def stretch_profile(
         samples=samples,
         seed=seed,
         mode=mode,
-        search_mode=search_mode,
         workers=workers,
         sources=sources,
         engine=engine,
@@ -620,7 +590,6 @@ def stretch_profile_detailed(
     samples: int = 500,
     seed: Optional[int] = None,
     mode: str = "indexed",
-    search_mode: str = "list",
     workers: Optional[int] = None,
     sources: Optional[Sequence[Vertex]] = None,
     engine: Optional[VerificationEngine] = None,
@@ -628,11 +597,11 @@ def stretch_profile_detailed(
     """:func:`stretch_profile` plus the engine's operation counts."""
     check_mode(mode)
     if not exact:
-        return _profile_sampled(spanner, samples, seed, mode, engine, search_mode)
+        return _profile_sampled(spanner, samples, seed, mode, engine)
     if mode == "reference":
         return _profile_exact_reference(spanner, sources)
     if engine is None:
-        engine = VerificationEngine(spanner.base, spanner.subgraph, search_mode=search_mode)
+        engine = VerificationEngine(spanner.base, spanner.subgraph)
     if sources is None:
         source_ids = list(range(engine.n))
     else:
@@ -710,7 +679,6 @@ def _profile_sampled(
     seed: Optional[int],
     mode: str,
     engine: Optional[VerificationEngine],
-    search_mode: str = "list",
 ) -> tuple[StretchProfile, ProfileStats]:
     """Sampled profile; the indexed mode caches one SSSP row per sampled source."""
     rng = random.Random(seed)
@@ -731,7 +699,7 @@ def _profile_sampled(
         return _profile_from_samples(stretches), ProfileStats(sources=samples, settles=0)
 
     if engine is None:
-        engine = VerificationEngine(spanner.base, spanner.subgraph, search_mode=search_mode)
+        engine = VerificationEngine(spanner.base, spanner.subgraph)
     pairs = [tuple(rng.sample(vertices, 2)) for _ in range(samples)]
     distances, sources, settles = _sampled_pair_distances(engine, pairs)
     stretches = [sub_distance / base_distance for base_distance, sub_distance in distances]

@@ -1,16 +1,24 @@
-"""Hypothesis property tests: ``mode="csr"``/``mode="heap"`` equal ``mode="list"``, bit for bit.
+"""Hypothesis property tests: every ``indexed_*`` kernel against the seed searches.
 
-The CSR and d-ary-heap ports of the indexed searches
-(:mod:`repro.graph.shortest_paths`) claim to be *bit-identical* to the
-list-adjacency loops: same distances,
-same settled maps — contents **and** insertion order — and therefore the
-same operation counts.  The argument is that both loops push the same
-(dist, vertex) multiset in the same order with IEEE-identical float64 sums,
-so the heap pop sequences coincide exactly.  These tests generate random
-connected graphs — including **tie-heavy** ones whose weights come from a
-tiny pool of exactly-representable dyadic values, so equal-distance pop
-races actually occur, and **string-vertex** ones, so the dense-id interning
-layer is exercised too — and assert exact (``==``) equality per search.
+Each search kind on :class:`IndexedGraph` has one production kernel in
+:mod:`repro.graph.shortest_paths`.  These tests check each one against an
+independent reference: the dict-based :class:`WeightedGraph` seed searches
+(:func:`dijkstra`, :func:`dijkstra_with_cutoff_stats`) run on the same
+edges, plus the kernels' documented total settle order ``(dist, vertex id)``.
+From the seed distances alone that order fixes every settled map (contents
+**and** insertion order) and therefore every settle count.  The generated
+graphs include **tie-heavy** ones whose weights come from a tiny pool of
+exactly-representable dyadic values, so equal-distance pop races actually
+occur, and **string-vertex** ones, so the dense-id interning layer is
+exercised too.
+
+Every test runs on two graphs (the ``adjacency`` parameter):
+
+* ``heap`` — the :class:`IndexedGraph` as built, searched by the C-``heapq``
+  kernel directly;
+* ``csr`` — the same graph rebuilt from its :meth:`IndexedGraph.finalize`
+  CSR snapshot, the flat float64 layout the parallel builder ships to its
+  workers, so the snapshot must preserve every search answer bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import (
+    dijkstra,
+    dijkstra_with_cutoff_stats,
     indexed_ball,
     indexed_bidirectional_cutoff,
     indexed_cutoff_excluding_edge,
@@ -39,9 +49,9 @@ def connected_indexed_graphs(draw, max_vertices: int = 16):
     """A small connected :class:`IndexedGraph`: tree backbone plus extras.
 
     ``tie_heavy`` draws every weight from :data:`TIE_HEAVY_WEIGHTS` so that
-    equal path sums (the regime where heap tie-breaking could diverge)
-    actually occur; ``string_vertices`` routes construction through the
-    interning layer with non-integer labels.
+    equal path sums (the regime where heap tie-breaking matters) actually
+    occur; ``string_vertices`` routes construction through the interning
+    layer with non-integer labels.
     """
     n = draw(st.integers(min_value=2, max_value=max_vertices))
     tie_heavy = draw(st.booleans())
@@ -75,92 +85,162 @@ def search_cases(draw):
     return graph, source, target, cutoff
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+def csr_rebuilt(graph: IndexedGraph) -> IndexedGraph:
+    """A fresh dense-id :class:`IndexedGraph` read back from ``graph``'s CSR snapshot."""
+    csr = graph.finalize()
+    rebuilt = IndexedGraph(vertices=range(csr.n))
+    for uid in range(csr.n):
+        ids, weights = csr.neighbours(uid)
+        for vid, weight in zip(ids.tolist(), weights.tolist()):
+            if uid < vid:
+                rebuilt.add_edge_ids(uid, vid, weight)
+    return rebuilt
+
+
+def searched(graph: IndexedGraph, adjacency: str) -> IndexedGraph:
+    """The graph a test's kernel runs on: ``graph`` itself or its CSR rebuild."""
+    return csr_rebuilt(graph) if adjacency == "csr" else graph
+
+
+def seed_graph(
+    graph: IndexedGraph, excluded: tuple[int, int] = (-1, -1)
+) -> WeightedGraph:
+    """The same edges as a dense-id :class:`WeightedGraph`, minus ``excluded``."""
+    reference = WeightedGraph(vertices=range(graph.number_of_vertices))
+    for uid, vid, weight in graph.edges():
+        if {uid, vid} != set(excluded):
+            reference.add_edge(uid, vid, weight)
+    return reference
+
+
+def settle_order(
+    reference: WeightedGraph, source: int, radius: float
+) -> list[tuple[int, float]]:
+    """Every vertex within ``radius`` of ``source`` in ``(dist, id)`` settle order."""
+    distances, _ = dijkstra(reference, source)
+    ball = [(vertex, dist) for vertex, dist in distances.items() if dist <= radius]
+    return sorted(ball, key=lambda item: (item[1], item[0]))
+
+
+def expected_bounded(
+    reference: WeightedGraph, source: int, target: int, cutoff: float
+) -> tuple[float, list[tuple[int, float]]]:
+    """The bounded single-pair search's answer: stop once ``target`` settles."""
+    order = settle_order(reference, source, cutoff)
+    for position, (vertex, dist) in enumerate(order):
+        if vertex == target:
+            return dist, order[: position + 1]
+    return math.inf, order
+
+
+@pytest.mark.parametrize("adjacency", ["csr", "heap"])
 @settings(max_examples=80, deadline=None)
 @given(case=search_cases())
-def test_bounded_single_pair_identical(other_mode, case):
+def test_bounded_single_pair_identical(adjacency, case):
     """Bounded cutoff search: distance and settled map (order included) match."""
     graph, source, target, cutoff = case
-    list_dist, list_settled = indexed_dijkstra_with_cutoff(
-        graph, source, target, cutoff, mode="list"
+    reference = seed_graph(graph)
+    distance, settled = indexed_dijkstra_with_cutoff(
+        searched(graph, adjacency), source, target, cutoff
     )
-    csr_dist, csr_settled = indexed_dijkstra_with_cutoff(
-        graph, source, target, cutoff, mode=other_mode
+    expected_distance, expected_order = expected_bounded(
+        reference, source, target, cutoff
     )
-    assert list_dist == csr_dist or (math.isinf(list_dist) and math.isinf(csr_dist))
-    assert list(list_settled.items()) == list(csr_settled.items())
+    assert distance == expected_distance
+    assert distance == dijkstra_with_cutoff_stats(reference, source, target, cutoff)[0]
+    assert list(settled.items()) == expected_order
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+@pytest.mark.parametrize("adjacency", ["csr", "heap"])
 @settings(max_examples=80, deadline=None)
 @given(case=search_cases())
-def test_bidirectional_cutoff_identical(other_mode, case):
-    """Meet-in-the-middle search: distance and both settled maps match."""
+def test_bidirectional_cutoff_identical(adjacency, case):
+    """Meet-in-the-middle search: distance, and each settled map is a prefix
+    of its side's seed settle order with exact distances."""
     graph, source, target, cutoff = case
-    list_result = indexed_bidirectional_cutoff(graph, source, target, cutoff, mode="list")
-    csr_result = indexed_bidirectional_cutoff(graph, source, target, cutoff, mode=other_mode)
-    assert list_result[1] == csr_result[1]
-    assert list_result[2] == csr_result[2]
-    if math.isinf(list_result[0]):
-        assert math.isinf(csr_result[0])
+    reference = seed_graph(graph)
+    distance, settled_f, settled_b = indexed_bidirectional_cutoff(
+        searched(graph, adjacency), source, target, cutoff
+    )
+    forward = settle_order(reference, source, cutoff)
+    backward = settle_order(reference, target, cutoff)
+    assert list(settled_f.items()) == forward[: len(settled_f)]
+    assert list(settled_b.items()) == backward[: len(settled_b)]
+    # The two half-paths are summed in a different association order than a
+    # forward search, so the distance may differ by rounding near the cutoff.
+    true_distance = dijkstra(reference, source)[0][target]
+    if math.isinf(distance):
+        assert true_distance > cutoff * (1.0 - 1e-9)
     else:
-        assert list_result[0] == csr_result[0]
+        assert distance <= cutoff
+        assert math.isclose(distance, true_distance, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+@pytest.mark.parametrize("adjacency", ["csr", "heap"])
 @settings(max_examples=60, deadline=None)
 @given(case=search_cases())
-def test_ball_identical(other_mode, case):
+def test_ball_identical(adjacency, case):
     """Radius-bounded ball harvest: identical contents and insertion order."""
     graph, source, _, radius = case
-    list_ball = indexed_ball(graph, source, radius, mode="list")
-    csr_ball = indexed_ball(graph, source, radius, mode=other_mode)
-    assert list(list_ball.items()) == list(csr_ball.items())
+    ball = indexed_ball(searched(graph, adjacency), source, radius)
+    assert list(ball.items()) == settle_order(seed_graph(graph), source, radius)
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+@pytest.mark.parametrize("adjacency", ["csr", "heap"])
 @settings(max_examples=60, deadline=None)
 @given(case=search_cases(), edge_seed=st.integers(min_value=0, max_value=10**6))
-def test_excluded_edge_search_identical(other_mode, case, edge_seed):
-    """Deleted-edge bounded search: distance and settle count match."""
+def test_excluded_edge_search_identical(adjacency, case, edge_seed):
+    """Deleted-edge bounded search equals the bounded search on ``G - e``."""
     graph, source, target, cutoff = case
     edges = list(graph.edges())
     uid, vid, _ = edges[edge_seed % len(edges)]
-    list_result = indexed_cutoff_excluding_edge(
-        graph, source, target, cutoff, excluded=(uid, vid), mode="list"
+    distance, settles = indexed_cutoff_excluding_edge(
+        searched(graph, adjacency), source, target, cutoff, excluded=(uid, vid)
     )
-    csr_result = indexed_cutoff_excluding_edge(
-        graph, source, target, cutoff, excluded=(uid, vid), mode=other_mode
+    if source == target:
+        assert (distance, settles) == (0.0, 0)
+        return
+    expected_distance, expected_order = expected_bounded(
+        seed_graph(graph, excluded=(uid, vid)), source, target, cutoff
     )
-    assert list_result == csr_result or (
-        math.isinf(list_result[0])
-        and math.isinf(csr_result[0])
-        and list_result[1] == csr_result[1]
-    )
+    assert distance == expected_distance
+    assert settles == len(expected_order)
 
 
-@pytest.mark.parametrize("other_mode", ["csr", "heap"])
+@pytest.mark.parametrize("adjacency", ["csr", "heap"])
 @settings(max_examples=60, deadline=None)
-@given(graph=connected_indexed_graphs(), source_seed=st.integers(min_value=0, max_value=10**6))
-def test_sssp_identical(other_mode, graph, source_seed):
-    """Full SSSP sweep: dist, parent and the stale-inclusive settle count match."""
+@given(
+    graph=connected_indexed_graphs(),
+    source_seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_sssp_identical(adjacency, graph, source_seed):
+    """Full SSSP sweep: dist, parent and the stale-inclusive settle count.
+
+    Vertices pop in ``(dist, id)`` order and each one relaxes its neighbours
+    once, so vertex ``v``'s tentative distance improves exactly at each
+    strict new minimum of ``dist[u] + w(u, v)`` over its neighbours ``u`` in
+    pop order; its parent is the first neighbour reaching the final value.
+    Every improvement pushes one heap entry, and every entry is popped.
+    """
     source = source_seed % graph.number_of_vertices
-    list_dist, list_parent, list_settles = indexed_sssp(graph, source, mode="list")
-    csr_dist, csr_parent, csr_settles = indexed_sssp(graph, source, mode=other_mode)
-    assert list_dist == csr_dist
-    assert list_parent == csr_parent
-    assert list_settles == csr_settles
-
-
-def test_unknown_mode_rejected():
-    base = WeightedGraph(vertices=[0, 1])
-    base.add_edge(0, 1, 1.0)
-    graph = IndexedGraph.from_weighted_graph(base)
-    with pytest.raises(ValueError, match="unknown search mode"):
-        indexed_dijkstra_with_cutoff(graph, 0, 1, 5.0, mode="dense")
-    with pytest.raises(ValueError, match="unknown search mode"):
-        indexed_bidirectional_cutoff(graph, 0, 1, 5.0, mode="dense")
-    with pytest.raises(ValueError, match="unknown search mode"):
-        indexed_ball(graph, 0, 5.0, mode="dense")
-    with pytest.raises(ValueError, match="unknown search mode"):
-        indexed_sssp(graph, 0, mode="dense")
+    reference = seed_graph(graph)
+    distances, _ = dijkstra(reference, source)
+    n = graph.number_of_vertices
+    pop_order = sorted(range(n), key=lambda v: (distances[v], v))
+    pop_rank = {v: rank for rank, v in enumerate(pop_order)}
+    expected_parent = [-1] * n
+    expected_settles = 1
+    for v in range(n):
+        if v == source:
+            continue
+        best = math.inf
+        for u in sorted(reference.neighbours(v), key=pop_rank.__getitem__):
+            candidate = distances[u] + reference.weight(u, v)
+            if candidate < best:
+                best = candidate
+                expected_parent[v] = u
+                expected_settles += 1
+    dist, parent, settles = indexed_sssp(searched(graph, adjacency), source)
+    assert dist == [distances[v] for v in range(n)]
+    assert parent == expected_parent
+    assert settles == expected_settles

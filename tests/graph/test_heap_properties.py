@@ -1,215 +1,21 @@
-"""Hypothesis property suite for the d-ary heap core (:mod:`repro.graph.heap`).
+"""Hypothesis property suite for :class:`repro.graph.heap.EventQueue`.
 
-The heap module's central claim is *order equivalence*: any correct priority
-queue popping the total ``(key, item)`` order reproduces the seed ``heapq``
-tuple order exactly, for every arity.  The tests here pin that claim where
-it can actually fail — dyadic tie-heavy key streams, where equal keys
-collide and only the tie-break rule decides the pop sequence — and add the
-structural laws of the decrease-key variant (scripted operation fuzzing
-against a transparent model), the O(1) generational reset, the
-``heapq.merge`` contract of :func:`merge_sorted_runs`, and the
-sequence-number law of :class:`EventQueue` that the chaos replays rely on.
+The distributed engines replay message events through one shared queue.
+The chaos replays rely on its sequence-number law: events pop in the total
+``(time, sequence)`` order, and :meth:`~EventQueue.drop` consumes a
+sequence number without enqueuing.  The tests pin that law on dyadic
+tie-heavy event times, where equal times collide and only the sequence
+number decides the pop order.
 """
 
 from __future__ import annotations
 
-import heapq
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.heap import DaryHeap, EventQueue, IndexedDaryHeap, merge_sorted_runs
+from repro.graph.heap import EventQueue
 
 #: Exactly-representable dyadic keys: maximal ties, no float rounding noise.
 TIE_HEAVY_KEYS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
-
-ARITIES = (2, 3, 4, 8)
-
-
-# ---------------------------------------------------------------------------
-# DaryHeap vs heapq on interleaved push/pop scripts
-# ---------------------------------------------------------------------------
-@st.composite
-def push_pop_scripts(draw, max_ops: int = 80):
-    """Interleaved push/pop scripts over tie-heavy keys and small int items."""
-    ops = []
-    size = 0
-    for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
-        if size and draw(st.booleans()):
-            ops.append(("pop",))
-            size -= 1
-        else:
-            key = draw(st.sampled_from(TIE_HEAVY_KEYS))
-            item = draw(st.integers(min_value=0, max_value=9))
-            ops.append(("push", key, item))
-            size += 1
-    return ops
-
-
-@pytest.mark.parametrize("arity", ARITIES)
-@settings(max_examples=60, deadline=None)
-@given(script=push_pop_scripts())
-def test_dary_heap_matches_heapq_tuple_order(arity, script):
-    """Pops equal ``heapq`` on ``(key, item)`` tuples, interleaved, any arity."""
-    ours = DaryHeap(arity=arity)
-    reference: list[tuple[float, int]] = []
-    for op in script:
-        if op[0] == "push":
-            _, key, item = op
-            ours.push(key, item)
-            heapq.heappush(reference, (key, item))
-        else:
-            assert ours.peek() == reference[0]
-            assert ours.pop() == heapq.heappop(reference)
-        assert len(ours) == len(reference)
-    # Drain: the remaining pop sequence is the sorted tuple order.
-    drained = [ours.pop() for _ in range(len(ours))]
-    assert drained == sorted(reference)
-
-
-# ---------------------------------------------------------------------------
-# IndexedDaryHeap: scripted operation fuzzer against a transparent model
-# ---------------------------------------------------------------------------
-@st.composite
-def indexed_scripts(draw, max_ops: int = 60):
-    """(capacity, ops) where ops mixes relax/insert/decrease/pop/clear."""
-    capacity = draw(st.integers(min_value=1, max_value=12))
-    kinds = st.sampled_from(["relax", "relax", "relax", "insert", "decrease", "pop", "clear"])
-    ops = []
-    for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
-        ops.append(
-            (
-                draw(kinds),
-                draw(st.integers(min_value=0, max_value=capacity - 1)),
-                draw(st.sampled_from(TIE_HEAVY_KEYS)),
-            )
-        )
-    return capacity, ops
-
-
-@pytest.mark.parametrize("arity", ARITIES)
-@settings(max_examples=80, deadline=None)
-@given(case=indexed_scripts())
-def test_indexed_heap_laws_under_op_fuzzer(arity, case):
-    """Pop order, relax semantics and generational reset match a dict model.
-
-    The model is the specification made executable: ``enqueued`` maps live
-    vertices to keys, ``settled`` holds popped ones; ``pop_min`` must return
-    ``min((key, vertex))`` over ``enqueued``, ``relax`` must report exactly
-    the insert-or-strict-improvement cases, and ``clear`` must unsee
-    everything at once.
-    """
-    capacity, ops = case
-    heap = IndexedDaryHeap(capacity, arity=arity)
-    enqueued: dict[int, float] = {}
-    settled: dict[int, float] = {}
-    for kind, vertex, key in ops:
-        if kind == "insert":
-            if vertex in enqueued or vertex in settled:
-                continue  # insert's precondition: unseen this generation
-            heap.insert(vertex, key)
-            enqueued[vertex] = key
-        elif kind == "decrease":
-            current = enqueued.get(vertex)
-            if current is None or key > current:
-                continue  # decrease's precondition: enqueued, not worse
-            heap.decrease(vertex, key)
-            enqueued[vertex] = key
-        elif kind == "relax":
-            improved = heap.relax(vertex, key)
-            if vertex not in enqueued and vertex not in settled:
-                assert improved is True
-                enqueued[vertex] = key
-            elif vertex in enqueued and key < enqueued[vertex]:
-                assert improved is True
-                enqueued[vertex] = key
-            else:
-                assert improved is False
-        elif kind == "pop":
-            if not enqueued:
-                continue
-            expected = min((k, v) for v, k in enqueued.items())
-            assert heap.pop_min() == expected
-            popped_key, popped_vertex = expected
-            del enqueued[popped_vertex]
-            settled[popped_vertex] = popped_key
-        else:  # clear
-            heap.clear()
-            enqueued.clear()
-            settled.clear()
-        # Structural invariants after every operation.
-        assert len(heap) == len(enqueued)
-        for v in range(capacity):
-            assert heap.in_heap(v) == (v in enqueued)
-            assert heap.seen(v) == (v in enqueued or v in settled)
-            if v in enqueued:
-                assert heap.key_of(v) == enqueued[v]
-            elif v in settled:
-                assert heap.key_of(v) == settled[v]
-    # Drain what remains: ascending (key, id) order, every vertex settled.
-    drained = [heap.pop_min() for _ in range(len(heap))]
-    assert drained == sorted((k, v) for v, k in enqueued.items())
-
-
-def test_clear_is_generational_not_a_sweep():
-    """``clear`` bumps one counter; slots unsee lazily on next contact."""
-    heap = IndexedDaryHeap(4)
-    for v in range(4):
-        heap.insert(v, float(v))
-    generation = heap.generation
-    heap.clear()
-    assert heap.generation == generation + 1
-    assert len(heap) == 0
-    assert not any(heap.seen(v) for v in range(4))
-    # A fresh generation starts clean: same vertex, new key, no residue.
-    heap.insert(2, 0.5)
-    assert heap.pop_min() == (0.5, 2)
-
-
-def test_validation():
-    with pytest.raises(ValueError, match="arity"):
-        DaryHeap(arity=1)
-    with pytest.raises(ValueError, match="arity"):
-        IndexedDaryHeap(4, arity=1)
-    with pytest.raises(ValueError, match="capacity"):
-        IndexedDaryHeap(-1)
-    heap = IndexedDaryHeap(4)
-    with pytest.raises(KeyError):
-        heap.key_of(1)
-
-
-# ---------------------------------------------------------------------------
-# merge_sorted_runs vs heapq.merge
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("arity", ARITIES)
-@settings(max_examples=60, deadline=None)
-@given(
-    runs=st.lists(
-        st.lists(st.sampled_from(TIE_HEAVY_KEYS), max_size=12).map(sorted),
-        max_size=6,
-    )
-)
-def test_merge_sorted_runs_matches_heapq_merge(arity, runs):
-    """Tie-heavy runs merge in exactly ``heapq.merge`` order (stability included)."""
-    ours = list(merge_sorted_runs(runs, arity=arity))
-    reference = list(heapq.merge(*runs))
-    assert ours == reference
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    runs=st.lists(
-        st.lists(st.integers(min_value=-8, max_value=8), max_size=10).map(
-            lambda values: sorted(values, key=abs)
-        ),
-        max_size=5,
-    )
-)
-def test_merge_sorted_runs_with_key(runs):
-    """The ``key=`` variant matches ``heapq.merge(key=...)`` including ties."""
-    ours = list(merge_sorted_runs(runs, key=abs))
-    reference = list(heapq.merge(*runs, key=abs))
-    assert ours == reference
 
 
 # ---------------------------------------------------------------------------

@@ -117,3 +117,22 @@ def test_manifest_checksum_matches_bytes_on_disk(cache):
     import hashlib
 
     assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_truncated_manifest_fails_closed(cache):
+    for _ in range(2):
+        cache.put(key(), PAYLOAD)
+        manifest_path = cache.manifest_path(key())
+        data = manifest_path.read_bytes()
+        manifest_path.write_bytes(data[: len(data) // 2])
+    # The audit reports the unreadable manifest instead of raising.
+    report = cache.verify_all()
+    assert report[key()]["ok"] is False
+    assert cache.get(key()) is None
+    # So does a serving read of a freshly truncated one.
+    cache.put(key(), PAYLOAD)
+    cache.manifest_path(key()).write_bytes(b'{"sha256": ')
+    with pytest.raises(ArtifactIntegrityError):
+        cache.get(key())
+    assert cache.counters["corrupt_quarantined"] == 2
+    assert cache.quarantined() == [f"{key()}-0000", f"{key()}-0001"]

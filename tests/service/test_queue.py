@@ -12,7 +12,12 @@ import os
 
 import pytest
 
-from repro.errors import JobNotFoundError, JobStateError, StaleLeaseError
+from repro.errors import (
+    CorruptJobRecordError,
+    JobNotFoundError,
+    JobStateError,
+    StaleLeaseError,
+)
 from repro.service.queue import DEFAULT_MAX_ATTEMPTS, Job, JobQueue
 
 
@@ -155,6 +160,29 @@ def test_orphaned_claim_file_is_recovered(queue, tmp_path):
 def test_get_unknown_job_raises(queue):
     with pytest.raises(JobNotFoundError):
         queue.get("job-missing-0000")
+
+
+def test_truncated_record_is_moved_aside_and_skipped(queue, tmp_path):
+    bad = queue.submit(SPEC)
+    good = queue.submit(SPEC)
+    path = tmp_path / "jobs" / f"{bad.job_id}.json"
+    path.write_bytes(path.read_bytes()[:20])
+    claimed = queue.claim("worker-a")
+    assert claimed is not None and claimed.job_id == good.job_id
+    assert [job.job_id for job in queue.list_jobs()] == [good.job_id]
+    assert queue.counters["corrupt_records"] == 1
+    assert not path.exists()
+    assert (tmp_path / "jobs" / f"{bad.job_id}.json.corrupt").exists()
+
+
+def test_get_corrupt_record_raises_typed_error(queue, tmp_path):
+    job = queue.submit(SPEC)
+    (tmp_path / "jobs" / f"{job.job_id}.json").write_text("[1, 2]")
+    with pytest.raises(CorruptJobRecordError):
+        queue.get(job.job_id)
+    with pytest.raises(JobNotFoundError):
+        queue.get(job.job_id)
+    assert queue.claim("worker-a") is None
 
 
 def test_illegal_transition_raises(queue, clock):

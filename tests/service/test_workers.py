@@ -110,6 +110,27 @@ def test_bit_flip_forces_quarantine_and_byte_identical_rebuild(service):
     assert rebuilt["verified"] is True
 
 
+def test_truncated_manifest_forces_quarantine_and_rebuild(service):
+    queue, cache, worker = service
+    queue.submit(SPEC)
+    worker.run()
+    original = json.loads(cache.payload_path(spec_key()).read_text())
+
+    manifest_path = cache.manifest_path(spec_key())
+    data = manifest_path.read_bytes()
+    manifest_path.write_bytes(data[: len(data) // 2])
+
+    job = queue.submit(SPEC)
+    worker.run()
+    record = queue.get(job.job_id)
+    assert record.state == "done"
+    assert record.result["cache_hit"] is False
+    assert record.result["rebuilt_after_corruption"] is True
+    assert worker.counters["corrupt_rebuilds"] == 1
+    assert cache.counters["corrupt_quarantined"] == 1
+    assert cache.get(spec_key())["edges"] == original["edges"]
+
+
 def test_failing_job_stores_the_traceback_and_quarantines(service):
     queue, _, worker = service
     bad = dict(SPEC)

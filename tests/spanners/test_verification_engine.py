@@ -140,29 +140,6 @@ class TestModeEquivalence:
             if expected is not None:
                 assert indexed is expected
 
-    @settings(max_examples=20, deadline=None)
-    @given(graph=dyadic_graphs, stretch=st.sampled_from([1.5, 2.0]))
-    def test_heap_search_mode_identical(self, graph, stretch):
-        """``search_mode="heap"`` equals list mode bit for bit: verdicts,
-        profile floats *and* settle counters (the d-ary twins preserve the
-        settle sequence, so even the operation counts may not move)."""
-        spanner = greedy_spanner(graph, stretch)
-        list_result = verify_spanner_edges_detailed(
-            spanner.subgraph, graph, stretch, search_mode="list"
-        )
-        heap_result = verify_spanner_edges_detailed(
-            spanner.subgraph, graph, stretch, search_mode="heap"
-        )
-        assert list_result == heap_result
-        profile_list, stats_list = stretch_profile_detailed(
-            spanner, exact=True, search_mode="list"
-        )
-        profile_heap, stats_heap = stretch_profile_detailed(
-            spanner, exact=True, search_mode="heap"
-        )
-        assert profile_list == profile_heap
-        assert stats_list == stats_heap
-
     def test_counters_are_shared_across_modes(self, small_random_graph):
         """Pair/edge counts (not settles — the algorithms differ) line up."""
         spanner = greedy_spanner(small_random_graph, 2.0)
