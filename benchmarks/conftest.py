@@ -25,8 +25,9 @@ def pytest_configure(config):
     """Register the markers used by the benchmark suite."""
     config.addinivalue_line(
         "markers",
-        "bench_regression: compares fresh BENCH_oracles.json operation counts "
-        "against the committed baseline (scripts/check_bench_regression.py)",
+        "bench_regression: compares a fresh BENCH_<name>.json run's operation "
+        "counts, cross-check flags and gate against the committed "
+        "benchmarks/BENCH_<name>.json (scripts/check_bench_regression.py)",
     )
 
 

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.bench import merge_run_into_file
 from repro.experiments.build_bench import (
-    BUILD_PRESETS,
+    SPEC,
     bucketed_workload,
     euclidean_build_workload,
-    merge_run_into_file,
     run_build_bench,
 )
 from repro.experiments.experiments import experiment_build_matrix
@@ -73,11 +73,12 @@ def test_bench_build_metric_row_speedup(euclidean_run):
 def test_build_presets_include_the_gated_scale_row():
     """The committed matrix must carry the gated n=10^5 construction row."""
     key = "bucketed-n100000-d96.0-seed3-t2.0"
-    assert key in BUILD_PRESETS
-    workload, strategies, gated = BUILD_PRESETS[key]
-    assert gated is True
-    assert int(workload["n"]) == 100_000
-    assert "greedy-edge-list" in strategies and "csr-parallel-w1" in strategies
+    assert key in SPEC.presets
+    preset = SPEC.presets[key]
+    assert preset.gated is True
+    assert int(preset.workload["n"]) == 100_000
+    assert "greedy-edge-list" in preset.strategies
+    assert "csr-parallel-w1" in preset.strategies
 
 
 @pytest.mark.bench_regression
@@ -92,13 +93,15 @@ def test_bench_no_build_operation_count_regression(
         sys.path.pop(0)
 
     fresh_path = tmp_path / "BENCH_build.json"
-    merge_run_into_file(fresh_path, bucketed_run)
-    merge_run_into_file(fresh_path, euclidean_run)
+    merge_run_into_file(fresh_path, bucketed_run, SPEC)
+    merge_run_into_file(fresh_path, euclidean_run, SPEC)
 
     assert BASELINE_PATH.exists(), (
         "committed construction baseline missing; regenerate with "
-        "`repro bench-build --workloads all "
+        "`repro bench build --workloads all "
         "--output benchmarks/BENCH_build.json` (see docs/PERFORMANCE.md)"
     )
-    problems = find_regressions(load_document(BASELINE_PATH), load_document(fresh_path))
+    problems = find_regressions(
+        load_document(BASELINE_PATH), load_document(fresh_path), SPEC
+    )
     assert not problems, "\n".join(problems)

@@ -19,13 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.experiments import experiment_fault_matrix
-from repro.experiments.fault_bench import (
-    FAULT_PRESETS,
-    fault_workload,
-    merge_run_into_file,
-    run_fault_bench,
-    run_flags,
-)
+from repro.experiments.bench import merge_run_into_file
+from repro.experiments.fault_bench import SPEC, fault_workload, run_fault_bench
 from repro.experiments.overlay_bench import geometric_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -59,7 +54,7 @@ def test_bench_fault_matrix_geometric(benchmark, experiment_report_collector):
 
 def test_bench_fault_contract_flags(geometric_run):
     """Delivery completes, engines replay tie for tie, repair ≡ rebuild."""
-    flags = run_flags(geometric_run)
+    flags = SPEC.flag_values(geometric_run)
     assert flags == {
         "delivery_complete": True,
         "fault_replay_match": True,
@@ -81,13 +76,14 @@ def test_bench_fault_engines_share_counters(geometric_run):
 def test_fault_presets_include_the_gated_scale_row():
     """The committed matrix must carry the exact n=10^4 acceptance row."""
     key = "geometric-n10000-r0.025-seed7-t1.2-f11-ef0.02-fb0.02-nc0.0-dr0.05-dj0.25-obidirectional"
-    assert key in FAULT_PRESETS
-    workload, modes = FAULT_PRESETS[key]
-    assert modes == ("indexed",)
+    assert key in SPEC.presets
+    preset = SPEC.presets[key]
+    workload = preset.workload
+    assert preset.strategies == ("indexed",)
     assert int(workload["n"]) == 10_000
     assert float(workload["drop_rate"]) >= 0.05
     assert float(workload["edge_failure_rate"]) >= 0.02
-    assert workload["gate_repair_speedup"] is True
+    assert preset.gated is True
 
 
 @pytest.mark.bench_regression
@@ -102,12 +98,14 @@ def test_bench_no_fault_operation_count_regression(geometric_run, tmp_path):
         sys.path.pop(0)
 
     fresh_path = tmp_path / "BENCH_faults.json"
-    merge_run_into_file(fresh_path, geometric_run)
+    merge_run_into_file(fresh_path, geometric_run, SPEC)
 
     assert BASELINE_PATH.exists(), (
         "committed fault baseline missing; regenerate with "
-        "`repro bench-faults --workloads all "
+        "`repro bench faults --workloads all "
         "--output benchmarks/BENCH_faults.json` (see docs/RESILIENCE.md)"
     )
-    problems = find_regressions(load_document(BASELINE_PATH), load_document(fresh_path))
+    problems = find_regressions(
+        load_document(BASELINE_PATH), load_document(fresh_path), SPEC
+    )
     assert not problems, "\n".join(problems)

@@ -17,11 +17,11 @@ import pytest
 
 from repro.core.greedy import greedy_spanner_of_metric
 from repro.experiments.experiments import experiment_oracle_matrix
+from repro.experiments.bench import merge_run_into_file
 from repro.experiments.oracle_bench import (
-    BENCH_PRESETS,
+    SPEC,
     euclidean_workload,
     graph_workload,
-    merge_run_into_file,
     run_oracle_matrix,
 )
 from repro.metric.generators import uniform_points
@@ -46,8 +46,8 @@ def graph_run():
 
 @pytest.fixture(scope="module")
 def approx_run():
-    workload, strategies = BENCH_PRESETS[APPROX_BENCH_KEY]
-    return run_oracle_matrix(workload, strategies=strategies)
+    preset = SPEC.presets[APPROX_BENCH_KEY]
+    return run_oracle_matrix(preset.workload, strategies=preset.strategies)
 
 
 def test_bench_default_greedy_path(benchmark):
@@ -102,15 +102,16 @@ def test_bench_no_operation_count_regression(euclidean_run, graph_run, approx_ru
         sys.path.pop(0)
 
     fresh_path = tmp_path / "BENCH_oracles.json"
-    merge_run_into_file(fresh_path, euclidean_run)
-    merge_run_into_file(fresh_path, graph_run)
-    merge_run_into_file(fresh_path, approx_run)
+    merge_run_into_file(fresh_path, euclidean_run, SPEC)
+    merge_run_into_file(fresh_path, graph_run, SPEC)
+    merge_run_into_file(fresh_path, approx_run, SPEC)
 
     assert BASELINE_PATH.exists(), (
         "committed baseline missing; regenerate with "
-        "`repro bench-oracles --n 150 --output benchmarks/BENCH_oracles.json` and "
-        "`repro bench-oracles --kind graph --n 120 --p 0.15 "
+        "`repro bench oracles --workloads all "
         "--output benchmarks/BENCH_oracles.json` (see docs/PERFORMANCE.md)"
     )
-    problems = find_regressions(load_document(BASELINE_PATH), load_document(fresh_path))
+    problems = find_regressions(
+        load_document(BASELINE_PATH), load_document(fresh_path), SPEC
+    )
     assert not problems, "\n".join(problems)

@@ -17,12 +17,12 @@ import pytest
 
 from repro.experiments.experiments import experiment_overlay_matrix
 from repro.experiments.oracle_bench import euclidean_workload
+from repro.experiments.bench import merge_run_into_file
 from repro.experiments.overlay_bench import (
     DEFAULT_GRAPH_BUILDERS,
     DEFAULT_METRIC_BUILDERS,
-    OVERLAY_PRESETS,
+    SPEC,
     geometric_workload,
-    merge_run_into_file,
     run_overlay_bench,
 )
 
@@ -80,9 +80,8 @@ def test_bench_overlay_tradeoff_shape_euclidean(euclidean_run):
 def test_overlay_presets_include_the_scale_row():
     """The committed matrix must carry an n=10^4 row with >= 4 builders."""
     key = "uniform-euclidean-n10000-d2-seed7-t1.5"
-    assert key in OVERLAY_PRESETS
-    _, builders = OVERLAY_PRESETS[key]
-    assert len(builders) >= 4
+    assert key in SPEC.presets
+    assert len(SPEC.presets[key].strategies) >= 4
 
 
 @pytest.mark.bench_regression
@@ -97,13 +96,15 @@ def test_bench_no_overlay_operation_count_regression(
         sys.path.pop(0)
 
     fresh_path = tmp_path / "BENCH_overlays.json"
-    merge_run_into_file(fresh_path, geometric_run)
-    merge_run_into_file(fresh_path, euclidean_run)
+    merge_run_into_file(fresh_path, geometric_run, SPEC)
+    merge_run_into_file(fresh_path, euclidean_run, SPEC)
 
     assert BASELINE_PATH.exists(), (
         "committed overlay baseline missing; regenerate with "
-        "`repro bench-overlays --workloads all "
+        "`repro bench overlays --workloads all "
         "--output benchmarks/BENCH_overlays.json` (see docs/PERFORMANCE.md)"
     )
-    problems = find_regressions(load_document(BASELINE_PATH), load_document(fresh_path))
+    problems = find_regressions(
+        load_document(BASELINE_PATH), load_document(fresh_path), SPEC
+    )
     assert not problems, "\n".join(problems)

@@ -19,10 +19,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.bench import merge_run_into_file
 from repro.experiments.query_bench import (
-    QUERY_PRESETS,
+    SPEC,
     draw_queries,
-    merge_run_into_file,
     query_workload,
     run_query_bench,
     workload_key,
@@ -36,7 +36,7 @@ CI_BENCH = query_workload(n=2000, degree=8.0, queries=512, sources=8)
 
 @pytest.fixture(scope="module")
 def ci_run():
-    return run_query_bench(CI_BENCH, gate_query_speedup=True)
+    return SPEC.run_key(workload_key(CI_BENCH))
 
 
 def test_bench_queries_ci_row(benchmark):
@@ -76,11 +76,11 @@ def test_query_batch_is_deterministic():
 def test_query_presets_include_the_gated_scale_row():
     """The committed matrix must carry the gated n=10^5 query row."""
     key = "queries-bucketed-n100000-d6.0-seed3-q2048-s64-qs11"
-    assert key in QUERY_PRESETS
-    workload, gated = QUERY_PRESETS[key]
-    assert gated is True
-    assert int(workload["n"]) == 100_000
-    assert workload_key(workload) == key
+    assert key in SPEC.presets
+    preset = SPEC.presets[key]
+    assert preset.gated is True
+    assert int(preset.workload["n"]) == 100_000
+    assert workload_key(preset.workload) == key
 
 
 @pytest.mark.bench_regression
@@ -95,12 +95,14 @@ def test_bench_no_query_operation_count_regression(ci_run, tmp_path):
         sys.path.pop(0)
 
     fresh_path = tmp_path / "BENCH_queries.json"
-    merge_run_into_file(fresh_path, ci_run)
+    merge_run_into_file(fresh_path, ci_run, SPEC)
 
     assert BASELINE_PATH.exists(), (
         "committed query baseline missing; regenerate with "
-        "`repro bench-queries --workloads all "
+        "`repro bench queries --workloads all "
         "--output benchmarks/BENCH_queries.json` (see docs/PERFORMANCE.md)"
     )
-    problems = find_regressions(load_document(BASELINE_PATH), load_document(fresh_path))
+    problems = find_regressions(
+        load_document(BASELINE_PATH), load_document(fresh_path), SPEC
+    )
     assert not problems, "\n".join(problems)

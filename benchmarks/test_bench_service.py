@@ -22,13 +22,8 @@ import pytest
 from repro.experiments.harness import fork_available
 from repro.experiments.experiments import experiment_service_matrix
 from repro.experiments.overlay_bench import geometric_workload
-from repro.experiments.service_bench import (
-    SERVICE_PRESETS,
-    merge_run_into_file,
-    run_flags,
-    run_service_bench,
-    service_workload,
-)
+from repro.experiments.bench import merge_run_into_file
+from repro.experiments.service_bench import SPEC, run_service_bench, service_workload
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="service chaos bench needs the fork start method"
@@ -60,7 +55,7 @@ def test_bench_service_matrix_geometric(benchmark, experiment_report_collector):
 
 def test_bench_service_contract_flags(geometric_run):
     """Every induced failure must be recovered, never papered over."""
-    flags = run_flags(geometric_run)
+    flags = SPEC.flag_values(geometric_run)
     assert flags == {
         "chaos_recovered": True,
         "never_served_corrupt": True,
@@ -88,11 +83,11 @@ def test_bench_service_recovery_counters(geometric_run):
 def test_service_presets_include_the_gated_scale_row():
     """The committed matrix must carry the gated n=10^4 serving-latency row."""
     key = "geometric-n10000-r0.025-seed7-t1.2-k1-w2"
-    assert key in SERVICE_PRESETS
-    workload = SERVICE_PRESETS[key]
-    assert int(workload["n"]) == 10_000
-    assert workload["gate_serve_ratio"] is True
-    assert int(workload["kill_band"]) == 1
+    assert key in SPEC.presets
+    preset = SPEC.presets[key]
+    assert int(preset.workload["n"]) == 10_000
+    assert preset.gated is True
+    assert int(preset.workload["kill_band"]) == 1
 
 
 @pytest.mark.bench_regression
@@ -107,12 +102,14 @@ def test_bench_no_service_operation_count_regression(geometric_run, tmp_path):
         sys.path.pop(0)
 
     fresh_path = tmp_path / "BENCH_service.json"
-    merge_run_into_file(fresh_path, geometric_run)
+    merge_run_into_file(fresh_path, geometric_run, SPEC)
 
     assert BASELINE_PATH.exists(), (
         "committed service baseline missing; regenerate with "
-        "`repro bench-service --workloads all "
+        "`repro bench service --workloads all "
         "--output benchmarks/BENCH_service.json` (see docs/SERVICE.md)"
     )
-    problems = find_regressions(load_document(BASELINE_PATH), load_document(fresh_path))
+    problems = find_regressions(
+        load_document(BASELINE_PATH), load_document(fresh_path), SPEC
+    )
     assert not problems, "\n".join(problems)

@@ -20,12 +20,8 @@ import pytest
 from repro.experiments.experiments import experiment_verify_matrix
 from repro.experiments.oracle_bench import euclidean_workload
 from repro.experiments.overlay_bench import geometric_workload
-from repro.experiments.verify_bench import (
-    VERIFY_PRESETS,
-    merge_run_into_file,
-    run_verify_bench,
-    verify_workload,
-)
+from repro.experiments.bench import merge_run_into_file
+from repro.experiments.verify_bench import SPEC, run_verify_bench, verify_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_verify.json"
@@ -75,11 +71,11 @@ def test_bench_verify_metric_row_speedup(euclidean_run):
 def test_verify_presets_include_the_scale_row():
     """The committed matrix must carry the exact n=10^4 edge-verification row."""
     key = "geometric-n10000-r0.025-seed7-t3.0-bbaswana-sen"
-    assert key in VERIFY_PRESETS
-    workload, modes, profile_sources = VERIFY_PRESETS[key]
-    assert modes == ("indexed",)
-    assert int(workload["n"]) == 10_000
-    assert profile_sources is not None
+    assert key in SPEC.presets
+    preset = SPEC.presets[key]
+    assert preset.strategies == ("indexed",)
+    assert int(preset.workload["n"]) == 10_000
+    assert preset.extra["profile_sources"] is not None
 
 
 @pytest.mark.bench_regression
@@ -94,13 +90,15 @@ def test_bench_no_verify_operation_count_regression(
         sys.path.pop(0)
 
     fresh_path = tmp_path / "BENCH_verify.json"
-    merge_run_into_file(fresh_path, geometric_run)
-    merge_run_into_file(fresh_path, euclidean_run)
+    merge_run_into_file(fresh_path, geometric_run, SPEC)
+    merge_run_into_file(fresh_path, euclidean_run, SPEC)
 
     assert BASELINE_PATH.exists(), (
         "committed verification baseline missing; regenerate with "
-        "`repro bench-verify --workloads all "
+        "`repro bench verify --workloads all "
         "--output benchmarks/BENCH_verify.json` (see docs/PERFORMANCE.md)"
     )
-    problems = find_regressions(load_document(BASELINE_PATH), load_document(fresh_path))
+    problems = find_regressions(
+        load_document(BASELINE_PATH), load_document(fresh_path), SPEC
+    )
     assert not problems, "\n".join(problems)

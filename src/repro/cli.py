@@ -11,40 +11,13 @@ Entry points (also usable as ``python -m repro.cli <command>``):
   workload size and stretch.
 * ``spanner`` — build a spanner of a registered workload with any registered
   builder (``--builder``, default greedy) and print its statistics.
-* ``bench-oracles`` — run the strategy matrix (exact distance oracles plus
-  the ``approx-greedy`` / ``approx-greedy-scratch`` cluster-engine rows) on
-  an ad-hoc workload (uniform / clustered / grid Euclidean or an
-  Erdős–Rényi graph, streamed through the lazy metric pipeline so n in the
-  tens of thousands works without Θ(n²) memory) or on named preset rows
-  (``--workloads``), print the comparison table with per-strategy
-  tracemalloc peak memory and merge the measurements into a
-  ``BENCH_oracles.json`` perf trajectory (see docs/PERFORMANCE.md).
-* ``bench-overlays`` — drive broadcast / routing / synchronizer over one
-  overlay per registry builder on the indexed distributed engine, print the
-  per-builder table and merge the rows (wall clock plus the deterministic
-  ``overlay_*`` operation counts) into a ``BENCH_overlays.json`` trajectory
-  gated by ``scripts/check_bench_regression.py``.
-* ``bench-verify`` — run exact edge verification and the exact stretch
-  profile over a registry-built spanner once per engine mode (the indexed
-  batch engine vs the seed per-pair reference), optionally sharded across
-  worker processes (``--workers``), print the per-mode table with the
-  bit-identical cross-check verdicts and merge the deterministic
-  ``verify_settles`` / ``profile_settles`` counters into a
-  ``BENCH_verify.json`` trajectory gated by the same regression script.
-* ``bench-faults`` — sample a seeded fault plan over a greedy-spanner
-  overlay, run the hardened (ack/timeout/retry) flood and echo once per
-  engine mode, self-heal the spanner around the failed edges (cross-checked
-  bit-identical against a from-scratch rebuild), route demands with detour
-  forwarding, and merge the delivery/retry/repair counters into a
-  ``BENCH_faults.json`` trajectory gated by the same regression script
-  (see docs/RESILIENCE.md).
-* ``bench-build`` — build the same greedy spanner once per construction
-  strategy (the per-edge bounded-ball list path, the cached serial path,
-  and the CSR band-parallel path with 1 and with ``--workers`` worker
-  processes), check the edge sets byte-identical (``builds_match``) and
-  merge the wall-clock plus deterministic ``build_*`` counters into a
-  ``BENCH_build.json`` trajectory whose ``gate_build_speedup`` rows the
-  regression script holds to ``--min-build-speedup``.
+* ``bench <name>`` — run rows of one of the seven perf trajectories
+  (``oracles``, ``overlays``, ``verify``, ``faults``, ``build``,
+  ``queries``, ``service``; :data:`repro.experiments.bench.BENCHES`), print
+  each row's table and cross-check flags, and merge the runs into
+  ``BENCH_<name>.json`` (see docs/PERFORMANCE.md).  ``--workloads`` takes
+  preset keys, ``all``, or any other well-formed key of the bench, so an
+  ad-hoc workload is spelled by its key.
 * ``service submit|status|run-workers|cache`` — the crash-safe job service
   (:mod:`repro.service`): submit a build request to the durable queue,
   inspect job records (``status <job-id>`` exits nonzero with the stored
@@ -52,15 +25,6 @@ Entry points (also usable as ``python -m repro.cli <command>``):
   workers, and audit the content-addressed artifact cache (``cache
   --verify`` exits nonzero with the checksum digests on a corrupt
   artifact).  See docs/SERVICE.md.
-* ``bench-service`` — run the service chaos bench (cold build with optional
-  injected worker death, bit-flip corruption → quarantine + rebuild, warm
-  resubmit, lease-expiry reclaim) and merge the recovery counters into a
-  ``BENCH_service.json`` trajectory gated by the same regression script.
-
-The ``bench-*`` subcommands share one option group
-(:func:`_add_bench_matrix_options`): ``--workloads`` preset selection,
-``--output`` trajectory path, and — where the matrix can shard or trace —
-``--workers`` / ``--no-memory``.
 
 The CLI exists so the repository can be exercised without writing Python —
 e.g. ``python -m repro.cli experiment E3``.
@@ -75,6 +39,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.distance_oracle import ORACLE_FACTORIES
 from repro.experiments import experiments as exp
+from repro.experiments.bench import BENCH_MODULES
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.reporting import render_table
 from repro.experiments.workloads import get_workload, list_workloads
@@ -190,507 +155,77 @@ def _command_spanner(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench_oracles(args: argparse.Namespace) -> int:
-    from repro.experiments.oracle_bench import (
-        BENCH_PRESETS,
-        clustered_workload,
-        euclidean_workload,
-        graph_workload,
-        grid_workload,
-        merge_run_into_file,
-        render_rows,
-        run_oracle_matrix,
-        valid_strategy_names,
-        workload_key,
-    )
+def _split_names(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
 
-    valid_names = valid_strategy_names()
-    strategies: Optional[tuple[str, ...]] = None
+
+def _command_bench(args: argparse.Namespace) -> int:
+    from repro.errors import BenchDocumentError, ReproError, UnknownWorkloadError
+    from repro.experiments.bench import BENCHES, load_document, merge_run_into_file, render_rows
+
+    spec = BENCHES[args.name]
+    output = Path(args.output or f"BENCH_{spec.name}.json")
+    keys = _split_names(args.workloads)
+    if keys == ["all"]:
+        keys = list(spec.presets)
+    unknown = []
+    for key in keys:
+        try:
+            spec.parse_key(key)
+        except UnknownWorkloadError:
+            unknown.append(key)
+    if not keys or unknown:
+        print(
+            f"unknown {spec.name} workload keys: {', '.join(unknown) or '(none given)'}; "
+            "give any well-formed key of the bench, 'all', or a preset:"
+        )
+        for key in spec.presets:
+            print(f"  {key}")
+        return 2
+    strategies = None
     if args.strategies is not None:
-        strategies = tuple(name.strip() for name in args.strategies.split(",") if name.strip())
-        unknown = [name for name in strategies if name not in valid_names]
+        strategies = _split_names(args.strategies)
+        unknown = [name for name in strategies if name not in spec.strategy_names]
         if not strategies or unknown:
             print(
-                f"unknown oracle strategies: {', '.join(unknown) or '(none given)'}; "
-                f"valid names: {', '.join(sorted(valid_names))}"
+                f"unknown {spec.name} strategies: {', '.join(unknown) or '(none given)'}; "
+                f"valid names: {', '.join(spec.strategy_names) or '(none: fixed phases)'}"
             )
             return 2
-
-    # Assemble the (workload, strategies) rows to run: either named preset
-    # rows (--workloads, so one baseline row can be regenerated without
-    # rerunning the whole matrix) or one ad-hoc workload from the flags.
-    rows: list[tuple[dict[str, object], tuple[str, ...]]] = []
-    if args.workloads:
-        requested = [key.strip() for key in args.workloads.split(",") if key.strip()]
-        if requested == ["all"]:
-            requested = list(BENCH_PRESETS)
-        unknown_keys = [key for key in requested if key not in BENCH_PRESETS]
-        if not requested or unknown_keys:
-            print(
-                f"unknown bench workloads: {', '.join(unknown_keys) or '(none given)'}; "
-                "valid keys (or 'all'):"
-            )
-            for key in BENCH_PRESETS:
-                print(f"  {key}")
-            return 2
-        for key in requested:
-            workload, default_strategies = BENCH_PRESETS[key]
-            rows.append((workload, strategies or default_strategies))
-    else:
-        if args.kind == "euclidean":
-            workload = euclidean_workload(
-                n=args.n, dim=args.dim, seed=args.seed, stretch=args.stretch
-            )
-        elif args.kind == "clustered":
-            workload = clustered_workload(
-                n=args.n, dim=args.dim, clusters=args.clusters,
-                seed=args.seed, stretch=args.stretch,
-            )
-        elif args.kind == "grid":
-            workload = grid_workload(side=args.side, dim=args.dim, stretch=args.stretch)
-        else:
-            workload = graph_workload(n=args.n, p=args.p, seed=args.seed, stretch=args.stretch)
-        rows.append((workload, strategies or ("bounded", "bidirectional", "cached")))
-
-    all_consistent = True
-    for workload, row_strategies in rows:
+    options: dict[str, object] = {}
+    if args.workers is not None:
+        options["workers"] = args.workers
+    if args.no_memory:
+        options["measure_memory"] = False
+    unsupported = sorted(set(options) - spec.run_options)
+    if unsupported:
+        print(f"bench {spec.name} takes no {', '.join(unsupported)} option")
+        return 2
+    if output.exists():
         try:
-            run = run_oracle_matrix(
-                workload, strategies=row_strategies, measure_memory=not args.no_memory
-            )
-        except ValueError as error:
-            # e.g. an approx-greedy strategy asked to run on a graph workload.
-            print(f"cannot bench {workload_key(workload)}: {error}")
+            load_document(output)  # fail before the runs, not after them
+        except BenchDocumentError as error:
+            print(str(error))
             return 2
-        merge_run_into_file(args.output, run)
-        print(render_table(render_rows(run), title=f"oracle matrix: {workload_key(workload)}"))
-        for name, speedup in sorted(run.get("speedup_vs_bounded", {}).items()):
-            print(f"speedup vs bounded [{name}]: {speedup:.2f}x")
-        for name, record in run["strategies"].items():
-            if "peak_memory_bytes" in record:
-                print(f"peak memory [{name}]: {record['peak_memory_bytes'] / 1_048_576:.1f} MiB")
-        print(f"identical edge sets: {run['identical_edge_sets']}")
-        if "approx_identical_edge_sets" in run:
-            print(f"approx engines identical: {run['approx_identical_edge_sets']}")
-            all_consistent = all_consistent and run["approx_identical_edge_sets"]
-        all_consistent = all_consistent and run["identical_edge_sets"]
-    print(f"trajectory written to {args.output}")
-    return 0 if all_consistent else 1
-
-
-def _command_bench_overlays(args: argparse.Namespace) -> int:
-    from repro.errors import UnsupportedWorkloadError
-    from repro.experiments.oracle_bench import (
-        clustered_workload,
-        euclidean_workload,
-        graph_workload,
-        grid_workload,
-    )
-    from repro.experiments.overlay_bench import (
-        DEFAULT_GRAPH_BUILDERS,
-        DEFAULT_METRIC_BUILDERS,
-        OVERLAY_PRESETS,
-        geometric_workload,
-        merge_run_into_file,
-        render_rows,
-        run_overlay_bench,
-        workload_key,
-    )
-
-    valid_names = set(builder_names())
-    builders = None
-    if args.builders is not None:
-        requested = tuple(name.strip() for name in args.builders.split(",") if name.strip())
-        unknown = [name for name in requested if name not in valid_names]
-        if not requested or unknown:
-            print(
-                f"unknown spanner builders: {', '.join(unknown) or '(none given)'}; "
-                f"valid names: {', '.join(sorted(valid_names))}"
-            )
-            return 2
-        builders = requested
-
-    # Assemble (workload, builders) rows: named preset rows (--workloads) or
-    # one ad-hoc workload from the flags — the same shape as bench-oracles.
-    rows: list[tuple[dict[str, object], object]] = []
-    if args.workloads:
-        requested_keys = [key.strip() for key in args.workloads.split(",") if key.strip()]
-        if requested_keys == ["all"]:
-            requested_keys = list(OVERLAY_PRESETS)
-        unknown_keys = [key for key in requested_keys if key not in OVERLAY_PRESETS]
-        if not requested_keys or unknown_keys:
-            print(
-                f"unknown overlay workloads: {', '.join(unknown_keys) or '(none given)'}; "
-                "valid keys (or 'all'):"
-            )
-            for key in OVERLAY_PRESETS:
-                print(f"  {key}")
-            return 2
-        for key in requested_keys:
-            workload, default_builders = OVERLAY_PRESETS[key]
-            rows.append((workload, builders or default_builders))
-    else:
-        if args.kind == "euclidean":
-            workload = euclidean_workload(
-                n=args.n, dim=args.dim, seed=args.seed, stretch=args.stretch
-            )
-        elif args.kind == "clustered":
-            workload = clustered_workload(
-                n=args.n, dim=args.dim, clusters=args.clusters,
-                seed=args.seed, stretch=args.stretch,
-            )
-        elif args.kind == "grid":
-            workload = grid_workload(side=args.side, dim=args.dim, stretch=args.stretch)
-        elif args.kind == "graph":
-            workload = graph_workload(n=args.n, p=args.p, seed=args.seed, stretch=args.stretch)
-        else:
-            workload = geometric_workload(
-                n=args.n, radius=args.radius, seed=args.seed, stretch=args.stretch
-            )
-        if builders is None:
-            builders = (
-                DEFAULT_GRAPH_BUILDERS
-                if args.kind in ("graph", "geometric")
-                else DEFAULT_METRIC_BUILDERS
-            )
-        rows.append((workload, builders))
-
-    for workload, row_builders in rows:
-        try:
-            run = run_overlay_bench(
-                workload,
-                row_builders,
-                demand_count=args.demands,
-                pulses=args.pulses,
-            )
-        except UnsupportedWorkloadError as error:
-            print(f"cannot bench {workload_key(workload)}: {error}")
-            return 2
-        merge_run_into_file(args.output, run)
-        print(render_table(render_rows(run), title=f"overlay matrix: {workload_key(workload)}"))
-        print(f"pulse delay method: {run['diameter_method']}")
-    print(f"trajectory written to {args.output}")
-    return 0
-
-
-def _command_bench_verify(args: argparse.Namespace) -> int:
-    from repro.errors import UnsupportedWorkloadError
-    from repro.experiments.oracle_bench import (
-        clustered_workload,
-        euclidean_workload,
-        graph_workload,
-        grid_workload,
-    )
-    from repro.experiments.overlay_bench import geometric_workload
-    from repro.experiments.verify_bench import (
-        DEFAULT_MODES,
-        VERIFY_PRESETS,
-        merge_run_into_file,
-        render_rows,
-        run_verify_bench,
-        verify_workload,
-        workload_key,
-    )
-
-    modes: Optional[tuple[str, ...]] = None
-    if args.modes is not None:
-        modes = tuple(name.strip() for name in args.modes.split(",") if name.strip())
-        unknown = [name for name in modes if name not in DEFAULT_MODES]
-        if not modes or unknown:
-            print(
-                f"unknown verification modes: {', '.join(unknown) or '(none given)'}; "
-                f"valid names: {', '.join(DEFAULT_MODES)}"
-            )
-            return 2
-
-    # Assemble (workload, modes, profile_sources) rows: named preset rows
-    # (--workloads) or one ad-hoc workload from the flags — the same shape
-    # as bench-oracles / bench-overlays.
-    rows: list[tuple[dict[str, object], tuple[str, ...], Optional[int]]] = []
-    if args.workloads:
-        requested = [key.strip() for key in args.workloads.split(",") if key.strip()]
-        if requested == ["all"]:
-            requested = list(VERIFY_PRESETS)
-        unknown_keys = [key for key in requested if key not in VERIFY_PRESETS]
-        if not requested or unknown_keys:
-            print(
-                f"unknown verify workloads: {', '.join(unknown_keys) or '(none given)'}; "
-                "valid keys (or 'all'):"
-            )
-            for key in VERIFY_PRESETS:
-                print(f"  {key}")
-            return 2
-        for key in requested:
-            workload, default_modes, default_sources = VERIFY_PRESETS[key]
-            rows.append((
-                workload,
-                modes or default_modes,
-                args.profile_sources if args.profile_sources is not None else default_sources,
-            ))
-    else:
-        if args.kind == "euclidean":
-            base = euclidean_workload(n=args.n, dim=args.dim, seed=args.seed, stretch=args.stretch)
-        elif args.kind == "clustered":
-            base = clustered_workload(
-                n=args.n, dim=args.dim, clusters=args.clusters,
-                seed=args.seed, stretch=args.stretch,
-            )
-        elif args.kind == "grid":
-            base = grid_workload(side=args.side, dim=args.dim, stretch=args.stretch)
-        elif args.kind == "graph":
-            base = graph_workload(n=args.n, p=args.p, seed=args.seed, stretch=args.stretch)
-        else:
-            base = geometric_workload(
-                n=args.n, radius=args.radius, seed=args.seed, stretch=args.stretch
-            )
-        rows.append((
-            verify_workload(base, args.builder),
-            modes or DEFAULT_MODES,
-            args.profile_sources,
-        ))
-
-    all_consistent = True
-    for workload, row_modes, profile_sources in rows:
-        try:
-            run = run_verify_bench(
-                workload,
-                modes=row_modes,
-                workers=args.workers,
-                profile_sources=profile_sources,
-            )
-        except UnsupportedWorkloadError as error:
-            print(f"cannot bench {workload_key(workload)}: {error}")
-            return 2
-        merge_run_into_file(args.output, run)
-        print(render_table(render_rows(run), title=f"verify matrix: {workload_key(workload)}"))
-        if "speedup_vs_reference" in run:
-            print(f"speedup vs reference: {run['speedup_vs_reference']:.2f}x")
-        for flag in ("verdicts_match", "profiles_match"):
-            if flag in run:
-                print(f"{flag}: {run[flag]}")
-                all_consistent = all_consistent and bool(run[flag])
-    print(f"trajectory written to {args.output}")
-    return 0 if all_consistent else 1
-
-
-def _command_bench_faults(args: argparse.Namespace) -> int:
-    from repro.experiments.fault_bench import (
-        DEFAULT_MODES,
-        FAULT_PRESETS,
-        fault_workload,
-        merge_run_into_file,
-        render_rows,
-        run_fault_bench,
-        run_flags,
-        workload_key,
-    )
-    from repro.experiments.overlay_bench import geometric_workload
-
-    modes: Optional[tuple[str, ...]] = None
-    if args.modes is not None:
-        modes = tuple(name.strip() for name in args.modes.split(",") if name.strip())
-        unknown = [name for name in modes if name not in DEFAULT_MODES]
-        if not modes or unknown:
-            print(
-                f"unknown engine modes: {', '.join(unknown) or '(none given)'}; "
-                f"valid names: {', '.join(DEFAULT_MODES)}"
-            )
-            return 2
-
-    # Assemble (workload, modes) rows: named preset rows (--workloads) or one
-    # ad-hoc geometric workload from the flags — the same shape as the other
-    # bench commands.
-    rows: list[tuple[dict[str, object], tuple[str, ...]]] = []
-    if args.workloads:
-        requested = [key.strip() for key in args.workloads.split(",") if key.strip()]
-        if requested == ["all"]:
-            requested = list(FAULT_PRESETS)
-        unknown_keys = [key for key in requested if key not in FAULT_PRESETS]
-        if not requested or unknown_keys:
-            print(
-                f"unknown fault workloads: {', '.join(unknown_keys) or '(none given)'}; "
-                "valid keys (or 'all'):"
-            )
-            for key in FAULT_PRESETS:
-                print(f"  {key}")
-            return 2
-        for key in requested:
-            workload, default_modes = FAULT_PRESETS[key]
-            rows.append((workload, modes or default_modes))
-    else:
-        workload = fault_workload(
-            geometric_workload(
-                n=args.n, radius=args.radius, seed=args.seed, stretch=args.stretch
-            ),
-            fault_seed=args.fault_seed,
-            edge_failure_rate=args.edge_failure_rate,
-            failure_band=args.failure_band,
-            node_crash_rate=args.node_crash_rate,
-            drop_rate=args.drop_rate,
-            delay_jitter=args.delay_jitter,
-            repair_oracle=args.repair_oracle,
-        )
-        rows.append((workload, modes or DEFAULT_MODES))
 
     all_ok = True
-    for workload, row_modes in rows:
-        run = run_fault_bench(workload, modes=row_modes, demand_count=args.demands)
-        merge_run_into_file(args.output, run)
-        print(render_table(render_rows(run), title=f"fault matrix: {workload_key(workload)}"))
-        print(f"fault plan: {run['fault_plan']}")
-        print(f"delivery_rate: {run['delivery_rate']:.3f}")
-        if "repair_speedup" in run:
-            print(f"repair vs rebuild: {run['repair_speedup']:.2f}x fewer settles")
-        for name, value in sorted(run_flags(run).items()):
-            print(f"{name}: {value}")
-            all_ok = all_ok and bool(value)
-    print(f"trajectory written to {args.output}")
+    for key in keys:
+        try:
+            run = spec.run_key(key, strategies, **options)
+        except (ValueError, ReproError) as error:
+            # e.g. an approx-greedy strategy or a Euclidean-only builder
+            # asked to run on a graph workload.
+            print(f"cannot bench {key}: {error}")
+            return 2
+        merge_run_into_file(output, run, spec)
+        print(render_table(render_rows(run, spec), title=f"bench {spec.name}: {key}"))
+        if spec.gate is not None and spec.gate.field in run:
+            print(f"{spec.gate.field}: {run[spec.gate.field]:.4g}")
+        for flag, value in spec.flag_values(run).items():
+            print(f"{flag}: {value}")
+            all_ok = all_ok and value
+    print(f"trajectory written to {output}")
     return 0 if all_ok else 1
-
-
-def _command_bench_build(args: argparse.Namespace) -> int:
-    from repro.experiments.build_bench import (
-        BUILD_PRESETS,
-        DEFAULT_STRATEGIES,
-        bucketed_workload,
-        euclidean_build_workload,
-        merge_run_into_file,
-        render_rows,
-        run_build_bench,
-        workload_key,
-    )
-
-    strategies: Optional[tuple[str, ...]] = None
-    if args.strategies is not None:
-        strategies = tuple(name.strip() for name in args.strategies.split(",") if name.strip())
-        unknown = [name for name in strategies if name not in DEFAULT_STRATEGIES]
-        if not strategies or unknown:
-            print(
-                f"unknown build strategies: {', '.join(unknown) or '(none given)'}; "
-                f"valid names: {', '.join(DEFAULT_STRATEGIES)}"
-            )
-            return 2
-
-    # Assemble (workload, strategies, gated) rows: named preset rows
-    # (--workloads) or one ad-hoc workload from the flags — the same shape
-    # as the other bench commands.
-    rows: list[tuple[dict[str, object], tuple[str, ...], bool]] = []
-    if args.workloads:
-        requested = [key.strip() for key in args.workloads.split(",") if key.strip()]
-        if requested == ["all"]:
-            requested = list(BUILD_PRESETS)
-        unknown_keys = [key for key in requested if key not in BUILD_PRESETS]
-        if not requested or unknown_keys:
-            print(
-                f"unknown build workloads: {', '.join(unknown_keys) or '(none given)'}; "
-                "valid keys (or 'all'):"
-            )
-            for key in BUILD_PRESETS:
-                print(f"  {key}")
-            return 2
-        for key in requested:
-            workload, default_strategies, gated = BUILD_PRESETS[key]
-            rows.append((workload, strategies or default_strategies, gated))
-    else:
-        if args.kind == "euclidean":
-            workload = euclidean_build_workload(
-                n=args.n, dim=args.dim, seed=args.seed, stretch=args.stretch
-            )
-        else:
-            workload = bucketed_workload(
-                n=args.n, degree=args.degree, seed=args.seed, stretch=args.stretch
-            )
-        rows.append((workload, strategies or DEFAULT_STRATEGIES, False))
-
-    all_match = True
-    for workload, row_strategies, gated in rows:
-        run = run_build_bench(
-            workload,
-            strategies=row_strategies,
-            workers=args.workers,
-            gate_build_speedup=gated,
-        )
-        merge_run_into_file(args.output, run)
-        print(render_table(render_rows(run), title=f"build matrix: {workload_key(workload)}"))
-        for label, field in (
-            ("speedup vs per-edge list path", "build_speedup"),
-            ("speedup vs cached serial path", "cached_speedup"),
-            ("1-worker vs fan-out wall clock", "workers_speedup"),
-        ):
-            if field in run:
-                print(f"{label}: {run[field]:.2f}x")
-        print(f"cpu_count: {int(run['cpu_count'])}  fan_workers: {int(run['fan_workers'])}")
-        if "builds_match" in run:
-            print(f"builds_match: {run['builds_match']}")
-            all_match = all_match and bool(run["builds_match"])
-    print(f"trajectory written to {args.output}")
-    return 0 if all_match else 1
-
-
-def _command_bench_queries(args: argparse.Namespace) -> int:
-    from repro.experiments.query_bench import (
-        DEFAULT_STRATEGIES,
-        QUERY_PRESETS,
-        merge_run_into_file,
-        query_workload,
-        render_rows,
-        run_query_bench,
-        workload_key,
-    )
-
-    strategies: Optional[tuple[str, ...]] = None
-    if args.strategies is not None:
-        strategies = tuple(name.strip() for name in args.strategies.split(",") if name.strip())
-        unknown = [name for name in strategies if name not in DEFAULT_STRATEGIES]
-        if not strategies or unknown:
-            print(
-                f"unknown query strategies: {', '.join(unknown) or '(none given)'}; "
-                f"valid names: {', '.join(DEFAULT_STRATEGIES)}"
-            )
-            return 2
-
-    rows: list[tuple[dict[str, object], bool]] = []
-    if args.workloads:
-        requested = [key.strip() for key in args.workloads.split(",") if key.strip()]
-        if requested == ["all"]:
-            requested = list(QUERY_PRESETS)
-        unknown_keys = [key for key in requested if key not in QUERY_PRESETS]
-        if not requested or unknown_keys:
-            print(
-                f"unknown query workloads: {', '.join(unknown_keys) or '(none given)'}; "
-                "valid keys (or 'all'):"
-            )
-            for key in QUERY_PRESETS:
-                print(f"  {key}")
-            return 2
-        rows = [QUERY_PRESETS[key] for key in requested]
-    else:
-        workload = query_workload(
-            n=args.n,
-            degree=args.degree,
-            seed=args.seed,
-            queries=args.queries,
-            sources=args.sources,
-            query_seed=args.query_seed,
-        )
-        rows.append((workload, False))
-
-    all_match = True
-    for workload, gated in rows:
-        run = run_query_bench(
-            workload,
-            strategies=strategies or DEFAULT_STRATEGIES,
-            gate_query_speedup=gated,
-        )
-        merge_run_into_file(args.output, run)
-        print(render_table(render_rows(run), title=f"query matrix: {workload_key(workload)}"))
-        if "query_speedup" in run:
-            print(f"batched engine vs per-query heapq: {run['query_speedup']:.2f}x")
-        if "queries_match" in run:
-            print(f"queries_match: {run['queries_match']}")
-            all_match = all_match and bool(run["queries_match"])
-    print(f"trajectory written to {args.output}")
-    return 0 if all_match else 1
 
 
 def _command_profile(args: argparse.Namespace) -> int:
@@ -731,58 +266,6 @@ def _command_profile(args: argparse.Namespace) -> int:
         Path(args.output).write_text(report)
         print(f"profile written to {args.output}")
     return 0
-
-
-def _command_bench_service(args: argparse.Namespace) -> int:
-    from repro.experiments.overlay_bench import geometric_workload
-    from repro.experiments.service_bench import (
-        SERVICE_PRESETS,
-        merge_run_into_file,
-        render_rows,
-        run_flags,
-        run_service_bench,
-        service_workload,
-        workload_key,
-    )
-
-    rows: list[dict[str, object]] = []
-    if args.workloads:
-        requested = [key.strip() for key in args.workloads.split(",") if key.strip()]
-        if requested == ["all"]:
-            requested = list(SERVICE_PRESETS)
-        unknown_keys = [key for key in requested if key not in SERVICE_PRESETS]
-        if not requested or unknown_keys:
-            print(
-                f"unknown service workloads: {', '.join(unknown_keys) or '(none given)'}; "
-                "valid keys (or 'all'):"
-            )
-            for key in SERVICE_PRESETS:
-                print(f"  {key}")
-            return 2
-        rows = [SERVICE_PRESETS[key] for key in requested]
-    else:
-        rows.append(
-            service_workload(
-                geometric_workload(
-                    n=args.n, radius=args.radius, seed=args.seed, stretch=args.stretch
-                ),
-                kill_band=None if args.kill_band < 0 else args.kill_band,
-                build_workers=args.workers if args.workers else 2,
-            )
-        )
-
-    all_ok = True
-    for workload in rows:
-        run = run_service_bench(workload)
-        merge_run_into_file(args.output, run)
-        print(render_table(render_rows(run), title=f"service matrix: {workload_key(workload)}"))
-        print(f"served by tier: {run['tier']} (degraded: {run['degraded']})")
-        print(f"warm_serve_ratio: {run['warm_serve_ratio']:.4f}")
-        for name, value in sorted(run_flags(run).items()):
-            print(f"{name}: {value}")
-            all_ok = all_ok and bool(value)
-    print(f"trajectory written to {args.output}")
-    return 0 if all_ok else 1
 
 
 def _service_workload(args: argparse.Namespace) -> dict[str, object]:
@@ -954,53 +437,6 @@ def _command_service_cache(args: argparse.Namespace) -> int:
     return 1 if corrupt else 0
 
 
-def _add_bench_matrix_options(
-    parser: argparse.ArgumentParser,
-    *,
-    bench: str,
-    output: str,
-    workers: bool = False,
-    memory: bool = False,
-) -> None:
-    """The option group every ``bench-*`` subcommand shares.
-
-    Keeping the flag names, defaults and help text in one place stops the
-    subcommands drifting apart (``--workers`` used to exist on bench-verify
-    only, with hand-copied ``--workloads`` / ``--output`` help everywhere).
-    ``workers`` / ``memory`` are opt-in so commands without a sharded or
-    memory-traced path don't grow dead flags.
-    """
-    parser.add_argument(
-        "--workloads",
-        default=None,
-        help=(
-            f"comma-separated {bench} preset keys (or 'all') to (re)run "
-            "named matrix rows instead of an ad-hoc workload; see the keys "
-            f"in benchmarks/{output}"
-        ),
-    )
-    parser.add_argument(
-        "--output", default=output, help="JSON trajectory file to merge into"
-    )
-    if workers:
-        parser.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help=(
-                "worker processes for the sharded/parallel path (default 1 = "
-                "inline; -1 = all CPUs; deterministic counters are identical "
-                "for any worker count)"
-            ),
-        )
-    if memory:
-        parser.add_argument(
-            "--no-memory",
-            action="store_true",
-            help="skip tracemalloc peak-memory tracking (tracing ~doubles wall clock)",
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
@@ -1053,321 +489,45 @@ def build_parser() -> argparse.ArgumentParser:
     spanner_parser.set_defaults(handler=_command_spanner)
 
     bench_parser = subparsers.add_parser(
-        "bench-oracles",
-        help="benchmark the distance-oracle strategies and emit BENCH_oracles.json",
+        "bench",
+        help="run rows of a perf trajectory and merge them into BENCH_<name>.json",
     )
+    bench_parser.add_argument("name", choices=list(BENCH_MODULES), help="trajectory")
     bench_parser.add_argument(
-        "--kind",
-        choices=["euclidean", "clustered", "grid", "graph"],
-        default="euclidean",
+        "--workloads",
+        required=True,
         help=(
-            "ad-hoc workload family: uniform / clustered-Gaussian / grid "
-            "Euclidean points or an Erdős–Rényi graph"
+            "comma-separated workload keys: the presets in "
+            "benchmarks/BENCH_<name>.json, 'all' presets, or any other "
+            "well-formed key of the bench (e.g. geometric-n80-r0.25-seed7-t1.5)"
         ),
     )
-    bench_parser.add_argument("--n", type=int, default=400, help="number of points / vertices")
-    bench_parser.add_argument(
-        "--dim", type=int, default=2, help="dimension (euclidean/clustered/grid)"
-    )
-    bench_parser.add_argument(
-        "--clusters", type=int, default=50, help="number of Gaussian clusters (clustered only)"
-    )
-    bench_parser.add_argument(
-        "--side", type=int, default=100, help="grid side length (grid only; n = side**dim)"
-    )
-    bench_parser.add_argument(
-        "--p", type=float, default=0.15, help="edge probability (graph only)"
-    )
-    bench_parser.add_argument("--seed", type=int, default=7)
-    bench_parser.add_argument("--stretch", type=float, default=2.0)
     bench_parser.add_argument(
         "--strategies",
         default=None,
         help=(
-            "comma-separated strategy names to bench (oracle names plus "
-            "approx-greedy / approx-greedy-scratch); defaults to "
-            "bounded,bidirectional,cached for ad-hoc workloads and to each "
-            "row's recorded strategies with --workloads"
+            "comma-separated strategies (oracles, builders or engine modes) "
+            "to run; defaults to each row's preset set"
         ),
     )
-    _add_bench_matrix_options(
-        bench_parser, bench="oracle", output="BENCH_oracles.json", memory=True
-    )
-    bench_parser.set_defaults(handler=_command_bench_oracles)
-
-    overlay_parser = subparsers.add_parser(
-        "bench-overlays",
-        help=(
-            "benchmark broadcast/routing/synchronizer over registry-built "
-            "overlays and emit BENCH_overlays.json"
-        ),
-    )
-    overlay_parser.add_argument(
-        "--kind",
-        choices=["geometric", "euclidean", "clustered", "grid", "graph"],
-        default="geometric",
-        help=(
-            "ad-hoc workload family: random geometric (wireless) graph, "
-            "uniform / clustered-Gaussian / grid Euclidean points or an "
-            "Erdős–Rényi graph"
-        ),
-    )
-    overlay_parser.add_argument("--n", type=int, default=300, help="number of points / vertices")
-    overlay_parser.add_argument(
-        "--radius", type=float, default=0.12, help="connection radius (geometric only)"
-    )
-    overlay_parser.add_argument(
-        "--dim", type=int, default=2, help="dimension (euclidean/clustered/grid)"
-    )
-    overlay_parser.add_argument(
-        "--clusters", type=int, default=50, help="number of Gaussian clusters (clustered only)"
-    )
-    overlay_parser.add_argument(
-        "--side", type=int, default=100, help="grid side length (grid only; n = side**dim)"
-    )
-    overlay_parser.add_argument(
-        "--p", type=float, default=0.15, help="edge probability (graph only)"
-    )
-    overlay_parser.add_argument("--seed", type=int, default=7)
-    overlay_parser.add_argument("--stretch", type=float, default=1.5)
-    overlay_parser.add_argument(
-        "--demands", type=int, default=32, help="routing demand pairs per overlay"
-    )
-    overlay_parser.add_argument(
-        "--pulses", type=int, default=10, help="synchronizer pulses to account"
-    )
-    overlay_parser.add_argument(
-        "--builders",
-        default=None,
-        help=(
-            "comma-separated registry builder names to bench (see "
-            "list-builders); defaults to the workload kind's default set or "
-            "each preset row's recorded builders"
-        ),
-    )
-    _add_bench_matrix_options(
-        overlay_parser, bench="overlay", output="BENCH_overlays.json"
-    )
-    overlay_parser.set_defaults(handler=_command_bench_overlays)
-
-    verify_parser = subparsers.add_parser(
-        "bench-verify",
-        help=(
-            "benchmark the batch verification engine (exact edge checks + "
-            "stretch profile per mode) and emit BENCH_verify.json"
-        ),
-    )
-    verify_parser.add_argument(
-        "--kind",
-        choices=["geometric", "euclidean", "clustered", "grid", "graph"],
-        default="geometric",
-        help=(
-            "ad-hoc workload family: random geometric (wireless) graph, "
-            "uniform / clustered-Gaussian / grid Euclidean points or an "
-            "Erdős–Rényi graph"
-        ),
-    )
-    verify_parser.add_argument("--n", type=int, default=300, help="number of points / vertices")
-    verify_parser.add_argument(
-        "--radius", type=float, default=0.12, help="connection radius (geometric only)"
-    )
-    verify_parser.add_argument(
-        "--dim", type=int, default=2, help="dimension (euclidean/clustered/grid)"
-    )
-    verify_parser.add_argument(
-        "--clusters", type=int, default=50, help="number of Gaussian clusters (clustered only)"
-    )
-    verify_parser.add_argument(
-        "--side", type=int, default=100, help="grid side length (grid only; n = side**dim)"
-    )
-    verify_parser.add_argument(
-        "--p", type=float, default=0.15, help="edge probability (graph only)"
-    )
-    verify_parser.add_argument("--seed", type=int, default=7)
-    verify_parser.add_argument("--stretch", type=float, default=1.5)
-    verify_parser.add_argument(
-        "--builder",
-        choices=builder_names(),
-        default="greedy",
-        help="registry builder whose spanner gets verified (see list-builders)",
-    )
-    verify_parser.add_argument(
-        "--modes",
-        default=None,
-        help=(
-            "comma-separated engine modes to bench (indexed, reference); "
-            "defaults to both for ad-hoc workloads and to each preset row's "
-            "recorded modes with --workloads"
-        ),
-    )
-    verify_parser.add_argument(
-        "--profile-sources",
+    bench_parser.add_argument(
+        "--workers",
         type=int,
         default=None,
         help=(
-            "restrict the exact stretch profile to this many evenly-strided "
-            "sources (default: all vertices, or each preset row's recorded "
-            "shard with --workloads)"
+            "worker processes of the sharded/parallel path (verify, build; "
+            "-1 = all CPUs; counters are identical for any worker count)"
         ),
     )
-    _add_bench_matrix_options(
-        verify_parser, bench="verify", output="BENCH_verify.json", workers=True
+    bench_parser.add_argument(
+        "--no-memory",
+        action="store_true",
+        help="skip tracemalloc peak-memory tracking (oracles; tracing ~doubles wall clock)",
     )
-    verify_parser.set_defaults(handler=_command_bench_verify)
-
-    faults_parser = subparsers.add_parser(
-        "bench-faults",
-        help=(
-            "benchmark the hardened flood/echo, self-healing repair and "
-            "detour routing under a seeded fault plan and emit "
-            "BENCH_faults.json"
-        ),
+    bench_parser.add_argument(
+        "--output", default=None, help="trajectory to merge into (default BENCH_<name>.json)"
     )
-    faults_parser.add_argument(
-        "--n", type=int, default=300, help="geometric workload size (ad-hoc rows)"
-    )
-    faults_parser.add_argument(
-        "--radius", type=float, default=0.12, help="geometric connection radius"
-    )
-    faults_parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    faults_parser.add_argument("--stretch", type=float, default=1.5)
-    faults_parser.add_argument(
-        "--fault-seed", type=int, default=11, help="seed of the fault plan"
-    )
-    faults_parser.add_argument(
-        "--edge-failure-rate",
-        type=float,
-        default=0.02,
-        help="fraction of overlay edges that fail",
-    )
-    faults_parser.add_argument(
-        "--failure-band",
-        type=float,
-        default=0.3,
-        help=(
-            "failures are drawn from this heaviest fraction of the "
-            "weight-sorted overlay edges (1.0 = uniform)"
-        ),
-    )
-    faults_parser.add_argument(
-        "--node-crash-rate", type=float, default=0.02, help="fraction of nodes that crash"
-    )
-    faults_parser.add_argument(
-        "--drop-rate", type=float, default=0.05, help="per-transmission loss probability"
-    )
-    faults_parser.add_argument(
-        "--delay-jitter",
-        type=float,
-        default=0.25,
-        help="extra per-message delay as a fraction of the edge weight",
-    )
-    faults_parser.add_argument(
-        "--repair-oracle",
-        choices=sorted(ORACLE_FACTORIES),
-        default="cached",
-        help="distance-oracle strategy of the repair replay and rebuild cross-check",
-    )
-    faults_parser.add_argument(
-        "--demands", type=int, default=32, help="detour-routing demand pairs"
-    )
-    faults_parser.add_argument(
-        "--modes",
-        default=None,
-        help=(
-            "comma-separated engine modes to run (indexed, reference); "
-            "defaults to both for ad-hoc workloads and to each preset row's "
-            "recorded modes with --workloads"
-        ),
-    )
-    _add_bench_matrix_options(
-        faults_parser, bench="fault", output="BENCH_faults.json"
-    )
-    faults_parser.set_defaults(handler=_command_bench_faults)
-
-    build_bench_parser = subparsers.add_parser(
-        "bench-build",
-        help=(
-            "benchmark greedy construction strategies (per-edge list path, "
-            "cached serial, CSR band-parallel) and emit BENCH_build.json"
-        ),
-    )
-    build_bench_parser.add_argument(
-        "--kind",
-        choices=["bucketed", "euclidean"],
-        default="bucketed",
-        help=(
-            "ad-hoc workload family: bucketed geometric graph (O(n + m) "
-            "spatial-hash generator) or uniform Euclidean points (streamed "
-            "complete graph)"
-        ),
-    )
-    build_bench_parser.add_argument(
-        "--n", type=int, default=20000, help="number of points / vertices"
-    )
-    build_bench_parser.add_argument(
-        "--degree",
-        type=float,
-        default=96.0,
-        help="target average degree of the bucketed geometric graph",
-    )
-    build_bench_parser.add_argument(
-        "--dim", type=int, default=2, help="dimension (euclidean only)"
-    )
-    build_bench_parser.add_argument("--seed", type=int, default=3)
-    build_bench_parser.add_argument("--stretch", type=float, default=2.0)
-    build_bench_parser.add_argument(
-        "--strategies",
-        default=None,
-        help=(
-            "comma-separated build strategies to run (greedy-edge-list, "
-            "greedy-serial, csr-parallel-w1, csr-parallel-wn); defaults to "
-            "all four"
-        ),
-    )
-    _add_bench_matrix_options(
-        build_bench_parser, bench="build", output="BENCH_build.json", workers=True
-    )
-    build_bench_parser.set_defaults(handler=_command_bench_build)
-
-    query_bench_parser = subparsers.add_parser(
-        "bench-queries",
-        help=(
-            "benchmark batched multi-source query throughput (per-query heapq "
-            "vs the source-grouped engine) and emit BENCH_queries.json"
-        ),
-    )
-    query_bench_parser.add_argument(
-        "--n", type=int, default=2000, help="number of vertices"
-    )
-    query_bench_parser.add_argument(
-        "--degree",
-        type=float,
-        default=8.0,
-        help="target average degree of the bucketed geometric graph",
-    )
-    query_bench_parser.add_argument("--seed", type=int, default=3)
-    query_bench_parser.add_argument(
-        "--queries", type=int, default=256, help="size of the query batch"
-    )
-    query_bench_parser.add_argument(
-        "--sources",
-        type=int,
-        default=16,
-        help="distinct source pool size (batching amortizes per shared source)",
-    )
-    query_bench_parser.add_argument("--query-seed", type=int, default=11)
-    query_bench_parser.add_argument(
-        "--strategies",
-        default=None,
-        help=(
-            "comma-separated query strategies to run (per-query-heapq, "
-            "batched-engine); defaults to both"
-        ),
-    )
-    _add_bench_matrix_options(
-        query_bench_parser, bench="query", output="BENCH_queries.json"
-    )
-    query_bench_parser.set_defaults(handler=_command_bench_queries)
+    bench_parser.set_defaults(handler=_command_bench)
 
     profile_parser = subparsers.add_parser(
         "profile",
@@ -1404,35 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, help="also write the table to this file"
     )
     profile_parser.set_defaults(handler=_command_profile)
-
-    service_bench_parser = subparsers.add_parser(
-        "bench-service",
-        help=(
-            "run the service chaos bench (worker death, artifact bit-flip, "
-            "warm cache, lease reclaim) and emit BENCH_service.json"
-        ),
-    )
-    service_bench_parser.add_argument(
-        "--n", type=int, default=300, help="geometric workload size (ad-hoc rows)"
-    )
-    service_bench_parser.add_argument(
-        "--radius", type=float, default=0.12, help="geometric connection radius"
-    )
-    service_bench_parser.add_argument("--seed", type=int, default=7)
-    service_bench_parser.add_argument("--stretch", type=float, default=1.5)
-    service_bench_parser.add_argument(
-        "--kill-band",
-        type=int,
-        default=1,
-        help=(
-            "SIGKILL the fork worker filtering this band of the cold build "
-            "(-1 disables the injection)"
-        ),
-    )
-    _add_bench_matrix_options(
-        service_bench_parser, bench="service", output="BENCH_service.json", workers=True
-    )
-    service_bench_parser.set_defaults(handler=_command_bench_service)
 
     service_parser = subparsers.add_parser(
         "service",

@@ -63,7 +63,7 @@ Two *engines* compute that hierarchy (the ``mode`` parameter):
 Both engines produce the *identical* cluster structure (same centres,
 assignments, offsets and bounds — the property tests assert it), so every
 query answers the same and the simulated greedy makes the same decisions;
-they differ only in cost, which is what ``repro bench-oracles`` measures.
+they differ only in cost, which is what ``repro bench oracles`` measures.
 """
 
 from __future__ import annotations

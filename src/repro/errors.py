@@ -136,7 +136,17 @@ class ExperimentError(ReproError):
 
 
 class UnknownWorkloadError(ExperimentError, KeyError):
-    """A workload name was not found in the workload registry."""
+    """A workload name was not found in the workload registry, or a bench
+    workload key does not parse as a key of its bench."""
+
+
+class BenchDocumentError(ExperimentError):
+    """A ``BENCH_*.json`` document is unreadable: not JSON, not a JSON
+    object, or without a ``runs`` mapping."""
+
+    def __init__(self, path: object, reason: str) -> None:
+        super().__init__(f"unreadable BENCH document {path}: {reason}")
+        self.path = path
 
 
 class ShardFailureError(ExperimentError):

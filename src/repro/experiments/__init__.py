@@ -1,6 +1,8 @@
 """Experiment harness: workloads, runners and the per-claim experiments.
 
-Each experiment runs from the command line as ``repro experiment <id>``.
+Each experiment runs from the command line as ``repro experiment <id>``.  The
+seven ``BENCH_*.json`` trajectories live in :mod:`repro.experiments.bench`
+and its bench modules (``repro bench <name>``); they are imported on use.
 """
 
 from repro.experiments.harness import (
@@ -28,28 +30,6 @@ from repro.experiments.experiments import (
     experiment_routing,
     experiment_verify_matrix,
     run_all_experiments,
-)
-from repro.experiments.oracle_bench import (
-    euclidean_workload,
-    graph_workload,
-    merge_run_into_file,
-    run_oracle_matrix,
-    workload_key,
-)
-from repro.experiments.overlay_bench import (
-    OVERLAY_PRESETS,
-    geometric_workload,
-    run_overlay_bench,
-)
-from repro.experiments.verify_bench import (
-    VERIFY_PRESETS,
-    run_verify_bench,
-    verify_workload,
-)
-from repro.experiments.build_bench import (
-    BUILD_PRESETS,
-    bucketed_workload,
-    run_build_bench,
 )
 
 __all__ = [
@@ -79,18 +59,4 @@ __all__ = [
     "experiment_routing",
     "experiment_verify_matrix",
     "run_all_experiments",
-    "euclidean_workload",
-    "graph_workload",
-    "merge_run_into_file",
-    "run_oracle_matrix",
-    "workload_key",
-    "OVERLAY_PRESETS",
-    "geometric_workload",
-    "run_overlay_bench",
-    "VERIFY_PRESETS",
-    "run_verify_bench",
-    "verify_workload",
-    "BUILD_PRESETS",
-    "bucketed_workload",
-    "run_build_bench",
 ]

@@ -1,4 +1,4 @@
-"""Construction benchmark matrix: the perf trajectory behind ``repro bench-build``.
+"""Construction benchmark matrix: the perf trajectory behind ``repro bench build``.
 
 PRs 1–5 put verification, overlays and oracles on indexed, sharded fast
 paths; construction itself — the greedy loop of Algorithm 1 — remained the
@@ -25,8 +25,7 @@ Every strategy must produce the *byte-identical* greedy edge set — the
 fails on — and the deterministic ``build_*`` counters are diffed against the
 committed baseline in ``benchmarks/BENCH_build.json`` exactly like the
 oracle/overlay/verify trajectories.  Rows marked ``gate_build_speedup``
-additionally enforce ``--min-build-speedup`` (default 3×) on
-``build_speedup``.
+additionally hold ``build_speedup`` to the 3× bar of :data:`SPEC`.
 
 The scale rows use :func:`repro.graph.generators.bucketed_geometric_graph`
 (the O(n + m) spatial-hash generator): at ``n = 10⁵`` the quadratic
@@ -35,24 +34,20 @@ all-pairs generator would dwarf construction itself.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.graph.io import atomic_write_json
 from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.core.parallel_greedy import (
     parallel_greedy_spanner,
     parallel_greedy_spanner_of_metric,
 )
 from repro.core.spanner import Spanner
+from repro.experiments.bench import BenchSpec, Gate, Preset, key_parser
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
-
-SCHEMA_VERSION = 1
 
 #: Strategy order is execution order; later derived ratios assume it.
 DEFAULT_STRATEGIES = (
@@ -65,13 +60,6 @@ DEFAULT_STRATEGIES = (
 #: Worker count of the ``csr-parallel-wn`` strategy when ``--workers`` is
 #: not given.
 DEFAULT_FAN_WORKERS = 4
-
-#: The deterministic operation counts the regression checker compares.
-OPERATION_COUNT_KEYS = (
-    "build_filter_settles",
-    "build_replay_settles",
-    "build_candidate_edges",
-)
 
 
 def bucketed_workload(
@@ -132,10 +120,21 @@ def _build_instance(
     return None, metric
 
 
-def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...], bool]]:
+BUCKETED_KEY_FORMAT = ("bucketed-n{n}-d{degree}-seed{seed}-t{stretch}", bucketed_workload)
+
+
+def parse_key(key: str) -> dict[str, object]:
+    """Inverse of :func:`workload_key`: bucketed graphs and the oracle
+    bench's Euclidean metric kinds."""
+    from repro.experiments.oracle_bench import KEY_FORMATS
+
+    return key_parser(workload_key, BUCKETED_KEY_FORMAT, *KEY_FORMATS[:3])(key)
+
+
+def _build_presets() -> dict[str, Preset]:
     """The named rows of the construction matrix.
 
-    Each value is ``(workload, strategies, gate_build_speedup)``.  The first
+    The first
     two rows are CI-sized; the ``n = 2·10⁴`` row is the tuning row of
     docs/PERFORMANCE.md; the ``n = 10⁵`` row is the committed scale evidence
     and the only row whose ``build_speedup`` the regression gate enforces
@@ -160,11 +159,7 @@ def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...], bool
             False,
         ),
     )
-    return {workload_key(w): (w, strategies, gated) for w, strategies, gated in rows}
-
-
-#: workload key -> (workload, default strategies, gate_build_speedup).
-BUILD_PRESETS = _build_presets()
+    return {workload_key(w): Preset(w, strategies, gated) for w, strategies, gated in rows}
 
 
 def _canonical_edges(spanner: Spanner) -> list[tuple[object, object, float]]:
@@ -208,7 +203,6 @@ def run_build_bench(
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
     *,
     workers: Optional[int] = None,
-    gate_build_speedup: bool = False,
 ) -> dict[str, object]:
     """Build the greedy spanner once per strategy; returns one run record.
 
@@ -272,40 +266,24 @@ def run_build_bench(
             result["workers_speedup"] = (
                 records["csr-parallel-w1"]["build_seconds"] / wn_seconds
             )
-    if gate_build_speedup:
-        result["gate_build_speedup"] = True
     return result
 
 
-def merge_run_into_file(path: str | Path, run: dict[str, object]) -> dict[str, object]:
-    """Merge ``run`` into the build trajectory at ``path`` (created if missing).
-
-    One entry per workload key under ``"runs"``, latest run wins — the same
-    contract as the oracle, overlay and verify trajectory files.
-    """
-    path = Path(path)
-    if path.exists():
-        document = json.loads(path.read_text())
-    else:
-        document = {
-            "schema": SCHEMA_VERSION,
-            "description": (
-                "Greedy construction benchmark trajectory (per-strategy build "
-                "wall-clock + deterministic band/filter counters); see "
-                "docs/PERFORMANCE.md. Regenerate with `repro bench-build`."
-            ),
-            "runs": {},
-        }
-    document.setdefault("runs", {})[workload_key(run["workload"])] = run
-    atomic_write_json(path, document)
-    return document
-
-
-def render_rows(run: dict[str, object]) -> list[dict[str, object]]:
-    """Flatten a run record into report-table rows (one per strategy)."""
-    rows = []
-    for name, record in run["strategies"].items():
-        row: dict[str, object] = {"strategy": name}
-        row.update(record)
-        rows.append(row)
-    return rows
+SPEC = BenchSpec(
+    name="build",
+    description=(
+        "Greedy construction benchmark trajectory (per-strategy build "
+        "wall-clock + deterministic band/filter counters); see "
+        "docs/PERFORMANCE.md. Regenerate with `repro bench build`."
+    ),
+    label="strategy",
+    run=run_build_bench,
+    workload_key=workload_key,
+    parse_key=parse_key,
+    presets=_build_presets(),
+    counters=("build_filter_settles", "build_replay_settles", "build_candidate_edges"),
+    flags=("builds_match",),
+    gate=Gate("gate_build_speedup", "build_speedup", "min", 3.0),
+    strategy_names=DEFAULT_STRATEGIES,
+    run_options=frozenset({"workers"}),
+)

@@ -506,10 +506,11 @@ def experiment_oracle_matrix(
 
     The strategies answer the same "is δ_H(u, v) ≤ t·w(u, v)?" queries and
     must produce the identical spanner; they differ only in operation counts
-    and wall clock.  ``repro bench-oracles`` runs the same matrix and persists
+    and wall clock.  ``repro bench oracles`` runs the same matrix and persists
     the numbers to ``BENCH_oracles.json`` (see docs/PERFORMANCE.md).
     """
-    from repro.experiments.oracle_bench import euclidean_workload, render_rows, run_oracle_matrix
+    from repro.experiments.bench import render_rows
+    from repro.experiments.oracle_bench import SPEC, euclidean_workload, run_oracle_matrix
 
     result = ExperimentResult(
         experiment_id="E10",
@@ -525,7 +526,7 @@ def experiment_oracle_matrix(
             euclidean_workload(n=n, dim=dim, seed=seed, stretch=stretch),
             strategies=strategies,
         )
-        for row in render_rows(run):
+        for row in render_rows(run, SPEC):
             result.add_row(**row)
         result.add_note(
             "identical_edge_sets=%s — all strategies must build the same greedy "
@@ -550,13 +551,14 @@ def experiment_overlay_matrix(
     The E7-style comparison generalized: one row per registry builder, all
     three Section 1.1 protocols driven over each overlay by the indexed
     engine, with the deterministic ``overlay_*`` operation counts the bench
-    persists to ``BENCH_overlays.json`` (see ``repro bench-overlays`` and
+    persists to ``BENCH_overlays.json`` (see ``repro bench overlays`` and
     docs/PERFORMANCE.md).
     """
+    from repro.experiments.bench import render_rows
     from repro.experiments.oracle_bench import euclidean_workload
     from repro.experiments.overlay_bench import (
         DEFAULT_METRIC_BUILDERS,
-        render_rows,
+        SPEC,
         run_overlay_bench,
     )
 
@@ -576,7 +578,7 @@ def experiment_overlay_matrix(
             DEFAULT_METRIC_BUILDERS,
             demand_count=demand_count,
         )
-        for row in render_rows(run):
+        for row in render_rows(run, SPEC):
             result.add_row(**row)
         result.add_note(
             "Shape check: per overlay, broadcast cost and per-pulse "
@@ -605,15 +607,12 @@ def experiment_verify_matrix(
     the indexed batch engine (one cutoff-bounded search per distinct edge
     source, one SSSP per profile source) against the seed per-pair reference,
     with the cross-check that verdicts and profile floats agree bit for bit.
-    ``repro bench-verify`` persists the same matrix to ``BENCH_verify.json``
+    ``repro bench verify`` persists the same matrix to ``BENCH_verify.json``
     (see docs/PERFORMANCE.md).
     """
+    from repro.experiments.bench import render_rows
     from repro.experiments.overlay_bench import geometric_workload
-    from repro.experiments.verify_bench import (
-        render_rows,
-        run_verify_bench,
-        verify_workload,
-    )
+    from repro.experiments.verify_bench import SPEC, run_verify_bench, verify_workload
 
     result = ExperimentResult(
         experiment_id="E12",
@@ -632,7 +631,7 @@ def experiment_verify_matrix(
                 builder,
             )
         )
-        for row in render_rows(run):
+        for row in render_rows(run, SPEC):
             result.add_row(**row)
         result.add_note(
             "verdicts_match=%s profiles_match=%s — the indexed engine must "
@@ -666,15 +665,11 @@ def experiment_fault_matrix(
     row per engine mode, replayed tie for tie), the greedy spanner is then
     repaired around the failed edges and cross-checked bit-identical against
     a from-scratch rebuild, and routing detours around the failures with the
-    pre-failure tables.  ``repro bench-faults`` persists the same matrix to
+    pre-failure tables.  ``repro bench faults`` persists the same matrix to
     ``BENCH_faults.json`` (see docs/RESILIENCE.md).
     """
-    from repro.experiments.fault_bench import (
-        fault_workload,
-        render_rows,
-        run_fault_bench,
-        run_flags,
-    )
+    from repro.experiments.bench import render_rows
+    from repro.experiments.fault_bench import SPEC, fault_workload, run_fault_bench
     from repro.experiments.overlay_bench import geometric_workload
 
     result = ExperimentResult(
@@ -699,9 +694,9 @@ def experiment_fault_matrix(
                 drop_rate=drop_rate,
             )
         )
-        for row in render_rows(run):
+        for row in render_rows(run, SPEC):
             result.add_row(**row)
-        flags = run_flags(run)
+        flags = SPEC.flag_values(run)
         result.add_note(
             "fault plan: %s; delivery_rate=%.3f; flags: %s"
             % (
@@ -729,20 +724,17 @@ def experiment_build_matrix(
     """Greedy construction strategies: per-edge, cached, CSR band-parallel.
 
     Builds the same greedy spanner with every construction strategy of
-    ``repro bench-build`` — the per-edge bounded-ball list path, the cached
+    ``repro bench build`` — the per-edge bounded-ball list path, the cached
     serial path, and the CSR band filter with one and with ``workers``
     worker processes — and checks the edge sets are byte-identical
     (``builds_match``), the empirical teeth behind the deterministic
     frozen-filter/canonical-replay argument of
-    :mod:`repro.core.parallel_greedy`.  ``repro bench-build`` persists the
+    :mod:`repro.core.parallel_greedy`.  ``repro bench build`` persists the
     same matrix (including the gated ``n = 10⁵`` scale row) to
     ``BENCH_build.json``.
     """
-    from repro.experiments.build_bench import (
-        bucketed_workload,
-        render_rows,
-        run_build_bench,
-    )
+    from repro.experiments.bench import render_rows
+    from repro.experiments.build_bench import SPEC, bucketed_workload, run_build_bench
 
     result = ExperimentResult(
         experiment_id="E14",
@@ -761,7 +753,7 @@ def experiment_build_matrix(
             bucketed_workload(n=n, degree=degree, seed=seed, stretch=stretch),
             workers=workers,
         )
-        for row in render_rows(run):
+        for row in render_rows(run, SPEC):
             result.add_row(**row)
         result.add_note(
             "builds_match=%s — every strategy must emit the identical greedy "
@@ -800,16 +792,12 @@ def experiment_service_matrix(
     still re-verified), a bit-flipped cached artifact that must be
     quarantined and rebuilt byte-identical rather than served, a warm
     resubmit that must hit the verified cache, and an abandoned claim whose
-    expired lease the worker must reclaim.  ``repro bench-service`` persists
+    expired lease the worker must reclaim.  ``repro bench service`` persists
     the same matrix to ``BENCH_service.json`` (see docs/SERVICE.md).
     """
     from repro.experiments.overlay_bench import geometric_workload
-    from repro.experiments.service_bench import (
-        render_rows,
-        run_flags,
-        run_service_bench,
-        service_workload,
-    )
+    from repro.experiments.bench import render_rows
+    from repro.experiments.service_bench import SPEC, run_service_bench, service_workload
 
     result = ExperimentResult(
         experiment_id="E15",
@@ -832,9 +820,9 @@ def experiment_service_matrix(
                 build_workers=build_workers,
             )
         )
-        for row in render_rows(run):
+        for row in render_rows(run, SPEC):
             result.add_row(**row)
-        flags = run_flags(run)
+        flags = SPEC.flag_values(run)
         result.add_note(
             "served by tier=%s; flags: %s — worker_deaths=%d, "
             "corrupt_quarantined=%d, lease_reclaims=%d, warm_serve_ratio=%.4f."

@@ -1,4 +1,4 @@
-"""Fault-injection benchmark: the resilience trajectory behind ``repro bench-faults``.
+"""Fault-injection benchmark: the resilience trajectory behind ``repro bench faults``.
 
 The distributed stack so far measured overlays on a *perfect* network.  This
 bench measures the hardened stack end to end under a seeded
@@ -28,12 +28,9 @@ repair-vs-rebuild speedup on gated rows.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.graph.io import atomic_write_json
 from repro.core.greedy import greedy_spanner
 from repro.distributed.faults import FaultPlan
 from repro.distributed.resilient import (
@@ -43,38 +40,15 @@ from repro.distributed.resilient import (
     resilient_flood,
 )
 from repro.distributed.routing import evaluate_detour_routing, random_demands
+from repro.experiments.bench import BenchSpec, Gate, Preset, key_parser
 from repro.experiments.overlay_bench import (
+    SPEC as _OVERLAY_SPEC,
     _build_instance as _build_overlay_instance,
+    geometric_workload,
     workload_key as _overlay_workload_key,
 )
 
-SCHEMA_VERSION = 1
-
 DEFAULT_MODES = ("indexed", "reference")
-
-#: The deterministic operation counts the regression checker compares
-#: (protocol counters are ``fault_``-prefixed so they can never collide with
-#: another trajectory's keys inside the shared checker).
-OPERATION_COUNT_KEYS = (
-    "fault_messages",
-    "fault_data_sends",
-    "fault_retries",
-    "fault_acks",
-    "fault_duplicates",
-    "fault_timers",
-    "fault_give_ups",
-    "fault_lost",
-    "fault_events",
-    "fault_echo_messages",
-    "fault_echo_retries",
-    "fault_echo_give_ups",
-    "repair_settles",
-    "repair_queries",
-    "rebuild_settles",
-    "replayed_edges",
-    "detours",
-    "undelivered",
-)
 
 #: Workload keys that describe the fault regime rather than the base instance.
 _FAULT_KEYS = (
@@ -86,7 +60,6 @@ _FAULT_KEYS = (
     "ack_drop_rate",
     "delay_jitter",
     "repair_oracle",
-    "gate_repair_speedup",
 )
 
 
@@ -101,14 +74,8 @@ def fault_workload(
     ack_drop_rate: Optional[float] = None,
     delay_jitter: float = 0.25,
     repair_oracle: str = "cached",
-    gate_repair_speedup: bool = False,
 ) -> dict[str, object]:
-    """Attach a fault regime to a bench workload description.
-
-    ``gate_repair_speedup`` marks rows whose committed repair-vs-rebuild
-    speedup the regression checker holds to ``--min-repair-speedup`` (the
-    ISSUE's ≥5× acceptance row sets it).
-    """
+    """Attach a fault regime to a bench workload description."""
     workload = dict(base)
     workload["fault_seed"] = int(fault_seed)
     workload["edge_failure_rate"] = float(edge_failure_rate)
@@ -119,8 +86,6 @@ def fault_workload(
         workload["ack_drop_rate"] = float(ack_drop_rate)
     workload["delay_jitter"] = float(delay_jitter)
     workload["repair_oracle"] = str(repair_oracle)
-    if gate_repair_speedup:
-        workload["gate_repair_speedup"] = True
     return workload
 
 
@@ -142,7 +107,7 @@ def workload_key(workload: dict[str, object]) -> str:
     return f"{_overlay_workload_key(_without_faults(workload))}-{suffix}"
 
 
-def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...]]]:
+def _build_presets() -> dict[str, Preset]:
     """The named rows of the fault matrix.
 
     The CI row is small and runs both engines (the tie-for-tie replay
@@ -153,9 +118,7 @@ def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...]]]:
     per-query price and the ≥5× gate measures the skipped prefix, not a
     cache artifact).
     """
-    from repro.experiments.overlay_bench import geometric_workload
-
-    rows: tuple[tuple[dict[str, object], tuple[str, ...]], ...] = (
+    rows: tuple[tuple[dict[str, object], tuple[str, ...], bool], ...] = (
         (
             fault_workload(
                 geometric_workload(n=300, radius=0.12, seed=7, stretch=1.5),
@@ -168,6 +131,7 @@ def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...]]]:
                 repair_oracle="cached",
             ),
             DEFAULT_MODES,
+            False,
         ),
         (
             fault_workload(
@@ -179,16 +143,15 @@ def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...]]]:
                 drop_rate=0.05,
                 delay_jitter=0.25,
                 repair_oracle="bidirectional",
-                gate_repair_speedup=True,
             ),
             ("indexed",),
+            True,
         ),
     )
-    return {workload_key(workload): (workload, modes) for workload, modes in rows}
-
-
-#: workload key -> (workload, default engine modes).
-FAULT_PRESETS = _build_presets()
+    return {
+        workload_key(workload): Preset(workload, modes, gated)
+        for workload, modes, gated in rows
+    }
 
 
 def _prefixed(row: dict[str, float], prefix: str) -> dict[str, float]:
@@ -296,8 +259,6 @@ def run_fault_bench(
     }
     if repair.rebuild_settles is not None and repair.repair_settles > 0:
         result["repair_speedup"] = repair.rebuild_settles / repair.repair_settles
-    if workload.get("gate_repair_speedup"):
-        result["gate_repair_speedup"] = True
     if len(reports) > 1:
         reference_replay = next(iter(replays.values()))
         result["fault_replay_match"] = all(
@@ -306,48 +267,56 @@ def run_fault_bench(
     return result
 
 
-def run_flags(run: dict[str, object]) -> dict[str, bool]:
-    """The pass/fail flags of one run (the gate and the CLI both read these)."""
-    flags = {
-        "delivery_complete": bool(run.get("delivery_complete", False)),
-        "repair_matches_rebuild": bool(run.get("repair_matches_rebuild", False)),
-        "post_repair_verified": bool(run.get("post_repair_verified", False)),
-    }
-    if "fault_replay_match" in run:
-        flags["fault_replay_match"] = bool(run["fault_replay_match"])
-    return flags
-
-
-def merge_run_into_file(path: str | Path, run: dict[str, object]) -> dict[str, object]:
-    """Merge ``run`` into the fault trajectory at ``path`` (created if missing).
-
-    One entry per workload key under ``"runs"``, latest run wins — the same
-    contract as the other three trajectory files.
-    """
-    path = Path(path)
-    if path.exists():
-        document = json.loads(path.read_text())
-    else:
-        document = {
-            "schema": SCHEMA_VERSION,
-            "description": (
-                "Fault-injection benchmark trajectory (hardened flood/echo "
-                "under a seeded FaultPlan, self-healing repair vs rebuild, "
-                "detour routing); see docs/RESILIENCE.md. Regenerate with "
-                "`repro bench-faults`."
-            ),
-            "runs": {},
-        }
-    document.setdefault("runs", {})[workload_key(run["workload"])] = run
-    atomic_write_json(path, document)
-    return document
-
-
-def render_rows(run: dict[str, object]) -> list[dict[str, object]]:
-    """Flatten a run record into report-table rows (one per strategy)."""
-    rows = []
-    for name, record in run["strategies"].items():
-        row: dict[str, object] = {"mode": name}
-        row.update(record)
-        rows.append(row)
-    return rows
+SPEC = BenchSpec(
+    name="faults",
+    description=(
+        "Fault-injection benchmark trajectory (hardened flood/echo "
+        "under a seeded FaultPlan, self-healing repair vs rebuild, "
+        "detour routing); see docs/RESILIENCE.md. Regenerate with "
+        "`repro bench faults`."
+    ),
+    label="mode",
+    run=run_fault_bench,
+    workload_key=workload_key,
+    parse_key=key_parser(
+        workload_key,
+        (
+            "{base}-f{fault_seed}-ef{edge_failure_rate}-fb{failure_band}"
+            "-nc{node_crash_rate}-dr{drop_rate}-dj{delay_jitter}-o{repair_oracle}",
+            lambda base, **regime: fault_workload(_OVERLAY_SPEC.parse_key(base), **regime),
+        ),
+    ),
+    presets=_build_presets(),
+    # Protocol counters are ``fault_``-prefixed so they never collide with
+    # another trajectory's keys.
+    counters=(
+        "fault_messages",
+        "fault_data_sends",
+        "fault_retries",
+        "fault_acks",
+        "fault_duplicates",
+        "fault_timers",
+        "fault_give_ups",
+        "fault_lost",
+        "fault_events",
+        "fault_echo_messages",
+        "fault_echo_retries",
+        "fault_echo_give_ups",
+        "repair_settles",
+        "repair_queries",
+        "rebuild_settles",
+        "replayed_edges",
+        "detours",
+        "undelivered",
+    ),
+    flags=(
+        "delivery_complete",
+        "repair_matches_rebuild",
+        "post_repair_verified",
+        "fault_replay_match",
+    ),
+    # Losing delivery is a correctness regression at any magnitude.
+    floors=("delivery_rate",),
+    gate=Gate("gate_repair_speedup", "repair_speedup", "min", 5.0),
+    strategy_names=DEFAULT_MODES,
+)

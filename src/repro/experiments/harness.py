@@ -9,7 +9,7 @@ the tables ``scripts/regenerate_experiments.py`` writes.
 
 The sharded executor (:func:`run_sharded` with :func:`deterministic_shards`
 and :func:`merge_counters`) is the ``multiprocessing`` fan-out behind the
-batch verification engine and ``repro bench-verify --workers``: work items
+batch verification engine and ``repro bench verify --workers``: work items
 are split into contiguous, order-preserving shards, each shard is processed
 by one worker process, and the per-shard results come back in shard order —
 so any reduction that is a function of the *sequence* of per-item results

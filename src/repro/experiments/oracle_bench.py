@@ -1,4 +1,4 @@
-"""Oracle benchmark matrix: the perf trajectory behind ``repro bench-oracles``.
+"""Oracle benchmark matrix: the perf trajectory behind ``repro bench oracles``.
 
 Runs one workload once per *strategy*, recording wall-clock time, the
 deterministic operation counts and the tracemalloc peak-memory high-water
@@ -23,22 +23,21 @@ the Θ(n²) complete graph.
 Results are merged into a ``BENCH_oracles.json`` file keyed by workload
 signature, so repeated runs at different sizes accumulate a perf trajectory
 that ``scripts/check_bench_regression.py`` can diff against the committed
-baseline in ``benchmarks/BENCH_oracles.json``.  :data:`BENCH_PRESETS` names
-the matrix rows the baseline is built from (regenerate a single row with
-``repro bench-oracles --workloads <key>``).  The file format and how to read
+baseline in ``benchmarks/BENCH_oracles.json``.  :data:`SPEC` names the
+matrix rows the baseline is built from (regenerate a single row with
+``repro bench oracles --workloads <key>``).  The file format and how to read
 it are documented in ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.graph.io import atomic_write_json
 from repro.core.approximate_greedy import approximate_greedy_spanner
+from repro.core.distance_oracle import ORACLE_FACTORIES
 from repro.core.greedy import greedy_spanner
+from repro.experiments.bench import BenchSpec, Preset, key_parser
 from repro.experiments.harness import traced_peak_memory
 from repro.graph.generators import random_connected_graph
 from repro.graph.weighted_graph import WeightedGraph
@@ -46,8 +45,6 @@ from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
 from repro.metric.euclidean import EuclideanMetric
 from repro.metric.generators import clustered_points, grid_points, uniform_points
-
-SCHEMA_VERSION = 1
 
 DEFAULT_STRATEGIES = ("bounded", "bidirectional", "cached")
 
@@ -77,17 +74,6 @@ _COUNTER_KEYS = (
     "cluster_merges",
     "cluster_transitions",
     "cluster_skipped_transitions",
-    "cluster_initial_settles",
-    "cluster_transition_settles",
-    "cluster_query_settles",
-)
-
-#: The deterministic operation counts the regression checker compares.
-OPERATION_COUNT_KEYS = (
-    "dijkstra_settles",
-    "distance_queries",
-    "approximate_queries",
-    "cluster_merges",
     "cluster_initial_settles",
     "cluster_transition_settles",
     "cluster_query_settles",
@@ -201,7 +187,16 @@ def graph_workload(n: int = 200, p: float = 0.1, seed: int = 7, stretch: float =
     }
 
 
-def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...]]]:
+#: Key templates of the four workload kinds (the inverse of :func:`workload_key`).
+KEY_FORMATS = (
+    ("uniform-euclidean-n{n}-d{dim}-seed{seed}-t{stretch}", euclidean_workload),
+    ("clustered-euclidean-n{n}-d{dim}-c{clusters}-seed{seed}-t{stretch}", clustered_workload),
+    ("grid-euclidean-s{side}-d{dim}-t{stretch}", grid_workload),
+    ("erdos-renyi-n{n}-p{p}-seed{seed}-t{stretch}", graph_workload),
+)
+
+
+def _build_presets() -> dict[str, Preset]:
     """The named rows of the bench matrix, keyed by workload signature.
 
     Exact-oracle rows stop at n=2000 (the wall the exact path cannot cross);
@@ -230,18 +225,7 @@ def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...]]]:
         (grid_workload(side=100, stretch=1.5), ("approx-greedy",)),
         (euclidean_workload(n=500, dim=8, stretch=1.9), ("approx-greedy",)),
     )
-    return {workload_key(workload): (workload, strategies) for workload, strategies in rows}
-
-
-#: workload key -> (workload description, default strategies for the row).
-BENCH_PRESETS = _build_presets()
-
-
-def valid_strategy_names() -> set[str]:
-    """All strategy names ``run_oracle_matrix`` accepts."""
-    from repro.core.distance_oracle import ORACLE_FACTORIES
-
-    return set(ORACLE_FACTORIES) | set(APPROX_STRATEGY_MODES)
+    return {workload_key(workload): Preset(workload, strategies) for workload, strategies in rows}
 
 
 def approx_epsilon(stretch: float) -> float:
@@ -368,38 +352,29 @@ def run_oracle_matrix(
     return result
 
 
-def merge_run_into_file(path: str | Path, run: dict[str, object]) -> dict[str, object]:
-    """Merge ``run`` into the JSON trajectory at ``path`` (created if missing).
-
-    The file keeps one entry per workload key under ``"runs"``; re-running the
-    same workload overwrites its entry, so the file always holds the latest
-    measurement per workload.  Returns the full document.
-    """
-    path = Path(path)
-    if path.exists():
-        document = json.loads(path.read_text())
-    else:
-        document = {
-            "schema": SCHEMA_VERSION,
-            "description": (
-                "Greedy-spanner distance-oracle benchmark trajectory; "
-                "see docs/PERFORMANCE.md. Regenerate with `repro bench-oracles`."
-            ),
-            "runs": {},
-        }
-    document.setdefault("runs", {})[workload_key(run["workload"])] = run
-    atomic_write_json(path, document)
-    return document
-
-
-def render_rows(run: dict[str, object]) -> list[dict[str, object]]:
-    """Flatten a run record into report-table rows (one per strategy)."""
-    rows = []
-    speedups = run.get("speedup_vs_bounded", {})
-    for name, record in run["strategies"].items():
-        row: dict[str, object] = {"oracle": name}
-        row.update(record)
-        if name in speedups:
-            row["speedup_vs_bounded"] = speedups[name]
-        rows.append(row)
-    return rows
+SPEC = BenchSpec(
+    name="oracles",
+    description=(
+        "Greedy-spanner distance-oracle benchmark trajectory; "
+        "see docs/PERFORMANCE.md. Regenerate with `repro bench oracles`."
+    ),
+    label="oracle",
+    run=run_oracle_matrix,
+    workload_key=workload_key,
+    parse_key=key_parser(workload_key, *KEY_FORMATS),
+    presets=_build_presets(),
+    counters=(
+        "dijkstra_settles",
+        "distance_queries",
+        "approximate_queries",
+        "cluster_merges",
+        "cluster_initial_settles",
+        "cluster_transition_settles",
+        "cluster_query_settles",
+    ),
+    flags=("identical_edge_sets", "approx_identical_edge_sets"),
+    row_fields=("speedup_vs_bounded",),
+    strategy_names=tuple(sorted(set(ORACLE_FACTORIES) | set(APPROX_STRATEGY_MODES))),
+    default_strategies=lambda workload: DEFAULT_STRATEGIES,
+    run_options=frozenset({"measure_memory"}),
+)

@@ -1,4 +1,4 @@
-"""Overlay benchmark matrix: the perf trajectory behind ``repro bench-overlays``.
+"""Overlay benchmark matrix: the perf trajectory behind ``repro bench overlays``.
 
 The Section 1.1 applications — broadcast, compact routing, synchronizers —
 are what light, sparse spanners are *for*; this bench measures them end to
@@ -32,27 +32,24 @@ simulator stopped around ``n = 400``.
 
 from __future__ import annotations
 
-import json
-import math
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.graph.io import atomic_write_json
 from repro.distributed.broadcast import broadcast_over_overlay
 from repro.distributed.routing import RoutingScheme, evaluate_routing, random_demands
 from repro.distributed.synchronizer import synchronizer_cost
+from repro.experiments.bench import BenchSpec, Preset, key_parser
 from repro.experiments.oracle_bench import (
+    KEY_FORMATS as _ORACLE_KEY_FORMATS,
     _build_instance as _build_oracle_instance,
+    euclidean_workload,
     workload_key as _oracle_workload_key,
 )
 from repro.graph.generators import random_geometric_graph
 from repro.graph.shortest_paths import single_source_distances
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
-from repro.spanners.registry import build_spanner
-
-SCHEMA_VERSION = 1
+from repro.spanners.registry import build_spanner, builder_names
 
 #: Parameter pins applied whenever a builder is requested by bare name.
 #: Baswana–Sen's ``k`` is pinned to 2 (a 3-spanner): deriving it from a
@@ -83,14 +80,6 @@ def normalize_builders(
 
 #: Builders benched by default on planar Euclidean workloads.
 DEFAULT_METRIC_BUILDERS = ("theta", "yao", "mst", "greedy")
-
-#: The deterministic operation counts the regression checker compares.
-OPERATION_COUNT_KEYS = (
-    "overlay_broadcast_messages",
-    "overlay_broadcast_events",
-    "overlay_route_settles",
-    "overlay_sync_settles",
-)
 
 #: Exact-diameter cutoff: beyond this the synchronizer row records the
 #: double-sweep lower bound (the exact diameter is the only quadratic step).
@@ -132,7 +121,13 @@ def _build_instance(
     return _build_oracle_instance(workload)
 
 
-def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...]]]:
+#: Key templates: the oracle bench's four kinds plus random geometric graphs.
+KEY_FORMATS = _ORACLE_KEY_FORMATS + (
+    ("geometric-n{n}-r{radius}-seed{seed}-t{stretch}", geometric_workload),
+)
+
+
+def _build_presets() -> dict[str, Preset]:
     """The named rows of the overlay matrix, keyed by workload signature.
 
     The first two rows are CI-sized (regenerated and gated on every run);
@@ -140,19 +135,13 @@ def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...]]]:
     the indexed engine carries all four registry overlays far beyond the
     seed simulator's ``n ≈ 400`` ceiling.
     """
-    from repro.experiments.oracle_bench import euclidean_workload
-
     rows: tuple[tuple[dict[str, object], Sequence[str] | dict[str, dict[str, object]]], ...] = (
         (geometric_workload(n=300), DEFAULT_GRAPH_BUILDERS),
         (euclidean_workload(n=400, stretch=1.5), DEFAULT_METRIC_BUILDERS),
         (euclidean_workload(n=2000, stretch=1.5), ("theta", "yao", "mst", "approx-greedy")),
         (euclidean_workload(n=10000, stretch=1.5), ("theta", "yao", "mst", "approx-greedy")),
     )
-    return {workload_key(workload): (workload, strategies) for workload, strategies in rows}
-
-
-#: workload key -> (workload description, default builders for the row).
-OVERLAY_PRESETS = _build_presets()
+    return {workload_key(workload): Preset(workload, strategies) for workload, strategies in rows}
 
 
 def run_overlay_bench(
@@ -269,35 +258,28 @@ def run_overlay_bench(
     }
 
 
-def merge_run_into_file(path: str | Path, run: dict[str, object]) -> dict[str, object]:
-    """Merge ``run`` into the overlay trajectory at ``path`` (created if missing).
-
-    One entry per workload key under ``"runs"``, latest run wins — the same
-    contract as the oracle trajectory file.
-    """
-    path = Path(path)
-    if path.exists():
-        document = json.loads(path.read_text())
-    else:
-        document = {
-            "schema": SCHEMA_VERSION,
-            "description": (
-                "Spanner-overlay benchmark trajectory (broadcast / routing / "
-                "synchronizer over registry builders); see docs/PERFORMANCE.md. "
-                "Regenerate with `repro bench-overlays`."
-            ),
-            "runs": {},
-        }
-    document.setdefault("runs", {})[workload_key(run["workload"])] = run
-    atomic_write_json(path, document)
-    return document
-
-
-def render_rows(run: dict[str, object]) -> list[dict[str, object]]:
-    """Flatten a run record into report-table rows (one per builder)."""
-    rows = []
-    for name, record in run["strategies"].items():
-        row: dict[str, object] = {"builder": name}
-        row.update(record)
-        rows.append(row)
-    return rows
+SPEC = BenchSpec(
+    name="overlays",
+    description=(
+        "Spanner-overlay benchmark trajectory (broadcast / routing / "
+        "synchronizer over registry builders); see docs/PERFORMANCE.md. "
+        "Regenerate with `repro bench overlays`."
+    ),
+    label="builder",
+    run=run_overlay_bench,
+    workload_key=workload_key,
+    parse_key=key_parser(workload_key, *KEY_FORMATS),
+    presets=_build_presets(),
+    counters=(
+        "overlay_broadcast_messages",
+        "overlay_broadcast_events",
+        "overlay_route_settles",
+        "overlay_sync_settles",
+    ),
+    strategy_names=tuple(builder_names()),
+    default_strategies=lambda workload: (
+        DEFAULT_GRAPH_BUILDERS
+        if workload["kind"] in ("geometric", "erdos-renyi")
+        else DEFAULT_METRIC_BUILDERS
+    ),
+)

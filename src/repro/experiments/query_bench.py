@@ -17,33 +17,23 @@ Every strategy must return the *exact same* distance list — the
 ``queries_match`` cross-check flag that ``scripts/check_bench_regression.py``
 fails on — and the deterministic ``query_settles`` counter is diffed against
 the committed baseline in ``benchmarks/BENCH_queries.json`` exactly like the
-build trajectory.  Rows marked ``gate_query_speedup`` additionally enforce
-``--min-query-speedup`` (default 3×) on ``query_speedup``.
+build trajectory.  Rows marked ``gate_query_speedup`` additionally hold
+``query_speedup`` to the 3× bar of :data:`SPEC` (``repro bench queries``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-from pathlib import Path
 from typing import Sequence
 
-from repro.graph.io import atomic_write_json
-
-SCHEMA_VERSION = 1
+from repro.experiments.bench import BenchSpec, Gate, Preset, key_parser
 
 #: Strategy order is execution order; the speedup ratio assumes it.
 DEFAULT_STRATEGIES = (
     "per-query-heapq",
     "batched-engine",
-)
-
-#: The deterministic operation counts the regression checker compares.
-OPERATION_COUNT_KEYS = (
-    "query_settles",
-    "engine_sources",
 )
 
 
@@ -82,8 +72,8 @@ def workload_key(workload: dict[str, object]) -> str:
     )
 
 
-def _query_presets() -> dict[str, tuple[dict[str, object], bool]]:
-    """The named rows of the query matrix: ``(workload, gate_query_speedup)``.
+def _query_presets() -> dict[str, Preset]:
+    """The named rows of the query matrix, all gated on ``query_speedup``.
 
     The ``n = 2000`` row is CI-sized and gated — the 3× bar is enforced on
     every push, not just offline.  The larger rows are the committed scale
@@ -95,11 +85,7 @@ def _query_presets() -> dict[str, tuple[dict[str, object], bool]]:
         (query_workload(n=20000, degree=6.0, queries=1024, sources=32), True),
         (query_workload(n=100000, degree=6.0, queries=2048, sources=64), True),
     )
-    return {workload_key(w): (w, gated) for w, gated in rows}
-
-
-#: workload key -> (workload, gate_query_speedup).
-QUERY_PRESETS = _query_presets()
+    return {workload_key(w): Preset(w, DEFAULT_STRATEGIES, gated) for w, gated in rows}
 
 
 def _build_instance(workload: dict[str, object]):
@@ -134,8 +120,6 @@ def draw_queries(workload: dict[str, object]) -> tuple[list[int], list[int]]:
 def run_query_bench(
     workload: dict[str, object],
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
-    *,
-    gate_query_speedup: bool = False,
 ) -> dict[str, object]:
     """Answer the workload's query batch once per strategy; returns one run record.
 
@@ -193,40 +177,29 @@ def run_query_bench(
             result["query_speedup"] = (
                 records["per-query-heapq"]["query_seconds"] / engine_seconds
             )
-    if gate_query_speedup:
-        result["gate_query_speedup"] = True
     return result
 
 
-def merge_run_into_file(path: str | Path, run: dict[str, object]) -> dict[str, object]:
-    """Merge ``run`` into the query trajectory at ``path`` (created if missing).
-
-    One entry per workload key under ``"runs"``, latest run wins — the same
-    contract as the build/oracle/overlay/verify trajectory files.
-    """
-    path = Path(path)
-    if path.exists():
-        document = json.loads(path.read_text())
-    else:
-        document = {
-            "schema": SCHEMA_VERSION,
-            "description": (
-                "Batched query-throughput benchmark trajectory (per-strategy "
-                "wall-clock + deterministic settle counters); see "
-                "docs/PERFORMANCE.md. Regenerate with `repro bench-queries`."
-            ),
-            "runs": {},
-        }
-    document.setdefault("runs", {})[workload_key(run["workload"])] = run
-    atomic_write_json(path, document)
-    return document
-
-
-def render_rows(run: dict[str, object]) -> list[dict[str, object]]:
-    """Flatten a run record into report-table rows (one per strategy)."""
-    rows = []
-    for name, record in run["strategies"].items():
-        row: dict[str, object] = {"strategy": name}
-        row.update(record)
-        rows.append(row)
-    return rows
+SPEC = BenchSpec(
+    name="queries",
+    description=(
+        "Batched query-throughput benchmark trajectory (per-strategy "
+        "wall-clock + deterministic settle counters); see "
+        "docs/PERFORMANCE.md. Regenerate with `repro bench queries`."
+    ),
+    label="strategy",
+    run=run_query_bench,
+    workload_key=workload_key,
+    parse_key=key_parser(
+        workload_key,
+        (
+            "queries-bucketed-n{n}-d{degree}-seed{seed}-q{queries}-s{sources}-qs{query_seed}",
+            query_workload,
+        ),
+    ),
+    presets=_query_presets(),
+    counters=("query_settles", "engine_sources"),
+    flags=("queries_match",),
+    gate=Gate("gate_query_speedup", "query_speedup", "min", 3.0),
+    strategy_names=DEFAULT_STRATEGIES,
+)

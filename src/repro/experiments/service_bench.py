@@ -1,4 +1,4 @@
-"""Service chaos benchmark: the recovery trajectory behind ``repro bench-service``.
+"""Service chaos benchmark: the recovery trajectory behind ``repro bench service``.
 
 The :mod:`repro.service` layer claims to survive the failures a long-lived
 deployment actually sees — a SIGKILLed build worker, a bit-flipped cached
@@ -19,7 +19,7 @@ temporary directory and records what the recovery machinery did:
   served (``never_served_corrupt``);
 * **warm phase** — resubmit once more and require a verified cache hit;
   ``warm_serve_ratio`` (serve wall-clock over cold build wall-clock) is the
-  number the ``gate_serve_ratio`` rows hold below ``--max-serve-ratio``;
+  number the ``gate_serve_ratio`` rows hold below the 0.01 bar of :data:`SPEC`;
 * **reclaim phase** — claim a fourth copy of the job under a throwaway
   worker id with a microscopic lease and walk away; the real worker must
   reclaim the expired lease (``queue.lease_reclaims``) and finish the job.
@@ -41,35 +41,19 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from repro.graph.io import atomic_write_json
+from repro.experiments.bench import BenchSpec, Gate, Preset, key_parser
 from repro.experiments.overlay_bench import (
+    KEY_FORMATS as _OVERLAY_KEY_FORMATS,
+    geometric_workload,
     workload_key as _overlay_workload_key,
 )
 from repro.experiments.build_bench import (
+    BUCKETED_KEY_FORMAT,
     workload_key as _build_workload_key,
 )
 
-SCHEMA_VERSION = 1
-
-#: Deterministic recovery/event counters the regression checker compares
-#: (``service_``-prefixed so they can never collide with another
-#: trajectory's keys inside the shared checker).
-OPERATION_COUNT_KEYS = (
-    "service_jobs_done",
-    "service_jobs_failed",
-    "service_cache_hits",
-    "service_cache_misses",
-    "service_cache_puts",
-    "service_corrupt_quarantined",
-    "service_corrupt_rebuilds",
-    "service_lease_reclaims",
-    "service_poison_quarantined",
-    "service_worker_deaths",
-    "service_spanner_edges",
-)
-
 #: Workload keys that describe the chaos regime rather than the instance.
-_SERVICE_KEYS = ("kill_band", "build_workers", "gate_serve_ratio")
+_SERVICE_KEYS = ("kill_band", "build_workers")
 
 
 def service_workload(
@@ -77,21 +61,16 @@ def service_workload(
     *,
     kill_band: Optional[int] = None,
     build_workers: int = 2,
-    gate_serve_ratio: bool = False,
 ) -> dict[str, object]:
     """Attach a chaos regime to a bench workload description.
 
     ``kill_band`` injects a SIGKILL into that band of the parallel greedy
-    build (``None`` = no injection); ``gate_serve_ratio`` marks rows whose
-    committed ``warm_serve_ratio`` the regression checker holds below
-    ``--max-serve-ratio``.
+    build (``None`` = no injection).
     """
     workload = dict(base)
     if kill_band is not None:
         workload["kill_band"] = int(kill_band)
     workload["build_workers"] = int(build_workers)
-    if gate_serve_ratio:
-        workload["gate_serve_ratio"] = True
     return workload
 
 
@@ -99,20 +78,24 @@ def _without_service(workload: dict[str, object]) -> dict[str, object]:
     return {key: value for key, value in workload.items() if key not in _SERVICE_KEYS}
 
 
+def _base_key(base: dict[str, object]) -> str:
+    if base.get("kind") == "bucketed-geometric":
+        return _build_workload_key(base)
+    return _overlay_workload_key(base)
+
+
 def workload_key(workload: dict[str, object]) -> str:
     """Stable run key: the base workload key plus the chaos-regime suffix."""
-    base = _without_service(workload)
-    if base.get("kind") == "bucketed-geometric":
-        base_key = _build_workload_key(base)
-    else:
-        base_key = _overlay_workload_key(base)
     suffix = "k{}-w{}".format(
         workload.get("kill_band", "none"), int(workload.get("build_workers", 2))
     )
-    return f"{base_key}-{suffix}"
+    return f"{_base_key(_without_service(workload))}-{suffix}"
 
 
-def _build_presets() -> dict[str, dict[str, object]]:
+_parse_base_key = key_parser(_base_key, BUCKETED_KEY_FORMAT, *_OVERLAY_KEY_FORMATS)
+
+
+def _build_presets() -> dict[str, Preset]:
     """The named rows of the service matrix.
 
     The CI row is small and injects a worker death into band 1 of the cold
@@ -121,26 +104,25 @@ def _build_presets() -> dict[str, dict[str, object]]:
     the fault trajectory's acceptance row, where a warm hit must serve in
     under 1% of the cold build.
     """
-    from repro.experiments.overlay_bench import geometric_workload
-
     rows = (
-        service_workload(
-            geometric_workload(n=300, radius=0.12, seed=7, stretch=1.5),
-            kill_band=1,
-            build_workers=2,
+        (
+            service_workload(
+                geometric_workload(n=300, radius=0.12, seed=7, stretch=1.5),
+                kill_band=1,
+                build_workers=2,
+            ),
+            False,
         ),
-        service_workload(
-            geometric_workload(n=10000, radius=0.025, seed=7, stretch=1.2),
-            kill_band=1,
-            build_workers=2,
-            gate_serve_ratio=True,
+        (
+            service_workload(
+                geometric_workload(n=10000, radius=0.025, seed=7, stretch=1.2),
+                kill_band=1,
+                build_workers=2,
+            ),
+            True,
         ),
     )
-    return {workload_key(workload): workload for workload in rows}
-
-
-#: workload key -> workload (the chaos regime is part of the workload).
-SERVICE_PRESETS = _build_presets()
+    return {workload_key(workload): Preset(workload, gated=gated) for workload, gated in rows}
 
 
 def run_service_bench(
@@ -272,55 +254,53 @@ def run_service_bench(
     }
     if kill_band is not None:
         result["chaos_recovered"] = worker_deaths >= 1.0
-    if workload.get("gate_serve_ratio"):
-        result["gate_serve_ratio"] = True
     return result
 
 
-def run_flags(run: dict[str, object]) -> dict[str, bool]:
-    """The pass/fail flags of one run (the gate and the CLI both read these)."""
-    flags = {
-        "service_verified": bool(run.get("service_verified", False)),
-        "rebuild_matches": bool(run.get("rebuild_matches", False)),
-        "never_served_corrupt": bool(run.get("never_served_corrupt", False)),
-        "warm_cache_hit": bool(run.get("warm_cache_hit", False)),
-        "reclaim_completed": bool(run.get("reclaim_completed", False)),
-    }
-    if "chaos_recovered" in run:
-        flags["chaos_recovered"] = bool(run["chaos_recovered"])
-    return flags
-
-
-def merge_run_into_file(path: str | Path, run: dict[str, object]) -> dict[str, object]:
-    """Merge ``run`` into the service trajectory at ``path`` (created if missing).
-
-    One entry per workload key under ``"runs"``, latest run wins — the same
-    contract as the other five trajectory files.
-    """
-    path = Path(path)
-    if path.exists():
-        document = json.loads(path.read_text())
-    else:
-        document = {
-            "schema": SCHEMA_VERSION,
-            "description": (
-                "Service chaos benchmark trajectory (injected worker death, "
-                "artifact bit-flip quarantine + byte-identical rebuild, warm "
-                "cache serving, lease-expiry reclaim); see docs/SERVICE.md. "
-                "Regenerate with `repro bench-service`."
+SPEC = BenchSpec(
+    name="service",
+    description=(
+        "Service chaos benchmark trajectory (injected worker death, "
+        "artifact bit-flip quarantine + byte-identical rebuild, warm "
+        "cache serving, lease-expiry reclaim); see docs/SERVICE.md. "
+        "Regenerate with `repro bench service`."
+    ),
+    label="phase_set",
+    run=run_service_bench,
+    workload_key=workload_key,
+    parse_key=key_parser(
+        workload_key,
+        (
+            "{base}-k{kill_band}-w{build_workers}",
+            lambda base, kill_band, build_workers: service_workload(
+                _parse_base_key(base),
+                kill_band=None if kill_band == "none" else kill_band,
+                build_workers=build_workers,
             ),
-            "runs": {},
-        }
-    document.setdefault("runs", {})[workload_key(run["workload"])] = run
-    atomic_write_json(path, document)
-    return document
-
-
-def render_rows(run: dict[str, object]) -> list[dict[str, object]]:
-    """Flatten a run record into report-table rows (one per strategy)."""
-    rows = []
-    for name, record in run["strategies"].items():
-        row: dict[str, object] = {"phase_set": name}
-        row.update(record)
-        rows.append(row)
-    return rows
+        ),
+    ),
+    presets=_build_presets(),
+    # ``service_``-prefixed so they never collide with another trajectory's keys.
+    counters=(
+        "service_jobs_done",
+        "service_jobs_failed",
+        "service_cache_hits",
+        "service_cache_misses",
+        "service_cache_puts",
+        "service_corrupt_quarantined",
+        "service_corrupt_rebuilds",
+        "service_lease_reclaims",
+        "service_poison_quarantined",
+        "service_worker_deaths",
+        "service_spanner_edges",
+    ),
+    flags=(
+        "service_verified",
+        "rebuild_matches",
+        "never_served_corrupt",
+        "warm_cache_hit",
+        "reclaim_completed",
+        "chaos_recovered",
+    ),
+    gate=Gate("gate_serve_ratio", "warm_serve_ratio", "max", 0.01),
+)

@@ -1,4 +1,4 @@
-"""Verification benchmark matrix: the perf trajectory behind ``repro bench-verify``.
+"""Verification benchmark matrix: the perf trajectory behind ``repro bench verify``.
 
 PRs 1–4 put *construction* on the indexed fast path; this bench measures the
 *quality checks* — exact edge verification and the exact stretch profile —
@@ -30,16 +30,17 @@ same scale device as the overlay bench's restricted routing destinations.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.graph.io import atomic_write_json
 from repro.core.spanner import Spanner
+from repro.experiments.bench import BenchSpec, Preset, key_parser
+from repro.experiments.oracle_bench import euclidean_workload
 from repro.experiments.overlay_bench import (
     DEFAULT_BUILDER_PARAMS,
+    SPEC as _OVERLAY_SPEC,
     _build_instance as _build_overlay_instance,
+    geometric_workload,
     workload_key as _overlay_workload_key,
 )
 from repro.graph.weighted_graph import WeightedGraph
@@ -52,12 +53,7 @@ from repro.spanners.verification import (
     verify_spanner_sampled,
 )
 
-SCHEMA_VERSION = 1
-
 DEFAULT_MODES = ("indexed", "reference")
-
-#: The deterministic operation counts the regression checker compares.
-OPERATION_COUNT_KEYS = ("verify_settles", "profile_settles")
 
 
 def verify_workload(
@@ -89,18 +85,15 @@ def _build_instance(
     return _build_overlay_instance(_without_builder(workload))
 
 
-def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...], Optional[int]]]:
+def _build_presets() -> dict[str, Preset]:
     """The named rows of the verification matrix.
 
-    Each value is ``(workload, modes, profile_sources)``.  The first two rows
+    ``profile_sources`` rides along as a run option.  The first two rows
     are CI-sized and run both modes (the cross-check evidence); the scale
     rows run the indexed mode only — the reference mode's Θ(per-pair) cost is
     exactly the wall this engine removes — with the profile over an
     evenly-strided source shard.
     """
-    from repro.experiments.oracle_bench import euclidean_workload
-    from repro.experiments.overlay_bench import geometric_workload
-
     rows: tuple[tuple[dict[str, object], tuple[str, ...], Optional[int]], ...] = (
         (verify_workload(geometric_workload(n=300), "greedy"), DEFAULT_MODES, None),
         # The metric reference mode pays Θ(n²) per-pair Dijkstras over the
@@ -119,11 +112,10 @@ def _build_presets() -> dict[str, tuple[dict[str, object], tuple[str, ...], Opti
             64,
         ),
     )
-    return {workload_key(workload): (workload, modes, sources) for workload, modes, sources in rows}
-
-
-#: workload key -> (workload, default modes, default profile_sources).
-VERIFY_PRESETS = _build_presets()
+    return {
+        workload_key(workload): Preset(workload, modes, extra={"profile_sources": sources})
+        for workload, modes, sources in rows
+    }
 
 
 def profile_source_vertices(
@@ -254,35 +246,26 @@ def run_verify_bench(
     return result
 
 
-def merge_run_into_file(path: str | Path, run: dict[str, object]) -> dict[str, object]:
-    """Merge ``run`` into the verification trajectory at ``path`` (created if missing).
-
-    One entry per workload key under ``"runs"``, latest run wins — the same
-    contract as the oracle and overlay trajectory files.
-    """
-    path = Path(path)
-    if path.exists():
-        document = json.loads(path.read_text())
-    else:
-        document = {
-            "schema": SCHEMA_VERSION,
-            "description": (
-                "Batch verification benchmark trajectory (exact edge checks / "
-                "stretch profiles per engine mode); see docs/PERFORMANCE.md. "
-                "Regenerate with `repro bench-verify`."
-            ),
-            "runs": {},
-        }
-    document.setdefault("runs", {})[workload_key(run["workload"])] = run
-    atomic_write_json(path, document)
-    return document
-
-
-def render_rows(run: dict[str, object]) -> list[dict[str, object]]:
-    """Flatten a run record into report-table rows (one per mode)."""
-    rows = []
-    for name, record in run["strategies"].items():
-        row: dict[str, object] = {"mode": name}
-        row.update(record)
-        rows.append(row)
-    return rows
+SPEC = BenchSpec(
+    name="verify",
+    description=(
+        "Batch verification benchmark trajectory (exact edge checks / "
+        "stretch profiles per engine mode); see docs/PERFORMANCE.md. "
+        "Regenerate with `repro bench verify`."
+    ),
+    label="mode",
+    run=run_verify_bench,
+    workload_key=workload_key,
+    parse_key=key_parser(
+        workload_key,
+        (
+            "{base}-b{builder}",
+            lambda base, builder: verify_workload(_OVERLAY_SPEC.parse_key(base), builder),
+        ),
+    ),
+    presets=_build_presets(),
+    counters=("verify_settles", "profile_settles"),
+    flags=("verdicts_match", "profiles_match"),
+    strategy_names=DEFAULT_MODES,
+    run_options=frozenset({"workers"}),
+)

@@ -181,7 +181,7 @@ def _register_default_workloads() -> None:
         parameters={"shells": 8, "points_per_shell": 12},
     ))
     # Large-n scenarios for the Approximate-Greedy scale rows of
-    # `repro bench-oracles` — beyond the exact greedy's reach (use the
+    # `repro bench oracles` — beyond the exact greedy's reach (use the
     # approx-greedy strategies or expect hours).
     register(WorkloadSpec(
         name="uniform-2d-xl",

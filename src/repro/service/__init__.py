@@ -4,7 +4,7 @@ The ROADMAP's "millions of users" north star needs more than a fast builder:
 it needs the *system* to survive the builder's host misbehaving.  This
 package is the long-lived job layer over the spanner registry and the
 sharded executor, in four pieces that all survive induced failure
-(docs/SERVICE.md has the laws; ``repro bench-service`` measures them):
+(docs/SERVICE.md has the laws; ``repro bench service`` measures them):
 
 * :mod:`repro.service.queue` — a durable job queue: jobs persisted as JSON
   records with atomic write-temp-then-``os.replace`` state transitions,

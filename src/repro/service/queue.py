@@ -192,20 +192,23 @@ class JobQueue:
         :class:`CorruptJobRecordError` if it does not parse.
         """
         path = self._path(job_id)
-        if not path.exists():
-            raise JobNotFoundError(job_id)
-        return self._read(path, job_id)
+        try:
+            return self._read(path, job_id)
+        except FileNotFoundError:
+            # Absent, or renamed by a concurrent claim() after we looked.
+            raise JobNotFoundError(job_id) from None
 
     def list_jobs(self, state: Optional[str] = None) -> list[Job]:
         """All job records in job-id order, optionally filtered by state.
 
-        Unparseable records are moved aside and skipped.
+        Unparseable records are moved aside and skipped, and so are records
+        a concurrent :meth:`claim` renamed between the glob and the read.
         """
         jobs = []
         for path in sorted(self.jobs_dir.glob("job-*.json")):
             try:
                 job = self._read(path, path.stem)
-            except CorruptJobRecordError:
+            except (CorruptJobRecordError, FileNotFoundError):
                 continue
             if state is None or job.state == state:
                 jobs.append(job)

@@ -18,8 +18,8 @@ override the derivation.
 
 The CLI, the experiments and the distributed overlay layer consume *only*
 this registry, so any registered construction can be dropped in as a
-broadcast/routing/synchronizer overlay (``repro bench-overlays --builders
-theta,yao,mst``).  A builder asked for a workload kind it cannot span raises
+broadcast/routing/synchronizer overlay (``repro bench overlays --workloads
+KEY --strategies theta,yao,mst``).  A builder asked for a workload kind it cannot span raises
 :class:`~repro.errors.UnsupportedWorkloadError` — e.g. the planar Θ-graph on
 a general graph.
 """

@@ -35,7 +35,7 @@ string-labelled graphs counted every pair twice.
 ``workers=N`` shards the per-source loops across forked worker processes via
 :func:`repro.experiments.harness.run_sharded`; shard order is preserved and
 counters merge by addition, so the merged result is identical for 1 and N
-workers (property-tested).  ``repro bench-verify`` persists the engine's
+workers (property-tested).  ``repro bench verify`` persists the engine's
 deterministic ``verify_settles`` / ``profile_settles`` operation counts to
 ``BENCH_verify.json``, gated by ``scripts/check_bench_regression.py``.
 """

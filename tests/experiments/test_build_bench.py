@@ -1,22 +1,23 @@
-"""Unit tests for the construction benchmark matrix (``repro bench-build``)."""
+"""Unit tests for the construction benchmark matrix (``repro bench build``)."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.experiments.bench import Preset, merge_run_into_file, render_rows
 from repro.experiments.build_bench import (
-    BUILD_PRESETS,
     DEFAULT_STRATEGIES,
-    OPERATION_COUNT_KEYS,
+    SPEC,
     bucketed_workload,
     euclidean_build_workload,
-    merge_run_into_file,
-    render_rows,
     run_build_bench,
     workload_key,
 )
+
+OPERATION_COUNT_KEYS = SPEC.counters
 
 
 @pytest.fixture(scope="module")
@@ -72,34 +73,33 @@ class TestBuildBench:
 
     def test_presets_include_the_gated_scale_row(self):
         gated = {
-            key: workload
-            for key, (workload, _, gate) in BUILD_PRESETS.items()
-            if gate
+            key: preset.workload for key, preset in SPEC.presets.items() if preset.gated
         }
         assert gated, "the n=10^5 scale row must stay gated"
         assert all(int(w["n"]) >= 100_000 for w in gated.values())
         ci_sized = [
-            key for key, (workload, _, gate) in BUILD_PRESETS.items()
-            if not gate and int(workload["n"]) <= 500
+            key for key, preset in SPEC.presets.items()
+            if not preset.gated and int(preset.workload["n"]) <= 500
         ]
         assert ci_sized, "at least one CI-sized ungated row must remain"
 
     def test_merge_run_into_file(self, small_run, tmp_path):
         path = tmp_path / "BENCH_build.json"
-        document = merge_run_into_file(path, small_run)
+        document = merge_run_into_file(path, small_run, SPEC)
         key = workload_key(small_run["workload"])
         assert key in document["runs"]
         again = json.loads(path.read_text())
         assert again["runs"][key]["builds_match"] is True
-        rows = render_rows(small_run)
+        rows = render_rows(small_run, SPEC)
         assert {row["strategy"] for row in rows} == set(DEFAULT_STRATEGIES)
 
     def test_gated_flag_round_trips(self):
-        run = run_build_bench(
-            bucketed_workload(n=60, degree=6.0),
-            strategies=("greedy-serial", "csr-parallel-w1"),
-            gate_build_speedup=True,
+        workload = bucketed_workload(n=60, degree=6.0)
+        strategies = ("greedy-serial", "csr-parallel-w1")
+        gated = replace(
+            SPEC, presets={workload_key(workload): Preset(workload, strategies, gated=True)}
         )
+        run = gated.run_key(workload_key(workload))
         assert run["gate_build_speedup"] is True
         assert "build_speedup" not in run  # no edge-list strategy requested
 
@@ -121,23 +121,23 @@ class TestBuildBench:
         baseline_doc = {"runs": {key: small_run}}
         fresh_run = json.loads(json.dumps(small_run))
         fresh_doc = {"runs": {key: fresh_run}}
-        assert find_regressions(baseline_doc, fresh_doc) == []
+        assert find_regressions(baseline_doc, fresh_doc, SPEC) == []
         fresh_run["builds_match"] = False
         assert any(
             "builds_match" in problem
-            for problem in find_regressions(baseline_doc, fresh_doc)
+            for problem in find_regressions(baseline_doc, fresh_doc, SPEC)
         )
         fresh_run["builds_match"] = True
         fresh_run["gate_build_speedup"] = True
         fresh_run["build_speedup"] = 1.0
         assert any(
-            "build speedup" in problem
-            for problem in find_regressions(baseline_doc, fresh_doc)
+            "build_speedup 1.0 is below the minimum 3" in problem
+            for problem in find_regressions(baseline_doc, fresh_doc, SPEC)
         )
         fresh_run["build_speedup"] = 99.0
         fresh_run["strategies"]["csr-parallel-w1"]["build_filter_settles"] *= 2.0
         fresh_run["strategies"]["csr-parallel-w1"]["build_filter_settles"] += 10.0
         assert any(
             "build_filter_settles" in problem
-            for problem in find_regressions(baseline_doc, fresh_doc)
+            for problem in find_regressions(baseline_doc, fresh_doc, SPEC)
         )

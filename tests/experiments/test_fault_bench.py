@@ -6,14 +6,11 @@ import json
 
 import pytest
 
+from repro.experiments.bench import merge_run_into_file, render_rows
 from repro.experiments.fault_bench import (
-    FAULT_PRESETS,
-    OPERATION_COUNT_KEYS,
+    SPEC,
     fault_workload,
-    merge_run_into_file,
-    render_rows,
     run_fault_bench,
-    run_flags,
     workload_key,
 )
 from repro.experiments.oracle_bench import euclidean_workload
@@ -42,9 +39,10 @@ def test_workload_key_is_stable_and_prefixed():
 
 
 def test_presets_keyed_by_their_own_workload_key():
-    for key, (workload, modes) in FAULT_PRESETS.items():
-        assert workload_key(workload) == key
-        assert modes and all(mode in ("indexed", "reference") for mode in modes)
+    for key, preset in SPEC.presets.items():
+        assert workload_key(preset.workload) == key
+        assert preset.strategies
+        assert all(mode in ("indexed", "reference") for mode in preset.strategies)
 
 
 def test_run_record_shape(tiny_run):
@@ -60,24 +58,26 @@ def test_run_record_shape(tiny_run):
     recorded = set()
     for record in tiny_run["strategies"].values():
         recorded.update(record)
-    assert set(OPERATION_COUNT_KEYS) <= recorded
+    assert set(SPEC.counters) <= recorded
 
 
 def test_run_flags_all_pass_on_tiny_row(tiny_run):
-    assert all(run_flags(tiny_run).values())
+    flags = SPEC.flag_values(tiny_run)
+    assert set(flags) == set(SPEC.flags)
+    assert all(flags.values())
     assert tiny_run["delivery_rate"] >= 1.0
 
 
 def test_render_rows_one_per_strategy(tiny_run):
-    rows = render_rows(tiny_run)
+    rows = render_rows(tiny_run, SPEC)
     assert [row["mode"] for row in rows] == ["indexed", "reference", "repair"]
 
 
 def test_merge_run_into_file_latest_wins(tiny_run, tmp_path):
     path = tmp_path / "BENCH_faults.json"
-    document = merge_run_into_file(path, tiny_run)
+    document = merge_run_into_file(path, tiny_run, SPEC)
     assert document["schema"] == 1
-    again = merge_run_into_file(path, tiny_run)
+    again = merge_run_into_file(path, tiny_run, SPEC)
     assert list(again["runs"]) == [workload_key(TINY)]
     on_disk = json.loads(path.read_text())
     assert on_disk["runs"][workload_key(TINY)]["n"] == 80

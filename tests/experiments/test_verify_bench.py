@@ -14,12 +14,10 @@ from repro.experiments.harness import (
     resolve_worker_count,
     run_sharded,
 )
+from repro.experiments.bench import merge_run_into_file, render_rows
 from repro.experiments.verify_bench import (
-    OPERATION_COUNT_KEYS,
-    VERIFY_PRESETS,
-    merge_run_into_file,
+    SPEC,
     profile_source_vertices,
-    render_rows,
     run_verify_bench,
     verify_workload,
     workload_key,
@@ -117,7 +115,7 @@ class TestVerifyBench:
     def test_record_shape(self, small_run):
         assert set(small_run["strategies"]) == {"indexed", "reference"}
         for record in small_run["strategies"].values():
-            for counter in OPERATION_COUNT_KEYS:
+            for counter in SPEC.counters:
                 assert counter in record
             assert record["verify_ok"] == 1.0
         assert small_run["verdicts_match"] is True
@@ -136,14 +134,13 @@ class TestVerifyBench:
 
     def test_presets_include_cross_check_and_scale_rows(self):
         dual = [
-            key for key, (_, modes, _) in VERIFY_PRESETS.items() if set(modes) == {
-                "indexed", "reference"
-            }
+            key for key, preset in SPEC.presets.items()
+            if set(preset.strategies) == {"indexed", "reference"}
         ]
         assert dual, "at least one dual-mode cross-check row must stay in CI"
         scale = [
-            key for key, (workload, _, _) in VERIFY_PRESETS.items()
-            if int(workload["n"]) >= 10_000
+            key for key, preset in SPEC.presets.items()
+            if int(preset.workload["n"]) >= 10_000
         ]
         assert scale, "the n=10^4 exact edge-verification row is the headline"
 
@@ -159,12 +156,12 @@ class TestVerifyBench:
 
     def test_merge_run_into_file(self, small_run, tmp_path):
         path = tmp_path / "BENCH_verify.json"
-        document = merge_run_into_file(path, small_run)
+        document = merge_run_into_file(path, small_run, SPEC)
         key = workload_key(small_run["workload"])
         assert key in document["runs"]
         again = json.loads(path.read_text())
         assert again["runs"][key]["verdicts_match"] is True
-        rows = render_rows(small_run)
+        rows = render_rows(small_run, SPEC)
         assert {row["mode"] for row in rows} == {"indexed", "reference"}
 
     def test_regression_gate_flags_cross_check_failures(self, small_run, tmp_path):
@@ -178,13 +175,14 @@ class TestVerifyBench:
         baseline_doc = {"runs": {workload_key(small_run["workload"]): small_run}}
         fresh_run = json.loads(json.dumps(small_run))
         fresh_doc = {"runs": {workload_key(small_run["workload"]): fresh_run}}
-        assert find_regressions(baseline_doc, fresh_doc) == []
+        assert find_regressions(baseline_doc, fresh_doc, SPEC) == []
         fresh_run["profiles_match"] = False
-        assert any("profiles_match" in problem for problem in find_regressions(baseline_doc, fresh_doc))
+        assert any("profiles_match" in problem for problem in find_regressions(baseline_doc, fresh_doc, SPEC))
         fresh_run["profiles_match"] = True
         fresh_run["strategies"]["indexed"]["verify_settles"] *= 2.0
         assert any(
-            "verify_settles" in problem for problem in find_regressions(baseline_doc, fresh_doc)
+            "verify_settles" in problem
+            for problem in find_regressions(baseline_doc, fresh_doc, SPEC)
         )
 
     def test_workers_do_not_change_the_record(self):

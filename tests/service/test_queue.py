@@ -209,3 +209,22 @@ def test_records_survive_reopening_the_queue(queue, tmp_path, clock):
     assert record.state == "done"
     assert record.result == {"tier": "mst"}
     assert isinstance(record, Job)
+
+
+def test_record_renamed_between_glob_and_read_is_skipped(queue, monkeypatch):
+    """A concurrent claim() may rename a record after list_jobs globbed it
+    (or after get() resolved its path): the reader must not crash."""
+    kept = queue.submit(SPEC)
+    vanishing = queue.submit(SPEC)
+    real_read = JobQueue._read
+
+    def read_after_a_concurrent_claim(self, path, job_id):
+        if job_id == vanishing.job_id:
+            os.replace(path, path.with_name(path.name + ".claim-other"))
+        return real_read(self, path, job_id)
+
+    monkeypatch.setattr(JobQueue, "_read", read_after_a_concurrent_claim)
+    assert [job.job_id for job in queue.list_jobs()] == [kept.job_id]
+    with pytest.raises(JobNotFoundError):
+        queue.get(vanishing.job_id)
+    assert queue.counters["corrupt_records"] == 0

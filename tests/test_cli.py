@@ -75,64 +75,69 @@ class TestCommands:
     def test_bench_oracles_writes_trajectory_with_memory(self, capsys, tmp_path):
         out = tmp_path / "BENCH.json"
         assert main(
-            ["bench-oracles", "--n", "30", "--strategies", "cached", "--output", str(out)]
+            ["bench", "oracles", "--workloads", "uniform-euclidean-n30-d2-seed7-t2.0",
+             "--strategies", "cached", "--output", str(out)]
         ) == 0
         output = capsys.readouterr().out
-        assert "identical edge sets: True" in output
-        assert "peak memory [cached]" in output
+        assert "identical_edge_sets: True" in output
+        assert "peak_memory_bytes" in output
         assert out.exists()
 
     def test_bench_oracles_no_memory_flag(self, capsys, tmp_path):
         out = tmp_path / "BENCH.json"
         assert main(
-            ["bench-oracles", "--n", "30", "--strategies", "cached",
-             "--no-memory", "--output", str(out)]
+            ["bench", "oracles", "--workloads", "uniform-euclidean-n30-d2-seed7-t2.0",
+             "--strategies", "cached", "--no-memory", "--output", str(out)]
         ) == 0
-        assert "peak memory" not in capsys.readouterr().out
+        assert "peak_memory_bytes" not in capsys.readouterr().out
 
     def test_bench_oracles_rejects_unknown_strategy(self, capsys, tmp_path):
         out = tmp_path / "BENCH.json"
         assert main(
-            ["bench-oracles", "--n", "30", "--strategies", "warp-drive", "--output", str(out)]
+            ["bench", "oracles", "--workloads", "uniform-euclidean-n30-d2-seed7-t2.0",
+             "--strategies", "warp-drive", "--output", str(out)]
         ) == 2
-        assert "unknown oracle strategies" in capsys.readouterr().out
+        assert "unknown oracles strategies" in capsys.readouterr().out
 
     def test_bench_oracles_approx_strategy_row(self, capsys, tmp_path):
         out = tmp_path / "BENCH.json"
         assert main(
-            ["bench-oracles", "--n", "40", "--stretch", "1.5", "--no-memory",
-             "--strategies", "approx-greedy,approx-greedy-scratch",
+            ["bench", "oracles", "--workloads", "uniform-euclidean-n40-d2-seed7-t1.5",
+             "--no-memory", "--strategies", "approx-greedy,approx-greedy-scratch",
              "--output", str(out)]
         ) == 0
         output = capsys.readouterr().out
-        assert "approx engines identical: True" in output
+        assert "approx_identical_edge_sets: True" in output
 
     def test_bench_oracles_rejects_empty_strategies(self, capsys, tmp_path):
         out = tmp_path / "BENCH.json"
         assert main(
-            ["bench-oracles", "--n", "30", "--strategies", "", "--output", str(out)]
+            ["bench", "oracles", "--workloads", "uniform-euclidean-n30-d2-seed7-t2.0",
+             "--strategies", "", "--output", str(out)]
         ) == 2
-        assert "unknown oracle strategies" in capsys.readouterr().out
+        assert "unknown oracles strategies" in capsys.readouterr().out
 
     def test_bench_oracles_rejects_approx_on_graph_workload(self, capsys, tmp_path):
         out = tmp_path / "BENCH.json"
         assert main(
-            ["bench-oracles", "--kind", "graph", "--n", "30",
+            ["bench", "oracles", "--workloads", "erdos-renyi-n30-p0.15-seed7-t2.0",
              "--strategies", "approx-greedy", "--no-memory", "--output", str(out)]
         ) == 2
         assert "cannot bench" in capsys.readouterr().out
 
     def test_bench_oracles_rejects_unknown_workload_key(self, capsys, tmp_path):
         out = tmp_path / "BENCH.json"
-        assert main(
-            ["bench-oracles", "--workloads", "no-such-row", "--output", str(out)]
-        ) == 2
-        assert "unknown bench workloads" in capsys.readouterr().out
+        for key in ("no-such-row", "uniform-euclidean-n30-d2-seed7-t2"):
+            assert main(
+                ["bench", "oracles", "--workloads", key, "--output", str(out)]
+            ) == 2
+            assert "unknown oracles workload keys" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_bench_oracles_clustered_kind(self, capsys, tmp_path):
         out = tmp_path / "BENCH.json"
         assert main(
-            ["bench-oracles", "--kind", "clustered", "--n", "30", "--clusters", "3",
+            ["bench", "oracles", "--workloads", "clustered-euclidean-n30-d2-c3-seed7-t2.0",
              "--strategies", "cached", "--no-memory", "--output", str(out)]
         ) == 0
         assert "clustered-euclidean-n30" in capsys.readouterr().out
@@ -157,11 +162,11 @@ class TestCommands:
 
         out = tmp_path / "BENCH_overlays.json"
         assert main(
-            ["bench-overlays", "--n", "40", "--radius", "0.3",
-             "--builders", "greedy,mst", "--demands", "10", "--output", str(out)]
+            ["bench", "overlays", "--workloads", "geometric-n40-r0.3-seed7-t1.5",
+             "--strategies", "greedy,mst", "--output", str(out)]
         ) == 0
         output = capsys.readouterr().out
-        assert "overlay matrix: geometric-n40" in output
+        assert "bench overlays: geometric-n40" in output
         assert out.exists()
         run = json.loads(out.read_text())["runs"]["geometric-n40-r0.3-seed7-t1.5"]
         assert set(run["strategies"]) == {"greedy", "mst"}
@@ -172,43 +177,44 @@ class TestCommands:
     def test_bench_overlays_euclidean_kind(self, capsys, tmp_path):
         out = tmp_path / "BENCH_overlays.json"
         assert main(
-            ["bench-overlays", "--kind", "euclidean", "--n", "40",
-             "--builders", "theta,yao,mst", "--demands", "10", "--output", str(out)]
+            ["bench", "overlays", "--workloads", "uniform-euclidean-n40-d2-seed7-t1.5",
+             "--strategies", "theta,yao,mst", "--output", str(out)]
         ) == 0
         assert "uniform-euclidean-n40" in capsys.readouterr().out
 
     def test_bench_overlays_rejects_unknown_builder(self, capsys, tmp_path):
         out = tmp_path / "BENCH_overlays.json"
         assert main(
-            ["bench-overlays", "--builders", "warp-drive", "--output", str(out)]
+            ["bench", "overlays", "--workloads", "geometric-n40-r0.3-seed7-t1.5",
+             "--strategies", "warp-drive", "--output", str(out)]
         ) == 2
-        assert "unknown spanner builders" in capsys.readouterr().out
+        assert "unknown overlays strategies" in capsys.readouterr().out
 
     def test_bench_overlays_rejects_builder_workload_mismatch(self, capsys, tmp_path):
         out = tmp_path / "BENCH_overlays.json"
         assert main(
-            ["bench-overlays", "--kind", "graph", "--n", "30",
-             "--builders", "theta", "--output", str(out)]
+            ["bench", "overlays", "--workloads", "erdos-renyi-n30-p0.15-seed7-t1.5",
+             "--strategies", "theta", "--output", str(out)]
         ) == 2
         assert "cannot bench" in capsys.readouterr().out
 
     def test_bench_overlays_rejects_unknown_workload_key(self, capsys, tmp_path):
         out = tmp_path / "BENCH_overlays.json"
         assert main(
-            ["bench-overlays", "--workloads", "no-such-row", "--output", str(out)]
+            ["bench", "overlays", "--workloads", "no-such-row", "--output", str(out)]
         ) == 2
-        assert "unknown overlay workloads" in capsys.readouterr().out
+        assert "unknown overlays workload keys" in capsys.readouterr().out
 
     def test_bench_verify_writes_trajectory(self, capsys, tmp_path):
         import json
 
         out = tmp_path / "BENCH_verify.json"
         assert main(
-            ["bench-verify", "--n", "50", "--radius", "0.3", "--builder", "greedy",
+            ["bench", "verify", "--workloads", "geometric-n50-r0.3-seed7-t1.5-bgreedy",
              "--output", str(out)]
         ) == 0
         output = capsys.readouterr().out
-        assert "verify matrix: geometric-n50" in output
+        assert "bench verify: geometric-n50" in output
         assert "verdicts_match: True" in output
         assert "profiles_match: True" in output
         run = json.loads(out.read_text())["runs"]["geometric-n50-r0.3-seed7-t1.5-bgreedy"]
@@ -220,8 +226,8 @@ class TestCommands:
     def test_bench_verify_single_mode_and_workers(self, capsys, tmp_path):
         out = tmp_path / "BENCH_verify.json"
         assert main(
-            ["bench-verify", "--n", "50", "--radius", "0.3", "--modes", "indexed",
-             "--workers", "2", "--profile-sources", "10", "--output", str(out)]
+            ["bench", "verify", "--workloads", "geometric-n50-r0.3-seed7-t1.5-bgreedy",
+             "--strategies", "indexed", "--workers", "2", "--output", str(out)]
         ) == 0
         output = capsys.readouterr().out
         assert "verdicts_match" not in output  # single mode: nothing to cross-check
@@ -229,21 +235,22 @@ class TestCommands:
     def test_bench_verify_rejects_unknown_mode(self, capsys, tmp_path):
         out = tmp_path / "BENCH_verify.json"
         assert main(
-            ["bench-verify", "--n", "50", "--modes", "psychic", "--output", str(out)]
+            ["bench", "verify", "--workloads", "geometric-n50-r0.3-seed7-t1.5-bgreedy",
+             "--strategies", "psychic", "--output", str(out)]
         ) == 2
-        assert "unknown verification modes" in capsys.readouterr().out
+        assert "unknown verify strategies" in capsys.readouterr().out
 
     def test_bench_verify_rejects_unknown_workload_key(self, capsys, tmp_path):
         out = tmp_path / "BENCH_verify.json"
         assert main(
-            ["bench-verify", "--workloads", "no-such-row", "--output", str(out)]
+            ["bench", "verify", "--workloads", "no-such-row", "--output", str(out)]
         ) == 2
-        assert "unknown verify workloads" in capsys.readouterr().out
+        assert "unknown verify workload keys" in capsys.readouterr().out
 
     def test_bench_verify_rejects_builder_workload_mismatch(self, capsys, tmp_path):
         out = tmp_path / "BENCH_verify.json"
         assert main(
-            ["bench-verify", "--kind", "graph", "--n", "30", "--builder", "theta",
+            ["bench", "verify", "--workloads", "erdos-renyi-n30-p0.15-seed7-t1.5-btheta",
              "--output", str(out)]
         ) == 2
         assert "cannot bench" in capsys.readouterr().out
@@ -257,8 +264,8 @@ class TestCommands:
     def test_bench_build_writes_trajectory(self, capsys, tmp_path):
         out = tmp_path / "BENCH_build.json"
         assert main(
-            ["bench-build", "--n", "60", "--degree", "8", "--workers", "2",
-             "--output", str(out)]
+            ["bench", "build", "--workloads", "bucketed-n60-d8.0-seed3-t2.0",
+             "--workers", "2", "--output", str(out)]
         ) == 0
         output = capsys.readouterr().out
         assert "builds_match: True" in output
@@ -268,42 +275,39 @@ class TestCommands:
     def test_bench_build_euclidean_kind(self, capsys, tmp_path):
         out = tmp_path / "BENCH_build.json"
         assert main(
-            ["bench-build", "--kind", "euclidean", "--n", "40",
-             "--stretch", "1.5", "--output", str(out)]
+            ["bench", "build", "--workloads", "uniform-euclidean-n40-d2-seed7-t1.5",
+             "--output", str(out)]
         ) == 0
         assert "builds_match: True" in capsys.readouterr().out
 
     def test_bench_build_rejects_unknown_strategy(self, capsys, tmp_path):
         out = tmp_path / "BENCH_build.json"
         assert main(
-            ["bench-build", "--n", "40", "--strategies", "warp-drive",
-             "--output", str(out)]
+            ["bench", "build", "--workloads", "bucketed-n40-d8.0-seed3-t2.0",
+             "--strategies", "warp-drive", "--output", str(out)]
         ) == 2
         assert "unknown build strategies" in capsys.readouterr().out
 
     def test_bench_build_rejects_unknown_workload_key(self, capsys, tmp_path):
         out = tmp_path / "BENCH_build.json"
         assert main(
-            ["bench-build", "--workloads", "no-such-row", "--output", str(out)]
+            ["bench", "build", "--workloads", "no-such-row", "--output", str(out)]
         ) == 2
-        assert "unknown build workloads" in capsys.readouterr().out
+        assert "unknown build workload keys" in capsys.readouterr().out
 
-    def test_bench_parsers_share_the_matrix_option_group(self):
-        """Every bench-* subcommand carries the shared --workloads/--output
-        group; --workers and --no-memory stay opt-in per command."""
-        parser = build_parser()
-        for command, extra in (
-            ("bench-oracles", ["--no-memory"]),
-            ("bench-overlays", []),
-            ("bench-verify", ["--workers", "2"]),
-            ("bench-faults", []),
-            ("bench-build", ["--workers", "2"]),
-        ):
-            args = parser.parse_args(
-                [command, "--workloads", "all", "--output", "X.json"] + extra
-            )
-            assert args.workloads == "all"
-            assert args.output == "X.json"
+    def test_bench_rejects_options_the_bench_does_not_take(self, capsys, tmp_path):
+        out = tmp_path / "BENCH_faults.json"
+        key = "geometric-n40-r0.3-seed7-t1.5-f11-ef0.05-fb0.3-nc0.0-dr0.05-dj0.25-ocached"
+        assert main(
+            ["bench", "faults", "--workloads", key, "--workers", "2", "--output", str(out)]
+        ) == 2
+        assert "takes no workers option" in capsys.readouterr().out
+        assert main(
+            ["bench", "service", "--workloads", "geometric-n40-r0.3-seed7-t1.5-knone-w2",
+             "--strategies", "service", "--output", str(out)]
+        ) == 2
+        assert "unknown service strategies" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_experiment_e14_quick(self, capsys):
         assert main(["experiment", "E14", "--quick"]) == 0
@@ -385,11 +389,11 @@ class TestServiceCommands:
     def test_bench_service_writes_trajectory(self, capsys, tmp_path):
         output_path = tmp_path / "BENCH_service.json"
         assert main([
-            "bench-service", "--n", "80", "--radius", "0.25",
-            "--kill-band", "-1", "--output", str(output_path),
+            "bench", "service", "--workloads", "geometric-n80-r0.25-seed7-t1.5-knone-w2",
+            "--output", str(output_path),
         ]) == 0
         output = capsys.readouterr().out
-        assert "service matrix" in output
+        assert "bench service" in output
         assert "warm_cache_hit: True" in output
         assert "rebuild_matches: True" in output
         import json as _json
