@@ -2,8 +2,8 @@
 
 Benchmarks the CI-sized construction rows (bucketed-geometric n=300 and the
 streamed-metric n=150 row), asserts the byte-identical-build contract across
-all four strategies (per-edge list path, cached serial, CSR band-parallel
-with 1 and N workers), and — under the ``bench_regression`` marker — emits a
+all three strategies (per-edge list path, cached serial, CSR band
+filter), and — under the ``bench_regression`` marker — emits a
 fresh ``BENCH_build.json`` run and diffs its deterministic ``build_*``
 filter/replay counters against the committed baseline in
 ``benchmarks/BENCH_build.json`` via ``scripts/check_bench_regression.py``
@@ -36,22 +36,21 @@ EUCLIDEAN_BENCH = euclidean_build_workload(n=150, stretch=1.5)
 
 @pytest.fixture(scope="module")
 def bucketed_run():
-    return run_build_bench(BUCKETED_BENCH, workers=2)
+    return run_build_bench(BUCKETED_BENCH)
 
 
 @pytest.fixture(scope="module")
 def euclidean_run():
-    return run_build_bench(EUCLIDEAN_BENCH, workers=2)
+    return run_build_bench(EUCLIDEAN_BENCH)
 
 
 def test_bench_build_matrix_bucketed(benchmark, experiment_report_collector):
     """Time the bucketed-geometric construction row and collect the E14 table."""
     run = benchmark.pedantic(
-        run_build_bench, args=(BUCKETED_BENCH,), kwargs={"workers": 2},
-        rounds=1, iterations=1,
+        run_build_bench, args=(BUCKETED_BENCH,), rounds=1, iterations=1,
     )
     assert run["builds_match"] is True
-    experiment_report_collector(experiment_build_matrix(n=150, workers=2).render())
+    experiment_report_collector(experiment_build_matrix(n=150).render())
 
 
 def test_bench_build_cross_checks(bucketed_run, euclidean_run):

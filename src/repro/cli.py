@@ -77,7 +77,7 @@ _QUICK_ARGUMENTS: dict[str, dict[str, object]] = {
     "E11": {"n": 60},
     "E12": {"n": 60},
     "E13": {"n": 60},
-    "E14": {"n": 60, "workers": 2},
+    "E14": {"n": 60},
     "E15": {"n": 60},
 }
 
@@ -244,7 +244,7 @@ def _command_profile(args: argparse.Namespace) -> int:
 
         workload = bucketed_workload(n=args.n, degree=args.degree, seed=args.seed)
         profiler.enable()
-        run_build_bench(workload, strategies=("csr-parallel-w1",), workers=1)
+        run_build_bench(workload, strategies=("csr-parallel-w1",))
         profiler.disable()
     else:
         from repro.experiments.query_bench import query_workload, run_query_bench
@@ -268,7 +268,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_workload(args: argparse.Namespace) -> dict[str, object]:
+def _submit_workload(args: argparse.Namespace) -> dict[str, object]:
     """The workload dictionary of one ``service submit`` invocation."""
     from repro.experiments.build_bench import bucketed_workload
     from repro.experiments.oracle_bench import (
@@ -310,7 +310,7 @@ def _command_service_submit(args: argparse.Namespace) -> int:
             )
             return 2
     spec: dict[str, object] = {
-        "workload": _service_workload(args),
+        "workload": _submit_workload(args),
         "stretch": args.stretch,
         "chain": chain,
     }
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "worker processes of the sharded/parallel path (verify, build; "
+            "worker processes of the sharded verification path (verify; "
             "-1 = all CPUs; counters are identical for any worker count)"
         ),
     )

@@ -43,6 +43,18 @@ from repro.metric.stream import sorted_pair_stream
 ProgressCallback = Callable[[int, int], None]
 
 
+def check_stretch(t: float) -> None:
+    """Raise :class:`InvalidStretchError` unless ``t ≥ 1``.
+
+    Written as ``not t >= 1`` so NaN fails too: every comparison with NaN
+    is false, and a NaN cutoff would reject every edge (an empty
+    "spanner").  ``inf`` passes — :mod:`repro.core.optimality` re-runs
+    greedy at a spanner's own, possibly infinite, stretch.
+    """
+    if not t >= 1.0:
+        raise InvalidStretchError(f"stretch must be at least 1, got {t}")
+
+
 def greedy_spanner(
     graph: WeightedGraph,
     t: float,
@@ -98,8 +110,7 @@ def greedy_spanner(
         ``edges_added``, plus any strategy-specific counters (e.g. the
         caching oracle's ``cache_hits`` / ``cache_misses``).
     """
-    if t < 1.0:
-        raise InvalidStretchError(f"stretch must be at least 1, got {t}")
+    check_stretch(t)
 
     spanner_graph = graph.empty_spanning_subgraph()
     seeded = 0

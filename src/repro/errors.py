@@ -234,5 +234,14 @@ class ArtifactIntegrityError(ServiceError):
         self.actual = actual
 
 
+class InvalidTierParamsError(ServiceError, ValueError):
+    """A job's per-tier builder params name a tier outside its fallback
+    chain, or a param the tier's builder does not accept.
+
+    Raised before any tier runs: a misspelt param would otherwise fail the
+    preferred tier and be silently served by a weaker one.
+    """
+
+
 class TimeBudgetExceededError(ServiceError):
     """A job's time budget ran out before any fallback tier could serve it."""

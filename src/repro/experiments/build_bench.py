@@ -13,12 +13,9 @@ construction per *strategy* on one shared workload instance:
   strongest sequential baseline; its ratio is reported as
   ``cached_speedup`` so the trajectory stays honest about how much of the
   win is amortization (shared with the oracle) versus banding.
-* ``csr-parallel-w1`` — :func:`repro.core.parallel_greedy.parallel_greedy_spanner`
-  with one worker: the CSR band filter + canonical replay, inline.
-* ``csr-parallel-wn`` — the same path fanned across worker processes with
-  shared-memory CSR snapshots.  ``workers_speedup`` (w1 / wn wall-clock)
-  and ``cpu_count`` are recorded verbatim: on a single-core host the ratio
-  honestly hovers near 1.
+* ``csr-parallel-w1`` — :func:`repro.core.parallel_greedy.parallel_greedy_spanner`:
+  the CSR band filter + canonical replay, in one process.  ``cpu_count``
+  is recorded verbatim.
 
 Every strategy must produce the *byte-identical* greedy edge set — the
 ``builds_match`` cross-check flag that ``scripts/check_bench_regression.py``
@@ -54,12 +51,7 @@ DEFAULT_STRATEGIES = (
     "greedy-edge-list",
     "greedy-serial",
     "csr-parallel-w1",
-    "csr-parallel-wn",
 )
-
-#: Worker count of the ``csr-parallel-wn`` strategy when ``--workers`` is
-#: not given.
-DEFAULT_FAN_WORKERS = 4
 
 
 def bucketed_workload(
@@ -148,7 +140,7 @@ def _build_presets() -> dict[str, Preset]:
         (euclidean_build_workload(n=150, stretch=1.5), DEFAULT_STRATEGIES, False),
         (bucketed_workload(n=20000, degree=96.0), DEFAULT_STRATEGIES, False),
         (bucketed_workload(n=100000, degree=96.0), DEFAULT_STRATEGIES, True),
-        # The stretch row toward n = 10⁶: per-edge and fan-out baselines are
+        # The stretch row toward n = 10⁶: the per-edge baseline is
         # dropped (the edge-list path alone would cost the better part of an
         # hour) so the row stays regenerable inside one offline bench budget;
         # builds_match still cross-checks the CSR path against the serial
@@ -177,7 +169,6 @@ def _run_strategy(
     graph: Optional[WeightedGraph],
     metric: Optional[FiniteMetric],
     stretch: float,
-    fan_workers: int,
 ) -> Spanner:
     if name == "greedy-edge-list":
         if metric is not None:
@@ -189,20 +180,14 @@ def _run_strategy(
         return greedy_spanner(graph, stretch)
     if name == "csr-parallel-w1":
         if metric is not None:
-            return parallel_greedy_spanner_of_metric(metric, stretch, workers=1)
-        return parallel_greedy_spanner(graph, stretch, workers=1)
-    if name == "csr-parallel-wn":
-        if metric is not None:
-            return parallel_greedy_spanner_of_metric(metric, stretch, workers=fan_workers)
-        return parallel_greedy_spanner(graph, stretch, workers=fan_workers)
+            return parallel_greedy_spanner_of_metric(metric, stretch)
+        return parallel_greedy_spanner(graph, stretch)
     raise ValueError(f"unknown build strategy {name!r}")
 
 
 def run_build_bench(
     workload: dict[str, object],
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
-    *,
-    workers: Optional[int] = None,
 ) -> dict[str, object]:
     """Build the greedy spanner once per strategy; returns one run record.
 
@@ -212,17 +197,14 @@ def run_build_bench(
     generated once and shared; every strategy's edge set is compared exactly
     (``builds_match``).
     """
-    from repro.experiments.harness import resolve_worker_count
-
     graph, metric = _build_instance(workload)
     stretch = float(workload["stretch"])
-    fan_workers = resolve_worker_count(int(workers)) if workers else DEFAULT_FAN_WORKERS
 
     records: dict[str, dict[str, float]] = {}
     edge_sets: dict[str, list] = {}
     for name in strategies:
         start = time.perf_counter()
-        spanner = _run_strategy(name, graph, metric, stretch, fan_workers)
+        spanner = _run_strategy(name, graph, metric, stretch)
         seconds = time.perf_counter() - start
         record: dict[str, float] = {"build_seconds": seconds}
         record.update(
@@ -240,7 +222,6 @@ def run_build_bench(
             int(workload["n"]) * (int(workload["n"]) - 1) // 2
         ),
         "cpu_count": float(os.cpu_count() or 1),
-        "fan_workers": float(fan_workers),
     }
     if len(edge_sets) > 1:
         reference = next(iter(edge_sets.values()))
@@ -259,12 +240,6 @@ def run_build_bench(
         if csr_seconds > 0:
             result["cached_speedup"] = (
                 records["greedy-serial"]["build_seconds"] / csr_seconds
-            )
-    if "csr-parallel-w1" in records and "csr-parallel-wn" in records:
-        wn_seconds = records["csr-parallel-wn"]["build_seconds"]
-        if wn_seconds > 0:
-            result["workers_speedup"] = (
-                records["csr-parallel-w1"]["build_seconds"] / wn_seconds
             )
     return result
 
@@ -285,5 +260,4 @@ SPEC = BenchSpec(
     flags=("builds_match",),
     gate=Gate("gate_build_speedup", "build_speedup", "min", 3.0),
     strategy_names=DEFAULT_STRATEGIES,
-    run_options=frozenset({"workers"}),
 )

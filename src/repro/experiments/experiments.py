@@ -719,14 +719,12 @@ def experiment_build_matrix(
     degree: float = 16.0,
     stretch: float = 2.0,
     seed: int = 3,
-    workers: int = 4,
 ) -> ExperimentResult:
-    """Greedy construction strategies: per-edge, cached, CSR band-parallel.
+    """Greedy construction strategies: per-edge, cached, CSR band filter.
 
     Builds the same greedy spanner with every construction strategy of
     ``repro bench build`` — the per-edge bounded-ball list path, the cached
-    serial path, and the CSR band filter with one and with ``workers``
-    worker processes — and checks the edge sets are byte-identical
+    serial path, and the CSR band filter — and checks the edge sets are byte-identical
     (``builds_match``), the empirical teeth behind the deterministic
     frozen-filter/canonical-replay argument of
     :mod:`repro.core.parallel_greedy`.  ``repro bench build`` persists the
@@ -738,35 +736,30 @@ def experiment_build_matrix(
 
     result = ExperimentResult(
         experiment_id="E14",
-        title="Construction matrix: CSR band-parallel greedy vs serial paths",
+        title="Construction matrix: CSR band-filter greedy vs serial paths",
         paper_claim=(
             "Existential optimality (Theorem 10) is a statement about the "
             "greedy spanner itself, so any faster construction must produce "
             "the *same* spanner: the band filter rejects edges against a "
             "frozen snapshot (sound, because spanners only grow) and replays "
             "the surviving candidates in canonical order, reproducing "
-            "Algorithm 1's edge set byte for byte at any worker count."
+            "Algorithm 1's edge set byte for byte at any band count."
         ),
     )
     with timed(result):
         run = run_build_bench(
-            bucketed_workload(n=n, degree=degree, seed=seed, stretch=stretch),
-            workers=workers,
+            bucketed_workload(n=n, degree=degree, seed=seed, stretch=stretch)
         )
         for row in render_rows(run, SPEC):
             result.add_row(**row)
         result.add_note(
             "builds_match=%s — every strategy must emit the identical greedy "
             "edge set; build_speedup=%.2fx vs the per-edge list path, "
-            "cached_speedup=%.2fx vs the cached serial path, "
-            "workers_speedup=%.2fx (1 vs %d workers on %d CPUs)."
+            "cached_speedup=%.2fx vs the cached serial path."
             % (
                 run.get("builds_match"),
                 run.get("build_speedup", float("nan")),
                 run.get("cached_speedup", float("nan")),
-                run.get("workers_speedup", float("nan")),
-                int(run["fan_workers"]),
-                int(run["cpu_count"]),
             )
         )
     return result
@@ -781,23 +774,19 @@ def experiment_service_matrix(
     radius: float = 0.16,
     stretch: float = 1.5,
     seed: int = 7,
-    kill_band: int = 1,
-    build_workers: int = 2,
 ) -> ExperimentResult:
     """Crash-safe job service: induced failures and the recovery ledger.
 
     Drives the full :mod:`repro.service` chaos sequence against a throwaway
-    service root: a cold build whose band-parallel worker is SIGKILLed
-    mid-band (the supervisor re-filters the orphaned band and the spanner is
-    still re-verified), a bit-flipped cached artifact that must be
-    quarantined and rebuilt byte-identical rather than served, a warm
-    resubmit that must hit the verified cache, and an abandoned claim whose
-    expired lease the worker must reclaim.  ``repro bench service`` persists
+    service root: a verified cold build, a bit-flipped cached artifact that
+    must be quarantined and rebuilt byte-identical rather than served, a
+    warm resubmit that must hit the verified cache, and an abandoned claim
+    whose expired lease the worker must reclaim.  ``repro bench service`` persists
     the same matrix to ``BENCH_service.json`` (see docs/SERVICE.md).
     """
     from repro.experiments.overlay_bench import geometric_workload
     from repro.experiments.bench import render_rows
-    from repro.experiments.service_bench import SPEC, run_service_bench, service_workload
+    from repro.experiments.service_bench import SPEC, run_service_bench
 
     result = ExperimentResult(
         experiment_id="E15",
@@ -807,29 +796,24 @@ def experiment_service_matrix(
             "serving layer should cache and recover, not recompute: because "
             "the construction is deterministic (canonical examination "
             "order), every recovery path — re-running a dead worker's job, "
-            "rebuilding a corrupted artifact, re-filtering a killed band — "
-            "must land on the byte-identical edge set, which is exactly "
-            "what this matrix re-proves under induced failures."
+            "rebuilding a corrupted artifact — must land on the "
+            "byte-identical edge set, which is exactly what this matrix "
+            "re-proves under induced failures."
         ),
     )
     with timed(result):
         run = run_service_bench(
-            service_workload(
-                geometric_workload(n=n, radius=radius, seed=seed, stretch=stretch),
-                kill_band=kill_band,
-                build_workers=build_workers,
-            )
+            geometric_workload(n=n, radius=radius, seed=seed, stretch=stretch)
         )
         for row in render_rows(run, SPEC):
             result.add_row(**row)
         flags = SPEC.flag_values(run)
         result.add_note(
-            "served by tier=%s; flags: %s — worker_deaths=%d, "
+            "served by tier=%s; flags: %s — "
             "corrupt_quarantined=%d, lease_reclaims=%d, warm_serve_ratio=%.4f."
             % (
                 run.get("tier"),
                 ", ".join(f"{name}={value}" for name, value in sorted(flags.items())),
-                int(run["strategies"]["service"]["service_worker_deaths"]),
                 int(run["strategies"]["service"]["service_corrupt_quarantined"]),
                 int(run["strategies"]["service"]["service_lease_reclaims"]),
                 float(run["warm_serve_ratio"]),
@@ -855,7 +839,7 @@ def run_all_experiments(*, quick: bool = False) -> list[ExperimentResult]:
             experiment_overlay_matrix(n=60),
             experiment_verify_matrix(n=60),
             experiment_fault_matrix(n=60),
-            experiment_build_matrix(n=60, workers=2),
+            experiment_build_matrix(n=60),
             experiment_service_matrix(n=60),
         ]
     return [

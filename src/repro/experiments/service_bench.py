@@ -1,17 +1,14 @@
 """Service chaos benchmark: the recovery trajectory behind ``repro bench service``.
 
 The :mod:`repro.service` layer claims to survive the failures a long-lived
-deployment actually sees — a SIGKILLed build worker, a bit-flipped cached
-artifact, a claim holder that dies without releasing its lease.  This bench
-*induces* each of those failures against a real queue + cache rooted in a
-temporary directory and records what the recovery machinery did:
+deployment actually sees — a bit-flipped cached artifact, a claim holder
+that dies without releasing its lease.  This bench *induces* each of those
+failures against a real queue + cache rooted in a temporary directory and
+records what the recovery machinery did:
 
 * **cold phase** — submit the workload's build job and drain it with a
-  supervised worker.  Rows with a ``kill_band`` inject a worker death into
-  the band-parallel greedy build (the fork worker SIGKILLs itself mid-band;
-  the PR-7 supervisor re-filters the orphaned band inline), so the cold
-  build itself is a recovery event, and the spanner is still re-verified
-  against the stretch bound before the artifact is committed;
+  supervised worker; the spanner is re-verified against the stretch bound
+  before the artifact is committed;
 * **corrupt phase** — flip one byte of the committed payload, resubmit the
   identical request, and require the checksum mismatch to quarantine the
   artifact and force a rebuild whose canonical edge list is byte-identical
@@ -25,9 +22,9 @@ temporary directory and records what the recovery machinery did:
   reclaim the expired lease (``queue.lease_reclaims``) and finish the job.
 
 Every ``service_*`` counter in the record is a deterministic event count —
-jobs done, cache hits/misses, quarantines, reclaims, injected worker deaths
-— so ``scripts/check_bench_regression.py`` diffs them exactly like the
-other five trajectories; wall-clock only enters through the gated serve
+jobs done, cache hits/misses, quarantines, reclaims — so
+``scripts/check_bench_regression.py`` diffs them exactly like the other
+trajectories; wall-clock only enters through the gated serve
 ratio, whose bar is generous (two orders of magnitude) precisely so CI
 noise cannot trip it.
 """
@@ -52,75 +49,25 @@ from repro.experiments.build_bench import (
     workload_key as _build_workload_key,
 )
 
-#: Workload keys that describe the chaos regime rather than the instance.
-_SERVICE_KEYS = ("kill_band", "build_workers")
-
-
-def service_workload(
-    base: dict[str, object],
-    *,
-    kill_band: Optional[int] = None,
-    build_workers: int = 2,
-) -> dict[str, object]:
-    """Attach a chaos regime to a bench workload description.
-
-    ``kill_band`` injects a SIGKILL into that band of the parallel greedy
-    build (``None`` = no injection).
-    """
-    workload = dict(base)
-    if kill_band is not None:
-        workload["kill_band"] = int(kill_band)
-    workload["build_workers"] = int(build_workers)
-    return workload
-
-
-def _without_service(workload: dict[str, object]) -> dict[str, object]:
-    return {key: value for key, value in workload.items() if key not in _SERVICE_KEYS}
-
-
-def _base_key(base: dict[str, object]) -> str:
-    if base.get("kind") == "bucketed-geometric":
-        return _build_workload_key(base)
-    return _overlay_workload_key(base)
-
 
 def workload_key(workload: dict[str, object]) -> str:
-    """Stable run key: the base workload key plus the chaos-regime suffix."""
-    suffix = "k{}-w{}".format(
-        workload.get("kill_band", "none"), int(workload.get("build_workers", 2))
-    )
-    return f"{_base_key(_without_service(workload))}-{suffix}"
-
-
-_parse_base_key = key_parser(_base_key, BUCKETED_KEY_FORMAT, *_OVERLAY_KEY_FORMATS)
+    """Stable run key: the key of the base workload it builds."""
+    if workload.get("kind") == "bucketed-geometric":
+        return _build_workload_key(workload)
+    return _overlay_workload_key(workload)
 
 
 def _build_presets() -> dict[str, Preset]:
     """The named rows of the service matrix.
 
-    The CI row is small and injects a worker death into band 1 of the cold
-    build (the full chaos sequence on every run); the scale row is the
-    gated serving-latency evidence — same ``n = 10⁴`` geometric instance as
-    the fault trajectory's acceptance row, where a warm hit must serve in
-    under 1% of the cold build.
+    The CI row is small (the full chaos sequence on every run); the scale
+    row is the gated serving-latency evidence — same ``n = 10⁴`` geometric
+    instance as the fault trajectory's acceptance row, where a warm hit
+    must serve in under 1% of the cold build.
     """
     rows = (
-        (
-            service_workload(
-                geometric_workload(n=300, radius=0.12, seed=7, stretch=1.5),
-                kill_band=1,
-                build_workers=2,
-            ),
-            False,
-        ),
-        (
-            service_workload(
-                geometric_workload(n=10000, radius=0.025, seed=7, stretch=1.2),
-                kill_band=1,
-                build_workers=2,
-            ),
-            True,
-        ),
+        (geometric_workload(n=300, radius=0.12, seed=7, stretch=1.5), False),
+        (geometric_workload(n=10000, radius=0.025, seed=7, stretch=1.2), True),
     )
     return {workload_key(workload): Preset(workload, gated=gated) for workload, gated in rows}
 
@@ -140,23 +87,17 @@ def run_service_bench(
     :func:`scripts.check_bench_regression.find_regressions` gates all six
     trajectories with the same code.
     """
-    import repro.core.parallel_greedy as parallel_greedy_module
     from repro.service.cache import ArtifactCache, artifact_key
     from repro.service.queue import JobQueue
     from repro.service.workers import ServiceWorker
 
     keep_root = root is not None
     root = Path(root) if root is not None else Path(tempfile.mkdtemp(prefix="svc-bench-"))
-    kill_band = workload.get("kill_band")
     spec: dict[str, object] = {
-        "workload": _without_service(workload),
+        "workload": dict(workload),
         "stretch": float(workload["stretch"]),
         "chain": ["greedy-parallel", "approx-greedy", "theta", "yao", "mst"],
-        "params": {
-            "greedy-parallel": {
-                "workers": int(workload.get("build_workers", 2)),
-            }
-        },
+        "params": {},
     }
     if budget_seconds is not None:
         spec["budget_seconds"] = float(budget_seconds)
@@ -167,22 +108,15 @@ def run_service_bench(
     queue = JobQueue(root)
     cache = ArtifactCache(root / "cache")
     worker = ServiceWorker(queue, cache, "bench-worker")
-    saved_kill = parallel_greedy_module._KILL_AT_BAND
     try:
-        # Phase 1 — cold build, with the injected worker death if requested.
-        if kill_band is not None:
-            parallel_greedy_module._KILL_AT_BAND = int(kill_band)
-        try:
-            cold_job = queue.submit(spec)
-            start = time.perf_counter()
-            worker.run(max_jobs=1)
-            cold_seconds = time.perf_counter() - start
-        finally:
-            parallel_greedy_module._KILL_AT_BAND = saved_kill
+        # Phase 1 — cold build.
+        cold_job = queue.submit(spec)
+        start = time.perf_counter()
+        worker.run(max_jobs=1)
+        cold_seconds = time.perf_counter() - start
         cold_job = queue.get(cold_job.job_id)
         cold_result = cold_job.result or {}
         original = json.loads(cache.payload_path(key).read_text(encoding="utf-8"))
-        worker_deaths = float(original.get("metadata", {}).get("build_worker_deaths", 0.0))
 
         # Phase 2 — flip one payload byte, resubmit, require quarantine +
         # byte-identical rebuild.
@@ -237,7 +171,6 @@ def run_service_bench(
         "service_corrupt_rebuilds": float(worker.counters["corrupt_rebuilds"]),
         "service_lease_reclaims": float(queue.counters["lease_reclaims"]),
         "service_poison_quarantined": float(queue.counters["quarantined"]),
-        "service_worker_deaths": worker_deaths,
         "service_spanner_edges": float(cold_result.get("spanner_edges", 0)),
     }
     result: dict[str, object] = {
@@ -252,33 +185,21 @@ def run_service_bench(
         "warm_cache_hit": bool(warm_hit),
         "reclaim_completed": bool(reclaim_completed),
     }
-    if kill_band is not None:
-        result["chaos_recovered"] = worker_deaths >= 1.0
     return result
 
 
 SPEC = BenchSpec(
     name="service",
     description=(
-        "Service chaos benchmark trajectory (injected worker death, "
-        "artifact bit-flip quarantine + byte-identical rebuild, warm "
-        "cache serving, lease-expiry reclaim); see docs/SERVICE.md. "
+        "Service chaos benchmark trajectory (artifact bit-flip quarantine "
+        "+ byte-identical rebuild, warm cache serving, lease-expiry "
+        "reclaim); see docs/SERVICE.md. "
         "Regenerate with `repro bench service`."
     ),
     label="phase_set",
     run=run_service_bench,
     workload_key=workload_key,
-    parse_key=key_parser(
-        workload_key,
-        (
-            "{base}-k{kill_band}-w{build_workers}",
-            lambda base, kill_band, build_workers: service_workload(
-                _parse_base_key(base),
-                kill_band=None if kill_band == "none" else kill_band,
-                build_workers=build_workers,
-            ),
-        ),
-    ),
+    parse_key=key_parser(workload_key, BUCKETED_KEY_FORMAT, *_OVERLAY_KEY_FORMATS),
     presets=_build_presets(),
     # ``service_``-prefixed so they never collide with another trajectory's keys.
     counters=(
@@ -291,7 +212,6 @@ SPEC = BenchSpec(
         "service_corrupt_rebuilds",
         "service_lease_reclaims",
         "service_poison_quarantined",
-        "service_worker_deaths",
         "service_spanner_edges",
     ),
     flags=(
@@ -300,7 +220,6 @@ SPEC = BenchSpec(
         "never_served_corrupt",
         "warm_cache_hit",
         "reclaim_completed",
-        "chaos_recovered",
     ),
     gate=Gate("gate_serve_ratio", "warm_serve_ratio", "max", 0.01),
 )

@@ -8,7 +8,7 @@ helpers.
 
 from repro.graph.weighted_graph import WeightedGraph
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.csr import CSRAdjacency, SharedCSRDescriptor, attach_csr, share_csr
+from repro.graph.csr import CSRAdjacency
 from repro.graph.heap import EventQueue
 from repro.graph.shortest_paths import (
     all_pairs_distances,
@@ -46,9 +46,6 @@ __all__ = [
     "WeightedGraph",
     "IndexedGraph",
     "CSRAdjacency",
-    "SharedCSRDescriptor",
-    "attach_csr",
-    "share_csr",
     "EventQueue",
     "all_pairs_distances",
     "dijkstra",

@@ -238,8 +238,8 @@ class IndexedGraph:
         ``indptr`` / ``indices`` / ``weights`` arrays preserving per-vertex
         neighbour order) is cached on the graph and invalidated by *any*
         mutation: interning a new vertex, appending a half-edge, or
-        overwriting an edge weight.  The parallel spanner builder takes one
-        snapshot per construction band to share with its worker processes.
+        overwriting an edge weight.  The band spanner builder takes one
+        snapshot per construction band as its frozen filter graph.
         Callers must treat the returned arrays as immutable.
         """
         csr = self._csr

@@ -16,7 +16,10 @@ yao → mst) with a per-stage deadline check:
 * the **terminal fallback always runs**: a deadline overrun degrades the
   answer, it never degrades into no answer.  Only when every tier is
   unsupported or errored does :class:`~repro.errors.TimeBudgetExceededError`
-  escape.
+  escape;
+* a malformed *request* never degrades: a stretch below 1 (or NaN), or
+  per-tier params naming a tier outside the chain or a param its builder
+  does not take, raise before any tier runs.
 
 The result records which tier served, each tier's outcome and timing, and
 (optionally) the served spanner's measured stretch — the honesty metric of
@@ -28,18 +31,26 @@ are tested with a fake clock instead of sleeps.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.core.greedy import check_stretch
 from repro.core.spanner import Spanner
-from repro.errors import TimeBudgetExceededError, UnsupportedWorkloadError
+from repro.errors import (
+    InvalidTierParamsError,
+    TimeBudgetExceededError,
+    UnsupportedWorkloadError,
+)
 from repro.spanners.registry import Workload, get_builder
 
 #: The default fallback chain, strongest guarantee first.  greedy-parallel
-#: is the PR-7 CSR band-parallel exact greedy (the existentially optimal
-#: artifact); the tail tiers trade stretch for construction speed until the
-#: MST, which always exists and is the cheapest connected fallback.
+#: is the CSR band-filter exact greedy (the existentially optimal artifact,
+#: byte-identical to the serial builder; the band path wins on low-degree
+#: graphs through its coverage cache); the tail tiers trade stretch for
+#: construction speed until the MST, which always exists and is the
+#: cheapest connected fallback.
 DEFAULT_CHAIN: tuple[str, ...] = (
     "greedy-parallel",
     "approx-greedy",
@@ -115,6 +126,35 @@ def supported_chain(chain: Sequence[str], workload: Workload) -> list[str]:
     return supported
 
 
+def check_request(
+    chain: Sequence[str], stretch: float, params_by_tier: dict[str, dict]
+) -> None:
+    """Reject a request no tier may serve, before any tier runs.
+
+    Raises :class:`~repro.errors.InvalidStretchError` for a NaN stretch or
+    one below 1, and :class:`~repro.errors.InvalidTierParamsError` when
+    ``params_by_tier`` names a tier outside ``chain`` or a param that is not
+    a keyword of the tier's ``build_fn``.
+    """
+    check_stretch(stretch)
+    for name, params in params_by_tier.items():
+        if name not in chain:
+            raise InvalidTierParamsError(
+                f"params given for tier {name!r}, which is not in the chain {list(chain)}"
+            )
+        accepted = {
+            parameter.name
+            for parameter in inspect.signature(get_builder(name).build_fn).parameters.values()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        }
+        unknown = sorted(set(params) - accepted)
+        if unknown:
+            raise InvalidTierParamsError(
+                f"tier {name!r} takes no param {', '.join(map(repr, unknown))}; "
+                f"it accepts {sorted(accepted) or 'none'}"
+            )
+
+
 def run_with_degradation(
     workload: Workload,
     stretch: float,
@@ -129,11 +169,12 @@ def run_with_degradation(
     ``budget_seconds=None`` never degrades on time (tiers can still degrade
     on ``unsupported`` / ``error``).  ``params_by_tier`` forwards extra
     registry params to specific tiers (e.g. ``{"greedy-parallel":
-    {"workers": 4}}``).
+    {"bands": 8}}``); see :func:`check_request` for what raises up front.
     """
     if not chain:
         raise ValueError("the fallback chain must name at least one builder")
     params_by_tier = params_by_tier or {}
+    check_request(chain, stretch, params_by_tier)
     start = clock()
     deadline = None if budget_seconds is None else start + float(budget_seconds)
     supported = set(supported_chain(chain, workload))

@@ -4,14 +4,14 @@ One :class:`ServiceWorker` drains the durable queue:
 
 1. **Claim** a runnable job (pending, or an expired lease left by a dead
    worker — the queue's rename race guarantees exclusivity).
-2. **Cache first**: the artifact key is the sha256 of the canonical request;
-   a verified hit serves without building.  A hit that fails its checksum
-   is quarantined by the cache and falls through to a rebuild — corrupted
-   artifacts are never served.
+2. **Cache first**: a malformed request (bad stretch, unknown tier params;
+   :func:`repro.service.degrade.check_request`) fails the job before the
+   lookup, so it is never served by a weaker tier.  The artifact key is
+   the sha256 of the canonical request; a verified hit serves without
+   building.  A hit that fails its checksum is quarantined by the cache
+   and falls through to a rebuild — corrupted artifacts are never served.
 3. **Build under the budget** with the degradation chain
-   (:func:`repro.service.degrade.run_with_degradation`); the band-parallel
-   greedy tier additionally survives SIGKILLed fork workers via the PR-7
-   supervisor (the orphaned band is re-filtered inline).
+   (:func:`repro.service.degrade.run_with_degradation`).
 4. **Verify before commit**: the built spanner's edge-stretch guarantee is
    re-checked through the PR-5 :class:`VerificationEngine` path whenever the
    serving tier carries a finite guarantee; the verdict is stored in the
@@ -35,7 +35,7 @@ from typing import Callable, Optional
 from repro.core.spanner import Spanner
 from repro.errors import ArtifactIntegrityError
 from repro.service.cache import ArtifactCache, artifact_key, canonical_request
-from repro.service.degrade import DEFAULT_CHAIN, run_with_degradation
+from repro.service.degrade import DEFAULT_CHAIN, check_request, run_with_degradation
 from repro.service.queue import Job, JobQueue
 
 PAYLOAD_SCHEMA_VERSION = 1
@@ -141,6 +141,9 @@ class ServiceWorker:
             tier: dict(tier_params)
             for tier, tier_params in (spec.get("params") or {}).items()
         }
+        # Before the cache too: an artifact cached for a malformed request
+        # (e.g. one an older build degraded to the MST) is never served.
+        check_request(chain, stretch, params)
         key = artifact_key(workload, chain, stretch, params)
         request = canonical_request(workload, chain, stretch, params)
 

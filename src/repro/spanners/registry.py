@@ -201,13 +201,7 @@ def _build_greedy(workload: Workload, stretch: float, *, oracle: str = "cached")
     return greedy_spanner(workload, stretch, oracle=oracle)
 
 
-def _build_greedy_parallel(
-    workload: Workload,
-    stretch: float,
-    *,
-    workers: Optional[int] = 1,
-    bands: int = 16,
-) -> Spanner:
+def _build_greedy_parallel(workload: Workload, stretch: float, *, bands: int = 16) -> Spanner:
     from repro.core.parallel_greedy import (
         parallel_greedy_spanner,
         parallel_greedy_spanner_of_metric,
@@ -215,8 +209,8 @@ def _build_greedy_parallel(
 
     metric = as_metric(workload)
     if metric is not None:
-        return parallel_greedy_spanner_of_metric(metric, stretch, workers=workers, bands=bands)
-    return parallel_greedy_spanner(workload, stretch, workers=workers, bands=bands)
+        return parallel_greedy_spanner_of_metric(metric, stretch, bands=bands)
+    return parallel_greedy_spanner(workload, stretch, bands=bands)
 
 
 def _build_approx_greedy(
@@ -294,7 +288,7 @@ def _register_default_builders() -> None:
     ))
     register_builder(SpannerBuilder(
         name="greedy-parallel",
-        description="Algorithm 1 on the CSR + band-parallel path (byte-identical spanner)",
+        description="Algorithm 1 on the CSR band-filter path (byte-identical spanner)",
         domain="weighted graphs and finite metrics",
         supports=_any_workload,
         build_fn=_build_greedy_parallel,

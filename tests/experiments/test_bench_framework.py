@@ -47,8 +47,8 @@ AD_HOC_KEYS = {
     "build": ["bucketed-n60-d8.0-seed3-t2.0", "uniform-euclidean-n40-d2-seed7-t1.5"],
     "queries": ["queries-bucketed-n500-d8.0-seed3-q64-s4-qs11"],
     "service": [
-        "geometric-n80-r0.25-seed7-t1.5-knone-w2",
-        "bucketed-n300-d16.0-seed3-t2.0-k1-w2",
+        "geometric-n80-r0.25-seed7-t1.5",
+        "bucketed-n300-d16.0-seed3-t2.0",
     ],
 }
 

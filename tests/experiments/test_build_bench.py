@@ -22,24 +22,22 @@ OPERATION_COUNT_KEYS = SPEC.counters
 
 @pytest.fixture(scope="module")
 def small_run():
-    return run_build_bench(bucketed_workload(n=80, degree=8.0), workers=2)
+    return run_build_bench(bucketed_workload(n=80, degree=8.0))
 
 
 @pytest.fixture(scope="module")
 def metric_run():
-    return run_build_bench(euclidean_build_workload(n=40, stretch=1.5), workers=2)
+    return run_build_bench(euclidean_build_workload(n=40, stretch=1.5))
 
 
 class TestBuildBench:
     def test_record_shape(self, small_run):
         assert set(small_run["strategies"]) == set(DEFAULT_STRATEGIES)
-        for name in ("csr-parallel-w1", "csr-parallel-wn"):
-            record = small_run["strategies"][name]
-            for counter in OPERATION_COUNT_KEYS:
-                assert counter in record, counter
-            assert record["build_seconds"] > 0
+        record = small_run["strategies"]["csr-parallel-w1"]
+        for counter in OPERATION_COUNT_KEYS:
+            assert counter in record, counter
+        assert record["build_seconds"] > 0
         assert small_run["cpu_count"] >= 1
-        assert small_run["fan_workers"] == 2.0
 
     def test_all_strategies_build_the_same_spanner(self, small_run, metric_run):
         assert small_run["builds_match"] is True
@@ -50,17 +48,11 @@ class TestBuildBench:
         assert len(edge_counts) == 1
 
     def test_derived_ratios_present(self, small_run):
-        for ratio in ("build_speedup", "cached_speedup", "workers_speedup"):
+        for ratio in ("build_speedup", "cached_speedup"):
             assert ratio in small_run, ratio
             assert small_run[ratio] > 0
         # Not a gated row: the marker must be absent, not merely false.
         assert "gate_build_speedup" not in small_run
-
-    def test_counters_are_fan_out_independent(self, small_run):
-        one = small_run["strategies"]["csr-parallel-w1"]
-        many = small_run["strategies"]["csr-parallel-wn"]
-        for counter in OPERATION_COUNT_KEYS:
-            assert one[counter] == many[counter], counter
 
     def test_workload_key_formats(self):
         assert (

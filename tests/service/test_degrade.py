@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TimeBudgetExceededError
+from repro.errors import (
+    InvalidStretchError,
+    InvalidTierParamsError,
+    TimeBudgetExceededError,
+)
 from repro.graph.generators import random_geometric_graph
 from repro.metric.closure import MetricClosure
 from repro.metric.generators import uniform_points
@@ -92,16 +96,41 @@ def test_generous_budget_never_degrades(graph):
 
 
 def test_erroring_tier_is_recorded_and_the_walk_continues(graph):
-    # A bogus per-tier param makes greedy-parallel raise TypeError; the walk
-    # must record the error and fall through to the MST.
+    # A well-named param with a value greedy-parallel cannot use makes the
+    # build raise TypeError; the walk must record the error and fall
+    # through to the MST.
     result = run_with_degradation(
-        graph, 1.5, params_by_tier={"greedy-parallel": {"bogus_param": 1}}
+        graph, 1.5, params_by_tier={"greedy-parallel": {"bands": "many"}}
     )
     assert result.tier == "mst"
     assert result.degraded
     failed = next(o for o in result.outcomes if o.tier == "greedy-parallel")
     assert failed.status == "error"
     assert "TypeError" in (failed.error or "")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"greedy-parallel": {"wrokers": 2}},  # misspelt param
+        {"greedy-parallel": {"workers": 2}},  # a param greedy-parallel does not take
+        {"mst": {"bands": 4}},  # a real param of another tier
+        {"theta": {"cones": 8}},  # a tier outside the chain
+    ],
+)
+def test_bad_tier_params_raise_before_any_tier_runs(graph, params):
+    clock = FakeClock(step=1.0)
+    with pytest.raises(InvalidTierParamsError):
+        run_with_degradation(
+            graph, 1.5, chain=("greedy-parallel", "mst"), params_by_tier=params, clock=clock
+        )
+    assert clock.now == 0.0  # raised before the walk read the clock
+
+
+@pytest.mark.parametrize("stretch", [float("nan"), 0.5])
+def test_bad_stretch_raises_before_any_tier_runs(graph, stretch):
+    with pytest.raises(InvalidStretchError):
+        run_with_degradation(graph, stretch)
 
 
 def test_all_tiers_unsupported_raises(graph):

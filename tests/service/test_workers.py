@@ -144,6 +144,24 @@ def test_failing_job_stores_the_traceback_and_quarantines(service):
     assert queue.counters["quarantined"] == 1
 
 
+@pytest.mark.parametrize("params", [{"wrokers": 2}, {"workers": 2}])
+def test_bad_tier_params_fail_the_job_instead_of_degrading(service, params):
+    """A greedy-parallel param the builder does not take must not make the
+    top tier error out and the MST silently serve the job — not even from
+    an MST artifact already cached under the request's key."""
+    queue, cache, worker = service
+    bad = dict(SPEC)
+    bad["params"] = {"greedy-parallel": params}
+    cache.put(spec_key(bad), {"tier": "mst", "degraded": True, "edges": []})
+    job = queue.submit(bad, max_attempts=2)
+    worker.run()
+    record = queue.get(job.job_id)
+    assert record.state == "quarantined"
+    assert record.result is None
+    assert "InvalidTierParamsError" in (record.error or "")
+    assert worker.counters["jobs_done"] == 0
+
+
 def test_budgeted_job_degrades_but_completes(service):
     queue, _, worker = service
     spec = dict(SPEC)

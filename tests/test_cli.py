@@ -265,7 +265,7 @@ class TestCommands:
         out = tmp_path / "BENCH_build.json"
         assert main(
             ["bench", "build", "--workloads", "bucketed-n60-d8.0-seed3-t2.0",
-             "--workers", "2", "--output", str(out)]
+             "--output", str(out)]
         ) == 0
         output = capsys.readouterr().out
         assert "builds_match: True" in output
@@ -303,7 +303,7 @@ class TestCommands:
         ) == 2
         assert "takes no workers option" in capsys.readouterr().out
         assert main(
-            ["bench", "service", "--workloads", "geometric-n40-r0.3-seed7-t1.5-knone-w2",
+            ["bench", "service", "--workloads", "geometric-n40-r0.3-seed7-t1.5",
              "--strategies", "service", "--output", str(out)]
         ) == 2
         assert "unknown service strategies" in capsys.readouterr().out
@@ -389,7 +389,7 @@ class TestServiceCommands:
     def test_bench_service_writes_trajectory(self, capsys, tmp_path):
         output_path = tmp_path / "BENCH_service.json"
         assert main([
-            "bench", "service", "--workloads", "geometric-n80-r0.25-seed7-t1.5-knone-w2",
+            "bench", "service", "--workloads", "geometric-n80-r0.25-seed7-t1.5",
             "--output", str(output_path),
         ]) == 0
         output = capsys.readouterr().out
