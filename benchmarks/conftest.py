@@ -16,7 +16,13 @@ Two things happen per file:
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The test oracles (tests/oracles/) that some benchmarks compare against.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 _REPORTS: list[str] = []
 

@@ -2,11 +2,12 @@
 
 Benchmarks the CI-sized fault row (geometric n=300, 5% drop, heavy-band edge
 failures, node crashes), asserts the robustness contract (delivery completes
-to every surviving-reachable vertex, both engines replay the fault schedule
-tie for tie, repair is bit-identical to a from-scratch rebuild and
-re-certified), and — under the ``bench_regression`` marker — emits a fresh
-``BENCH_faults.json`` run and diffs its deterministic protocol/repair
-counters against the committed baseline via
+to every surviving-reachable vertex, the engine replays the fault schedule
+tie for tie with the seed engine of ``tests/oracles/distributed.py``, repair
+is bit-identical to a full rebuild and re-certified), and — under the
+``bench_regression`` marker — emits a fresh ``BENCH_faults.json`` run and
+diffs its deterministic protocol/repair counters against the committed
+baseline via
 ``scripts/check_bench_regression.py`` (threshold +25%, plus the
 delivery-rate floor and the ≥5× repair-speedup bar on the gated scale row).
 """
@@ -17,11 +18,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles.distributed import resilient_flood_reference
 
+from repro.core.greedy import greedy_spanner
+from repro.distributed.resilient import delivery_report, resilient_echo
 from repro.experiments.experiments import experiment_fault_matrix
 from repro.experiments.bench import merge_run_into_file
-from repro.experiments.fault_bench import SPEC, fault_workload, run_fault_bench
-from repro.experiments.overlay_bench import geometric_workload
+from repro.experiments.fault_bench import (
+    SPEC,
+    _without_faults,
+    fault_workload,
+    run_fault_bench,
+    sample_fault_plan,
+)
+from repro.experiments.overlay_bench import _build_instance, geometric_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_faults.json"
@@ -48,16 +58,15 @@ def test_bench_fault_matrix_geometric(benchmark, experiment_report_collector):
     run = benchmark.pedantic(
         run_fault_bench, args=(GEOMETRIC_BENCH,), rounds=1, iterations=1
     )
-    assert set(run["strategies"]) == {"indexed", "reference", "repair"}
+    assert set(run["strategies"]) == {"indexed", "repair"}
     experiment_report_collector(experiment_fault_matrix(n=150).render())
 
 
 def test_bench_fault_contract_flags(geometric_run):
-    """Delivery completes, engines replay tie for tie, repair ≡ rebuild."""
+    """Delivery completes and repair ≡ rebuild."""
     flags = SPEC.flag_values(geometric_run)
     assert flags == {
         "delivery_complete": True,
-        "fault_replay_match": True,
         "post_repair_verified": True,
         "repair_matches_rebuild": True,
     }
@@ -65,21 +74,28 @@ def test_bench_fault_contract_flags(geometric_run):
 
 
 def test_bench_fault_engines_share_counters(geometric_run):
-    """Both engine rows carry identical fault counters (the replay evidence)."""
+    """The seed engine replays the bench's plan to identical fault counters."""
+    graph, _ = _build_instance(_without_faults(GEOMETRIC_BENCH))
+    overlay = greedy_spanner(graph, float(GEOMETRIC_BENCH["stretch"])).subgraph
+    source, plan = sample_fault_plan(overlay, GEOMETRIC_BENCH)
+    flood = resilient_flood_reference(overlay, source, plan)
+    reference = {f"fault_{key}": value for key, value in flood.as_row().items()}
+    echo = resilient_echo(overlay, source, flood, plan)
+    reference.update({f"fault_{key}": value for key, value in echo.as_row().items()})
+    reference.update(delivery_report(overlay, source, plan, flood))
     indexed = geometric_run["strategies"]["indexed"]
-    reference = geometric_run["strategies"]["reference"]
     for key, value in indexed.items():
-        if key.startswith("fault_"):
+        if key != "flood_seconds":
             assert reference[key] == value, key
 
 
 def test_fault_presets_include_the_gated_scale_row():
     """The committed matrix must carry the exact n=10^4 acceptance row."""
-    key = "geometric-n10000-r0.025-seed7-t1.2-f11-ef0.02-fb0.02-nc0.0-dr0.05-dj0.25-obidirectional"
+    key = "geometric-n10000-r0.025-seed7-t1.2-f11-ef0.02-fb0.02-nc0.0-dr0.05-dj0.25-obounded"
     assert key in SPEC.presets
     preset = SPEC.presets[key]
     workload = preset.workload
-    assert preset.strategies == ("indexed",)
+    assert workload["repair_oracle"] == "bounded"
     assert int(workload["n"]) == 10_000
     assert float(workload["drop_rate"]) >= 0.05
     assert float(workload["edge_failure_rate"]) >= 0.02

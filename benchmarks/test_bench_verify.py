@@ -1,9 +1,10 @@
 """E12 — the batch verification matrix.
 
 Benchmarks the CI-sized verification rows (geometric n=300 with the greedy
-builder, uniform n=150 with theta — the two dual-mode cross-check rows),
-asserts the engine-vs-reference contract (identical verdicts, bit-identical
-profile floats, a real speedup on the metric row), and — under the
+builder, uniform n=150 with theta), asserts the engine-vs-reference contract
+against the seed per-pair checks of ``tests/oracles/verification.py``
+(identical verdicts, bit-identical profile floats, a real speedup on the
+metric row), and — under the
 ``bench_regression`` marker — emits a fresh ``BENCH_verify.json`` run and
 diffs its deterministic ``verify_settles`` / ``profile_settles`` operation
 counts against the committed baseline in ``benchmarks/BENCH_verify.json``
@@ -13,21 +14,47 @@ via ``scripts/check_bench_regression.py`` (threshold +25%).
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from oracles.verification import profile_reference, verify_edges_reference
 
 from repro.experiments.experiments import experiment_verify_matrix
 from repro.experiments.oracle_bench import euclidean_workload
-from repro.experiments.overlay_bench import geometric_workload
+from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS, geometric_workload
 from repro.experiments.bench import merge_run_into_file
-from repro.experiments.verify_bench import SPEC, run_verify_bench, verify_workload
+from repro.experiments.verify_bench import (
+    SPEC,
+    _build_instance,
+    run_verify_bench,
+    verify_workload,
+)
+from repro.spanners.registry import build_spanner
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_verify.json"
 
 GEOMETRIC_BENCH = verify_workload(geometric_workload(n=300), "greedy")
 EUCLIDEAN_BENCH = verify_workload(euclidean_workload(n=150, stretch=1.5), "theta")
+
+
+def _reference_record(run):
+    """The seed per-pair checks on the run's spanner: verdict, profile, work."""
+    workload = run["workload"]
+    graph, metric = _build_instance(workload)
+    stretch = float(workload["stretch"])
+    builder = workload["builder"]
+    spanner = build_spanner(
+        builder, metric if metric is not None else graph, stretch,
+        **DEFAULT_BUILDER_PARAMS.get(builder, {}),
+    )
+    start = time.perf_counter()
+    verification = verify_edges_reference(spanner.subgraph, spanner.base, stretch)
+    profile, _ = profile_reference(spanner)
+    seconds = time.perf_counter() - start
+    return {"seconds": seconds, **verification.counters(), "verify_ok": float(verification.ok),
+            **profile.as_row()}
 
 
 @pytest.fixture(scope="module")
@@ -45,26 +72,29 @@ def test_bench_verify_matrix_geometric(benchmark, experiment_report_collector):
     run = benchmark.pedantic(
         run_verify_bench, args=(GEOMETRIC_BENCH,), rounds=1, iterations=1
     )
-    assert set(run["strategies"]) == {"indexed", "reference"}
+    assert set(run["strategies"]) == {"indexed"}
     experiment_report_collector(experiment_verify_matrix(n=150).render())
 
 
 def test_bench_verify_cross_checks(geometric_run, euclidean_run):
-    """Both dual-mode rows: verdicts agree, profile floats are bit-identical."""
+    """Both CI rows: verdicts agree with the reference, profile floats are
+    bit-identical."""
     for run in (geometric_run, euclidean_run):
-        assert run["verdicts_match"] is True
-        assert run["profiles_match"] is True
-        for record in run["strategies"].values():
-            assert record["verify_ok"] == 1.0
-            assert record["sampled_ok"] == 1.0
+        record = run["strategies"]["indexed"]
+        reference = _reference_record(run)
+        assert record["verify_ok"] == reference["verify_ok"] == 1.0
+        assert record["sampled_ok"] == 1.0
+        for field in ("pairs_checked", "max_stretch", "mean_stretch", "fraction_at_stretch_one"):
+            assert record[field] == reference[field], field
 
 
 def test_bench_verify_metric_row_speedup(euclidean_run):
     """The metric row is where the per-pair reference collapses: the batch
     engine must beat it by an order of magnitude even at n=150."""
-    assert euclidean_run["speedup_vs_reference"] >= 10.0
     indexed = euclidean_run["strategies"]["indexed"]
-    reference = euclidean_run["strategies"]["reference"]
+    reference = _reference_record(euclidean_run)
+    engine_seconds = indexed["verify_seconds"] + indexed["profile_seconds"]
+    assert reference["seconds"] >= 10.0 * engine_seconds
     assert indexed["verify_settles"] < reference["verify_settles"] / 5
 
 
@@ -73,7 +103,6 @@ def test_verify_presets_include_the_scale_row():
     key = "geometric-n10000-r0.025-seed7-t3.0-bbaswana-sen"
     assert key in SPEC.presets
     preset = SPEC.presets[key]
-    assert preset.strategies == ("indexed",)
     assert int(preset.workload["n"]) == 10_000
     assert preset.extra["profile_sources"] is not None
 

@@ -20,11 +20,9 @@ from repro.core.parallel_greedy import (
 from repro.core.cluster_graph import ClusterGraph
 from repro.core.query_engine import QueryEngine, reference_queries, reference_queries_ids
 from repro.core.distance_oracle import (
-    BidirectionalDijkstraOracle,
     BoundedDijkstraOracle,
     CachedDijkstraOracle,
     DistanceOracle,
-    FullDijkstraOracle,
     make_oracle,
 )
 from repro.core.optimality import (
@@ -69,11 +67,9 @@ __all__ = [
     "QueryEngine",
     "reference_queries",
     "reference_queries_ids",
-    "BidirectionalDijkstraOracle",
     "BoundedDijkstraOracle",
     "CachedDijkstraOracle",
     "DistanceOracle",
-    "FullDijkstraOracle",
     "make_oracle",
     "Figure1Report",
     "OptimalityCertificate",

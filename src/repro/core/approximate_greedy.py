@@ -23,9 +23,7 @@ doubling metrics, possibly unbounded degree.  Algorithm
    radius is proportional to the bucket's weight scale: at each bucket
    transition the clusters are coarsened *incrementally* (the DN97/GLN02
    hierarchy — previous centres merge into new ones at cost proportional to
-   the cluster nodes touched; ``cluster_mode="from-scratch"`` recomputes the
-   identical hierarchy from nothing instead, which is what the benches
-   compare against).
+   the cluster nodes touched).
 
 The output is a subgraph of ``G'`` (so its degree is bounded by ``G'``'s) and,
 because the cluster-graph queries never *underestimate* spanner distances,
@@ -123,7 +121,6 @@ def approximate_greedy_spanner(
     base: str = "net-tree",
     bucket_ratio: Optional[float] = None,
     cluster_radius_factor: Optional[float] = None,
-    cluster_mode: str = "incremental",
     verify_cluster_transitions: bool = False,
 ) -> Spanner:
     """Run Algorithm Approximate-Greedy on ``metric`` with target stretch ``1 + ε``.
@@ -141,13 +138,6 @@ def approximate_greedy_spanner(
         algorithm of [DN97, GLN02], with far smaller constants).
     bucket_ratio, cluster_radius_factor:
         Optional overrides of the derived simulation parameters.
-    cluster_mode:
-        How the cluster graph is refreshed at bucket transitions:
-        ``"incremental"`` (the default — the DN97/GLN02 hierarchy, merging
-        the previous level's clusters at cost proportional to the cluster
-        nodes touched) or ``"from-scratch"`` (re-cluster the whole spanner,
-        O(n + m) per transition).  Both preserve the never-underestimate
-        invariant, so the stretch guarantee is identical.
     verify_cluster_transitions:
         Cross-check every incremental merge against a naive recomputation
         (slow; used by the property tests).
@@ -159,11 +149,6 @@ def approximate_greedy_spanner(
     counts of the cluster maintenance and of the approximate distance
     queries — the quantities behind the runtime discussion of Section 5.1.
     """
-    if cluster_mode not in ("incremental", "from-scratch"):
-        raise ValueError(
-            f"unknown cluster_mode {cluster_mode!r}; "
-            "expected 'incremental' or 'from-scratch'"
-        )
     n = metric.size
     params = derive_parameters(
         epsilon,
@@ -216,10 +201,7 @@ def approximate_greedy_spanner(
         radius = params.cluster_radius_factor * bucket_low
         if cluster_graph is None:
             cluster_graph = ClusterGraph(
-                output,
-                radius,
-                mode=cluster_mode,
-                verify_transitions=verify_cluster_transitions,
+                output, radius, verify_transitions=verify_cluster_transitions
             )
             id_of = cluster_graph.index.id_of
             initial_settles = cluster_graph.clustering_settles

@@ -47,23 +47,14 @@ of the old ones: every vertex of an old cluster shifts by the same delta, so
 (``docs/PERFORMANCE.md`` spells out the argument; ``verify_transitions``
 re-derives it numerically after every merge).
 
-Two *engines* compute that hierarchy (the ``mode`` parameter):
-
-``"incremental"``
-    Maintain the level in place: one batched multi-source sweep over the
-    previous cluster graph plus the pairwise bound remap — heap work
-    proportional to the cluster nodes actually touched, not ``O(n + m)``.
-
-``"from-scratch"``
-    Recompute the current level from nothing at every transition: replay the
-    whole level history (initial clustering, per-bucket edge patches, merge
-    per level) from the chronological edge log, with one ball search per
-    centre — ``O(n + m)`` per transition and growing with the level count.
-
-Both engines produce the *identical* cluster structure (same centres,
-assignments, offsets and bounds — the property tests assert it), so every
-query answers the same and the simulated greedy makes the same decisions;
-they differ only in cost, which is what ``repro bench oracles`` measures.
+The level is maintained in place: one batched multi-source sweep over the
+previous cluster graph plus the pairwise bound remap — heap work
+proportional to the cluster nodes actually touched, not ``O(n + m)``.  The
+tests compare it against a replay oracle (``tests/oracles/cluster.py``)
+that recomputes every level from nothing with one ball search per centre;
+both produce the *identical* cluster structure (same centres, assignments,
+offsets and bounds), so every query answers the same and the simulated
+greedy makes the same decisions.
 """
 
 from __future__ import annotations
@@ -79,8 +70,6 @@ from repro.graph.shortest_paths import (
 )
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
-_MODES = ("from-scratch", "incremental")
-
 
 def _patch_bound(
     bounds: dict[tuple[int, int], float], cu: int, cv: int, bound: float
@@ -89,9 +78,8 @@ def _patch_bound(
 
     Returns True when the bound was inserted or improved.  Every place a
     cluster edge is derived — initial scan, notify patch, merge remap,
-    replay, verification rescan — goes through this one helper, which is
-    what keeps the incremental and from-scratch engines numerically
-    identical.
+    verification rescan, the tests' replay oracle — goes through this one
+    helper, which is what keeps them numerically identical.
     """
     key = (cu, cv) if cu <= cv else (cv, cu)
     existing = bounds.get(key)
@@ -108,12 +96,11 @@ def _cluster_by_balls(
 
     Scans ids in order, promotes uncovered ids to centres and absorbs their
     balls, keeping the closest centre per vertex (earliest wins ties).  This
-    is the seed implementation's construction, kept as the from-scratch
-    replay engine and as the reference the batched
-    :func:`~repro.graph.shortest_paths.indexed_greedy_clustering` sweep is
-    verified against — the two are exactly equivalent (same centres,
-    assignments and float offsets), but per-centre balls settle every vertex
-    once per covering ball.
+    is the seed implementation's construction, kept as the reference the
+    batched :func:`~repro.graph.shortest_paths.indexed_greedy_clustering`
+    sweep is verified against (``verify_transitions``) — the two are exactly
+    equivalent (same centres, assignments and float offsets), but
+    per-centre balls settle every vertex once per covering ball.
     """
     n = graph.number_of_vertices
     centres: list[int] = []
@@ -146,12 +133,6 @@ class ClusterGraph:
     radius:
         The cluster radius ``r``: every vertex is within spanner distance
         ``r`` of its cluster centre.
-    mode:
-        Which engine :meth:`transition` uses when the radius grows:
-        ``"incremental"`` merges the previous level's clusters in place,
-        ``"from-scratch"`` replays the whole level history from the edge
-        log.  Both compute the identical hierarchy (see the module
-        docstring); they differ only in cost.
     verify_transitions:
         When True, every incremental merge is cross-checked against a naive
         recomputation (per-centre balls on the old cluster graph, full
@@ -170,14 +151,10 @@ class ClusterGraph:
         spanner: WeightedGraph,
         radius: float,
         *,
-        mode: str = "from-scratch",
         verify_transitions: bool = False,
     ) -> None:
-        if mode not in _MODES:
-            raise ValueError(f"unknown cluster mode {mode!r}; expected one of {_MODES}")
         self.spanner = spanner
         self.radius = float(radius)
-        self.mode = mode
         self.verify_transitions = verify_transitions
         self.index = IndexedGraph.from_weighted_graph(spanner)
 
@@ -187,12 +164,6 @@ class ClusterGraph:
         self._cluster_bounds: dict[tuple[int, int], float] = {}
         self._cluster_index = IndexedGraph()
         self._dirty = False
-        # Hierarchy history, enough to recompute the current level from
-        # nothing: the radii of every level, the chronological spanner edge
-        # log, and the log length at the moment each level was entered.
-        self._levels: list[float] = []
-        self._edge_log: list[tuple[int, int, float]] = []
-        self._level_edge_counts: list[int] = []
 
         self.rebuild_count = 0
         self.merge_count = 0
@@ -218,7 +189,6 @@ class ClusterGraph:
         One batched multi-source sweep (:func:`indexed_greedy_clustering`)
         selects the centres and assigns every vertex, then a single pass over
         the spanner edges derives the inter-cluster bounds — O(n + m) total.
-        The level history is reset: this build becomes level 0.
         """
         self.rebuild_count += 1
         self._dirty = False
@@ -243,10 +213,6 @@ class ClusterGraph:
                 _patch_bound(bounds, cu, cv, offsets[uid] + weight + offsets[vid])
         self._cluster_bounds = bounds
         self._rebuild_cluster_index()
-
-        self._edge_log = list(index.edges())
-        self._levels = [self.radius]
-        self._level_edge_counts = [len(self._edge_log)]
 
     def _rebuild_cluster_index(self) -> None:
         """Materialise ``_cluster_bounds`` into the flat search structure.
@@ -285,9 +251,8 @@ class ClusterGraph:
     def transition(self, radius: float) -> None:
         """Move to a new (larger) radius — the per-bucket refresh entry point.
 
-        Appends a level to the hierarchy and computes it with the configured
-        engine: an in-place merge (``"incremental"``) or a full replay of
-        the level history (``"from-scratch"``).  A transition to the
+        Appends a level to the hierarchy by merging the previous level's
+        clusters in place (:meth:`_merge`).  A transition to the
         *current* radius is a no-op — cluster edges are already patched in
         place by :meth:`notify_edge_added` — and a shrinking radius (not
         produced by the bucket loop, whose radii grow monotonically) falls
@@ -300,88 +265,7 @@ class ClusterGraph:
         if value == self.radius:
             self.skipped_transitions += 1
             return
-        self._levels.append(value)
-        self._level_edge_counts.append(len(self._edge_log))
-        if self.mode == "incremental":
-            self._merge(value)
-        else:
-            self._replay()
-
-    def _replay(self) -> None:
-        """Recompute the current level from nothing (the from-scratch engine).
-
-        Replays the recorded history: rebuild the level-0 spanner prefix
-        into a fresh graph, cluster it with per-centre balls, then for every
-        later level apply that bucket's edge patches and redo its merge —
-        ``O(n + m)`` plus all previous merges, at every transition.  By
-        construction the result is the *same* hierarchy state the
-        incremental engine maintains in place, which is what makes the two
-        modes' spanner outputs identical.
-        """
-        self.rebuild_count += 1
-        self._dirty = False
-        self._invalidate_views()
-
-        index = self.index
-        n = index.number_of_vertices
-        log = self._edge_log
-        counts = self._level_edge_counts
-        levels = self._levels
-
-        graph = IndexedGraph(vertices=(index.vertex_of(vid) for vid in range(n)))
-        for uid, vid, weight in log[: counts[0]]:
-            graph.append_edge_unchecked_ids(uid, vid, weight)
-
-        centres, centre_vid, offsets, settles = _cluster_by_balls(graph, levels[0])
-        bounds: dict[tuple[int, int], float] = {}
-        for uid, vid, weight in graph.edges():
-            cu, cv = centre_vid[uid], centre_vid[vid]
-            if cu != cv:
-                _patch_bound(bounds, cu, cv, offsets[uid] + weight + offsets[vid])
-
-        for level in range(1, len(levels)):
-            # Patch in the edges added while the previous level was active.
-            for uid, vid, weight in log[counts[level - 1] : counts[level]]:
-                graph.append_edge_unchecked_ids(uid, vid, weight)
-                cu, cv = centre_vid[uid], centre_vid[vid]
-                if cu != cv:
-                    _patch_bound(bounds, cu, cv, offsets[uid] + weight + offsets[vid])
-
-            # Redo this level's merge on the previous level's cluster graph.
-            cluster_index = IndexedGraph(vertices=centres)
-            for (cu, cv), bound in bounds.items():
-                cluster_index.append_edge_unchecked(cu, cv, bound)
-            budget = levels[level] - levels[level - 1]
-            super_cvids, super_of, deltas, merge_settles = _cluster_by_balls(
-                cluster_index, budget
-            )
-            settles += merge_settles
-
-            super_spanner = [centres[super_of[cvid]] for cvid in range(len(centres))]
-            cvid_of = {centre: cvid for cvid, centre in enumerate(centres)}
-            for v in range(n):
-                cvid = cvid_of[centre_vid[v]]
-                delta = deltas[cvid]
-                if delta:
-                    offsets[v] += delta
-                centre_vid[v] = super_spanner[cvid]
-
-            remapped: dict[tuple[int, int], float] = {}
-            for (cu, cv), bound in bounds.items():
-                iu, iv = cvid_of[cu], cvid_of[cv]
-                new_cu, new_cv = super_spanner[iu], super_spanner[iv]
-                if new_cu != new_cv:
-                    _patch_bound(remapped, new_cu, new_cv, deltas[iu] + deltas[iv] + bound)
-            centres = [centres[cvid] for cvid in super_cvids]
-            bounds = remapped
-
-        self.clustering_settles += settles
-        self._centres = centres
-        self._centre_vid = centre_vid
-        self._offset = offsets
-        self._cluster_bounds = bounds
-        self._rebuild_cluster_index()
-        self.radius = levels[-1]
+        self._merge(value)
 
     def _merge(self, new_radius: float) -> None:
         """Incrementally coarsen the hierarchy to ``new_radius``.
@@ -530,13 +414,11 @@ class ClusterGraph:
     def notify_edge_added_ids(self, uid: int, vid: int, weight: float) -> None:
         """Id-based :meth:`notify_edge_added` for endpoints already interned."""
         if self.index.has_edge_ids(uid, vid):
-            # Weight overwrite: honoured for queries, but not logged — the
-            # greedy loop adds every edge at most once, so this path only
-            # serves ad-hoc callers.
+            # Weight overwrite: the greedy loop adds every edge at most
+            # once, so this path only serves ad-hoc callers.
             self.index.add_edge_ids(uid, vid, weight)
         else:
             self.index.append_edge_unchecked_ids(uid, vid, weight)
-            self._edge_log.append((uid, vid, weight))
         self._dirty = True
         centre_vid = self._centre_vid
         cu, cv = centre_vid[uid], centre_vid[vid]
@@ -623,6 +505,5 @@ class ClusterGraph:
     def __repr__(self) -> str:
         return (
             f"ClusterGraph(clusters={self.number_of_clusters}, "
-            f"radius={self.radius:.4g}, edges={len(self._cluster_bounds)}, "
-            f"mode={self.mode!r})"
+            f"radius={self.radius:.4g}, edges={len(self._cluster_bounds)})"
         )

@@ -4,17 +4,12 @@ The greedy algorithm (Algorithm 1) asks, for each candidate edge ``(u, v)``,
 whether ``δ_H(u, v) > t · w(u, v)`` in the *current*, growing spanner ``H``.
 How this query is answered dominates the algorithm's running time, so the
 query strategy is factored out behind the :class:`DistanceOracle` interface.
-Four strategies are provided:
+Two strategies are provided:
 
 * :class:`BoundedDijkstraOracle` — the textbook strategy: a Dijkstra from
   ``u`` pruned at the cutoff ``t · w(u, v)``.  Exact, and the strategy used by
-  every careful greedy-spanner implementation (Bose et al. 2010).
-* :class:`FullDijkstraOracle` — an unpruned Dijkstra from ``u``; slower, kept
-  as a cross-check in the tests and to measure how much the pruning saves.
-* :class:`BidirectionalDijkstraOracle` — meet-in-the-middle bounded Dijkstra
-  over the dense-integer :class:`~repro.graph.indexed_graph.IndexedGraph`
-  fast path: two half-radius balls instead of one full-radius ball, a
-  super-linear win on dense instances such as the metric setting.
+  every careful greedy-spanner implementation (Bose et al. 2010); kept as
+  the baseline the cached oracle is measured and tested against.
 * :class:`CachedDijkstraOracle` — single-source ball searches plus monotone
   upper-bound caching.  Distances in the growing spanner only *shrink*, so
   any certified bound ``δ_H(u, v) ≤ d`` stays valid forever; the oracle
@@ -23,7 +18,7 @@ Four strategies are provided:
   skips Dijkstra entirely whenever a cached bound already decides a query.
   This is the default strategy of :func:`~repro.core.greedy.greedy_spanner`.
 
-All four strategies return *identical* greedy spanners: each answers "is
+Both strategies return *identical* greedy spanners: each answers "is
 ``δ_H(u, v) ≤ cutoff``?" exactly as the textbook oracle would (a cached upper
 bound ``d ≤ cutoff`` implies the true distance is also within the cutoff, so
 the greedy decision is unchanged).  The equivalence is exercised
@@ -39,21 +34,15 @@ paper talks about).
 from __future__ import annotations
 
 import abc
-import heapq
 import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.query_engine import QueryEngine
-from repro.errors import VertexNotFoundError
+from repro.errors import UnknownOracleError, VertexNotFoundError
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import (
-    dijkstra_with_cutoff_stats,
-    indexed_ball,
-    indexed_bidirectional_cutoff,
-    indexed_dijkstra_with_cutoff,
-)
+from repro.graph.shortest_paths import dijkstra_with_cutoff_stats, indexed_ball
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 
@@ -106,55 +95,77 @@ class BoundedDijkstraOracle(DistanceOracle):
         return distance
 
 
-class FullDijkstraOracle(DistanceOracle):
-    """Unpruned Dijkstra from ``u``; exact but does not exploit the cutoff."""
+class CachedDijkstraOracle(DistanceOracle):
+    """Single-source ball searches plus monotone upper-bound caching.
 
-    def distance_within(self, u: Vertex, v: Vertex, cutoff: float) -> float:
-        self.query_count += 1
-        if u == v:
-            return 0.0
-        settled: set[Vertex] = set()
-        heap: list[tuple[float, int, Vertex]] = [(0.0, 0, u)]
-        counter = 0
-        result = math.inf
-        push = heapq.heappush
-        pop = heapq.heappop
-        incident = self.spanner.incident
-        while heap:
-            dist, _, vertex = pop(heap)
-            if vertex in settled:
-                continue
-            settled.add(vertex)
-            self.settled_count += 1
-            if vertex == v:
-                result = dist
-                break
-            for neighbour, weight in incident(vertex):
-                if neighbour not in settled:
-                    counter += 1
-                    push(heap, (dist + weight, counter, neighbour))
-        return result if result <= cutoff else math.inf
+    Correctness rests on monotonicity: edges are only ever *added* to the
+    growing spanner ``H``, so ``δ_H`` is non-increasing over time and any
+    certified upper bound ``δ_H(u, v) ≤ d`` remains valid forever.  The
+    oracle therefore
 
+    * answers a query from the cache whenever a stored bound is at most the
+      cutoff (the true distance is then also at most the cutoff, so the
+      greedy decision matches the exact oracle's), and
+    * on a miss, settles the *entire* cutoff ball around the source — it
+      deliberately does not stop at the target — and harvests every settled
+      vertex ``x`` as a certified bound ``δ_H(u, x) ≤ d(x)``.  One pruned
+      search thereby batch-answers all candidate pairs ``(u, ·)`` within the
+      current radius.  The batching pays off *because* the greedy loop
+      examines edges in non-decreasing weight order: a pending pair
+      ``(u, x)`` has ``w(u, x) ≥ w``, so a harvested bound
+      ``d ≤ t·w ≤ t·w(u, x)`` is guaranteed to still be a cache hit when
+      that pair comes up.
 
-class _IndexedOracle(DistanceOracle):
-    """Shared plumbing of the fast-path oracles: an indexed mirror of ``H``.
+    Spanner edges reported through :meth:`notify_edge_added` are cached too
+    (``δ_H(u, v) ≤ w``), which is what lets Lemma-3 re-runs and repeated
+    queries skip Dijkstra entirely.  ``cache_hits`` / ``cache_misses`` are
+    exposed through :meth:`extra_metadata` and land in ``Spanner`` metadata.
 
-    The mirror interns every spanner vertex to a dense integer id at
-    construction time and is kept in sync through :meth:`notify_edge_added`
-    (the greedy loop's mutation hook), so the inner searches run on flat
-    integer adjacency arrays instead of the vertex-keyed dicts.  Direct
+    **Monotone-cutoff mode.**  With :attr:`monotone_cutoffs` set (the greedy
+    loop turns it on), the oracle exploits the loop's non-decreasing cutoff
+    sequence: any vertex ``x`` ever settled by a ball from ``u`` had
+    ``δ_H(u, x) ≤ radius ≤`` every *future* cutoff, so membership alone —
+    one bit — certifies all later queries of the pair, and the exact
+    distance value need not be stored.  Harvests then go into per-source
+    bitsets (``n²/8`` bytes worst case, ~100 bytes per pair less than the
+    value dictionary), and the value dictionary shrinks to ``O(|spanner|)``:
+    construction-time seeds from pre-existing spanner edges (none in a
+    greedy run, which starts edgeless), each evicted by the single query
+    that consumes it, plus one entry per :meth:`notify_edge_added` edge.
+    The loop queries a pair *before* adding its edge, so the notify entries
+    are never consumed in-run — they are kept for the ``cached_bounds``
+    metadata and for parity with the seeding a re-run would see.  Verdicts
+    and operation counts are identical to the value-cache mode — a pair is
+    a hit in one exactly when it is a hit in the other — but peak memory on
+    the streamed metric workloads drops from Θ(n²) dictionary entries to
+    the ``O(n + |spanner|)`` working set (measured in
+    ``docs/PERFORMANCE.md``).  The default is off, preserving exact-value
+    repeat-query caching for ad-hoc oracle use with arbitrary cutoffs.
+
+    Cache keys are the two vertex ids packed into one int (``lo << 32 | hi``)
+    — cheaper to hash than a tuple in this hottest of paths.  The ids come
+    from an indexed mirror of ``H``, interned at construction and kept in
+    sync through :meth:`notify_edge_added` (the greedy loop's mutation
+    hook), so the searches run on flat integer adjacency arrays; direct
     mutations of the spanner that bypass the hook are not observed.
     """
+
+    #: When True, callers promise non-decreasing cutoffs per run (see above).
+    monotone_cutoffs: bool
 
     def __init__(self, spanner: WeightedGraph) -> None:
         super().__init__(spanner)
         self._index = IndexedGraph.from_weighted_graph(spanner)
         self._engine: QueryEngine | None = None
-
-    def notify_edge_added(self, u: Vertex, v: Vertex, weight: float) -> None:
-        # The greedy loop adds each edge at most once, so the mirror can take
-        # the raw-append path and skip add_edge's O(degree) duplicate scan.
-        self._index.append_edge_unchecked(u, v, weight)
+        self._bounds: dict[int, float] = {}
+        self._ball_bits: dict[int, "np.ndarray"] = {}
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.peak_cached_bounds = 0
+        self.monotone_cutoffs = False
+        # Edges already in the spanner are certified bounds from the start.
+        for uid, vid, weight in self._index.edges():
+            self._bounds[(uid << 32) | vid] = weight
 
     def _vertex_id(self, vertex: Vertex) -> int:
         try:
@@ -191,120 +202,6 @@ class _IndexedOracle(DistanceOracle):
         self.query_count += len(results)
         self.settled_count += engine.settled_count - settled_before
         return results
-
-
-class BidirectionalDijkstraOracle(_IndexedOracle):
-    """Meet-in-the-middle bounded Dijkstra on the indexed fast path.
-
-    Grows a ball around ``u`` and a ball around ``v`` simultaneously; each
-    ball only needs radius ``≈ δ/2``, and ball volume grows super-linearly
-    with radius on dense spanners, so the two half-balls settle far fewer
-    vertices than the single full ball of :class:`BoundedDijkstraOracle`.
-
-    The meeting distance sums the two half-paths in a different float
-    association order than a forward-only Dijkstra, so at an *exact* cutoff
-    boundary (``δ_H(u, v) == t·w(u, v)``, common with decimal weights) the
-    two can disagree by 1 ULP — enough to flip a greedy verdict and break
-    the identical-spanner invariant.  Queries landing within a relative
-    ``1e-9`` band of the cutoff (far wider than any accumulated rounding,
-    and vanishingly rare on continuous weights) are therefore re-answered
-    with the forward-order search that defines the reference semantics.
-    """
-
-    #: Relative half-width of the boundary band re-checked in forward order.
-    BOUNDARY_GUARD = 1e-9
-
-    def distance_within(self, u: Vertex, v: Vertex, cutoff: float) -> float:
-        self.query_count += 1
-        if u == v:
-            return 0.0
-        uid = self._vertex_id(u)
-        vid = self._vertex_id(v)
-        guard = 0.0 if math.isinf(cutoff) else cutoff * self.BOUNDARY_GUARD
-        distance, settled_f, settled_b = indexed_bidirectional_cutoff(
-            self._index, uid, vid, cutoff + guard
-        )
-        self.settled_count += len(settled_f) + len(settled_b)
-        if distance <= cutoff - guard:
-            return distance
-        if distance == math.inf:
-            # No path within cutoff+guard under this summation order means
-            # every path exceeds the cutoff under the forward order too.
-            return math.inf
-        # Within the boundary band: defer to the forward-order search.
-        distance, settled = indexed_dijkstra_with_cutoff(
-            self._index, uid, vid, cutoff
-        )
-        self.settled_count += len(settled)
-        return distance
-
-
-class CachedDijkstraOracle(_IndexedOracle):
-    """Single-source ball searches plus monotone upper-bound caching.
-
-    Correctness rests on monotonicity: edges are only ever *added* to the
-    growing spanner ``H``, so ``δ_H`` is non-increasing over time and any
-    certified upper bound ``δ_H(u, v) ≤ d`` remains valid forever.  The
-    oracle therefore
-
-    * answers a query from the cache whenever a stored bound is at most the
-      cutoff (the true distance is then also at most the cutoff, so the
-      greedy decision matches the exact oracle's), and
-    * on a miss, settles the *entire* cutoff ball around the source — it
-      deliberately does not stop at the target — and harvests every settled
-      vertex ``x`` as a certified bound ``δ_H(u, x) ≤ d(x)``.  One pruned
-      search thereby batch-answers all candidate pairs ``(u, ·)`` within the
-      current radius.  The batching pays off *because* the greedy loop
-      examines edges in non-decreasing weight order: a pending pair
-      ``(u, x)`` has ``w(u, x) ≥ w``, so a harvested bound
-      ``d ≤ t·w ≤ t·w(u, x)`` is guaranteed to still be a cache hit when
-      that pair comes up.  (A bidirectional half-ball would only cover pairs
-      the loop has already decided — measured in ``docs/PERFORMANCE.md``.)
-
-    Spanner edges reported through :meth:`notify_edge_added` are cached too
-    (``δ_H(u, v) ≤ w``), which is what lets Lemma-3 re-runs and repeated
-    queries skip Dijkstra entirely.  ``cache_hits`` / ``cache_misses`` are
-    exposed through :meth:`extra_metadata` and land in ``Spanner`` metadata.
-
-    **Monotone-cutoff mode.**  With :attr:`monotone_cutoffs` set (the greedy
-    loop turns it on), the oracle exploits the loop's non-decreasing cutoff
-    sequence: any vertex ``x`` ever settled by a ball from ``u`` had
-    ``δ_H(u, x) ≤ radius ≤`` every *future* cutoff, so membership alone —
-    one bit — certifies all later queries of the pair, and the exact
-    distance value need not be stored.  Harvests then go into per-source
-    bitsets (``n²/8`` bytes worst case, ~100 bytes per pair less than the
-    value dictionary), and the value dictionary shrinks to ``O(|spanner|)``:
-    construction-time seeds from pre-existing spanner edges (none in a
-    greedy run, which starts edgeless), each evicted by the single query
-    that consumes it, plus one entry per :meth:`notify_edge_added` edge.
-    The loop queries a pair *before* adding its edge, so the notify entries
-    are never consumed in-run — they are kept for the ``cached_bounds``
-    metadata and for parity with the seeding a re-run would see.  Verdicts
-    and operation counts are identical to the value-cache mode — a pair is
-    a hit in one exactly when it is a hit in the other — but peak memory on
-    the streamed metric workloads drops from Θ(n²) dictionary entries to
-    the ``O(n + |spanner|)`` working set (measured in
-    ``docs/PERFORMANCE.md``).  The default is off, preserving exact-value
-    repeat-query caching for ad-hoc oracle use with arbitrary cutoffs.
-
-    Cache keys are the two vertex ids packed into one int (``lo << 32 | hi``)
-    — cheaper to hash than a tuple in this hottest of paths.
-    """
-
-    #: When True, callers promise non-decreasing cutoffs per run (see above).
-    monotone_cutoffs: bool
-
-    def __init__(self, spanner: WeightedGraph) -> None:
-        super().__init__(spanner)
-        self._bounds: dict[int, float] = {}
-        self._ball_bits: dict[int, "np.ndarray"] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.peak_cached_bounds = 0
-        self.monotone_cutoffs = False
-        # Edges already in the spanner are certified bounds from the start.
-        for uid, vid, weight in self._index.edges():
-            self._bounds[(uid << 32) | vid] = weight
 
     def _ball_bit(self, source: int, target: int) -> bool:
         bits = self._ball_bits.get(source)
@@ -367,7 +264,9 @@ class CachedDijkstraOracle(_IndexedOracle):
         self.peak_cached_bounds = max(self.peak_cached_bounds, len(bounds))
 
     def notify_edge_added(self, u: Vertex, v: Vertex, weight: float) -> None:
-        super().notify_edge_added(u, v, weight)
+        # The greedy loop adds each edge at most once, so the mirror can take
+        # the raw-append path and skip add_edge's O(degree) duplicate scan.
+        self._index.append_edge_unchecked(u, v, weight)
         uid = self._index.id_of(u)
         vid = self._index.id_of(v)
         key = ((uid << 32) | vid) if uid <= vid else ((vid << 32) | uid)
@@ -391,8 +290,6 @@ class CachedDijkstraOracle(_IndexedOracle):
 
 ORACLE_FACTORIES = {
     "bounded": BoundedDijkstraOracle,
-    "full": FullDijkstraOracle,
-    "bidirectional": BidirectionalDijkstraOracle,
     "cached": CachedDijkstraOracle,
 }
 
@@ -400,14 +297,13 @@ ORACLE_FACTORIES = {
 def make_oracle(name: str, spanner: WeightedGraph) -> DistanceOracle:
     """Instantiate the oracle strategy called ``name`` over ``spanner``.
 
-    Valid names are ``"cached"`` (default strategy of the greedy algorithm),
-    ``"bidirectional"``, ``"bounded"`` and ``"full"``; see the module
-    docstring and ``docs/PERFORMANCE.md`` for the trade-offs.
+    Valid names are ``"cached"`` (default strategy of the greedy algorithm)
+    and ``"bounded"`` (the textbook baseline); see the module docstring and
+    ``docs/PERFORMANCE.md`` for the trade-offs.  Any other name raises
+    :class:`~repro.errors.UnknownOracleError`.
     """
     try:
         factory = ORACLE_FACTORIES[name]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown oracle {name!r}; valid names: {sorted(ORACLE_FACTORIES)}"
-        ) from exc
+    except KeyError:
+        raise UnknownOracleError(name, sorted(ORACLE_FACTORIES)) from None
     return factory(spanner)

@@ -78,10 +78,10 @@ def greedy_spanner(
         The stretch parameter, ``t ≥ 1``.
     oracle:
         Distance-query strategy: ``"cached"`` (indexed single-source ball
-        Dijkstra with monotone upper-bound caching, default), ``"bidirectional"``,
-        ``"bounded"`` (the textbook cutoff-pruned Dijkstra) or ``"full"``.
-        Every strategy produces the identical greedy spanner; they differ
-        only in speed (see ``docs/PERFORMANCE.md``).
+        Dijkstra with monotone upper-bound caching, default) or
+        ``"bounded"`` (the textbook cutoff-pruned Dijkstra, the baseline).
+        Both produce the identical greedy spanner; they differ only in
+        speed (see ``docs/PERFORMANCE.md``).
     progress:
         Optional callback invoked as ``progress(examined, total)`` after each
         edge examination; used by long-running experiments.

@@ -22,27 +22,19 @@ from __future__ import annotations
 import math
 
 from repro.core.spanner import Spanner
-from repro.graph.mst import kruskal_mst, mst_weight, mst_weight_indexed
+from repro.graph.mst import kruskal_mst, mst_weight_indexed
 from repro.graph.weighted_graph import WeightedGraph
 
 
-def _base_mst_weight(base: WeightedGraph, mode: str) -> float:
-    """Dispatch ``w(MST(base))`` by engine mode (validated)."""
-    from repro.spanners.verification import check_mode
-
-    check_mode(mode)
-    return mst_weight_indexed(base) if mode == "indexed" else mst_weight(base)
-
-
-def lightness(subgraph: WeightedGraph, base: WeightedGraph, *, mode: str = "indexed") -> float:
+def lightness(subgraph: WeightedGraph, base: WeightedGraph) -> float:
     """Return ``w(subgraph) / w(MST(base))``.
 
-    The default mode computes the base MST weight on the indexed-Prim fast
-    path (dense Prim for lazy metric closures); ``mode="reference"`` keeps
-    the seed Kruskal-backed :func:`~repro.graph.mst.mst_weight`.  The two
-    differ only in summation order of the tree weights.
+    The base MST weight comes from the indexed-Prim fast path (dense Prim
+    for lazy metric closures); it differs from the Kruskal-backed
+    :func:`~repro.graph.mst.mst_weight` only in the summation order of the
+    tree weights.
     """
-    base_mst = _base_mst_weight(base, mode)
+    base_mst = mst_weight_indexed(base)
     if base_mst == 0.0:
         return math.inf if subgraph.total_weight() > 0 else 1.0
     return subgraph.total_weight() / base_mst
@@ -56,11 +48,9 @@ def normalized_size(subgraph: WeightedGraph) -> float:
     return subgraph.number_of_edges / n
 
 
-def excess_weight_over_mst(
-    subgraph: WeightedGraph, base: WeightedGraph, *, mode: str = "indexed"
-) -> float:
+def excess_weight_over_mst(subgraph: WeightedGraph, base: WeightedGraph) -> float:
     """Return ``w(H) - w(MST(G))``, the weight the spanner pays beyond the MST."""
-    return subgraph.total_weight() - _base_mst_weight(base, mode)
+    return subgraph.total_weight() - mst_weight_indexed(base)
 
 
 def mst_fraction_of_spanner(spanner: Spanner) -> float:

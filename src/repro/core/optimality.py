@@ -36,7 +36,7 @@ from repro.core.spanner import Spanner
 from repro.errors import SpannerError
 from repro.graph.generators import figure1_instance
 from repro.graph.mst import kruskal_mst, mst_weight_indexed
-from repro.graph.shortest_paths import pair_distance, shortest_path
+from repro.graph.shortest_paths import shortest_path
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
@@ -77,23 +77,21 @@ def is_t_spanner_of(
     t: float,
     *,
     tolerance: float = 1e-9,
-    mode: str = "indexed",
 ) -> bool:
     """Return True if ``candidate`` (a subgraph of ``base``) is a ``t``-spanner of ``base``.
 
     Checked edge-by-edge, which suffices by the standard argument of
     Section 2 — via the batch verification engine of
     :mod:`repro.spanners.verification` (one cutoff-bounded search per
-    distinct edge source); ``mode="reference"`` keeps the seed per-edge
-    dict Dijkstra.
+    distinct edge source).
     """
     from repro.spanners.verification import verify_spanner_edges
 
-    return verify_spanner_edges(candidate, base, t, tolerance=tolerance, mode=mode)
+    return verify_spanner_edges(candidate, base, t, tolerance=tolerance)
 
 
 def verify_lemma3_self_spanner(
-    spanner: Spanner, *, max_edges_to_try: int | None = None, mode: str = "indexed"
+    spanner: Spanner, *, max_edges_to_try: int | None = None
 ) -> bool:
     """Exhaustively check Lemma 3 on a concrete greedy spanner.
 
@@ -103,40 +101,29 @@ def verify_lemma3_self_spanner(
     ``e`` is a subgraph of ``H - e`` and spans at most as well, so checking the
     single-edge removals covers every possible strict subgraph.)
 
-    The indexed mode translates ``H`` once and runs one cutoff-bounded
-    search per edge that simply skips relaxing the removed edge
+    The check translates ``H`` once and runs one cutoff-bounded search per
+    edge that simply skips relaxing the removed edge
     (:func:`~repro.graph.shortest_paths.indexed_cutoff_excluding_edge`) —
-    equivalent to searching ``H - e``, without the per-edge O(m) copy the
-    reference mode pays.  ``max_edges_to_try`` limits the number of removals
-    for large spanners.
+    equivalent to searching ``H - e``, without a per-edge O(m) copy.
+    ``max_edges_to_try`` limits the number of removals for large spanners.
     """
-    from repro.spanners.verification import check_mode
+    from repro.graph.indexed_graph import IndexedGraph
+    from repro.graph.shortest_paths import indexed_cutoff_excluding_edge
 
-    check_mode(mode)
     t = spanner.stretch
     edges = list(spanner.subgraph.edges())
     if max_edges_to_try is not None:
         edges = edges[:max_edges_to_try]
-    if mode == "indexed":
-        from repro.graph.indexed_graph import IndexedGraph
-        from repro.graph.shortest_paths import indexed_cutoff_excluding_edge
-
-        indexed = IndexedGraph.from_weighted_graph(spanner.subgraph)
-        for u, v, weight in edges:
-            uid, vid = indexed.id_of(u), indexed.id_of(v)
-            cutoff = t * weight * (1.0 + 1e-12)
-            distance, _ = indexed_cutoff_excluding_edge(
-                indexed, uid, vid, cutoff, excluded=(uid, vid)
-            )
-            if distance <= cutoff:
-                # Removing e left a within-stretch path, so H - e would be a
-                # t-spanner of H, contradicting Lemma 3.
-                return False
-        return True
+    indexed = IndexedGraph.from_weighted_graph(spanner.subgraph)
     for u, v, weight in edges:
-        pruned = spanner.subgraph.copy()
-        pruned.remove_edge(u, v)
-        if pair_distance(pruned, u, v) <= t * weight * (1.0 + 1e-12):
+        uid, vid = indexed.id_of(u), indexed.id_of(v)
+        cutoff = t * weight * (1.0 + 1e-12)
+        distance, _ = indexed_cutoff_excluding_edge(
+            indexed, uid, vid, cutoff, excluded=(uid, vid)
+        )
+        if distance <= cutoff:
+            # Removing e left a within-stretch path, so H - e would be a
+            # t-spanner of H, contradicting Lemma 3.
             return False
     return True
 

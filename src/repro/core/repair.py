@@ -21,7 +21,7 @@ So greedy(``G − F``) restricted to positions ``< p`` produces exactly the
 kept prefix ``{e ∈ H : pos(e) < p}``, and replaying greedy over the
 surviving suffix (positions ``≥ p``, failed edges filtered out) with ``H``
 warm-started to that prefix reproduces greedy(``G − F``) **bit for bit** —
-:func:`repair_spanner` cross-checks exactly that against a from-scratch
+:func:`repair_spanner` cross-checks exactly that against a full
 rebuild when asked, and the property tests in ``tests/core/test_repair.py``
 assert it on tie-heavy weights.
 
@@ -84,7 +84,7 @@ class RepairResult:
         Re-certification outcome (every base edge of the surviving graph
         checked within stretch) and its settle count.
     rebuild_settles, matches_rebuild:
-        Filled by ``cross_check=True``: the from-scratch rebuild's settles
+        Filled by ``cross_check=True``: the full rebuild's settles
         and whether its edge set is bit-identical to the repair's.
     """
 
@@ -154,7 +154,7 @@ def repair_spanner(
 
     With ``verify=True`` (default) the repaired spanner is re-certified
     edge-by-edge against the surviving base; ``cross_check=True``
-    additionally runs the from-scratch rebuild and records whether the edge
+    additionally runs the full rebuild and records whether the edge
     sets are bit-identical (they must be — that is the module invariant).
     """
     from repro.core.greedy import greedy_spanner

@@ -217,7 +217,7 @@ class Spanner:
         re-certifies the result, and returns a
         :class:`~repro.core.repair.RepairResult` whose ``spanner`` is the
         greedy ``t``-spanner of the surviving graph — bit-identical to a
-        from-scratch rebuild (set ``cross_check=True`` to measure that).
+        full rebuild (set ``cross_check=True`` to measure that).
         Only defined for greedy-built spanners
         (:class:`~repro.errors.UnrepairableSpannerError` otherwise).
         """

@@ -13,15 +13,12 @@ the trade-off the paper describes:
   the stretch factor of the fastest delivery while paying communication cost
   proportional to its weight — near the MST's.
 
-Two engines run the protocol behind the same functions:
-
-* ``mode="indexed"`` (default) — the integer-id event loop of
-  :mod:`repro.distributed.engine`, which replays the reference event queue
-  tie for tie on flat arrays (no per-message objects, no dict lookups);
-* ``mode="reference"`` — the seed :class:`~repro.distributed.network.Network`
-  simulator, kept as the oracle the property tests compare against.
-
-Both report identical statistics rows — including the first-delivery tree,
+The flood runs on the integer-id event loop of
+:mod:`repro.distributed.engine`, which replays the seed
+:class:`~repro.distributed.network.Network` simulator's event queue tie for
+tie on flat arrays (no per-message objects, no dict lookups).  The seed
+simulator flood lives on as the oracle in ``tests/oracles/distributed.py``;
+both report identical statistics rows — including the first-delivery tree,
 over which the optional **echo** (convergecast acknowledgement) phase is
 accounted.
 
@@ -41,7 +38,7 @@ from repro.distributed.engine import (
     indexed_flood,
     indexed_overlay,
 )
-from repro.distributed.network import Message, Network, NetworkStatistics
+from repro.distributed.network import NetworkStatistics
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import single_source_distances
 from repro.graph.weighted_graph import Vertex, WeightedGraph
@@ -100,28 +97,6 @@ class BroadcastResult:
         return row
 
 
-def _flood_reference(
-    overlay: WeightedGraph, source: Vertex, payload: object
-) -> tuple[NetworkStatistics, dict[Vertex, float], FloodTree]:
-    """The seed event-driven flood; also records the first-delivery tree."""
-    delivery_time: dict[Vertex, float] = {source: 0.0}
-    parent: FloodTree = {source: None}
-
-    def handler(network: Network, vertex: Vertex, message: Message) -> None:
-        if vertex in delivery_time:
-            return
-        delivery_time[vertex] = network.now
-        parent[vertex] = message.sender
-        for neighbour in network.overlay.neighbours(vertex):
-            if neighbour != message.sender:
-                network.send(vertex, neighbour, message.payload)
-
-    network = Network(overlay, handler)
-    network.broadcast_from(source, payload)
-    statistics = network.run()
-    return statistics, delivery_time, parent
-
-
 def _flood_indexed(
     overlay: WeightedGraph, source: Vertex
 ) -> tuple[NetworkStatistics, dict[Vertex, float], FloodTree, IndexedGraph, FloodRun]:
@@ -153,16 +128,14 @@ def flood_broadcast(
     source: Vertex,
     *,
     payload: object = "broadcast",
-    mode: str = "indexed",
 ) -> tuple[NetworkStatistics, dict[Vertex, float]]:
     """Flood ``payload`` from ``source`` over ``overlay``.
 
     Returns the network statistics and the first-delivery time of every
-    reached vertex (the source is delivered at time 0).  Both modes return
-    identical values; see the module docstring.
+    reached vertex (the source is delivered at time 0).
     """
     statistics, delivery_time, _ = flood_broadcast_with_tree(
-        overlay, source, payload=payload, mode=mode
+        overlay, source, payload=payload
     )
     return statistics, delivery_time
 
@@ -172,17 +145,13 @@ def flood_broadcast_with_tree(
     source: Vertex,
     *,
     payload: object = "broadcast",
-    mode: str = "indexed",
 ) -> tuple[NetworkStatistics, dict[Vertex, float], FloodTree]:
     """Flood like :func:`flood_broadcast`, also returning the first-delivery tree.
 
     The tree maps every reached vertex to the neighbour its first message
     came from (``None`` for the source); the echo phase is accounted over it.
+    The payload is not inspected by the flood (every copy is identical).
     """
-    if mode == "reference":
-        return _flood_reference(overlay, source, payload)
-    if mode != "indexed":
-        raise ValueError(f"unknown broadcast mode {mode!r}; use 'indexed' or 'reference'")
     statistics, delivery_time, parent, _, _ = _flood_indexed(overlay, source)
     return statistics, delivery_time, parent
 
@@ -195,9 +164,9 @@ def echo_statistics(
 ) -> EchoResult:
     """Account the echo (convergecast) phase over a recorded flood tree.
 
-    Mode-independent by construction: the accounting is a pure bottom-up
-    pass over ``(delivery_time, parent)``, which both engines report
-    identically.
+    Engine-independent by construction: the accounting is a pure bottom-up
+    pass over ``(delivery_time, parent)``, which the flood engine and the
+    seed simulator report identically.
     """
     indexed = indexed_overlay(overlay)
     n = indexed.number_of_vertices
@@ -221,7 +190,6 @@ def broadcast_over_overlay(
     source: Vertex,
     *,
     name: str = "overlay",
-    mode: str = "indexed",
     farthest_optimal: Optional[float] = None,
     measure_echo: bool = True,
 ) -> BroadcastResult:
@@ -235,19 +203,12 @@ def broadcast_over_overlay(
     Dijkstra over the lazy complete graph).
     """
     echo: Optional[EchoResult] = None
-    if mode == "indexed":
-        # The indexed flood already built the id mirror and the flat
-        # delivery/parent arrays; feed them straight to the echo accounting
-        # instead of re-deriving both from the vertex-keyed dicts.
-        statistics, delivery_time, _, indexed, run = _flood_indexed(overlay, source)
-        if measure_echo:
-            echo = echo_convergecast(indexed, indexed.id_of(source), run)
-    else:
-        statistics, delivery_time, parent = flood_broadcast_with_tree(
-            overlay, source, mode=mode
-        )
-        if measure_echo:
-            echo = echo_statistics(overlay, source, delivery_time, parent)
+    # The indexed flood already built the id mirror and the flat
+    # delivery/parent arrays; feed them straight to the echo accounting
+    # instead of re-deriving both from the vertex-keyed dicts.
+    statistics, delivery_time, _, indexed, run = _flood_indexed(overlay, source)
+    if measure_echo:
+        echo = echo_convergecast(indexed, indexed.id_of(source), run)
     if farthest_optimal is None:
         optimal_distances = single_source_distances(full_graph, source)
         farthest_optimal = max(optimal_distances.values(), default=0.0)
@@ -269,8 +230,6 @@ def compare_broadcast_overlays(
     graph: WeightedGraph,
     overlays: dict[str, WeightedGraph],
     source: Optional[Vertex] = None,
-    *,
-    mode: str = "indexed",
 ) -> list[BroadcastResult]:
     """Broadcast from ``source`` over each overlay and return one result per overlay.
 
@@ -279,6 +238,4 @@ def compare_broadcast_overlays(
     """
     from repro.distributed.comparison import compare_overlays
 
-    return compare_overlays(
-        graph, overlays, protocols=("broadcast",), source=source, mode=mode
-    ).broadcast
+    return compare_overlays(graph, overlays, protocols=("broadcast",), source=source).broadcast

@@ -7,8 +7,7 @@ are now thin wrappers), and adds the registry-driven entry point the
 experiments, examples and the overlay bench share:
 
 * :func:`compare_overlays` — run any subset of the three protocols over the
-  same overlays with one shared demand set / source, on either engine
-  (``mode="indexed"`` / ``"reference"``);
+  same overlays with one shared demand set / source;
 * :func:`overlays_from_builders` — materialize the overlay dict itself from
   :mod:`repro.spanners.registry` builder names, so "compare the Θ-graph,
   Yao-graph and MST overlays at stretch 1.5" is one call whatever the
@@ -21,12 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.distributed.broadcast import BroadcastResult, broadcast_over_overlay
-from repro.distributed.routing import (
-    RoutingReport,
-    RoutingScheme,
-    evaluate_routing,
-    random_demands,
-)
+from repro.distributed.routing import RoutingReport, evaluate_routing, random_demands
 from repro.distributed.synchronizer import SynchronizerCost, synchronizer_cost
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 from repro.spanners.registry import Workload, as_graph, build_spanner
@@ -52,7 +46,6 @@ def compare_overlays(
     overlays: dict[str, WeightedGraph],
     *,
     protocols: Sequence[str] = PROTOCOLS,
-    mode: str = "indexed",
     source: Optional[Vertex] = None,
     demands: Optional[list[tuple[Vertex, Vertex]]] = None,
     demand_count: int = 100,
@@ -72,8 +65,6 @@ def compare_overlays(
         ``{label: overlay graph}`` on the same vertex set as ``graph``.
     protocols:
         Any subset of ``("broadcast", "routing", "synchronizer")``.
-    mode:
-        Protocol engine, ``"indexed"`` (default) or ``"reference"``.
     source, demands, demand_count, seed:
         Broadcast source (default: first vertex) and routing demand set
         (default: ``demand_count`` random pairs drawn with ``seed``) —
@@ -85,8 +76,7 @@ def compare_overlays(
     unknown = [p for p in protocols if p not in PROTOCOLS]
     if unknown:
         raise ValueError(f"unknown protocols {unknown!r}; valid: {PROTOCOLS}")
-    needs_reference = "broadcast" in protocols or "routing" in protocols
-    if needs_reference and graph is None:
+    if graph is None and ("broadcast" in protocols or "routing" in protocols):
         raise ValueError("broadcast and routing comparisons need the full graph")
 
     if "broadcast" in protocols and source is None:
@@ -98,20 +88,16 @@ def compare_overlays(
     for name, overlay in overlays.items():
         if "broadcast" in protocols:
             comparison.broadcast.append(
-                broadcast_over_overlay(graph, overlay, source, name=name, mode=mode)
+                broadcast_over_overlay(graph, overlay, source, name=name)
             )
         if "routing" in protocols:
             comparison.routing.append(
-                evaluate_routing(graph, overlay, demands, name=name, mode=mode)
+                evaluate_routing(graph, overlay, demands, name=name)
             )
         if "synchronizer" in protocols:
             comparison.synchronizer.append(
                 synchronizer_cost(
-                    overlay,
-                    name=name,
-                    pulses=pulses,
-                    mode=mode,
-                    diameter_method=diameter_method,
+                    overlay, name=name, pulses=pulses, diameter_method=diameter_method
                 )
             )
     return comparison

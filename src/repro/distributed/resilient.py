@@ -17,9 +17,9 @@ protocol so delivery completes under loss:
 Retry, duplicate, timer and give-up counters are surfaced alongside the
 classic message/cost/completion statistics.
 
-Two engines run the protocol, exactly like the fault-free stack: a
-``reference`` engine on the dict graph with vertex objects, and an
-``indexed`` engine on flat arrays.  Both replay the *same* fault schedule
+The protocol runs on flat integer-id arrays.  The seed engine on the dict
+graph with vertex objects lives on as the oracle in
+``tests/oracles/distributed.py``, and both replay the *same* fault schedule
 tie for tie: events pop in ``(time, send_sequence)`` order, sequences are
 assigned in the same order because the indexed adjacency mirrors
 ``overlay.incident()`` order, and every drop/delay decision is a pure
@@ -68,7 +68,7 @@ class ResilientParams:
 
 @dataclass
 class ResilientStatistics:
-    """Flat counters of one hardened flood (identical across engines)."""
+    """Flat counters of one hardened flood."""
 
     messages: int = 0  #: every transmission: DATA (all attempts) + ACKs
     data_sends: int = 0
@@ -118,107 +118,26 @@ class ResilientResult:
         return row
 
 
-def _resilient_reference(
-    overlay: WeightedGraph, source: Vertex, plan: FaultPlan, params: ResilientParams
+def resilient_flood(
+    overlay: WeightedGraph,
+    source: Vertex,
+    plan: FaultPlan,
+    *,
+    params: Optional[ResilientParams] = None,
 ) -> ResilientResult:
-    """The hardened flood on the dict graph — the oracle engine."""
-    stats = ResilientStatistics()
-    delivery: dict[Vertex, float] = {source: 0.0}
-    parent: dict[Vertex, Optional[Vertex]] = {source: None}
-    attempts: dict[tuple[Vertex, Vertex], int] = {}
-    acked: set[tuple[Vertex, Vertex]] = set()
+    """Flood from ``source`` under ``plan`` with ack/timeout/retry hardening.
 
-    events_queue = EventQueue()
-
-    def send_data(u: Vertex, v: Vertex, attempt: int, now: float) -> None:
-        weight = overlay.weight(u, v)
-        stats.messages += 1
-        stats.data_sends += 1
-        stats.cost += weight
-        if attempt > 0:
-            stats.retries += 1
-        arrival = now + weight + plan.extra_delay(u, v, weight, _DATA, attempt)
-        lost = (
-            not plan.edge_alive(u, v, now)
-            or not plan.node_alive(v, arrival)
-            or plan.drops(u, v, _DATA, attempt)
-        )
-        if lost:
-            stats.messages_lost += 1
-            events_queue.drop()
-        else:
-            events_queue.push(arrival, _DATA, u, v, attempt)
-        timeout = now + params.timeout_scale * 2.0 * weight * params.backoff**attempt
-        events_queue.push(timeout, _TIMER, u, v, attempt)
-
-    def send_ack(v: Vertex, u: Vertex, attempt: int, now: float) -> None:
-        weight = overlay.weight(v, u)
-        stats.messages += 1
-        stats.acks += 1
-        stats.cost += weight
-        arrival = now + weight + plan.extra_delay(v, u, weight, _ACK, attempt)
-        lost = (
-            not plan.edge_alive(v, u, now)
-            or not plan.node_alive(u, arrival)
-            or plan.drops(v, u, _ACK, attempt)
-        )
-        if lost:
-            stats.messages_lost += 1
-            events_queue.drop()
-        else:
-            events_queue.push(arrival, _ACK, v, u, attempt)
-
-    def start_links(vertex: Vertex, exclude: Optional[Vertex], now: float) -> None:
-        for neighbour, _ in overlay.incident(vertex):
-            if neighbour != exclude:
-                attempts[(vertex, neighbour)] = 1
-                send_data(vertex, neighbour, 0, now)
-
-    start_links(source, None, 0.0)
-
-    now = 0.0
-    while len(events_queue):
-        now, _, kind, a, b, attempt = events_queue.pop()
-        stats.events += 1
-        if kind == _DATA:
-            # DATA from a arriving at b (liveness already decided at send).
-            if b in delivery:
-                stats.duplicates += 1
-                send_ack(b, a, attempt, now)
-                continue
-            delivery[b] = now
-            parent[b] = a
-            send_ack(b, a, attempt, now)
-            start_links(b, a, now)
-        elif kind == _ACK:
-            # ACK from a arriving at b: the DATA link b → a is confirmed.
-            acked.add((b, a))
-        else:  # _TIMER for the DATA link a → b
-            stats.timers_fired += 1
-            if (a, b) in acked or not plan.node_alive(a, now):
-                continue
-            sent = attempts[(a, b)]
-            if sent < params.max_attempts:
-                attempts[(a, b)] = sent + 1
-                send_data(a, b, sent, now)
-            else:
-                stats.give_ups += 1
-
-    stats.completion_time = now
-    return ResilientResult(statistics=stats, delivery_time=delivery, parent=parent)
-
-
-def _resilient_indexed(
-    overlay: WeightedGraph, source: Vertex, plan: FaultPlan, params: ResilientParams
-) -> ResilientResult:
-    """The hardened flood on flat integer-id arrays — the scale engine.
-
-    Same event structure, sequence assignment and float expressions as the
-    reference engine; plan lookups go through precomputed per-id tables
-    (crash times, directed fail times) except the per-message hash coins,
-    which must see the canonical vertex labels and therefore go through the
-    interned label list.
+    The result replays the seed engine's tie for tie (see the module
+    docstring); with an empty plan the delivery tree coincides with the plain
+    flood's (every first DATA attempt survives, so first-delivery races
+    resolve exactly as in :func:`~repro.distributed.engine.indexed_flood`).
+    Plan lookups go through precomputed per-id tables (crash times, directed
+    fail times) except the per-message hash coins, which must see the
+    canonical vertex labels and therefore go through the interned label
+    list.
     """
+    if params is None:
+        params = ResilientParams()
     indexed = indexed_overlay(overlay)
     neighbour_ids, neighbour_weights = indexed.adjacency_arrays()
     n = indexed.number_of_vertices
@@ -328,30 +247,6 @@ def _resilient_indexed(
     return ResilientResult(statistics=stats, delivery_time=delivery_time, parent=tree)
 
 
-def resilient_flood(
-    overlay: WeightedGraph,
-    source: Vertex,
-    plan: FaultPlan,
-    *,
-    params: Optional[ResilientParams] = None,
-    mode: str = "indexed",
-) -> ResilientResult:
-    """Flood from ``source`` under ``plan`` with ack/timeout/retry hardening.
-
-    Both modes return identical results for the same plan (the tie-for-tie
-    contract); with an empty plan the delivery tree coincides with the plain
-    flood's (every first DATA attempt survives, so first-delivery races
-    resolve exactly as in :func:`~repro.distributed.engine.indexed_flood`).
-    """
-    if params is None:
-        params = ResilientParams()
-    if mode == "reference":
-        return _resilient_reference(overlay, source, plan, params)
-    if mode != "indexed":
-        raise ValueError(f"unknown resilient mode {mode!r}; use 'indexed' or 'reference'")
-    return _resilient_indexed(overlay, source, plan, params)
-
-
 @dataclass(frozen=True)
 class ResilientEchoResult:
     """Accounting of the hardened echo convergecast over a flood tree."""
@@ -382,7 +277,7 @@ def resilient_echo(
 ) -> ResilientEchoResult:
     """Ack every delivery back up the flood tree, retrying through faults.
 
-    Pure bottom-up accounting (mode-independent by construction): each
+    Pure bottom-up accounting over the flood tree: each
     non-source reached vertex sends its ack up its first-delivery parent
     edge once itself and all its tree children are ready; the ``attempt``-th
     try departs after the same backoff law as DATA retries and succeeds iff

@@ -16,20 +16,17 @@ the measurements that make the motivation concrete:
 * **total routing cost** — the sum of routed path lengths over a set of
   demand pairs.
 
-Two table engines are provided behind the same :class:`RoutingScheme` API:
+:class:`RoutingScheme` mirrors the overlay onto
+:class:`~repro.graph.indexed_graph.IndexedGraph` integer ids and keeps the
+next-hop tables as flat ``numpy`` arrays, one row per destination filled by
+a single :func:`~repro.graph.shortest_paths.indexed_sssp` sweep (whose
+parent array *is* the row).  Passing ``destinations=`` builds only the
+requested rows — at bench scale (``n = 10⁴``) the full Θ(n²) table is
+deliberately not materialized.  The seed implementation (one dict-based
+Dijkstra per destination into nested next-hop dicts) lives on as the
+oracle in ``tests/oracles/distributed.py``.
 
-* ``mode="indexed"`` (default) — the fast path: the overlay is mirrored onto
-  :class:`~repro.graph.indexed_graph.IndexedGraph` integer ids and the
-  next-hop tables are flat ``numpy`` arrays, one row per destination filled
-  by a single :func:`~repro.graph.shortest_paths.indexed_sssp` sweep (whose
-  parent array *is* the row).  Passing ``destinations=`` builds only the
-  requested rows — at bench scale (``n = 10⁴``) the full Θ(n²) table is
-  deliberately not materialized;
-* ``mode="reference"`` — the seed implementation: one dict-based Dijkstra
-  per destination into nested next-hop dicts.  Kept as the oracle the
-  property tests compare the fast path against.
-
-Both modes fail fast on a disconnected overlay with a
+The scheme fails fast on a disconnected overlay with a
 :class:`~repro.errors.DisconnectedGraphError` naming the unreachable vertex
 count — one connectivity sweep up front instead of discovering the hole
 after ``n`` full Dijkstras.
@@ -43,7 +40,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -52,7 +48,7 @@ import numpy as np
 from repro.core.query_engine import QueryEngine
 from repro.errors import DisconnectedGraphError
 from repro.distributed.engine import indexed_overlay
-from repro.graph.shortest_paths import dijkstra, indexed_sssp, pair_distance
+from repro.graph.shortest_paths import indexed_sssp, pair_distance
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 
@@ -79,18 +75,12 @@ class RoutingScheme:
 
     Packets are forwarded hop by hop using only local table lookups, which is
     how the scheme would operate in a real network.  See the module
-    docstring for the two table engines (``mode="indexed"`` /
-    ``mode="reference"``); both answer :meth:`next_hop` identically up to
-    shortest-path tie-breaking, and identically in the aggregate statistics
-    the experiments report.
+    docstring for the table layout.
 
     Parameters
     ----------
     overlay:
         The (connected) overlay graph to route on.
-    mode:
-        Table engine: ``"indexed"`` (flat numpy tables, default) or
-        ``"reference"`` (the seed nested-dict build).
     destinations:
         Optional subset of destinations to build table rows for; ``None``
         builds the full table.  Routing towards a destination outside the
@@ -109,18 +99,14 @@ class RoutingScheme:
         self,
         overlay: WeightedGraph,
         *,
-        mode: str = "indexed",
         destinations: Optional[Sequence[Vertex]] = None,
         on_unreachable: str = "raise",
     ) -> None:
-        if mode not in ("indexed", "reference"):
-            raise ValueError(f"unknown routing mode {mode!r}; use 'indexed' or 'reference'")
         if on_unreachable not in ("raise", "partial"):
             raise ValueError(
                 f"unknown on_unreachable {on_unreachable!r}; use 'raise' or 'partial'"
             )
         self.overlay = overlay
-        self.mode = mode
         self.on_unreachable = on_unreachable
         #: Vertices unreachable from the overlay's first vertex (empty on a
         #: connected overlay; only populated with ``on_unreachable="partial"``).
@@ -136,10 +122,7 @@ class RoutingScheme:
         else:
             destinations = list(destinations)
         self._destinations = destinations
-        if mode == "indexed":
-            self._build_tables_indexed(destinations)
-        else:
-            self._build_tables_reference(destinations)
+        self._build_tables(destinations)
 
     # ------------------------------------------------------------------
     # Table construction
@@ -169,7 +152,7 @@ class RoutingScheme:
                 f"{n} vertices are unreachable from {self._indexed.vertex_of(0)!r}"
             )
 
-    def _build_tables_indexed(self, destinations: list[Vertex]) -> None:
+    def _build_tables(self, destinations: list[Vertex]) -> None:
         """One :func:`indexed_sssp` sweep per destination; the parent array is the row."""
         indexed = self._indexed
         n = indexed.number_of_vertices
@@ -186,41 +169,17 @@ class RoutingScheme:
             self._table[row, :] = parents
             self._distances[row, :] = distances
 
-    def _build_tables_reference(self, destinations: list[Vertex]) -> None:
-        """The seed build: one dict Dijkstra per destination into nested dicts."""
-        self._next_hop_dicts: dict[Vertex, dict[Vertex, Vertex]] = {}
-        self._distance_dicts: dict[Vertex, dict[Vertex, float]] = {}
-        for destination in destinations:
-            distances, predecessors = dijkstra(self.overlay, destination)
-            self._distance_dicts[destination] = distances
-            for vertex, parent in predecessors.items():
-                if parent is None:
-                    continue
-                self._next_hop_dicts.setdefault(vertex, {})[destination] = parent
-
     # ------------------------------------------------------------------
     # Table statistics
     # ------------------------------------------------------------------
     def table_entries(self, vertex: Vertex) -> int:
         """Number of next-hop entries stored at ``vertex`` (``n - 1`` when full)."""
-        if self.mode == "reference":
-            return len(self._next_hop_dicts.get(vertex, {}))
         column = self._table[:, self._indexed.id_of(vertex)]
         return int(np.count_nonzero(column != -1))
 
     def table_bytes(self) -> int:
-        """Memory footprint of the next-hop tables.
-
-        Exact (``ndarray.nbytes``) for the indexed engine; for the reference
-        engine, the recursive ``sys.getsizeof`` of the nested dicts (keys and
-        values are shared vertex objects, counted once as pointers).
-        """
-        if self.mode == "indexed":
-            return int(self._table.nbytes)
-        total = sys.getsizeof(self._next_hop_dicts)
-        for inner in self._next_hop_dicts.values():
-            total += sys.getsizeof(inner)
-        return total
+        """Memory footprint of the next-hop tables (exact ``ndarray.nbytes``)."""
+        return int(self._table.nbytes)
 
     def port_count(self, vertex: Vertex) -> int:
         """Number of distinct ports (overlay neighbours) at ``vertex``.
@@ -241,8 +200,6 @@ class RoutingScheme:
         """Return the next hop from ``source`` towards ``destination`` (None at the destination)."""
         if source == destination:
             return None
-        if self.mode == "reference":
-            return self._next_hop_dicts[source][destination]
         indexed = self._indexed
         hop = int(self._table[self._dest_row[destination], indexed.id_of(source)])
         if hop < 0:
@@ -297,8 +254,6 @@ class RoutingScheme:
         """
         if vertex == destination:
             return 0.0
-        if self.mode == "reference":
-            return self._distance_dicts[destination].get(vertex, math.inf)
         indexed = self._indexed
         return float(
             self._distances[self._dest_row[destination], indexed.id_of(vertex)]
@@ -430,7 +385,6 @@ def evaluate_routing(
     demands: list[tuple[Vertex, Vertex]],
     *,
     name: str = "overlay",
-    mode: str = "indexed",
     scheme: Optional[RoutingScheme] = None,
     optimal_distance: Optional[Callable[[Vertex, Vertex], float]] = None,
 ) -> RoutingReport:
@@ -443,7 +397,7 @@ def evaluate_routing(
     ``destinations=``) is used as-is.
     """
     if scheme is None:
-        scheme = RoutingScheme(overlay, mode=mode)
+        scheme = RoutingScheme(overlay)
     if optimal_distance is None:
         optimal_distance = lambda u, v: pair_distance(full_graph, u, v)  # noqa: E731
     stretches: list[float] = []
@@ -507,7 +461,6 @@ def evaluate_detour_routing(
     failed_edges: "frozenset[tuple[Vertex, Vertex]] | set[tuple[Vertex, Vertex]]",
     *,
     scheme: Optional[RoutingScheme] = None,
-    mode: str = "indexed",
 ) -> DetourReport:
     """Route every demand with detour forwarding and report the degradation.
 
@@ -519,7 +472,7 @@ def evaluate_detour_routing(
     """
     if scheme is None:
         destinations = sorted({d for _, d in demands}, key=repr)
-        scheme = RoutingScheme(overlay, mode=mode, destinations=destinations)
+        scheme = RoutingScheme(overlay, destinations=destinations)
     failed = {_canonical_edge(u, v) for u, v in failed_edges}
     ratios: list[float] = []
     delivered = 0
@@ -567,7 +520,6 @@ def compare_routing_overlays(
     *,
     demand_count: int = 100,
     seed: Optional[int] = None,
-    mode: str = "indexed",
 ) -> list[RoutingReport]:
     """Route the same random demand set over each overlay and report per overlay."""
     from repro.distributed.comparison import compare_overlays
@@ -578,5 +530,4 @@ def compare_routing_overlays(
         protocols=("routing",),
         demand_count=demand_count,
         seed=seed,
-        mode=mode,
     ).routing

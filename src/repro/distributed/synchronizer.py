@@ -19,10 +19,10 @@ simulator of :mod:`repro.distributed.broadcast` already exercises the
 event-driven path.
 
 The only non-trivial quantity is the pulse delay — the overlay's weighted
-diameter.  ``mode="indexed"`` (default) computes it with flat-array sweeps
-(:func:`~repro.graph.shortest_paths.indexed_weighted_diameter`);
-``mode="reference"`` keeps the seed dict-Dijkstra path.  Both produce the
-identical diameter.  At bench scale the exact ``n``-sweep diameter is itself
+diameter, computed with flat-array sweeps
+(:func:`~repro.graph.shortest_paths.indexed_weighted_diameter`), identical
+to the seed dict-Dijkstra :func:`~repro.graph.shortest_paths.weighted_diameter`
+the tests compare it against.  At bench scale the exact ``n``-sweep diameter is itself
 the bottleneck, so ``diameter_method="double-sweep"`` substitutes the
 classic two-sweep lower bound (exact on trees).
 """
@@ -35,7 +35,6 @@ from repro.distributed.engine import indexed_overlay
 from repro.graph.shortest_paths import (
     indexed_double_sweep_diameter,
     indexed_weighted_diameter,
-    weighted_diameter,
 )
 from repro.graph.weighted_graph import WeightedGraph
 
@@ -62,7 +61,7 @@ class SynchronizerCost:
         ranking overlays).
     settles:
         Vertices settled computing the pulse delay (the overlay bench's
-        ``overlay_sync_settles`` operation count; 0 in reference mode).
+        ``overlay_sync_settles`` operation count).
     """
 
     overlay_name: str
@@ -87,31 +86,22 @@ def synchronizer_cost(
     *,
     name: str = "overlay",
     pulses: int = 1,
-    mode: str = "indexed",
     diameter_method: str = "exact",
 ) -> SynchronizerCost:
     """Compute the per-pulse synchronizer cost of running α on ``overlay``."""
     if pulses < 1:
         raise ValueError("pulses must be at least 1")
-    if mode not in ("indexed", "reference"):
-        raise ValueError(f"unknown synchronizer mode {mode!r}; use 'indexed' or 'reference'")
     if diameter_method not in ("exact", "double-sweep"):
         raise ValueError(
             f"unknown diameter method {diameter_method!r}; use 'exact' or 'double-sweep'"
         )
     messages = 2 * overlay.number_of_edges
     communication = 2.0 * overlay.total_weight()
-    settles = 0
-    if mode == "reference":
-        if diameter_method != "exact":
-            raise ValueError("reference mode only computes the exact diameter")
-        delay = weighted_diameter(overlay)
+    indexed = indexed_overlay(overlay)
+    if diameter_method == "exact":
+        delay, settles = indexed_weighted_diameter(indexed)
     else:
-        indexed = indexed_overlay(overlay)
-        if diameter_method == "exact":
-            delay, settles = indexed_weighted_diameter(indexed)
-        else:
-            delay, settles = indexed_double_sweep_diameter(indexed)
+        delay, settles = indexed_double_sweep_diameter(indexed)
     return SynchronizerCost(
         overlay_name=name,
         messages_per_pulse=messages,
@@ -126,7 +116,6 @@ def compare_synchronizer_overlays(
     overlays: dict[str, WeightedGraph],
     *,
     pulses: int = 10,
-    mode: str = "indexed",
     diameter_method: str = "exact",
 ) -> list[SynchronizerCost]:
     """Return the synchronizer cost of each overlay, in the given order."""
@@ -137,7 +126,6 @@ def compare_synchronizer_overlays(
         overlays,
         protocols=("synchronizer",),
         pulses=pulses,
-        mode=mode,
         diameter_method=diameter_method,
     )
     return comparison.synchronizer

@@ -70,6 +70,16 @@ class InvalidStretchError(SpannerError, ValueError):
     """A stretch parameter is out of the range accepted by an algorithm."""
 
 
+class UnknownOracleError(SpannerError, ValueError):
+    """A distance-oracle name is not a key of
+    :data:`~repro.core.distance_oracle.ORACLE_FACTORIES`."""
+
+    def __init__(self, name: object, valid: list[str]) -> None:
+        super().__init__(f"unknown oracle {name!r}; valid names: {valid}")
+        self.name = name
+        self.valid = valid
+
+
 class UnsupportedWorkloadError(SpannerError, TypeError):
     """A spanner builder was asked to span a workload kind it does not support.
 
@@ -245,3 +255,19 @@ class InvalidTierParamsError(ServiceError, ValueError):
 
 class TimeBudgetExceededError(ServiceError):
     """A job's time budget ran out before any fallback tier could serve it."""
+
+
+class UnverifiedArtifactError(ServiceError):
+    """A built spanner failed the worker's stretch verification.
+
+    Raised before the artifact is cached, so the job fails instead of
+    serving a spanner that breaks its stretch guarantee.
+    """
+
+    def __init__(self, key: str, tier: str) -> None:
+        super().__init__(
+            f"artifact {key} built by tier {tier!r} failed stretch "
+            "verification; not cached"
+        )
+        self.key = key
+        self.tier = tier

@@ -4,10 +4,10 @@ The distributed stack so far measured overlays on a *perfect* network.  This
 bench measures the hardened stack end to end under a seeded
 :class:`~repro.distributed.faults.FaultPlan`:
 
-* the hardened flood + echo (:mod:`repro.distributed.resilient`) runs once
-  per engine mode over a greedy-spanner overlay, with the plan dropping,
-  delaying and severing messages — the record keeps the retry / duplicate /
-  timeout / give-up counters and the ``delivery_complete`` guarantee (every
+* the hardened flood + echo (:mod:`repro.distributed.resilient`) runs over
+  a greedy-spanner overlay, with the plan dropping, delaying and severing
+  messages — the record keeps the retry / duplicate / timeout / give-up
+  counters and the ``delivery_complete`` guarantee (every
   surviving-reachable vertex reached);
 * the spanner is then self-healed around the plan's failed edges
   (:meth:`~repro.core.spanner.Spanner.repair` with ``cross_check=True``), so
@@ -29,7 +29,7 @@ repair-vs-rebuild speedup on gated rows.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.greedy import greedy_spanner
 from repro.distributed.faults import FaultPlan
@@ -48,7 +48,9 @@ from repro.experiments.overlay_bench import (
     workload_key as _overlay_workload_key,
 )
 
-DEFAULT_MODES = ("indexed", "reference")
+#: The record keys the protocol counters under the engine's label, as the
+#: committed rows do.
+ENGINE = "indexed"
 
 #: Workload keys that describe the fault regime rather than the base instance.
 _FAULT_KEYS = (
@@ -110,15 +112,17 @@ def workload_key(workload: dict[str, object]) -> str:
 def _build_presets() -> dict[str, Preset]:
     """The named rows of the fault matrix.
 
-    The CI row is small and runs both engines (the tie-for-tie replay
-    evidence); the scale row is the ISSUE's acceptance instance — ``n = 10⁴``
-    geometric, ≥5% drop, 2% edge failures in the heaviest band — and runs
-    the indexed engine only, with the ``bidirectional`` repair oracle (no
-    cross-run caching on either side, so repair and rebuild pay the same
-    per-query price and the ≥5× gate measures the skipped prefix, not a
-    cache artifact).
+    The CI row is small (its tie-for-tie replay against the seed engine is a
+    tier-1 test); the gated scale row is ``n = 10⁴`` geometric, ≥5% drop,
+    2% edge failures in the heaviest band, with the ``bounded`` repair
+    oracle: no cross-run caching on either side, so repair and rebuild pay
+    the same per-query price and the ≥5× gate measures the skipped prefix,
+    not a cache artifact.  (With the ``cached`` oracle the rebuild shares
+    ball harvests across its own run, and the same row measures only
+    4.52×: 119,929 repair settles against 542,602 rebuild settles.  The
+    ``bounded`` row measures 5.97× on identical spanner edges.)
     """
-    rows: tuple[tuple[dict[str, object], tuple[str, ...], bool], ...] = (
+    rows: tuple[tuple[dict[str, object], bool], ...] = (
         (
             fault_workload(
                 geometric_workload(n=300, radius=0.12, seed=7, stretch=1.5),
@@ -130,7 +134,6 @@ def _build_presets() -> dict[str, Preset]:
                 delay_jitter=0.25,
                 repair_oracle="cached",
             ),
-            DEFAULT_MODES,
             False,
         ),
         (
@@ -142,16 +145,34 @@ def _build_presets() -> dict[str, Preset]:
                 node_crash_rate=0.0,
                 drop_rate=0.05,
                 delay_jitter=0.25,
-                repair_oracle="bidirectional",
+                repair_oracle="bounded",
             ),
-            ("indexed",),
             True,
         ),
     )
     return {
-        workload_key(workload): Preset(workload, modes, gated)
-        for workload, modes, gated in rows
+        workload_key(workload): Preset(workload, gated=gated)
+        for workload, gated in rows
     }
+
+
+def sample_fault_plan(overlay, workload: dict[str, object]) -> tuple[object, FaultPlan]:
+    """The flood source (smallest ``repr``) and the workload's fault plan over ``overlay``."""
+    source = min(overlay.vertices(), key=repr)
+    plan = FaultPlan.sample(
+        overlay,
+        seed=int(workload["fault_seed"]),
+        edge_failure_rate=float(workload["edge_failure_rate"]),
+        failure_band=float(workload["failure_band"]),
+        node_crash_rate=float(workload["node_crash_rate"]),
+        drop_rate=float(workload["drop_rate"]),
+        ack_drop_rate=(
+            float(workload["ack_drop_rate"]) if "ack_drop_rate" in workload else None
+        ),
+        delay_jitter=float(workload["delay_jitter"]),
+        protect=(source,),
+    )
+    return source, plan
 
 
 def _prefixed(row: dict[str, float], prefix: str) -> dict[str, float]:
@@ -160,19 +181,18 @@ def _prefixed(row: dict[str, float], prefix: str) -> dict[str, float]:
 
 def run_fault_bench(
     workload: dict[str, object],
-    modes: Sequence[str] = DEFAULT_MODES,
     *,
     demand_count: int = 32,
     params: Optional[ResilientParams] = None,
 ) -> dict[str, object]:
     """Run the hardened flood/echo, self-healing repair and detour routing once.
 
-    The record mirrors the other bench shapes (``"strategies"`` keyed by
-    engine mode, plus a ``"repair"`` pseudo-strategy holding the replay
-    counters) so :func:`scripts.check_bench_regression.find_regressions`
-    gates all four trajectories with the same code.  The spanner overlay is
-    built once and shared; ``cross_check=True`` means every bench run
-    re-proves repair ≡ rebuild instead of trusting it.
+    The record mirrors the other bench shapes (``"strategies"`` holding the
+    protocol counters under :data:`ENGINE`, plus a ``"repair"``
+    pseudo-strategy holding the replay counters) so
+    :func:`scripts.check_bench_regression.find_regressions` gates all
+    trajectories with the same code.  ``cross_check=True`` means every
+    bench run re-proves repair ≡ rebuild instead of trusting it.
     """
     graph, metric = _build_overlay_instance(_without_faults(workload))
     if metric is not None:
@@ -188,43 +208,19 @@ def run_fault_bench(
     build_seconds = time.perf_counter() - build_start
     overlay = spanner.subgraph
 
-    source = min(overlay.vertices(), key=repr)
-    plan = FaultPlan.sample(
-        overlay,
-        seed=int(workload["fault_seed"]),
-        edge_failure_rate=float(workload["edge_failure_rate"]),
-        failure_band=float(workload["failure_band"]),
-        node_crash_rate=float(workload["node_crash_rate"]),
-        drop_rate=float(workload["drop_rate"]),
-        ack_drop_rate=(
-            float(workload["ack_drop_rate"]) if "ack_drop_rate" in workload else None
-        ),
-        delay_jitter=float(workload["delay_jitter"]),
-        protect=(source,),
-    )
+    source, plan = sample_fault_plan(overlay, workload)
 
-    records: dict[str, dict[str, float]] = {}
-    replays: dict[str, tuple] = {}
-    reports: dict[str, dict[str, float]] = {}
-    for mode in modes:
-        start = time.perf_counter()
-        flood = resilient_flood(overlay, source, plan, params=params, mode=mode)
-        flood_seconds = time.perf_counter() - start
-        echo = resilient_echo(overlay, source, flood, plan, params=params)
-        report = delivery_report(overlay, source, plan, flood)
+    start = time.perf_counter()
+    flood = resilient_flood(overlay, source, plan, params=params)
+    flood_seconds = time.perf_counter() - start
+    echo = resilient_echo(overlay, source, flood, plan, params=params)
+    delivery = delivery_report(overlay, source, plan, flood)
 
-        record: dict[str, float] = {"flood_seconds": flood_seconds}
-        record.update(_prefixed(flood.as_row(), "fault_"))
-        record.update(_prefixed(echo.as_row(), "fault_"))
-        record.update(report)
-        records[mode] = record
-        reports[mode] = report
-        replays[mode] = (
-            tuple(sorted(flood.statistics.as_row().items())),
-            tuple(sorted((repr(v), t) for v, t in flood.delivery_time.items())),
-            tuple(sorted((repr(v), repr(p)) for v, p in flood.parent.items())),
-            tuple(sorted(echo.as_row().items())),
-        )
+    record: dict[str, float] = {"flood_seconds": flood_seconds}
+    record.update(_prefixed(flood.as_row(), "fault_"))
+    record.update(_prefixed(echo.as_row(), "fault_"))
+    record.update(delivery)
+    records: dict[str, dict[str, float]] = {ENGINE: record}
 
     failed = plan.failed_edges()
     start = time.perf_counter()
@@ -233,7 +229,7 @@ def run_fault_bench(
 
     start = time.perf_counter()
     demands = random_demands(overlay, demand_count, seed=int(workload["fault_seed"]))
-    detour = evaluate_detour_routing(overlay, demands, set(failed), mode="indexed")
+    detour = evaluate_detour_routing(overlay, demands, set(failed))
     detour_seconds = time.perf_counter() - start
 
     repair_record: dict[str, float] = {
@@ -244,7 +240,6 @@ def run_fault_bench(
     repair_record.update(detour.as_row())
     records["repair"] = repair_record
 
-    delivery = next(iter(reports.values()))
     result: dict[str, object] = {
         "workload": dict(workload),
         "strategies": records,
@@ -259,11 +254,6 @@ def run_fault_bench(
     }
     if repair.rebuild_settles is not None and repair.repair_settles > 0:
         result["repair_speedup"] = repair.rebuild_settles / repair.repair_settles
-    if len(reports) > 1:
-        reference_replay = next(iter(replays.values()))
-        result["fault_replay_match"] = all(
-            replay == reference_replay for replay in replays.values()
-        )
     return result
 
 
@@ -313,10 +303,8 @@ SPEC = BenchSpec(
         "delivery_complete",
         "repair_matches_rebuild",
         "post_repair_verified",
-        "fault_replay_match",
     ),
     # Losing delivery is a correctness regression at any magnitude.
     floors=("delivery_rate",),
     gate=Gate("gate_repair_speedup", "repair_speedup", "min", 5.0),
-    strategy_names=DEFAULT_MODES,
 )

@@ -5,15 +5,14 @@ deterministic operation counts and the tracemalloc peak-memory high-water
 mark of each construction.  Strategies come in two families:
 
 * the exact greedy's distance-oracle strategies
-  (:mod:`repro.core.distance_oracle` — ``bounded`` / ``bidirectional`` /
-  ``cached``), which are interchangeable by construction, so the bench
-  cross-checks that they produced the *identical* spanner edge set;
-* the Approximate-Greedy rows (``approx-greedy`` = the incremental
-  cluster-graph engine, ``approx-greedy-scratch`` = the same hierarchy
-  recomputed from scratch at every bucket transition), whose spanner differs
-  from the exact greedy's by design but must be *identical between the two
-  engines* — that second cross-check is what certifies the incremental
-  engine.
+  (:mod:`repro.core.distance_oracle` — ``bounded`` / ``cached``), which are
+  interchangeable by construction, so the bench cross-checks that they
+  produced the *identical* spanner edge set;
+* the Approximate-Greedy row (``approx-greedy``, the incremental
+  cluster-graph engine), whose spanner differs from the exact greedy's by
+  design.  Its equality with the replay oracle that recomputes every
+  cluster level from nothing is a tier-1 test on the committed n=400
+  workload (``tests/core/test_approx_greedy_properties.py``).
 
 Euclidean workloads are built as lazy
 :class:`~repro.metric.closure.MetricClosure` views, so the bench scales to
@@ -46,13 +45,10 @@ from repro.metric.closure import MetricClosure
 from repro.metric.euclidean import EuclideanMetric
 from repro.metric.generators import clustered_points, grid_points, uniform_points
 
-DEFAULT_STRATEGIES = ("bounded", "bidirectional", "cached")
+DEFAULT_STRATEGIES = ("bounded", "cached")
 
-#: Approximate-Greedy bench strategies and the cluster engine each one uses.
-APPROX_STRATEGY_MODES = {
-    "approx-greedy": "incremental",
-    "approx-greedy-scratch": "from-scratch",
-}
+#: The Approximate-Greedy bench strategy.
+APPROX_STRATEGY = "approx-greedy"
 
 #: Metadata counters copied verbatim into each strategy record when present.
 _COUNTER_KEYS = (
@@ -201,10 +197,7 @@ def _build_presets() -> dict[str, Preset]:
 
     Exact-oracle rows stop at n=2000 (the wall the exact path cannot cross);
     the approx-greedy rows extend the matrix to n=10⁴–2·10⁴, where only the
-    near-linear cluster-graph path can go.  The n=2000 dual-engine row is
-    the committed evidence for the incremental engine: identical edge sets,
-    and a ≥5x drop in settles per bucket transition versus the from-scratch
-    replay.
+    near-linear cluster-graph path can go.
     """
     rows: tuple[tuple[dict[str, object], tuple[str, ...]], ...] = (
         (euclidean_workload(n=150), DEFAULT_STRATEGIES),
@@ -212,14 +205,8 @@ def _build_presets() -> dict[str, Preset]:
         (euclidean_workload(n=1000), ("cached",)),
         (euclidean_workload(n=2000), ("cached",)),
         (graph_workload(n=120, p=0.15), DEFAULT_STRATEGIES),
-        (
-            euclidean_workload(n=400, stretch=1.5),
-            ("cached", "approx-greedy", "approx-greedy-scratch"),
-        ),
-        (
-            euclidean_workload(n=2000, stretch=1.5),
-            ("approx-greedy", "approx-greedy-scratch"),
-        ),
+        (euclidean_workload(n=400, stretch=1.5), ("cached", "approx-greedy")),
+        (euclidean_workload(n=2000, stretch=1.5), ("approx-greedy",)),
         (euclidean_workload(n=20000, stretch=1.5), ("approx-greedy",)),
         (clustered_workload(n=10000, clusters=50, stretch=1.5), ("approx-greedy",)),
         (grid_workload(side=100, stretch=1.5), ("approx-greedy",)),
@@ -246,8 +233,7 @@ def _run_strategy(
     stretch: float,
 ):
     """Build one spanner with the named strategy; returns ``(spanner, extras)``."""
-    mode = APPROX_STRATEGY_MODES.get(name)
-    if mode is None:
+    if name != APPROX_STRATEGY:
         return greedy_spanner(graph, stretch, oracle=name), {}
     if metric is None:
         raise ValueError(
@@ -260,9 +246,7 @@ def _run_strategy(
         if isinstance(metric, EuclideanMetric) and metric.dimension == 2
         else "net-tree"
     )
-    spanner = approximate_greedy_spanner(
-        metric, epsilon, base=base, cluster_mode=mode
-    )
+    spanner = approximate_greedy_spanner(metric, epsilon, base=base)
     return spanner, {"epsilon": epsilon}
 
 
@@ -274,27 +258,21 @@ def run_oracle_matrix(
 ) -> dict[str, object]:
     """Run one spanner construction per strategy over ``workload``.
 
-    Exact-oracle strategies run the greedy spanner; ``approx-greedy`` /
-    ``approx-greedy-scratch`` run Algorithm Approximate-Greedy with the
-    incremental / from-scratch cluster engine.  Returns one run record:
-    per-strategy seconds, operation counts and (with ``measure_memory``, the
-    default) the tracemalloc peak-memory high-water mark of the
-    construction, the wall-clock speedup and settle reduction relative to
-    the ``"bounded"`` baseline strategy (when benched), and the edge-set
-    cross-check verdicts — ``identical_edge_sets`` within the exact family,
-    ``approx_identical_edge_sets`` within the approx family (only present
-    when an approx strategy ran).  Memory tracing roughly doubles the
-    wall-clock numbers; they remain comparable within one run.
+    Exact-oracle strategies run the greedy spanner; ``approx-greedy`` runs
+    Algorithm Approximate-Greedy.  Returns one run record: per-strategy
+    seconds, operation counts and (with ``measure_memory``, the default) the
+    tracemalloc peak-memory high-water mark of the construction, the
+    wall-clock speedup and settle reduction relative to the ``"bounded"``
+    baseline strategy (when benched), and the edge-set cross-check verdict
+    ``identical_edge_sets`` within the exact family.  Memory tracing roughly
+    doubles the wall-clock numbers; they remain comparable within one run.
     """
     graph, metric = _build_instance(workload)
     stretch = float(workload["stretch"])
 
     records: dict[str, dict[str, float]] = {}
-    exact_reference: Optional[WeightedGraph] = None
-    approx_reference: Optional[WeightedGraph] = None
+    exact_edges: Optional[WeightedGraph] = None
     identical = True
-    approx_identical = True
-    any_approx = False
     for name in strategies:
         start = time.perf_counter()
         if measure_memory:
@@ -314,16 +292,10 @@ def run_oracle_matrix(
         if peak is not None:
             record["peak_memory_bytes"] = float(peak)
         records[name] = record
-        if name in APPROX_STRATEGY_MODES:
-            any_approx = True
-            if approx_reference is None:
-                approx_reference = spanner.subgraph
-            elif not spanner.subgraph.same_edges(approx_reference):
-                approx_identical = False
-        else:
-            if exact_reference is None:
-                exact_reference = spanner.subgraph
-            elif not spanner.subgraph.same_edges(exact_reference):
+        if name != APPROX_STRATEGY:
+            if exact_edges is None:
+                exact_edges = spanner.subgraph
+            elif not spanner.subgraph.same_edges(exact_edges):
                 identical = False
 
     result: dict[str, object] = {
@@ -335,8 +307,6 @@ def run_oracle_matrix(
         # honest when runs with different settings are merged.
         "memory_traced": bool(measure_memory),
     }
-    if any_approx:
-        result["approx_identical_edge_sets"] = approx_identical
     if "bounded" in records:
         base = records["bounded"]
         result["speedup_vs_bounded"] = {
@@ -372,9 +342,9 @@ SPEC = BenchSpec(
         "cluster_transition_settles",
         "cluster_query_settles",
     ),
-    flags=("identical_edge_sets", "approx_identical_edge_sets"),
+    flags=("identical_edge_sets",),
     row_fields=("speedup_vs_bounded",),
-    strategy_names=tuple(sorted(set(ORACLE_FACTORIES) | set(APPROX_STRATEGY_MODES))),
+    strategy_names=tuple(sorted((*ORACLE_FACTORIES, APPROX_STRATEGY))),
     default_strategies=lambda workload: DEFAULT_STRATEGIES,
     run_options=frozenset({"measure_memory"}),
 )

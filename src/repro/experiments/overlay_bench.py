@@ -203,17 +203,15 @@ def run_overlay_bench(
 
         start = time.perf_counter()
         broadcast = broadcast_over_overlay(
-            graph, overlay, source, name=name, mode="indexed",
-            farthest_optimal=farthest_optimal,
+            graph, overlay, source, name=name, farthest_optimal=farthest_optimal,
         )
-        scheme = RoutingScheme(overlay, mode="indexed", destinations=destinations)
+        scheme = RoutingScheme(overlay, destinations=destinations)
         routing = evaluate_routing(
             graph, overlay, demands, name=name, scheme=scheme,
             optimal_distance=optimal_distance,
         )
         synchronizer = synchronizer_cost(
-            overlay, name=name, pulses=pulses, mode="indexed",
-            diameter_method=diameter_method,
+            overlay, name=name, pulses=pulses, diameter_method=diameter_method,
         )
         protocol_seconds = time.perf_counter() - start
 

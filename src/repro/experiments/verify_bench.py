@@ -1,37 +1,33 @@
 """Verification benchmark matrix: the perf trajectory behind ``repro bench verify``.
 
-PRs 1–4 put *construction* on the indexed fast path; this bench measures the
-*quality checks* — exact edge verification and the exact stretch profile —
-end to end on the batch verification engine of
-:mod:`repro.spanners.verification`, against the seed per-pair reference
-implementation where the instance is small enough to afford it.
+The build benches measure *construction*; this bench measures the *quality
+checks* — exact edge verification and the exact stretch profile — end to
+end on the batch verification engine of :mod:`repro.spanners.verification`.
 
 One run takes a workload, builds one spanner with a registry builder
-(:mod:`repro.spanners.registry`), and runs the checkers once per *mode*:
+(:mod:`repro.spanners.registry`), and runs the checkers once on the engine:
+one cutoff-bounded search per distinct edge source, one full indexed SSSP
+per profile source, vectorized ratio reduction, optionally sharded across
+worker processes (``--workers``).
 
-* ``indexed`` — the batch engine: one cutoff-bounded search per distinct
-  edge source, one full indexed SSSP per profile source, vectorized ratio
-  reduction, optionally sharded across worker processes (``--workers``);
-* ``reference`` — the seed per-pair dict Dijkstra loops.
-
-Each mode's record holds wall-clock seconds plus the deterministic
+The record holds wall-clock seconds plus the deterministic
 ``verify_settles`` / ``profile_settles`` operation counts that
 ``scripts/check_bench_regression.py`` diffs against the committed baseline
-in ``benchmarks/BENCH_verify.json`` (machine-independent, noise-free).  When
-both modes run, the run also records the cross-check flags the gate fails
-on: ``verdicts_match`` (edge + sampled verdicts agree) and
-``profiles_match`` (*bit-identical* profile floats).
+in ``benchmarks/BENCH_verify.json`` (machine-independent, noise-free).  The
+engine's agreement with the seed per-pair reference (identical verdicts,
+bit-identical profile floats) is a tier-1 test on the CI rows
+(``tests/experiments/test_verify_bench.py``).
 
-Large rows (``n = 10⁴``) run the indexed mode only: edge verification stays
-exact over every base edge, while the profile sweeps a deterministic
-evenly-strided source shard (``profile_sources``, recorded in the run) — the
-same scale device as the overlay bench's restricted routing destinations.
+Large rows (``n = 10⁴``) keep edge verification exact over every base edge,
+while the profile sweeps a deterministic evenly-strided source shard
+(``profile_sources``, recorded in the run) — the same scale device as the
+overlay bench's restricted routing destinations.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.spanner import Spanner
 from repro.experiments.bench import BenchSpec, Preset, key_parser
@@ -53,7 +49,9 @@ from repro.spanners.verification import (
     verify_spanner_sampled,
 )
 
-DEFAULT_MODES = ("indexed", "reference")
+#: The record keys the engine's counters under this label, as the committed
+#: rows do.
+ENGINE = "indexed"
 
 
 def verify_workload(
@@ -89,32 +87,25 @@ def _build_presets() -> dict[str, Preset]:
     """The named rows of the verification matrix.
 
     ``profile_sources`` rides along as a run option.  The first two rows
-    are CI-sized and run both modes (the cross-check evidence); the scale
-    rows run the indexed mode only — the reference mode's Θ(per-pair) cost is
-    exactly the wall this engine removes — with the profile over an
-    evenly-strided source shard.
+    are CI-sized (a tier-1 test cross-checks them against the seed per-pair
+    reference); the scale rows profile an evenly-strided source shard.
     """
-    rows: tuple[tuple[dict[str, object], tuple[str, ...], Optional[int]], ...] = (
-        (verify_workload(geometric_workload(n=300), "greedy"), DEFAULT_MODES, None),
-        # The metric reference mode pays Θ(n²) per-pair Dijkstras over the
-        # closure (the wall this engine removes), so the dual-mode metric
-        # cross-check row is CI-sized; the larger metric rows run indexed
-        # only.
-        (verify_workload(euclidean_workload(n=150, stretch=1.5), "theta"), DEFAULT_MODES, None),
-        (verify_workload(euclidean_workload(n=2000, stretch=1.5), "theta"), ("indexed",), 256),
+    rows: tuple[tuple[dict[str, object], Optional[int]], ...] = (
+        (verify_workload(geometric_workload(n=300), "greedy"), None),
+        (verify_workload(euclidean_workload(n=150, stretch=1.5), "theta"), None),
+        (verify_workload(euclidean_workload(n=2000, stretch=1.5), "theta"), 256),
         # Baswana–Sen's pinned k=2 yields a 3-spanner, so the scale row
         # verifies against t=3 (the guarantee it actually makes).
         (
             verify_workload(
                 geometric_workload(n=10000, radius=0.025, stretch=3.0), "baswana-sen"
             ),
-            ("indexed",),
             64,
         ),
     )
     return {
-        workload_key(workload): Preset(workload, modes, extra={"profile_sources": sources})
-        for workload, modes, sources in rows
+        workload_key(workload): Preset(workload, extra={"profile_sources": sources})
+        for workload, sources in rows
     }
 
 
@@ -139,20 +130,19 @@ def profile_source_vertices(
 
 def run_verify_bench(
     workload: dict[str, object],
-    modes: Sequence[str] = DEFAULT_MODES,
     *,
     workers: Optional[int] = None,
     profile_sources: Optional[int] = None,
     samples: int = 128,
 ) -> dict[str, object]:
-    """Run edge verification + exact profile once per mode; returns one run record.
+    """Run edge verification + exact profile + sampled check; returns one run record.
 
-    The record mirrors the oracle/overlay bench shape (``"strategies"`` keyed
-    by mode) so :func:`scripts.check_bench_regression.find_regressions` gates
-    all three trajectories with the same code.  The spanner is built once and
-    shared by all modes; the indexed mode also reuses one
-    :class:`VerificationEngine` across its checks, which is the engine's
-    intended amortization (translate once, verify many).
+    The record mirrors the oracle/overlay bench shape (``"strategies"``
+    holding the engine's counters under :data:`ENGINE`) so
+    :func:`scripts.check_bench_regression.find_regressions` gates all
+    trajectories with the same code.  The checks share one
+    :class:`VerificationEngine`, which is the engine's intended amortization
+    (translate once, verify many).
     """
     graph, metric = _build_instance(workload)
     stretch = float(workload["stretch"])
@@ -166,59 +156,40 @@ def run_verify_bench(
     build_seconds = time.perf_counter() - build_start
 
     sources = profile_source_vertices(spanner.base, profile_sources)
+    engine = VerificationEngine(spanner.base, spanner.subgraph)
 
-    records: dict[str, dict[str, float]] = {}
-    verdicts: dict[str, tuple[bool, bool]] = {}
-    profiles: dict[str, tuple[float, ...]] = {}
-    for mode in modes:
-        engine = (
-            VerificationEngine(spanner.base, spanner.subgraph) if mode == "indexed" else None
-        )
-        mode_workers = workers if mode == "indexed" else None
+    start = time.perf_counter()
+    verification = verify_spanner_edges_detailed(
+        spanner.subgraph, spanner.base, stretch, workers=workers, engine=engine
+    )
+    verify_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        verification = verify_spanner_edges_detailed(
-            spanner.subgraph, spanner.base, stretch, mode=mode,
-            workers=mode_workers, engine=engine,
-        )
-        verify_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    profile, profile_stats = stretch_profile_detailed(
+        spanner, exact=True, workers=workers, sources=sources, engine=engine
+    )
+    profile_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        profile, profile_stats = stretch_profile_detailed(
-            spanner, exact=True, mode=mode, workers=mode_workers,
-            sources=sources, engine=engine,
-        )
-        profile_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    sampled_ok = verify_spanner_sampled(
+        spanner, samples=samples, seed=int(workload.get("seed", 7)), engine=engine
+    )
+    sampled_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        sampled_ok = verify_spanner_sampled(
-            spanner, samples=samples, seed=int(workload.get("seed", 7)),
-            mode=mode, engine=engine,
-        )
-        sampled_seconds = time.perf_counter() - start
+    record: dict[str, float] = {
+        "verify_seconds": verify_seconds,
+        "profile_seconds": profile_seconds,
+        "sampled_seconds": sampled_seconds,
+        "verify_ok": float(verification.ok),
+        "sampled_ok": float(sampled_ok),
+    }
+    record.update(verification.counters())
+    record.update(profile_stats.counters())
+    record.update(profile.as_row())
 
-        record: dict[str, float] = {
-            "verify_seconds": verify_seconds,
-            "profile_seconds": profile_seconds,
-            "sampled_seconds": sampled_seconds,
-            "verify_ok": float(verification.ok),
-            "sampled_ok": float(sampled_ok),
-        }
-        record.update(verification.counters())
-        record.update(profile_stats.counters())
-        record.update(profile.as_row())
-        records[mode] = record
-        verdicts[mode] = (verification.ok, sampled_ok)
-        profiles[mode] = (
-            float(profile.pairs_checked),
-            profile.max_stretch,
-            profile.mean_stretch,
-            profile.fraction_at_stretch_one,
-        )
-
-    result: dict[str, object] = {
+    return {
         "workload": dict(workload),
-        "strategies": records,
+        "strategies": {ENGINE: record},
         "n": graph.number_of_vertices,
         "build_seconds": build_seconds,
         "spanner_edges": float(spanner.number_of_edges),
@@ -227,23 +198,6 @@ def run_verify_bench(
             graph.number_of_vertices
         ),
     }
-    if len(records) > 1:
-        reference_verdict = next(iter(verdicts.values()))
-        reference_profile = next(iter(profiles.values()))
-        # Bit-identical float comparison is intentional: the two engines are
-        # proven (and property-tested) to produce the same IEEE doubles.
-        result["verdicts_match"] = all(v == reference_verdict for v in verdicts.values())
-        result["profiles_match"] = all(p == reference_profile for p in profiles.values())
-    if "indexed" in records and "reference" in records:
-        reference_total = (
-            records["reference"]["verify_seconds"] + records["reference"]["profile_seconds"]
-        )
-        indexed_total = (
-            records["indexed"]["verify_seconds"] + records["indexed"]["profile_seconds"]
-        )
-        if indexed_total > 0:
-            result["speedup_vs_reference"] = reference_total / indexed_total
-    return result
 
 
 SPEC = BenchSpec(
@@ -265,7 +219,5 @@ SPEC = BenchSpec(
     ),
     presets=_build_presets(),
     counters=("verify_settles", "profile_settles"),
-    flags=("verdicts_match", "profiles_match"),
-    strategy_names=DEFAULT_MODES,
     run_options=frozenset({"workers"}),
 )

@@ -19,10 +19,9 @@ representation optimised for exactly that access pattern:
 
 The indexed search routines that run on this structure live in
 :mod:`repro.graph.shortest_paths` (``indexed_dijkstra_with_cutoff``,
-``indexed_bidirectional_cutoff``, ``indexed_ball``); the distance-oracle
-strategies ``"bidirectional"`` and ``"cached"`` of
-:mod:`repro.core.distance_oracle` and the cluster graphs of
-:mod:`repro.core.cluster_graph` are their consumers.  See
+``indexed_bidirectional_cutoff``, ``indexed_ball``); the ``"cached"``
+distance oracle of :mod:`repro.core.distance_oracle`, the band builder and
+the cluster graphs of :mod:`repro.core.cluster_graph` are their consumers.  See
 ``docs/PERFORMANCE.md`` for measurements.
 """
 

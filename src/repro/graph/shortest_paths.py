@@ -18,13 +18,14 @@ compares it to ``t * w(u, v)``.  This module provides the distance machinery:
 
 The ``indexed_*`` variants run on the dense-integer
 :class:`~repro.graph.indexed_graph.IndexedGraph` representation and are the
-hot-path versions used by the ``"bidirectional"`` / ``"cached"`` distance
-oracles and the cluster graphs (see ``docs/PERFORMANCE.md``):
+hot-path versions used by the ``"cached"`` distance oracle, the band
+builder and the cluster graphs (see ``docs/PERFORMANCE.md``):
 
 * :func:`indexed_dijkstra_with_cutoff` — bounded single-pair search
   (cluster-graph queries),
 * :func:`indexed_bidirectional_cutoff` — meet-in-the-middle bounded search:
-  two half-radius balls instead of one full-radius ball,
+  two half-radius balls instead of one full-radius ball (the band
+  builder's replay),
 * :func:`indexed_ball` — all vertices within a radius (cluster construction,
   the caching oracle's batch-harvest of certified upper bounds, and the batch
   verification engine's per-source grouped edge checks),

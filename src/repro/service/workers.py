@@ -13,9 +13,10 @@ One :class:`ServiceWorker` drains the durable queue:
 3. **Build under the budget** with the degradation chain
    (:func:`repro.service.degrade.run_with_degradation`).
 4. **Verify before commit**: the built spanner's edge-stretch guarantee is
-   re-checked through the PR-5 :class:`VerificationEngine` path whenever the
-   serving tier carries a finite guarantee; the verdict is stored in the
-   artifact and the job result.
+   re-checked through the :class:`VerificationEngine` path whenever the
+   serving tier carries a finite guarantee.  A spanner that fails the
+   check raises :class:`~repro.errors.UnverifiedArtifactError` before the
+   put, so it fails the job and is never cached or served.
 5. **Commit**: artifact put (payload then manifest, both atomic), then the
    job transitions to ``done``.  Any exception is captured as a traceback
    on the job record (retry → quarantine per the queue's attempt law).
@@ -33,7 +34,7 @@ import traceback
 from typing import Callable, Optional
 
 from repro.core.spanner import Spanner
-from repro.errors import ArtifactIntegrityError
+from repro.errors import ArtifactIntegrityError, UnverifiedArtifactError
 from repro.service.cache import ArtifactCache, artifact_key, canonical_request
 from repro.service.degrade import DEFAULT_CHAIN, check_request, run_with_degradation
 from repro.service.queue import Job, JobQueue
@@ -195,6 +196,10 @@ class ServiceWorker:
             verified = bool(
                 verify_spanner_edges(spanner.subgraph, spanner.base, spanner.stretch)
             )
+            if not verified:
+                # Before the put: a spanner that breaks its guarantee is
+                # never cached, so it can never be served.
+                raise UnverifiedArtifactError(key, outcome.tier)
         measured = None
         if spec.get("measure_stretch"):
             measured = spanner.statistics(measure_stretch=True).measured_stretch

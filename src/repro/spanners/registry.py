@@ -219,7 +219,6 @@ def _build_approx_greedy(
     *,
     epsilon: Optional[float] = None,
     base: Optional[str] = None,
-    cluster_mode: str = "incremental",
 ) -> Spanner:
     from repro.core.approximate_greedy import approximate_greedy_spanner
 
@@ -232,7 +231,7 @@ def _build_approx_greedy(
             if isinstance(metric, EuclideanMetric) and metric.dimension == 2
             else "net-tree"
         )
-    return approximate_greedy_spanner(metric, epsilon, base=base, cluster_mode=cluster_mode)
+    return approximate_greedy_spanner(metric, epsilon, base=base)
 
 
 def _build_theta(workload: Workload, stretch: float, *, cones: Optional[int] = None) -> Spanner:

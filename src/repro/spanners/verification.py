@@ -6,31 +6,28 @@ implements exactly that check, :func:`verify_spanner_sampled` spot-checks
 random vertex pairs, and :func:`stretch_profile` returns the distribution of
 per-pair stretches used by the comparison experiments.
 
-Every checker runs in one of two modes:
+Every checker runs on one batch engine.  Base and subgraph are translated
+**once** to :class:`~repro.graph.indexed_graph.IndexedGraph` over a shared
+id map (ids assigned in ``base.vertices()`` order).  Edge verification
+groups the base edges by their smaller endpoint id and runs *one*
+cutoff-bounded Dijkstra per distinct source (cutoff ``t`` times the heaviest
+grouped edge) instead of one per-pair search per edge; the exact stretch
+profile runs one full indexed SSSP per source and reduces the per-target
+ratio rows with vectorized numpy arithmetic.  For lazy complete-graph bases
+(:class:`~repro.metric.closure.MetricClosure`) the base distance rows come
+straight from the metric — vectorized for Euclidean point sets — so no
+search ever touches the Θ(n²) closure.
 
-* ``mode="indexed"`` (the default) — the batch engine.  Base and subgraph
-  are translated **once** to :class:`~repro.graph.indexed_graph.IndexedGraph`
-  over a shared id map (ids assigned in ``base.vertices()`` order).  Edge
-  verification groups the base edges by their smaller endpoint id and runs
-  *one* cutoff-bounded Dijkstra per distinct source (cutoff ``t`` times the
-  heaviest grouped edge) instead of one per-pair search per edge; the exact
-  stretch profile runs one full indexed SSSP per source and reduces the
-  per-target ratio rows with vectorized numpy arithmetic.  For lazy
-  complete-graph bases (:class:`~repro.metric.closure.MetricClosure`) the
-  base distance rows come straight from the metric — vectorized for
-  Euclidean point sets — so no search ever touches the Θ(n²) closure.
-* ``mode="reference"`` — the seed per-pair implementation: one dict-based
-  Dijkstra per base edge / per profile source, kept as the oracle the
-  property tests compare the engine against.
-
-The two modes agree *bit for bit*: Dijkstra's settled distances are the
-minimum over identical left-associated path sums whatever the relaxation
-order, ratios divide the same floats, and the profile reduction is defined
-order-independently (per-source ``math.fsum`` rows folded by an outer
-``fsum``), so verdicts, profiles and pair counts are hypothesis-tested for
-exact equality.  Both modes dedupe pairs by shared-id order — which also
-fixes the seed bug where only integer vertices were deduped and e.g.
-string-labelled graphs counted every pair twice.
+The engine agrees *bit for bit* with the seed per-pair implementation (one
+dict-based Dijkstra per base edge / per profile source), which lives on as
+the reference oracle in ``tests/oracles/verification.py``: Dijkstra's
+settled distances are the minimum over identical left-associated path sums
+whatever the relaxation order, ratios divide the same floats, and the
+profile reduction is defined order-independently (per-source ``math.fsum``
+rows folded by an outer ``fsum``), so verdicts, profiles and pair counts
+are hypothesis-tested for exact equality.  Pairs are deduped by shared-id
+order — which also fixes the seed bug where only integer vertices were
+deduped and e.g. string-labelled graphs counted every pair twice.
 
 ``workers=N`` shards the per-source loops across forked worker processes via
 :func:`repro.experiments.harness.run_sharded`; shard order is preserved and
@@ -51,21 +48,8 @@ import numpy as np
 
 from repro.core.spanner import Spanner
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import (
-    dijkstra,
-    indexed_ball,
-    indexed_sssp,
-    pair_distance,
-)
+from repro.graph.shortest_paths import indexed_ball, indexed_sssp
 from repro.graph.weighted_graph import Vertex, WeightedGraph
-
-_MODES = ("indexed", "reference")
-
-
-def check_mode(mode: str) -> None:
-    """Reject unknown engine modes (shared by every mode-switched checker)."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +185,7 @@ class StretchProfile:
     ``mean_stretch`` is defined as ``fsum(per-source row sums) / pairs`` with
     each row itself an ``fsum`` over that source's ratios in shared-id
     order — correctly-rounded partial sums, so the value is independent of
-    evaluation order (mode, worker count) and bit-comparable across engines.
+    evaluation order (worker count) and bit-comparable with the reference.
     """
 
     pairs_checked: int
@@ -342,7 +326,6 @@ def verify_spanner_edges(
     t: float,
     *,
     tolerance: float = 1e-9,
-    mode: str = "indexed",
     workers: Optional[int] = None,
     engine: Optional[VerificationEngine] = None,
 ) -> bool:
@@ -352,7 +335,6 @@ def verify_spanner_edges(
         base,
         t,
         tolerance=tolerance,
-        mode=mode,
         workers=workers,
         engine=engine,
     ).ok
@@ -364,36 +346,13 @@ def verify_spanner_edges_detailed(
     t: float,
     *,
     tolerance: float = 1e-9,
-    mode: str = "indexed",
     workers: Optional[int] = None,
     engine: Optional[VerificationEngine] = None,
 ) -> EdgeVerification:
     """Edge verification with the operation counts the bench trajectory records."""
-    check_mode(mode)
-    if mode == "reference":
-        return _verify_edges_reference(subgraph, base, t, tolerance)
     if engine is None:
         engine = VerificationEngine(base, subgraph)
     return _verify_edges_indexed(engine, t, tolerance, workers)
-
-
-def _verify_edges_reference(
-    subgraph: WeightedGraph, base: WeightedGraph, t: float, tolerance: float
-) -> EdgeVerification:
-    """The seed check: one early-stopping dict Dijkstra per base edge."""
-    settles = 0
-    edges_checked = 0
-    sources: set[Vertex] = set()
-    ok = True
-    for u, v, weight in base.edges():
-        distances, _ = dijkstra(subgraph, u, targets=[v])
-        settles += len(distances)
-        edges_checked += 1
-        sources.add(u)
-        if distances.get(v, math.inf) > t * weight * (1.0 + tolerance):
-            ok = False
-            break
-    return EdgeVerification(ok=ok, edges_checked=edges_checked, sources=len(sources), settles=settles)
 
 
 def _verify_edges_indexed(
@@ -469,7 +428,7 @@ def _sampled_pair_distances(
 ) -> tuple[list[tuple[float, float]], int, int]:
     """Resolve sampled pairs to ``(base_distance, sub_distance)`` tuples.
 
-    The indexed sampled checks share this loop: one cached row per distinct
+    The sampled checks share this loop: one cached row per distinct
     sampled source (base rows free on metric bases), pairs with zero or
     infinite base distance skipped.  Returns ``(distances, distinct_sources,
     settles)``.
@@ -504,39 +463,20 @@ def verify_spanner_sampled(
     samples: int = 200,
     seed: Optional[int] = None,
     tolerance: float = 1e-9,
-    mode: str = "indexed",
     engine: Optional[VerificationEngine] = None,
 ) -> bool:
     """Spot-check the stretch guarantee on ``samples`` random vertex pairs.
 
-    Both modes draw the identical seeded pair sequence.  The indexed mode
-    caches one full subgraph SSSP row per distinct sampled source, so
-    repeated sources (and metric bases, whose base distance is the direct
-    edge) cost no extra search; the reference mode is the seed per-pair
-    dict Dijkstra, except that lazy closure bases read the base distance
-    from the metric (searching the Θ(n²) closure per pair is the slow path
-    this engine exists to remove).
+    The engine caches one full subgraph SSSP row per distinct sampled
+    source, so repeated sources (and metric bases, whose base distance is
+    the direct edge) cost no extra search.
     """
-    check_mode(mode)
     rng = random.Random(seed)
     vertices = list(spanner.base.vertices())
     if len(vertices) < 2:
         return True
     pairs = [tuple(rng.sample(vertices, 2)) for _ in range(samples)]
     threshold = spanner.stretch * (1.0 + tolerance)
-
-    if mode == "reference":
-        metric = getattr(spanner.base, "metric", None)
-        for u, v in pairs:
-            if metric is not None:
-                base_distance = spanner.base.weight(u, v)
-            else:
-                base_distance = pair_distance(spanner.base, u, v)
-            if base_distance == 0.0 or math.isinf(base_distance):
-                continue
-            if pair_distance(spanner.subgraph, u, v) > threshold * base_distance:
-                return False
-        return True
 
     if engine is None:
         engine = VerificationEngine(spanner.base, spanner.subgraph)
@@ -556,7 +496,6 @@ def stretch_profile(
     exact: bool = True,
     samples: int = 500,
     seed: Optional[int] = None,
-    mode: str = "indexed",
     workers: Optional[int] = None,
     sources: Optional[Sequence[Vertex]] = None,
     engine: Optional[VerificationEngine] = None,
@@ -575,7 +514,6 @@ def stretch_profile(
         exact=exact,
         samples=samples,
         seed=seed,
-        mode=mode,
         workers=workers,
         sources=sources,
         engine=engine,
@@ -589,17 +527,13 @@ def stretch_profile_detailed(
     exact: bool = True,
     samples: int = 500,
     seed: Optional[int] = None,
-    mode: str = "indexed",
     workers: Optional[int] = None,
     sources: Optional[Sequence[Vertex]] = None,
     engine: Optional[VerificationEngine] = None,
 ) -> tuple[StretchProfile, ProfileStats]:
     """:func:`stretch_profile` plus the engine's operation counts."""
-    check_mode(mode)
     if not exact:
-        return _profile_sampled(spanner, samples, seed, mode, engine)
-    if mode == "reference":
-        return _profile_exact_reference(spanner, sources)
+        return _profile_sampled(spanner, samples, seed, engine)
     if engine is None:
         engine = VerificationEngine(spanner.base, spanner.subgraph)
     if sources is None:
@@ -628,76 +562,15 @@ def stretch_profile_detailed(
     return _reduce_profile(rows), ProfileStats(sources=len(source_ids), settles=settles)
 
 
-def _profile_exact_reference(
-    spanner: Spanner, sources: Optional[Sequence[Vertex]]
-) -> tuple[StretchProfile, ProfileStats]:
-    """The seed exact profile: one dict Dijkstra pair per source.
-
-    Pairs are deduped by shared-id order for *all* vertex types (the seed
-    only deduped integer vertices, double-counting e.g. string-labelled
-    pairs), and targets are enumerated in id order so the per-source rows
-    line up with the indexed engine's bit for bit.
-    """
-    vertices = list(spanner.base.vertices())
-    id_of = {vertex: vid for vid, vertex in enumerate(vertices)}
-    metric = getattr(spanner.base, "metric", None)
-    chosen = vertices if sources is None else list(sources)
-    rows: list[_ProfileRow] = []
-    settles = 0
-    for source in chosen:
-        source_id = id_of[source]
-        if metric is None:
-            base_distances, _ = dijkstra(spanner.base, source)
-            settles += len(base_distances)
-        else:
-            base_distances = None
-        spanner_distances, _ = dijkstra(spanner.subgraph, source)
-        settles += len(spanner_distances)
-        ratios: list[float] = []
-        at_one = 0
-        for target in vertices[source_id + 1 :]:
-            if base_distances is None:
-                original = metric.distance(source, target)
-            else:
-                original = base_distances.get(target, math.inf)
-            if original == 0.0 or math.isinf(original):
-                continue
-            ratio = spanner_distances.get(target, math.inf) / original
-            ratios.append(ratio)
-            if ratio <= 1.0 + 1e-9:
-                at_one += 1
-        if ratios:
-            rows.append((len(ratios), math.fsum(ratios), max(ratios), at_one))
-        else:
-            rows.append((0, 0.0, -math.inf, 0))
-    return _reduce_profile(rows), ProfileStats(sources=len(chosen), settles=settles)
-
-
 def _profile_sampled(
     spanner: Spanner,
     samples: int,
     seed: Optional[int],
-    mode: str,
     engine: Optional[VerificationEngine],
 ) -> tuple[StretchProfile, ProfileStats]:
-    """Sampled profile; the indexed mode caches one SSSP row per sampled source."""
+    """Sampled profile; the engine caches one SSSP row per sampled source."""
     rng = random.Random(seed)
     vertices = list(spanner.base.vertices())
-    stretches: list[float] = []
-    settles = 0
-    if mode == "reference":
-        metric = getattr(spanner.base, "metric", None)
-        for _ in range(samples):
-            u, v = rng.sample(vertices, 2)
-            if metric is not None:
-                original = spanner.base.weight(u, v)
-            else:
-                original = pair_distance(spanner.base, u, v)
-            if original == 0.0 or math.isinf(original):
-                continue
-            stretches.append(pair_distance(spanner.subgraph, u, v) / original)
-        return _profile_from_samples(stretches), ProfileStats(sources=samples, settles=0)
-
     if engine is None:
         engine = VerificationEngine(spanner.base, spanner.subgraph)
     pairs = [tuple(rng.sample(vertices, 2)) for _ in range(samples)]

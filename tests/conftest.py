@@ -7,7 +7,14 @@ suite runs in well under a minute; the larger workloads live in
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The seed engines the equivalence tests compare against live in
+# tests/oracles/ and are imported as ``oracles.<layer>``.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.graph.generators import (
     grid_graph,

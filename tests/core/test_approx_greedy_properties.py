@@ -8,11 +8,13 @@ Three claims are driven over random inputs:
   transitions (``bucket_ratio=2``) and through *empty* buckets (exponential
   line points make the geometric weight partition skip indices, so the
   radius jumps across several bucket boundaries at one transition);
-* **engine equivalence** — the incremental merge engine and the from-scratch
-  replay engine compute the *identical* cluster hierarchy (same centres,
-  assignments, offsets, bounds), hence the identical spanner edge set; every
-  incremental merge is additionally self-checked against the per-centre-ball
-  reference via ``verify_cluster_transitions``;
+* **engine equivalence** — the incremental merge engine and the replay
+  oracle (``tests/oracles/cluster.py``, every level recomputed from nothing)
+  compute the *identical* cluster hierarchy (same centres, assignments,
+  offsets, bounds), hence the identical spanner edge set — on random inputs
+  and on the committed ``BENCH_oracles.json`` workload; every incremental
+  merge is additionally self-checked against the per-centre-ball reference
+  via ``verify_cluster_transitions``;
 * **sweep equivalence** — the batched multi-source clustering sweep equals
   the sequential per-centre-ball construction exactly (this is the kernel
   both engines and both claims above stand on).
@@ -25,7 +27,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.cluster import ReplayClusterGraph
 
+import repro.core.approximate_greedy
 from repro.core.approximate_greedy import approximate_greedy_spanner
 from repro.core.cluster_graph import ClusterGraph, _cluster_by_balls
 from repro.graph.generators import random_connected_graph
@@ -54,6 +58,13 @@ def _max_stretch(spanner) -> float:
     return spanner.max_stretch_over_edges()
 
 
+def _replayed(*args, **kwargs):
+    """Approximate-Greedy with the replay oracle as its cluster engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
+        return approximate_greedy_spanner(*args, **kwargs)
+
+
 @settings(max_examples=25, deadline=None)
 @given(metric=euclidean_metrics, epsilon=epsilons)
 def test_stretch_within_target_on_random_euclidean(metric, epsilon):
@@ -76,12 +87,8 @@ def test_stretch_within_target_on_random_doubling(seed, epsilon):
 @settings(max_examples=25, deadline=None)
 @given(metric=euclidean_metrics, epsilon=epsilons)
 def test_incremental_equals_from_scratch_spanner(metric, epsilon):
-    incremental = approximate_greedy_spanner(
-        metric, epsilon, bucket_ratio=2.0, cluster_mode="incremental"
-    )
-    scratch = approximate_greedy_spanner(
-        metric, epsilon, bucket_ratio=2.0, cluster_mode="from-scratch"
-    )
+    incremental = approximate_greedy_spanner(metric, epsilon, bucket_ratio=2.0)
+    scratch = _replayed(metric, epsilon, bucket_ratio=2.0)
     assert incremental.subgraph.same_edges(scratch.subgraph)
     # The two engines also do the same *query* work, because the cluster
     # structures they serve queries from are identical.
@@ -100,9 +107,7 @@ class TestForcedBucketShapes:
         incremental = approximate_greedy_spanner(
             metric, 0.5, bucket_ratio=2.0, verify_cluster_transitions=True
         )
-        scratch = approximate_greedy_spanner(
-            metric, 0.5, bucket_ratio=2.0, cluster_mode="from-scratch"
-        )
+        scratch = _replayed(metric, 0.5, bucket_ratio=2.0)
         assert incremental.metadata["buckets"] >= 2
         assert incremental.is_valid()
         assert incremental.subgraph.same_edges(scratch.subgraph)
@@ -133,12 +138,10 @@ def test_sweep_equals_per_centre_balls(seed, radius):
 
 
 class TestClusterGraphEngineEquivalence:
-    def _drive(self, mode: str, seed: int) -> ClusterGraph:
-        """Drive one ClusterGraph through a transition/notify op sequence."""
+    def _drive(self, engine: type[ClusterGraph], seed: int) -> ClusterGraph:
+        """Drive one cluster engine through a transition/notify op sequence."""
         graph = random_connected_graph(30, 0.12, seed=seed)
-        clusters = ClusterGraph(
-            graph, 0.5, mode=mode, verify_transitions=(mode == "incremental")
-        )
+        clusters = engine(graph, 0.5, verify_transitions=(engine is ClusterGraph))
         rng = np.random.default_rng(seed)
         vertices = list(graph.vertices())
         radius = 0.5
@@ -156,8 +159,8 @@ class TestClusterGraphEngineEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 17, 91])
     def test_identical_hierarchy_state(self, seed):
-        incremental = self._drive("incremental", seed)
-        scratch = self._drive("from-scratch", seed)
+        incremental = self._drive(ClusterGraph, seed)
+        scratch = self._drive(ReplayClusterGraph, seed)
         assert incremental._centres == scratch._centres
         assert incremental._centre_vid == scratch._centre_vid
         assert incremental._offset == scratch._offset
@@ -167,11 +170,33 @@ class TestClusterGraphEngineEquivalence:
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_identical_queries(self, seed):
-        incremental = self._drive("incremental", seed)
-        scratch = self._drive("from-scratch", seed)
+        incremental = self._drive(ClusterGraph, seed)
+        scratch = self._drive(ReplayClusterGraph, seed)
         vertices = list(incremental.spanner.vertices())
         for u in vertices[:6]:
             for v in vertices[-6:]:
                 assert incremental.approximate_distance(
                     u, v, math.inf
                 ) == scratch.approximate_distance(u, v, math.inf)
+
+
+def test_committed_oracle_workload_matches_the_replay_oracle():
+    """The ``approx-greedy`` row of ``uniform-euclidean-n400-d2-seed7-t1.5``
+    (a ``BENCH_oracles.json`` workload the CI re-emits): the incremental
+    engine and the replay oracle build the same edge set and do the same
+    query work."""
+    from repro.experiments.oracle_bench import SPEC, _build_instance, _run_strategy
+
+    workload = SPEC.presets["uniform-euclidean-n400-d2-seed7-t1.5"].workload
+    graph, metric = _build_instance(workload)
+    stretch = float(workload["stretch"])
+    incremental, _ = _run_strategy("approx-greedy", graph, metric, stretch)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
+        replayed, _ = _run_strategy("approx-greedy", graph, metric, stretch)
+    assert incremental.number_of_edges == 841
+    assert incremental.subgraph.same_edges(replayed.subgraph)
+    assert (
+        incremental.metadata["cluster_query_settles"]
+        == replayed.metadata["cluster_query_settles"]
+    )

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from oracles.cluster import ReplayClusterGraph
 
+import repro.core.approximate_greedy
 from repro.core.approximate_greedy import (
     approximate_greedy_spanner,
     derive_parameters,
@@ -58,8 +60,7 @@ class TestNetTreeBase:
         assert metadata["edges_added_by_simulation"] <= metadata["heavy_edges"]
         assert metadata["buckets"] >= 1
         # Every bucket is served by exactly one cluster refresh: the initial
-        # build plus, per transition, a merge (incremental), a rebuild
-        # (from-scratch) or a recorded skip.
+        # build plus, per transition, a merge or a recorded skip.
         refreshes = (
             metadata["cluster_rebuilds"]
             + metadata["cluster_merges"]
@@ -78,10 +79,11 @@ class TestNetTreeBase:
                 == metadata["buckets"] - 1
             )
 
-    def test_from_scratch_mode_rebuilds_each_bucket(self, small_points):
-        spanner = approximate_greedy_spanner(
-            small_points, 0.5, bucket_ratio=2.0, cluster_mode="from-scratch"
-        )
+    def test_from_scratch_mode_rebuilds_each_bucket(self, small_points, monkeypatch):
+        """The replay oracle recomputes every level: no merges, one rebuild
+        (or recorded skip) per bucket."""
+        monkeypatch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
+        spanner = approximate_greedy_spanner(small_points, 0.5, bucket_ratio=2.0)
         metadata = spanner.metadata
         assert spanner.is_valid()
         assert metadata["cluster_merges"] == 0.0
@@ -90,19 +92,17 @@ class TestNetTreeBase:
             == metadata["buckets"]
         )
 
-    def test_unknown_cluster_mode_rejected(self, small_points):
-        with pytest.raises(ValueError):
-            approximate_greedy_spanner(small_points, 0.5, cluster_mode="mystery")
-
-    def test_modes_produce_identical_edge_sets(self, small_points, clustered_metric):
+    def test_modes_produce_identical_edge_sets(
+        self, small_points, clustered_metric, monkeypatch
+    ):
         for metric in (small_points, clustered_metric):
             incremental = approximate_greedy_spanner(
                 metric, 0.5, bucket_ratio=2.0, verify_cluster_transitions=True
             )
-            scratch = approximate_greedy_spanner(
-                metric, 0.5, bucket_ratio=2.0, cluster_mode="from-scratch"
-            )
-            assert incremental.subgraph.same_edges(scratch.subgraph)
+            with monkeypatch.context() as patch:
+                patch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
+                replayed = approximate_greedy_spanner(metric, 0.5, bucket_ratio=2.0)
+            assert incremental.subgraph.same_edges(replayed.subgraph)
 
     def test_works_on_line_metric(self):
         metric = line_points(30, spacing=1.0)

@@ -136,21 +136,15 @@ class TestRebuildSkipping:
         assert clusters.rebuild_count == 2
 
     def test_incremental_transition_to_same_radius_is_skipped(self, partial_spanner):
-        clusters = ClusterGraph(partial_spanner, radius=2.0, mode="incremental")
+        clusters = ClusterGraph(partial_spanner, radius=2.0)
         clusters.transition(2.0)
         assert clusters.skipped_transitions == 1
         assert clusters.merge_count == 0
 
 
 class TestIncrementalMode:
-    def test_unknown_mode_rejected(self, partial_spanner):
-        with pytest.raises(ValueError):
-            ClusterGraph(partial_spanner, radius=1.0, mode="mystery")
-
     def test_merge_coarsens_and_keeps_invariant(self, partial_spanner):
-        clusters = ClusterGraph(
-            partial_spanner, radius=1.0, mode="incremental", verify_transitions=True
-        )
+        clusters = ClusterGraph(partial_spanner, radius=1.0, verify_transitions=True)
         before = clusters.number_of_clusters
         clusters.transition(4.0)
         assert clusters.merge_count == 1
@@ -166,7 +160,7 @@ class TestIncrementalMode:
         assert clusters.check_never_underestimates(pairs)
 
     def test_shrinking_radius_falls_back_to_rebuild(self, partial_spanner):
-        clusters = ClusterGraph(partial_spanner, radius=4.0, mode="incremental")
+        clusters = ClusterGraph(partial_spanner, radius=4.0)
         clusters.transition(1.0)
         assert clusters.merge_count == 0
         assert clusters.rebuild_count == 2
@@ -174,9 +168,7 @@ class TestIncrementalMode:
 
     def test_never_underestimates_after_merges_and_notifies(self):
         graph = grid_graph(7, 7)
-        clusters = ClusterGraph(
-            graph, radius=0.5, mode="incremental", verify_transitions=True
-        )
+        clusters = ClusterGraph(graph, radius=0.5, verify_transitions=True)
         graph.add_edge((0, 0), (6, 6), 3.0)
         clusters.notify_edge_added((0, 0), (6, 6), 3.0)
         clusters.transition(1.5)

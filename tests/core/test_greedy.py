@@ -12,7 +12,7 @@ from repro.core.greedy import (
     greedy_spanner_of_metric,
     rerun_greedy_on_spanner,
 )
-from repro.errors import InvalidStretchError
+from repro.errors import InvalidStretchError, UnknownOracleError
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -127,12 +127,15 @@ class TestInstrumentation:
 
     def test_oracle_choice_does_not_change_result(self, small_random_graph):
         bounded = greedy_spanner(small_random_graph, 2.5, oracle="bounded")
-        full = greedy_spanner(small_random_graph, 2.5, oracle="full")
-        assert bounded.subgraph.same_edges(full.subgraph)
+        cached = greedy_spanner(small_random_graph, 2.5, oracle="cached")
+        assert bounded.subgraph.same_edges(cached.subgraph)
 
     def test_unknown_oracle_rejected(self, small_random_graph):
         with pytest.raises(ValueError):
             greedy_spanner(small_random_graph, 2.0, oracle="magic")
+        # The deleted meet-in-the-middle oracle is an unknown name too.
+        with pytest.raises(UnknownOracleError):
+            greedy_spanner(small_random_graph, 2.0, oracle="bidirectional")
 
     def test_progress_callback_called_per_edge(self, small_random_graph):
         calls: list[tuple[int, int]] = []

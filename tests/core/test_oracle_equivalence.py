@@ -15,18 +15,14 @@ import math
 
 import pytest
 
-from repro.core.distance_oracle import (
-    BidirectionalDijkstraOracle,
-    CachedDijkstraOracle,
-    ORACLE_FACTORIES,
-)
+from repro.core.distance_oracle import CachedDijkstraOracle, ORACLE_FACTORIES
 from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.graph.generators import random_connected_graph
 from repro.graph.shortest_paths import pair_distance
 from repro.metric.generators import uniform_points
 
 ALL_STRATEGIES = tuple(ORACLE_FACTORIES)
-FAST_STRATEGIES = ("bidirectional", "cached")
+FAST_STRATEGIES = ("cached",)
 
 
 class TestIdenticalSpanners:
@@ -56,10 +52,9 @@ class TestIdenticalSpanners:
             assert spanner.subgraph.same_edges(reference.subgraph), name
 
     def test_exact_cutoff_boundary(self):
-        """Decimal weights hitting δ_H(u, v) == t·w(u, v) exactly: the
-        bidirectional oracle's meeting sum associates floats differently than
-        forward Dijkstra, which once flipped this verdict (regression test for
-        the boundary-band fallback)."""
+        """Decimal weights hitting δ_H(u, v) == t·w(u, v) exactly: a search
+        that associates the path sum differently than forward Dijkstra (a
+        meet-in-the-middle oracle once did) flips this verdict."""
         from repro.graph.weighted_graph import WeightedGraph
 
         graph = WeightedGraph(
@@ -94,25 +89,6 @@ class TestIdenticalSpanners:
             for name in FAST_STRATEGIES:
                 spanner = greedy_spanner(graph, stretch, oracle=name)
                 assert spanner.subgraph.same_edges(reference.subgraph), name
-
-
-class TestBidirectionalExactness:
-    def test_matches_exact_distances(self, medium_random_graph):
-        oracle = BidirectionalDijkstraOracle(medium_random_graph)
-        vertices = list(medium_random_graph.vertices())
-        for i in range(0, 20, 2):
-            u, v = vertices[i], vertices[i + 1]
-            exact = pair_distance(medium_random_graph, u, v)
-            assert oracle.distance_within(u, v, exact * 1.01) == pytest.approx(exact)
-            assert oracle.distance_within(u, v, exact * 0.5) == math.inf
-
-    def test_settles_fewer_than_bounded_on_metric(self):
-        metric = uniform_points(60, 2, seed=13)
-        bounded = greedy_spanner_of_metric(metric, 2.0, oracle="bounded")
-        bidirectional = greedy_spanner_of_metric(metric, 2.0, oracle="bidirectional")
-        assert (
-            bidirectional.metadata["dijkstra_settles"] < bounded.metadata["dijkstra_settles"]
-        )
 
 
 class TestCachedOracle:

@@ -6,8 +6,9 @@ statistics rows, same delivery times, same flood trees, tie for tie.  These
 tests generate random connected overlays — including **tie-heavy** ones
 whose weights are drawn from a tiny pool of exactly-representable dyadic
 values, so equal-time message races and equal-length shortest paths actually
-occur — and assert exact equality between ``mode="reference"`` and
-``mode="indexed"`` for all three protocols.
+occur — and assert exact equality between the seed engines of
+``tests/oracles/distributed.py`` and the indexed engine for all three
+protocols.
 
 Exact (``==``) comparison is deliberate: dyadic weights make every path sum
 float-exact, so any deviation in tie-breaking or accounting shows up as a
@@ -18,11 +19,13 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.distributed import ReferenceRoutingScheme, broadcast_reference, flood_reference
 
 from repro.distributed.broadcast import broadcast_over_overlay, flood_broadcast_with_tree
 from repro.distributed.routing import RoutingScheme, evaluate_routing, random_demands
 from repro.distributed.synchronizer import synchronizer_cost
 from repro.errors import DisconnectedGraphError
+from repro.graph.shortest_paths import weighted_diameter
 from repro.graph.weighted_graph import WeightedGraph
 
 #: Small pool of dyadic weights: maximal ties, exact float arithmetic.
@@ -62,12 +65,8 @@ def test_flood_statistics_and_tree_identical(overlay, source_seed):
     """Flood: statistics row, delivery times and flood tree match exactly."""
     vertices = list(overlay.vertices())
     source = vertices[source_seed % len(vertices)]
-    ref_stats, ref_delivery, ref_tree = flood_broadcast_with_tree(
-        overlay, source, mode="reference"
-    )
-    idx_stats, idx_delivery, idx_tree = flood_broadcast_with_tree(
-        overlay, source, mode="indexed"
-    )
+    ref_stats, ref_delivery, ref_tree = flood_reference(overlay, source)
+    idx_stats, idx_delivery, idx_tree = flood_broadcast_with_tree(overlay, source)
     assert ref_stats.as_row() == idx_stats.as_row()
     assert ref_delivery == idx_delivery
     assert ref_tree == idx_tree
@@ -78,8 +77,8 @@ def test_flood_statistics_and_tree_identical(overlay, source_seed):
 def test_broadcast_result_rows_identical(overlay):
     """The full BroadcastResult row (echo phase included) matches exactly."""
     source = next(iter(overlay.vertices()))
-    reference = broadcast_over_overlay(overlay, overlay, source, mode="reference")
-    indexed = broadcast_over_overlay(overlay, overlay, source, mode="indexed")
+    reference = broadcast_reference(overlay, overlay, source)
+    indexed = broadcast_over_overlay(overlay, overlay, source)
     assert reference.as_row() == indexed.as_row()
 
 
@@ -94,8 +93,10 @@ def test_routing_statistics_rows_identical(overlay, demand_seed):
     be equal.
     """
     demands = random_demands(overlay, 15, seed=demand_seed)
-    reference = evaluate_routing(overlay, overlay, demands, mode="reference").as_row()
-    indexed = evaluate_routing(overlay, overlay, demands, mode="indexed").as_row()
+    reference = evaluate_routing(
+        overlay, overlay, demands, scheme=ReferenceRoutingScheme(overlay)
+    ).as_row()
+    indexed = evaluate_routing(overlay, overlay, demands).as_row()
     reference.pop("table_bytes")
     indexed.pop("table_bytes")
     assert reference == indexed
@@ -104,10 +105,11 @@ def test_routing_statistics_rows_identical(overlay, demand_seed):
 @settings(max_examples=40, deadline=None)
 @given(connected_overlays())
 def test_synchronizer_rows_identical(overlay):
-    """Synchronizer: per-pulse accounting (exact diameter) matches exactly."""
-    reference = synchronizer_cost(overlay, pulses=7, mode="reference")
-    indexed = synchronizer_cost(overlay, pulses=7, mode="indexed")
-    assert reference.as_row() == indexed.as_row()
+    """Synchronizer: the pulse delay is exactly the seed dict-Dijkstra diameter."""
+    indexed = synchronizer_cost(overlay, pulses=7)
+    delay = weighted_diameter(overlay)
+    assert indexed.pulse_delay == delay
+    assert indexed.total_cost == 7 * (indexed.communication_per_pulse + delay)
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,7 +122,7 @@ def test_disconnected_overlay_fails_fast_with_count(left, right):
         union.add_edge(u, v, weight)
     for u, v, weight in right.edges():
         union.add_edge(u + offset, v + offset, weight)
-    for mode in ("indexed", "reference"):
+    for scheme in (RoutingScheme, ReferenceRoutingScheme):
         with pytest.raises(DisconnectedGraphError) as excinfo:
-            RoutingScheme(union, mode=mode)
+            scheme(union)
         assert f"{len(right)} of {len(union)}" in str(excinfo.value)

@@ -4,10 +4,11 @@ The robustness layer makes two strong claims:
 
 * a :class:`FaultPlan` is a pure function of its sampling arguments — same
   seed, byte-identical schedule and per-message decisions;
-* the hardened flood replays the same plan **tie for tie** on the reference
-  and indexed engines — identical statistics rows, delivery times, flood
-  trees and echo accounting, including on tie-heavy dyadic weights where
-  equal-time races actually occur.
+* the hardened flood replays the same plan **tie for tie** on the seed
+  dict-graph engine (``tests/oracles/distributed.py``) and the indexed
+  engine — identical statistics rows, delivery times, flood trees and echo
+  accounting, including on tie-heavy dyadic weights where equal-time races
+  actually occur, and on the fault bench's CI row.
 
 Exact (``==``) comparison is deliberate throughout, as in
 ``test_engine_equivalence.py``: dyadic weights keep every event time
@@ -21,7 +22,9 @@ import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.distributed import resilient_flood_reference
 
+from repro.core.greedy import greedy_spanner
 from repro.distributed.broadcast import flood_broadcast_with_tree
 from repro.distributed.faults import FaultPlan, edge_key
 from repro.distributed.resilient import (
@@ -30,6 +33,8 @@ from repro.distributed.resilient import (
     resilient_echo,
     resilient_flood,
 )
+from repro.experiments.fault_bench import SPEC as FAULT_SPEC, _without_faults, sample_fault_plan
+from repro.experiments.overlay_bench import _build_instance
 from repro.graph.weighted_graph import WeightedGraph
 
 #: Small pool of dyadic weights: maximal ties, exact float arithmetic.
@@ -94,8 +99,8 @@ def test_engines_replay_faults_tie_for_tie(overlay, regime):
     """Reference and indexed hardened floods match exactly under faults."""
     source = next(iter(overlay.vertices()))
     plan = _sample(overlay, regime, source)
-    reference = resilient_flood(overlay, source, plan, mode="reference")
-    indexed = resilient_flood(overlay, source, plan, mode="indexed")
+    reference = resilient_flood_reference(overlay, source, plan)
+    indexed = resilient_flood(overlay, source, plan)
     assert reference.statistics.as_row() == indexed.statistics.as_row()
     assert reference.delivery_time == indexed.delivery_time
     assert reference.parent == indexed.parent
@@ -104,13 +109,35 @@ def test_engines_replay_faults_tie_for_tie(overlay, regime):
     assert ref_echo.as_row() == idx_echo.as_row()
 
 
+#: The fault bench's CI row (the key the ``repro bench faults`` CI step emits).
+CI_FAULT_KEY = "geometric-n300-r0.12-seed7-t1.5-f11-ef0.02-fb0.3-nc0.02-dr0.05-dj0.25-ocached"
+
+
+def test_engines_replay_the_ci_fault_row_tie_for_tie():
+    """The bench's own overlay, source and plan replay identically on both engines."""
+    workload = FAULT_SPEC.presets[CI_FAULT_KEY].workload
+    graph, _ = _build_instance(_without_faults(workload))
+    overlay = greedy_spanner(graph, float(workload["stretch"]), oracle="cached").subgraph
+    source, plan = sample_fault_plan(overlay, workload)
+    reference = resilient_flood_reference(overlay, source, plan)
+    indexed = resilient_flood(overlay, source, plan)
+    assert reference.statistics.as_row() == indexed.statistics.as_row()
+    assert reference.delivery_time == indexed.delivery_time
+    assert reference.parent == indexed.parent
+    assert (
+        resilient_echo(overlay, source, reference, plan).as_row()
+        == resilient_echo(overlay, source, indexed, plan).as_row()
+    )
+    assert indexed.statistics.retries > 0  # the plan really drops messages
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_overlays(), fault_regimes())
 def test_hardened_flood_delivers_to_all_surviving_reachable(overlay, regime):
     """The delivery guarantee: every surviving-reachable vertex is reached."""
     source = next(iter(overlay.vertices()))
     plan = _sample(overlay, regime, source)
-    result = resilient_flood(overlay, source, plan, mode="indexed")
+    result = resilient_flood(overlay, source, plan)
     report = delivery_report(overlay, source, plan, result)
     assert report["missed"] == 0.0
     assert report["delivery_complete"] == 1.0
@@ -124,10 +151,8 @@ def test_empty_plan_reproduces_plain_flood(overlay, source_seed):
     vertices = list(overlay.vertices())
     source = vertices[source_seed % len(vertices)]
     plan = FaultPlan(seed=0)
-    result = resilient_flood(overlay, source, plan, mode="indexed")
-    _, plain_delivery, plain_tree = flood_broadcast_with_tree(
-        overlay, source, mode="indexed"
-    )
+    result = resilient_flood(overlay, source, plan)
+    _, plain_delivery, plain_tree = flood_broadcast_with_tree(overlay, source)
     assert result.delivery_time == plain_delivery
     assert result.parent == plain_tree
     assert result.statistics.retries == 0
@@ -186,7 +211,7 @@ class TestFaultPlan:
         overlay = WeightedGraph(edges=[(1, 2, 1.0)])
         plan = FaultPlan(seed=0, edge_fail_time={edge_key(1, 2): 0.0})
         params = ResilientParams(max_attempts=4)
-        result = resilient_flood(overlay, 1, plan, params=params, mode="indexed")
+        result = resilient_flood(overlay, 1, plan, params=params)
         assert result.reached == 1  # only the source
         assert result.statistics.data_sends == 4
         assert result.statistics.give_ups == 1
@@ -217,7 +242,7 @@ plan = FaultPlan.sample(
     node_crash_rate=0.05, drop_rate=0.1, delay_jitter=0.25,
     protect=(source,),
 )
-flood = resilient_flood(overlay, source, plan, mode="indexed")
+flood = resilient_flood(overlay, source, plan)
 canonical = json.dumps({
     "describe": plan.describe(),
     "failed": sorted(repr(e) for e in plan.failed_edges()),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.distributed import ReferenceRoutingScheme
 
 from repro.core.greedy import greedy_spanner
 from repro.distributed.routing import (
@@ -136,8 +137,8 @@ class TestPartialTables:
 
     def test_partial_mode_routes_within_component(self):
         graph = WeightedGraph(edges=[(1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0)])
-        for mode in ("indexed", "reference"):
-            scheme = RoutingScheme(graph, mode=mode, on_unreachable="partial")
+        for scheme_class in (RoutingScheme, ReferenceRoutingScheme):
+            scheme = scheme_class(graph, on_unreachable="partial")
             route = scheme.route(1, 3)
             assert route.path == (1, 2, 3)
 
@@ -178,11 +179,12 @@ class TestDetourRouting:
         plan = FaultPlan.sample(overlay, seed=11, edge_failure_rate=0.1)
         failed = set(plan.failed_edges())
         demands = random_demands(overlay, 30, seed=3)
-        rows = [
-            evaluate_detour_routing(overlay, demands, failed, mode=mode).as_row()
-            for mode in ("indexed", "reference")
-        ]
-        assert rows[0] == rows[1]
+        destinations = sorted({d for _, d in demands}, key=repr)
+        reference = ReferenceRoutingScheme(overlay, destinations=destinations)
+        assert (
+            evaluate_detour_routing(overlay, demands, failed).as_row()
+            == evaluate_detour_routing(overlay, demands, failed, scheme=reference).as_row()
+        )
 
     def test_detoured_routes_avoid_failed_links_and_arrive(self):
         from repro.distributed.faults import FaultPlan, edge_key

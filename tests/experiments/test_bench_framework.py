@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as repro_main
+from repro.core.distance_oracle import ORACLE_FACTORIES
 from repro.errors import BenchDocumentError, UnknownWorkloadError
 from repro.experiments.bench import BENCHES, load_document, merge_run_into_file
 
@@ -118,6 +119,21 @@ def test_bad_bench_documents_fail_closed(shape, tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", sorted(BENCHES))
+def test_presets_name_runnable_strategies_and_committed_gate_evidence(name):
+    """Every preset runs (its strategies and repair oracle exist) and every
+    gated preset has a committed row carrying the gate marker — a preset
+    pointing at a deleted oracle, or a gate without evidence, fails here."""
+    spec = BENCHES[name]
+    committed = load_document(REPO_ROOT / "benchmarks" / f"BENCH_{name}.json")["runs"]
+    for key, preset in spec.presets.items():
+        assert set(preset.strategies) <= set(spec.strategy_names), key
+        if "repair_oracle" in preset.workload:
+            assert preset.workload["repair_oracle"] in ORACLE_FACTORIES, key
+        if preset.gated:
+            assert committed.get(key, {}).get(spec.gate.marker) is True, key
+
+
 def test_checker_needs_a_matching_fresh_document(tmp_path):
     args = ["--fresh-dir", str(tmp_path), "--baseline-dir", str(REPO_ROOT / "benchmarks")]
     assert checker.main(args) == 2
@@ -205,7 +221,7 @@ def test_strategies_only_in_the_baseline_are_allowed():
 def test_run_key_applies_preset_gate_and_extras():
     calls = []
 
-    def fake_run(workload, strategies, **options):
+    def fake_run(workload, strategies=(), **options):
         calls.append((strategies, options))
         return {"workload": dict(workload), "strategies": {}}
 
@@ -218,4 +234,4 @@ def test_run_key_applies_preset_gate_and_extras():
 
     verify = replace(BENCHES["verify"], run=fake_run)
     verify.run_key("uniform-euclidean-n2000-d2-seed7-t1.5-btheta", workers=2)
-    assert calls[-1] == (("indexed",), {"profile_sources": 256, "workers": 2})
+    assert calls[-1] == ((), {"profile_sources": 256, "workers": 2})

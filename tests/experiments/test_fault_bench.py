@@ -41,19 +41,17 @@ def test_workload_key_is_stable_and_prefixed():
 def test_presets_keyed_by_their_own_workload_key():
     for key, preset in SPEC.presets.items():
         assert workload_key(preset.workload) == key
-        assert preset.strategies
-        assert all(mode in ("indexed", "reference") for mode in preset.strategies)
+        assert preset.strategies == ()  # fixed phases: flood, repair, detours
 
 
 def test_run_record_shape(tiny_run):
-    assert set(tiny_run["strategies"]) == {"indexed", "reference", "repair"}
+    assert set(tiny_run["strategies"]) == {"indexed", "repair"}
     repair = tiny_run["strategies"]["repair"]
     for key in ("repair_settles", "rebuild_settles", "detours", "undelivered"):
         assert key in repair
-    for mode in ("indexed", "reference"):
-        record = tiny_run["strategies"][mode]
-        assert record["fault_messages"] > 0
-        assert "delivery_rate" in record
+    record = tiny_run["strategies"]["indexed"]
+    assert record["fault_messages"] > 0
+    assert "delivery_rate" in record
     # Every gated counter name appears somewhere in the strategies.
     recorded = set()
     for record in tiny_run["strategies"].values():
@@ -70,7 +68,7 @@ def test_run_flags_all_pass_on_tiny_row(tiny_run):
 
 def test_render_rows_one_per_strategy(tiny_run):
     rows = render_rows(tiny_run, SPEC)
-    assert [row["mode"] for row in rows] == ["indexed", "reference", "repair"]
+    assert [row["mode"] for row in rows] == ["indexed", "repair"]
 
 
 def test_merge_run_into_file_latest_wins(tiny_run, tmp_path):

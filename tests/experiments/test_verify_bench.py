@@ -5,6 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from oracles.verification import (
+    profile_reference,
+    verify_edges_reference,
+    verify_sampled_reference,
+)
 
 from repro.experiments.harness import (
     available_workers,
@@ -17,12 +22,34 @@ from repro.experiments.harness import (
 from repro.experiments.bench import merge_run_into_file, render_rows
 from repro.experiments.verify_bench import (
     SPEC,
+    _build_instance,
     profile_source_vertices,
     run_verify_bench,
     verify_workload,
     workload_key,
 )
-from repro.experiments.overlay_bench import geometric_workload
+from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS, geometric_workload
+from repro.spanners.registry import build_spanner
+
+#: The verify rows the ``repro bench verify`` CI step emits.
+CI_VERIFY_KEYS = (
+    "geometric-n300-r0.12-seed7-t1.5-bgreedy",
+    "uniform-euclidean-n150-d2-seed7-t1.5-btheta",
+)
+
+PROFILE_FIELDS = ("pairs_checked", "max_stretch", "mean_stretch", "fraction_at_stretch_one")
+
+
+def _bench_spanner(workload):
+    """The spanner a verify row checks, built exactly as the bench builds it."""
+    graph, metric = _build_instance(workload)
+    builder = str(workload["builder"])
+    return build_spanner(
+        builder,
+        metric if metric is not None else graph,
+        float(workload["stretch"]),
+        **DEFAULT_BUILDER_PARAMS.get(builder, {}),
+    )
 
 
 def _square(shard: list[int]) -> list[int]:
@@ -113,31 +140,26 @@ class TestVerifyBench:
         )
 
     def test_record_shape(self, small_run):
-        assert set(small_run["strategies"]) == {"indexed", "reference"}
-        for record in small_run["strategies"].values():
-            for counter in SPEC.counters:
-                assert counter in record
-            assert record["verify_ok"] == 1.0
-        assert small_run["verdicts_match"] is True
-        assert small_run["profiles_match"] is True
-        assert "speedup_vs_reference" in small_run
+        assert set(small_run["strategies"]) == {"indexed"}
+        record = small_run["strategies"]["indexed"]
+        for counter in SPEC.counters:
+            assert counter in record
+        assert record["verify_ok"] == 1.0
+        assert record["sampled_ok"] == 1.0
 
     def test_profiles_bit_identical_across_modes(self, small_run):
+        """The recorded profile floats equal the seed per-pair reference's."""
+        profile, _ = profile_reference(_bench_spanner(small_run["workload"]))
         indexed = small_run["strategies"]["indexed"]
-        reference = small_run["strategies"]["reference"]
-        for field in ("pairs_checked", "max_stretch", "mean_stretch", "fraction_at_stretch_one"):
-            assert indexed[field] == reference[field], field
+        for field, value in profile.as_row().items():
+            assert indexed[field] == value, field
 
     def test_workload_key_includes_builder(self):
         workload = verify_workload(geometric_workload(n=60), "mst")
         assert workload_key(workload).endswith("-bmst")
 
     def test_presets_include_cross_check_and_scale_rows(self):
-        dual = [
-            key for key, preset in SPEC.presets.items()
-            if set(preset.strategies) == {"indexed", "reference"}
-        ]
-        assert dual, "at least one dual-mode cross-check row must stay in CI"
+        assert set(CI_VERIFY_KEYS) <= set(SPEC.presets), "the CI cross-check rows"
         scale = [
             key for key, preset in SPEC.presets.items()
             if int(preset.workload["n"]) >= 10_000
@@ -160,11 +182,13 @@ class TestVerifyBench:
         key = workload_key(small_run["workload"])
         assert key in document["runs"]
         again = json.loads(path.read_text())
-        assert again["runs"][key]["verdicts_match"] is True
+        assert again["runs"][key]["strategies"] == small_run["strategies"]
         rows = render_rows(small_run, SPEC)
-        assert {row["mode"] for row in rows} == {"indexed", "reference"}
+        assert [row["mode"] for row in rows] == ["indexed"]
 
     def test_regression_gate_flags_cross_check_failures(self, small_run, tmp_path):
+        """The gate flags a counter regression (the bench has no flags left:
+        the cross-checks are the tier-1 tests below)."""
         import sys
 
         sys.path.insert(0, "scripts")
@@ -176,9 +200,6 @@ class TestVerifyBench:
         fresh_run = json.loads(json.dumps(small_run))
         fresh_doc = {"runs": {workload_key(small_run["workload"]): fresh_run}}
         assert find_regressions(baseline_doc, fresh_doc, SPEC) == []
-        fresh_run["profiles_match"] = False
-        assert any("profiles_match" in problem for problem in find_regressions(baseline_doc, fresh_doc, SPEC))
-        fresh_run["profiles_match"] = True
         fresh_run["strategies"]["indexed"]["verify_settles"] *= 2.0
         assert any(
             "verify_settles" in problem
@@ -187,11 +208,30 @@ class TestVerifyBench:
 
     def test_workers_do_not_change_the_record(self):
         workload = verify_workload(geometric_workload(n=60, radius=0.3), "greedy")
-        serial = run_verify_bench(workload, modes=("indexed",))
-        parallel = run_verify_bench(workload, modes=("indexed",), workers=2)
+        serial = run_verify_bench(workload)
+        parallel = run_verify_bench(workload, workers=2)
         serial_record = serial["strategies"]["indexed"]
         parallel_record = parallel["strategies"]["indexed"]
         for field, value in serial_record.items():
             if field.endswith("_seconds"):
                 continue
             assert parallel_record[field] == value, field
+
+
+@pytest.mark.parametrize("key", CI_VERIFY_KEYS)
+def test_ci_rows_match_the_reference(key):
+    """On the CI verify rows the engine's verdicts equal the seed per-pair
+    reference's, and its exact profile is bit-identical."""
+    run = SPEC.run_key(key)
+    record = run["strategies"]["indexed"]
+    spanner = _bench_spanner(run["workload"])
+    stretch = float(run["workload"]["stretch"])
+    assert record["verify_ok"] == float(
+        verify_edges_reference(spanner.subgraph, spanner.base, stretch).ok
+    ) == 1.0
+    seed = int(run["workload"]["seed"])
+    assert record["sampled_ok"] == float(
+        verify_sampled_reference(spanner, samples=128, seed=seed)
+    )
+    profile, _ = profile_reference(spanner)
+    assert {field: record[field] for field in PROFILE_FIELDS} == profile.as_row()

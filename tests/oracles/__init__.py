@@ -1,0 +1,17 @@
+"""Seed engines kept only as test oracles.
+
+Each production engine in ``src/`` replaced a simpler seed implementation
+and promises to reproduce it exactly: the same cluster hierarchy, the same
+verdicts and bit-identical profile floats, the same flood statistics and
+trees tie for tie.  The seed implementations live here, outside the
+library, so the equivalence tests (and the benchmarks that cite them) can
+keep comparing against them without a ``mode=`` knob in the public API:
+
+* :mod:`oracles.cluster` — the cluster-hierarchy replay engine;
+* :mod:`oracles.verification` — the per-pair stretch checks;
+* :mod:`oracles.distributed` — the dict-graph flood, routing tables and
+  hardened flood.
+
+``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
+``sys.path``, so both suites import them as ``oracles.<layer>``.
+"""

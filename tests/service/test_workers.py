@@ -144,6 +144,48 @@ def test_failing_job_stores_the_traceback_and_quarantines(service):
     assert queue.counters["quarantined"] == 1
 
 
+def test_unverified_spanner_fails_the_job_and_is_never_served(service, monkeypatch):
+    """A tier whose spanner misses one edge (so, by Lemma 3, breaks the
+    stretch) fails the job before the put: nothing is cached or served."""
+    import repro.service.degrade as degrade
+
+    real_get_builder = degrade.get_builder
+
+    class DropOneEdge:
+        def __init__(self, builder):
+            self.builder = builder
+
+        def __getattr__(self, name):
+            return getattr(self.builder, name)
+
+        def build(self, *args, **kwargs):
+            spanner = self.builder.build(*args, **kwargs)
+            u, v, _ = next(iter(spanner.subgraph.edges()))
+            spanner.subgraph.remove_edge(u, v)
+            return spanner
+
+    monkeypatch.setattr(degrade, "get_builder", lambda name: DropOneEdge(real_get_builder(name)))
+    queue, cache, worker = service
+    job = queue.submit(SPEC, max_attempts=2)
+
+    worker.run_once()
+    record = queue.get(job.job_id)
+    assert record.state == "pending"  # failed once, will retry
+    assert "UnverifiedArtifactError" in (record.error or "")
+    assert f"artifact {spec_key()}" in record.error
+    assert "tier 'greedy-parallel'" in record.error
+    assert cache.get(spec_key()) is None
+
+    worker.run_once()  # the retry rebuilds, fails again and is quarantined
+    record = queue.get(job.job_id)
+    assert record.state == "quarantined"
+    assert record.result is None
+    assert cache.get(spec_key()) is None
+    assert cache.counters["puts"] == 0
+    assert worker.counters["jobs_done"] == 0
+    assert worker.counters["jobs_failed"] == 2
+
+
 @pytest.mark.parametrize("params", [{"wrokers": 2}, {"workers": 2}])
 def test_bad_tier_params_fail_the_job_instead_of_degrading(service, params):
     """A greedy-parallel param the builder does not take must not make the

@@ -2,10 +2,11 @@
 
 Three contracts are driven over random inputs:
 
-* **mode equivalence** — the indexed engine and the seed per-pair reference
-  agree on every verdict (edge, sampled, Lemma 3) and produce *bit-identical*
-  stretch-profile floats, on weighted graphs with dyadic tie-heavy weights
-  (the adversarial family for float-boundary verdicts), on string-vertex
+* **reference equivalence** — the batch engine and the seed per-pair
+  reference (``tests/oracles/verification.py``) agree on every verdict
+  (edge, sampled, Lemma 3) and produce *bit-identical* stretch-profile
+  floats, on weighted graphs with dyadic tie-heavy weights (the
+  adversarial family for float-boundary verdicts), on string-vertex
   graphs (the family the seed dedup bug double-counted), and on lazy metric
   closures;
 * **dedup correctness** — exact profiles count each unordered pair exactly
@@ -22,6 +23,12 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.verification import (
+    lemma3_reference,
+    profile_reference,
+    verify_edges_reference,
+    verify_sampled_reference,
+)
 
 from repro.core.greedy import greedy_spanner
 from repro.core.optimality import is_t_spanner_of, verify_lemma3_self_spanner
@@ -76,12 +83,12 @@ class TestModeEquivalence:
     def test_dyadic_graphs(self, graph, stretch):
         spanner = greedy_spanner(graph, stretch)
         for candidate in (spanner.subgraph, kruskal_mst(graph)):
-            indexed = verify_spanner_edges(candidate, graph, stretch, mode="indexed")
-            reference = verify_spanner_edges(candidate, graph, stretch, mode="reference")
+            indexed = verify_spanner_edges(candidate, graph, stretch)
+            reference = verify_edges_reference(candidate, graph, stretch).ok
             assert indexed == reference
-        profile_indexed = stretch_profile(spanner, exact=True, mode="indexed")
-        profile_reference = stretch_profile(spanner, exact=True, mode="reference")
-        assert profile_indexed == profile_reference  # bit-identical floats
+        profile_indexed = stretch_profile(spanner, exact=True)
+        profile_ref, _ = profile_reference(spanner)
+        assert profile_indexed == profile_ref  # bit-identical floats
 
     @settings(max_examples=15, deadline=None)
     @given(graph=dyadic_graphs, stretch=st.sampled_from([1.5, 2.0]))
@@ -89,11 +96,9 @@ class TestModeEquivalence:
         relabelled = _string_relabelled(graph)
         spanner = greedy_spanner(relabelled, stretch)
         assert verify_spanner_edges(
-            spanner.subgraph, relabelled, stretch, mode="indexed"
-        ) == verify_spanner_edges(spanner.subgraph, relabelled, stretch, mode="reference")
-        profile_indexed = stretch_profile(spanner, exact=True, mode="indexed")
-        profile_reference = stretch_profile(spanner, exact=True, mode="reference")
-        assert profile_indexed == profile_reference
+            spanner.subgraph, relabelled, stretch
+        ) == verify_edges_reference(spanner.subgraph, relabelled, stretch).ok
+        assert stretch_profile(spanner, exact=True) == profile_reference(spanner)[0]
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -104,38 +109,38 @@ class TestModeEquivalence:
     def test_sampled_verdicts(self, graph, stretch, seed):
         spanner = greedy_spanner(graph, stretch)
         assert verify_spanner_sampled(
-            spanner, samples=40, seed=seed, mode="indexed"
-        ) == verify_spanner_sampled(spanner, samples=40, seed=seed, mode="reference")
+            spanner, samples=40, seed=seed
+        ) == verify_sampled_reference(spanner, samples=40, seed=seed)
         weak = Spanner(
             base=graph, subgraph=kruskal_mst(graph), stretch=1.01, algorithm="mst"
         )
         assert verify_spanner_sampled(
-            weak, samples=40, seed=seed, mode="indexed"
-        ) == verify_spanner_sampled(weak, samples=40, seed=seed, mode="reference")
+            weak, samples=40, seed=seed
+        ) == verify_sampled_reference(weak, samples=40, seed=seed)
+        for checked in (spanner, weak):
+            assert stretch_profile(
+                checked, exact=False, samples=40, seed=seed
+            ) == profile_reference(checked, exact=False, samples=40, seed=seed)[0]
 
     @settings(max_examples=10, deadline=None)
     @given(graph=dyadic_graphs, stretch=st.sampled_from([1.5, 2.0]))
     def test_lemma3_modes(self, graph, stretch):
         spanner = greedy_spanner(graph, stretch)
-        assert verify_lemma3_self_spanner(spanner, mode="indexed") == verify_lemma3_self_spanner(
-            spanner, mode="reference"
-        )
+        assert verify_lemma3_self_spanner(spanner) == lemma3_reference(spanner)
 
     def test_metric_closure_modes(self):
         metric = uniform_points(60, 2, seed=11)
         spanner = build_spanner("theta", metric, 1.5)
-        for mode in ("indexed", "reference"):
-            assert verify_spanner_edges(spanner.subgraph, spanner.base, 1.5, mode=mode)
-        profile_indexed = stretch_profile(spanner, exact=True, mode="indexed")
-        profile_reference = stretch_profile(spanner, exact=True, mode="reference")
-        assert profile_indexed == profile_reference
+        assert verify_spanner_edges(spanner.subgraph, spanner.base, 1.5)
+        assert verify_edges_reference(spanner.subgraph, spanner.base, 1.5).ok
+        assert stretch_profile(spanner, exact=True) == profile_reference(spanner)[0]
 
     def test_is_t_spanner_of_modes(self, medium_random_graph):
         spanner = greedy_spanner(medium_random_graph, 2.0)
         mst = kruskal_mst(medium_random_graph)
         for candidate, expected in ((spanner.subgraph, True), (mst, None)):
-            indexed = is_t_spanner_of(candidate, medium_random_graph, 2.0, mode="indexed")
-            reference = is_t_spanner_of(candidate, medium_random_graph, 2.0, mode="reference")
+            indexed = is_t_spanner_of(candidate, medium_random_graph, 2.0)
+            reference = verify_edges_reference(candidate, medium_random_graph, 2.0).ok
             assert indexed == reference
             if expected is not None:
                 assert indexed is expected
@@ -143,17 +148,13 @@ class TestModeEquivalence:
     def test_counters_are_shared_across_modes(self, small_random_graph):
         """Pair/edge counts (not settles — the algorithms differ) line up."""
         spanner = greedy_spanner(small_random_graph, 2.0)
-        indexed = verify_spanner_edges_detailed(
-            spanner.subgraph, small_random_graph, 2.0, mode="indexed"
-        )
-        reference = verify_spanner_edges_detailed(
-            spanner.subgraph, small_random_graph, 2.0, mode="reference"
-        )
+        indexed = verify_spanner_edges_detailed(spanner.subgraph, small_random_graph, 2.0)
+        reference = verify_edges_reference(spanner.subgraph, small_random_graph, 2.0)
         assert indexed.ok and reference.ok
         assert indexed.edges_checked == reference.edges_checked
         assert indexed.sources == reference.sources
-        _, stats_indexed = stretch_profile_detailed(spanner, exact=True, mode="indexed")
-        _, stats_reference = stretch_profile_detailed(spanner, exact=True, mode="reference")
+        _, stats_indexed = stretch_profile_detailed(spanner, exact=True)
+        _, stats_reference = profile_reference(spanner)
         assert stats_indexed.sources == stats_reference.sources
 
 
@@ -166,9 +167,8 @@ class TestPairDedup:
         graph.add_edge("b", "c", 1.0)
         graph.add_edge("c", "d", 1.0)
         spanner = greedy_spanner(graph, 2.0)
-        for mode in ("indexed", "reference"):
-            profile = stretch_profile(spanner, exact=True, mode=mode)
-            assert profile.pairs_checked == 6, mode  # C(4, 2), not 12
+        for profile in (stretch_profile(spanner, exact=True), profile_reference(spanner)[0]):
+            assert profile.pairs_checked == 6  # C(4, 2), not 12
 
     def test_int_vertices_unchanged(self, small_random_graph):
         spanner = greedy_spanner(small_random_graph, 2.0)
@@ -177,16 +177,14 @@ class TestPairDedup:
         assert profile.pairs_checked == n * (n - 1) // 2
 
     def test_orientation_is_shared_id_order(self):
-        """Both modes measure each pair from its smaller shared-id endpoint,
-        whatever the vertex insertion order."""
+        """Engine and reference measure each pair from its smaller shared-id
+        endpoint, whatever the vertex insertion order."""
         graph = WeightedGraph()
         graph.add_edge(9, 2, 1.0)
         graph.add_edge(2, 5, 2.0)
         graph.add_edge(9, 5, 2.5)
         spanner = greedy_spanner(graph, 2.0)
-        assert stretch_profile(spanner, exact=True, mode="indexed") == stretch_profile(
-            spanner, exact=True, mode="reference"
-        )
+        assert stretch_profile(spanner, exact=True) == profile_reference(spanner)[0]
 
 
 class TestParallelDeterminism:
@@ -260,16 +258,8 @@ def test_engine_reuse_across_checks(small_random_graph):
     assert verify_spanner_sampled(spanner, samples=30, seed=2, engine=engine) is True
 
 
-def test_unknown_mode_rejected(small_random_graph):
-    spanner = greedy_spanner(small_random_graph, 2.0)
-    with pytest.raises(ValueError):
-        verify_spanner_edges(spanner.subgraph, small_random_graph, 2.0, mode="turbo")
-    with pytest.raises(ValueError):
-        stretch_profile(spanner, mode="turbo")
-
-
 def test_disconnected_subgraph_fails_verification(small_random_graph):
-    """An empty subgraph spans nothing: inf distances must fail both modes."""
+    """An empty subgraph spans nothing: inf distances must fail engine and reference."""
     empty = small_random_graph.empty_spanning_subgraph()
-    for mode in ("indexed", "reference"):
-        assert not verify_spanner_edges(empty, small_random_graph, 100.0, mode=mode)
+    assert not verify_spanner_edges(empty, small_random_graph, 100.0)
+    assert not verify_edges_reference(empty, small_random_graph, 100.0).ok
