@@ -243,8 +243,10 @@ def _command_profile(args: argparse.Namespace) -> int:
         from repro.experiments.build_bench import bucketed_workload, run_build_bench
 
         workload = bucketed_workload(n=args.n, degree=args.degree, seed=args.seed)
+        # Both greedy builders, so the table covers the shared ball kernel
+        # from the oracle and from the band filter.
         profiler.enable()
-        run_build_bench(workload, strategies=("csr-parallel-w1",))
+        run_build_bench(workload, strategies=("greedy-serial", "csr-parallel-w1"))
         profiler.disable()
     else:
         from repro.experiments.query_bench import query_workload, run_query_bench

@@ -11,11 +11,11 @@ Two strategies are provided:
   every careful greedy-spanner implementation (Bose et al. 2010); kept as
   the baseline the cached oracle is measured and tested against.
 * :class:`CachedDijkstraOracle` — single-source ball searches plus monotone
-  upper-bound caching.  Distances in the growing spanner only *shrink*, so
-  any certified bound ``δ_H(u, v) ≤ d`` stays valid forever; the oracle
-  harvests the settled ball of every search as certified bounds (answering
-  all candidate pairs ``(u, ·)`` touched by one pruned search at once) and
-  skips Dijkstra entirely whenever a cached bound already decides a query.
+  coverage caching.  Distances in the growing spanner only *shrink*, so a
+  pair once found within a ball of radius ``r`` stays within ``r`` forever;
+  the oracle records every settled pair of every search (answering all
+  candidate pairs ``(u, ·)`` touched by one pruned search at once) and
+  skips Dijkstra entirely whenever a recorded pair already decides a query.
   This is the default strategy of :func:`~repro.core.greedy.greedy_spanner`.
 
 Both strategies return *identical* greedy spanners: each answers "is
@@ -24,6 +24,10 @@ bound ``d ≤ cutoff`` implies the true distance is also within the cutoff, so
 the greedy decision is unchanged).  The equivalence is exercised
 property-style in ``tests/core/test_oracle_equivalence.py``; the strategy
 trade-offs and measurements are documented in ``docs/PERFORMANCE.md``.
+
+The coverage state — weight-sorted live rows, the one ball kernel and the
+packed-pair set — is :class:`CoverageIndex`, which the band builder of
+:mod:`repro.core.parallel_greedy` uses as its filter too.
 
 All oracles count the number of queries and the number of heap settles so
 that the experiments can report *operation counts* alongside wall-clock time
@@ -35,14 +39,12 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Sequence
+from bisect import insort
+from heapq import heappop, heappush
+from typing import Iterable
 
-import numpy as np
-
-from repro.core.query_engine import QueryEngine
 from repro.errors import UnknownOracleError, VertexNotFoundError
-from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import dijkstra_with_cutoff_stats, indexed_ball
+from repro.graph.shortest_paths import dijkstra_with_cutoff_stats
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 
@@ -95,119 +97,180 @@ class BoundedDijkstraOracle(DistanceOracle):
         return distance
 
 
+class CoverageIndex:
+    """The coverage engine shared by both greedy builders.
+
+    Answers "is the pair ``(u, x)`` already known to be within some past
+    ball?" for a growing spanner.  It owns three things:
+
+    * the live adjacency as weight-sorted ``(weight, neighbour)`` rows, kept
+      sorted on insertion (:func:`bisect.insort`), so the ball kernel can
+      *break* out of a row at the first edge that overshoots the radius —
+      every later edge overshoots too;
+    * a generation-stamped scratch (``dist`` / ``stamp``), so starting a
+      ball is one counter increment instead of an O(n) clear;
+    * :attr:`covered`, one ``set`` of unordered vertex pairs packed as
+      ``(lo << 32) | hi``: every ``(source, x)`` any ball has settled.
+
+    Spanners only grow, so a pair settled by a ball of radius ``r`` stays
+    within ``r`` forever.  Callers decide what radius a membership certifies:
+    the cached oracle compares against the largest radius it has harvested,
+    the band builder relies on its non-decreasing bands.
+    """
+
+    __slots__ = ("rows", "covered", "dist", "stamp", "gen")
+
+    def __init__(self, n: int = 0) -> None:
+        self.rows: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+        self.covered: set[int] = set()
+        self.dist: list[float] = [0.0] * n
+        self.stamp: list[int] = [0] * n
+        self.gen = 0
+
+    def add_vertex(self) -> int:
+        """Append an isolated vertex and return its id."""
+        self.rows.append([])
+        self.dist.append(0.0)
+        self.stamp.append(0)
+        return len(self.rows) - 1
+
+    def add_edge(self, uid: int, vid: int, weight: float) -> None:
+        """Insert the undirected edge into both rows, keeping them sorted.
+
+        The caller guarantees the edge is absent (greedy adds each edge at
+        most once).
+        """
+        insort(self.rows[uid], (weight, vid))
+        insort(self.rows[vid], (weight, uid))
+
+    def ball(self, source: int, radius: float) -> list[int]:
+        """Settle every vertex within ``radius`` of ``source``; harvest the pairs.
+
+        Returns the settled ids in settle order; their distances are in
+        :attr:`dist` under stamp :attr:`gen` (``stamp[x] == gen`` is the
+        membership test).  The settled set, its ``(dist, id)`` settle order
+        and the IEEE distance sums are those of
+        :func:`~repro.graph.shortest_paths.indexed_ball`.  Unlike that loop,
+        non-improving pushes are pruned through the stamped scratch: a
+        pruned entry is never the minimum entry of its vertex, so the order
+        of first pops is untouched while the heap stays small.  Under the
+        strict ``<`` prune every stamped vertex is eventually settled, and a
+        settled vertex is never re-relaxed.
+
+        The ball runs to its full radius even once the caller's target is
+        settled: every settled ``(source, x)`` pair goes into
+        :attr:`covered` (one ``set.update``), where it answers later queries
+        for free.
+        """
+        rows = self.rows
+        dist = self.dist
+        stamp = self.stamp
+        self.gen = gen = self.gen + 1
+        settled: list[int] = []
+        append = settled.append
+        pop = heappop
+        push = heappush
+        heap: list[tuple[float, int]] = [(0.0, source)]
+        dist[source] = 0.0
+        stamp[source] = gen
+        while heap:
+            d, vertex = pop(heap)
+            if d > dist[vertex]:
+                continue
+            append(vertex)
+            for weight, neighbour in rows[vertex]:
+                new_dist = d + weight
+                if new_dist > radius:
+                    break  # rows are weight-sorted: every later neighbour overshoots
+                if stamp[neighbour] != gen or new_dist < dist[neighbour]:
+                    dist[neighbour] = new_dist
+                    stamp[neighbour] = gen
+                    push(heap, (new_dist, neighbour))
+        self.harvest(source, settled)
+        return settled
+
+    def harvest(self, source: int, ids: Iterable[int]) -> None:
+        """Record every ``(source, x)`` pair, ``x`` in ``ids``, as covered."""
+        high = source << 32
+        self.covered.update(
+            [high | x if source < x else (x << 32) | source for x in ids]
+        )
+
+    def covers(self, uid: int, vid: int) -> bool:
+        """Return True if the unordered pair is covered."""
+        return ((uid << 32) | vid if uid < vid else (vid << 32) | uid) in self.covered
+
+
 class CachedDijkstraOracle(DistanceOracle):
-    """Single-source ball searches plus monotone upper-bound caching.
+    """Single-source ball searches plus monotone coverage caching.
 
     Correctness rests on monotonicity: edges are only ever *added* to the
     growing spanner ``H``, so ``δ_H`` is non-increasing over time and any
-    certified upper bound ``δ_H(u, v) ≤ d`` remains valid forever.  The
-    oracle therefore
+    certified upper bound ``δ_H(u, v) ≤ d`` remains valid forever.  On a
+    miss the oracle settles the *entire* cutoff ball around the source — it
+    deliberately does not stop at the target — and records every settled
+    vertex ``x`` as covered: ``δ_H(u, x) ≤`` that ball's radius.  A later
+    query of a covered pair is a hit whenever its cutoff is at least the
+    largest radius harvested so far, since the pair's own ball had at most
+    that radius.  The greedy loop examines edges in non-decreasing weight
+    order, so its cutoffs never drop below a past radius and every covered
+    pair is a hit; for any other cutoff order the oracle stays exact — a
+    query below the largest radius falls through to a fresh ball.
 
-    * answers a query from the cache whenever a stored bound is at most the
-      cutoff (the true distance is then also at most the cutoff, so the
-      greedy decision matches the exact oracle's), and
-    * on a miss, settles the *entire* cutoff ball around the source — it
-      deliberately does not stop at the target — and harvests every settled
-      vertex ``x`` as a certified bound ``δ_H(u, x) ≤ d(x)``.  One pruned
-      search thereby batch-answers all candidate pairs ``(u, ·)`` within the
-      current radius.  The batching pays off *because* the greedy loop
-      examines edges in non-decreasing weight order: a pending pair
-      ``(u, x)`` has ``w(u, x) ≥ w``, so a harvested bound
-      ``d ≤ t·w ≤ t·w(u, x)`` is guaranteed to still be a cache hit when
-      that pair comes up.
+    A covered pair costs one int in a ``set`` (the pair packed as
+    ``lo << 32 | hi``), not a stored distance, so the cache grows with the
+    number of ball settles rather than with ``n`` per ball source.  A hit
+    returns the largest harvested radius: a certified upper bound that is
+    at most the cutoff, which decides the greedy verdict exactly as the
+    true distance would.
 
-    Spanner edges reported through :meth:`notify_edge_added` are cached too
-    (``δ_H(u, v) ≤ w``), which is what lets Lemma-3 re-runs and repeated
-    queries skip Dijkstra entirely.  ``cache_hits`` / ``cache_misses`` are
-    exposed through :meth:`extra_metadata` and land in ``Spanner`` metadata.
+    Spanner edges present at construction (a repair warm start) and edges
+    reported through :meth:`notify_edge_added` are kept as exact bounds
+    ``δ_H(u, v) ≤ w`` in a small dictionary; a query consumes the bound it
+    reads.  ``cache_hits`` / ``cache_misses`` / ``cached_bounds`` /
+    ``peak_cached_bounds`` are exposed through :meth:`extra_metadata`.
 
-    **Monotone-cutoff mode.**  With :attr:`monotone_cutoffs` set (the greedy
-    loop turns it on), the oracle exploits the loop's non-decreasing cutoff
-    sequence: any vertex ``x`` ever settled by a ball from ``u`` had
-    ``δ_H(u, x) ≤ radius ≤`` every *future* cutoff, so membership alone —
-    one bit — certifies all later queries of the pair, and the exact
-    distance value need not be stored.  Harvests then go into per-source
-    bitsets (``n²/8`` bytes worst case, ~100 bytes per pair less than the
-    value dictionary), and the value dictionary shrinks to ``O(|spanner|)``:
-    construction-time seeds from pre-existing spanner edges (none in a
-    greedy run, which starts edgeless), each evicted by the single query
-    that consumes it, plus one entry per :meth:`notify_edge_added` edge.
-    The loop queries a pair *before* adding its edge, so the notify entries
-    are never consumed in-run — they are kept for the ``cached_bounds``
-    metadata and for parity with the seeding a re-run would see.  Verdicts
-    and operation counts are identical to the value-cache mode — a pair is
-    a hit in one exactly when it is a hit in the other — but peak memory on
-    the streamed metric workloads drops from Θ(n²) dictionary entries to
-    the ``O(n + |spanner|)`` working set (measured in
-    ``docs/PERFORMANCE.md``).  The default is off, preserving exact-value
-    repeat-query caching for ad-hoc oracle use with arbitrary cutoffs.
-
-    Cache keys are the two vertex ids packed into one int (``lo << 32 | hi``)
-    — cheaper to hash than a tuple in this hottest of paths.  The ids come
-    from an indexed mirror of ``H``, interned at construction and kept in
-    sync through :meth:`notify_edge_added` (the greedy loop's mutation
-    hook), so the searches run on flat integer adjacency arrays; direct
+    The searches run on the :class:`CoverageIndex` rows, keyed by dense ids
+    interned in first-seen order and kept in sync through
+    :meth:`notify_edge_added` (the greedy loop's mutation hook); direct
     mutations of the spanner that bypass the hook are not observed.
     """
 
-    #: When True, callers promise non-decreasing cutoffs per run (see above).
-    monotone_cutoffs: bool
-
     def __init__(self, spanner: WeightedGraph) -> None:
         super().__init__(spanner)
-        self._index = IndexedGraph.from_weighted_graph(spanner)
-        self._engine: QueryEngine | None = None
+        self._id_of: dict[Vertex, int] = {}
+        self._cover = CoverageIndex()
+        self._radius = 0.0
         self._bounds: dict[int, float] = {}
-        self._ball_bits: dict[int, "np.ndarray"] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.peak_cached_bounds = 0
-        self.monotone_cutoffs = False
+        for vertex in spanner.vertices():
+            self._intern(vertex)
         # Edges already in the spanner are certified bounds from the start.
-        for uid, vid, weight in self._index.edges():
-            self._bounds[(uid << 32) | vid] = weight
+        for u, v, weight in spanner.edges():
+            self._add_edge(u, v, weight)
+
+    def _intern(self, vertex: Vertex) -> int:
+        vid = self._id_of.get(vertex)
+        if vid is None:
+            vid = self._id_of[vertex] = self._cover.add_vertex()
+        return vid
 
     def _vertex_id(self, vertex: Vertex) -> int:
         try:
-            return self._index.id_of(vertex)
+            return self._id_of[vertex]
         except KeyError:
             raise VertexNotFoundError(vertex) from None
 
-    @property
-    def query_engine(self) -> QueryEngine:
-        """The oracle's batched query engine, built lazily over the mirror.
-
-        The engine shares the mirror's live adjacency arrays, so edges
-        reported through :meth:`notify_edge_added` are observed without any
-        rebuild.  It holds no search state between batches, only its
-        cumulative counters.
-        """
-        if self._engine is None:
-            self._engine = QueryEngine(self._index)
-        return self._engine
-
-    def run_queries(
-        self, sources: Sequence[Vertex], targets: Sequence[Vertex]
-    ) -> list[float]:
-        """Answer the paired distance queries ``(sources[i], targets[i])``.
-
-        Batched exact point-to-point distances in the *current* spanner
-        ``H`` — one early-stopped search per distinct source on the shared
-        engine instead of one Dijkstra per query.  Query and settle counts
-        land in the oracle's counters like any other query.
-        """
-        engine = self.query_engine
-        settled_before = engine.settled_count
-        results = engine.run_queries(sources, targets)
-        self.query_count += len(results)
-        self.settled_count += engine.settled_count - settled_before
-        return results
-
-    def _ball_bit(self, source: int, target: int) -> bool:
-        bits = self._ball_bits.get(source)
-        if bits is None:
-            return False
-        return bool((bits[target >> 3] >> (target & 7)) & 1)
+    def _add_edge(self, u: Vertex, v: Vertex, weight: float) -> None:
+        uid = self._intern(u)
+        vid = self._intern(v)
+        self._cover.add_edge(uid, vid, weight)
+        key = ((uid << 32) | vid) if uid <= vid else ((vid << 32) | uid)
+        existing = self._bounds.get(key)
+        if existing is None or weight < existing:
+            self._bounds[key] = weight
 
     def distance_within(self, u: Vertex, v: Vertex, cutoff: float) -> float:
         self.query_count += 1
@@ -216,63 +279,24 @@ class CachedDijkstraOracle(DistanceOracle):
         uid = self._vertex_id(u)
         vid = self._vertex_id(v)
         key = ((uid << 32) | vid) if uid <= vid else ((vid << 32) | uid)
-        if self.monotone_cutoffs:
-            # Membership in any past ball certifies δ_H ≤ that ball's radius,
-            # which is ≤ the current cutoff by monotonicity; the greedy loop
-            # only compares the answer against the cutoff, so the cutoff
-            # itself is a sufficient certified bound to return.
-            if self._ball_bit(uid, vid) or self._ball_bit(vid, uid):
-                self.cache_hits += 1
-                return cutoff
-            cached = self._bounds.pop(key, None)
-        else:
-            cached = self._bounds.get(key)
+        cover = self._cover
+        radius = self._radius
+        if cutoff >= radius and key in cover.covered:
+            self.cache_hits += 1
+            return radius
+        cached = self._bounds.pop(key, None)
         if cached is not None and cached <= cutoff:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        settled = indexed_ball(self._index, uid, cutoff)
-        self.settled_count += len(settled)
-        self._harvest(uid, settled)
-        distance = settled.get(vid)
-        return distance if distance is not None else math.inf
-
-    def _harvest(self, endpoint: int, settled: dict[int, float]) -> None:
-        """Record every settled vertex as a certified upper bound from ``endpoint``.
-
-        In monotone-cutoff mode the bounds are membership bits in the
-        source's bitset; otherwise exact distance values in the dictionary.
-        """
-        if self.monotone_cutoffs:
-            bits = self._ball_bits.get(endpoint)
-            if bits is None:
-                size = (self._index.number_of_vertices + 7) >> 3
-                bits = np.zeros(size, dtype=np.uint8)
-                self._ball_bits[endpoint] = bits
-            ids = np.fromiter(settled.keys(), dtype=np.int64, count=len(settled))
-            np.bitwise_or.at(bits, ids >> 3, np.left_shift(1, ids & 7).astype(np.uint8))
-            self.peak_cached_bounds = max(self.peak_cached_bounds, len(self._bounds))
-            return
-        bounds = self._bounds
-        for vertex, dist in settled.items():
-            if vertex == endpoint:
-                continue
-            key = ((endpoint << 32) | vertex) if endpoint <= vertex else ((vertex << 32) | endpoint)
-            existing = bounds.get(key)
-            if existing is None or dist < existing:
-                bounds[key] = dist
-        self.peak_cached_bounds = max(self.peak_cached_bounds, len(bounds))
+        self.settled_count += len(cover.ball(uid, cutoff))
+        if cutoff > radius:
+            self._radius = cutoff
+        self.peak_cached_bounds = max(self.peak_cached_bounds, len(self._bounds))
+        return cover.dist[vid] if cover.stamp[vid] == cover.gen else math.inf
 
     def notify_edge_added(self, u: Vertex, v: Vertex, weight: float) -> None:
-        # The greedy loop adds each edge at most once, so the mirror can take
-        # the raw-append path and skip add_edge's O(degree) duplicate scan.
-        self._index.append_edge_unchecked(u, v, weight)
-        uid = self._index.id_of(u)
-        vid = self._index.id_of(v)
-        key = ((uid << 32) | vid) if uid <= vid else ((vid << 32) | uid)
-        existing = self._bounds.get(key)
-        if existing is None or weight < existing:
-            self._bounds[key] = weight
+        self._add_edge(u, v, weight)
 
     def extra_metadata(self) -> dict[str, float]:
         return {

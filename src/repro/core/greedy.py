@@ -77,8 +77,8 @@ def greedy_spanner(
     t:
         The stretch parameter, ``t ≥ 1``.
     oracle:
-        Distance-query strategy: ``"cached"`` (indexed single-source ball
-        Dijkstra with monotone upper-bound caching, default) or
+        Distance-query strategy: ``"cached"`` (single-source ball
+        Dijkstra with monotone coverage caching, default) or
         ``"bounded"`` (the textbook cutoff-pruned Dijkstra, the baseline).
         Both produce the identical greedy spanner; they differ only in
         speed (see ``docs/PERFORMANCE.md``).
@@ -122,11 +122,6 @@ def greedy_spanner(
             spanner_graph.add_edge(u, v, weight)
             seeded += 1
     distance_oracle = make_oracle(oracle, spanner_graph)
-    if hasattr(distance_oracle, "monotone_cutoffs"):
-        # The loop below examines each pair once with non-decreasing cutoffs,
-        # so the caching oracle can certify hits by ball membership alone —
-        # identical verdicts and operation counts, sub-quadratic cache.
-        distance_oracle.monotone_cutoffs = True
 
     if edges is None:
         edges = graph.edges_sorted_by_weight()

@@ -10,21 +10,22 @@ frozen-filter / canonical-replay decomposition:
    pipeline — is chunked into contiguous **weight bands**
    (:func:`repro.metric.stream.edge_bands`; a pure function of the stream).
 2. Within a band, every edge is checked against the **frozen** spanner
-   ``H_frozen`` — the state after all previous bands finished, read from
-   its :class:`~repro.graph.csr.CSRAdjacency` snapshot.  Edges are
-   grouped under their *busier* endpoint (band-global frequency count, ties
-   to the lower id — fewer balls than always keying on the canonical
-   source, at identical verdicts since ``δ`` is symmetric) and each group
-   is decided by ONE bounded ball of radius ``t · max(w)`` (the PR-5
-   verification discipline).
+   ``H_frozen`` — the state after all previous bands finished, which is
+   exactly what the live weight-sorted rows of the shared
+   :class:`~repro.core.distance_oracle.CoverageIndex` hold before the
+   band's replay starts.  Edges are grouped under their *busier* endpoint
+   (band-global frequency count, ties to the lower id — fewer balls than
+   always keying on the canonical source, at identical verdicts since ``δ``
+   is symmetric) and each group is decided by ONE bounded ball of radius
+   ``t · max(w)``, as the batch verification engine groups its checks.
    Rejection is **sound**: the serial greedy's ``H`` at examination time is a
    superset of ``H_frozen``, so ``δ_frozen(u, v) ≤ t·w`` implies
    ``δ_serial(u, v) ≤ t·w`` — the serial algorithm would have rejected too.
-   Across bands, every settled ``(source, x)`` pair is harvested into a
-   **monotone coverage cache** (the CachedDijkstraOracle argument: spanners
-   only grow and the canonical order only raises cutoffs, so a certified
-   bound ``δ(u, x) ≤ r`` keeps rejecting forever); covered pairs are
-   rejected before any ball is scheduled.
+   Across bands, every settled ``(source, x)`` pair is harvested into the
+   same **monotone coverage set** the cached oracle uses (spanners only
+   grow and the canonical order only raises cutoffs, so a certified bound
+   ``δ(u, x) ≤ r`` keeps rejecting forever); covered pairs are rejected
+   before any ball is scheduled.
 3. Survivors ("candidates") are **replayed sequentially in canonical order**
    against the live spanner.  By induction every replayed verdict equals the
    serial verdict, so the constructed spanner is *byte-identical* to
@@ -33,21 +34,17 @@ frozen-filter / canonical-replay decomposition:
    ``tests/core/test_parallel_greedy.py``).
 
 Everything runs in one process; the counters are a pure function of the
-workload and the band size.  The path earns its place through the coverage
-cache, which beats ``greedy-serial`` on low-degree graphs and keeps peak
-memory lower (docs/PERFORMANCE.md).
+workload and the band size.  The filter shares the cached oracle's ball
+kernel and coverage set; docs/PERFORMANCE.md compares the two builders.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Iterable, Optional
 
-import numpy as np
-
+from repro.core.distance_oracle import CoverageIndex
 from repro.core.greedy import check_stretch
 from repro.core.spanner import Spanner
-from repro.graph.csr import CSRAdjacency
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import indexed_bidirectional_cutoff
 from repro.graph.weighted_graph import WeightedEdge, WeightedGraph
@@ -57,151 +54,41 @@ from repro.metric.stream import edge_bands, sorted_pair_stream
 
 #: Default number of weight bands the canonical order is split into.  More
 #: bands means a fresher frozen filter (fewer false candidates to replay)
-#: but more per-band snapshots and more filter balls per source; the
-#: measured sweet spot on the bench workloads is small (docs/PERFORMANCE.md).
+#: but more filter balls per source; the measured sweet spot on the bench
+#: workloads is small (docs/PERFORMANCE.md).
 DEFAULT_BANDS = 8
 
 #: A group is ``(source_id, [(canonical_index, target_id, weight), ...])``
 #: with items in canonical order, so the last item carries the max weight.
 FilterGroup = tuple[int, list[tuple[int, int, float]]]
 
-#: One band's verdicts: candidate canonical indices, ball settle count and
-#: the harvest — packed ``(min_id << 32) | max_id`` coverage pairs, already
-#: in the cache's key encoding so they merge with one C-level ``set.update``
-#: instead of a per-pair python loop.
-FilterResult = tuple[list[int], int, list[int]]
-
-
-def _csr_as_pairs(csr: CSRAdjacency) -> list[list[tuple[float, int]]]:
-    """Bulk-convert CSR arrays to per-vertex ``(weight, neighbour)`` pair rows.
-
-    Each adjacency row is re-sorted by ``(weight, neighbour id)`` (one
-    vectorized lexsort per snapshot) so the ball kernels can *break* out of
-    a vertex's relaxation loop at the first neighbour whose edge already
-    overshoots the radius — every later neighbour overshoots too.  On
-    degree-96 workloads only a few percent of scanned edges pass the radius
-    test, so the break removes the bulk of the inner-loop work.  The pairs
-    are pre-zipped into tuples so the kernel's relaxation loop is a single
-    list subscript plus tuple unpacking — no per-settle slice allocation,
-    no per-edge ``zip`` churn (measured ~30% off the ball kernel;
-    docs/PERFORMANCE.md).  Row order is unobservable in the results: ball
-    distances are adjacency-order independent, and the heap pops by the
-    total ``(dist, vertex)`` key, so the settle order is unchanged.
-    """
-    indptr = csr.indptr
-    rows = np.repeat(
-        np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr)
-    )
-    order = np.lexsort((csr.indices, csr.weights, rows))
-    flat = list(zip(csr.weights[order].tolist(), csr.indices[order].tolist()))
-    bounds = indptr.tolist()
-    return [flat[bounds[v]:bounds[v + 1]] for v in range(len(bounds) - 1)]
-
-
-# Scratch of the filter kernel, keyed by vertex count: a flat
-# tentative-distance array plus a generation stamp so starting a ball is one
-# counter increment, not an O(n) clear.
-_SCALAR_SCRATCH: dict[int, tuple[list[float], list[int], list[int]]] = {}
-
-
-def _scalar_scratch(n: int) -> tuple[list[float], list[int], list[int]]:
-    scratch = _SCALAR_SCRATCH.get(n)
-    if scratch is None:
-        scratch = _SCALAR_SCRATCH[n] = ([0.0] * n, [0] * n, [0])
-    return scratch
-
-
-def _scalar_ball(
-    pairs: list[list[tuple[float, int]]],
-    source: int,
-    radius: float,
-    dist: list[float],
-    stamp: list[int],
-    gen: int,
-) -> list[int]:
-    """Bounded Dijkstra ball over pre-zipped pair rows — the filter kernel.
-
-    Same settled set (contents, settle order and therefore settle count,
-    with IEEE-identical distance sums) as
-    :func:`~repro.graph.shortest_paths.indexed_ball`.  Unlike that loop it
-    prunes non-improving pushes through a generation-stamped
-    tentative-distance array: a pruned entry is never the minimum entry of
-    its vertex, so the pop order of *first* pops — the
-    only observable order — is untouched while the heap stays a fraction of
-    the size (the dominant cost of dense bands; docs/PERFORMANCE.md).  A
-    settled vertex needs no membership test on relaxation: its tentative
-    distance is final, so the strict ``<`` prune rejects re-relaxation.
-
-    Returns the settled vertex ids in settle order; the distances live in
-    ``dist`` under stamp ``gen``.  No settled dict is built at all: under
-    the strict ``<`` prune every stamped vertex is eventually settled (its
-    minimum heap entry is within the radius and the ball runs the heap
-    dry), so ``stamp[v] == gen`` *is* the membership test and ``dist[v]``
-    the final distance.  Staleness of a popped entry is likewise one list
-    subscript (``d > dist[vertex]``) instead of a dict probe, and
-    neighbours stream through pre-zipped ``(weight, neighbour)`` rows
-    rather than per-settle slicing (:func:`_csr_as_pairs`).
-
-    The ball deliberately runs to its full radius even after every group
-    target is settled: the surplus is harvested into the coverage cache,
-    where it rejects later bands' edges for free (early exit was a measured
-    net loss — docs/PERFORMANCE.md).
-    """
-    settled_ids: list[int] = []
-    append = settled_ids.append
-    pop = heappop
-    push = heappush
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    dist[source] = 0.0
-    stamp[source] = gen
-    while heap:
-        d, vertex = pop(heap)
-        if d > dist[vertex]:
-            continue
-        append(vertex)
-        for weight, neighbour in pairs[vertex]:
-            new_dist = d + weight
-            if new_dist > radius:
-                break  # rows are weight-sorted: every later neighbour overshoots
-            if stamp[neighbour] != gen or new_dist < dist[neighbour]:
-                dist[neighbour] = new_dist
-                stamp[neighbour] = gen
-                push(heap, (new_dist, neighbour))
-    return settled_ids
-
 
 def _filter_groups(
-    pairs: list[list[tuple[float, int]]],
+    cover: CoverageIndex,
     groups: list[FilterGroup],
     t: float,
-) -> FilterResult:
-    """Decide one band's per-source groups against the frozen snapshot.
+) -> tuple[list[int], int]:
+    """Decide one band's per-source groups against the frozen spanner.
 
-    ``pairs`` is the snapshot's :func:`_csr_as_pairs` rows.  Returns
-    ``(candidate_indices, settles, covered)``: the canonical indices of the
-    edges the frozen spanner could NOT reject, the ball settle count, and
-    every settled ``(source, x)`` pair packed into the coverage cache's
-    ``(min << 32) | max`` key encoding — the packing is vectorized here (one
-    numpy min/max/shift per ball) so the merge is a single ``set.update``.
-    Pure function of the arguments: the determinism anchor.
+    ``cover`` holds the spanner as it stood after the previous band: the
+    band's replay has not run yet, so its live rows *are* the frozen state.
+    Each ball also harvests its settled pairs into the coverage set, which
+    this band's filter never reads.  Returns ``(candidate_indices,
+    settles)``: the canonical indices of the edges the frozen spanner could
+    NOT reject, and the ball settle count.
     """
     candidates: list[int] = []
     settles = 0
-    covered: list[int] = []
-    dist, stamp, genbox = _scalar_scratch(len(pairs))
+    dist = cover.dist
+    stamp = cover.stamp
     for source_id, items in groups:
         radius = t * items[-1][2]  # canonical order: last item has max weight
-        genbox[0] += 1
-        gen = genbox[0]
-        settled_ids = _scalar_ball(pairs, source_id, radius, dist, stamp, gen)
-        settles += len(settled_ids)
-        ids = np.fromiter(settled_ids, dtype=np.int64, count=len(settled_ids))
-        packed = (np.minimum(ids, source_id) << 32) | np.maximum(ids, source_id)
-        covered.extend(packed.tolist())
+        settles += len(cover.ball(source_id, radius))
+        gen = cover.gen
         for canonical_index, target_id, weight in items:
             if stamp[target_id] != gen or dist[target_id] > t * weight:
                 candidates.append(canonical_index)
-    return candidates, settles, covered
+    return candidates, settles
 
 
 def parallel_greedy_spanner(
@@ -209,14 +96,13 @@ def parallel_greedy_spanner(
     t: float,
     *,
     bands: int = DEFAULT_BANDS,
-    band_edges: Optional[int] = None,
     edges: Optional[Iterable[WeightedEdge]] = None,
 ) -> Spanner:
-    """Build the greedy ``t``-spanner on the CSR band-filter path.
+    """Build the greedy ``t``-spanner on the band-filter path.
 
     Byte-identical to ``greedy_spanner(graph, t)`` — same edge set, same
-    weights — for every ``bands`` / ``band_edges`` choice; the knobs trade
-    filter freshness against per-band overhead, never correctness.
+    weights — for every ``bands`` choice; the knob trades filter freshness
+    against per-band overhead, never correctness.
 
     Parameters
     ----------
@@ -227,9 +113,8 @@ def parallel_greedy_spanner(
     t:
         The stretch parameter, ``t ≥ 1``.
     bands:
-        Target number of weight bands (ignored when ``band_edges`` is given).
-    band_edges:
-        Explicit band size in edges; defaults to ``m / bands``.
+        Target number of weight bands; each band holds about ``m / bands``
+        edges.
     edges:
         Optional canonical-order edge source overriding
         ``graph.edges_sorted_by_weight()`` (e.g. the streaming pipeline).
@@ -246,11 +131,10 @@ def parallel_greedy_spanner(
     check_stretch(t)
     spanner_graph = graph.empty_spanning_subgraph()
     mirror = IndexedGraph(vertices=graph.vertices())
+    cover = CoverageIndex(mirror.number_of_vertices)
     if edges is None:
         edges = graph.edges_sorted_by_weight()
-    total_edges = graph.number_of_edges
-    if band_edges is None:
-        band_edges = max(1, -(-total_edges // max(1, bands)))
+    band_size = max(1, -(-graph.number_of_edges // max(1, bands)))
 
     examined = 0
     added = 0
@@ -259,16 +143,16 @@ def parallel_greedy_spanner(
     replay_settles = 0
     candidate_total = 0
     cache_hits = 0
-    #: Monotone coverage cache: packed unordered pairs (u, x) certified
-    #: ``δ(u, x) ≤ r`` by some earlier ball or replay search of radius
-    #: ``r ≤ t·w`` for every weight ``w`` still ahead in the canonical order
-    #: (bands are non-decreasing), so membership alone rejects forever.
-    covered: set[int] = set()
-    covered_add = covered.add
+    # Monotone coverage: a pair (u, x) in ``cover`` was certified
+    # ``δ(u, x) ≤ r`` by some earlier ball or replay search of radius
+    # ``r ≤ t·w`` for every weight ``w`` still ahead in the canonical order
+    # (bands are non-decreasing), so membership alone rejects forever.
+    covers = cover.covers
+    harvest = cover.harvest
     # Every vertex is interned at mirror construction, so the per-edge id
     # translation is a plain dict subscript — no intern() call per endpoint.
     id_of = mirror.id_map()
-    for band in edge_bands(edges, band_edges):
+    for band in edge_bands(edges, band_size):
         band_count += 1
         groups: dict[int, list[tuple[int, int, float]]] = {}
         info: dict[int, tuple] = {}
@@ -284,8 +168,7 @@ def parallel_greedy_spanner(
             canonical_index = examined + offset
             uid = id_of[u]
             vid = id_of[v]
-            # The packed unordered pair, inlined: this runs once per edge.
-            if ((uid << 32) | vid if uid < vid else (vid << 32) | uid) in covered:
+            if covers(uid, vid):
                 cache_hits += 1
                 continue
             survivors.append((canonical_index, uid, vid, u, v, weight))
@@ -305,13 +188,10 @@ def parallel_greedy_spanner(
         examined += len(band)
         if not groups:
             continue
-        candidates, settles, harvest = _filter_groups(
-            _csr_as_pairs(mirror.finalize()), list(groups.items()), t
-        )
+        candidates, settles = _filter_groups(cover, list(groups.items()), t)
         candidates.sort()
         filter_settles += settles
         candidate_total += len(candidates)
-        covered.update(harvest)
         for canonical_index in candidates:
             u, v, uid, vid, weight = info[canonical_index]
             cutoff = t * weight
@@ -321,17 +201,15 @@ def parallel_greedy_spanner(
             replay_settles += len(settled_f) + len(settled_b)
             # Replay half-balls are certified bounds on the live (even
             # larger) spanner at cutoff t·w ≤ every future cutoff — free
-            # coverage, exactly the oracle's harvesting (pair packing
-            # inlined in both loops).
-            for x in settled_f:
-                covered_add((uid << 32) | x if uid < x else (x << 32) | uid)
-            for x in settled_b:
-                covered_add((vid << 32) | x if vid < x else (x << 32) | vid)
+            # coverage, exactly the oracle's harvesting.
+            harvest(uid, settled_f)
+            harvest(vid, settled_b)
             if distance > cutoff:
                 spanner_graph.add_edge(u, v, weight)
                 mirror.append_edge_unchecked_ids(uid, vid, weight)
+                cover.add_edge(uid, vid, weight)
                 added += 1
-                covered_add((uid << 32) | vid if uid < vid else (vid << 32) | uid)
+                harvest(uid, (vid,))
 
     metadata = {
         "distance_queries": float(examined),

@@ -26,10 +26,8 @@ order and count only non-stale pops.
 reference twin — the query bench cross-checks the two element for element
 (the ``queries_match`` gate) and reports the measured speedup.
 
-Exposure: :meth:`repro.core.distance_oracle.CachedDijkstraOracle.run_queries`
-serves batches over a growing spanner mirror, and
-:meth:`repro.distributed.routing.RoutingScheme.run_queries` serves overlay
-distance batches next to the routing tables.
+Exposure: :meth:`repro.distributed.routing.RoutingScheme.run_queries` serves
+overlay distance batches next to the routing tables.
 """
 
 from __future__ import annotations

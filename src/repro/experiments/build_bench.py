@@ -7,15 +7,17 @@ construction per *strategy* on one shared workload instance:
 
 * ``greedy-edge-list`` — the per-edge bounded-ball list path: one cutoff
   Dijkstra ball per examined edge, no amortization.  This is the hot loop
-  the CSR band filter replaces, and the denominator of the gated
+  the band filter replaces, and the denominator of the gated
   ``build_speedup``.
 * ``greedy-serial`` — the repo's default serial path (cached oracle), the
   strongest sequential baseline; its ratio is reported as
   ``cached_speedup`` so the trajectory stays honest about how much of the
   win is amortization (shared with the oracle) versus banding.
 * ``csr-parallel-w1`` — :func:`repro.core.parallel_greedy.parallel_greedy_spanner`:
-  the CSR band filter + canonical replay, in one process.  ``cpu_count``
-  is recorded verbatim.
+  the band filter + canonical replay, in one process (the label predates
+  the filter's move from CSR snapshots to the live coverage rows and is
+  kept as the committed trajectory's key).  ``cpu_count`` is recorded
+  verbatim.
 
 Every strategy must produce the *byte-identical* greedy edge set — the
 ``builds_match`` cross-check flag that ``scripts/check_bench_regression.py``
@@ -143,7 +145,7 @@ def _build_presets() -> dict[str, Preset]:
         # The stretch row toward n = 10⁶: the per-edge baseline is
         # dropped (the edge-list path alone would cost the better part of an
         # hour) so the row stays regenerable inside one offline bench budget;
-        # builds_match still cross-checks the CSR path against the serial
+        # builds_match still cross-checks the band path against the serial
         # builder edge-for-edge.
         (
             bucketed_workload(n=500000, degree=16.0),

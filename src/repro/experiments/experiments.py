@@ -721,11 +721,11 @@ def experiment_build_matrix(
     stretch: float = 2.0,
     seed: int = 3,
 ) -> ExperimentResult:
-    """Greedy construction strategies: per-edge, cached, CSR band filter.
+    """Greedy construction strategies: per-edge, cached, band filter.
 
     Builds the same greedy spanner with every construction strategy of
     ``repro bench build`` — the per-edge bounded-ball list path, the cached
-    serial path, and the CSR band filter — and checks the edge sets are byte-identical
+    serial path, and the band filter — and checks the edge sets are byte-identical
     (``builds_match``), the empirical teeth behind the deterministic
     frozen-filter/canonical-replay argument of
     :mod:`repro.core.parallel_greedy`.  ``repro bench build`` persists the
@@ -737,7 +737,7 @@ def experiment_build_matrix(
 
     result = ExperimentResult(
         experiment_id="E14",
-        title="Construction matrix: CSR band-filter greedy vs serial paths",
+        title="Construction matrix: band-filter greedy vs serial paths",
         paper_claim=(
             "Existential optimality (Theorem 10) is a statement about the "
             "greedy spanner itself, so any faster construction must produce "

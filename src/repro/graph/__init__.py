@@ -8,7 +8,6 @@ helpers.
 
 from repro.graph.weighted_graph import WeightedGraph
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.csr import CSRAdjacency
 from repro.graph.heap import EventQueue
 from repro.graph.shortest_paths import (
     all_pairs_distances,
@@ -45,7 +44,6 @@ from repro.graph.girth import unweighted_girth, weighted_girth
 __all__ = [
     "WeightedGraph",
     "IndexedGraph",
-    "CSRAdjacency",
     "EventQueue",
     "all_pairs_distances",
     "dijkstra",

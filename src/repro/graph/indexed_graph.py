@@ -19,9 +19,9 @@ representation optimised for exactly that access pattern:
 
 The indexed search routines that run on this structure live in
 :mod:`repro.graph.shortest_paths` (``indexed_dijkstra_with_cutoff``,
-``indexed_bidirectional_cutoff``, ``indexed_ball``); the ``"cached"``
-distance oracle of :mod:`repro.core.distance_oracle`, the band builder and
-the cluster graphs of :mod:`repro.core.cluster_graph` are their consumers.  See
+``indexed_bidirectional_cutoff``, ``indexed_ball``); the band builder's
+replay, the query engine, the verification engine and the cluster graphs of
+:mod:`repro.core.cluster_graph` are their consumers.  See
 ``docs/PERFORMANCE.md`` for measurements.
 """
 
@@ -59,7 +59,6 @@ class IndexedGraph:
         "_neighbour_ids",
         "_neighbour_weights",
         "_edge_count",
-        "_csr",
     )
 
     def __init__(
@@ -72,7 +71,6 @@ class IndexedGraph:
         self._neighbour_ids: list[list[int]] = []
         self._neighbour_weights: list[list[float]] = []
         self._edge_count = 0
-        self._csr = None
         if vertices is not None:
             for vertex in vertices:
                 self.intern(vertex)
@@ -92,7 +90,6 @@ class IndexedGraph:
             self._vertex_of.append(vertex)
             self._neighbour_ids.append([])
             self._neighbour_weights.append([])
-            self._csr = None  # n changed: any finalized snapshot is stale
         return vid
 
     def add_vertices(self, vertices: Iterable[Vertex]) -> None:
@@ -154,7 +151,6 @@ class IndexedGraph:
             self._neighbour_weights[uid][slot] = value
             back = self._neighbour_ids[vid].index(uid)
             self._neighbour_weights[vid][back] = value
-            self._csr = None  # weight overwrite bypasses _append_half_edge
 
     def append_edge_unchecked(self, u: Vertex, v: Vertex, weight: float) -> None:
         """Append the edge ``(u, v)`` *assuming it is not already present*.
@@ -194,7 +190,6 @@ class IndexedGraph:
     def _append_half_edge(self, uid: int, vid: int, weight: float) -> None:
         self._neighbour_ids[uid].append(vid)
         self._neighbour_weights[uid].append(weight)
-        self._csr = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -229,27 +224,6 @@ class IndexedGraph:
     def incident_ids(self, vid: int) -> Iterator[tuple[int, float]]:
         """Iterate over ``(neighbour_id, weight)`` pairs of ``vid``."""
         return zip(self._neighbour_ids[vid], self._neighbour_weights[vid])
-
-    def finalize(self):
-        """Return the CSR snapshot of the current adjacency, rebuilding if stale.
-
-        The snapshot (:class:`~repro.graph.csr.CSRAdjacency` — flat numpy
-        ``indptr`` / ``indices`` / ``weights`` arrays preserving per-vertex
-        neighbour order) is cached on the graph and invalidated by *any*
-        mutation: interning a new vertex, appending a half-edge, or
-        overwriting an edge weight.  The band spanner builder takes one
-        snapshot per construction band as its frozen filter graph.
-        Callers must treat the returned arrays as immutable.
-        """
-        csr = self._csr
-        if csr is None:
-            from repro.graph.csr import CSRAdjacency
-
-            csr = CSRAdjacency.from_adjacency_lists(
-                self._neighbour_ids, self._neighbour_weights
-            )
-            self._csr = csr
-        return csr
 
     def adjacency_arrays(self) -> tuple[list[list[int]], list[list[float]]]:
         """Return the raw parallel adjacency arrays (shared, not copied).

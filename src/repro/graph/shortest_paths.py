@@ -18,17 +18,16 @@ compares it to ``t * w(u, v)``.  This module provides the distance machinery:
 
 The ``indexed_*`` variants run on the dense-integer
 :class:`~repro.graph.indexed_graph.IndexedGraph` representation and are the
-hot-path versions used by the ``"cached"`` distance oracle, the band
-builder and the cluster graphs (see ``docs/PERFORMANCE.md``):
+hot-path versions used by the band builder's replay, the verification
+engine, the overlays and the cluster graphs (see ``docs/PERFORMANCE.md``):
 
 * :func:`indexed_dijkstra_with_cutoff` — bounded single-pair search
   (cluster-graph queries),
 * :func:`indexed_bidirectional_cutoff` — meet-in-the-middle bounded search:
   two half-radius balls instead of one full-radius ball (the band
   builder's replay),
-* :func:`indexed_ball` — all vertices within a radius (cluster construction,
-  the caching oracle's batch-harvest of certified upper bounds, and the batch
-  verification engine's per-source grouped edge checks),
+* :func:`indexed_ball` — all vertices within a radius (cluster construction
+  and the batch verification engine's per-source grouped edge checks),
 * :func:`indexed_cutoff_excluding_edge` — bounded single-pair search on
   ``G - e`` without materializing the edge removal (the Lemma 3 verifier),
 * :func:`indexed_greedy_clustering` — greedy ``r``-net centre selection plus
@@ -41,14 +40,15 @@ builder and the cluster graphs (see ``docs/PERFORMANCE.md``):
   routing-table and synchronizer kernels of the distributed overlay engine
   (:mod:`repro.distributed`).
 
-Each search kind has exactly one production kernel: a lazy C :mod:`heapq`
-loop over the list-of-lists adjacency with ``(dist, vertex)`` entries.
-Because that priority order is *total* (vertex ids are unique), every run
-pops an identical sequence with IEEE-identical float64 sums, so settled
-maps and operation counts are deterministic.  The per-kind measurements
-that retired the CSR-array and d-ary-heap twins are in
-``docs/PERFORMANCE.md``; ``tests/graph/test_csr_equivalence.py`` checks
-every kernel against the :class:`WeightedGraph` seed searches above.
+Each search kind has exactly one kernel here: a lazy C :mod:`heapq` loop
+over the list-of-lists adjacency with ``(dist, vertex)`` entries.  Because
+that priority order is *total* (vertex ids are unique), every run pops an
+identical sequence with IEEE-identical float64 sums, so settled maps and
+operation counts are deterministic.  The greedy builders' ball runs on
+weight-sorted rows instead
+(:class:`~repro.core.distance_oracle.CoverageIndex`) and settles the same
+sequence.  ``tests/graph/test_csr_equivalence.py`` checks every kernel
+against the :class:`WeightedGraph` seed searches above.
 
 All functions treat unreachable vertices as being at distance ``math.inf``.
 """
@@ -263,7 +263,7 @@ def indexed_dijkstra_with_cutoff(
     only need the distance may discard the map; each entry is an exact
     distance at search time and therefore a valid upper bound forever in a
     graph whose distances only shrink (the property the caching oracle's
-    full-ball variant, :func:`indexed_ball`, exploits).
+    full-ball harvest exploits).
     """
     if source == target:
         return 0.0, {source: 0.0}
@@ -349,8 +349,8 @@ def indexed_ball(graph: IndexedGraph, source: int, radius: float) -> dict[int, f
     The indexed twin of the cluster-construction search: used by
     :class:`~repro.core.cluster_graph.ClusterGraph` to absorb all vertices
     within spanner distance ``radius`` of a new cluster centre, and by the
-    caching oracle's batch harvest.  A ball is the bounded search with no
-    target.
+    verification engine's grouped checks.  A ball is the bounded search
+    with no target.
     """
     return _bounded_search(graph, source, radius)[1]
 

@@ -295,10 +295,10 @@ def edge_bands(
 
     Yields lists of at least ``band_size`` edges, extending each band until
     the weight strictly increases so a tie plateau is never split across two
-    bands.  The partition is a pure function of ``(edges, band_size)`` —
-    worker-count independent, which is what lets the parallel spanner builder
-    (:mod:`repro.core.parallel_greedy`) freeze one spanner snapshot per band
-    and still produce byte-identical results for 1 vs N workers.  The stream
+    bands.  The partition is a pure function of ``(edges, band_size)``, which
+    is what lets the band spanner builder (:mod:`repro.core.parallel_greedy`)
+    filter each band against the spanner as it stood before the band and
+    still produce byte-identical results for every band count.  The stream
     is consumed lazily: only the current band is ever held in memory, so
     metric workloads keep the O(n + band) footprint of
     :func:`sorted_pair_stream`.

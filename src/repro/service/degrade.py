@@ -46,11 +46,10 @@ from repro.errors import (
 from repro.spanners.registry import Workload, get_builder
 
 #: The default fallback chain, strongest guarantee first.  greedy-parallel
-#: is the CSR band-filter exact greedy (the existentially optimal artifact,
-#: byte-identical to the serial builder; the band path wins on low-degree
-#: graphs through its coverage cache); the tail tiers trade stretch for
-#: construction speed until the MST, which always exists and is the
-#: cheapest connected fallback.
+#: is the band-filter exact greedy (the existentially optimal artifact,
+#: byte-identical to the serial builder, sharing its ball kernel and
+#: coverage set); the tail tiers trade stretch for construction speed until
+#: the MST, which always exists and is the cheapest connected fallback.
 DEFAULT_CHAIN: tuple[str, ...] = (
     "greedy-parallel",
     "approx-greedy",

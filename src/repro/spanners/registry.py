@@ -287,7 +287,7 @@ def _register_default_builders() -> None:
     ))
     register_builder(SpannerBuilder(
         name="greedy-parallel",
-        description="Algorithm 1 on the CSR band-filter path (byte-identical spanner)",
+        description="Algorithm 1 on the band-filter path (byte-identical spanner)",
         domain="weighted graphs and finite metrics",
         supports=_any_workload,
         build_fn=_build_greedy_parallel,

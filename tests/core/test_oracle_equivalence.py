@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles.greedy import value_cache_greedy
 from repro.core.distance_oracle import CachedDijkstraOracle, ORACLE_FACTORIES
 from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.graph.generators import random_connected_graph
 from repro.graph.shortest_paths import pair_distance
+from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.generators import uniform_points
 
 ALL_STRATEGIES = tuple(ORACLE_FACTORIES)
@@ -116,7 +119,10 @@ class TestCachedOracle:
         hits_before = oracle.cache_hits
         second = oracle.distance_within(u, v, exact * 2)
         assert oracle.cache_hits == hits_before + 1
-        assert second == first
+        # A hit returns a certified bound (the largest harvested radius),
+        # not the stored exact distance: the pair is not stored with a value.
+        assert first == exact
+        assert first <= second <= exact * 2
 
     def test_notified_edges_become_cached_bounds(self, small_random_graph):
         spanner = small_random_graph.empty_spanning_subgraph()
@@ -147,30 +153,14 @@ class TestCachedOracle:
 
 
 class TestMonotoneCutoffMode:
-    """The greedy loop's bitset cache mode (see CachedDijkstraOracle docs)."""
-
-    def test_default_is_value_cache(self, small_random_graph):
-        oracle = CachedDijkstraOracle(small_random_graph)
-        assert oracle.monotone_cutoffs is False
+    """The greedy loop's non-decreasing cutoffs: every covered pair is a hit."""
 
     def test_greedy_enables_monotone_mode_and_counts_match_value_mode(self):
-        """Hit/miss/settle counts are identical in both cache representations."""
+        """Hit/miss/settle counts equal the value-cache reference's."""
         metric = uniform_points(60, 2, seed=47)
         streamed = greedy_spanner_of_metric(metric, 2.0, oracle="cached")
-
-        # Re-run the same examination sequence against a value-cache oracle.
-        complete = metric.complete_graph()
-        spanner_graph = complete.empty_spanning_subgraph()
-        oracle = CachedDijkstraOracle(spanner_graph)  # monotone_cutoffs off
-        added = 0
-        for u, v, weight in complete.edges_sorted_by_weight():
-            cutoff = 2.0 * weight
-            if oracle.distance_within(u, v, cutoff) > cutoff:
-                spanner_graph.add_edge(u, v, weight)
-                oracle.notify_edge_added(u, v, weight)
-                added += 1
+        spanner_graph, oracle = value_cache_greedy(metric.complete_graph(), 2.0)
         assert spanner_graph.same_edges(streamed.subgraph)
-        assert added == streamed.metadata["edges_added"]
         assert float(oracle.cache_hits) == streamed.metadata["cache_hits"]
         assert float(oracle.cache_misses) == streamed.metadata["cache_misses"]
         assert float(oracle.settled_count) == streamed.metadata["dijkstra_settles"]
@@ -179,25 +169,97 @@ class TestMonotoneCutoffMode:
         metric = uniform_points(40, 2, seed=31)
         spanner = greedy_spanner_of_metric(metric, 2.0, oracle="cached")
         assert "peak_cached_bounds" in spanner.metadata
-        # The value dictionary only ever holds edge bounds in monotone mode,
-        # far below the ~n²/2 entries the value cache would accumulate.
+        # The value dictionary only ever holds edge bounds, far below the
+        # ~n²/2 entries a value cache of every ball would accumulate.
         n = metric.size
         assert spanner.metadata["peak_cached_bounds"] < n * (n - 1) / 4
 
     def test_monotone_mode_answers_certify_the_verdict(self, small_random_graph):
-        """In monotone mode a hit may return the cutoff itself; the verdict
-        (within / not within) must still match the exact distance."""
+        """Under non-decreasing cutoffs a hit may return a bound above the
+        exact distance; the verdict (within / not within) must still match."""
         spanner_graph = small_random_graph.copy()
         oracle = CachedDijkstraOracle(spanner_graph)
-        oracle.monotone_cutoffs = True
         vertices = list(spanner_graph.vertices())
         pairs = [(vertices[i], vertices[j]) for i in range(6) for j in range(i + 1, 6)]
         queries = sorted(
             (pair_distance(spanner_graph, u, v), u, v) for u, v in pairs
         )
-        for exact, u, v in queries:  # non-decreasing cutoffs, as promised
+        for exact, u, v in queries:  # non-decreasing cutoffs
             cutoff = exact * 1.01
             answer = oracle.distance_within(u, v, cutoff)
             # The pair is genuinely within the cutoff, so the oracle must
             # certify it: any returned bound at most the cutoff is correct.
             assert answer <= cutoff
+
+
+class TestAnyCutoffOrder:
+    def test_cutoff_below_an_earlier_radius_is_answered_exactly(self):
+        """A covered pair is not a hit when the cutoff drops below the
+        radius that covered it: the oracle searches again and says ``inf``."""
+        graph = WeightedGraph(edges=[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        oracle = CachedDijkstraOracle(graph)
+        assert oracle.distance_within(0, 3, 10.0) == 3.0  # covers (0, 2) at radius 10
+        hits = oracle.cache_hits
+        assert oracle.distance_within(0, 2, 1.5) == math.inf
+        assert oracle.distance_within(2, 0, 2.0) == 2.0
+        assert oracle.cache_hits == hits
+        # Back at or above the largest radius, membership decides again.
+        assert oracle.distance_within(0, 2, 10.0) <= 10.0
+        assert oracle.cache_hits == hits + 1
+
+    def test_vertex_first_seen_by_notify_gets_a_row(self):
+        spanner = WeightedGraph(vertices=[0, 1])
+        oracle = CachedDijkstraOracle(spanner)
+        spanner.add_edge(1, "new", 2.0)
+        oracle.notify_edge_added(1, "new", 2.0)
+        spanner.add_edge(0, 1, 1.0)
+        oracle.notify_edge_added(0, 1, 1.0)
+        assert oracle.distance_within(0, "new", 5.0) == 3.0
+        assert oracle.distance_within("new", 0, 2.5) == math.inf
+
+
+@st.composite
+def greedy_runs(draw):
+    """A small connected graph, a stretch and a repair-style warm start.
+
+    ``split`` cuts the canonical edge order: the greedy spanner's edges
+    before it are seeded, the edges after it are replayed (``split == 0``
+    is a plain run).
+    """
+    n = draw(st.integers(min_value=2, max_value=14))
+    weights = st.one_of(
+        st.sampled_from((0.5, 1.0, 1.5, 2.0)),
+        st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+    )
+    graph = WeightedGraph(vertices=range(n))
+    for v in range(1, n):
+        graph.add_edge(draw(st.integers(min_value=0, max_value=v - 1)), v, draw(weights))
+    for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, draw(weights))
+    stretch = draw(st.sampled_from((1.0, 1.2, 1.5, 2.0, 3.0, 5.0)))
+    split = draw(st.integers(min_value=0, max_value=graph.number_of_edges))
+    return graph, stretch, split
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=greedy_runs())
+def test_cached_oracle_matches_the_value_cache_reference(run):
+    """Spanner, hits, misses and settles equal the value-cache reference's,
+    with and without a warm-start prefix."""
+    graph, stretch, split = run
+    order = graph.edges_sorted_by_weight()
+    full = greedy_spanner(graph, stretch).subgraph
+    seeds = [(u, v, w) for u, v, w in order[:split] if full.has_edge(u, v)]
+    suffix = order[split:]
+    spanner = greedy_spanner(
+        graph, stretch, edges=suffix, seed_edges=seeds if split else None
+    )
+    reference, oracle = value_cache_greedy(graph, stretch, edges=suffix, seed_edges=seeds)
+    assert spanner.subgraph.same_edges(reference)
+    assert spanner.subgraph.same_edges(full)
+    assert spanner.metadata["cache_hits"] == oracle.cache_hits
+    assert spanner.metadata["cache_misses"] == oracle.cache_misses
+    assert spanner.metadata["dijkstra_settles"] == oracle.settled_count

@@ -15,8 +15,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.distance_oracle import make_oracle
-from repro.core.greedy import greedy_spanner
 from repro.core.query_engine import (
     QueryEngine,
     reference_queries,
@@ -203,7 +201,7 @@ def test_counters_shape():
 
 
 # ---------------------------------------------------------------------------
-# Exposure: oracle and routing scheme
+# Exposure: routing scheme
 # ---------------------------------------------------------------------------
 def _ladder(n: int = 30) -> WeightedGraph:
     graph = WeightedGraph()
@@ -212,33 +210,6 @@ def _ladder(n: int = 30) -> WeightedGraph:
         if v >= 2:
             graph.add_edge(v - 2, v, 1.5)
     return graph
-
-
-def test_oracle_run_queries_matches_reference_and_counts():
-    spanner = greedy_spanner(_ladder(), 2.0)
-    oracle = make_oracle("cached", spanner.subgraph)
-    sources = [0, 0, 5, 20, 7]
-    targets = [29, 10, 5, 3, 7]
-    queries_before = oracle.query_count
-    got = oracle.run_queries(sources, targets)
-    want, _ = reference_queries(oracle.query_engine.indexed, sources, targets)
-    assert got == want
-    assert oracle.query_count == queries_before + len(sources)
-    assert oracle.settled_count > 0
-    # The engine is shared across batches, not rebuilt per call.
-    assert oracle.query_engine is oracle.query_engine
-
-
-def test_oracle_run_queries_sees_notified_edges():
-    """Batched answers reflect edges added through the greedy notify hook."""
-    graph = WeightedGraph(vertices=[0, 1, 2])
-    graph.add_edge(0, 1, 1.0)
-    graph.add_edge(1, 2, 1.0)
-    oracle = make_oracle("cached", graph)
-    assert oracle.run_queries([0], [2]) == [2.0]
-    graph.add_edge(0, 2, 0.5)
-    oracle.notify_edge_added(0, 2, 0.5)
-    assert oracle.run_queries([0], [2]) == [0.5]
 
 
 def test_routing_scheme_run_queries():

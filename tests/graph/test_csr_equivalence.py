@@ -12,13 +12,11 @@ exactly-representable dyadic values, so equal-distance pop races actually
 occur, and **string-vertex** ones, so the dense-id interning layer is
 exercised too.
 
-Every test runs on two graphs (the ``adjacency`` parameter):
-
-* ``heap`` — the :class:`IndexedGraph` as built, searched by the C-``heapq``
-  kernel directly;
-* ``csr`` — the same graph rebuilt from its :meth:`IndexedGraph.finalize`
-  CSR snapshot, the flat float64 layout the parallel builder ships to its
-  workers, so the snapshot must preserve every search answer bit for bit.
+The ``adjacency`` parameter has the one value ``heap``: the kernels run on
+the :class:`IndexedGraph` as built, searched by the C-``heapq`` loop.  The
+cached oracle's weight-sorted ball kernel
+(:class:`~repro.core.distance_oracle.CoverageIndex`) is checked against the
+same seed settle order.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.distance_oracle import CoverageIndex
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import (
     dijkstra,
@@ -85,23 +84,6 @@ def search_cases(draw):
     return graph, source, target, cutoff
 
 
-def csr_rebuilt(graph: IndexedGraph) -> IndexedGraph:
-    """A fresh dense-id :class:`IndexedGraph` read back from ``graph``'s CSR snapshot."""
-    csr = graph.finalize()
-    rebuilt = IndexedGraph(vertices=range(csr.n))
-    for uid in range(csr.n):
-        ids, weights = csr.neighbours(uid)
-        for vid, weight in zip(ids.tolist(), weights.tolist()):
-            if uid < vid:
-                rebuilt.add_edge_ids(uid, vid, weight)
-    return rebuilt
-
-
-def searched(graph: IndexedGraph, adjacency: str) -> IndexedGraph:
-    """The graph a test's kernel runs on: ``graph`` itself or its CSR rebuild."""
-    return csr_rebuilt(graph) if adjacency == "csr" else graph
-
-
 def seed_graph(
     graph: IndexedGraph, excluded: tuple[int, int] = (-1, -1)
 ) -> WeightedGraph:
@@ -133,7 +115,7 @@ def expected_bounded(
     return math.inf, order
 
 
-@pytest.mark.parametrize("adjacency", ["csr", "heap"])
+@pytest.mark.parametrize("adjacency", ["heap"])
 @settings(max_examples=80, deadline=None)
 @given(case=search_cases())
 def test_bounded_single_pair_identical(adjacency, case):
@@ -141,7 +123,7 @@ def test_bounded_single_pair_identical(adjacency, case):
     graph, source, target, cutoff = case
     reference = seed_graph(graph)
     distance, settled = indexed_dijkstra_with_cutoff(
-        searched(graph, adjacency), source, target, cutoff
+        graph, source, target, cutoff
     )
     expected_distance, expected_order = expected_bounded(
         reference, source, target, cutoff
@@ -151,7 +133,7 @@ def test_bounded_single_pair_identical(adjacency, case):
     assert list(settled.items()) == expected_order
 
 
-@pytest.mark.parametrize("adjacency", ["csr", "heap"])
+@pytest.mark.parametrize("adjacency", ["heap"])
 @settings(max_examples=80, deadline=None)
 @given(case=search_cases())
 def test_bidirectional_cutoff_identical(adjacency, case):
@@ -160,7 +142,7 @@ def test_bidirectional_cutoff_identical(adjacency, case):
     graph, source, target, cutoff = case
     reference = seed_graph(graph)
     distance, settled_f, settled_b = indexed_bidirectional_cutoff(
-        searched(graph, adjacency), source, target, cutoff
+        graph, source, target, cutoff
     )
     forward = settle_order(reference, source, cutoff)
     backward = settle_order(reference, target, cutoff)
@@ -176,17 +158,38 @@ def test_bidirectional_cutoff_identical(adjacency, case):
         assert math.isclose(distance, true_distance, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("adjacency", ["csr", "heap"])
+@pytest.mark.parametrize("adjacency", ["heap"])
 @settings(max_examples=60, deadline=None)
 @given(case=search_cases())
 def test_ball_identical(adjacency, case):
     """Radius-bounded ball harvest: identical contents and insertion order."""
     graph, source, _, radius = case
-    ball = indexed_ball(searched(graph, adjacency), source, radius)
+    ball = indexed_ball(graph, source, radius)
     assert list(ball.items()) == settle_order(seed_graph(graph), source, radius)
 
 
-@pytest.mark.parametrize("adjacency", ["csr", "heap"])
+@settings(max_examples=60, deadline=None)
+@given(case=search_cases())
+def test_coverage_ball_identical(case):
+    """The weight-sorted, stamp-pruned ball of the cached oracle: identical
+    settle order and distances, and every settled pair lands in the set.
+    The second ball reuses the first one's stamped scratch."""
+    graph, source, target, radius = case
+    cover = CoverageIndex(graph.number_of_vertices)
+    for uid, vid, weight in graph.edges():
+        cover.add_edge(uid, vid, weight)
+    expected_pairs = set()
+    for centre in (source, target):
+        settled = cover.ball(centre, radius)
+        got = [(vertex, cover.dist[vertex]) for vertex in settled]
+        assert got == settle_order(seed_graph(graph), centre, radius)
+        # ``stamp[x] == gen`` is the membership test, both ways.
+        assert [x for x, s in enumerate(cover.stamp) if s == cover.gen] == sorted(settled)
+        expected_pairs |= {(min(centre, x) << 32) | max(centre, x) for x in settled}
+    assert cover.covered == expected_pairs
+
+
+@pytest.mark.parametrize("adjacency", ["heap"])
 @settings(max_examples=60, deadline=None)
 @given(case=search_cases(), edge_seed=st.integers(min_value=0, max_value=10**6))
 def test_excluded_edge_search_identical(adjacency, case, edge_seed):
@@ -195,7 +198,7 @@ def test_excluded_edge_search_identical(adjacency, case, edge_seed):
     edges = list(graph.edges())
     uid, vid, _ = edges[edge_seed % len(edges)]
     distance, settles = indexed_cutoff_excluding_edge(
-        searched(graph, adjacency), source, target, cutoff, excluded=(uid, vid)
+        graph, source, target, cutoff, excluded=(uid, vid)
     )
     if source == target:
         assert (distance, settles) == (0.0, 0)
@@ -207,7 +210,7 @@ def test_excluded_edge_search_identical(adjacency, case, edge_seed):
     assert settles == len(expected_order)
 
 
-@pytest.mark.parametrize("adjacency", ["csr", "heap"])
+@pytest.mark.parametrize("adjacency", ["heap"])
 @settings(max_examples=60, deadline=None)
 @given(
     graph=connected_indexed_graphs(),
@@ -240,7 +243,7 @@ def test_sssp_identical(adjacency, graph, source_seed):
                 best = candidate
                 expected_parent[v] = u
                 expected_settles += 1
-    dist, parent, settles = indexed_sssp(searched(graph, adjacency), source)
+    dist, parent, settles = indexed_sssp(graph, source)
     assert dist == [distances[v] for v in range(n)]
     assert parent == expected_parent
     assert settles == expected_settles

@@ -152,47 +152,3 @@ class TestAppendSupport:
         assert graph.number_of_edges == 5
 
 
-class TestFinalize:
-    def test_snapshot_matches_adjacency(self):
-        graph = IndexedGraph(vertices=["a", "b", "c"])
-        graph.append_edge_unchecked_ids(0, 1, 2.0)
-        graph.append_edge_unchecked_ids(1, 2, 1.5)
-        csr = graph.finalize()
-        assert csr.n == 3
-        assert csr.nnz == 4  # two undirected edges = four half-edges
-        assert csr.indptr.tolist() == [0, 1, 3, 4]
-        assert csr.indices.tolist() == [1, 0, 2, 1]
-        assert csr.weights.tolist() == [2.0, 2.0, 1.5, 1.5]
-
-    def test_snapshot_is_cached_between_searches(self):
-        graph = IndexedGraph(vertices=["a", "b"])
-        graph.append_edge_unchecked_ids(0, 1, 1.0)
-        assert graph.finalize() is graph.finalize()
-
-    def test_mutations_invalidate_the_snapshot(self):
-        graph = IndexedGraph(vertices=["a", "b", "c"])
-        graph.append_edge_unchecked_ids(0, 1, 1.0)
-        first = graph.finalize()
-        graph.append_edge_unchecked_ids(1, 2, 2.0)
-        second = graph.finalize()
-        assert second is not first
-        assert second.nnz == 4
-        # Interning a new vertex changes n: stale too.
-        graph.intern("d")
-        third = graph.finalize()
-        assert third is not second
-        assert third.n == 4
-        # Overwriting a weight through the checked path: stale again.
-        graph.add_edge("a", "b", 9.0)
-        fourth = graph.finalize()
-        assert fourth is not third
-        assert 9.0 in fourth.weights.tolist()
-
-    def test_preserves_neighbour_order(self):
-        graph = IndexedGraph(vertices=range(4))
-        graph.append_edge_unchecked_ids(0, 2, 1.0)
-        graph.append_edge_unchecked_ids(0, 1, 1.0)
-        graph.append_edge_unchecked_ids(0, 3, 1.0)
-        csr = graph.finalize()
-        start, end = csr.indptr[0], csr.indptr[1]
-        assert csr.indices[start:end].tolist() == [2, 1, 3]

@@ -10,7 +10,8 @@ keep comparing against them without a ``mode=`` knob in the public API:
 * :mod:`oracles.cluster` — the cluster-hierarchy replay engine;
 * :mod:`oracles.verification` — the per-pair stretch checks;
 * :mod:`oracles.distributed` — the dict-graph flood, routing tables and
-  hardened flood.
+  hardened flood;
+* :mod:`oracles.greedy` — the value-cache distance oracle.
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
 ``sys.path``, so both suites import them as ``oracles.<layer>``.

@@ -315,6 +315,17 @@ class TestCommands:
         assert "[E14]" in output
         assert "builds_match=True" in output
 
+    def test_profile_build_covers_both_greedy_builders(self, capsys, tmp_path):
+        out = tmp_path / "profile_build.txt"
+        assert main(
+            ["profile", "--workload", "build", "--n", "300", "--top", "60",
+             "--output", str(out)]
+        ) == 0
+        report = out.read_text()
+        assert "(greedy_spanner)" in report
+        assert "(parallel_greedy_spanner)" in report
+        assert "(ball)" in report
+
 
 class TestServiceCommands:
     SUBMIT = [
