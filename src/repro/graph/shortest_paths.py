@@ -26,8 +26,7 @@ engine, the overlays and the cluster graphs (see ``docs/PERFORMANCE.md``):
 * :func:`indexed_bidirectional_cutoff` — meet-in-the-middle bounded search:
   two half-radius balls instead of one full-radius ball (the band
   builder's replay),
-* :func:`indexed_ball` — all vertices within a radius (cluster construction
-  and the batch verification engine's per-source grouped edge checks),
+* :func:`indexed_ball` — all vertices within a radius (cluster construction),
 * :func:`indexed_cutoff_excluding_edge` — bounded single-pair search on
   ``G - e`` without materializing the edge removal (the Lemma 3 verifier),
 * :func:`indexed_greedy_clustering` — greedy ``r``-net centre selection plus
@@ -348,9 +347,8 @@ def indexed_ball(graph: IndexedGraph, source: int, radius: float) -> dict[int, f
 
     The indexed twin of the cluster-construction search: used by
     :class:`~repro.core.cluster_graph.ClusterGraph` to absorb all vertices
-    within spanner distance ``radius`` of a new cluster centre, and by the
-    verification engine's grouped checks.  A ball is the bounded search
-    with no target.
+    within spanner distance ``radius`` of a new cluster centre.  A ball is
+    the bounded search with no target.
     """
     return _bounded_search(graph, source, radius)[1]
 

@@ -17,7 +17,7 @@ sharded executor, in four pieces that all survive induced failure
   a corrupted artifact is quarantined and rebuilt, never served.
 * :mod:`repro.service.degrade` — deadline-driven graceful degradation:
   each job carries a time budget and a declared fallback chain
-  (greedy-parallel → approx-greedy → theta → yao → mst); the runner walks
+  (greedy → approx-greedy → theta → yao → mst); the runner walks
   the chain with per-stage deadline checks and records which tier served.
 * :mod:`repro.service.workers` — the supervised worker loop tying the three
   together, plus the spec → workload-instance dispatcher.

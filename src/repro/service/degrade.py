@@ -3,8 +3,8 @@
 Filtser–Solomon's existential optimality makes the greedy spanner the
 artifact worth waiting for — and every other builder in the registry a
 *cheaper degradation target* when the budget tightens.  This module walks a
-declared fallback chain (default greedy-parallel → approx-greedy → theta →
-yao → mst) with a per-stage deadline check:
+declared fallback chain (default greedy → approx-greedy → theta → yao →
+mst) with a per-stage deadline check:
 
 * a tier whose builder does not support the workload kind is recorded as
   ``unsupported`` and skipped (the chain is declared once, the registry's
@@ -45,13 +45,13 @@ from repro.errors import (
 )
 from repro.spanners.registry import Workload, get_builder
 
-#: The default fallback chain, strongest guarantee first.  greedy-parallel
-#: is the band-filter exact greedy (the existentially optimal artifact,
-#: byte-identical to the serial builder, sharing its ball kernel and
-#: coverage set); the tail tiers trade stretch for construction speed until
-#: the MST, which always exists and is the cheapest connected fallback.
+#: The default fallback chain, strongest guarantee first.  greedy is the
+#: serial exact greedy (the existentially optimal artifact; the band builder
+#: ``greedy-parallel`` builds the same edges more slowly and is still
+#: available by name); the tail tiers trade stretch for construction speed
+#: until the MST, which always exists and is the cheapest connected fallback.
 DEFAULT_CHAIN: tuple[str, ...] = (
-    "greedy-parallel",
+    "greedy",
     "approx-greedy",
     "theta",
     "yao",

@@ -6,14 +6,16 @@ implements exactly that check, :func:`verify_spanner_sampled` spot-checks
 random vertex pairs, and :func:`stretch_profile` returns the distribution of
 per-pair stretches used by the comparison experiments.
 
-Every checker runs on one batch engine.  Base and subgraph are translated
-**once** to :class:`~repro.graph.indexed_graph.IndexedGraph` over a shared
-id map (ids assigned in ``base.vertices()`` order).  Edge verification
-groups the base edges by their smaller endpoint id and runs *one*
-cutoff-bounded Dijkstra per distinct source (cutoff ``t`` times the heaviest
-grouped edge) instead of one per-pair search per edge; the exact stretch
-profile runs one full indexed SSSP per source and reduces the per-target
-ratio rows with vectorized numpy arithmetic.  For lazy complete-graph bases
+Every checker runs on one batch engine over a shared id map (ids assigned
+in ``base.vertices()`` order); each translation of base or subgraph is
+built once, on first use.  Edge verification groups the base edges by
+their smaller endpoint id.  A base edge ``(u, v, w)`` whose own subgraph
+edge weighs at most its bound ``t·w·(1 + tolerance)`` is certified with no
+search; the source's remaining targets share *one* Dijkstra on the
+subgraph's weight-sorted rows, pruned at the largest remaining bound and
+stopped as soon as the last of them settles.  The exact stretch profile
+runs one full indexed SSSP per source and reduces the per-target ratio
+rows with vectorized numpy arithmetic.  For lazy complete-graph bases
 (:class:`~repro.metric.closure.MetricClosure`) the base distance rows come
 straight from the metric — vectorized for Euclidean point sets — so no
 search ever touches the Θ(n²) closure.
@@ -42,13 +44,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.spanner import Spanner
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import indexed_ball, indexed_sssp
+from repro.graph.shortest_paths import indexed_sssp
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 
@@ -56,14 +59,20 @@ from repro.graph.weighted_graph import Vertex, WeightedGraph
 # The shared indexed substrate
 # ---------------------------------------------------------------------------
 class VerificationEngine:
-    """Base + subgraph translated once onto a shared dense-id substrate.
+    """Base + subgraph over one shared dense-id map.
 
-    Ids are assigned in ``base.vertices()`` iteration order and shared by the
-    subgraph translation, so an id means the same vertex on both sides — the
-    property every batch check below relies on.  When the base is a lazy
-    complete-graph view over a metric, base distance *rows* are served from
-    the metric itself (``δ(u, ·)`` is the direct-edge row by the triangle
-    inequality) instead of searching the Θ(n²) closure.
+    Ids are assigned in ``base.vertices()`` iteration order and shared by
+    every translation, so an id means the same vertex on both sides — the
+    property every batch check below relies on.  The translations are built
+    on first use: the indexed base only for full base rows, the indexed
+    subgraph for full subgraph rows, the weight-sorted subgraph rows for the
+    edge check.  When the base is a
+    lazy complete-graph view over a metric, base distance *rows* are served
+    from the metric itself (``δ(u, ·)`` is the direct-edge row by the
+    triangle inequality) instead of searching the Θ(n²) closure.
+
+    The edge check's scratch makes an engine single-threaded; the
+    ``workers=`` shards each get their own copy by fork.
     """
 
     __slots__ = (
@@ -72,8 +81,12 @@ class VerificationEngine:
         "vertices",
         "id_of",
         "metric",
-        "base_indexed",
-        "sub_indexed",
+        "dist",
+        "stamp",
+        "gen",
+        "_base_indexed",
+        "_sub_indexed",
+        "_sub_rows",
     )
 
     def __init__(self, base: WeightedGraph, subgraph: WeightedGraph) -> None:
@@ -81,19 +94,57 @@ class VerificationEngine:
         self.subgraph = subgraph
         self.vertices: list[Vertex] = list(base.vertices())
         self.metric = getattr(base, "metric", None)
-        # Lazy closures are never materialized: their base rows come from the
-        # metric, so only graph bases get an indexed base translation.
-        self.base_indexed: Optional[IndexedGraph] = (
-            IndexedGraph.from_weighted_graph(base) if self.metric is None else None
-        )
-        self.sub_indexed = IndexedGraph(vertices=self.vertices)
         self.id_of = {vertex: vid for vid, vertex in enumerate(self.vertices)}
-        for u, v, weight in subgraph.edges():
-            self.sub_indexed.append_edge_unchecked_ids(self.id_of[u], self.id_of[v], weight)
+        # The edge check's generation-stamped search scratch.
+        self.dist: list[float] = [0.0] * len(self.vertices)
+        self.stamp: list[int] = [0] * len(self.vertices)
+        self.gen = 0
+        self._base_indexed: Optional[IndexedGraph] = None
+        self._sub_indexed: Optional[IndexedGraph] = None
+        self._sub_rows: Optional[list[list[tuple[float, int]]]] = None
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    # -- translations, built on first use -------------------------------
+    @property
+    def base_indexed(self) -> IndexedGraph:
+        """The indexed base graph (graph bases only: closures are never
+        materialized, their rows come from the metric)."""
+        if self._base_indexed is None:
+            self._base_indexed = IndexedGraph.from_weighted_graph(self.base)
+        return self._base_indexed
+
+    @property
+    def sub_indexed(self) -> IndexedGraph:
+        """The indexed subgraph over the shared ids."""
+        if self._sub_indexed is None:
+            indexed = IndexedGraph(vertices=self.vertices)
+            id_of = self.id_of
+            for u, v, weight in self.subgraph.edges():
+                indexed.append_edge_unchecked_ids(id_of[u], id_of[v], weight)
+            self._sub_indexed = indexed
+        return self._sub_indexed
+
+    @property
+    def sub_rows(self) -> list[list[tuple[float, int]]]:
+        """The subgraph as weight-sorted ``(weight, neighbour)`` rows by id.
+
+        Sorted rows let a pruned search *break* out of a row at the first
+        edge that overshoots its radius.
+        """
+        if self._sub_rows is None:
+            rows: list[list[tuple[float, int]]] = [[] for _ in range(self.n)]
+            id_of = self.id_of
+            for u, v, weight in self.subgraph.edges():
+                uid, vid = id_of[u], id_of[v]
+                rows[uid].append((weight, vid))
+                rows[vid].append((weight, uid))
+            for row in rows:
+                row.sort()
+            self._sub_rows = rows
+        return self._sub_rows
 
     # -- distance rows --------------------------------------------------
     def base_row(self, source_id: int) -> tuple[np.ndarray, int]:
@@ -130,10 +181,14 @@ class VerificationEngine:
         Returns ``{source_id: (target_ids, weights)}``; each undirected edge
         appears exactly once, under its smaller id.  Metric bases are *not*
         grouped this way (every pair is an edge) — their edge check runs on
-        full rows instead, see :func:`_verify_edges_indexed`.
+        full rows instead, see :func:`_verify_edges_metric`.
         """
+        id_of = self.id_of
         grouped: dict[int, tuple[list[int], list[float]]] = {}
-        for uid, vid, weight in self.base_indexed.edges():
+        for u, v, weight in self.base.edges():
+            uid, vid = id_of[u], id_of[v]
+            if vid < uid:
+                uid, vid = vid, uid
             slot = grouped.get(uid)
             if slot is None:
                 slot = ([], [])
@@ -250,14 +305,31 @@ def _verify_shard(
     engine = _PARALLEL_ENGINE
     t = _PARALLEL_PARAMS["t"]
     tolerance = _PARALLEL_PARAMS["tolerance"]
-    settles = 0
+    ok, sources, settles = _verify_sources(engine, shard, t, tolerance)
+    return ok, {"sources": sources, "settles": settles}
+
+
+def _verify_sources(
+    engine: VerificationEngine,
+    items: Sequence[tuple[int, list[int], list[float]]],
+    t: float,
+    tolerance: float,
+) -> tuple[bool, int, int]:
+    """Run :func:`_verify_one_source` over every item, failing ones included.
+
+    Returns ``(ok, searches, settles)``; a search settles at least its
+    source, so a source that cost no settle ran no search.
+    """
     ok = True
-    for source_id, targets, weights in shard:
-        group_ok, spent = _verify_one_source(engine, source_id, targets, weights, t, tolerance)
+    sources = 0
+    settles = 0
+    for source_id, targets, weights in items:
+        source_ok, spent = _verify_one_source(engine, source_id, targets, weights, t, tolerance)
+        sources += spent > 0
         settles += spent
-        if not group_ok:
+        if not source_ok:
             ok = False
-    return ok, {"settles": settles}
+    return ok, sources, settles
 
 
 def _profile_one_source(
@@ -287,14 +359,56 @@ def _verify_one_source(
     t: float,
     tolerance: float,
 ) -> tuple[bool, int]:
-    """Check one source's grouped base edges with a single bounded ball."""
-    cutoff = max(t * weight * (1.0 + tolerance) for weight in weights)
-    settled = indexed_ball(engine.sub_indexed, source_id, cutoff)
-    inf = math.inf
-    for target, weight in zip(targets, weights):
-        if settled.get(target, inf) > t * weight * (1.0 + tolerance):
-            return False, len(settled)
-    return True, len(settled)
+    """Check one source's grouped base edges; return ``(ok, settles)``.
+
+    A target whose own subgraph edge weighs at most its bound needs no
+    search (δ_H(u, v) is at most that edge).  The rest share one Dijkstra
+    on the weight-sorted subgraph rows, pruned at their largest bound: a
+    target within its bound is settled at its exact distance before the
+    prune can cut it off, so the search stops once the last target
+    settles.  It fails at the first target settled above its bound, or
+    when the heap empties with targets still pending.
+    """
+    rows = engine.sub_rows
+    pending = {
+        target: t * weight * (1.0 + tolerance) for target, weight in zip(targets, weights)
+    }
+    for weight, neighbour in rows[source_id]:
+        bound = pending.get(neighbour)
+        if bound is not None and weight <= bound:
+            del pending[neighbour]
+    if not pending:
+        return True, 0
+    cutoff = max(pending.values())
+    dist = engine.dist
+    stamp = engine.stamp
+    engine.gen = gen = engine.gen + 1
+    pop = heappop
+    push = heappush
+    heap: list[tuple[float, int]] = [(0.0, source_id)]
+    dist[source_id] = 0.0
+    stamp[source_id] = gen
+    settles = 0
+    while heap:
+        d, vertex = pop(heap)
+        if d > dist[vertex]:
+            continue
+        settles += 1
+        bound = pending.pop(vertex, None)
+        if bound is not None:
+            if d > bound:
+                return False, settles
+            if not pending:
+                return True, settles
+        for weight, neighbour in rows[vertex]:
+            new_dist = d + weight
+            if new_dist > cutoff:
+                break  # rows are weight-sorted: every later neighbour overshoots
+            if stamp[neighbour] != gen or new_dist < dist[neighbour]:
+                dist[neighbour] = new_dist
+                stamp[neighbour] = gen
+                push(heap, (new_dist, neighbour))
+    return False, settles
 
 
 def _run_engine_shards(task, shards, workers):
@@ -365,16 +479,11 @@ def _verify_edges_indexed(
     edges_checked = sum(len(targets) for _, targets, _ in items)
     if not items:
         return EdgeVerification(ok=True, edges_checked=0, sources=0, settles=0)
+    engine.sub_rows  # built here, so forked shards inherit the rows
     shards = _shard_sources(items, workers)
     if len(shards) <= 1 or workers is None or workers == 1:
-        ok = True
-        settles = 0
-        for source_id, targets, weights in items:
-            group_ok, spent = _verify_one_source(engine, source_id, targets, weights, t, tolerance)
-            settles += spent
-            if not group_ok:
-                ok = False
-        return EdgeVerification(ok=ok, edges_checked=edges_checked, sources=len(items), settles=settles)
+        ok, sources, settles = _verify_sources(engine, items, t, tolerance)
+        return EdgeVerification(ok=ok, edges_checked=edges_checked, sources=sources, settles=settles)
     global _PARALLEL_ENGINE, _PARALLEL_PARAMS
     _PARALLEL_ENGINE = engine
     _PARALLEL_PARAMS = {"t": t, "tolerance": tolerance}
@@ -386,8 +495,13 @@ def _verify_edges_indexed(
     from repro.experiments.harness import merge_counters
 
     ok = all(shard_ok for shard_ok, _ in results)
-    settles = int(merge_counters(counters for _, counters in results).get("settles", 0))
-    return EdgeVerification(ok=ok, edges_checked=edges_checked, sources=len(items), settles=settles)
+    counters = merge_counters(counters for _, counters in results)
+    return EdgeVerification(
+        ok=ok,
+        edges_checked=edges_checked,
+        sources=int(counters.get("sources", 0)),
+        settles=int(counters.get("settles", 0)),
+    )
 
 
 def _verify_edges_metric(

@@ -47,17 +47,17 @@ def metric():
 
 
 def test_supported_chain_filters_by_workload(graph, metric):
-    assert supported_chain(DEFAULT_CHAIN, graph) == ["greedy-parallel", "mst"]
+    assert supported_chain(DEFAULT_CHAIN, graph) == ["greedy", "mst"]
     assert supported_chain(DEFAULT_CHAIN, metric) == list(DEFAULT_CHAIN)
 
 
 def test_serves_the_first_supported_tier(graph):
     result = run_with_degradation(graph, 1.5)
-    assert result.tier == "greedy-parallel"
+    assert result.tier == "greedy"
     assert not result.degraded
     assert not result.deadline_exceeded
     statuses = {o.tier: o.status for o in result.outcomes}
-    assert statuses["greedy-parallel"] == "served"
+    assert statuses["greedy"] == "served"
     assert statuses["approx-greedy"] == "unsupported"
     assert statuses["mst"] == "not-needed"
     assert result.spanner.subgraph.number_of_vertices == graph.number_of_vertices
@@ -80,7 +80,7 @@ def test_spent_budget_degrades_to_the_terminal_tier(graph):
     assert result.degraded
     assert result.deadline_exceeded
     statuses = {o.tier: o.status for o in result.outcomes}
-    assert statuses["greedy-parallel"] == "skipped-deadline"
+    assert statuses["greedy"] == "skipped-deadline"
     assert statuses["mst"] == "served"
     # The degraded answer is still a spanning answer.
     assert result.spanner.subgraph.number_of_vertices == graph.number_of_vertices
@@ -90,7 +90,7 @@ def test_generous_budget_never_degrades(graph):
     result = run_with_degradation(
         graph, 1.5, budget_seconds=1e9, clock=FakeClock(step=0.001)
     )
-    assert result.tier == "greedy-parallel"
+    assert result.tier == "greedy"
     assert not result.degraded
     assert not result.deadline_exceeded
 
@@ -100,7 +100,10 @@ def test_erroring_tier_is_recorded_and_the_walk_continues(graph):
     # build raise TypeError; the walk must record the error and fall
     # through to the MST.
     result = run_with_degradation(
-        graph, 1.5, params_by_tier={"greedy-parallel": {"bands": "many"}}
+        graph,
+        1.5,
+        chain=("greedy-parallel", "mst"),
+        params_by_tier={"greedy-parallel": {"bands": "many"}},
     )
     assert result.tier == "mst"
     assert result.degraded

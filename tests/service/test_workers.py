@@ -18,7 +18,13 @@ import pytest
 from repro.experiments.harness import fork_available
 from repro.service.cache import ArtifactCache, artifact_key
 from repro.service.queue import JobQueue
-from repro.service.workers import ServiceWorker, build_workload_instance, run_service
+from repro.service.workers import (
+    ServiceWorker,
+    build_workload_instance,
+    canonical_spanner_edges,
+    run_service,
+)
+from repro.spanners.registry import build_spanner
 
 SPEC = {
     "workload": {"kind": "geometric", "n": 80, "radius": 0.25, "seed": 3, "stretch": 1.5},
@@ -29,7 +35,7 @@ SPEC = {
 def spec_key(spec=SPEC) -> str:
     return artifact_key(
         spec["workload"],
-        tuple(spec.get("chain") or ("greedy-parallel", "approx-greedy", "theta", "yao", "mst")),
+        tuple(spec.get("chain") or ("greedy", "approx-greedy", "theta", "yao", "mst")),
         spec["stretch"],
         spec.get("params") or {},
     )
@@ -63,7 +69,7 @@ def test_cold_build_completes_verified_and_cached(service):
     assert worker.run(max_jobs=5) == dict(worker.counters)
     record = queue.get(job.job_id)
     assert record.state == "done"
-    assert record.result["tier"] == "greedy-parallel"
+    assert record.result["tier"] == "greedy"
     assert record.result["cache_hit"] is False
     assert record.result["verified"] is True
     assert cache.get(spec_key()) is not None
@@ -82,6 +88,35 @@ def test_warm_resubmit_serves_from_cache(service):
     assert worker.counters["cache_hits"] == 1
     # A cache hit never rebuilds: exactly one put ever happened.
     assert cache.counters["puts"] == 1
+
+
+def test_default_chain_serves_serial_greedy_and_the_band_chain_the_same_edges(service):
+    """The default chain's top tier is the serial greedy builder; naming the
+    band builder explicitly serves byte-identical edges."""
+    queue, cache, worker = service
+    spec = {
+        "workload": {
+            "kind": "bucketed-geometric", "n": 300, "degree": 16.0, "seed": 5, "stretch": 2.0,
+        },
+        "stretch": 2.0,
+    }
+    band = dict(spec, chain=["greedy-parallel", "mst"])
+    default_job = queue.submit(spec)
+    band_job = queue.submit(band)
+    worker.run()
+    expected = canonical_spanner_edges(
+        build_spanner("greedy", build_workload_instance(spec["workload"]), 2.0)
+    )
+    for job, tier, key in (
+        (default_job, "greedy", spec_key(spec)),
+        (band_job, "greedy-parallel", spec_key(band)),
+    ):
+        record = queue.get(job.job_id)
+        assert record.state == "done"
+        assert record.result["tier"] == tier
+        assert record.result["cache_hit"] is False
+        assert record.result["verified"] is True
+        assert json.dumps(cache.get(key)["edges"]) == json.dumps(expected)
 
 
 def test_bit_flip_forces_quarantine_and_byte_identical_rebuild(service):
@@ -173,7 +208,7 @@ def test_unverified_spanner_fails_the_job_and_is_never_served(service, monkeypat
     assert record.state == "pending"  # failed once, will retry
     assert "UnverifiedArtifactError" in (record.error or "")
     assert f"artifact {spec_key()}" in record.error
-    assert "tier 'greedy-parallel'" in record.error
+    assert "tier 'greedy'" in record.error
     assert cache.get(spec_key()) is None
 
     worker.run_once()  # the retry rebuilds, fails again and is quarantined
@@ -193,6 +228,7 @@ def test_bad_tier_params_fail_the_job_instead_of_degrading(service, params):
     an MST artifact already cached under the request's key."""
     queue, cache, worker = service
     bad = dict(SPEC)
+    bad["chain"] = ["greedy-parallel", "mst"]
     bad["params"] = {"greedy-parallel": params}
     cache.put(spec_key(bad), {"tier": "mst", "degraded": True, "edges": []})
     job = queue.submit(bad, max_attempts=2)
@@ -244,7 +280,7 @@ def test_sigkilled_claimers_job_is_reclaimed_and_completed(tmp_path):
     summary = run_service(tmp_path, worker_id="survivor")
     record = queue.get(job.job_id)
     assert record.state == "done"
-    assert record.result["tier"] == "greedy-parallel"
+    assert record.result["tier"] == "greedy"
     assert record.attempts == 2
     assert summary["queue_lease_reclaims"] == 1
     assert summary["worker_jobs_done"] == 1

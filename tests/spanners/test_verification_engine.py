@@ -9,6 +9,10 @@ Three contracts are driven over random inputs:
   adversarial family for float-boundary verdicts), on string-vertex
   graphs (the family the seed dedup bug double-counted), and on lazy metric
   closures;
+* **early-stopping edge check** — certifying a base edge by its own
+  subgraph edge (by weight, not presence) and stopping each source's search
+  at its last pending target keep the reference verdict on spanners with
+  dropped, over-weighted or isolating edge removals;
 * **dedup correctness** — exact profiles count each unordered pair exactly
   once whatever the vertex type (regression for the seed's int-only
   ``target <= source`` skip);
@@ -39,6 +43,7 @@ from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.generators import uniform_points
 from repro.spanners.registry import build_spanner
 from repro.spanners.verification import (
+    EdgeVerification,
     VerificationEngine,
     stretch_profile,
     stretch_profile_detailed,
@@ -146,16 +151,95 @@ class TestModeEquivalence:
                 assert indexed is expected
 
     def test_counters_are_shared_across_modes(self, small_random_graph):
-        """Pair/edge counts (not settles — the algorithms differ) line up."""
+        """Pair/edge counts (not settles — the algorithms differ) line up.
+
+        The engine searches only from sources with a base edge that no
+        light-enough subgraph edge of its own certifies."""
         spanner = greedy_spanner(small_random_graph, 2.0)
         indexed = verify_spanner_edges_detailed(spanner.subgraph, small_random_graph, 2.0)
         reference = verify_edges_reference(spanner.subgraph, small_random_graph, 2.0)
         assert indexed.ok and reference.ok
         assert indexed.edges_checked == reference.edges_checked
-        assert indexed.sources == reference.sources
+        subgraph = spanner.subgraph
+        searched = {
+            u
+            for u, v, weight in small_random_graph.edges()
+            if not subgraph.has_edge(u, v)
+            or subgraph.weight(u, v) > 2.0 * weight * (1.0 + 1e-9)
+        }
+        assert indexed.sources == len(searched) < reference.sources
         _, stats_indexed = stretch_profile_detailed(spanner, exact=True)
         _, stats_reference = profile_reference(spanner)
         assert stats_indexed.sources == stats_reference.sources
+
+
+def _corrupted(subgraph: WeightedGraph, stretch: float, case: str, pick: int) -> WeightedGraph:
+    """A copy of ``subgraph`` broken the way ``case`` names (``pick`` chooses where)."""
+    corrupted = subgraph.copy()
+    edges = list(corrupted.edges())
+    if not edges:
+        return corrupted
+    if case == "drop":  # one or two edges, so a single wrong verdict shows
+        for u, v, _ in {edges[pick % len(edges)], edges[pick // 7 % len(edges)]}:
+            corrupted.remove_edge(u, v)
+    elif case == "reweight":
+        u, v, weight = edges[pick % len(edges)]
+        corrupted.add_edge(u, v, stretch * weight * (1.0 + 1.0 / (1 + pick % 8)))
+    else:  # "disconnect": isolate one vertex
+        vertex = list(corrupted.vertices())[pick % corrupted.number_of_vertices]
+        for neighbour in list(corrupted.neighbours(vertex)):
+            corrupted.remove_edge(vertex, neighbour)
+    return corrupted
+
+
+class TestEarlyStoppingCheck:
+    """The per-source check (own-edge certificate, then one search that stops
+    at its last pending target) against the per-edge reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=dyadic_graphs,
+        stretch=st.sampled_from([1.0, 1.5, 1.99, 2.0, 2.5]),
+        case=st.sampled_from(["drop", "reweight", "disconnect"]),
+        pick=st.integers(min_value=0, max_value=1_000),
+        strings=st.booleans(),
+    )
+    def test_corrupted_spanners_match_the_reference(self, graph, stretch, case, pick, strings):
+        if strings:
+            graph = _string_relabelled(graph)
+        spanner = greedy_spanner(graph, stretch)
+        for candidate in (spanner.subgraph, _corrupted(spanner.subgraph, stretch, case, pick)):
+            serial = verify_spanner_edges_detailed(candidate, graph, stretch, workers=1)
+            assert serial.ok == verify_edges_reference(candidate, graph, stretch).ok
+            assert serial.edges_checked == graph.number_of_edges
+            sharded = verify_spanner_edges_detailed(candidate, graph, stretch, workers=2)
+            assert sharded == serial
+
+    @pytest.mark.parametrize("strings", [False, True])
+    def test_overweight_own_edge_without_a_detour_fails(self, strings):
+        """Regression: a subgraph edge certifies its base edge by its
+        *weight*, not by its presence."""
+        base = WeightedGraph(edges=[(0, 1, 1.0), (1, 2, 1.0)])
+        subgraph = WeightedGraph(edges=[(0, 1, 2.5), (1, 2, 1.0)])
+        if strings:
+            base, subgraph = _string_relabelled(base), _string_relabelled(subgraph)
+        result = verify_spanner_edges_detailed(subgraph, base, 2.0)
+        assert not result.ok
+        assert not verify_edges_reference(subgraph, base, 2.0).ok
+        assert result.sources == 1  # (0, 1) needed a search; (1, 2) did not
+
+    def test_overweight_own_edge_with_a_short_detour_passes(self):
+        base = WeightedGraph(edges=[(0, 1, 1.0), (1, 2, 0.5), (0, 2, 0.5)])
+        subgraph = WeightedGraph(edges=[(0, 1, 5.0), (1, 2, 0.5), (0, 2, 0.5)])
+        result = verify_spanner_edges_detailed(subgraph, base, 2.0)
+        assert result.ok and verify_edges_reference(subgraph, base, 2.0).ok
+        assert (result.edges_checked, result.sources, result.settles) == (3, 1, 3)
+
+    def test_light_own_edges_need_no_search(self, small_random_graph):
+        result = verify_spanner_edges_detailed(small_random_graph, small_random_graph, 1.0)
+        assert result == EdgeVerification(
+            ok=True, edges_checked=small_random_graph.number_of_edges, sources=0, settles=0
+        )
 
 
 class TestPairDedup:

@@ -347,7 +347,7 @@ class TestServiceCommands:
         assert main(["service", "status"] + root) == 0
         output = capsys.readouterr().out
         assert "done" in output
-        assert "greedy-parallel" in output
+        assert "| greedy |" in output  # the tier column
         assert main(["service", "cache", "--verify"] + root) == 0
         output = capsys.readouterr().out
         assert "artifacts: 1" in output
