@@ -260,14 +260,28 @@ def _command_profile(args: argparse.Namespace) -> int:
         verify_spanner_edges(spanner.subgraph, graph, stretch)
         profiler.disable()
     else:
-        from repro.experiments.query_bench import query_workload, run_query_bench
+        from repro.core.query_engine import QueryEngine
+        from repro.experiments.query_bench import (
+            _build_instance,
+            draw_queries,
+            query_workload,
+            run_query_bench,
+        )
 
         workload = query_workload(
             n=args.n, degree=args.degree, seed=args.seed,
             queries=args.queries, sources=args.sources,
         )
+        indexed, _ = _build_instance(workload)
+        sources, targets = draw_queries(workload)
+        warm = QueryEngine(indexed)
+        warm.run_queries_ids(sources, targets)
+        # The bench row (per-query reference and a fresh engine), then the
+        # same batch again on an engine that answered it once: its searches
+        # resume from their parked state.
         profiler.enable()
         run_query_bench(workload)
+        warm.run_queries_ids(sources, targets)
         profiler.disable()
 
     buffer = io.StringIO()

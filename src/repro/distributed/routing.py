@@ -227,7 +227,8 @@ class RoutingScheme:
         """The scheme's batched distance engine over the indexed overlay.
 
         Built lazily on first use and shared across batches: one
-        early-stopped search per distinct source (see
+        early-stopped search per distinct source, parked after the batch so
+        a source asked again resumes it instead of searching anew (see
         :class:`repro.core.query_engine.QueryEngine`).
         """
         if self._query_engine is None:

@@ -59,6 +59,7 @@ class IndexedGraph:
         "_neighbour_ids",
         "_neighbour_weights",
         "_edge_count",
+        "_version",
     )
 
     def __init__(
@@ -71,6 +72,7 @@ class IndexedGraph:
         self._neighbour_ids: list[list[int]] = []
         self._neighbour_weights: list[list[float]] = []
         self._edge_count = 0
+        self._version = 0
         if vertices is not None:
             for vertex in vertices:
                 self.intern(vertex)
@@ -90,6 +92,7 @@ class IndexedGraph:
             self._vertex_of.append(vertex)
             self._neighbour_ids.append([])
             self._neighbour_weights.append([])
+            self._version += 1
         return vid
 
     def add_vertices(self, vertices: Iterable[Vertex]) -> None:
@@ -151,6 +154,7 @@ class IndexedGraph:
             self._neighbour_weights[uid][slot] = value
             back = self._neighbour_ids[vid].index(uid)
             self._neighbour_weights[vid][back] = value
+        self._version += 1
 
     def append_edge_unchecked(self, u: Vertex, v: Vertex, weight: float) -> None:
         """Append the edge ``(u, v)`` *assuming it is not already present*.
@@ -169,6 +173,7 @@ class IndexedGraph:
         self._append_half_edge(uid, vid, value)
         self._append_half_edge(vid, uid, value)
         self._edge_count += 1
+        self._version += 1
 
     def append_edge_unchecked_ids(self, uid: int, vid: int, weight: float) -> None:
         """Id-based :meth:`append_edge_unchecked` for already-interned endpoints.
@@ -186,6 +191,7 @@ class IndexedGraph:
         self._append_half_edge(uid, vid, value)
         self._append_half_edge(vid, uid, value)
         self._edge_count += 1
+        self._version += 1
 
     def _append_half_edge(self, uid: int, vid: int, weight: float) -> None:
         self._neighbour_ids[uid].append(vid)
@@ -203,6 +209,17 @@ class IndexedGraph:
     def number_of_edges(self) -> int:
         """The number of edges ``m`` (cached; O(1))."""
         return self._edge_count
+
+    @property
+    def version(self) -> int:
+        """A mutation counter: it grows whenever a vertex or edge is added or
+        an edge weight is overwritten.
+
+        State derived from the adjacency (a parked search) is valid exactly
+        while the version is unchanged.  ``(n, m)`` is not enough: an
+        overwrite through :meth:`add_edge` keeps both.
+        """
+        return self._version
 
     def degree_id(self, vid: int) -> int:
         """Return the degree of the vertex with id ``vid``."""

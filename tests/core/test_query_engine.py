@@ -2,19 +2,22 @@
 
 The engine's contract is exact: batched answers equal the seed per-query
 ``heapq`` path element for element (same floats, not approximately), while
-running one early-stopped search per distinct source.  The
-hypothesis cases draw tie-heavy dyadic weights — where pop ordering could
-actually diverge — plus disconnected graphs (``inf`` answers), repeated
-sources and degenerate ``source == target`` pairs.
+running one early-stopped search per distinct source and resuming it in
+later batches.  The hypothesis cases draw tie-heavy dyadic weights — where
+pop ordering could actually diverge — plus disconnected graphs (``inf``
+answers), repeated sources, degenerate ``source == target`` pairs, graph
+mutations between batches and a parking LRU shrunk to one or two searches.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import query_engine
 from repro.core.query_engine import (
     QueryEngine,
     reference_queries,
@@ -125,17 +128,189 @@ def test_multi_target_sources_settle_exactly_like_reference_to_last_target(case)
 @settings(max_examples=60, deadline=None)
 @given(case=graph_with_queries())
 def test_batches_are_independent(case):
-    """Re-running the same batch gives the same answers: no cross-batch residue.
+    """Re-running the same batch gives the same answers, for free.
 
-    One engine serves every batch, and nothing a previous batch computed
-    may leak into the next one's distances.
+    One engine serves every batch.  The second run resumes the searches
+    the first one parked: every target is already settled, so it answers
+    from the parked distances with no pop and no change in any answer.
     """
     graph, sources, targets = case
     engine = QueryEngine(graph)
     first = engine.run_queries(sources, targets)
+    settled = engine.settled_count
     second = engine.run_queries(sources, targets)
     assert first == second
+    assert engine.settled_count == settled
     assert engine.batch_count == 2
+    assert engine.resumed_count == engine.source_count // 2
+
+
+@st.composite
+def graph_with_batches(draw, max_batches: int = 5):
+    """A small graph plus several query batches over its vertices."""
+    graph, sources, targets = draw(graph_with_queries())
+    vertex = st.integers(min_value=0, max_value=graph.number_of_vertices - 1)
+    batches = [(sources, targets)]
+    for _ in range(draw(st.integers(min_value=0, max_value=max_batches - 1))):
+        count = draw(st.integers(min_value=0, max_value=12))
+        batches.append(
+            ([draw(vertex) for _ in range(count)], [draw(vertex) for _ in range(count)])
+        )
+    return graph, batches
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=graph_with_batches())
+def test_resumed_searches_settle_like_one_uninterrupted_search(case):
+    """Across batches on an unchanged graph, answers stay exact, a repeated
+    batch costs nothing, and parking never costs a pop.
+
+    Per batch the engine settles at most what a fresh engine settles.  In
+    total, each source settles exactly what one reference search to its
+    last-settling target over *all* batches settles: a resumed search
+    continues the same ``(dist, id)`` pop sequence.
+    """
+    graph, batches = case
+    engine = QueryEngine(graph)
+    indexed = engine.indexed
+    last: dict = {}
+    for sources, targets in batches:
+        before = engine.settled_count
+        got = engine.run_queries(sources, targets)
+        fresh = QueryEngine(indexed)
+        assert got == fresh.run_queries(sources, targets)
+        assert engine.settled_count - before <= fresh.settled_count
+        settled = engine.settled_count
+        assert engine.run_queries(sources, targets) == got
+        assert engine.settled_count == settled
+        for source, target, distance in zip(sources, targets, got):
+            if source != target:
+                key = (distance, indexed.id_of(target))
+                last[source] = max(last.get(source, key), key)
+    expected = sum(
+        reference_queries_ids(indexed, [indexed.id_of(source)], [target])[1]
+        for source, (_, target) in last.items()
+    )
+    assert engine.settled_count == expected
+
+
+TIE_HEAVY = st.sampled_from(TIE_HEAVY_WEIGHTS)
+
+
+@st.composite
+def mutating_batches(draw, max_steps: int = 6):
+    """A shared graph plus steps of (mutation, batch) drawn against its
+    current vertex count: append an absent edge, overwrite a weight through
+    ``add_edge``, intern a vertex (isolated or attached), or nothing."""
+    graph, sources, targets = draw(graph_with_queries())
+    n = graph.number_of_vertices
+    steps = [(("none",), sources, targets)]
+    for _ in range(draw(st.integers(min_value=1, max_value=max_steps))):
+        kind = draw(st.sampled_from(("none", "append", "overwrite", "intern")))
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        if kind == "append":
+            mutation = (kind, draw(vertex), draw(vertex), draw(TIE_HEAVY))
+        elif kind == "overwrite":
+            mutation = (kind, draw(st.integers(min_value=0)), draw(TIE_HEAVY))
+        elif kind == "intern":
+            mutation = (kind, draw(st.one_of(st.none(), vertex)), draw(TIE_HEAVY))
+            n += 1
+        else:
+            mutation = (kind,)
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        count = draw(st.integers(min_value=0, max_value=12))
+        steps.append(
+            (mutation, [draw(vertex) for _ in range(count)], [draw(vertex) for _ in range(count)])
+        )
+    return graph, steps
+
+
+def _mutate(indexed: IndexedGraph, mutation: tuple) -> None:
+    kind = mutation[0]
+    if kind == "append":
+        _, u, v, weight = mutation
+        if u != v and not indexed.has_edge_ids(u, v):
+            indexed.append_edge_unchecked_ids(u, v, weight)
+    elif kind == "overwrite":
+        _, pick, weight = mutation
+        edges = list(indexed.edges())
+        if edges:
+            u, v, _ = edges[pick % len(edges)]
+            indexed.add_edge(indexed.vertex_of(u), indexed.vertex_of(v), weight)
+    elif kind == "intern":
+        _, neighbour, weight = mutation
+        new = indexed.number_of_vertices
+        if neighbour is None:
+            indexed.intern(new)
+        else:
+            indexed.add_edge(new, neighbour, weight)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=mutating_batches())
+def test_answers_stay_exact_while_the_shared_graph_mutates(case):
+    """Appends, weight overwrites and new vertices between batches: every
+    batch still equals the per-query reference on the graph as it is now,
+    because any mutation drops the parked searches."""
+    graph, steps = case
+    indexed = IndexedGraph.from_weighted_graph(graph)
+    engine = QueryEngine(indexed)
+    for mutation, sources, targets in steps:
+        _mutate(indexed, mutation)
+        got = engine.run_queries_ids(sources, targets)
+        want, _ = reference_queries_ids(indexed, sources, targets)
+        assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=graph_with_batches(max_batches=8), capacity=st.sampled_from((1, 2)))
+def test_eviction_keeps_answers_exact(case, capacity):
+    """An LRU of one or two searches evicts all the time; answers must not
+    notice, and no batch settles more than a fresh engine would."""
+    graph, batches = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(query_engine, "PARKED_SLOTS", capacity * graph.number_of_vertices)
+        engine = QueryEngine(graph)
+        for sources, targets in batches + batches[::-1]:
+            before = engine.settled_count
+            got = engine.run_queries(sources, targets)
+            fresh = QueryEngine(engine.indexed)
+            assert got == fresh.run_queries(sources, targets)
+            assert engine.settled_count - before <= fresh.settled_count
+
+
+def _path_engine(monkeypatch, capacity: int) -> QueryEngine:
+    graph = WeightedGraph()
+    for v in range(1, 40):
+        graph.add_edge(v - 1, v, 1.0)
+    monkeypatch.setattr(query_engine, "PARKED_SLOTS", capacity * 40)
+    return QueryEngine(graph)
+
+
+@pytest.mark.parametrize("capacity, resumed", [(1, 0), (2, 1)])
+def test_least_recently_used_search_is_evicted(monkeypatch, capacity, resumed):
+    """Sources 0, 39, 0: a second parked search keeps source 0 alive."""
+    engine = _path_engine(monkeypatch, capacity)
+    for source in (0, 39, 0):
+        assert engine.run_queries_ids([source], [20]) == [float(abs(source - 20))]
+    assert engine.resumed_count == resumed
+    assert engine.counters()["engine_resumed"] == resumed
+
+
+def test_rejected_batch_leaves_parked_searches_usable(monkeypatch):
+    """A batch that fails validation runs no search and evicts nothing."""
+    engine = _path_engine(monkeypatch, 2)
+    assert engine.run_queries_ids([0, 39], [30, 10]) == [30.0, 29.0]
+    settled = engine.settled_count
+    for bad in (99, 2.5, "0"):
+        with pytest.raises(VertexNotFoundError):
+            engine.run_queries_ids([0, 39, 0], [5, 15, bad])
+    assert engine.run_queries_ids([0, 39], [25, 12]) == [25.0, 27.0]
+    assert engine.settled_count == settled
+    assert engine.resumed_count == 2
+    # The parked searches resume past their old frontier, exactly.
+    assert engine.run_queries_ids([0], [35]) == [35.0]
+    assert engine.settled_count == settled + 5
 
 
 def test_same_source_batch_runs_one_search():
@@ -172,6 +347,16 @@ def test_input_validation():
         engine.run_queries([0], ["missing"])
     with pytest.raises(VertexNotFoundError):
         engine.run_queries_ids([0], [99])
+    # A float target passes the range check but can never settle; a float
+    # source is no id either; an unhashable vertex is not in the graph.
+    with pytest.raises(VertexNotFoundError):
+        engine.run_queries_ids([0], [2.5])
+    with pytest.raises(VertexNotFoundError):
+        engine.run_queries_ids([1.0], [2])
+    with pytest.raises(VertexNotFoundError):
+        engine.run_queries([[0]], [1])
+    # Any integer type is an id.
+    assert engine.run_queries_ids([np.int64(0)], [np.int32(1)]) == [1.0]
 
 
 def test_engine_observes_growing_shared_graph():

@@ -152,3 +152,32 @@ class TestAppendSupport:
         assert graph.number_of_edges == 5
 
 
+
+    def test_version_grows_on_every_mutation(self):
+        """Every mutation bumps ``version``, reads and re-interning do not;
+        an overwrite keeps ``(n, m)`` but still moves it."""
+        graph = IndexedGraph(edges=[("a", "b", 2.0)])
+        seen = [graph.version]
+
+        def bumped() -> bool:
+            seen.append(graph.version)
+            return seen[-1] > seen[-2]
+
+        graph.intern("a")
+        graph.id_of("b")
+        list(graph.edges())
+        assert not bumped()
+        graph.intern("c")
+        assert bumped()
+        graph.append_edge_unchecked_ids(1, 2, 1.0)
+        assert bumped()
+        graph.append_edge_unchecked("a", "c", 3.0)
+        assert bumped()
+        shape = (graph.number_of_vertices, graph.number_of_edges)
+        graph.add_edge("a", "b", 0.5)
+        assert bumped()
+        assert (graph.number_of_vertices, graph.number_of_edges) == shape
+        graph.add_edge_ids(0, 2, 0.25)
+        assert bumped()
+        graph.add_edge("c", "d", 1.0)
+        assert bumped()

@@ -326,6 +326,17 @@ class TestCommands:
         assert "(parallel_greedy_spanner)" in report
         assert "(ball)" in report
 
+    def test_profile_queries_answers_the_batch_fresh_and_resumed(self, tmp_path):
+        out = tmp_path / "profile_queries.txt"
+        assert main(
+            ["profile", "--workload", "queries", "--n", "300", "--queries", "64",
+             "--sources", "4", "--top", "60", "--output", str(out)]
+        ) == 0
+        report = out.read_text().splitlines()
+        engine = next(line for line in report if "(run_queries_ids)" in line)
+        assert engine.split()[0] == "2"
+        assert any("(reference_queries_ids)" in line for line in report)
+
 
 class TestServiceCommands:
     SUBMIT = [
