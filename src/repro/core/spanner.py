@@ -9,20 +9,21 @@ exposes the four quantities the paper cares about:
 * **lightness** — ``Ψ(H) = w(H) / w(MST(G))`` (Section 2),
 * **degree** — maximum degree ``Δ(H)``,
 
-plus stretch verification (exact, or sampled for large instances).
+plus stretch verification.  The stretch checks run on the batch edge check
+of :mod:`repro.spanners.verification` (imported lazily: it imports this
+module); by Section 2, checking the base edges bounds every vertex pair.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import StretchViolationError
 from repro.graph.mst import mst_weight
-from repro.graph.shortest_paths import pair_distance, single_source_distances
-from repro.graph.weighted_graph import Vertex, WeightedGraph
+from repro.graph.shortest_paths import pair_distance
+from repro.graph.weighted_graph import WeightedGraph
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,8 @@ class SpannerStatistics:
     stretch_bound:
         The stretch parameter the construction was asked for.
     measured_stretch:
-        The worst stretch actually measured (exact or sampled), when computed.
+        The exact maximum stretch over the base edges (``inf`` if the
+        spanner disconnects one), when computed.
     """
 
     vertices: int
@@ -138,66 +140,29 @@ class Spanner:
         return self.weight / base_mst
 
     # ------------------------------------------------------------------
-    # Stretch
+    # Stretch (checked on the base edges by repro.spanners.verification)
     # ------------------------------------------------------------------
-    def stretch_of_pair(self, u: Vertex, v: Vertex) -> float:
-        """Return ``δ_H(u, v) / δ_G(u, v)`` for a single pair."""
-        original = pair_distance(self.base, u, v)
-        if original == 0.0:
-            return 1.0
-        spanner_distance = pair_distance(self.subgraph, u, v)
-        return spanner_distance / original
-
-    def max_stretch_over_edges(self) -> float:
-        """Return the maximum stretch over the *edges* of the base graph.
-
-        By the standard argument quoted in Section 2, bounding the stretch on
-        the base graph's edges bounds it on all vertex pairs, so this is an
-        exact stretch measurement at the cost of one bounded query per edge.
-        """
-        worst = 1.0
-        for u, v, weight in self.base.edges():
-            spanner_distance = pair_distance(self.subgraph, u, v)
-            worst = max(worst, spanner_distance / weight)
-        return worst
-
-    def max_stretch_exact(self) -> float:
-        """Return the maximum stretch over all vertex pairs (all-pairs Dijkstra)."""
-        worst = 1.0
-        vertices = list(self.base.vertices())
-        for source in vertices:
-            base_distances = single_source_distances(self.base, source)
-            spanner_distances = single_source_distances(self.subgraph, source)
-            for target, original in base_distances.items():
-                if target == source or original == 0.0:
-                    continue
-                worst = max(worst, spanner_distances.get(target, math.inf) / original)
-        return worst
-
-    def max_stretch_sampled(self, samples: int, *, seed: Optional[int] = None) -> float:
-        """Return the maximum stretch over ``samples`` random vertex pairs."""
-        rng = random.Random(seed)
-        vertices = list(self.base.vertices())
-        worst = 1.0
-        for _ in range(samples):
-            u, v = rng.sample(vertices, 2)
-            worst = max(worst, self.stretch_of_pair(u, v))
-        return worst
-
     def verify_stretch(self, *, tolerance: float = 1e-9) -> None:
-        """Raise :class:`StretchViolationError` if any base edge is stretched beyond ``t``."""
-        for u, v, weight in self.base.edges():
+        """Raise :class:`StretchViolationError` if any base edge is stretched beyond ``t``.
+
+        The error names the edge check's witness — the first failing base
+        edge — with its exact spanner distance.
+        """
+        from repro.spanners.verification import verify_spanner_edges_detailed
+
+        witness = verify_spanner_edges_detailed(
+            self.subgraph, self.base, self.stretch, tolerance=tolerance
+        ).witness
+        if witness is not None:
+            u, v, weight = witness
             spanner_distance = pair_distance(self.subgraph, u, v)
-            if spanner_distance > self.stretch * weight * (1.0 + tolerance):
-                raise StretchViolationError(u, v, spanner_distance, weight, self.stretch)
+            raise StretchViolationError(u, v, spanner_distance, weight, self.stretch)
 
     def is_valid(self, *, tolerance: float = 1e-9) -> bool:
         """Return True if the spanner satisfies its stretch guarantee."""
-        try:
-            self.verify_stretch(tolerance=tolerance)
-        except StretchViolationError:
-            return False
-        return True
+        from repro.spanners.verification import verify_spanner_edges
+
+        return verify_spanner_edges(self.subgraph, self.base, self.stretch, tolerance=tolerance)
 
     # ------------------------------------------------------------------
     # Self-healing
@@ -239,7 +204,15 @@ class Spanner:
         base_mst = self.base_mst_weight()
         weight = self.weight
         lightness = weight / base_mst if base_mst > 0 else math.inf
-        measured = self.max_stretch_over_edges() if measure_stretch else None
+        measured = None
+        if measure_stretch:
+            # At t = inf the edge check never prunes: its max_stretch is the
+            # exact max edge stretch, which bounds every pair (Section 2).
+            from repro.spanners.verification import verify_spanner_edges_detailed
+
+            measured = verify_spanner_edges_detailed(
+                self.subgraph, self.base, math.inf
+            ).max_stretch
         return SpannerStatistics(
             vertices=self.subgraph.number_of_vertices,
             edges=self.number_of_edges,

@@ -8,35 +8,44 @@ per-pair stretches used by the comparison experiments.
 
 Every checker runs on one batch engine over a shared id map (ids assigned
 in ``base.vertices()`` order); each translation of base or subgraph is
-built once, on first use.  Edge verification groups the base edges by
-their smaller endpoint id.  A base edge ``(u, v, w)`` whose own subgraph
-edge weighs at most its bound ``t·w·(1 + tolerance)`` is certified with no
-search; the source's remaining targets share *one* Dijkstra on the
-subgraph's weight-sorted rows, pruned at the largest remaining bound and
-stopped as soon as the last of them settles.  The exact stretch profile
-runs one full indexed SSSP per source and reduces the per-target ratio
-rows with vectorized numpy arithmetic.  For lazy complete-graph bases
+built once, on first use.  The edge check is the library's only stretch
+checker: :class:`~repro.core.spanner.Spanner`'s ``is_valid``,
+``verify_stretch`` and ``statistics(measure_stretch=True)`` all run it.
+It hands each source its base edges to larger ids — a graph base's edges
+grouped by smaller endpoint, or a metric base's row, built one source at a
+time (zero-distance pairs skipped).  A base edge ``(u, v, w)`` whose own
+subgraph edge weighs at most both ``w`` and its bound ``t·w·(1 +
+tolerance)`` is certified with no search; the source's remaining targets
+share *one* Dijkstra on the subgraph's weight-sorted rows, pruned at the
+largest remaining bound and stopped as soon as the last of them settles.
+The report carries the first failing edge (``witness``) and the largest
+settled ``d / w`` (``max_stretch``); at ``t = inf`` nothing is pruned, so
+``max_stretch`` is the exact maximum edge stretch.  The exact stretch
+profile runs one full indexed SSSP per source and reduces the per-target
+ratio rows with vectorized numpy arithmetic.  For lazy complete-graph bases
 (:class:`~repro.metric.closure.MetricClosure`) the base distance rows come
 straight from the metric — vectorized for Euclidean point sets — so no
 search ever touches the Θ(n²) closure.
 
 The engine agrees *bit for bit* with the seed per-pair implementation (one
-dict-based Dijkstra per base edge / per profile source), which lives on as
-the reference oracle in ``tests/oracles/verification.py``: Dijkstra's
-settled distances are the minimum over identical left-associated path sums
-whatever the relaxation order, ratios divide the same floats, and the
-profile reduction is defined order-independently (per-source ``math.fsum``
-rows folded by an outer ``fsum``), so verdicts, profiles and pair counts
-are hypothesis-tested for exact equality.  Pairs are deduped by shared-id
-order — which also fixes the seed bug where only integer vertices were
-deduped and e.g. string-labelled graphs counted every pair twice.
+dict-based Dijkstra per base edge / per profile source, and the seed
+``Spanner.max_stretch_over_edges`` loop), kept as the reference oracle in
+``tests/oracles/verification.py``: Dijkstra's settled distances are the
+minimum over identical left-associated path sums whatever the relaxation
+order, ratios divide the same floats, and the profile reduction is defined
+order-independently (per-source ``math.fsum`` rows folded by an outer
+``fsum``), so verdicts, maximum edge stretches, profiles and pair counts are
+hypothesis-tested for exact equality.  Pairs are deduped by shared-id order,
+for every vertex type.
 
 ``workers=N`` shards the per-source loops across forked worker processes via
-:func:`repro.experiments.harness.run_sharded`; shard order is preserved and
-counters merge by addition, so the merged result is identical for 1 and N
-workers (property-tested).  ``repro bench verify`` persists the engine's
-deterministic ``verify_settles`` / ``profile_settles`` operation counts to
-``BENCH_verify.json``, gated by ``scripts/check_bench_regression.py``.
+:func:`repro.experiments.harness.run_sharded`; shard order is preserved,
+counters merge by addition, ``max_stretch`` by ``max`` and the witness is
+the first in shard order, so the merged result is identical for 1 and N
+workers (property-tested, graph and metric bases).  ``repro bench verify``
+persists the engine's deterministic ``verify_settles`` / ``profile_settles``
+operation counts to ``BENCH_verify.json``, gated by
+``scripts/check_bench_regression.py``.
 """
 
 from __future__ import annotations
@@ -65,11 +74,12 @@ class VerificationEngine:
     every translation, so an id means the same vertex on both sides — the
     property every batch check below relies on.  The translations are built
     on first use: the indexed base only for full base rows, the indexed
-    subgraph for full subgraph rows, the weight-sorted subgraph rows for the
-    edge check.  When the base is a
+    subgraph for full subgraph rows, the grouped base edges and the
+    weight-sorted subgraph rows for the edge check.  When the base is a
     lazy complete-graph view over a metric, base distance *rows* are served
     from the metric itself (``δ(u, ·)`` is the direct-edge row by the
-    triangle inequality) instead of searching the Θ(n²) closure.
+    triangle inequality) instead of searching the Θ(n²) closure; they are
+    also the edge check's per-source base edges.
 
     The edge check's scratch makes an engine single-threaded; the
     ``workers=`` shards each get their own copy by fork.
@@ -87,6 +97,7 @@ class VerificationEngine:
         "_base_indexed",
         "_sub_indexed",
         "_sub_rows",
+        "_grouped",
     )
 
     def __init__(self, base: WeightedGraph, subgraph: WeightedGraph) -> None:
@@ -102,6 +113,7 @@ class VerificationEngine:
         self._base_indexed: Optional[IndexedGraph] = None
         self._sub_indexed: Optional[IndexedGraph] = None
         self._sub_rows: Optional[list[list[tuple[float, int]]]] = None
+        self._grouped: Optional[dict[int, tuple[list[int], list[float]]]] = None
 
     @property
     def n(self) -> int:
@@ -174,28 +186,45 @@ class VerificationEngine:
         dist, _, settles = indexed_sssp(self.sub_indexed, source_id)
         return np.asarray(dist, dtype=float), settles
 
-    # -- grouped base edges ---------------------------------------------
+    # -- base edges by owning source ------------------------------------
     def grouped_base_edges(self) -> dict[int, tuple[list[int], list[float]]]:
-        """Group the base's edges by their smaller endpoint id.
+        """Group a graph base's edges by their smaller endpoint id (built once).
 
         Returns ``{source_id: (target_ids, weights)}``; each undirected edge
-        appears exactly once, under its smaller id.  Metric bases are *not*
-        grouped this way (every pair is an edge) — their edge check runs on
-        full rows instead, see :func:`_verify_edges_metric`.
+        appears exactly once, under its smaller id, and sources keep the
+        order of their first edge in ``base.edges()``.  Metric bases are
+        never grouped this way (every pair is an edge, Θ(n²) entries):
+        :meth:`base_edges_from` slices their rows one source at a time.
         """
-        id_of = self.id_of
-        grouped: dict[int, tuple[list[int], list[float]]] = {}
-        for u, v, weight in self.base.edges():
-            uid, vid = id_of[u], id_of[v]
-            if vid < uid:
-                uid, vid = vid, uid
-            slot = grouped.get(uid)
-            if slot is None:
-                slot = ([], [])
-                grouped[uid] = slot
-            slot[0].append(vid)
-            slot[1].append(weight)
-        return grouped
+        if self._grouped is None:
+            id_of = self.id_of
+            grouped: dict[int, tuple[list[int], list[float]]] = {}
+            for u, v, weight in self.base.edges():
+                uid, vid = id_of[u], id_of[v]
+                if vid < uid:
+                    uid, vid = vid, uid
+                slot = grouped.get(uid)
+                if slot is None:
+                    slot = ([], [])
+                    grouped[uid] = slot
+                slot[0].append(vid)
+                slot[1].append(weight)
+            self._grouped = grouped
+        return self._grouped
+
+    def base_edges_from(self, source_id: int) -> tuple[list[int], list[float]]:
+        """``(target_ids, weights)`` of the base edges from ``source_id`` to larger ids.
+
+        Metric bases slice the metric row (zero-distance pairs skipped), so
+        the edge check holds one O(n) row at a time.
+        """
+        if self.metric is None:
+            return self.grouped_base_edges().get(source_id, ([], []))
+        row, _ = self.base_row(source_id)
+        tail = row[source_id + 1 :]
+        mask = tail > 0.0
+        targets = np.flatnonzero(mask) + (source_id + 1)
+        return targets.tolist(), tail[mask].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +238,11 @@ class EdgeVerification:
     edges_checked: int
     sources: int
     settles: int
+    #: The first failing base edge ``(u, v, weight)`` in shard order, or None.
+    witness: Optional[tuple[Vertex, Vertex, float]] = None
+    #: Max of ``δ_H(u, v) / w`` over the searched edges, floored at 1.0:
+    #: exact when ``ok`` (``inf`` for a disconnected edge at ``t = inf``).
+    max_stretch: float = 1.0
 
     def counters(self) -> dict[str, float]:
         """The deterministic operation counts the bench trajectory records."""
@@ -298,38 +332,49 @@ def _profile_shard(source_ids: list[int]) -> tuple[list[_ProfileRow], dict[str, 
     return rows, {"settles": settles}
 
 
-def _verify_shard(
-    shard: list[tuple[int, list[int], list[float]]]
-) -> tuple[bool, dict[str, float]]:
-    """Verify one shard of grouped edge sources on the inherited engine."""
-    engine = _PARALLEL_ENGINE
-    t = _PARALLEL_PARAMS["t"]
-    tolerance = _PARALLEL_PARAMS["tolerance"]
-    ok, sources, settles = _verify_sources(engine, shard, t, tolerance)
-    return ok, {"sources": sources, "settles": settles}
+def _verify_shard(source_ids: list[int]) -> EdgeVerification:
+    """Verify one shard of edge sources on the inherited engine."""
+    return _verify_sources(
+        _PARALLEL_ENGINE, source_ids, _PARALLEL_PARAMS["t"], _PARALLEL_PARAMS["tolerance"]
+    )
 
 
 def _verify_sources(
     engine: VerificationEngine,
-    items: Sequence[tuple[int, list[int], list[float]]],
+    source_ids: Sequence[int],
     t: float,
     tolerance: float,
-) -> tuple[bool, int, int]:
-    """Run :func:`_verify_one_source` over every item, failing ones included.
+) -> EdgeVerification:
+    """Run :func:`_verify_one_source` over every source, failing ones included.
 
-    Returns ``(ok, searches, settles)``; a search settles at least its
-    source, so a source that cost no settle ran no search.
+    ``sources`` counts searches (a search settles at least its source); the
+    witness is the first failure in ``source_ids`` order.
     """
-    ok = True
-    sources = 0
-    settles = 0
-    for source_id, targets, weights in items:
-        source_ok, spent = _verify_one_source(engine, source_id, targets, weights, t, tolerance)
+    vertices = engine.vertices
+    edges_from = engine.base_edges_from
+    witness = None
+    worst = 1.0
+    edges = sources = settles = 0
+    for source_id in source_ids:
+        targets, weights = edges_from(source_id)
+        failed, stretch, spent = _verify_one_source(
+            engine, source_id, targets, weights, t, tolerance
+        )
+        edges += len(targets)
         sources += spent > 0
         settles += spent
-        if not source_ok:
-            ok = False
-    return ok, sources, settles
+        if stretch > worst:
+            worst = stretch
+        if failed is not None and witness is None:
+            witness = (vertices[source_id], vertices[failed[0]], failed[1])
+    return EdgeVerification(
+        ok=witness is None,
+        edges_checked=edges,
+        sources=sources,
+        settles=settles,
+        witness=witness,
+        max_stretch=worst,
+    )
 
 
 def _profile_one_source(
@@ -358,28 +403,33 @@ def _verify_one_source(
     weights: list[float],
     t: float,
     tolerance: float,
-) -> tuple[bool, int]:
-    """Check one source's grouped base edges; return ``(ok, settles)``.
+) -> tuple[Optional[tuple[int, float]], float, int]:
+    """Check one source's base edges; return ``(failed, max_stretch, settles)``.
 
-    A target whose own subgraph edge weighs at most its bound needs no
-    search (δ_H(u, v) is at most that edge).  The rest share one Dijkstra
-    on the weight-sorted subgraph rows, pruned at their largest bound: a
-    target within its bound is settled at its exact distance before the
-    prune can cut it off, so the search stops once the last target
-    settles.  It fails at the first target settled above its bound, or
-    when the heap empties with targets still pending.
+    ``failed`` is the failing edge's ``(target, weight)`` (None if all
+    pass); ``max_stretch`` is the largest ``d / w`` settled.  A target whose
+    own subgraph edge weighs at most both ``w`` and its bound ``t·w·(1 +
+    tolerance)`` needs no search (its stretch is at most 1).  The rest share
+    one Dijkstra on the weight-sorted subgraph rows, pruned at their largest
+    bound: a target within its bound settles at its exact distance before
+    the prune can cut it off, so the search stops once the last target
+    settles.  It fails at the first target settled above its bound, or when
+    the heap empties with a target of finite bound pending; at an infinite
+    bound (``t = inf``) ``δ_H = ∞`` is not above ``∞·w``, the target just
+    has stretch ``∞``.
     """
     rows = engine.sub_rows
-    pending = {
-        target: t * weight * (1.0 + tolerance) for target, weight in zip(targets, weights)
-    }
+    scale = 1.0 + tolerance
+    pending = dict(zip(targets, weights))
     for weight, neighbour in rows[source_id]:
-        bound = pending.get(neighbour)
-        if bound is not None and weight <= bound:
+        base_weight = pending.get(neighbour)
+        if base_weight is not None and weight <= base_weight and weight <= t * base_weight * scale:
             del pending[neighbour]
+    worst = 1.0
     if not pending:
-        return True, 0
-    cutoff = max(pending.values())
+        return None, worst, 0
+    # Rounding is monotone, so the largest bound is the largest weight's.
+    cutoff = t * max(pending.values()) * scale
     dist = engine.dist
     stamp = engine.stamp
     engine.gen = gen = engine.gen + 1
@@ -394,12 +444,15 @@ def _verify_one_source(
         if d > dist[vertex]:
             continue
         settles += 1
-        bound = pending.pop(vertex, None)
-        if bound is not None:
-            if d > bound:
-                return False, settles
+        base_weight = pending.pop(vertex, None)
+        if base_weight is not None:
+            if d > t * base_weight * scale:
+                return (vertex, base_weight), worst, settles
+            stretch = d / base_weight
+            if stretch > worst:
+                worst = stretch
             if not pending:
-                return True, settles
+                return None, worst, settles
         for weight, neighbour in rows[vertex]:
             new_dist = d + weight
             if new_dist > cutoff:
@@ -408,7 +461,10 @@ def _verify_one_source(
                 dist[neighbour] = new_dist
                 stamp[neighbour] = gen
                 push(heap, (new_dist, neighbour))
-    return False, settles
+    for target, base_weight in pending.items():
+        if t * base_weight * scale < math.inf:  # δ_H = ∞ is not above ∞·w
+            return (target, base_weight), worst, settles
+    return None, math.inf, settles
 
 
 def _run_engine_shards(task, shards, workers):
@@ -472,18 +528,16 @@ def verify_spanner_edges_detailed(
 def _verify_edges_indexed(
     engine: VerificationEngine, t: float, tolerance: float, workers: Optional[int]
 ) -> EdgeVerification:
-    if engine.metric is not None:
-        return _verify_edges_metric(engine, t, tolerance, workers)
-    grouped = engine.grouped_base_edges()
-    items = [(source_id, targets, weights) for source_id, (targets, weights) in grouped.items()]
-    edges_checked = sum(len(targets) for _, targets, _ in items)
-    if not items:
-        return EdgeVerification(ok=True, edges_checked=0, sources=0, settles=0)
-    engine.sub_rows  # built here, so forked shards inherit the rows
-    shards = _shard_sources(items, workers)
-    if len(shards) <= 1 or workers is None or workers == 1:
-        ok, sources, settles = _verify_sources(engine, items, t, tolerance)
-        return EdgeVerification(ok=ok, edges_checked=edges_checked, sources=sources, settles=settles)
+    if engine.metric is None:
+        source_ids = list(engine.grouped_base_edges())
+    else:
+        source_ids = list(range(engine.n - 1))
+    engine.sub_rows  # built here, so forked shards inherit the rows and groups
+    # A serial run skips the harness import (multiprocessing costs ~2 MB).
+    serial = workers is None or workers == 1
+    shards = [source_ids] if serial else _shard_sources(source_ids, workers)
+    if len(shards) <= 1:
+        return _verify_sources(engine, source_ids, t, tolerance)
     global _PARALLEL_ENGINE, _PARALLEL_PARAMS
     _PARALLEL_ENGINE = engine
     _PARALLEL_PARAMS = {"t": t, "tolerance": tolerance}
@@ -492,45 +546,14 @@ def _verify_edges_indexed(
     finally:
         _PARALLEL_ENGINE = None
         _PARALLEL_PARAMS = {}
-    from repro.experiments.harness import merge_counters
-
-    ok = all(shard_ok for shard_ok, _ in results)
-    counters = merge_counters(counters for _, counters in results)
+    witness = next((result.witness for result in results if result.witness is not None), None)
     return EdgeVerification(
-        ok=ok,
-        edges_checked=edges_checked,
-        sources=int(counters.get("sources", 0)),
-        settles=int(counters.get("settles", 0)),
-    )
-
-
-def _verify_edges_metric(
-    engine: VerificationEngine, t: float, tolerance: float, workers: Optional[int]
-) -> EdgeVerification:
-    """Metric bases: every pair is a base edge, so check full rows per source.
-
-    One indexed SSSP over the subgraph per source, compared against the
-    metric's distance row with one vectorized comparison — the grouped
-    cutoff trick degenerates here (a metric ball at radius ``t·max_w`` is the
-    whole space), so full rows are the batch form.
-    """
-    n = engine.n
-    scale = 1.0 + tolerance
-    settles = 0
-    edges_checked = 0
-    ok = True
-    for source_id in range(n - 1):
-        base_row, base_settles = engine.base_row(source_id)
-        sub_row, sub_settles = engine.sub_row(source_id)
-        settles += base_settles + sub_settles
-        original = base_row[source_id + 1 :]
-        mask = original > 0.0
-        edges_checked += int(np.count_nonzero(mask))
-        if np.any(sub_row[source_id + 1 :][mask] > t * original[mask] * scale):
-            ok = False
-            break
-    return EdgeVerification(
-        ok=ok, edges_checked=edges_checked, sources=n - 1 if n else 0, settles=settles
+        ok=witness is None,
+        edges_checked=sum(result.edges_checked for result in results),
+        sources=sum(result.sources for result in results),
+        settles=sum(result.settles for result in results),
+        witness=witness,
+        max_stretch=max(result.max_stretch for result in results),
     )
 
 

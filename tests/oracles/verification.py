@@ -1,8 +1,10 @@
 """The seed per-pair stretch checks the batch verification engine replaces.
 
 One dict-based Dijkstra per base edge, per profile source or per sampled
-pair.  :mod:`repro.spanners.verification` must reproduce these verdicts,
-profiles and pair counts *bit for bit* (see its module docstring for why
+pair; :func:`max_edge_stretch_reference` is the seed
+``Spanner.max_stretch_over_edges`` loop.  :mod:`repro.spanners.verification`
+must reproduce these verdicts, maximum edge stretches, profiles and pair
+counts *bit for bit* (see its module docstring for why
 that holds); lazy closure bases read base distances from the metric, since
 searching the Θ(n²) closure per pair is the wall the engine removes.
 """
@@ -42,6 +44,19 @@ def verify_edges_reference(
             ok = False
             break
     return EdgeVerification(ok=ok, edges_checked=edges_checked, sources=len(sources), settles=settles)
+
+
+def max_edge_stretch_reference(spanner: Spanner) -> float:
+    """The seed ``Spanner.max_stretch_over_edges``: one dict Dijkstra per base edge.
+
+    The maximum of ``δ_H(u, v) / w`` over the base edges, floored at 1.0
+    (``inf`` when the spanner disconnects a base edge).
+    """
+    worst = 1.0
+    for u, v, weight in spanner.base.edges():
+        spanner_distance = pair_distance(spanner.subgraph, u, v)
+        worst = max(worst, spanner_distance / weight)
+    return worst
 
 
 def _base_distance(spanner: Spanner, u: Vertex, v: Vertex) -> float:

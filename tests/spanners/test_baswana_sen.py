@@ -15,6 +15,7 @@ from repro.graph.generators import (
 from repro.graph.shortest_paths import pair_distance
 from repro.graph.traversal import is_connected
 from repro.spanners.baswana_sen import baswana_sen_spanner, expected_size_bound
+from repro.spanners.verification import verify_spanner_edges_detailed
 
 
 class TestBasics:
@@ -64,7 +65,8 @@ class TestSpannerQuality:
     def test_weighted_stretch_within_bound_on_random_graph(self, medium_random_graph):
         spanner = baswana_sen_spanner(medium_random_graph, 2, seed=6)
         # Measured stretch on the workload should respect the 2k-1 bound.
-        assert spanner.max_stretch_over_edges() <= 3.0 + 1e-6
+        report = verify_spanner_edges_detailed(spanner.subgraph, medium_random_graph, math.inf)
+        assert report.max_stretch <= 3.0 + 1e-6
 
     def test_sparsifies_dense_graphs(self):
         graph = complete_graph(60, random_weights=True, seed=8)

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.verification import (
     lemma3_reference,
+    max_edge_stretch_reference,
     profile_reference,
     verify_edges_reference,
     verify_sampled_reference,
@@ -40,6 +42,8 @@ from repro.core.spanner import Spanner
 from repro.graph.generators import random_connected_graph
 from repro.graph.mst import kruskal_mst, mst_weight, mst_weight_indexed
 from repro.graph.weighted_graph import WeightedGraph
+from repro.metric.closure import MetricClosure
+from repro.metric.euclidean import EuclideanMetric
 from repro.metric.generators import uniform_points
 from repro.spanners.registry import build_spanner
 from repro.spanners.verification import (
@@ -235,11 +239,71 @@ class TestEarlyStoppingCheck:
         assert result.ok and verify_edges_reference(subgraph, base, 2.0).ok
         assert (result.edges_checked, result.sources, result.settles) == (3, 1, 3)
 
+    def test_unreachable_edge_passes_at_infinite_stretch(self):
+        """Regression: a disconnected base edge has ``δ_H = ∞``, which is not
+        above ``∞·w``, so ``t = inf`` accepts it (the per-edge reference and
+        ``Spanner.is_valid`` always did); its stretch reads ``inf``."""
+        base = WeightedGraph(edges=[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.5)])
+        subgraph = WeightedGraph(vertices=[0, 1, 2], edges=[(0, 1, 1.0)])
+        assert verify_spanner_edges(subgraph, base, math.inf)
+        assert is_t_spanner_of(subgraph, base, math.inf)
+        assert Spanner(base=base, subgraph=subgraph, stretch=math.inf).is_valid()
+        assert verify_edges_reference(subgraph, base, math.inf).ok
+        result = verify_spanner_edges_detailed(subgraph, base, math.inf)
+        assert (result.witness, result.max_stretch) == (None, math.inf)
+        failed = verify_spanner_edges_detailed(subgraph, base, 2.0)
+        assert not failed.ok and failed.witness == (0, 2, 1.5)
+
     def test_light_own_edges_need_no_search(self, small_random_graph):
         result = verify_spanner_edges_detailed(small_random_graph, small_random_graph, 1.0)
         assert result == EdgeVerification(
             ok=True, edges_checked=small_random_graph.number_of_edges, sources=0, settles=0
         )
+
+
+point_sets = st.sets(
+    st.tuples(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=60)),
+    min_size=3,
+    max_size=16,
+)
+
+
+class TestMeasuredStretch:
+    """``statistics(measure_stretch=True)`` reads the edge check's
+    ``max_stretch`` at ``t = inf``: bit-identical to the seed per-edge loop."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        graph=dyadic_graphs,
+        stretch=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        case=st.sampled_from(["none", "drop", "reweight", "disconnect"]),
+        pick=st.integers(min_value=0, max_value=1_000),
+        strings=st.booleans(),
+    )
+    def test_graph_bases(self, graph, stretch, case, pick, strings):
+        if strings:
+            graph = _string_relabelled(graph)
+        subgraph = greedy_spanner(graph, stretch).subgraph
+        if case != "none":
+            subgraph = _corrupted(subgraph, stretch, case, pick)
+        spanner = Spanner(base=graph, subgraph=subgraph, stretch=stretch)
+        measured = spanner.statistics(measure_stretch=True).measured_stretch
+        assert measured == max_edge_stretch_reference(spanner)
+        if case == "disconnect":
+            assert measured == math.inf
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        points=point_sets,
+        builder=st.sampled_from(["greedy", "theta", "mst"]),
+        stretch=st.sampled_from([1.1, 1.5, 2.0]),
+    )
+    def test_metric_closures(self, points, builder, stretch):
+        metric = EuclideanMetric(np.array(sorted(points), dtype=float))
+        spanner = build_spanner(builder, metric, stretch)
+        assert isinstance(spanner.base, MetricClosure)
+        measured = spanner.statistics(measure_stretch=True).measured_stretch
+        assert measured == max_edge_stretch_reference(spanner)
 
 
 class TestPairDedup:
@@ -288,15 +352,25 @@ class TestParallelDeterminism:
             assert stats_n.counters() == stats_1.counters()  # merged counters
 
     def test_verify_workers_identical(self, medium_random_graph):
-        spanner = greedy_spanner(medium_random_graph, 2.0)
-        baseline = verify_spanner_edges_detailed(
-            spanner.subgraph, medium_random_graph, 2.0, workers=1
-        )
-        for workers in (2, 4):
-            parallel = verify_spanner_edges_detailed(
-                spanner.subgraph, medium_random_graph, 2.0, workers=workers
+        """Graph and metric-closure bases shard alike; at ``t = 1.05`` the
+        theta spanner of the closure fails, so the witness is compared too."""
+        graph_spanner = greedy_spanner(medium_random_graph, 2.0)
+        metric_spanner = build_spanner("theta", uniform_points(60, 2, seed=11), 1.5)
+        assert isinstance(metric_spanner.base, MetricClosure)
+        for spanner, stretch, ok in (
+            (graph_spanner, 2.0, True),
+            (metric_spanner, 1.5, True),
+            (metric_spanner, 1.05, False),
+        ):
+            baseline = verify_spanner_edges_detailed(
+                spanner.subgraph, spanner.base, stretch, workers=1
             )
-            assert parallel == baseline
+            assert baseline.ok is ok and (baseline.witness is None) is ok
+            for workers in (2, 4):
+                parallel = verify_spanner_edges_detailed(
+                    spanner.subgraph, spanner.base, stretch, workers=workers
+                )
+                assert parallel == baseline
 
     def test_profile_sources_subset_is_exact_per_source(self, medium_random_graph):
         """A restricted source shard reproduces exactly the full sweep's rows
