@@ -240,24 +240,28 @@ def _command_profile(args: argparse.Namespace) -> int:
 
     profiler = cProfile.Profile()
     if args.workload == "build":
-        from repro.core.greedy import greedy_spanner
+        from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
         from repro.experiments.build_bench import (
             _build_instance,
             bucketed_workload,
             run_build_bench,
         )
+        from repro.metric.generators import uniform_points
         from repro.spanners.verification import verify_spanner_edges
 
         workload = bucketed_workload(n=args.n, degree=args.degree, seed=args.seed)
         graph, _ = _build_instance(workload)
         stretch = float(workload["stretch"])
         spanner = greedy_spanner(graph, stretch)
+        metric = uniform_points(250, 2, seed=args.seed)
         # Both greedy builders, so the table covers the shared ball kernel
         # from the oracle and from the band filter, then the base-edge check
-        # a service job runs on its greedy spanner.
+        # a service job runs on its greedy spanner, then one streamed metric
+        # build (n=250, t=1.5: the size of perfbench's metric-build op).
         profiler.enable()
         run_build_bench(workload, strategies=("greedy-serial", "csr-parallel-w1"))
         verify_spanner_edges(spanner.subgraph, graph, stretch)
+        greedy_spanner_of_metric(metric, 1.5)
         profiler.disable()
     else:
         from repro.core.query_engine import QueryEngine

@@ -3,7 +3,8 @@
 Experiments occasionally want to persist a workload to disk (so a benchmark
 can be re-run on the identical instance) or hand a graph to :mod:`networkx`
 for cross-validation.  Both directions are provided here; the core algorithms
-never depend on networkx.
+never depend on networkx, and it is imported only inside the two converters,
+so the library (service and CLI included) imports without it.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import GraphError
 from repro.graph.weighted_graph import WeightedGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -> None:
@@ -114,6 +116,8 @@ def load_json(path: str | Path) -> WeightedGraph:
 
 def to_networkx(graph: WeightedGraph) -> nx.Graph:
     """Convert to a :class:`networkx.Graph` with a ``weight`` edge attribute."""
+    import networkx as nx
+
     nx_graph = nx.Graph()
     nx_graph.add_nodes_from(graph.vertices())
     nx_graph.add_weighted_edges_from(graph.edges())

@@ -17,8 +17,10 @@ existing edge overwrites its weight).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from typing import Optional
+
+import numpy as np
 
 from repro.errors import (
     EdgeNotFoundError,
@@ -43,6 +45,32 @@ def _validate_weight(weight: float) -> float:
     if value != value or value == float("inf"):
         raise InvalidWeightError(f"edge weight must be finite, got {value}")
     return value
+
+
+def repr_ranks(vertices: Sequence[Vertex]) -> np.ndarray:
+    """Return each vertex's rank in the sorted order of the vertices' ``repr``.
+
+    ``repr`` runs once per vertex.  The result is an int64 array aligned
+    with ``vertices``; vertices whose ``repr`` strings are equal get equal
+    ranks, so comparing ranks is exactly comparing ``repr`` strings.
+    """
+    reprs = [repr(vertex) for vertex in vertices]
+    position = {text: rank for rank, text in enumerate(sorted(set(reprs)))}
+    return np.fromiter(map(position.__getitem__, reprs), dtype=np.int64, count=len(reprs))
+
+
+def canonical_order(
+    u_ids: np.ndarray, v_ids: np.ndarray, weights: np.ndarray, ranks: np.ndarray
+) -> np.ndarray:
+    """Return the permutation that sorts edges by ``(weight, repr(u), repr(v))``.
+
+    Edge ``k`` joins vertex ids ``u_ids[k]`` and ``v_ids[k]`` with weight
+    ``weights[k]``; ``ranks`` is :func:`repr_ranks` over the ids.  This is the
+    greedy algorithm's examination order (Algorithm 1, line 2).
+    ``numpy.lexsort`` is stable, so edges with equal keys keep their input
+    order, exactly as ``sorted`` with that key would.
+    """
+    return np.lexsort((ranks[v_ids], ranks[u_ids], weights))
 
 
 class WeightedGraph:
@@ -218,10 +246,25 @@ class WeightedGraph:
 
         This is exactly the examination order of the greedy algorithm
         (Algorithm 1, line 2 of the paper).  Ties are broken by the string
-        representation of the endpoints so that the order — and therefore the
-        greedy spanner — is deterministic and reproducible across runs.
+        representation of the endpoints, ``(weight, repr(u), repr(v))``, so
+        that the order — and therefore the greedy spanner — is deterministic
+        and reproducible across runs.  Edges whose keys are equal keep their
+        :meth:`edges` order.
+
+        The :meth:`edges` triples are keyed by their endpoints' insertion
+        ids and sorted with one :func:`canonical_order` over
+        :func:`repr_ranks`, so ``repr`` runs once per vertex instead of twice
+        per edge.
         """
-        return sorted(self.edges(), key=lambda e: (e[2], repr(e[0]), repr(e[1])))
+        triples = list(self.edges())
+        vertices = list(self._adjacency)
+        index = {vertex: i for i, vertex in enumerate(vertices)}
+        count = len(triples)
+        u_ids = np.fromiter((index[u] for u, _, _ in triples), dtype=np.int64, count=count)
+        v_ids = np.fromiter((index[v] for _, v, _ in triples), dtype=np.int64, count=count)
+        weights = np.fromiter((w for _, _, w in triples), dtype=float, count=count)
+        order = canonical_order(u_ids, v_ids, weights, repr_ranks(vertices))
+        return list(map(triples.__getitem__, order.tolist()))
 
     def total_weight(self) -> float:
         """Return ``w(G)``, the sum of all edge weights."""

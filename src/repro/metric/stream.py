@@ -28,15 +28,20 @@ materialized one — while buffering only ``O(buffer)`` pairs at a time:
    recomputed once per band — ``O(total/buffer)`` extra sweeps buy peak
    memory of ``O(buffer)`` instead of ``Θ(n²)``.
 
-3. **Heap merge.**  Within a band, each row contributes its in-band pairs as
-   one run sorted by the canonical key ``(weight, repr(u), repr(v))``; a
-   stable k-way merge interleaves the runs.  A stable merge of
-   stable-sorted runs listed in generation order reproduces exactly the
-   stable sort that ``edges_sorted_by_weight`` performs, and bands are
+3. **One lexsort per band.**  Within a band, the in-band pairs are
+   gathered as ``(row, col, weight)`` arrays in generation order, with
+   ``int32`` point ids, and sorted by one stable
+   :func:`~repro.graph.weighted_graph.canonical_order` — a
+   ``numpy.lexsort`` on ``(weight, rank(u), rank(v))``, where
+   :func:`~repro.graph.weighted_graph.repr_ranks` ranks the points' ``repr``
+   strings once per stream.  Equal ``repr`` strings share a rank, so the
+   key orders pairs exactly as ``(weight, repr(u), repr(v))`` does, and the
+   sort is stable, so ties keep generation order: this is the stable sort
+   ``edges_sorted_by_weight`` performs on the complete graph.  Bands are
    disjoint weight intervals, so equal weights never straddle a band
-   boundary: the concatenated band outputs are the materialized order.
-   The merge is :func:`heapq.merge`, which breaks key ties toward the
-   earlier run — exactly that stability contract.
+   boundary: the concatenated band outputs are the materialized order.  The
+   sorted band is turned into triples lazily, :data:`YIELD_CHUNK` at a time,
+   so the band is never held as a list of tuples.
 
 Degenerate weight distributions (e.g. every pair at the same distance)
 collapse into a single band and temporarily buffer that band's pairs — the
@@ -46,12 +51,12 @@ the measured memory trajectory.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import EmptyMetricError, InvalidWeightError, MetricAxiomError
+from repro.graph.weighted_graph import canonical_order, repr_ranks
 from repro.metric.base import FiniteMetric, Point
 
 #: ``(u, v, weight)`` triples, oriented with ``u`` before ``v`` in point order.
@@ -63,11 +68,8 @@ DEFAULT_BUFFER_PAIRS = 65536
 #: Number of histogram buckets used to choose band boundaries.
 HISTOGRAM_BUCKETS = 2048
 
-
-def pair_sort_key(triple: PairTriple) -> tuple[float, str, str]:
-    """The canonical examination-order key of ``edges_sorted_by_weight``."""
-    u, v, weight = triple
-    return (weight, repr(u), repr(v))
+#: Sorted pairs converted to Python triples at a time.
+YIELD_CHUNK = 4096
 
 
 def effective_buffer_pairs(n: int, max_buffer: Optional[int] = None) -> int:
@@ -206,26 +208,27 @@ def _band_boundaries(metric: FiniteMetric, buffer_pairs: int) -> list[tuple[floa
     return bands
 
 
-def _band_runs(
+def _band_arrays(
     metric: FiniteMetric, low: float, high: float, *, validate: bool
-) -> list[list[PairTriple]]:
-    """Collect the pairs with ``low <= weight < high`` as per-row sorted runs."""
-    points = metric.point_tuple
-    runs: list[list[PairTriple]] = []
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Gather the pairs with ``low <= weight < high`` as ``(rows, cols, weights)``.
+
+    The arrays list the pairs in generation order; ``None`` if none fall in
+    the band.
+    """
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
     for i, row in _iter_rows(metric, validate=validate):
-        mask = (row >= low) & (row < high)
-        if not mask.any():
+        offsets = np.flatnonzero((row >= low) & (row < high))
+        if not offsets.size:
             continue
-        offsets = np.nonzero(mask)[0]
-        u = points[i]
-        base = i + 1
-        run = [
-            (u, points[base + offset], weight)
-            for offset, weight in zip(offsets.tolist(), row[offsets].tolist())
-        ]
-        run.sort(key=pair_sort_key)
-        runs.append(run)
-    return runs
+        rows.append(np.full(offsets.size, i, dtype=np.int32))
+        cols.append((offsets + (i + 1)).astype(np.int32))
+        weights.append(row[offsets])
+    if not rows:
+        return None
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
 
 
 def sorted_pair_stream(
@@ -268,14 +271,21 @@ def sorted_pair_stream(
         bands = _band_boundaries(metric, buffer_pairs)
         validate_in_band = False  # the extremes sweep already validated
 
+    points = metric.point_tuple
+    ranks = repr_ranks(points)
     for low, high in bands:
-        runs = _band_runs(metric, low, high, validate=validate_in_band)
-        if not runs:
+        band = _band_arrays(metric, low, high, validate=validate_in_band)
+        if band is None:
             continue
-        if len(runs) == 1:
-            yield from runs[0]
-        else:
-            yield from heapq.merge(*runs, key=pair_sort_key)
+        rows, cols, weights = band
+        order = canonical_order(rows, cols, weights, ranks)
+        for start in range(0, order.size, YIELD_CHUNK):
+            chunk = order[start : start + YIELD_CHUNK]
+            yield from zip(
+                map(points.__getitem__, rows[chunk].tolist()),
+                map(points.__getitem__, cols[chunk].tolist()),
+                weights[chunk].tolist(),
+            )
 
 
 def stream_is_order_identical(metric: FiniteMetric, **kwargs: object) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from oracles.order import canonical_sorted
 
 from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.metric.base import ExplicitMetric
@@ -84,9 +85,22 @@ def test_banded_stream_greedy_identical(metric: EuclideanMetric, t: float, buffe
     assert banded.subgraph.same_edges(materialized.subgraph)
 
 
-@settings(max_examples=30, deadline=None)
-@given(metric=st.one_of(euclidean_metrics, explicit_metrics()), buffer=st.integers(1, 9))
+#: The 6x6 integer grid: 630 pairs over few distinct distances.
+grid_6x6 = EuclideanMetric(np.array([(i, j) for i in range(6) for j in range(6)], dtype=float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    metric=st.one_of(euclidean_metrics, explicit_metrics(), st.just(grid_6x6)),
+    buffer=st.integers(1, 60),
+)
 def test_stream_order_identical(metric, buffer: int):
-    """The stream itself (not just the spanner) is byte-identical in any banding."""
-    materialized = metric.complete_graph().edges_sorted_by_weight()
-    assert list(sorted_pair_stream(metric, max_buffer=buffer)) == materialized
+    """The stream itself (not just the spanner) is byte-identical in any banding.
+
+    It equals the materialized sort and, independently of the rank lexsort
+    both of those run, the plain ``(weight, repr(u), repr(v))`` sort.
+    """
+    edges = metric.complete_graph()
+    streamed = list(sorted_pair_stream(metric, max_buffer=buffer))
+    assert streamed == edges.edges_sorted_by_weight()
+    assert streamed == canonical_sorted(edges.edges())

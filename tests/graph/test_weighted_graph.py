@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles.order import canonical_sorted
 
 from repro.errors import (
     EdgeNotFoundError,
@@ -131,6 +133,10 @@ class TestQueries:
         second = graph.edges_sorted_by_weight()
         assert first == second
 
+    def test_edges_sorted_empty_and_edgeless(self):
+        assert WeightedGraph().edges_sorted_by_weight() == []
+        assert WeightedGraph(vertices=[1, 2]).edges_sorted_by_weight() == []
+
     def test_total_weight(self, triangle_graph):
         assert triangle_graph.total_weight() == pytest.approx(7.0)
 
@@ -200,3 +206,50 @@ class TestComparisons:
     def test_repr_contains_counts(self, triangle_graph):
         text = repr(triangle_graph)
         assert "n=3" in text and "m=3" in text
+
+
+class Labelled:
+    """A vertex whose distinct instances share one ``repr``."""
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+
+    def __repr__(self) -> str:
+        return self.label
+
+
+# Mixed vertex types whose reprs interleave: ``1`` and ``'1'`` differ, while a
+# ``Labelled("1")`` shares its repr with the int ``1`` and with every other
+# ``Labelled("1")``.
+vertex_labels = st.one_of(
+    st.integers(min_value=0, max_value=12),
+    st.text(alphabet="1ab", max_size=2),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.builds(Labelled, st.sampled_from(["1", "V", "'a'"])),
+)
+
+
+@st.composite
+def tie_heavy_graphs(draw) -> WeightedGraph:
+    """Graphs over mixed vertices with weights drawn from 2-3 values."""
+    vertices = draw(st.lists(vertex_labels, min_size=2, max_size=12, unique=True))
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 3.0]), min_size=2, max_size=3, unique=True))
+    graph = WeightedGraph(vertices=draw(st.permutations(vertices)))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(vertices), st.sampled_from(vertices), st.sampled_from(weights)),
+            max_size=40,
+        )
+    )
+    for u, v, weight in pairs:
+        if u != v:
+            graph.add_edge(u, v, weight)
+    return graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=tie_heavy_graphs())
+def test_edges_sorted_by_weight_matches_repr_sort(graph):
+    """The rank lexsort is exactly the stable ``(w, repr(u), repr(v))`` sort."""
+    assert graph.edges_sorted_by_weight() == canonical_sorted(graph.edges())
+

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.order import canonical_sorted
 
 from repro.errors import (
     EdgeNotFoundError,
@@ -42,8 +43,10 @@ class TestClosureMatchesCompleteGraph:
         assert sorted(closure.edges()) == sorted(complete.edges())
 
     def test_sorted_edges_are_the_stream(self, small_points, closure):
-        materialized = small_points.complete_graph().edges_sorted_by_weight()
-        assert list(closure.edges_sorted_by_weight()) == materialized
+        complete = small_points.complete_graph()
+        streamed = list(closure.edges_sorted_by_weight())
+        assert streamed == complete.edges_sorted_by_weight()
+        assert streamed == canonical_sorted(complete.edges())
 
     def test_total_weight(self, small_points, closure):
         expected = small_points.complete_graph().total_weight()

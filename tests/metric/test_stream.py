@@ -4,7 +4,9 @@ The pipeline's contract is byte-identity with the materialized path:
 ``list(sorted_pair_stream(m))`` must equal
 ``m.complete_graph().edges_sorted_by_weight()`` — same triples, same floats,
 same order — on every metric, including forced multi-band (tiny buffer) runs
-and tie-heavy weight distributions.
+and tie-heavy weight distributions.  Both sides sort with the same rank
+lexsort, so the tie-heavy cases also compare the stream against the plain
+``(weight, repr(u), repr(v))`` sort of :mod:`oracles.order`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles.order import canonical_sorted, pair_sort_key
 
 from repro.errors import EmptyMetricError, MetricAxiomError
 from repro.metric.base import ExplicitMetric
@@ -22,7 +25,6 @@ from repro.metric.stream import (
     DEFAULT_BUFFER_PAIRS,
     effective_buffer_pairs,
     iter_pairs,
-    pair_sort_key,
     sorted_pair_stream,
     stream_is_order_identical,
 )
@@ -43,8 +45,10 @@ class TestOrderIdentity:
         assert stream_is_order_identical(small_points, max_buffer=13)
 
     def test_tie_heavy_grid(self, grid_metric):
-        assert stream_is_order_identical(grid_metric)
-        assert stream_is_order_identical(grid_metric, max_buffer=7)
+        reference = canonical_sorted(grid_metric.complete_graph().edges())
+        for max_buffer in (None, 200, 50, 7, 1):
+            assert stream_is_order_identical(grid_metric, max_buffer=max_buffer)
+            assert list(sorted_pair_stream(grid_metric, max_buffer=max_buffer)) == reference
 
     def test_all_weights_equal_degenerate_band(self):
         metric = star_metric(10)
@@ -64,6 +68,17 @@ class TestOrderIdentity:
         )
         assert stream_is_order_identical(metric)
         assert stream_is_order_identical(metric, max_buffer=1)
+        # 12 points at distances in {10, 11, 12} (entries in [c, 2c] always
+        # form a metric): most pairs tie, and by repr the id 10 sorts before 2.
+        points = list(range(12))
+        distances = {
+            (i, j): float(10 + (i * 7 + j * 3) % 3) for i in points for j in points if i < j
+        }
+        ties = ExplicitMetric(points, distances)
+        reference = canonical_sorted(ties.complete_graph().edges())
+        for max_buffer in (None, 20, 3, 1):
+            assert stream_is_order_identical(ties, max_buffer=max_buffer)
+            assert list(sorted_pair_stream(ties, max_buffer=max_buffer)) == reference
 
     def test_buffer_of_one_pair(self, small_points):
         # One pair per band is the most adversarial banding possible.

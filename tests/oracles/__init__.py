@@ -11,7 +11,9 @@ keep comparing against them without a ``mode=`` knob in the public API:
 * :mod:`oracles.verification` — the per-pair stretch checks;
 * :mod:`oracles.distributed` — the dict-graph flood, routing tables and
   hardened flood;
-* :mod:`oracles.greedy` — the value-cache distance oracle.
+* :mod:`oracles.greedy` — the value-cache distance oracle;
+* :mod:`oracles.order` — the ``(weight, repr(u), repr(v))`` sort of the
+  greedy examination order.
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
 ``sys.path``, so both suites import them as ``oracles.<layer>``.

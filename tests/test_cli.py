@@ -325,6 +325,7 @@ class TestCommands:
         assert "(greedy_spanner)" in report
         assert "(parallel_greedy_spanner)" in report
         assert "(ball)" in report
+        assert "(sorted_pair_stream)" in report
 
     def test_profile_queries_answers_the_batch_fresh_and_resumed(self, tmp_path):
         out = tmp_path / "profile_queries.txt"

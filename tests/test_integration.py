@@ -8,6 +8,11 @@ them, and feed them to the application layer.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +46,26 @@ class TestPublicApi:
             "approximate_greedy_spanner",
             "analyse_figure1",
         }
+
+    def test_version_matches_pyproject(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            declared = tomllib.load(handle)["project"]["version"]
+        assert declared == repro.__version__
+
+    def test_imports_without_networkx(self):
+        """networkx is a test-only dependency: the library, service and CLI import without it."""
+        code = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro, repro.service.workers, repro.cli\n"
+            "assert sys.modules['networkx'] is None\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_quickstart_snippet(self):
         """The snippet from the package docstring / README must keep working."""
