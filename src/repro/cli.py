@@ -239,6 +239,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     import pstats
 
     profiler = cProfile.Profile()
+    header = ""
     if args.workload == "build":
         from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
         from repro.experiments.build_bench import (
@@ -261,8 +262,13 @@ def _command_profile(args: argparse.Namespace) -> int:
         profiler.enable()
         run_build_bench(workload, strategies=("greedy-serial", "csr-parallel-w1"))
         verify_spanner_edges(spanner.subgraph, graph, stretch)
-        greedy_spanner_of_metric(metric, 1.5)
+        metric_spanner = greedy_spanner_of_metric(metric, 1.5)
         profiler.disable()
+        # Whether the metric build's balls resumed, next to the table.
+        header = "metric build (uniform n=250, t=1.5): " + " / ".join(
+            f"{key} {metric_spanner.metadata[key]:.0f}"
+            for key in ("dijkstra_settles", "balls_resumed", "settles_resumed")
+        ) + "\n"
     else:
         from repro.core.query_engine import QueryEngine
         from repro.experiments.query_bench import (
@@ -291,7 +297,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats(args.sort).print_stats(args.top)
-    report = buffer.getvalue()
+    report = header + buffer.getvalue()
     print(report)
     if args.output:
         Path(args.output).write_text(report)

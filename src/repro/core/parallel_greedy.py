@@ -83,7 +83,7 @@ def _filter_groups(
     stamp = cover.stamp
     for source_id, items in groups:
         radius = t * items[-1][2]  # canonical order: last item has max weight
-        settles += len(cover.ball(source_id, radius))
+        settles += len(cover.ball(source_id, radius)) - cover.resumed
         gen = cover.gen
         for canonical_index, target_id, weight in items:
             if stamp[target_id] != gen or dist[target_id] > t * weight:

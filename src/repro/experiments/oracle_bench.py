@@ -59,6 +59,8 @@ _COUNTER_KEYS = (
     "cache_misses",
     "cached_bounds",
     "peak_cached_bounds",
+    "balls_resumed",
+    "settles_resumed",
     # Approximate-Greedy rows:
     "approximate_queries",
     "buckets",

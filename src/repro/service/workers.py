@@ -69,12 +69,15 @@ def canonical_spanner_edges(spanner: Spanner) -> list[list[object]]:
     Same discipline as the build bench's cross-check: ``repr``-normalised
     endpoints sorted per edge and across edges, weights as floats — two
     spanners are byte-identical iff these lists are equal, and the form is
-    JSON-safe for every vertex type the generators produce.
+    JSON-safe for every vertex type the generators produce.  Each vertex is
+    ``repr``-ed once and its string shared by all of its edges.
     """
+    names = {vertex: repr(vertex) for vertex in spanner.subgraph.vertices()}
     edges = []
     for u, v, weight in spanner.subgraph.edges():
-        a, b = (u, v) if repr(u) <= repr(v) else (v, u)
-        edges.append([repr(a), repr(b), float(weight)])
+        a = names[u]
+        b = names[v]
+        edges.append([a, b, float(weight)] if a <= b else [b, a, float(weight)])
     edges.sort()
     return edges
 

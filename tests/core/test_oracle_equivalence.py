@@ -17,12 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles.greedy import value_cache_greedy
-from repro.core.distance_oracle import CachedDijkstraOracle, ORACLE_FACTORIES
+from repro.core.distance_oracle import (
+    BoundedDijkstraOracle,
+    CachedDijkstraOracle,
+    ORACLE_FACTORIES,
+)
 from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.graph.generators import random_connected_graph
 from repro.graph.shortest_paths import pair_distance
 from repro.graph.weighted_graph import WeightedGraph
-from repro.metric.generators import uniform_points
+from repro.metric.generators import grid_points, uniform_points
 
 ALL_STRATEGIES = tuple(ORACLE_FACTORIES)
 FAST_STRATEGIES = ("cached",)
@@ -156,14 +160,18 @@ class TestMonotoneCutoffMode:
     """The greedy loop's non-decreasing cutoffs: every covered pair is a hit."""
 
     def test_greedy_enables_monotone_mode_and_counts_match_value_mode(self):
-        """Hit/miss/settle counts equal the value-cache reference's."""
+        """Hit/miss counts equal the value-cache reference's, and the settles
+        run plus the settles a resumed ball restored equal its settles."""
         metric = uniform_points(60, 2, seed=47)
         streamed = greedy_spanner_of_metric(metric, 2.0, oracle="cached")
         spanner_graph, oracle = value_cache_greedy(metric.complete_graph(), 2.0)
         assert spanner_graph.same_edges(streamed.subgraph)
         assert float(oracle.cache_hits) == streamed.metadata["cache_hits"]
         assert float(oracle.cache_misses) == streamed.metadata["cache_misses"]
-        assert float(oracle.settled_count) == streamed.metadata["dijkstra_settles"]
+        assert streamed.metadata["balls_resumed"] > 0
+        assert float(oracle.settled_count) == (
+            streamed.metadata["dijkstra_settles"] + streamed.metadata["settles_resumed"]
+        )
 
     def test_monotone_mode_reports_peak_bounds(self):
         metric = uniform_points(40, 2, seed=31)
@@ -247,8 +255,9 @@ def greedy_runs(draw):
 @settings(max_examples=120, deadline=None)
 @given(run=greedy_runs())
 def test_cached_oracle_matches_the_value_cache_reference(run):
-    """Spanner, hits, misses and settles equal the value-cache reference's,
-    with and without a warm-start prefix."""
+    """Spanner, hits and misses equal the value-cache reference's, with and
+    without a warm-start prefix; so do the settles once the ones a resumed
+    ball restored are added back."""
     graph, stretch, split = run
     order = graph.edges_sorted_by_weight()
     full = greedy_spanner(graph, stretch).subgraph
@@ -262,4 +271,77 @@ def test_cached_oracle_matches_the_value_cache_reference(run):
     assert spanner.subgraph.same_edges(full)
     assert spanner.metadata["cache_hits"] == oracle.cache_hits
     assert spanner.metadata["cache_misses"] == oracle.cache_misses
-    assert spanner.metadata["dijkstra_settles"] == oracle.settled_count
+    assert (
+        spanner.metadata["dijkstra_settles"] + spanner.metadata["settles_resumed"]
+        == oracle.settled_count
+    )
+
+
+@st.composite
+def oracle_sessions(draw):
+    """A small spanner and a run of queries with arbitrary cutoffs (drops
+    below earlier radii included), with edge insertions interleaved."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    weights = st.sampled_from((1.0, 2.0, 3.0))
+    vertices = st.integers(min_value=0, max_value=n - 1)
+    spanner_edges = [
+        (draw(st.integers(min_value=0, max_value=v - 1)), v, draw(weights))
+        for v in range(1, n)
+        if draw(st.booleans())
+    ]
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        u, v = draw(vertices), draw(vertices)
+        if draw(st.integers(0, 4)) == 0:
+            ops.append(("add", u, v, draw(weights)))
+        else:
+            ops.append(("query", u, v, float(draw(st.integers(0, 12)))))
+    return n, spanner_edges, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(session=oracle_sessions())
+def test_cached_oracle_verdicts_match_bounded_under_any_cutoff_order(session):
+    """Resumed, fresh and cached answers all give the bounded oracle's verdict."""
+    n, spanner_edges, ops = session
+    spanner = WeightedGraph(vertices=range(n))
+    for u, v, weight in spanner_edges:
+        spanner.add_edge(u, v, weight)
+    cached = CachedDijkstraOracle(spanner)
+    bounded = BoundedDijkstraOracle(spanner)
+    for kind, u, v, value in ops:
+        if kind == "add":
+            if u != v and not spanner.has_edge(u, v):
+                spanner.add_edge(u, v, value)
+                cached.notify_edge_added(u, v, value)
+            continue
+        exact = bounded.distance_within(u, v, value)
+        answer = cached.distance_within(u, v, value)
+        assert answer <= value or answer == math.inf
+        assert (answer <= value) == (exact <= value)
+        if exact <= value:
+            assert exact <= answer
+
+
+@pytest.mark.parametrize("stretch", [1.0, 1.5])
+def test_grid_metric_equals_the_value_cache_reference(stretch):
+    """The 6×6 grid (every distance tied many times over) at t=1 and t=1.5,
+    cold and from a warm start: same spanner, hits and misses, and settles
+    once the resumed ones are added back."""
+    graph = grid_points(6).complete_graph()
+    order = graph.edges_sorted_by_weight()
+    full = greedy_spanner(graph, stretch)
+    split = len(order) // 3
+    seeds = [(u, v, w) for u, v, w in order[:split] if full.subgraph.has_edge(u, v)]
+    for edges, seed_edges in ((None, None), (order[split:], seeds)):
+        spanner = greedy_spanner(graph, stretch, edges=edges, seed_edges=seed_edges)
+        reference, oracle = value_cache_greedy(
+            graph, stretch, edges=edges, seed_edges=seed_edges or ()
+        )
+        metadata = spanner.metadata
+        assert spanner.subgraph.same_edges(reference)
+        assert spanner.subgraph.same_edges(full.subgraph)
+        assert metadata["cache_hits"] == oracle.cache_hits
+        assert metadata["cache_misses"] == oracle.cache_misses
+        assert metadata["dijkstra_settles"] + metadata["settles_resumed"] == oracle.settled_count
+    assert full.metadata["balls_resumed"] > 0

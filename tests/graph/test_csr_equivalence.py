@@ -189,6 +189,84 @@ def test_coverage_ball_identical(case):
     assert cover.covered == expected_pairs
 
 
+@st.composite
+def resumable_ball_runs(draw):
+    """A tie-heavy integer-weight graph and a run of ``CoverageIndex`` calls.
+
+    Integer weights and integer radii make labels land exactly on a radius.
+    The run starts with ``source`` at ``r0``, then ``r1``, a ball from
+    another vertex, then ``source`` again at ``r2 ≥ r1``: the last one must
+    resume the ``r1`` ball (a source's first ball is not parked).  Arbitrary balls (radii up or down) and edge
+    insertions follow.
+    """
+    n = draw(st.integers(min_value=2, max_value=14))
+    weights = st.sampled_from((1.0, 2.0, 3.0))
+    edges: dict[tuple[int, int], float] = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(min_value=0, max_value=v - 1)), v)] = draw(weights)
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        if u != v:
+            edges.setdefault((u, v), draw(weights))
+    radii = st.integers(min_value=0, max_value=10).map(float)
+    vertices = st.integers(min_value=0, max_value=n - 1)
+    source = draw(vertices)
+    other = (source + draw(st.integers(min_value=1, max_value=n - 1))) % n
+    r1 = draw(radii)
+    ops = [
+        ("ball", source, draw(radii)),
+        ("ball", source, r1),
+        ("ball", other, draw(radii)),
+        ("ball", source, r1 + draw(radii)),
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        if draw(st.integers(0, 3)) == 0:
+            u, v = draw(vertices), draw(vertices)
+            if u != v:
+                ops.append(("add", min(u, v), max(u, v), draw(weights)))
+        else:
+            ops.append(("ball", draw(vertices), draw(radii)))
+    return n, edges, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=resumable_ball_runs())
+def test_resumed_coverage_ball_equals_a_fresh_ball(run):
+    """A resumed ball settles the same set, in the same order, with
+    bit-identical labels, as a fresh ``indexed_ball`` at its radius, and
+    harvests only the ids it settled itself."""
+    n, edges, ops = run
+    cover = CoverageIndex(n)
+    reference = WeightedGraph(vertices=range(n))
+    for (uid, vid), weight in edges.items():
+        cover.add_edge(uid, vid, weight)
+        reference.add_edge(uid, vid, weight)
+    last_radius: dict[int, float] = {}  # source -> radius of its last ball
+    for step, op in enumerate(ops):
+        if op[0] == "add":
+            _, uid, vid, weight = op
+            if not reference.has_edge(uid, vid):
+                cover.add_edge(uid, vid, weight)
+                reference.add_edge(uid, vid, weight)
+                last_radius.clear()
+            continue
+        _, centre, radius = op
+        before = set(cover.covered)
+        settled = cover.ball(centre, radius)
+        fresh = indexed_ball(IndexedGraph.from_weighted_graph(reference), centre, radius)
+        assert [(x, cover.dist[x]) for x in settled] == list(fresh.items())
+        assert [x for x, s in enumerate(cover.stamp) if s == cover.gen] == sorted(settled)
+        if step == 3:  # the scripted resume of the r1 ball
+            assert cover.resumed == len(indexed_ball(
+                IndexedGraph.from_weighted_graph(reference), centre, ops[1][2]
+            ))
+        if cover.resumed:
+            assert last_radius[centre] <= radius
+        new_pairs = {(min(centre, x) << 32) | max(centre, x) for x in settled[cover.resumed:]}
+        assert cover.covered == before | new_pairs
+        last_radius[centre] = radius
+
+
 @pytest.mark.parametrize("adjacency", ["heap"])
 @settings(max_examples=60, deadline=None)
 @given(case=search_cases(), edge_seed=st.integers(min_value=0, max_value=10**6))

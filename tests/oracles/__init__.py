@@ -13,7 +13,9 @@ keep comparing against them without a ``mode=`` knob in the public API:
   hardened flood;
 * :mod:`oracles.greedy` — the value-cache distance oracle;
 * :mod:`oracles.order` — the ``(weight, repr(u), repr(v))`` sort of the
-  greedy examination order.
+  greedy examination order;
+* :mod:`oracles.service` — the canonical spanner edge list, ``repr`` per
+  edge endpoint.
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
 ``sys.path``, so both suites import them as ``oracles.<layer>``.

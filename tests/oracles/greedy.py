@@ -5,7 +5,8 @@ every settled pair of every ball is stored with its exact distance, and a
 query is a hit whenever a stored bound is at most its cutoff.  It is exact
 for any cutoff order and obviously correct, so the coverage-set oracle of
 :mod:`repro.core.distance_oracle` is checked against it hit for hit, miss
-for miss and settle for settle.
+for miss and settle for settle (the coverage oracle's settles plus the ones
+its resumed balls restored).
 
 :func:`value_cache_greedy` is the loop of
 :func:`repro.core.greedy.greedy_spanner` (warm start included) with this

@@ -14,8 +14,12 @@ import os
 import signal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles.service import canonical_spanner_edges as seed_canonical_spanner_edges
+from repro.core.spanner import Spanner
 from repro.experiments.harness import fork_available
+from repro.graph.weighted_graph import WeightedGraph
 from repro.service.cache import ArtifactCache, artifact_key
 from repro.service.queue import JobQueue
 from repro.service.workers import (
@@ -46,6 +50,42 @@ def service(tmp_path):
     queue = JobQueue(tmp_path)
     cache = ArtifactCache(tmp_path / "cache")
     return queue, cache, ServiceWorker(queue, cache, "worker-test")
+
+
+class Named:
+    """A vertex that is distinct by identity but shares its ``repr``."""
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+
+    def __repr__(self) -> str:
+        return self.label
+
+
+#: Mixed vertex types, including two distinct vertices with one ``repr``.
+VERTICES = [0, 1, 2, 10, "a", "b", "v", (0, 1), (1, 0), ("a", 2), Named("v"), Named("v")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(VERTICES) - 1),
+            st.integers(0, len(VERTICES) - 1),
+            st.sampled_from([0.5, 1.0, 1.0, 2.25, 3.0]),
+        ),
+        max_size=30,
+    )
+)
+def test_canonical_spanner_edges_equals_the_per_edge_repr_form(triples):
+    graph = WeightedGraph()
+    for vertex in VERTICES:
+        graph.add_vertex(vertex)
+    for i, j, weight in triples:
+        if i != j:
+            graph.add_edge(VERTICES[i], VERTICES[j], weight)
+    spanner = Spanner(base=graph, subgraph=graph, stretch=1.0)
+    assert canonical_spanner_edges(spanner) == seed_canonical_spanner_edges(spanner)
 
 
 def test_build_workload_instance_dispatches_all_kinds():

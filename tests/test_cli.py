@@ -322,6 +322,9 @@ class TestCommands:
              "--output", str(out)]
         ) == 0
         report = out.read_text()
+        resumes = report.splitlines()[0]
+        assert resumes.startswith("metric build (uniform n=250, t=1.5): dijkstra_settles ")
+        assert " / balls_resumed " in resumes and " / settles_resumed " in resumes
         assert "(greedy_spanner)" in report
         assert "(parallel_greedy_spanner)" in report
         assert "(ball)" in report
