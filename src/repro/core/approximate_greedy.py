@@ -121,7 +121,6 @@ def approximate_greedy_spanner(
     base: str = "net-tree",
     bucket_ratio: Optional[float] = None,
     cluster_radius_factor: Optional[float] = None,
-    verify_cluster_transitions: bool = False,
 ) -> Spanner:
     """Run Algorithm Approximate-Greedy on ``metric`` with target stretch ``1 + ε``.
 
@@ -138,9 +137,6 @@ def approximate_greedy_spanner(
         algorithm of [DN97, GLN02], with far smaller constants).
     bucket_ratio, cluster_radius_factor:
         Optional overrides of the derived simulation parameters.
-    verify_cluster_transitions:
-        Cross-check every incremental merge against a naive recomputation
-        (slow; used by the property tests).
 
     Returns a :class:`Spanner` whose base graph is the metric's complete graph
     (so lightness and stretch are measured against the metric itself, as in
@@ -200,9 +196,7 @@ def approximate_greedy_spanner(
     for bucket_low, bucket_edges in buckets:
         radius = params.cluster_radius_factor * bucket_low
         if cluster_graph is None:
-            cluster_graph = ClusterGraph(
-                output, radius, verify_transitions=verify_cluster_transitions
-            )
+            cluster_graph = ClusterGraph(output, radius)
             id_of = cluster_graph.index.id_of
             initial_settles = cluster_graph.clustering_settles
         else:

@@ -44,8 +44,9 @@ of the old ones: every vertex of an old cluster shifts by the same delta, so
     Δ(c) + Δ(c′) + bound_old(c, c′)``
 
 — equal to a full rescan of the spanner edges, without performing one
-(``docs/PERFORMANCE.md`` spells out the argument; ``verify_transitions``
-re-derives it numerically after every merge).
+(``docs/PERFORMANCE.md`` spells out the argument; the tests'
+``VerifyingClusterGraph`` in ``tests/oracles/cluster.py`` re-derives it
+numerically after every merge).
 
 The level is maintained in place: one batched multi-source sweep over the
 previous cluster graph plus the pairwise bound remap — heap work
@@ -63,11 +64,7 @@ import math
 from collections.abc import Iterable
 
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import (
-    indexed_ball,
-    indexed_dijkstra_with_cutoff,
-    indexed_greedy_clustering,
-)
+from repro.graph.shortest_paths import indexed_dijkstra_with_cutoff, indexed_greedy_clustering
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 
@@ -77,9 +74,9 @@ def _patch_bound(
     """Min-update the inter-cluster bound of the (unordered) centre pair.
 
     Returns True when the bound was inserted or improved.  Every place a
-    cluster edge is derived — initial scan, notify patch, merge remap,
-    verification rescan, the tests' replay oracle — goes through this one
-    helper, which is what keeps them numerically identical.
+    cluster edge is derived — initial scan, notify patch, merge remap and
+    the tests' replay and verifying oracles — goes through this one helper,
+    which is what keeps them numerically identical.
     """
     key = (cu, cv) if cu <= cv else (cv, cu)
     existing = bounds.get(key)
@@ -87,37 +84,6 @@ def _patch_bound(
         bounds[key] = bound
         return True
     return False
-
-
-def _cluster_by_balls(
-    graph: IndexedGraph, radius: float
-) -> tuple[list[int], list[int], list[float], int]:
-    """The naive clustering kernel: one :func:`indexed_ball` per centre.
-
-    Scans ids in order, promotes uncovered ids to centres and absorbs their
-    balls, keeping the closest centre per vertex (earliest wins ties).  This
-    is the seed implementation's construction, kept as the reference the
-    batched :func:`~repro.graph.shortest_paths.indexed_greedy_clustering`
-    sweep is verified against (``verify_transitions``) — the two are exactly
-    equivalent (same centres, assignments and float offsets), but
-    per-centre balls settle every vertex once per covering ball.
-    """
-    n = graph.number_of_vertices
-    centres: list[int] = []
-    centre: list[int] = [-1] * n
-    offsets: list[float] = [0.0] * n
-    settles = 0
-    for vid in range(n):
-        if centre[vid] >= 0:
-            continue
-        centres.append(vid)
-        ball = indexed_ball(graph, vid, radius)
-        settles += len(ball)
-        for member, distance in ball.items():
-            if centre[member] < 0 or distance < offsets[member]:
-                centre[member] = vid
-                offsets[member] = distance
-    return centres, centre, offsets, settles
 
 
 class ClusterGraph:
@@ -133,11 +99,6 @@ class ClusterGraph:
     radius:
         The cluster radius ``r``: every vertex is within spanner distance
         ``r`` of its cluster centre.
-    verify_transitions:
-        When True, every incremental merge is cross-checked against a naive
-        recomputation (per-centre balls on the old cluster graph, full
-        spanner-edge rescan for the bounds) and a mismatch raises — the
-        property tests drive random workloads through this.
 
     The spanner is mirrored into one persistent flat-array
     :class:`IndexedGraph` (:attr:`index`) that grows via
@@ -146,16 +107,9 @@ class ClusterGraph:
     lists indexed by its dense vertex ids.
     """
 
-    def __init__(
-        self,
-        spanner: WeightedGraph,
-        radius: float,
-        *,
-        verify_transitions: bool = False,
-    ) -> None:
+    def __init__(self, spanner: WeightedGraph, radius: float) -> None:
         self.spanner = spanner
         self.radius = float(radius)
-        self.verify_transitions = verify_transitions
         self.index = IndexedGraph.from_weighted_graph(spanner)
 
         self._centres: list[int] = []
@@ -315,52 +269,6 @@ class ClusterGraph:
         self._rebuild_cluster_index()
         self.radius = new_radius
         self._dirty = False
-
-        if self.verify_transitions:
-            self._verify_merge(previous_index, budget, super_cvids, super_of, deltas)
-
-    def _verify_merge(
-        self,
-        previous_index: IndexedGraph,
-        budget: float,
-        super_cvids: list[int],
-        super_of: list[int],
-        deltas: list[float],
-    ) -> None:
-        """Cross-check the incremental merge against naive recomputations.
-
-        1. The batched centre-selection sweep must match the sequential
-           per-centre-ball construction *exactly* (same centres, same
-           assignments, same float offsets).
-        2. The remapped inter-cluster bounds must match a full rescan of the
-           spanner edges under the new assignments (up to float association
-           order — the remap adds the deltas first, the rescan folds them
-           into the offsets).
-        """
-        ref_centres, ref_super, ref_delta, _ = _cluster_by_balls(previous_index, budget)
-        if ref_centres != super_cvids or ref_super != super_of or ref_delta != deltas:
-            raise RuntimeError(
-                "incremental merge diverged from the per-centre-ball reference"
-            )
-
-        centre_vid = self._centre_vid
-        offset = self._offset
-        rescan: dict[tuple[int, int], float] = {}
-        for uid, vid, weight in self.index.edges():
-            cu, cv = centre_vid[uid], centre_vid[vid]
-            if cu != cv:
-                _patch_bound(rescan, cu, cv, offset[uid] + weight + offset[vid])
-        if set(rescan) != set(self._cluster_bounds):
-            raise RuntimeError(
-                "remapped cluster edges disagree with the spanner-edge rescan"
-            )
-        for key, bound in rescan.items():
-            remapped = self._cluster_bounds[key]
-            if abs(remapped - bound) > 1e-9 * max(1.0, abs(bound)):
-                raise RuntimeError(
-                    f"remapped bound {remapped} diverged from rescan bound {bound} "
-                    f"for cluster pair {key}"
-                )
 
     # ------------------------------------------------------------------
     # Queries

@@ -90,9 +90,7 @@ def is_t_spanner_of(
     return verify_spanner_edges(candidate, base, t, tolerance=tolerance)
 
 
-def verify_lemma3_self_spanner(
-    spanner: Spanner, *, max_edges_to_try: int | None = None
-) -> bool:
+def verify_lemma3_self_spanner(spanner: Spanner) -> bool:
     """Exhaustively check Lemma 3 on a concrete greedy spanner.
 
     Lemma 3 says a ``t``-spanner of the greedy ``t``-spanner ``H`` cannot miss
@@ -101,29 +99,32 @@ def verify_lemma3_self_spanner(
     ``e`` is a subgraph of ``H - e`` and spans at most as well, so checking the
     single-edge removals covers every possible strict subgraph.)
 
-    The check translates ``H`` once and runs one cutoff-bounded search per
-    edge that simply skips relaxing the removed edge
-    (:func:`~repro.graph.shortest_paths.indexed_cutoff_excluding_edge`) —
-    equivalent to searching ``H - e``, without a per-edge O(m) copy.
-    ``max_edges_to_try`` limits the number of removals for large spanners.
+    It is the edge check of :mod:`repro.spanners.verification` run on
+    ``(H, H)`` one edge at a time: ``(u, v, w)`` is taken out of ``u``'s
+    weight-sorted row for one search from ``u`` to ``v``, and ``e`` is
+    redundant exactly when that search passes.  The own-edge shortcut
+    cannot see the removed entry, and ``v``'s row (which still holds
+    ``u``) is only read after ``v`` settles, when the search has returned.
+    One search per edge, not per source: removing all of ``u``'s edges at
+    once would miss detours that leave ``u`` by another of them.
     """
-    from repro.graph.indexed_graph import IndexedGraph
-    from repro.graph.shortest_paths import indexed_cutoff_excluding_edge
+    from repro.spanners.verification import VerificationEngine, _verify_one_source
 
     t = spanner.stretch
-    edges = list(spanner.subgraph.edges())
-    if max_edges_to_try is not None:
-        edges = edges[:max_edges_to_try]
-    indexed = IndexedGraph.from_weighted_graph(spanner.subgraph)
-    for u, v, weight in edges:
-        uid, vid = indexed.id_of(u), indexed.id_of(v)
-        cutoff = t * weight * (1.0 + 1e-12)
-        distance, _ = indexed_cutoff_excluding_edge(
-            indexed, uid, vid, cutoff, excluded=(uid, vid)
-        )
-        if distance <= cutoff:
-            # Removing e left a within-stretch path, so H - e would be a
-            # t-spanner of H, contradicting Lemma 3.
+    engine = VerificationEngine(spanner.subgraph, spanner.subgraph)
+    rows, id_of = engine.sub_rows, engine.id_of
+    for u, v, weight in spanner.subgraph.edges():
+        uid, vid = id_of[u], id_of[v]
+        row = rows[uid]
+        slot = row.index((weight, vid))
+        del row[slot]
+        try:
+            failed, _, _ = _verify_one_source(engine, uid, [vid], [weight], t, 1e-12)
+        finally:
+            row.insert(slot, (weight, vid))
+        if failed is None:
+            # H - e keeps e within stretch, so H - e would be a t-spanner
+            # of H, contradicting Lemma 3.
             return False
     return True
 

@@ -21,8 +21,8 @@ event-driven path.
 The only non-trivial quantity is the pulse delay — the overlay's weighted
 diameter, computed with flat-array sweeps
 (:func:`~repro.graph.shortest_paths.indexed_weighted_diameter`), identical
-to the seed dict-Dijkstra :func:`~repro.graph.shortest_paths.weighted_diameter`
-the tests compare it against.  At bench scale the exact ``n``-sweep diameter is itself
+to the seed dict-Dijkstra diameter the tests compare it against
+(``weighted_diameter`` in ``tests/oracles/distributed.py``).  At bench scale the exact ``n``-sweep diameter is itself
 the bottleneck, so ``diameter_method="double-sweep"`` substitutes the
 classic two-sweep lower bound (exact on trees).
 """

@@ -10,18 +10,14 @@ from repro.graph.weighted_graph import WeightedGraph
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.heap import EventQueue
 from repro.graph.shortest_paths import (
-    all_pairs_distances,
     dijkstra,
     dijkstra_with_cutoff,
     dijkstra_with_cutoff_stats,
-    indexed_ball,
     indexed_bidirectional_cutoff,
     indexed_dijkstra_with_cutoff,
     pair_distance,
-    path_weight,
     shortest_path,
     single_source_distances,
-    weighted_diameter,
 )
 from repro.graph.mst import (
     DisjointSet,
@@ -45,18 +41,14 @@ __all__ = [
     "WeightedGraph",
     "IndexedGraph",
     "EventQueue",
-    "all_pairs_distances",
     "dijkstra",
     "dijkstra_with_cutoff",
     "dijkstra_with_cutoff_stats",
-    "indexed_ball",
     "indexed_bidirectional_cutoff",
     "indexed_dijkstra_with_cutoff",
     "pair_distance",
-    "path_weight",
     "shortest_path",
     "single_source_distances",
-    "weighted_diameter",
     "DisjointSet",
     "contains_spanning_tree_edges",
     "is_spanning_tree",

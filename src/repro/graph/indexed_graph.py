@@ -19,10 +19,12 @@ representation optimised for exactly that access pattern:
 
 The indexed search routines that run on this structure live in
 :mod:`repro.graph.shortest_paths` (``indexed_dijkstra_with_cutoff``,
-``indexed_bidirectional_cutoff``, ``indexed_ball``); the band builder's
-replay, the query engine, the verification engine and the cluster graphs of
-:mod:`repro.core.cluster_graph` are their consumers.  See
-``docs/PERFORMANCE.md`` for measurements.
+``indexed_bidirectional_cutoff``, ``indexed_greedy_clustering``,
+``indexed_sssp``); the band builder's replay, the cluster graphs of
+:mod:`repro.core.cluster_graph`, the verification engine's stretch profile
+and the distributed overlays are their consumers.  The query engine keeps
+its own search on this structure.  See ``docs/PERFORMANCE.md`` for
+measurements.
 """
 
 from __future__ import annotations

@@ -5,34 +5,31 @@ The greedy spanner algorithm (Algorithm 1 of the paper) repeatedly asks
 compares it to ``t * w(u, v)``.  This module provides the distance machinery:
 
 * :func:`dijkstra` — single-source distances (optionally with predecessors),
-* :func:`dijkstra_with_cutoff` — the *bounded* Dijkstra used by the greedy
-  algorithm: the search may stop as soon as the distance to the target is
-  resolved or provably exceeds a cutoff, which is the standard optimisation
-  used by greedy-spanner implementations (Bose et al. 2010),
+* :func:`dijkstra_with_cutoff` — a *bounded* single-pair Dijkstra: the search
+  stops as soon as the distance to the target is resolved or provably
+  exceeds a cutoff (the girth computation's detour test),
 * :func:`dijkstra_with_cutoff_stats` — the same search, additionally
-  reporting how many vertices it settled (the oracle layer's operation count),
+  reporting how many vertices it settled (the bounded oracle's operation
+  count),
 * :func:`pair_distance` — distance between a single pair,
 * :func:`shortest_path` — an explicit shortest path as a vertex list,
-* :func:`all_pairs_distances` — dense all-pairs distances (used to induce the
-  metric space ``M_G`` of Section 2 and by the stretch verifiers).
+* :func:`single_source_distances` — every reachable vertex's distance (the
+  rows of the metric ``M_G`` of Section 2).
 
 The ``indexed_*`` variants run on the dense-integer
 :class:`~repro.graph.indexed_graph.IndexedGraph` representation and are the
-hot-path versions used by the band builder's replay, the verification
-engine, the overlays and the cluster graphs (see ``docs/PERFORMANCE.md``):
+hot-path versions used by the band builder's replay, the overlays and the
+cluster graphs (see ``docs/PERFORMANCE.md``):
 
 * :func:`indexed_dijkstra_with_cutoff` — bounded single-pair search
   (cluster-graph queries),
 * :func:`indexed_bidirectional_cutoff` — meet-in-the-middle bounded search:
   two half-radius balls instead of one full-radius ball (the band
   builder's replay),
-* :func:`indexed_ball` — all vertices within a radius (cluster construction),
-* :func:`indexed_cutoff_excluding_edge` — bounded single-pair search on
-  ``G - e`` without materializing the edge removal (the Lemma 3 verifier),
 * :func:`indexed_greedy_clustering` — greedy ``r``-net centre selection plus
   closest-centre assignment as *one* batched multi-source sweep (the cluster
-  graphs' construction kernel; provably identical to one
-  :func:`indexed_ball` per centre, at a fraction of the settles),
+  graphs' construction kernel; provably identical to one bounded ball per
+  centre, at a fraction of the settles),
 * :func:`indexed_sssp` / :func:`indexed_eccentricity` /
   :func:`indexed_weighted_diameter` / :func:`indexed_double_sweep_diameter` —
   full single-source sweeps with flat distance/parent arrays: the
@@ -43,11 +40,12 @@ Each search kind has exactly one kernel here: a lazy C :mod:`heapq` loop
 over the list-of-lists adjacency with ``(dist, vertex)`` entries.  Because
 that priority order is *total* (vertex ids are unique), every run pops an
 identical sequence with IEEE-identical float64 sums, so settled maps and
-operation counts are deterministic.  The greedy builders' ball runs on
-weight-sorted rows instead
-(:class:`~repro.core.distance_oracle.CoverageIndex`) and settles the same
-sequence.  ``tests/graph/test_csr_equivalence.py`` checks every kernel
-against the :class:`WeightedGraph` seed searches above.
+operation counts are deterministic.  Two searches run on weight-sorted
+rows instead: the greedy builders' ball
+(:class:`~repro.core.distance_oracle.CoverageIndex`) and the edge check of
+:mod:`repro.spanners.verification`, which also certifies Lemma 3.
+``tests/graph/test_csr_equivalence.py`` checks every kernel against the
+:class:`WeightedGraph` seed searches above.
 
 All functions treat unreachable vertices as being at distance ``math.inf``.
 """
@@ -197,34 +195,27 @@ def dijkstra_with_cutoff_stats(
 # ----------------------------------------------------------------------
 # Indexed (dense integer id) fast-path searches
 # ----------------------------------------------------------------------
-# The bounded settled-dict family — single-pair cutoff search, ball harvest
-# and the deleted-edge search — shares ONE parameterized inner loop,
-# :func:`_bounded_search`.
-
-_UNUSED = -1  # sentinel vertex id: never equals a real dense id (ids are >= 0)
-
-
-def _bounded_search(
+def indexed_dijkstra_with_cutoff(
     graph: IndexedGraph,
     source: int,
+    target: int,
     cutoff: float,
-    target: int = _UNUSED,
-    skip_u: int = _UNUSED,
-    skip_v: int = _UNUSED,
 ) -> tuple[float, dict[int, float]]:
-    """The shared bounded-Dijkstra inner loop.
+    """Bounded single-pair Dijkstra over an :class:`IndexedGraph`.
 
-    Grows the ball around ``source`` up to ``cutoff``; stops early when
-    ``target`` settles; never relaxes the undirected edge
-    ``(skip_u, skip_v)`` when one is given.  Returns ``(distance, settled)``
-    — ``distance`` is the settled target distance or ``math.inf``.
+    Returns ``(distance, settled)`` where ``distance`` is ``δ(source, target)``
+    if at most ``cutoff`` (else ``math.inf``) and ``settled`` maps every
+    settled vertex id to its exact distance from ``source``.  Callers that
+    only need the distance may discard the map; its size is the search's
+    operation count.
     """
+    if source == target:
+        return 0.0, {source: 0.0}
     settled: dict[int, float] = {}
     neighbour_ids, neighbour_weights = graph.adjacency_arrays()
     heap: list[tuple[float, int]] = [(0.0, source)]
     push = heapq.heappush
     pop = heapq.heappop
-    skip = skip_u >= 0
     while heap:
         dist, vertex = pop(heap)
         if dist > cutoff:
@@ -237,36 +228,10 @@ def _bounded_search(
         for neighbour, weight in zip(neighbour_ids[vertex], neighbour_weights[vertex]):
             if neighbour in settled:
                 continue
-            if skip and (
-                (vertex == skip_u and neighbour == skip_v)
-                or (vertex == skip_v and neighbour == skip_u)
-            ):
-                continue
             new_dist = dist + weight
             if new_dist <= cutoff:
                 push(heap, (new_dist, neighbour))
     return math.inf, settled
-
-
-def indexed_dijkstra_with_cutoff(
-    graph: IndexedGraph,
-    source: int,
-    target: int,
-    cutoff: float,
-) -> tuple[float, dict[int, float]]:
-    """Bounded single-pair Dijkstra over an :class:`IndexedGraph`.
-
-    Returns ``(distance, settled)`` where ``distance`` is ``δ(source, target)``
-    if at most ``cutoff`` (else ``math.inf``) and ``settled`` maps every
-    settled vertex id to its exact distance from ``source``.  Callers that
-    only need the distance may discard the map; each entry is an exact
-    distance at search time and therefore a valid upper bound forever in a
-    graph whose distances only shrink (the property the caching oracle's
-    full-ball harvest exploits).
-    """
-    if source == target:
-        return 0.0, {source: 0.0}
-    return _bounded_search(graph, source, cutoff, target)
 
 
 def indexed_bidirectional_cutoff(
@@ -342,17 +307,6 @@ def indexed_bidirectional_cutoff(
     return math.inf, settled_f, settled_b
 
 
-def indexed_ball(graph: IndexedGraph, source: int, radius: float) -> dict[int, float]:
-    """Return ``{vertex_id: distance}`` for every vertex within ``radius`` of ``source``.
-
-    The indexed twin of the cluster-construction search: used by
-    :class:`~repro.core.cluster_graph.ClusterGraph` to absorb all vertices
-    within spanner distance ``radius`` of a new cluster centre.  A ball is
-    the bounded search with no target.
-    """
-    return _bounded_search(graph, source, radius)[1]
-
-
 def indexed_greedy_clustering(
     graph: IndexedGraph, radius: float
 ) -> tuple[list[int], list[int], list[float], int]:
@@ -421,31 +375,6 @@ def indexed_greedy_clustering(
     return centres, centre, dist, settles
 
 
-def indexed_cutoff_excluding_edge(
-    graph: IndexedGraph,
-    source: int,
-    target: int,
-    cutoff: float,
-    *,
-    excluded: tuple[int, int],
-) -> tuple[float, int]:
-    """Bounded single-pair search that never relaxes the ``excluded`` edge.
-
-    Exactly :func:`indexed_dijkstra_with_cutoff` on the graph ``G - e`` where
-    ``e`` is the undirected edge between the two ids in ``excluded`` — both
-    half-edge orientations are skipped during relaxation, so the search sees
-    the deleted-edge graph without the O(m) copy-and-remove the reference
-    Lemma 3 verifier pays per edge.  Returns ``(distance, settled_count)``;
-    ``distance`` is ``δ_{G-e}(source, target)`` if at most ``cutoff``, else
-    ``math.inf``.
-    """
-    if source == target:
-        return 0.0, 0
-    skip_u, skip_v = excluded
-    distance, settled = _bounded_search(graph, source, cutoff, target, skip_u, skip_v)
-    return distance, len(settled)
-
-
 def indexed_sssp(graph: IndexedGraph, source: int) -> tuple[list[float], list[int], int]:
     """Full single-source Dijkstra over an :class:`IndexedGraph`.
 
@@ -490,8 +419,7 @@ def indexed_sssp(graph: IndexedGraph, source: int) -> tuple[list[float], list[in
 def indexed_eccentricity(graph: IndexedGraph, source: int) -> tuple[float, int]:
     """Return ``(eccentricity, settles)`` of ``source`` on the indexed fast path.
 
-    The eccentricity is ``math.inf`` when some vertex is unreachable,
-    matching :func:`eccentricity`.
+    The eccentricity is ``math.inf`` when some vertex is unreachable.
     """
     dist, _, settles = indexed_sssp(graph, source)
     farthest = max(dist, default=0.0)
@@ -502,10 +430,10 @@ def indexed_weighted_diameter(graph: IndexedGraph) -> tuple[float, int]:
     """Exact weighted diameter via ``n`` indexed sweeps.
 
     Returns ``(diameter, total_settles)``; the diameter is ``math.inf`` for
-    a disconnected graph.  Produces the same float as
-    :func:`weighted_diameter` — Dijkstra's settled distances are the unique
-    fixpoint of the relaxation, independent of heap tie-breaking — at a
-    fraction of the constant factor.
+    a disconnected graph.  Produces the same float as the seed dict-Dijkstra
+    diameter (``tests/oracles/distributed.py``) — Dijkstra's settled
+    distances are the unique fixpoint of the relaxation, independent of heap
+    tie-breaking — at a fraction of the constant factor.
     """
     diameter = 0.0
     total_settles = 0
@@ -567,44 +495,7 @@ def shortest_path(
     return path
 
 
-def path_weight(graph: WeightedGraph, path: list[Vertex]) -> float:
-    """Return the total weight of consecutive edges along ``path``."""
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        total += graph.weight(u, v)
-    return total
-
-
 def single_source_distances(graph: WeightedGraph, source: Vertex) -> Distances:
     """Return distances from ``source`` to every reachable vertex."""
     distances, _ = dijkstra(graph, source)
     return distances
-
-
-def all_pairs_distances(graph: WeightedGraph) -> dict[Vertex, Distances]:
-    """Return all-pairs shortest-path distances as a nested dictionary.
-
-    Unreachable pairs are absent from the inner dictionaries.  The result is
-    the (partial) distance matrix of the shortest-path metric ``M_G`` induced
-    by the graph (Section 2 of the paper).
-    """
-    return {vertex: single_source_distances(graph, vertex) for vertex in graph.vertices()}
-
-
-def eccentricity(graph: WeightedGraph, vertex: Vertex) -> float:
-    """Return the weighted eccentricity of ``vertex`` (inf if the graph is disconnected)."""
-    distances = single_source_distances(graph, vertex)
-    if len(distances) < graph.number_of_vertices:
-        return math.inf
-    return max(distances.values(), default=0.0)
-
-
-def weighted_diameter(graph: WeightedGraph) -> float:
-    """Return the weighted diameter of the graph (inf if disconnected)."""
-    diameter = 0.0
-    for vertex in graph.vertices():
-        ecc = eccentricity(graph, vertex)
-        if math.isinf(ecc):
-            return math.inf
-        diameter = max(diameter, ecc)
-    return diameter

@@ -14,7 +14,7 @@ Three claims are driven over random inputs:
   offsets, bounds), hence the identical spanner edge set — on random inputs
   and on the committed ``BENCH_oracles.json`` workload; every incremental
   merge is additionally self-checked against the per-centre-ball reference
-  via ``verify_cluster_transitions``;
+  by running the stretch tests on ``VerifyingClusterGraph``;
 * **sweep equivalence** — the batched multi-source clustering sweep equals
   the sequential per-centre-ball construction exactly (this is the kernel
   both engines and both claims above stand on).
@@ -27,11 +27,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles.cluster import ReplayClusterGraph
+from oracles.cluster import ReplayClusterGraph, VerifyingClusterGraph, cluster_by_balls
 
 import repro.core.approximate_greedy
 from repro.core.approximate_greedy import approximate_greedy_spanner
-from repro.core.cluster_graph import ClusterGraph, _cluster_by_balls
+from repro.core.cluster_graph import ClusterGraph
 from repro.graph.generators import random_connected_graph
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import indexed_greedy_clustering
@@ -59,19 +59,17 @@ def _max_stretch(spanner) -> float:
     return verify_spanner_edges_detailed(spanner.subgraph, spanner.base, math.inf).max_stretch
 
 
-def _replayed(*args, **kwargs):
-    """Approximate-Greedy with the replay oracle as its cluster engine."""
+def _with_engine(engine: type[ClusterGraph], *args, **kwargs):
+    """Approximate-Greedy with ``engine`` as its cluster engine."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
+        patch.setattr(repro.core.approximate_greedy, "ClusterGraph", engine)
         return approximate_greedy_spanner(*args, **kwargs)
 
 
 @settings(max_examples=25, deadline=None)
 @given(metric=euclidean_metrics, epsilon=epsilons)
 def test_stretch_within_target_on_random_euclidean(metric, epsilon):
-    spanner = approximate_greedy_spanner(
-        metric, epsilon, bucket_ratio=2.0, verify_cluster_transitions=True
-    )
+    spanner = _with_engine(VerifyingClusterGraph, metric, epsilon, bucket_ratio=2.0)
     assert _max_stretch(spanner) <= (1.0 + epsilon) * (1.0 + 1e-9)
 
 
@@ -79,9 +77,7 @@ def test_stretch_within_target_on_random_euclidean(metric, epsilon):
 @given(seed=st.integers(min_value=0, max_value=10_000), epsilon=epsilons)
 def test_stretch_within_target_on_random_doubling(seed, epsilon):
     metric = random_graph_metric(14, extra_edge_probability=0.3, seed=seed)
-    spanner = approximate_greedy_spanner(
-        metric, epsilon, bucket_ratio=2.0, verify_cluster_transitions=True
-    )
+    spanner = _with_engine(VerifyingClusterGraph, metric, epsilon, bucket_ratio=2.0)
     assert _max_stretch(spanner) <= (1.0 + epsilon) * (1.0 + 1e-9)
 
 
@@ -89,7 +85,7 @@ def test_stretch_within_target_on_random_doubling(seed, epsilon):
 @given(metric=euclidean_metrics, epsilon=epsilons)
 def test_incremental_equals_from_scratch_spanner(metric, epsilon):
     incremental = approximate_greedy_spanner(metric, epsilon, bucket_ratio=2.0)
-    scratch = _replayed(metric, epsilon, bucket_ratio=2.0)
+    scratch = _with_engine(ReplayClusterGraph, metric, epsilon, bucket_ratio=2.0)
     assert incremental.subgraph.same_edges(scratch.subgraph)
     # The two engines also do the same *query* work, because the cluster
     # structures they serve queries from are identical.
@@ -105,10 +101,8 @@ class TestForcedBucketShapes:
         across several bucket boundaries at one transition and the output is
         still a valid spanner, with both engines in agreement."""
         metric = line_points(12, spacing=1.0, exponential=True)
-        incremental = approximate_greedy_spanner(
-            metric, 0.5, bucket_ratio=2.0, verify_cluster_transitions=True
-        )
-        scratch = _replayed(metric, 0.5, bucket_ratio=2.0)
+        incremental = _with_engine(VerifyingClusterGraph, metric, 0.5, bucket_ratio=2.0)
+        scratch = _with_engine(ReplayClusterGraph, metric, 0.5, bucket_ratio=2.0)
         assert incremental.metadata["buckets"] >= 2
         assert incremental.is_valid()
         assert incremental.subgraph.same_edges(scratch.subgraph)
@@ -132,7 +126,7 @@ def test_sweep_equals_per_centre_balls(seed, radius):
     graph = random_connected_graph(24, 0.15, seed=seed)
     index = IndexedGraph.from_weighted_graph(graph)
     fast = indexed_greedy_clustering(index, radius)
-    reference = _cluster_by_balls(index, radius)
+    reference = cluster_by_balls(index, radius)
     assert fast[:3] == reference[:3]
     # The batched sweep never settles more than the per-ball construction.
     assert fast[3] <= reference[3]
@@ -142,7 +136,7 @@ class TestClusterGraphEngineEquivalence:
     def _drive(self, engine: type[ClusterGraph], seed: int) -> ClusterGraph:
         """Drive one cluster engine through a transition/notify op sequence."""
         graph = random_connected_graph(30, 0.12, seed=seed)
-        clusters = engine(graph, 0.5, verify_transitions=(engine is ClusterGraph))
+        clusters = engine(graph, 0.5)
         rng = np.random.default_rng(seed)
         vertices = list(graph.vertices())
         radius = 0.5
@@ -160,7 +154,7 @@ class TestClusterGraphEngineEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 17, 91])
     def test_identical_hierarchy_state(self, seed):
-        incremental = self._drive(ClusterGraph, seed)
+        incremental = self._drive(VerifyingClusterGraph, seed)
         scratch = self._drive(ReplayClusterGraph, seed)
         assert incremental._centres == scratch._centres
         assert incremental._centre_vid == scratch._centre_vid
@@ -171,7 +165,7 @@ class TestClusterGraphEngineEquivalence:
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_identical_queries(self, seed):
-        incremental = self._drive(ClusterGraph, seed)
+        incremental = self._drive(VerifyingClusterGraph, seed)
         scratch = self._drive(ReplayClusterGraph, seed)
         vertices = list(incremental.spanner.vertices())
         for u in vertices[:6]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from oracles.cluster import ReplayClusterGraph
+from oracles.cluster import ReplayClusterGraph, VerifyingClusterGraph
 
 import repro.core.approximate_greedy
 from repro.core.approximate_greedy import (
@@ -96,9 +96,11 @@ class TestNetTreeBase:
         self, small_points, clustered_metric, monkeypatch
     ):
         for metric in (small_points, clustered_metric):
-            incremental = approximate_greedy_spanner(
-                metric, 0.5, bucket_ratio=2.0, verify_cluster_transitions=True
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    repro.core.approximate_greedy, "ClusterGraph", VerifyingClusterGraph
+                )
+                incremental = approximate_greedy_spanner(metric, 0.5, bucket_ratio=2.0)
             with monkeypatch.context() as patch:
                 patch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
                 replayed = approximate_greedy_spanner(metric, 0.5, bucket_ratio=2.0)

@@ -6,6 +6,7 @@ import itertools
 import math
 
 import pytest
+from oracles.cluster import VerifyingClusterGraph
 
 from repro.core.cluster_graph import ClusterGraph
 from repro.core.greedy import greedy_spanner
@@ -144,7 +145,7 @@ class TestRebuildSkipping:
 
 class TestIncrementalMode:
     def test_merge_coarsens_and_keeps_invariant(self, partial_spanner):
-        clusters = ClusterGraph(partial_spanner, radius=1.0, verify_transitions=True)
+        clusters = VerifyingClusterGraph(partial_spanner, radius=1.0)
         before = clusters.number_of_clusters
         clusters.transition(4.0)
         assert clusters.merge_count == 1
@@ -168,7 +169,7 @@ class TestIncrementalMode:
 
     def test_never_underestimates_after_merges_and_notifies(self):
         graph = grid_graph(7, 7)
-        clusters = ClusterGraph(graph, radius=0.5, verify_transitions=True)
+        clusters = VerifyingClusterGraph(graph, radius=0.5)
         graph.add_edge((0, 0), (6, 6), 3.0)
         clusters.notify_edge_added((0, 0), (6, 6), 3.0)
         clusters.transition(1.5)

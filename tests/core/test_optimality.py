@@ -65,10 +65,6 @@ class TestLemma3:
         fake = Spanner(base=graph, subgraph=graph.copy(), stretch=3.0)
         assert not verify_lemma3_self_spanner(fake)
 
-    def test_max_edges_to_try_limits_work(self, medium_random_graph):
-        spanner = greedy_spanner(medium_random_graph, 2.0)
-        assert verify_lemma3_self_spanner(spanner, max_edges_to_try=5)
-
 
 class TestObservations6And12:
     def test_observation6_on_random_graphs(self):

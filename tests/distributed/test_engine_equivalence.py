@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles.distributed import ReferenceRoutingScheme, broadcast_reference, flood_reference
+from oracles.distributed import (
+    ReferenceRoutingScheme,
+    broadcast_reference,
+    flood_reference,
+    weighted_diameter,
+)
 
 from repro.distributed.broadcast import broadcast_over_overlay, flood_broadcast_with_tree
 from repro.distributed.routing import RoutingScheme, evaluate_routing, random_demands
 from repro.distributed.synchronizer import synchronizer_cost
 from repro.errors import DisconnectedGraphError
-from repro.graph.shortest_paths import weighted_diameter
 from repro.graph.weighted_graph import WeightedGraph
 
 #: Small pool of dyadic weights: maximal ties, exact float arithmetic.

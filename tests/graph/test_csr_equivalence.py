@@ -16,7 +16,8 @@ The ``adjacency`` parameter has the one value ``heap``: the kernels run on
 the :class:`IndexedGraph` as built, searched by the C-``heapq`` loop.  The
 cached oracle's weight-sorted ball kernel
 (:class:`~repro.core.distance_oracle.CoverageIndex`) is checked against the
-same seed settle order.
+same seed settle order, and its resumed balls against the seed heap ball
+(``oracles.cluster.indexed_ball``).
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.cluster import indexed_ball
 
 from repro.core.distance_oracle import CoverageIndex
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import (
     dijkstra,
     dijkstra_with_cutoff_stats,
-    indexed_ball,
     indexed_bidirectional_cutoff,
-    indexed_cutoff_excluding_edge,
     indexed_dijkstra_with_cutoff,
     indexed_sssp,
 )
@@ -84,14 +84,11 @@ def search_cases(draw):
     return graph, source, target, cutoff
 
 
-def seed_graph(
-    graph: IndexedGraph, excluded: tuple[int, int] = (-1, -1)
-) -> WeightedGraph:
-    """The same edges as a dense-id :class:`WeightedGraph`, minus ``excluded``."""
+def seed_graph(graph: IndexedGraph) -> WeightedGraph:
+    """The same edges as a dense-id :class:`WeightedGraph`."""
     reference = WeightedGraph(vertices=range(graph.number_of_vertices))
     for uid, vid, weight in graph.edges():
-        if {uid, vid} != set(excluded):
-            reference.add_edge(uid, vid, weight)
+        reference.add_edge(uid, vid, weight)
     return reference
 
 
@@ -156,16 +153,6 @@ def test_bidirectional_cutoff_identical(adjacency, case):
     else:
         assert distance <= cutoff
         assert math.isclose(distance, true_distance, rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("adjacency", ["heap"])
-@settings(max_examples=60, deadline=None)
-@given(case=search_cases())
-def test_ball_identical(adjacency, case):
-    """Radius-bounded ball harvest: identical contents and insertion order."""
-    graph, source, _, radius = case
-    ball = indexed_ball(graph, source, radius)
-    assert list(ball.items()) == settle_order(seed_graph(graph), source, radius)
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,27 +252,6 @@ def test_resumed_coverage_ball_equals_a_fresh_ball(run):
         new_pairs = {(min(centre, x) << 32) | max(centre, x) for x in settled[cover.resumed:]}
         assert cover.covered == before | new_pairs
         last_radius[centre] = radius
-
-
-@pytest.mark.parametrize("adjacency", ["heap"])
-@settings(max_examples=60, deadline=None)
-@given(case=search_cases(), edge_seed=st.integers(min_value=0, max_value=10**6))
-def test_excluded_edge_search_identical(adjacency, case, edge_seed):
-    """Deleted-edge bounded search equals the bounded search on ``G - e``."""
-    graph, source, target, cutoff = case
-    edges = list(graph.edges())
-    uid, vid, _ = edges[edge_seed % len(edges)]
-    distance, settles = indexed_cutoff_excluding_edge(
-        graph, source, target, cutoff, excluded=(uid, vid)
-    )
-    if source == target:
-        assert (distance, settles) == (0.0, 0)
-        return
-    expected_distance, expected_order = expected_bounded(
-        seed_graph(graph, excluded=(uid, vid)), source, target, cutoff
-    )
-    assert distance == expected_distance
-    assert settles == len(expected_order)
 
 
 @pytest.mark.parametrize("adjacency", ["heap"])

@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 
 import pytest
+from oracles.cluster import indexed_ball
 
 from repro.errors import SelfLoopError
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import (
     dijkstra_with_cutoff,
-    indexed_ball,
     indexed_bidirectional_cutoff,
     indexed_dijkstra_with_cutoff,
     pair_distance,

@@ -8,17 +8,16 @@ import pytest
 
 from repro.errors import VertexNotFoundError
 from repro.graph.generators import grid_graph, path_graph, random_connected_graph
+from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.io import to_networkx
 from repro.graph.shortest_paths import (
-    all_pairs_distances,
     dijkstra,
     dijkstra_with_cutoff,
-    eccentricity,
+    indexed_eccentricity,
+    indexed_weighted_diameter,
     pair_distance,
-    path_weight,
     shortest_path,
     single_source_distances,
-    weighted_diameter,
 )
 from repro.graph.weighted_graph import WeightedGraph
 
@@ -98,9 +97,8 @@ class TestPaths:
         vertices = list(medium_random_graph.vertices())
         u, v = vertices[1], vertices[-2]
         path = shortest_path(medium_random_graph, u, v)
-        assert path_weight(medium_random_graph, path) == pytest.approx(
-            pair_distance(medium_random_graph, u, v)
-        )
+        weight = sum(medium_random_graph.weight(a, b) for a, b in zip(path, path[1:]))
+        assert weight == pytest.approx(pair_distance(medium_random_graph, u, v))
 
     def test_shortest_path_to_self(self, triangle_graph):
         assert shortest_path(triangle_graph, "a", "a") == ["a"]
@@ -110,16 +108,24 @@ class TestPaths:
         assert shortest_path(graph, 1, 2) is None
 
 
+def _distance_table(graph: WeightedGraph) -> dict:
+    return {vertex: single_source_distances(graph, vertex) for vertex in graph.vertices()}
+
+
+def _diameter(graph: WeightedGraph) -> float:
+    return indexed_weighted_diameter(IndexedGraph.from_weighted_graph(graph))[0]
+
+
 class TestAllPairsAndAggregates:
     def test_all_pairs_symmetry(self, small_random_graph):
-        table = all_pairs_distances(small_random_graph)
+        table = _distance_table(small_random_graph)
         vertices = list(small_random_graph.vertices())
         for u in vertices[:10]:
             for v in vertices[:10]:
                 assert table[u][v] == pytest.approx(table[v][u])
 
     def test_all_pairs_triangle_inequality(self, small_random_graph):
-        table = all_pairs_distances(small_random_graph)
+        table = _distance_table(small_random_graph)
         vertices = list(small_random_graph.vertices())[:12]
         for a in vertices:
             for b in vertices:
@@ -129,12 +135,12 @@ class TestAllPairsAndAggregates:
     def test_grid_diameter(self):
         graph = grid_graph(3, 4)
         # Weighted diameter of a unit grid is the Manhattan corner-to-corner distance.
-        assert weighted_diameter(graph) == pytest.approx(2 + 3)
+        assert _diameter(graph) == pytest.approx(2 + 3)
 
     def test_eccentricity_disconnected_is_inf(self):
         graph = WeightedGraph(vertices=[1, 2])
-        assert eccentricity(graph, 1) == math.inf
-        assert weighted_diameter(graph) == math.inf
+        assert indexed_eccentricity(IndexedGraph.from_weighted_graph(graph), 0)[0] == math.inf
+        assert _diameter(graph) == math.inf
 
     def test_diameter_of_random_graph_is_finite(self, small_random_graph):
-        assert math.isfinite(weighted_diameter(small_random_graph))
+        assert math.isfinite(_diameter(small_random_graph))

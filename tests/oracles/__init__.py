@@ -7,10 +7,13 @@ trees tie for tie.  The seed implementations live here, outside the
 library, so the equivalence tests (and the benchmarks that cite them) can
 keep comparing against them without a ``mode=`` knob in the public API:
 
-* :mod:`oracles.cluster` — the cluster-hierarchy replay engine;
-* :mod:`oracles.verification` — the per-pair stretch checks;
-* :mod:`oracles.distributed` — the dict-graph flood, routing tables and
-  hardened flood;
+* :mod:`oracles.cluster` — the seed heap ball and per-centre-ball
+  clustering, the cluster-hierarchy replay engine and the merge-verifying
+  cluster engine;
+* :mod:`oracles.verification` — the per-pair stretch checks and the
+  copy-and-remove Lemma 3 check;
+* :mod:`oracles.distributed` — the dict-graph flood, routing tables,
+  hardened flood and synchronizer diameter;
 * :mod:`oracles.greedy` — the value-cache distance oracle;
 * :mod:`oracles.order` — the ``(weight, repr(u), repr(v))`` sort of the
   greedy examination order;

@@ -3,13 +3,13 @@
 Each runs on the vertex-keyed :class:`~repro.graph.weighted_graph.WeightedGraph`
 and is what the flat-array production engine replays tie for tie: the
 :class:`~repro.distributed.network.Network` flood, nested-dict routing
-tables and the hardened ack/timeout/retry flood.  (The synchronizer's seed
-diameter, :func:`~repro.graph.shortest_paths.weighted_diameter`, is still in
-the library.)
+tables and the hardened ack/timeout/retry flood — plus the synchronizer's
+seed diameter, :func:`weighted_diameter`, one dict Dijkstra per vertex.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Optional
 
@@ -51,6 +51,17 @@ def flood_reference(
     statistics = network.run()
     return statistics, delivery_time, parent
 
+
+
+def weighted_diameter(graph: WeightedGraph) -> float:
+    """The seed weighted diameter: one dict Dijkstra per vertex (inf if disconnected)."""
+    diameter = 0.0
+    for vertex in graph.vertices():
+        distances = single_source_distances(graph, vertex)
+        if len(distances) < graph.number_of_vertices:
+            return math.inf
+        diameter = max(diameter, max(distances.values(), default=0.0))
+    return diameter
 
 def broadcast_reference(
     full_graph: WeightedGraph, overlay: WeightedGraph, source: Vertex, *, name: str = "overlay"

@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
+from oracles.cluster import indexed_ball
+
 from repro.core.distance_oracle import DistanceOracle
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import indexed_ball
 from repro.graph.weighted_graph import Vertex, WeightedEdge, WeightedGraph
 
 

@@ -78,6 +78,19 @@ def _dyadic_graph(n: int, seed: int, picks: list[int]) -> WeightedGraph:
     return graph
 
 
+def _lemma3_candidates(
+    graph: WeightedGraph, stretch: float, extra: list[int]
+) -> list[WeightedGraph]:
+    """The greedy spanner, it plus the base edges picked by ``extra``, and the base."""
+    greedy = greedy_spanner(graph, stretch).subgraph
+    padded = greedy.copy()
+    base_edges = list(graph.edges())
+    for pick in extra:
+        u, v, weight = base_edges[pick % len(base_edges)]
+        padded.add_edge(u, v, weight)
+    return [greedy, padded, graph]
+
+
 def _string_relabelled(graph: WeightedGraph) -> WeightedGraph:
     """The same graph with string vertex labels (the seed dedup bug's family)."""
     relabelled = WeightedGraph(vertices=(f"v{u}" for u in graph.vertices()))
@@ -131,11 +144,38 @@ class TestModeEquivalence:
                 checked, exact=False, samples=40, seed=seed
             ) == profile_reference(checked, exact=False, samples=40, seed=seed)[0]
 
-    @settings(max_examples=10, deadline=None)
-    @given(graph=dyadic_graphs, stretch=st.sampled_from([1.5, 2.0]))
-    def test_lemma3_modes(self, graph, stretch):
-        spanner = greedy_spanner(graph, stretch)
-        assert verify_lemma3_self_spanner(spanner) == lemma3_reference(spanner)
+    @settings(max_examples=20, deadline=None)
+    @given(
+        graph=dyadic_graphs,
+        stretch=st.sampled_from([1.5, 2.0, math.inf]),
+        extra=st.lists(st.integers(min_value=0, max_value=10_000), max_size=3),
+    )
+    def test_lemma3_modes(self, graph, stretch, extra):
+        """Greedy spanners pass; greedy plus extra base edges and the base
+        graph itself may not — every verdict must be the brute force's."""
+        for candidate in _lemma3_candidates(graph, stretch, extra):
+            spanner = Spanner(base=graph, subgraph=candidate, stretch=stretch)
+            assert verify_lemma3_self_spanner(spanner) == lemma3_reference(spanner)
+
+    def test_lemma3_both_verdicts_occur(self):
+        """Fixed inputs where both verdicts occur.  On the triangle ``u–a 1,
+        a–b 1, u–b 1.5`` at ``t = 2``, ``u–b`` is redundant only via
+        ``u–a–b``, a detour that leaves ``u`` by another of its own edges."""
+        triangle = WeightedGraph()
+        triangle.add_edge("u", "a", 1.0)
+        triangle.add_edge("a", "b", 1.0)
+        triangle.add_edge("u", "b", 1.5)
+        assert verify_lemma3_self_spanner(Spanner(triangle, triangle, 2.0)) is False
+        verdicts = set()
+        for seed in range(6):
+            graph = _dyadic_graph(10, seed, [3, 5, 8, 11, 16])
+            for stretch in (1.5, 2.0, math.inf):
+                for candidate in _lemma3_candidates(graph, stretch, [seed, 7 * seed + 1]):
+                    spanner = Spanner(base=graph, subgraph=candidate, stretch=stretch)
+                    verdict = verify_lemma3_self_spanner(spanner)
+                    assert verdict == lemma3_reference(spanner)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_metric_closure_modes(self):
         metric = uniform_points(60, 2, seed=11)
