@@ -264,10 +264,11 @@ def _command_profile(args: argparse.Namespace) -> int:
         verify_spanner_edges(spanner.subgraph, graph, stretch)
         metric_spanner = greedy_spanner_of_metric(metric, 1.5)
         profiler.disable()
-        # Whether the metric build's balls resumed, next to the table.
+        # Whether the metric build's balls resumed, and its coverage, next to the table.
         header = "metric build (uniform n=250, t=1.5): " + " / ".join(
             f"{key} {metric_spanner.metadata[key]:.0f}"
-            for key in ("dijkstra_settles", "balls_resumed", "settles_resumed")
+            for key in ("dijkstra_settles", "balls_resumed", "settles_resumed",
+                        "cache_hits", "cache_misses", "coverage_entries")
         ) + "\n"
     else:
         from repro.core.query_engine import QueryEngine

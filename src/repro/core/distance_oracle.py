@@ -12,10 +12,10 @@ Two strategies are provided:
   the baseline the cached oracle is measured and tested against.
 * :class:`CachedDijkstraOracle` — single-source ball searches plus monotone
   coverage caching.  Distances in the growing spanner only *shrink*, so a
-  pair once found within a ball of radius ``r`` stays within ``r`` forever;
-  the oracle records every settled pair of every search (answering all
-  candidate pairs ``(u, ·)`` touched by one pruned search at once) and
-  skips Dijkstra entirely whenever a recorded pair already decides a query.
+  vertex once settled by a ball of radius ``r`` stays within ``r`` forever;
+  the oracle keeps each source's settled vertices (answering all candidate
+  pairs ``(u, ·)`` touched by one pruned search at once) and skips Dijkstra
+  whenever either endpoint's set already holds the other.
   This is the default strategy of :func:`~repro.core.greedy.greedy_spanner`.
 
 Both strategies return *identical* greedy spanners: each answers "is
@@ -26,7 +26,7 @@ property-style in ``tests/core/test_oracle_equivalence.py``; the strategy
 trade-offs and measurements are documented in ``docs/PERFORMANCE.md``.
 
 The coverage state — weight-sorted live rows, the one ball kernel, the
-packed-pair set and the parked balls — is :class:`CoverageIndex`, which the
+ball sets and the parked balls — is :class:`CoverageIndex`, which the
 band builder of :mod:`repro.core.parallel_greedy` uses as its filter too.
 A source that misses again before the next edge is added resumes its parked
 ball from the old radius instead of settling the same vertices again; the
@@ -97,6 +97,8 @@ class BoundedDijkstraOracle(DistanceOracle):
 
     def distance_within(self, u: Vertex, v: Vertex, cutoff: float) -> float:
         self.query_count += 1
+        if u not in self.spanner or v not in self.spanner:
+            raise VertexNotFoundError(v if u in self.spanner else u)
         if u == v:
             return 0.0
         distance, settles = dijkstra_with_cutoff_stats(self.spanner, u, v, cutoff)
@@ -124,8 +126,8 @@ class CoverageIndex:
       every later edge overshoots too;
     * a generation-stamped scratch (``dist`` / ``stamp``), so starting a
       ball is one counter increment instead of an O(n) clear;
-    * :attr:`covered`, one ``set`` of unordered vertex pairs packed as
-      ``(lo << 32) | hi``: every ``(source, x)`` any ball has settled;
+    * :attr:`covered`, the *ball sets*: per source, a ``set`` of every id its
+      balls settled, filled by one C-level ``set.update`` a ball;
     * the *parked* balls: per source, the settled ids of its last ball, their
       labels and its radius, so the source's next ball at a radius at least
       as large resumes instead of settling them again.
@@ -139,8 +141,8 @@ class CoverageIndex:
     ``dist`` when the next ball starts, so a ball followed by an added edge
     is never copied.  :data:`PARKED_LABELS` bounds them all.
 
-    Spanners only grow, so a pair settled by a ball of radius ``r`` stays
-    within ``r`` forever.  Callers decide what radius a membership certifies:
+    Spanners only grow, so every member of a ball set stays within the
+    largest radius harvested.  Callers decide what radius that certifies:
     the cached oracle compares against the largest radius it has harvested,
     the band builder relies on its non-decreasing bands.
     """
@@ -152,7 +154,7 @@ class CoverageIndex:
 
     def __init__(self, n: int = 0) -> None:
         self.rows: list[list[tuple[float, int]]] = [[] for _ in range(n)]
-        self.covered: set[int] = set()
+        self.covered: dict[int, set[int]] = {}
         self.dist: list[float] = [0.0] * n
         self.stamp: list[int] = [0] * n
         self.gen = 0
@@ -191,7 +193,7 @@ class CoverageIndex:
             self._parked_labels = 0
 
     def ball(self, source: int, radius: float) -> list[int]:
-        """Settle every vertex within ``radius`` of ``source``; harvest the pairs.
+        """Settle every vertex within ``radius`` of ``source``; harvest them.
 
         Returns the settled ids in settle order; their distances are in
         :attr:`dist` under stamp :attr:`gen` (``stamp[x] == gen`` is the
@@ -218,7 +220,7 @@ class CoverageIndex:
         larger radius is dropped and the ball runs fresh.
 
         The ball runs to its full radius even once the caller's target is
-        settled: every settled ``(source, x)`` pair goes into
+        settled: every settled id goes into the ball set of ``source`` in
         :attr:`covered` (one ``set.update``), where it answers later queries
         for free.
         """
@@ -303,15 +305,12 @@ class CoverageIndex:
         self._parked_labels = total
 
     def harvest(self, source: int, ids: Iterable[int]) -> None:
-        """Record every ``(source, x)`` pair, ``x`` in ``ids``, as covered."""
-        high = source << 32
-        self.covered.update(
-            [high | x if source < x else (x << 32) | source for x in ids]
-        )
+        """Add ``ids`` to the ball set of ``source``."""
+        self.covered.setdefault(source, set()).update(ids)
 
     def covers(self, uid: int, vid: int) -> bool:
-        """Return True if the unordered pair is covered."""
-        return ((uid << 32) | vid if uid < vid else (vid << 32) | uid) in self.covered
+        """Return True if a ball from either endpoint settled the other."""
+        return vid in self.covered.get(uid, ()) or uid in self.covered.get(vid, ())
 
 
 class CachedDijkstraOracle(DistanceOracle):
@@ -330,12 +329,11 @@ class CachedDijkstraOracle(DistanceOracle):
     pair is a hit; for any other cutoff order the oracle stays exact — a
     query below the largest radius falls through to a fresh ball.
 
-    A covered pair costs one int in a ``set`` (the pair packed as
-    ``lo << 32 | hi``), not a stored distance, so the cache grows with the
-    number of ball settles rather than with ``n`` per ball source.  A hit
-    returns the largest harvested radius: a certified upper bound that is
-    at most the cutoff, which decides the greedy verdict exactly as the
-    true distance would.
+    A settled vertex costs one id in its source's ball set
+    (``coverage_entries`` counts them), not a stored distance.  A hit probes
+    both endpoints' sets and returns the largest harvested radius: a
+    certified upper bound that is at most the cutoff, which decides the
+    greedy verdict exactly as the true distance would.
 
     Spanner edges present at construction (a repair warm start) and edges
     reported through :meth:`notify_edge_added` are kept as exact bounds
@@ -390,20 +388,23 @@ class CachedDijkstraOracle(DistanceOracle):
 
     def distance_within(self, u: Vertex, v: Vertex, cutoff: float) -> float:
         self.query_count += 1
-        if u == v:
-            return 0.0
         id_of = self._id_of
+        if u == v:
+            if u not in id_of:
+                raise VertexNotFoundError(u)
+            return 0.0
         try:
             uid = id_of[u]
             vid = id_of[v]
         except KeyError:
             raise VertexNotFoundError(v if u in id_of else u) from None
-        key = ((uid << 32) | vid) if uid <= vid else ((vid << 32) | uid)
         cover = self._cover
         radius = self._radius
-        if cutoff >= radius and key in cover.covered:
+        covered = cover.covered
+        if cutoff >= radius and (vid in covered.get(uid, ()) or uid in covered.get(vid, ())):
             self.cache_hits += 1
             return radius
+        key = ((uid << 32) | vid) if uid <= vid else ((vid << 32) | uid)
         cached = self._bounds.pop(key, None)
         if cached is not None and cached <= cutoff:
             self.cache_hits += 1
@@ -433,6 +434,7 @@ class CachedDijkstraOracle(DistanceOracle):
             "peak_cached_bounds": float(max(self.peak_cached_bounds, len(self._bounds))),
             "balls_resumed": float(self.balls_resumed),
             "settles_resumed": float(self.settles_resumed),
+            "coverage_entries": float(sum(map(len, self._cover.covered.values()))),
         }
 
     def reset_counters(self) -> None:

@@ -21,11 +21,11 @@ frozen-filter / canonical-replay decomposition:
    Rejection is **sound**: the serial greedy's ``H`` at examination time is a
    superset of ``H_frozen``, so ``δ_frozen(u, v) ≤ t·w`` implies
    ``δ_serial(u, v) ≤ t·w`` — the serial algorithm would have rejected too.
-   Across bands, every settled ``(source, x)`` pair is harvested into the
-   same **monotone coverage set** the cached oracle uses (spanners only
+   Across bands, every settled id is harvested into its source's **ball
+   set**, the same monotone coverage the cached oracle uses (spanners only
    grow and the canonical order only raises cutoffs, so a certified bound
-   ``δ(u, x) ≤ r`` keeps rejecting forever); covered pairs are rejected
-   before any ball is scheduled.
+   ``δ(u, x) ≤ r`` keeps rejecting forever); an edge whose endpoint's ball
+   set holds the other endpoint is rejected before any ball is scheduled.
 3. Survivors ("candidates") are **replayed sequentially in canonical order**
    against the live spanner.  By induction every replayed verdict equals the
    serial verdict, so the constructed spanner is *byte-identical* to
@@ -35,7 +35,7 @@ frozen-filter / canonical-replay decomposition:
 
 Everything runs in one process; the counters are a pure function of the
 workload and the band size.  The filter shares the cached oracle's ball
-kernel and coverage set; docs/PERFORMANCE.md compares the two builders.
+kernel and ball sets; docs/PERFORMANCE.md compares the two builders.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def _filter_groups(
 
     ``cover`` holds the spanner as it stood after the previous band: the
     band's replay has not run yet, so its live rows *are* the frozen state.
-    Each ball also harvests its settled pairs into the coverage set, which
-    this band's filter never reads.  Returns ``(candidate_indices,
+    Each ball also harvests its settled ids into its source's ball set,
+    which this band's filter never reads.  Returns ``(candidate_indices,
     settles)``: the canonical indices of the edges the frozen spanner could
     NOT reject, and the ball settle count.
     """
@@ -143,7 +143,7 @@ def parallel_greedy_spanner(
     replay_settles = 0
     candidate_total = 0
     cache_hits = 0
-    # Monotone coverage: a pair (u, x) in ``cover`` was certified
+    # Monotone coverage: x in the ball set of u was certified
     # ``δ(u, x) ≤ r`` by some earlier ball or replay search of radius
     # ``r ≤ t·w`` for every weight ``w`` still ahead in the canonical order
     # (bands are non-decreasing), so membership alone rejects forever.

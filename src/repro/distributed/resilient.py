@@ -36,7 +36,7 @@ its receiver and its drop coin, or gives up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.distributed.engine import indexed_overlay

@@ -11,9 +11,8 @@ grows, what stays flat) without pinning fragile absolute numbers.
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.lightness import (
     althofer_size_bound,

@@ -223,10 +223,6 @@ class IndexedGraph:
         """
         return self._version
 
-    def degree_id(self, vid: int) -> int:
-        """Return the degree of the vertex with id ``vid``."""
-        return len(self._neighbour_ids[vid])
-
     def has_edge_ids(self, uid: int, vid: int) -> bool:
         """Return True if the edge between the two ids exists."""
         return vid in self._neighbour_ids[uid]

@@ -23,7 +23,7 @@ import heapq
 import math
 
 from repro.errors import DisconnectedGraphError, VertexNotFoundError
-from repro.graph.weighted_graph import Vertex, WeightedEdge, WeightedGraph
+from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 
 class DisjointSet:

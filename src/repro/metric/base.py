@@ -13,7 +13,6 @@ import abc
 import itertools
 import math
 from collections.abc import Hashable, Iterable, Sequence
-from typing import Optional
 
 from repro.errors import EmptyMetricError, MetricAxiomError
 from repro.graph.weighted_graph import WeightedGraph

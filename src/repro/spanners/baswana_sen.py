@@ -26,7 +26,6 @@ Algorithm (Baswana & Sen 2007), phase by phase:
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
 

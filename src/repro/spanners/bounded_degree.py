@@ -33,7 +33,6 @@ the paper.
 
 from __future__ import annotations
 
-import math
 
 from repro.errors import InvalidStretchError
 from repro.core.spanner import Spanner

@@ -59,6 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.spanner import Spanner
+from repro.errors import InvalidStretchError, VertexNotFoundError
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import indexed_sssp
 from repro.graph.weighted_graph import Vertex, WeightedGraph
@@ -106,6 +107,9 @@ class VerificationEngine:
         self.vertices: list[Vertex] = list(base.vertices())
         self.metric = getattr(base, "metric", None)
         self.id_of = {vertex: vid for vid, vertex in enumerate(self.vertices)}
+        for vertex in subgraph.vertices():
+            if vertex not in self.id_of:
+                raise VertexNotFoundError(vertex)
         # The edge check's generation-stamped search scratch.
         self.dist: list[float] = [0.0] * len(self.vertices)
         self.stamp: list[int] = [0] * len(self.vertices)
@@ -520,6 +524,8 @@ def verify_spanner_edges_detailed(
     engine: Optional[VerificationEngine] = None,
 ) -> EdgeVerification:
     """Edge verification with the operation counts the bench trajectory records."""
+    if math.isnan(t):  # every ``d > t·w`` test would be false: any subgraph passes
+        raise InvalidStretchError(f"stretch must be a number, got {t}")
     if engine is None:
         engine = VerificationEngine(base, subgraph)
     return _verify_edges_indexed(engine, t, tolerance, workers)

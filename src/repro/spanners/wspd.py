@@ -15,7 +15,6 @@ any constant dimension.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 

@@ -11,7 +11,7 @@ from repro.core.distance_oracle import (
     CachedDijkstraOracle,
     make_oracle,
 )
-from repro.errors import SpannerError, UnknownOracleError
+from repro.errors import SpannerError, UnknownOracleError, VertexNotFoundError
 from repro.graph.generators import path_graph, random_connected_graph
 from repro.graph.shortest_paths import pair_distance
 
@@ -66,6 +66,24 @@ class TestCorrectness:
         oracle.reset_counters()
         assert oracle.query_count == 0
         assert oracle.settled_count == 0
+
+
+@pytest.mark.parametrize("oracle_name", ["bounded", "cached"])
+class TestUnknownVertices:
+    """Both oracles raise the typed error for a vertex the spanner lacks,
+    the ``u == v`` query and the unknown-target query included."""
+
+    @pytest.mark.parametrize("u, v", [(99, 99), (0, 99), (99, 0)])
+    def test_unknown_vertex_raises(self, oracle_name, u, v):
+        oracle = make_oracle(oracle_name, path_graph(3))
+        with pytest.raises(VertexNotFoundError) as excinfo:
+            oracle.distance_within(u, v, 5.0)
+        assert excinfo.value.vertex == 99
+
+    def test_known_vertices_still_answer(self, oracle_name):
+        oracle = make_oracle(oracle_name, path_graph(3))
+        assert oracle.distance_within(1, 1, 0.0) == 0.0
+        assert oracle.distance_within(0, 2, 5.0) == 2.0
 
 
 class TestPruningBenefit:

@@ -16,7 +16,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles.greedy import value_cache_greedy
+from oracles.cluster import indexed_ball
+from oracles.coverage import PackedPairCoverage
+from oracles.greedy import ValueCacheOracle, value_cache_greedy
 from repro.core.distance_oracle import (
     BoundedDijkstraOracle,
     CachedDijkstraOracle,
@@ -24,6 +26,7 @@ from repro.core.distance_oracle import (
 )
 from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.graph.generators import random_connected_graph
+from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import pair_distance
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.generators import grid_points, uniform_points
@@ -321,6 +324,69 @@ def test_cached_oracle_verdicts_match_bounded_under_any_cutoff_order(session):
         assert (answer <= value) == (exact <= value)
         if exact <= value:
             assert exact <= answer
+
+
+@st.composite
+def cutoff_walks(draw):
+    """A small spanner and queries whose cutoffs walk up and down (each step
+    rises or falls by up to 3), with edge insertions interleaved."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    weights = st.sampled_from((1.0, 2.0, 3.0))
+    vertices = st.integers(min_value=0, max_value=n - 1)
+    spanner_edges = [
+        (draw(st.integers(min_value=0, max_value=v - 1)), v, draw(weights))
+        for v in range(1, n)
+        if draw(st.booleans())
+    ]
+    ops = []
+    cutoff = float(draw(st.integers(0, 6)))
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        u, v = draw(vertices), draw(vertices)
+        if draw(st.integers(0, 4)) == 0:
+            ops.append(("add", u, v, draw(weights)))
+        else:
+            cutoff = max(0.0, cutoff + draw(st.integers(-3, 3)))
+            ops.append(("query", u, v, cutoff))
+    return n, spanner_edges, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk=cutoff_walks())
+def test_ball_sets_match_packed_pairs_and_value_cache_under_cutoff_walks(walk):
+    """Rising and falling cutoffs with edges added in between.  After every
+    query the oracle's ``covers()`` equals a packed-pair set harvested from
+    fresh balls of its misses, and every answer gives the value-cache
+    reference's verdict with a bound no smaller than the true distance."""
+    n, spanner_edges, ops = walk
+    spanner = WeightedGraph(vertices=range(n))
+    for u, v, weight in spanner_edges:
+        spanner.add_edge(u, v, weight)
+    cached = CachedDijkstraOracle(spanner)  # ids are the vertices: range(n)
+    value = ValueCacheOracle(spanner)
+    bounded = BoundedDijkstraOracle(spanner)
+    packed = PackedPairCoverage()
+    for kind, u, v, number in ops:
+        if kind == "add":
+            if u != v and not spanner.has_edge(u, v):
+                spanner.add_edge(u, v, number)
+                cached.notify_edge_added(u, v, number)
+                value.notify_edge_added(u, v, number)
+            continue
+        misses = cached.cache_misses
+        answer = cached.distance_within(u, v, number)
+        if cached.cache_misses > misses:
+            packed.harvest(u, indexed_ball(IndexedGraph.from_weighted_graph(spanner), u, number))
+        expected = value.distance_within(u, v, number)
+        exact = bounded.distance_within(u, v, number)
+        assert (answer <= number) == (expected <= number) == (exact <= number)
+        if answer <= number:
+            assert exact <= answer and exact <= expected
+        else:
+            assert answer == math.inf
+        cover = cached._cover
+        for x in range(n):
+            for y in range(n):
+                assert cover.covers(x, y) == packed.covers(x, y)
 
 
 @pytest.mark.parametrize("stretch", [1.0, 1.5])

@@ -1,0 +1,67 @@
+"""Greedy builds pinned byte for byte: the edge set's sha and every counter.
+
+The values were recorded on the packed-pair coverage set, before the
+per-source ball sets replaced it, so any change to the coverage engine that
+moves a verdict, a hit, a miss or a settle fails here.  ``coverage_entries``
+(ids held across the ball sets) is pinned separately: it measures the
+representation, which a coverage change may legitimately shrink.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+
+import pytest
+
+from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
+from repro.graph.generators import bucketed_geometric_graph
+from repro.metric.generators import uniform_points
+from repro.service.workers import canonical_spanner_edges
+
+
+def _uniform_metric():
+    return greedy_spanner_of_metric(uniform_points(120, seed=7), 1.5)
+
+
+def _bucketed_graph():
+    n, degree = 400, 16.0
+    radius = math.sqrt(degree / (math.pi * n))
+    return greedy_spanner(bucketed_geometric_graph(n, radius, seed=3), 2.0)
+
+
+PINNED = {
+    "uniform-n120-seed7-t1.5": (
+        _uniform_metric,
+        "7ae2581daa37354e84d99010545779e99837e360c7a59b5fff1e5e09b1b2f9ed",
+        {
+            "distance_queries": 7140, "dijkstra_settles": 23337,
+            "cache_hits": 6224, "cache_misses": 916,
+            "balls_resumed": 218, "settles_resumed": 16928,
+            "edges_added": 213, "peak_cached_bounds": 213,
+        },
+        13922,
+    ),
+    "bucketed-n400-d16-seed3-t2": (
+        _bucketed_graph,
+        "7aa7032a39c1dec988df7198affbc02276c4dbfcdb7f76f3c224e67ce8a5e2c2",
+        {
+            "distance_queries": 2950, "dijkstra_settles": 13372,
+            "cache_hits": 1762, "cache_misses": 1188,
+            "balls_resumed": 0, "settles_resumed": 0,
+            "edges_added": 554, "peak_cached_bounds": 554,
+        },
+        8108,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_greedy_build_is_pinned(name):
+    build, sha, counters, coverage_entries = PINNED[name]
+    spanner = build()
+    edges = json.dumps(canonical_spanner_edges(spanner)).encode()
+    assert hashlib.sha256(edges).hexdigest() == sha
+    assert {key: spanner.metadata[key] for key in counters} == counters
+    assert spanner.metadata["coverage_entries"] == coverage_entries

@@ -17,7 +17,8 @@ the :class:`IndexedGraph` as built, searched by the C-``heapq`` loop.  The
 cached oracle's weight-sorted ball kernel
 (:class:`~repro.core.distance_oracle.CoverageIndex`) is checked against the
 same seed settle order, and its resumed balls against the seed heap ball
-(``oracles.cluster.indexed_ball``).
+(``oracles.cluster.indexed_ball``); its ball sets are compared with the
+packed-pair set they replaced (``oracles.coverage``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.cluster import indexed_ball
+from oracles.coverage import PackedPairCoverage, packed_pairs
 
 from repro.core.distance_oracle import CoverageIndex
 from repro.graph.indexed_graph import IndexedGraph
@@ -159,21 +161,25 @@ def test_bidirectional_cutoff_identical(adjacency, case):
 @given(case=search_cases())
 def test_coverage_ball_identical(case):
     """The weight-sorted, stamp-pruned ball of the cached oracle: identical
-    settle order and distances, and every settled pair lands in the set.
-    The second ball reuses the first one's stamped scratch."""
+    settle order and distances, and the ball sets hold exactly the pairs
+    the packed-pair reference harvests.  The second ball reuses the first
+    one's stamped scratch."""
     graph, source, target, radius = case
     cover = CoverageIndex(graph.number_of_vertices)
     for uid, vid, weight in graph.edges():
         cover.add_edge(uid, vid, weight)
-    expected_pairs = set()
+    reference = PackedPairCoverage()
     for centre in (source, target):
         settled = cover.ball(centre, radius)
         got = [(vertex, cover.dist[vertex]) for vertex in settled]
         assert got == settle_order(seed_graph(graph), centre, radius)
         # ``stamp[x] == gen`` is the membership test, both ways.
         assert [x for x, s in enumerate(cover.stamp) if s == cover.gen] == sorted(settled)
-        expected_pairs |= {(min(centre, x) << 32) | max(centre, x) for x in settled}
-    assert cover.covered == expected_pairs
+        reference.harvest(centre, settled)
+    assert packed_pairs(cover.covered) == reference.pairs
+    for uid in range(graph.number_of_vertices):
+        for vid in range(graph.number_of_vertices):
+            assert cover.covers(uid, vid) == reference.covers(uid, vid)
 
 
 @st.composite
@@ -229,6 +235,7 @@ def test_resumed_coverage_ball_equals_a_fresh_ball(run):
         cover.add_edge(uid, vid, weight)
         reference.add_edge(uid, vid, weight)
     last_radius: dict[int, float] = {}  # source -> radius of its last ball
+    packed = PackedPairCoverage()
     for step, op in enumerate(ops):
         if op[0] == "add":
             _, uid, vid, weight = op
@@ -238,7 +245,7 @@ def test_resumed_coverage_ball_equals_a_fresh_ball(run):
                 last_radius.clear()
             continue
         _, centre, radius = op
-        before = set(cover.covered)
+        before = packed_pairs(cover.covered)
         settled = cover.ball(centre, radius)
         fresh = indexed_ball(IndexedGraph.from_weighted_graph(reference), centre, radius)
         assert [(x, cover.dist[x]) for x in settled] == list(fresh.items())
@@ -249,8 +256,12 @@ def test_resumed_coverage_ball_equals_a_fresh_ball(run):
             ))
         if cover.resumed:
             assert last_radius[centre] <= radius
-        new_pairs = {(min(centre, x) << 32) | max(centre, x) for x in settled[cover.resumed:]}
-        assert cover.covered == before | new_pairs
+        new_pairs = PackedPairCoverage()
+        new_pairs.harvest(centre, settled[cover.resumed:])
+        assert packed_pairs(cover.covered) == before | new_pairs.pairs
+        # The fresh ball harvests every id it settled: the same union.
+        packed.harvest(centre, fresh)
+        assert packed_pairs(cover.covered) == packed.pairs
         last_radius[centre] = radius
 
 

@@ -16,9 +16,12 @@ from repro.spanners.trivial import (
     mst_spanner,
     shortest_path_tree_spanner,
 )
+from repro.errors import InvalidStretchError, VertexNotFoundError
+from repro.graph.weighted_graph import WeightedGraph
 from repro.spanners.verification import (
     stretch_profile,
     verify_spanner_edges,
+    verify_spanner_edges_detailed,
     verify_spanner_sampled,
 )
 
@@ -67,6 +70,24 @@ class TestVerificationHelpers:
     def test_verify_spanner_edges_rejects_invalid(self, medium_random_graph):
         mst = kruskal_mst(medium_random_graph)
         assert not verify_spanner_edges(mst, medium_random_graph, 1.05)
+
+    def test_nan_stretch_raises_before_any_search(self):
+        """Every ``d > t·w`` test is false for a NaN stretch, so without the
+        check the empty subgraph of a path passed with ``max_stretch`` inf."""
+        base = path_graph(3)
+        with pytest.raises(InvalidStretchError):
+            verify_spanner_edges_detailed(base.empty_spanning_subgraph(), base, math.nan)
+        with pytest.raises(InvalidStretchError):
+            verify_spanner_edges(base.copy(), base, math.nan)
+
+    def test_subgraph_vertex_missing_from_base_raises(self):
+        base = path_graph(3)
+        extra_edge = WeightedGraph(edges=[(0, 5, 1.0)])
+        isolated = WeightedGraph(vertices=[0, 1, 2, "x"])
+        for subgraph, missing in ((extra_edge, 5), (isolated, "x")):
+            with pytest.raises(VertexNotFoundError) as excinfo:
+                verify_spanner_edges(subgraph, base, 2.0)
+            assert excinfo.value.vertex == missing
 
     def test_verify_spanner_sampled(self, medium_random_graph):
         spanner = greedy_spanner(medium_random_graph, 2.0)

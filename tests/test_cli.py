@@ -325,6 +325,8 @@ class TestCommands:
         resumes = report.splitlines()[0]
         assert resumes.startswith("metric build (uniform n=250, t=1.5): dijkstra_settles ")
         assert " / balls_resumed " in resumes and " / settles_resumed " in resumes
+        for key in ("cache_hits", "cache_misses", "coverage_entries"):
+            assert f" / {key} " in resumes
         assert "(greedy_spanner)" in report
         assert "(parallel_greedy_spanner)" in report
         assert "(ball)" in report
