@@ -465,13 +465,15 @@ def _command_service_cache(args: argparse.Namespace) -> int:
     if not args.verify:
         return 0
     report = cache.verify_all()
-    corrupt = {key: entry for key, entry in report.items() if not entry["ok"]}
+    # A stale (older-schema) manifest is not corrupt: it reads as a miss.
+    stale = sum(entry["stale"] for entry in report.values())
+    corrupt = {key: entry for key, entry in report.items() if not (entry["ok"] or entry["stale"])}
     for key, entry in corrupt.items():
         print(
-            f"CORRUPT {key}: manifest sha256 {entry['expected']} != payload "
+            f"CORRUPT {key}: manifest sha256 {entry['expected']} != {entry['part']} "
             f"sha256 {entry['actual']} (quarantined)"
         )
-    print(f"verified {len(report)} artifact(s); corrupt: {len(corrupt)}")
+    print(f"verified {len(report)} artifact(s); corrupt: {len(corrupt)}; stale: {stale}")
     return 1 if corrupt else 0
 
 

@@ -230,16 +230,18 @@ class ArtifactIntegrityError(ServiceError):
     """A cached artifact failed its checksum manifest on read.
 
     The cache quarantines the corrupted artifact before raising, so the
-    caller's only correct move is to rebuild; the stored/actual digests are
-    kept for the CLI to surface.
+    caller's only correct move is to rebuild; the stored/actual digests and
+    the ``part`` they cover (``payload`` or ``head``) are kept for the CLI
+    to surface.
     """
 
-    def __init__(self, key: str, expected: str, actual: str) -> None:
+    def __init__(self, key: str, expected: str, actual: str, part: str = "payload") -> None:
         super().__init__(
             f"artifact {key} failed integrity verification: manifest sha256 "
-            f"{expected} != payload sha256 {actual} (quarantined)"
+            f"{expected} != {part} sha256 {actual} (quarantined)"
         )
         self.key = key
+        self.part = part
         self.expected = expected
         self.actual = actual
 

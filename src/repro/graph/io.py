@@ -22,7 +22,9 @@ if TYPE_CHECKING:
     import networkx as nx
 
 
-def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -> None:
+def atomic_write_text(
+    path: str | Path, text: str, *, encoding: str = "utf-8", exclusive: bool = False
+) -> None:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
 
     The temp file lives in the destination directory so the final rename
@@ -31,6 +33,8 @@ def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -
     truncated or interleaved destination.  Every committed artifact in the
     repository (bench trajectories, job records, cache manifests) goes
     through here so an interrupted run can never corrupt a baseline.
+    ``exclusive=True`` links instead (``os.link``): :class:`FileExistsError`
+    if ``path`` exists, never an overwrite.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -42,7 +46,11 @@ def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
+        if exclusive:
+            os.link(tmp_name, path)
+            os.unlink(tmp_name)
+        else:
+            os.replace(tmp_name, path)
     except BaseException:
         try:
             os.unlink(tmp_name)
@@ -57,6 +65,7 @@ def atomic_write_json(
     *,
     indent: int | None = 2,
     sort_keys: bool = True,
+    exclusive: bool = False,
 ) -> None:
     """Serialise ``document`` as JSON and write it atomically to ``path``.
 
@@ -65,7 +74,7 @@ def atomic_write_json(
     previous complete document or the new complete document.
     """
     text = json.dumps(document, indent=indent, sort_keys=sort_keys) + "\n"
-    atomic_write_text(path, text)
+    atomic_write_text(path, text, exclusive=exclusive)
 
 
 def to_edge_list(graph: WeightedGraph) -> list[tuple[Any, Any, float]]:

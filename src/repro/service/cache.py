@@ -6,18 +6,24 @@ description, builder chain, stretch, params) — so a million identical
 queries cost one build.  Every artifact directory holds exactly two files::
 
     <root>/objects/<key[:2]>/<key>/payload.json    the artifact bytes
-    <root>/objects/<key[:2]>/<key>/manifest.json   sha256 + size of payload
+    <root>/objects/<key[:2]>/<key>/manifest.json   checksums and the head
 
-Both are written atomically (payload first, manifest last), so a crash
-mid-``put`` leaves either nothing visible (no manifest → a miss) or a fully
-committed artifact — never a torn write that reads as truth.
+The payload is compact JSON.  The manifest (schema 2) records the payload's
+``sha256`` and ``size_bytes``, its *head* (the top-level scalar fields) and
+``head_sha256`` (of the head's canonical JSON).  Both are written atomically
+(payload first, manifest last), so a crash mid-``put`` leaves either nothing
+visible (no manifest → a miss) or a fully committed artifact — never a torn
+write that reads as truth.
 
 **Integrity on read is non-negotiable**: :meth:`ArtifactCache.get` re-hashes
-the payload bytes against the manifest on every hit.  A mismatch (bit rot, a
-truncated copy, the bench's injected bit-flip) or a manifest that does not
-parse quarantines the artifact directory under ``<root>/quarantine/`` and
-raises :class:`~repro.errors.ArtifactIntegrityError` — a corrupted artifact
-is rebuilt and re-verified, never served.
+the payload bytes against the manifest and the head against ``head_sha256``
+on every hit.  A mismatch (bit rot, a truncated copy, the bench's injected
+bit-flip) or a manifest that does not parse quarantines the artifact
+directory under ``<root>/quarantine/`` and raises
+:class:`~repro.errors.ArtifactIntegrityError` — a corrupted artifact is
+rebuilt and re-verified, never served.  ``get(key, head=True)`` serves the
+verified head without parsing the payload (the service's warm path never
+decodes the edge list).  A schema-1 manifest (no head) reads as a miss.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ import json
 import shutil
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from repro.errors import ArtifactIntegrityError
-from repro.graph.io import atomic_write_json
+from repro.graph.io import atomic_write_json, atomic_write_text
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The digest recorded for a manifest that does not parse (never a sha256).
 UNREADABLE_MANIFEST = "(unreadable manifest)"
@@ -57,13 +63,30 @@ def artifact_key(
     params: Optional[dict] = None,
 ) -> str:
     """sha256 of the canonical request JSON: the content address."""
-    request = canonical_request(workload, chain, stretch, params or {})
-    canonical = json.dumps(request, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _canonical_sha256(canonical_request(workload, chain, stretch, params or {}))
 
 
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _canonical_sha256(document: object) -> str:
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return _sha256_bytes(canonical.encode("utf-8"))
+
+
+def _bytes_or_none(path: Path) -> Optional[bytes]:
+    """The file's bytes; ``None`` if it is absent or vanishes mid-read."""
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
+
+
+def _payload_head(payload: dict) -> dict:
+    """The payload's top-level scalar fields: what a head read serves."""
+    scalar = (str, bool, int, float, type(None))
+    return {name: value for name, value in payload.items() if isinstance(value, scalar)}
 
 
 class ArtifactCache:
@@ -107,18 +130,23 @@ class ArtifactCache:
 
         Payload first, manifest last — the manifest's existence is the
         commit point, so a reader racing a writer sees a miss, never a
-        payload without its checksum.
+        payload without its checksum.  The payload is compact (json's C
+        encoder), the manifest indented.
         """
         directory = self._dir(key)
         directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(self.payload_path(key), payload)
-        data = self.payload_path(key).read_bytes()
+        text = json.dumps(payload, sort_keys=True) + "\n"
+        atomic_write_text(self.payload_path(key), text)
+        data = text.encode("utf-8")
+        head = _payload_head(payload)
         manifest = {
             "schema": SCHEMA_VERSION,
             "key": key,
             "sha256": _sha256_bytes(data),
             "size_bytes": len(data),
             "created_at": self.clock(),
+            "head": head,
+            "head_sha256": _canonical_sha256(head),
         }
         if request is not None:
             manifest["request"] = request
@@ -126,40 +154,54 @@ class ArtifactCache:
         self.counters["puts"] += 1
         return manifest
 
-    def _manifest_sha256(self, key: str) -> str:
-        """The payload sha256 the manifest records.
+    def _read(self, key: str) -> tuple[Optional[bytes], Optional[bytes]]:
+        """The manifest and payload bytes; ``None`` for a file that is absent."""
+        return _bytes_or_none(self.manifest_path(key)), _bytes_or_none(self.payload_path(key))
 
-        A manifest that does not parse records :data:`UNREADABLE_MANIFEST`,
-        which no digest equals, so its artifact fails verification.
-        """
+    def _fence(self, key: str, expected: str, actual: str, part: str) -> NoReturn:
+        self.quarantine(key)
+        self.counters["corrupt_quarantined"] += 1
+        raise ArtifactIntegrityError(key, expected, actual, part)
+
+    def _verified(self, key: str, manifest_bytes: bytes, data: Optional[bytes]) -> Optional[dict]:
+        """The manifest once the payload bytes and the head match their
+        sha256; ``None`` for a stale (other schema) manifest.  Quarantines
+        and raises :class:`ArtifactIntegrityError` otherwise."""
+        actual = "(missing)" if data is None else _sha256_bytes(data)
         try:
-            manifest = json.loads(self.manifest_path(key).read_bytes().decode("utf-8"))
+            manifest = json.loads(manifest_bytes.decode("utf-8"))
         except ValueError:  # JSONDecodeError and UnicodeDecodeError
-            return UNREADABLE_MANIFEST
+            manifest = None
         if not isinstance(manifest, dict):
-            return UNREADABLE_MANIFEST
-        return str(manifest.get("sha256", ""))
+            self._fence(key, UNREADABLE_MANIFEST, actual, "payload")
+        if manifest.get("schema") != SCHEMA_VERSION:
+            return None
+        if actual != manifest.get("sha256"):
+            self._fence(key, str(manifest.get("sha256", "")), actual, "payload")
+        head = manifest.get("head")
+        head_actual = _canonical_sha256(head)
+        if not isinstance(head, dict) or head_actual != manifest.get("head_sha256"):
+            self._fence(key, str(manifest.get("head_sha256", "")), head_actual, "head")
+        return manifest
 
-    def get(self, key: str) -> Optional[dict]:
-        """Return the verified payload, ``None`` on a miss.
+    def get(self, key: str, *, head: bool = False) -> Optional[dict]:
+        """Return the verified payload (``head=True``: its head), ``None`` on a miss.
 
-        Raises :class:`ArtifactIntegrityError` — after quarantining — when
-        the payload bytes do not hash to the manifest's sha256, or the
-        manifest does not parse.
+        Every hit hashes the payload bytes and the head; a head read only
+        skips parsing the payload.  An absent file or a stale manifest is a
+        miss.  Raises :class:`ArtifactIntegrityError` — after quarantining —
+        when a checksum does not match or the manifest does not parse.
         """
-        manifest_path = self.manifest_path(key)
-        payload_path = self.payload_path(key)
-        if not manifest_path.exists() or not payload_path.exists():
+        manifest_bytes, data = self._read(key)
+        manifest = None
+        if manifest_bytes is not None and data is not None:
+            manifest = self._verified(key, manifest_bytes, data)
+        if manifest is None:
             self.counters["misses"] += 1
             return None
-        expected = self._manifest_sha256(key)
-        data = payload_path.read_bytes()
-        actual = _sha256_bytes(data)
-        if actual != expected:
-            self.quarantine(key)
-            self.counters["corrupt_quarantined"] += 1
-            raise ArtifactIntegrityError(key, expected, actual)
         self.counters["hits"] += 1
+        if head:
+            return manifest["head"]
         return json.loads(data.decode("utf-8"))
 
     def quarantine(self, key: str) -> Path:
@@ -192,23 +234,33 @@ class ArtifactCache:
     def verify_all(self) -> dict[str, dict]:
         """Audit every artifact without serving it.
 
-        Returns ``{key: {"ok": bool, "expected": ..., "actual": ...}}``;
-        corrupt entries are quarantined exactly as a serving read would.
+        Returns ``{key: {"ok", "stale", "part", "expected", "actual"}}``
+        (a stale entry holds only the first two).  Beyond a serving read's
+        checks, each payload is parsed and its scalar fields must equal the
+        head.  Corrupt entries are quarantined as a serving read would; a
+        stale manifest is reported and left for the rebuild.
         """
         report: dict[str, dict] = {}
         for key in self.keys():
-            expected = self._manifest_sha256(key)
-            payload_path = self.payload_path(key)
-            if not payload_path.exists():
-                entry = {"ok": False, "expected": expected, "actual": "(missing)"}
-                self.quarantine(key)
-                self.counters["corrupt_quarantined"] += 1
-            else:
-                actual = _sha256_bytes(payload_path.read_bytes())
-                entry = {"ok": actual == expected, "expected": expected, "actual": actual}
-                if not entry["ok"]:
-                    self.quarantine(key)
-                    self.counters["corrupt_quarantined"] += 1
+            manifest_bytes, data = self._read(key)
+            if manifest_bytes is None:
+                continue  # quarantined or moved since keys() listed it
+            entry = {"ok": False, "stale": False}
+            try:
+                manifest = self._verified(key, manifest_bytes, data)
+                if manifest is None:
+                    entry["stale"] = True
+                else:
+                    try:
+                        actual = _canonical_sha256(_payload_head(json.loads(data)))
+                    except (ValueError, AttributeError):  # not JSON, or not an object
+                        actual = "(unparseable payload)"
+                    if actual != manifest["head_sha256"]:
+                        self._fence(key, manifest["head_sha256"], actual, "payload head")
+                    sha = manifest["sha256"]
+                    entry.update(ok=True, part="payload", expected=sha, actual=sha)
+            except ArtifactIntegrityError as error:
+                entry.update(part=error.part, expected=error.expected, actual=error.actual)
             report[key] = entry
         return report
 

@@ -158,9 +158,9 @@ class JobQueue:
     def _path(self, job_id: str) -> Path:
         return self.jobs_dir / f"{job_id}.json"
 
-    def _write(self, job: Job) -> None:
+    def _write(self, job: Job, *, exclusive: bool = False) -> None:
         job.updated_at = self.clock()
-        atomic_write_json(self._path(job.job_id), job.as_dict())
+        atomic_write_json(self._path(job.job_id), job.as_dict(), exclusive=exclusive)
 
     def _read(self, path: Path, job_id: str) -> Job:
         """Parse the record at ``path`` (the job's record or its claim file).
@@ -240,27 +240,35 @@ class JobQueue:
 
         The job id embeds the spec digest plus a sequence number, so
         resubmitting an identical spec yields a *new* job (which may then be
-        served straight from the artifact cache).
+        served straight from the artifact cache).  The record is linked into
+        place exclusively, so of two submissions that pick one sequence
+        number the second moves on to the next instead of overwriting.
         """
         digest = spec_digest(spec)
-        sequence = 0
-        while True:
-            job_id = f"job-{digest}-{sequence:04d}"
-            path = self._path(job_id)
-            if not path.exists():
-                break
-            sequence += 1
         now = self.clock()
         job = Job(
-            job_id=job_id,
+            job_id="",
             spec=dict(spec),
             max_attempts=int(max_attempts),
             lease_seconds=float(lease_seconds),
             submitted_at=now,
         )
         job.history.append(f"{now:.3f} submitted")
-        self._write(job)
-        return job
+        sequence = 0
+        while True:
+            job.job_id = f"job-{digest}-{sequence:04d}"
+            # An id in use shows its record or, mid-claim, its claim file
+            # (a claim renames the record aside and writes it back before
+            # deleting the claim file), so look in that order; a claim that
+            # ends between the two looks makes the exclusive link fail.
+            path = self._path(job.job_id)
+            if not path.exists() and not any(self.jobs_dir.glob(f"{path.name}.claim-*")):
+                try:
+                    self._write(job, exclusive=True)
+                    return job
+                except FileExistsError:
+                    pass  # a concurrent submit took this sequence first
+            sequence += 1
 
     def _try_exclusive(self, job_id: str, worker_id: str) -> Optional[Job]:
         """Win the claim race by renaming the record aside, or return None.

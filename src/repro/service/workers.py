@@ -7,9 +7,10 @@ One :class:`ServiceWorker` drains the durable queue:
 2. **Cache first**: a malformed request (bad stretch, unknown tier params;
    :func:`repro.service.degrade.check_request`) fails the job before the
    lookup, so it is never served by a weaker tier.  The artifact key is
-   the sha256 of the canonical request; a verified hit serves without
-   building.  A hit that fails its checksum is quarantined by the cache
-   and falls through to a rebuild — corrupted artifacts are never served.
+   the sha256 of the canonical request; a verified hit serves from the
+   artifact's head, without building or parsing the edge list.  A hit
+   that fails a checksum is quarantined by the cache and falls through
+   to a rebuild — corrupted artifacts are never served.
 3. **Build under the budget** with the degradation chain
    (:func:`repro.service.degrade.run_with_degradation`).
 4. **Verify before commit**: the built spanner's edge-stretch guarantee is
@@ -39,7 +40,7 @@ from repro.service.cache import ArtifactCache, artifact_key, canonical_request
 from repro.service.degrade import DEFAULT_CHAIN, check_request, run_with_degradation
 from repro.service.queue import Job, JobQueue
 
-PAYLOAD_SCHEMA_VERSION = 1
+PAYLOAD_SCHEMA_VERSION = 2
 
 
 def build_workload_instance(workload: dict):
@@ -136,7 +137,13 @@ class ServiceWorker:
 
     # ------------------------------------------------------------------
     def process(self, job: Job) -> dict:
-        """Serve one claimed job; returns the result record for ``done``."""
+        """Serve one claimed job; returns the result record for ``done``.
+
+        A hit's result is built from the artifact's verified head
+        (``cache.get(key, head=True)``: ``tier``, ``degraded``, ``verified``,
+        ``spanner_edges``); the payload bytes are hashed but never parsed.
+        A miss, or a hit that fails a checksum, builds, verifies and puts.
+        """
         spec = job.spec
         workload = dict(spec["workload"])
         chain = tuple(spec.get("chain") or DEFAULT_CHAIN)
@@ -153,20 +160,20 @@ class ServiceWorker:
 
         corruption: Optional[str] = None
         try:
-            payload = self.cache.get(key)
+            head = self.cache.get(key, head=True)
         except ArtifactIntegrityError as error:
             # Quarantined by the cache; remember why and rebuild below.
             corruption = str(error)
-            payload = None
-        if payload is not None:
+            head = None
+        if head is not None:
             self.counters["cache_hits"] += 1
             return {
                 "artifact_key": key,
                 "cache_hit": True,
-                "tier": payload["tier"],
-                "degraded": bool(payload.get("degraded", False)),
-                "verified": payload.get("verified"),
-                "spanner_edges": len(payload.get("edges", [])),
+                "tier": head["tier"],
+                "degraded": bool(head.get("degraded", False)),
+                "verified": head.get("verified"),
+                "spanner_edges": head["spanner_edges"],
             }
 
         self.counters["cache_misses"] += 1
@@ -207,6 +214,7 @@ class ServiceWorker:
         if spec.get("measure_stretch"):
             measured = spanner.statistics(measure_stretch=True).measured_stretch
 
+        edges = canonical_spanner_edges(spanner)
         payload = {
             "schema": PAYLOAD_SCHEMA_VERSION,
             "request": request,
@@ -218,7 +226,8 @@ class ServiceWorker:
             "stretch_bound": float(spanner.stretch),
             "verified": verified,
             "measured_stretch": measured,
-            "edges": canonical_spanner_edges(spanner),
+            "edges": edges,
+            "spanner_edges": len(edges),
             "metadata": {
                 name: float(value)
                 for name, value in spanner.metadata.items()
@@ -237,7 +246,7 @@ class ServiceWorker:
             "deadline_exceeded": outcome.deadline_exceeded,
             "verified": verified,
             "measured_stretch": measured,
-            "spanner_edges": len(payload["edges"]),
+            "spanner_edges": len(edges),
             "build_seconds": outcome.elapsed_seconds,
         }
 

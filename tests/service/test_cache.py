@@ -136,3 +136,165 @@ def test_truncated_manifest_fails_closed(cache):
         cache.get(key())
     assert cache.counters["corrupt_quarantined"] == 2
     assert cache.quarantined() == [f"{key()}-0000", f"{key()}-0001"]
+
+
+# ---------------------------------------------------------------------------
+# The verified head (manifest schema 2)
+# ---------------------------------------------------------------------------
+HEADED = {
+    "tier": "greedy",
+    "degraded": False,
+    "verified": True,
+    "spanner_edges": 2,
+    "stretch_bound": 1.5,
+    "measured_stretch": None,
+    "edges": [["a", "b", 1.0], ["b", "c", 2.0]],
+    "metadata": {"edges": 2.0},
+}
+
+
+def rewrite_manifest(cache, edit) -> None:
+    path = cache.manifest_path(key())
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest, indent=2))
+
+
+def as_schema_1(manifest) -> None:
+    manifest["schema"] = 1
+    del manifest["head"], manifest["head_sha256"]
+
+
+def test_head_read_equals_the_scalar_subset_of_the_payload(cache):
+    cache.put(key(), HEADED)
+    full = cache.get(key())
+    assert full == HEADED
+    scalars = {name: value for name, value in full.items() if name not in ("edges", "metadata")}
+    assert cache.get(key(), head=True) == scalars
+    assert cache.counters["hits"] == 2
+
+
+def test_head_read_never_parses_the_payload(cache, monkeypatch):
+    cache.put(key(), HEADED)
+    payload_bytes = cache.payload_path(key()).read_bytes()
+    parsed = []
+    real_loads = json.loads
+
+    def spy(text, *args, **kwargs):
+        parsed.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    assert cache.get(key(), head=True)["spanner_edges"] == 2
+    assert len(parsed) == 1, "one parse: the manifest"
+    assert parsed[0] not in (payload_bytes, payload_bytes.decode("utf-8"))
+    cache.get(key())
+    assert payload_bytes.decode("utf-8") in parsed
+
+
+def test_payload_is_compact_and_the_manifest_indented(cache):
+    manifest = cache.put(key(), HEADED)
+    text = cache.payload_path(key()).read_text()
+    assert text == json.dumps(HEADED, sort_keys=True) + "\n"
+    assert manifest["size_bytes"] == len(text.encode("utf-8"))
+    assert manifest["head"]["spanner_edges"] == 2
+    assert cache.manifest_path(key()).read_text().startswith('{\n  "created_at"')
+
+
+def test_payload_bit_flip_is_caught_by_a_head_read(cache):
+    cache.put(key(), HEADED)
+    payload_path = cache.payload_path(key())
+    data = bytearray(payload_path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    payload_path.write_bytes(bytes(data))
+    with pytest.raises(ArtifactIntegrityError) as excinfo:
+        cache.get(key(), head=True)
+    assert excinfo.value.part == "payload"
+    assert cache.quarantined() == [f"{key()}-0000"]
+    assert cache.get(key(), head=True) is None
+
+
+def flip_head_byte(cache) -> None:
+    """Flip one bit of a letter inside the head's ``tier`` value."""
+    path = cache.manifest_path(key())
+    data = bytearray(path.read_bytes())
+    at = data.index(b'"tier": "greedy"') + len(b'"tier": "g')
+    data[at] ^= 0x01  # 'r' -> 's': still valid JSON, a different head
+    path.write_bytes(bytes(data))
+    assert json.loads(bytes(data))["head"]["tier"] == "gseedy"
+
+
+def drop_head_sha256(cache) -> None:
+    rewrite_manifest(cache, lambda manifest: manifest.pop("head_sha256"))
+
+
+@pytest.mark.parametrize("corrupt", [flip_head_byte, drop_head_sha256])
+@pytest.mark.parametrize("head", [True, False])
+def test_corrupt_head_quarantines_on_every_read(cache, corrupt, head):
+    cache.put(key(), HEADED)
+    corrupt(cache)
+    with pytest.raises(ArtifactIntegrityError) as excinfo:
+        cache.get(key(), head=head)
+    assert excinfo.value.part == "head"
+    assert "head sha256" in str(excinfo.value)
+    assert cache.counters["corrupt_quarantined"] == 1
+    assert cache.quarantined() == [f"{key()}-0000"]
+    assert cache.get(key(), head=True) is None
+
+
+def test_schema_1_manifest_reads_as_a_miss_and_the_put_overwrites_it(cache):
+    cache.put(key(), HEADED)
+    rewrite_manifest(cache, as_schema_1)
+    assert cache.get(key(), head=True) is None
+    assert cache.get(key()) is None
+    assert cache.counters["misses"] == 2
+    assert cache.counters["corrupt_quarantined"] == 0
+    assert cache.quarantined() == []
+    # The audit reports it stale and leaves it for the rebuild.
+    assert cache.verify_all() == {key(): {"ok": False, "stale": True}}
+    assert cache.keys() == [key()]
+    cache.put(key(), HEADED)
+    assert cache.get(key(), head=True)["tier"] == "greedy"
+
+
+def test_verify_all_requires_the_head_to_equal_the_payload_scalars(cache):
+    from repro.service.cache import _canonical_sha256
+
+    cache.put(key(), HEADED)
+
+    def forge(manifest) -> None:
+        # A head whose own checksum holds but that no longer describes the
+        # payload: a serving read cannot tell, the audit must.
+        manifest["head"]["spanner_edges"] = 3
+        manifest["head_sha256"] = _canonical_sha256(manifest["head"])
+
+    rewrite_manifest(cache, forge)
+    report = cache.verify_all()
+    assert report[key()]["ok"] is False
+    assert report[key()]["part"] == "payload head"
+    assert cache.quarantined() == [f"{key()}-0000"]
+    assert cache.keys() == []
+
+
+@pytest.mark.parametrize("vanishing", ["manifest", "payload"])
+def test_a_file_that_vanishes_mid_read_is_a_miss(cache, tmp_path, monkeypatch, vanishing):
+    """A concurrent quarantine (another worker's cache over the same root)
+    moves the artifact away between this reader's look and its read."""
+    cache.put(key(), HEADED)
+    other = ArtifactCache(tmp_path / "cache")
+    manifest_path = cache.manifest_path(key())
+    real_read_bytes = type(manifest_path).read_bytes
+
+    def racing_read_bytes(path):
+        if path == manifest_path and cache.manifest_path(key()).exists():
+            if vanishing == "manifest":
+                other.quarantine(key())
+            else:
+                data = real_read_bytes(path)
+                other.quarantine(key())
+                return data
+        return real_read_bytes(path)
+
+    monkeypatch.setattr(type(manifest_path), "read_bytes", racing_read_bytes)
+    assert cache.get(key(), head=True) is None
+    assert cache.counters == {"hits": 0, "misses": 1, "corrupt_quarantined": 0, "puts": 1}

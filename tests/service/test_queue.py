@@ -228,3 +228,72 @@ def test_record_renamed_between_glob_and_read_is_skipped(queue, monkeypatch):
     with pytest.raises(JobNotFoundError):
         queue.get(vanishing.job_id)
     assert queue.counters["corrupt_records"] == 0
+
+
+def test_colliding_submissions_both_survive(tmp_path, clock, monkeypatch):
+    """Two submitters that pick the same sequence number (each saw it free)
+    must not overwrite each other: the second moves on to the next one."""
+    first_queue = JobQueue(tmp_path, clock=clock)
+    second_queue = JobQueue(tmp_path, clock=clock)
+    # Every record reads as absent to the free-sequence scan, as it does to
+    # a submitter that looked just before the other one committed.
+    monkeypatch.setattr(type(tmp_path), "exists", lambda path: False)
+    first = first_queue.submit(SPEC)
+    second = second_queue.submit(SPEC, max_attempts=7)
+    monkeypatch.undo()
+    assert first.job_id.endswith("-0000")
+    assert second.job_id == first.job_id[:-4] + "0001"
+    assert first_queue.get(first.job_id).max_attempts == DEFAULT_MAX_ATTEMPTS
+    assert first_queue.get(second.job_id).max_attempts == 7
+    # No temp file is left behind by the losing link.
+    assert sorted(path.name for path in (tmp_path / "jobs").iterdir()) == [
+        f"{first.job_id}.json",
+        f"{second.job_id}.json",
+    ]
+
+
+def test_concurrent_submissions_of_one_spec_all_survive(tmp_path):
+    """More submitters than cores race for the same sequence numbers; every
+    submission must keep its own record."""
+    import sys
+    import threading
+
+    threads_n, per_thread = 6, 5
+    ids: list[str] = []
+    lock = threading.Lock()
+    start = threading.Barrier(threads_n)
+
+    def submitter() -> None:
+        queue = JobQueue(tmp_path)
+        start.wait(timeout=30)
+        for _ in range(per_thread):
+            job_id = queue.submit(SPEC).job_id
+            with lock:
+                ids.append(job_id)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=submitter) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(ids) == len(set(ids)) == threads_n * per_thread
+    assert sorted(job.job_id for job in JobQueue(tmp_path).list_jobs()) == sorted(ids)
+
+
+def test_submission_during_a_claim_does_not_take_the_claimed_id(queue, tmp_path):
+    """A claimer renames the record aside before restoring it; a submission
+    arriving in that window must not reuse the id (the restore or the
+    orphaned-claim sweep would drop one of the two records)."""
+    first = queue.submit(SPEC)
+    record = tmp_path / "jobs" / f"{first.job_id}.json"
+    os.rename(record, record.with_name(record.name + ".claim-w1"))
+    second = queue.submit(SPEC)
+    assert second.job_id != first.job_id
+    queue._recover_orphaned_claims()
+    assert [job.job_id for job in queue.list_jobs()] == [first.job_id, second.job_id]

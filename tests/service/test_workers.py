@@ -334,3 +334,57 @@ def test_run_service_summary_merges_all_counters(tmp_path):
     assert summary["worker_cache_misses"] == 1
     assert summary["cache_puts"] == 1
     assert summary["queue_quarantined"] == 0
+
+
+def test_corrupt_head_is_rebuilt_never_served(service):
+    queue, cache, worker = service
+    queue.submit(SPEC)
+    worker.run()
+    original = cache.get(spec_key())
+    manifest_path = cache.manifest_path(spec_key())
+    data = bytearray(manifest_path.read_bytes())
+    # Flip one bit of the head's edge count, keeping the manifest valid JSON:
+    # a served head would report the wrong number of edges.
+    at = data.index(b'"spanner_edges": ')
+    data[data.index(b",", at) - 1] ^= 0x01  # the last digit
+    manifest_path.write_bytes(bytes(data))
+    assert json.loads(bytes(data))["head"]["spanner_edges"] != original["spanner_edges"]
+
+    job = queue.submit(SPEC)
+    worker.run()
+    record = queue.get(job.job_id)
+    assert record.state == "done"
+    assert record.result["cache_hit"] is False
+    assert record.result["rebuilt_after_corruption"] is True
+    assert record.result["spanner_edges"] == len(original["edges"])
+    assert worker.counters["corrupt_rebuilds"] == 1
+    assert cache.counters["corrupt_quarantined"] == 1
+    assert cache.get(spec_key())["edges"] == original["edges"]
+
+
+def test_schema_1_artifact_is_rebuilt_then_served_from_its_head(service):
+    queue, cache, worker = service
+    queue.submit(SPEC)
+    worker.run()
+    original = cache.get(spec_key())
+    manifest_path = cache.manifest_path(spec_key())
+    manifest = json.loads(manifest_path.read_text())
+    manifest["schema"] = 1
+    del manifest["head"], manifest["head_sha256"]
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+
+    stale = queue.submit(SPEC)
+    worker.run()
+    result = queue.get(stale.job_id).result
+    assert result["cache_hit"] is False
+    assert result["rebuilt_after_corruption"] is False
+    assert cache.counters["corrupt_quarantined"] == 0
+    assert json.loads(manifest_path.read_text())["schema"] == 2
+
+    warm = queue.submit(SPEC)
+    worker.run()
+    result = queue.get(warm.job_id).result
+    assert result["cache_hit"] is True
+    assert result["spanner_edges"] == len(original["edges"])
+    assert result["tier"] == "greedy" and result["verified"] is True
+    assert cache.counters["puts"] == 2

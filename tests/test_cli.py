@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -405,6 +407,20 @@ class TestServiceCommands:
         assert "CORRUPT" in output
         assert "sha256" in output
         assert "quarantined" in output
+
+    def test_stale_manifest_is_reported_not_corrupt(self, capsys, tmp_path):
+        root = self._root(tmp_path)
+        assert main(self.SUBMIT + root) == 0
+        assert main(["service", "run-workers"] + root) == 0
+        path = next((tmp_path / "svc" / "cache" / "objects").glob("*/*/manifest.json"))
+        manifest = json.loads(path.read_text())
+        manifest["schema"] = 1
+        del manifest["head"], manifest["head_sha256"]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["service", "cache", "--verify"] + root) == 0
+        assert "corrupt: 0; stale: 1" in capsys.readouterr().out
+        assert path.exists(), "a stale artifact is left for the rebuild, not quarantined"
 
     def test_submit_rejects_unknown_chain_builder(self, capsys, tmp_path):
         assert main(self.SUBMIT + self._root(tmp_path) + ["--chain", "nope"]) == 2
