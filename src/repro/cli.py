@@ -33,6 +33,7 @@ e.g. ``python -m repro.cli experiment E3``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -416,8 +417,10 @@ def _command_service_run_workers(args: argparse.Namespace) -> int:
 
     queue = JobQueue(args.root)
     cache = ArtifactCache(args.root / "cache")
+    # Worker ids name claim tokens and leases, so they must differ between
+    # processes sharing one --root: tag them with the process id.
     workers = [
-        ServiceWorker(queue, cache, f"worker-{index}", verify=not args.no_verify)
+        ServiceWorker(queue, cache, f"worker-{os.getpid()}-{index}", verify=not args.no_verify)
         for index in range(max(1, args.workers))
     ]
     # Round-robin so every worker identity takes claims from the shared
@@ -443,7 +446,7 @@ def _command_service_run_workers(args: argparse.Namespace) -> int:
         print(f"queue_{name}: {value}")
     for name, value in sorted(cache.counters.items()):
         print(f"cache_{name}: {value}")
-    failed = queue.list_jobs(state="failed") + queue.list_jobs(state="quarantined")
+    failed = [job for job in queue.list_jobs() if job.state in ("failed", "quarantined")]
     for job in failed:
         print(f"\n{job.job_id} is {job.state}; last error:\n{job.error or '(no error recorded)'}")
     return 1 if failed else 0

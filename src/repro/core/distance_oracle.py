@@ -333,7 +333,10 @@ class CachedDijkstraOracle(DistanceOracle):
     (``coverage_entries`` counts them), not a stored distance.  A hit probes
     both endpoints' sets and returns the largest harvested radius: a
     certified upper bound that is at most the cutoff, which decides the
-    greedy verdict exactly as the true distance would.
+    greedy verdict exactly as the true distance would.  Reusing one
+    single-source search's distances as standing upper bounds for later
+    pairs is the FG-greedy idea of Farshi and Gudmundsson (ESA 2005; JEA
+    2009).
 
     Spanner edges present at construction (a repair warm start) and edges
     reported through :meth:`notify_edge_added` are kept as exact bounds

@@ -1,10 +1,12 @@
 """Durable job queue: crash-safe JSON records with lease-based claims.
 
-Every job is one JSON file under ``<root>/jobs/``, rewritten *atomically*
-(write-temp-then-``os.replace``, :func:`repro.graph.io.atomic_write_json`)
-on every state transition — a reader never observes a half-written record,
-and a worker crash mid-transition leaves the previous complete record in
-place.
+Every job is one JSON file, rewritten *atomically*
+(:func:`repro.graph.io.atomic_write_json`) on every state transition, so a
+reader never observes a half-written record.  Active records live in
+``<root>/jobs/``; a record reaching a terminal state is written there, then
+renamed into ``<root>/jobs/finished/``, so a claim reads only active records
+however long the history.  A terminal record a crash left in ``jobs/`` is
+skipped and moved by the next claim.
 
 The lifecycle state machine::
 
@@ -14,14 +16,19 @@ The lifecycle state machine::
        │                  ├─fail (attempts = max)──▶ quarantined
        └──lease expired───┘        (poison job, traceback kept)
 
-Claims are **exclusive by rename**: a claimer renames ``<id>.json`` to a
-worker-tagged claim file before rewriting it, and ``os.rename`` hands the
-file to exactly one renamer — the loser gets ``FileNotFoundError`` and moves
-on.  A worker that dies *after* claiming simply stops heartbeating: its
-lease (``heartbeat + lease_seconds``) expires and the next claimer re-runs
-the job, bumping ``attempts``.  A job that keeps killing its workers (or
-keeps raising) is quarantined after ``max_attempts`` with the captured
-traceback, so one poison job can never wedge the queue.
+Claims are **exclusive by rename** and write once: a claimer renames
+``<id>.json`` to a claim token named after its worker id (unique per root),
+locks it (``flock``), reads it, links the next record into place
+exclusively (``os.link``) and unlinks the token.  A vanished token or an
+existing record means another claimer or the owner got there first.  Each
+claim first sweeps back unlocked tokens (their claimer died or raised) by
+``os.link``, never over a record.
+
+A worker that dies *after* claiming simply stops heartbeating: its lease
+(``heartbeat + lease_seconds``) expires and the next claimer re-runs the
+job, bumping ``attempts``.  A job that keeps killing its workers (or keeps
+raising) is quarantined after ``max_attempts`` with the captured traceback,
+so one poison job can never wedge the queue.
 
 The wall clock is injectable (``clock=``) so the lease/heartbeat laws are
 tested with a fake clock instead of sleeps.
@@ -29,10 +36,13 @@ tested with a fake clock instead of sleeps.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -123,6 +133,23 @@ class Job:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
+def _lock(token: Path) -> int:
+    """Open and lock a claim token; returns the descriptor (close to unlock).
+
+    :class:`BlockingIOError` if it is held, :class:`FileNotFoundError` if a
+    sweep put it back before the lock was taken.
+    """
+    descriptor = os.open(token, os.O_RDONLY)
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        if os.stat(token).st_ino != os.fstat(descriptor).st_ino:
+            raise FileNotFoundError(token)
+    except BaseException:
+        os.close(descriptor)
+        raise
+    return descriptor
+
+
 def spec_digest(spec: dict) -> str:
     """Short stable digest of a job spec (canonical-JSON sha256 prefix)."""
     canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
@@ -130,7 +157,7 @@ def spec_digest(spec: dict) -> str:
 
 
 class JobQueue:
-    """The durable queue over ``<root>/jobs/*.json`` records."""
+    """The durable queue over ``<root>/jobs/`` and ``<root>/jobs/finished/``."""
 
     def __init__(
         self,
@@ -140,16 +167,18 @@ class JobQueue:
     ) -> None:
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
+        self.finished_dir = self.jobs_dir / "finished"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.clock = clock
         #: Counters of supervision events (read by the service bench):
         #: ``lease_reclaims`` — expired leases re-claimed, ``quarantined`` —
         #: poison jobs fenced off, ``corrupt_records`` — unparseable records
-        #: moved aside.
+        #: moved aside, ``records_read`` — records a claim scan parsed.
         self.counters: dict[str, int] = {
             "lease_reclaims": 0,
             "quarantined": 0,
             "corrupt_records": 0,
+            "records_read": 0,
         }
 
     # ------------------------------------------------------------------
@@ -160,7 +189,28 @@ class JobQueue:
 
     def _write(self, job: Job, *, exclusive: bool = False) -> None:
         job.updated_at = self.clock()
-        atomic_write_json(self._path(job.job_id), job.as_dict(), exclusive=exclusive)
+        path = self._path(job.job_id)
+        atomic_write_json(path, job.as_dict(), exclusive=exclusive)
+        if exclusive and self._revived(path):
+            raise FileExistsError(path)  # the job has finished: its id is taken
+        if not _TRANSITIONS[job.state]:
+            self._finish(job.job_id)
+
+    def _revived(self, path: Path) -> bool:
+        """Unlink a record just linked into ``jobs/`` if its job has finished
+        (its owner can finish it while a claim holds the record as a token)."""
+        if not (self.finished_dir / path.name).exists():
+            return False
+        path.unlink(missing_ok=True)
+        return True
+
+    def _finish(self, job_id: str) -> None:
+        """Move a terminal record out of the active directory."""
+        self.finished_dir.mkdir(exist_ok=True)
+        try:
+            os.replace(self._path(job_id), self.finished_dir / f"{job_id}.json")
+        except FileNotFoundError:
+            pass  # moved already, or held by a claim token: a later claim moves it
 
     def _read(self, path: Path, job_id: str) -> Job:
         """Parse the record at ``path`` (the job's record or its claim file).
@@ -176,8 +226,6 @@ class JobQueue:
                 raise TypeError(f"expected a JSON object, got {type(data).__name__}")
             return Job.from_dict(data)
         except (ValueError, TypeError) as error:
-            import os
-
             try:
                 os.replace(path, self._path(job_id).with_suffix(".json.corrupt"))
             except FileNotFoundError:
@@ -186,17 +234,22 @@ class JobQueue:
             raise CorruptJobRecordError(job_id, str(error)) from error
 
     def get(self, job_id: str) -> Job:
-        """Load one job record.
+        """Load one job record: active, held by a claim token, or finished.
 
         Raises :class:`JobNotFoundError` if absent and
         :class:`CorruptJobRecordError` if it does not parse.
         """
-        path = self._path(job_id)
-        try:
-            return self._read(path, job_id)
-        except FileNotFoundError:
-            # Absent, or renamed by a concurrent claim() after we looked.
-            raise JobNotFoundError(job_id) from None
+        # A record moves to a claim token and back, and at the end to
+        # finished/: look in that order.  Tokens are globbed only if the
+        # active record is missing.
+        active = self._path(job_id)
+        tokens = self.jobs_dir.glob(f"{active.name}.claim-*")
+        for path in chain([active], tokens, [active, self.finished_dir / active.name]):
+            try:
+                return self._read(path, job_id)
+            except FileNotFoundError:
+                continue
+        raise JobNotFoundError(job_id)
 
     def list_jobs(self, state: Optional[str] = None) -> list[Job]:
         """All job records in job-id order, optionally filtered by state.
@@ -204,15 +257,16 @@ class JobQueue:
         Unparseable records are moved aside and skipped, and so are records
         a concurrent :meth:`claim` renamed between the glob and the read.
         """
-        jobs = []
-        for path in sorted(self.jobs_dir.glob("job-*.json")):
-            try:
-                job = self._read(path, path.stem)
-            except (CorruptJobRecordError, FileNotFoundError):
-                continue
-            if state is None or job.state == state:
-                jobs.append(job)
-        return jobs
+        jobs: dict[str, Job] = {}
+        # Finished last, so a record that moved between the two globs is
+        # kept in its later, terminal form.
+        for directory in (self.jobs_dir, self.finished_dir):
+            for path in directory.glob("job-*.json"):
+                try:
+                    jobs[path.stem] = self._read(path, path.stem)
+                except (CorruptJobRecordError, FileNotFoundError):
+                    continue
+        return [jobs[key] for key in sorted(jobs) if state in (None, jobs[key].state)]
 
     # ------------------------------------------------------------------
     # Lifecycle transitions
@@ -257,12 +311,16 @@ class JobQueue:
         sequence = 0
         while True:
             job.job_id = f"job-{digest}-{sequence:04d}"
-            # An id in use shows its record or, mid-claim, its claim file
-            # (a claim renames the record aside and writes it back before
-            # deleting the claim file), so look in that order; a claim that
-            # ends between the two looks makes the exclusive link fail.
+            # An id in use shows its active record, mid-claim its claim token,
+            # and once terminal its finished record, in that order over its
+            # life, so look in that order; a claim that ends between two
+            # looks makes the exclusive link fail.
             path = self._path(job.job_id)
-            if not path.exists() and not any(self.jobs_dir.glob(f"{path.name}.claim-*")):
+            if (
+                not path.exists()
+                and not any(self.jobs_dir.glob(f"{path.name}.claim-*"))
+                and not (self.finished_dir / path.name).exists()
+            ):
                 try:
                     self._write(job, exclusive=True)
                     return job
@@ -270,73 +328,26 @@ class JobQueue:
                     pass  # a concurrent submit took this sequence first
             sequence += 1
 
-    def _try_exclusive(self, job_id: str, worker_id: str) -> Optional[Job]:
-        """Win the claim race by renaming the record aside, or return None.
+    def _try_exclusive(self, job_id: str, worker_id: str, now: float) -> Optional[Job]:
+        """Claim ``job_id`` with one record write, or return ``None``.
 
-        ``os.rename`` gives the file to exactly one renamer; the record is
-        rewritten under its canonical name by the subsequent transition, and
-        a crash *between* rename and rewrite is healed by
-        :meth:`_recover_orphaned_claims` (the claim file carries the full
-        record).
+        ``None`` means another claimer won or the job was quarantined.  Any
+        other error leaves the token unlocked in place: the record is not
+        lost, the next sweep puts it back.
         """
-        import os
-
         path = self._path(job_id)
-        claim = path.with_name(path.name + f".claim-{worker_id}")
+        token = path.with_name(f"{path.name}.claim-{worker_id}")
         try:
-            os.rename(path, claim)
-        except FileNotFoundError:
-            return None
+            os.rename(path, token)
+            lock = _lock(token)
+        except (FileNotFoundError, BlockingIOError):
+            return None  # another claimer renamed it first, or a sweep took it back
         try:
-            job = self._read(claim, job_id)
-        except CorruptJobRecordError:
-            return None
-        # Restore the canonical record immediately (atomic); the claim file
-        # is only the exclusivity token and is removed now that we won.
-        atomic_write_json(path, job.as_dict())
-        os.unlink(claim)
-        return job
-
-    def _recover_orphaned_claims(self) -> None:
-        """Restore records stranded mid-claim by a claimer crash."""
-        import os
-
-        for claim in self.jobs_dir.glob("job-*.json.claim-*"):
-            canonical = claim.with_name(claim.name.split(".claim-")[0])
-            if not canonical.exists():
-                try:
-                    os.rename(claim, canonical)
-                except FileNotFoundError:
-                    pass
-            else:  # canonical restored already; the token is stale
-                try:
-                    os.unlink(claim)
-                except FileNotFoundError:
-                    pass
-
-    def claim(self, worker_id: str) -> Optional[Job]:
-        """Claim the next runnable job for ``worker_id``, or return ``None``.
-
-        Runnable means ``pending``, or ``running`` with an expired lease
-        (the previous worker is presumed dead — SIGKILL leaves no
-        traceback, only silence).  Claims scan in job-id order so the
-        oldest submission of a spec wins ties deterministically.  A job
-        whose attempts exceed ``max_attempts`` is quarantined instead of
-        claimed — poison jobs are fenced off, not retried forever.
-        """
-        self._recover_orphaned_claims()
-        now = self.clock()
-        for candidate in self.list_jobs():
-            reclaimed = candidate.lease_expired(now)
-            if candidate.state != "pending" and not reclaimed:
-                continue
-            job = self._try_exclusive(candidate.job_id, worker_id)
-            if job is None:
-                continue  # another claimer won the rename race
-            # Re-check under the exclusive claim: the record may have moved.
+            job = self._read(token, job_id)
             reclaimed = job.lease_expired(now)
             if job.state != "pending" and not reclaimed:
-                continue
+                self._put_back(token)  # it moved on after the scan
+                return None
             job.attempts += 1
             if job.attempts > job.max_attempts:
                 job.error = job.error or (
@@ -344,25 +355,85 @@ class JobQueue:
                     "completion (worker death suspected); no traceback — "
                     "the worker died without reporting"
                 )
-                job.worker_id = None
-                job.heartbeat = None
-                self.counters["quarantined"] += 1
-                self._transition(
-                    job, "quarantined", f"quarantined after {job.attempts} attempts"
-                )
-                continue
-            if reclaimed:
-                self.counters["lease_reclaims"] += 1
-                note = (
-                    f"lease of {job.worker_id} expired; reclaimed by {worker_id} "
-                    f"(attempt {job.attempts})"
-                )
+                job.worker_id = job.heartbeat = None
+                state, note = "quarantined", f"quarantined after {job.attempts} attempts"
             else:
-                note = f"claimed by {worker_id} (attempt {job.attempts})"
-            job.worker_id = worker_id
-            job.heartbeat = now
-            self._transition(job, "running", note)
-            return job
+                owner = f"{worker_id} (attempt {job.attempts})"
+                if reclaimed:
+                    note = f"lease of {job.worker_id} expired; reclaimed by {owner}"
+                else:
+                    note = f"claimed by {owner}"
+                job.worker_id, job.heartbeat, state = worker_id, now, "running"
+            job.state = state  # pending or running to either is legal
+            job.history.append(f"{self.clock():.3f} {note}")
+            self._write(job, exclusive=True)
+            token.unlink()
+        except CorruptJobRecordError:
+            return None  # moved aside
+        except FileExistsError:
+            token.unlink()  # its owner wrote a newer record meanwhile
+            return None
+        finally:
+            os.close(lock)
+        if state == "quarantined":
+            self.counters["quarantined"] += 1
+            return None
+        if reclaimed:
+            self.counters["lease_reclaims"] += 1
+        return job
+
+    def _put_back(self, token: Path) -> None:
+        """Link a locked claim token back under its record's name, then drop it.
+
+        The link never replaces a record: one there is newer, written by the
+        job's owner after it read the record from the token.
+        """
+        path = token.with_name(token.name.split(".claim-")[0])
+        try:
+            os.link(token, path)
+            self._revived(path)
+        except FileExistsError:
+            pass
+        token.unlink(missing_ok=True)
+
+    def _recover_orphaned_claims(self) -> None:
+        """Put back the records of unlocked tokens (a claimer died or raised);
+        a live claimer's lock makes the sweep pass its token by."""
+        for token in self.jobs_dir.glob("job-*.json.claim-*"):
+            try:
+                lock = _lock(token)
+            except (FileNotFoundError, BlockingIOError):
+                continue  # its claim has ended, or its claimer is alive
+            try:
+                self._put_back(token)
+            finally:
+                os.close(lock)
+
+    def claim(self, worker_id: str) -> Optional[Job]:
+        """Claim the next runnable job for ``worker_id``, or return ``None``.
+
+        Runnable means ``pending``, or ``running`` with an expired lease
+        (the previous worker is presumed dead — SIGKILL leaves no
+        traceback, only silence).  Claims scan the active records in job-id
+        order so the oldest submission of a spec wins ties
+        deterministically.  A job whose attempts exceed ``max_attempts`` is
+        quarantined instead of claimed — poison jobs are fenced off, not
+        retried forever.
+        """
+        self._recover_orphaned_claims()
+        now = self.clock()
+        for path in sorted(self.jobs_dir.glob("job-*.json")):
+            try:
+                candidate = self._read(path, path.stem)
+            except (CorruptJobRecordError, FileNotFoundError):
+                continue  # moved aside, or taken by a concurrent claim
+            self.counters["records_read"] += 1
+            if not _TRANSITIONS[candidate.state]:
+                self._finish(candidate.job_id)  # a crash stopped it moving
+            elif candidate.state == "pending" or candidate.lease_expired(now):
+                job = self._try_exclusive(candidate.job_id, worker_id, now)
+                if job is not None:
+                    return job
         return None
 
     def _owned(self, job_id: str, worker_id: str) -> Job:

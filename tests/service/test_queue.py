@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -297,3 +298,275 @@ def test_submission_during_a_claim_does_not_take_the_claimed_id(queue, tmp_path)
     assert second.job_id != first.job_id
     queue._recover_orphaned_claims()
     assert [job.job_id for job in queue.list_jobs()] == [first.job_id, second.job_id]
+
+
+@pytest.mark.parametrize(
+    "hook, owner",
+    [("lock", "worker-b"), ("read-before", "worker-a"), ("read-after", "worker-a")],
+    ids=["before-the-lock", "before-the-read", "after-the-read"],
+)
+def test_a_sweep_never_takes_a_live_claim(tmp_path, clock, monkeypatch, hook, owner):
+    """B's claim() runs while A holds its claim token: before A has locked
+    the token (B's sweep may put it back and claim the job; A then loses
+    quietly), or after, just before or after A reads it (B's sweep passes
+    the locked token by).  Either way the job has exactly one owner and no
+    claimer raises."""
+    import repro.service.queue as queue_module
+
+    a, b = JobQueue(tmp_path, clock=clock), JobQueue(tmp_path, clock=clock)
+    job_id = a.submit(SPEC).job_id
+    b_claims = []
+
+    def b_claims_once(path):
+        if path.name.endswith(".claim-worker-a") and not b_claims:
+            b_claims.append(None)  # B's own sweep comes back through here
+            b_claims[0] = b.claim("worker-b")
+
+    if hook == "lock":
+        real_lock = queue_module._lock
+
+        def lock(token):
+            b_claims_once(token)
+            return real_lock(token)
+
+        monkeypatch.setattr(queue_module, "_lock", lock)
+    else:
+        real_read = JobQueue._read
+
+        def read(self, path, record_id):
+            if self is a and hook == "read-before":
+                b_claims_once(path)
+            record = real_read(self, path, record_id)
+            if self is a and hook == "read-after":
+                b_claims_once(path)
+            return record
+
+        monkeypatch.setattr(JobQueue, "_read", read)
+    a_claim = a.claim("worker-a")
+    monkeypatch.undo()
+    claims = {"worker-a": a_claim, "worker-b": b_claims[0]}
+    assert [worker for worker, job in claims.items() if job is not None] == [owner]
+    record = a.get(job_id)
+    assert (record.state, record.worker_id, record.attempts) == ("running", owner, 1)
+    assert not list((tmp_path / "jobs").glob("*.claim-*"))
+    loser = "worker-a" if owner == "worker-b" else "worker-b"
+    with pytest.raises(StaleLeaseError):
+        a.complete(job_id, loser, {})
+    assert a.complete(job_id, owner, {"tier": "mst"}).state == "done"
+
+
+def test_owner_finishing_during_a_reclaim_keeps_the_job_done(tmp_path, clock, monkeypatch):
+    """A worker whose lease has lapsed can still finish while a reclaim holds
+    its record as a token: the reclaim must lose, not revive the job."""
+    queue = JobQueue(tmp_path, clock=clock)
+    job_id = queue.submit(SPEC, lease_seconds=1.0).job_id
+    queue.claim("slow")
+    clock.advance(2.0)
+    real_read = JobQueue._read
+    finished = []
+
+    def read(self, path, record_id):
+        record = real_read(self, path, record_id)
+        if path.name.endswith(".claim-worker-b") and not finished:
+            # The slow worker's complete() reads its record from the token.
+            finished.append(None)
+            finished[0] = JobQueue(tmp_path, clock=clock).complete(job_id, "slow", {"tier": "mst"})
+        return record
+
+    monkeypatch.setattr(JobQueue, "_read", read)
+    assert queue.claim("worker-b") is None
+    monkeypatch.undo()
+    assert finished[0].state == "done"
+    assert queue.get(job_id).result == {"tier": "mst"}
+    assert not list((tmp_path / "jobs").glob("job-*"))
+    assert queue.claim("worker-b") is None
+
+
+def test_concurrent_claimers_run_each_job_once(tmp_path):
+    """More claimers than cores drain one queue; every job must be claimed
+    exactly once (attempts 1) and no claimer may raise."""
+    import sys
+    import threading
+    import time
+
+    jobs_n, threads_n = 24, 6
+    submitter = JobQueue(tmp_path)
+    job_ids = sorted(submitter.submit(dict(SPEC, seed=seed)).job_id for seed in range(jobs_n))
+    runs: list[str] = []
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    start = threading.Barrier(threads_n)
+
+    def claimer(worker_id: str) -> None:
+        queue = JobQueue(tmp_path)
+        start.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        try:
+            while time.monotonic() < deadline:
+                job = queue.claim(worker_id)
+                if job is None:
+                    if len(queue.list_jobs(state="done")) == jobs_n:
+                        return
+                    continue
+                with lock:
+                    runs.append(job.job_id)
+                queue.complete(job.job_id, worker_id, {"by": worker_id})
+        except Exception as error:  # noqa: BLE001 - reported by the assertion below
+            with lock:
+                errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=claimer, args=(f"worker-{index}",))
+            for index in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(runs) == job_ids
+    records = submitter.list_jobs()
+    assert [(job.job_id, job.state, job.attempts) for job in records] == [
+        (job_id, "done", 1) for job_id in job_ids
+    ]
+    assert not list((tmp_path / "jobs").glob("*.claim-*"))
+
+
+def test_claim_writes_the_running_record_once(queue, tmp_path, monkeypatch):
+    import repro.service.queue as queue_module
+
+    job = queue.submit(SPEC)
+    writes = []
+    real_write = queue_module.atomic_write_json
+
+    def counting_write(path, document, **kwargs):
+        writes.append((Path(path).name, document["state"], kwargs.get("exclusive")))
+        return real_write(path, document, **kwargs)
+
+    monkeypatch.setattr(queue_module, "atomic_write_json", counting_write)
+    assert queue.claim("worker-a") is not None
+    assert writes == [(f"{job.job_id}.json", "running", True)]
+    assert queue.get(job.job_id).state == "running"
+
+
+@pytest.mark.parametrize(
+    "error", [OSError(28, "No space left on device"), KeyboardInterrupt()], ids=["enospc", "ctrl-c"]
+)
+def test_a_claim_that_raises_before_its_link_loses_no_job(queue, tmp_path, monkeypatch, error):
+    """Between the rename and the link the claim token is the job's only
+    record: an error there must leave it for the sweep, not delete it."""
+    import repro.service.queue as queue_module
+
+    job_id = queue.submit(SPEC).job_id
+
+    def failing_write(path, document, **kwargs):
+        raise error
+
+    monkeypatch.setattr(queue_module, "atomic_write_json", failing_write)
+    with pytest.raises(type(error)):
+        queue.claim("worker-a")
+    monkeypatch.undo()
+    assert not (tmp_path / "jobs" / f"{job_id}.json").exists()
+    record = queue.get(job_id)
+    assert (record.state, record.attempts) == ("pending", 0)
+    claimed = JobQueue(tmp_path).claim("worker-b")
+    assert (claimed.job_id, claimed.state, claimed.attempts) == (job_id, "running", 1)
+    assert not list((tmp_path / "jobs").glob("*.claim-*"))
+
+
+def test_terminal_records_move_to_finished(queue, tmp_path):
+    job = queue.submit(SPEC)
+    queue.claim("worker-a")
+    queue.complete(job.job_id, "worker-a", {"tier": "mst"})
+    assert not (tmp_path / "jobs" / f"{job.job_id}.json").exists()
+    finished = tmp_path / "jobs" / "finished" / f"{job.job_id}.json"
+    assert json.loads(finished.read_text())["state"] == "done"
+    assert queue.get(job.job_id).state == "done"
+    assert [record.job_id for record in queue.list_jobs(state="done")] == [job.job_id]
+
+
+def test_crash_between_terminal_write_and_move_is_healed_by_the_next_claim(
+    tmp_path, clock, monkeypatch
+):
+    queue = JobQueue(tmp_path, clock=clock)
+    job = queue.submit(SPEC)
+    queue.claim("worker-a")
+    finished_dir = tmp_path / "jobs" / "finished"
+    real_replace = os.replace
+
+    class Crash(Exception):
+        pass
+
+    def crash_before_the_move(src, dst):
+        if Path(dst).parent == finished_dir:
+            raise Crash
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_before_the_move)
+    with pytest.raises(Crash):
+        queue.complete(job.job_id, "worker-a", {"tier": "mst"})
+    monkeypatch.undo()
+    left = tmp_path / "jobs" / f"{job.job_id}.json"
+    assert json.loads(left.read_text())["state"] == "done"
+
+    reopened = JobQueue(tmp_path, clock=clock)
+    assert reopened.get(job.job_id).state == "done"
+    assert reopened.claim("worker-b") is None
+    assert reopened.counters["records_read"] == 1
+    assert not left.exists()
+    assert reopened.get(job.job_id).result == {"tier": "mst"}
+    assert (finished_dir / f"{job.job_id}.json").exists()
+
+
+def test_queue_in_the_single_directory_layout_reopens(tmp_path, clock):
+    """Terminal records written straight into jobs/ (the layout before the
+    finished/ directory) are read, listed and moved by the next claim."""
+    queue = JobQueue(tmp_path, clock=clock)
+    done = queue.submit(SPEC)
+    queue.claim("worker-a")
+    queue.complete(done.job_id, "worker-a", {"tier": "mst"})
+    pending = queue.submit(SPEC)
+    finished_dir = tmp_path / "jobs" / "finished"
+    os.replace(finished_dir / f"{done.job_id}.json", tmp_path / "jobs" / f"{done.job_id}.json")
+    finished_dir.rmdir()
+
+    reopened = JobQueue(tmp_path, clock=clock)
+    assert reopened.get(done.job_id).state == "done"
+    assert [(job.job_id, job.state) for job in reopened.list_jobs()] == [
+        (done.job_id, "done"),
+        (pending.job_id, "pending"),
+    ]
+    claimed = reopened.claim("worker-b")
+    assert claimed is not None and claimed.job_id == pending.job_id
+    assert (finished_dir / f"{done.job_id}.json").exists()
+    assert reopened.get(done.job_id).result == {"tier": "mst"}
+
+
+def test_submit_never_reuses_an_id_that_is_only_finished(queue, tmp_path):
+    first = queue.submit(SPEC)
+    queue.claim("worker-a")
+    queue.complete(first.job_id, "worker-a", {"tier": "mst"})
+    assert not list((tmp_path / "jobs").glob("job-*.json"))
+    second = queue.submit(SPEC)
+    assert second.job_id != first.job_id
+    assert queue.get(first.job_id).state == "done"
+    assert [job.state for job in queue.list_jobs()] == ["done", "pending"]
+
+
+def test_claim_reads_only_active_records(queue):
+    for seed in range(200):
+        job = queue.submit(dict(SPEC, seed=seed))
+        queue.claim("worker-a")
+        queue.complete(job.job_id, "worker-a", {"tier": "mst"})
+    pending = queue.submit(SPEC)
+    queue.counters["records_read"] = 0
+    claimed = queue.claim("worker-a")
+    assert claimed is not None and claimed.job_id == pending.job_id
+    assert queue.counters["records_read"] == 1
+    assert len(queue.list_jobs(state="done")) == 200

@@ -336,6 +336,15 @@ def test_run_service_summary_merges_all_counters(tmp_path):
     assert summary["queue_quarantined"] == 0
 
 
+def test_run_service_reports_the_records_its_claims_read(tmp_path):
+    queue = JobQueue(tmp_path)
+    queue.submit(SPEC)
+    assert run_service(tmp_path)["queue_records_read"] == 1
+    # The finished job is out of the claim scan: draining again reads nothing.
+    queue.submit(dict(SPEC, stretch=2.0))
+    assert run_service(tmp_path)["queue_records_read"] == 1
+
+
 def test_corrupt_head_is_rebuilt_never_served(service):
     queue, cache, worker = service
     queue.submit(SPEC)

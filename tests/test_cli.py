@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -371,6 +372,19 @@ class TestServiceCommands:
         output = capsys.readouterr().out
         assert "artifacts: 1" in output
         assert "corrupt: 0" in output
+
+    def test_status_of_a_finished_job_prints_its_history(self, capsys, tmp_path):
+        root = self._root(tmp_path)
+        assert main(self.SUBMIT + root) == 0
+        job_id = capsys.readouterr().out.split()[1]
+        assert main(["service", "run-workers"] + root) == 0
+        assert "queue_records_read: 1" in capsys.readouterr().out
+        assert (tmp_path / "svc" / "jobs" / "finished" / f"{job_id}.json").exists()
+        assert main(["service", "status", job_id] + root) == 0
+        history = capsys.readouterr().out
+        assert " submitted" in history
+        assert f"claimed by worker-{os.getpid()}-0 (attempt 1)" in history
+        assert f"completed by worker-{os.getpid()}-0" in history
 
     def test_warm_resubmit_is_a_cache_hit(self, capsys, tmp_path):
         root = self._root(tmp_path)
