@@ -417,8 +417,8 @@ def _command_service_run_workers(args: argparse.Namespace) -> int:
 
     queue = JobQueue(args.root)
     cache = ArtifactCache(args.root / "cache")
-    # Worker ids name claim tokens and leases, so they must differ between
-    # processes sharing one --root: tag them with the process id.
+    # Leases are owned by worker id, so ids must differ between processes
+    # sharing one --root: tag them with the process id.
     workers = [
         ServiceWorker(queue, cache, f"worker-{os.getpid()}-{index}", verify=not args.no_verify)
         for index in range(max(1, args.workers))

@@ -16,13 +16,14 @@ The lifecycle state machine::
        │                  ├─fail (attempts = max)──▶ quarantined
        └──lease expired───┘        (poison job, traceback kept)
 
-Claims are **exclusive by rename** and write once: a claimer renames
-``<id>.json`` to a claim token named after its worker id (unique per root),
-locks it (``flock``), reads it, links the next record into place
-exclusively (``os.link``) and unlinks the token.  A vanished token or an
-existing record means another claimer or the owner got there first.  Each
-claim first sweeps back unlocked tokens (their claimer died or raised) by
-``os.link``, never over a record.
+Claims and owners **lock the record itself**: a claimer opens
+``<id>.json``, takes ``flock(LOCK_EX | LOCK_NB)`` on it, skips it if the
+lock is held or the path now names a newer record, reads it and writes the
+next record over it (one fsynced ``os.replace``) before unlocking.
+``beat``, ``complete`` and ``fail`` take the same lock, blocking, around
+their read, ownership check and write.  A lock dies with its process, so a
+claimer that crashes or raises mid-claim leaves the record as it was.
+Ownership is checked by worker id, so ids must be unique per root.
 
 A worker that dies *after* claiming simply stops heartbeating: its lease
 (``heartbeat + lease_seconds``) expires and the next claimer re-runs the
@@ -41,10 +42,10 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.errors import (
     CorruptJobRecordError,
@@ -133,21 +134,30 @@ class Job:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-def _lock(token: Path) -> int:
-    """Open and lock a claim token; returns the descriptor (close to unlock).
+def _lock(path: Path, *, wait: bool) -> Optional[int]:
+    """Open the record at ``path`` and ``flock`` it; the descriptor (close it
+    to unlock), or ``None`` if the record is gone or, with ``wait=False``,
+    locked by another claimer or owner.
 
-    :class:`BlockingIOError` if it is held, :class:`FileNotFoundError` if a
-    sweep put it back before the lock was taken.
+    A writer replaces the record while holding the old one's lock, so a lock
+    taken on an inode the path no longer names is retried on the new one.
     """
-    descriptor = os.open(token, os.O_RDONLY)
-    try:
-        fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        if os.stat(token).st_ino != os.fstat(descriptor).st_ino:
-            raise FileNotFoundError(token)
-    except BaseException:
+    while True:
+        try:
+            descriptor = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            return None
+        try:
+            fcntl.flock(descriptor, fcntl.LOCK_EX | (0 if wait else fcntl.LOCK_NB))
+            if os.stat(path).st_ino == os.fstat(descriptor).st_ino:
+                return descriptor
+        except (BlockingIOError, FileNotFoundError):
+            os.close(descriptor)
+            return None
+        except BaseException:
+            os.close(descriptor)
+            raise
         os.close(descriptor)
-        raise
-    return descriptor
 
 
 def spec_digest(spec: dict) -> str:
@@ -187,22 +197,11 @@ class JobQueue:
     def _path(self, job_id: str) -> Path:
         return self.jobs_dir / f"{job_id}.json"
 
-    def _write(self, job: Job, *, exclusive: bool = False) -> None:
+    def _write(self, job: Job) -> None:
         job.updated_at = self.clock()
-        path = self._path(job.job_id)
-        atomic_write_json(path, job.as_dict(), exclusive=exclusive)
-        if exclusive and self._revived(path):
-            raise FileExistsError(path)  # the job has finished: its id is taken
+        atomic_write_json(self._path(job.job_id), job.as_dict())
         if not _TRANSITIONS[job.state]:
             self._finish(job.job_id)
-
-    def _revived(self, path: Path) -> bool:
-        """Unlink a record just linked into ``jobs/`` if its job has finished
-        (its owner can finish it while a claim holds the record as a token)."""
-        if not (self.finished_dir / path.name).exists():
-            return False
-        path.unlink(missing_ok=True)
-        return True
 
     def _finish(self, job_id: str) -> None:
         """Move a terminal record out of the active directory."""
@@ -210,10 +209,10 @@ class JobQueue:
         try:
             os.replace(self._path(job_id), self.finished_dir / f"{job_id}.json")
         except FileNotFoundError:
-            pass  # moved already, or held by a claim token: a later claim moves it
+            pass  # another reader moved it first
 
     def _read(self, path: Path, job_id: str) -> Job:
-        """Parse the record at ``path`` (the job's record or its claim file).
+        """Parse the record at ``path`` (active or finished).
 
         A record that does not parse as a job is moved aside to
         ``<job_id>.json.corrupt`` — outside the ``job-*.json`` glob — and
@@ -234,17 +233,13 @@ class JobQueue:
             raise CorruptJobRecordError(job_id, str(error)) from error
 
     def get(self, job_id: str) -> Job:
-        """Load one job record: active, held by a claim token, or finished.
+        """Load one job record, active or finished.
 
         Raises :class:`JobNotFoundError` if absent and
         :class:`CorruptJobRecordError` if it does not parse.
         """
-        # A record moves to a claim token and back, and at the end to
-        # finished/: look in that order.  Tokens are globbed only if the
-        # active record is missing.
-        active = self._path(job_id)
-        tokens = self.jobs_dir.glob(f"{active.name}.claim-*")
-        for path in chain([active], tokens, [active, self.finished_dir / active.name]):
+        # A record only ever moves from jobs/ to finished/: look in that order.
+        for path in (self._path(job_id), self.finished_dir / f"{job_id}.json"):
             try:
                 return self._read(path, job_id)
             except FileNotFoundError:
@@ -255,7 +250,7 @@ class JobQueue:
         """All job records in job-id order, optionally filtered by state.
 
         Unparseable records are moved aside and skipped, and so are records
-        a concurrent :meth:`claim` renamed between the glob and the read.
+        another reader moved aside between the glob and the read.
         """
         jobs: dict[str, Job] = {}
         # Finished last, so a record that moved between the two globs is
@@ -283,6 +278,13 @@ class JobQueue:
         job.history.append(f"{self.clock():.3f} {note}")
         self._write(job)
 
+    def _taken(self, job_id: str) -> bool:
+        """True if ``job_id`` has a record, active or finished."""
+        return (
+            self._path(job_id).exists()
+            or (self.finished_dir / f"{job_id}.json").exists()
+        )
+
     def submit(
         self,
         spec: dict,
@@ -294,9 +296,11 @@ class JobQueue:
 
         The job id embeds the spec digest plus a sequence number, so
         resubmitting an identical spec yields a *new* job (which may then be
-        served straight from the artifact cache).  The record is linked into
-        place exclusively, so of two submissions that pick one sequence
-        number the second moves on to the next instead of overwriting.
+        served straight from the artifact cache).  The first free number is
+        found by galloping then bisecting over the taken ones, and the
+        record is linked into place exclusively, so of two submissions that
+        pick one number the second moves on to the next instead of
+        overwriting.
         """
         digest = spec_digest(spec)
         now = self.clock()
@@ -306,108 +310,62 @@ class JobQueue:
             max_attempts=int(max_attempts),
             lease_seconds=float(lease_seconds),
             submitted_at=now,
+            updated_at=now,
         )
         job.history.append(f"{now:.3f} submitted")
-        sequence = 0
-        while True:
-            job.job_id = f"job-{digest}-{sequence:04d}"
-            # An id in use shows its active record, mid-claim its claim token,
-            # and once terminal its finished record, in that order over its
-            # life, so look in that order; a claim that ends between two
-            # looks makes the exclusive link fail.
-            path = self._path(job.job_id)
-            if (
-                not path.exists()
-                and not any(self.jobs_dir.glob(f"{path.name}.claim-*"))
-                and not (self.finished_dir / path.name).exists()
-            ):
-                try:
-                    self._write(job, exclusive=True)
-                    return job
-                except FileExistsError:
-                    pass  # a concurrent submit took this sequence first
-            sequence += 1
-
-    def _try_exclusive(self, job_id: str, worker_id: str, now: float) -> Optional[Job]:
-        """Claim ``job_id`` with one record write, or return ``None``.
-
-        ``None`` means another claimer won or the job was quarantined.  Any
-        other error leaves the token unlocked in place: the record is not
-        lost, the next sweep puts it back.
-        """
-        path = self._path(job_id)
-        token = path.with_name(f"{path.name}.claim-{worker_id}")
-        try:
-            os.rename(path, token)
-            lock = _lock(token)
-        except (FileNotFoundError, BlockingIOError):
-            return None  # another claimer renamed it first, or a sweep took it back
-        try:
-            job = self._read(token, job_id)
-            reclaimed = job.lease_expired(now)
-            if job.state != "pending" and not reclaimed:
-                self._put_back(token)  # it moved on after the scan
-                return None
-            job.attempts += 1
-            if job.attempts > job.max_attempts:
-                job.error = job.error or (
-                    f"lease expired {job.attempts - 1} times with no "
-                    "completion (worker death suspected); no traceback — "
-                    "the worker died without reporting"
-                )
-                job.worker_id = job.heartbeat = None
-                state, note = "quarantined", f"quarantined after {job.attempts} attempts"
+        name = f"job-{digest}-{{:04d}}".format
+        # Numbers are taken densely from 0: gallop to a free one, then
+        # bisect between it and the last taken one.
+        taken, free = -1, 0
+        while self._taken(name(free)):
+            taken, free = free, 2 * free + 1
+        while free - taken > 1:
+            middle = (taken + free) // 2
+            if self._taken(name(middle)):
+                taken = middle
             else:
-                owner = f"{worker_id} (attempt {job.attempts})"
-                if reclaimed:
-                    note = f"lease of {job.worker_id} expired; reclaimed by {owner}"
-                else:
-                    note = f"claimed by {owner}"
-                job.worker_id, job.heartbeat, state = worker_id, now, "running"
-            job.state = state  # pending or running to either is legal
-            job.history.append(f"{self.clock():.3f} {note}")
-            self._write(job, exclusive=True)
-            token.unlink()
-        except CorruptJobRecordError:
-            return None  # moved aside
-        except FileExistsError:
-            token.unlink()  # its owner wrote a newer record meanwhile
-            return None
-        finally:
-            os.close(lock)
-        if state == "quarantined":
+                free = middle
+        while True:
+            job.job_id = name(free)
+            path = self._path(job.job_id)
+            try:
+                atomic_write_json(path, job.as_dict(), exclusive=True)
+            except FileExistsError:
+                free += 1  # a concurrent submit took this number first
+                continue
+            # A whole submit, claim and complete of this id can fit between
+            # the look above and the link: then the id is finished, not free.
+            if not (self.finished_dir / path.name).exists():
+                return job
+            path.unlink(missing_ok=True)
+            free += 1
+
+    def _claim(self, job: Job, worker_id: str, now: float) -> Optional[Job]:
+        """Claim the locked, runnable ``job`` with one record write.
+
+        ``None`` if it is quarantined instead (attempts past the cap).
+        """
+        reclaimed = job.state == "running"
+        job.attempts += 1
+        if job.attempts > job.max_attempts:
+            job.error = job.error or (
+                f"lease expired {job.attempts - 1} times with no "
+                "completion (worker death suspected); no traceback — "
+                "the worker died without reporting"
+            )
+            job.worker_id = job.heartbeat = None
+            self._transition(job, "quarantined", f"quarantined after {job.attempts} attempts")
             self.counters["quarantined"] += 1
             return None
+        owner = f"{worker_id} (attempt {job.attempts})"
         if reclaimed:
-            self.counters["lease_reclaims"] += 1
+            note = f"lease of {job.worker_id} expired; reclaimed by {owner}"
+        else:
+            note = f"claimed by {owner}"
+        job.worker_id, job.heartbeat = worker_id, now
+        self._transition(job, "running", note)
+        self.counters["lease_reclaims"] += reclaimed
         return job
-
-    def _put_back(self, token: Path) -> None:
-        """Link a locked claim token back under its record's name, then drop it.
-
-        The link never replaces a record: one there is newer, written by the
-        job's owner after it read the record from the token.
-        """
-        path = token.with_name(token.name.split(".claim-")[0])
-        try:
-            os.link(token, path)
-            self._revived(path)
-        except FileExistsError:
-            pass
-        token.unlink(missing_ok=True)
-
-    def _recover_orphaned_claims(self) -> None:
-        """Put back the records of unlocked tokens (a claimer died or raised);
-        a live claimer's lock makes the sweep pass its token by."""
-        for token in self.jobs_dir.glob("job-*.json.claim-*"):
-            try:
-                lock = _lock(token)
-            except (FileNotFoundError, BlockingIOError):
-                continue  # its claim has ended, or its claimer is alive
-            try:
-                self._put_back(token)
-            finally:
-                os.close(lock)
 
     def claim(self, worker_id: str) -> Optional[Job]:
         """Claim the next runnable job for ``worker_id``, or return ``None``.
@@ -416,46 +374,57 @@ class JobQueue:
         (the previous worker is presumed dead — SIGKILL leaves no
         traceback, only silence).  Claims scan the active records in job-id
         order so the oldest submission of a spec wins ties
-        deterministically.  A job whose attempts exceed ``max_attempts`` is
-        quarantined instead of claimed — poison jobs are fenced off, not
-        retried forever.
+        deterministically, and pass by a record another process has locked.
+        A job whose attempts exceed ``max_attempts`` is quarantined instead
+        of claimed — poison jobs are fenced off, not retried forever.
         """
-        self._recover_orphaned_claims()
         now = self.clock()
         for path in sorted(self.jobs_dir.glob("job-*.json")):
+            lock = _lock(path, wait=False)
+            if lock is None:
+                continue  # finished meanwhile, or another process holds it
             try:
-                candidate = self._read(path, path.stem)
+                job = self._read(path, path.stem)
+                self.counters["records_read"] += 1
+                if not _TRANSITIONS[job.state]:
+                    self._finish(job.job_id)  # a crash stopped it moving
+                elif job.state == "pending" or job.lease_expired(now):
+                    if self._claim(job, worker_id, now) is not None:
+                        return job
             except (CorruptJobRecordError, FileNotFoundError):
-                continue  # moved aside, or taken by a concurrent claim
-            self.counters["records_read"] += 1
-            if not _TRANSITIONS[candidate.state]:
-                self._finish(candidate.job_id)  # a crash stopped it moving
-            elif candidate.state == "pending" or candidate.lease_expired(now):
-                job = self._try_exclusive(candidate.job_id, worker_id, now)
-                if job is not None:
-                    return job
+                continue  # moved aside, or a finished record moved on
+            finally:
+                os.close(lock)
         return None
 
-    def _owned(self, job_id: str, worker_id: str) -> Job:
-        job = self.get(job_id)
-        if job.state != "running" or job.worker_id != worker_id:
-            raise StaleLeaseError(job_id, worker_id, job.worker_id)
-        return job
+    @contextmanager
+    def _owned(self, job_id: str, worker_id: str) -> Iterator[Job]:
+        """Lock ``job_id``'s record and yield it if ``worker_id`` owns it;
+        :class:`StaleLeaseError` if the lease was lost or the job finished."""
+        lock = _lock(self._path(job_id), wait=True)
+        try:
+            job = self.get(job_id)
+            if job.state != "running" or job.worker_id != worker_id:
+                raise StaleLeaseError(job_id, worker_id, job.worker_id)
+            yield job
+        finally:
+            if lock is not None:
+                os.close(lock)
 
     def beat(self, job_id: str, worker_id: str) -> Job:
         """Refresh the lease heartbeat; :class:`StaleLeaseError` if lost."""
-        job = self._owned(job_id, worker_id)
-        job.heartbeat = self.clock()
-        self._write(job)
+        with self._owned(job_id, worker_id) as job:
+            job.heartbeat = self.clock()
+            self._write(job)
         return job
 
     def complete(self, job_id: str, worker_id: str, result: dict) -> Job:
         """Transition the owned job to ``done`` with its result record."""
-        job = self._owned(job_id, worker_id)
-        job.result = dict(result)
-        job.worker_id = None
-        job.heartbeat = None
-        self._transition(job, "done", f"completed by {worker_id}")
+        with self._owned(job_id, worker_id) as job:
+            job.result = dict(result)
+            job.worker_id = None
+            job.heartbeat = None
+            self._transition(job, "done", f"completed by {worker_id}")
         return job
 
     def fail(self, job_id: str, worker_id: str, traceback_text: str) -> Job:
@@ -465,21 +434,21 @@ class JobQueue:
         CLI surfaces the real exception even for jobs that later succeed on
         retry.
         """
-        job = self._owned(job_id, worker_id)
-        job.error = traceback_text
-        job.worker_id = None
-        job.heartbeat = None
-        if job.attempts >= job.max_attempts:
-            self.counters["quarantined"] += 1
-            self._transition(
-                job,
-                "quarantined",
-                f"failed on attempt {job.attempts}/{job.max_attempts}: quarantined",
-            )
-        else:
-            self._transition(
-                job,
-                "pending",
-                f"failed on attempt {job.attempts}/{job.max_attempts}: will retry",
-            )
+        with self._owned(job_id, worker_id) as job:
+            job.error = traceback_text
+            job.worker_id = None
+            job.heartbeat = None
+            if job.attempts >= job.max_attempts:
+                self.counters["quarantined"] += 1
+                self._transition(
+                    job,
+                    "quarantined",
+                    f"failed on attempt {job.attempts}/{job.max_attempts}: quarantined",
+                )
+            else:
+                self._transition(
+                    job,
+                    "pending",
+                    f"failed on attempt {job.attempts}/{job.max_attempts}: will retry",
+                )
         return job

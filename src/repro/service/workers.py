@@ -3,7 +3,7 @@
 One :class:`ServiceWorker` drains the durable queue:
 
 1. **Claim** a runnable job (pending, or an expired lease left by a dead
-   worker — the queue's rename race guarantees exclusivity).
+   worker — the queue's lock on the job record makes the claim exclusive).
 2. **Cache first**: a malformed request (bad stretch, unknown tier params;
    :func:`repro.service.degrade.check_request`) fails the job before the
    lookup, so it is never served by a weaker tier.  The artifact key is
@@ -35,7 +35,7 @@ import traceback
 from typing import Callable, Optional
 
 from repro.core.spanner import Spanner
-from repro.errors import ArtifactIntegrityError, UnverifiedArtifactError
+from repro.errors import ArtifactIntegrityError, StaleLeaseError, UnverifiedArtifactError
 from repro.service.cache import ArtifactCache, artifact_key, canonical_request
 from repro.service.degrade import DEFAULT_CHAIN, check_request, run_with_degradation
 from repro.service.queue import Job, JobQueue
@@ -109,6 +109,7 @@ class ServiceWorker:
             "corrupt_rebuilds": 0,
             "degraded_serves": 0,
             "deadline_overruns": 0,
+            "leases_lost": 0,
         }
 
     # ------------------------------------------------------------------
@@ -118,12 +119,20 @@ class ServiceWorker:
         if job is None:
             return None
         try:
-            result = self.process(job)
-        except Exception:  # noqa: BLE001 - every failure lands on the record
-            self.counters["jobs_failed"] += 1
-            return self.queue.fail(job.job_id, self.worker_id, traceback.format_exc())
-        self.counters["jobs_done"] += 1
-        return self.queue.complete(job.job_id, self.worker_id, result)
+            try:
+                result = self.process(job)
+            except Exception:  # noqa: BLE001 - every failure lands on the record
+                record = self.queue.fail(job.job_id, self.worker_id, traceback.format_exc())
+                self.counters["jobs_failed"] += 1
+                return record
+            record = self.queue.complete(job.job_id, self.worker_id, result)
+            self.counters["jobs_done"] += 1
+            return record
+        except StaleLeaseError:
+            # The lease lapsed and another worker reclaimed the job: it is
+            # theirs now, and this worker drains on.
+            self.counters["leases_lost"] += 1
+            return self.queue.get(job.job_id)
 
     def run(self, *, max_jobs: Optional[int] = None) -> dict[str, int]:
         """Drain the queue (up to ``max_jobs``); returns the counters."""
@@ -190,8 +199,8 @@ class ServiceWorker:
         )
         # The build may have outlived the lease; refresh it before the
         # (comparatively cheap) verify + commit tail.  If another worker
-        # stole the job meanwhile, StaleLeaseError aborts us here — the
-        # new owner's rebuild is byte-identical, so nothing is lost.
+        # stole the job meanwhile, StaleLeaseError aborts it here (counted in
+        # ``leases_lost``) — the new owner's rebuild is byte-identical.
         self.queue.beat(job.job_id, self.worker_id)
         if outcome.degraded:
             self.counters["degraded_serves"] += 1

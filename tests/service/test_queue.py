@@ -146,16 +146,26 @@ def test_repeated_silent_worker_death_quarantines_the_poison_job(queue, clock):
     assert queue.counters["lease_reclaims"] == DEFAULT_MAX_ATTEMPTS - 1
 
 
-def test_orphaned_claim_file_is_recovered(queue, tmp_path):
+def test_a_claimer_killed_holding_the_lock_leaves_the_job_claimable(queue, tmp_path):
+    """A claimer process dies while it holds the record's lock, just before
+    its write: the lock dies with it and the record is as it was."""
+    import repro.service.queue as queue_module
+
     job = queue.submit(SPEC)
-    path = tmp_path / "jobs" / f"{job.job_id}.json"
-    # Simulate a claimer that crashed between rename and restore.
-    os.rename(path, path.with_name(path.name + ".claim-crashed"))
-    assert not path.exists()
+    pid = os.fork()
+    if pid == 0:  # the doomed claimer
+        try:
+            queue_module.atomic_write_json = lambda *args, **kwargs: os._exit(7)
+            JobQueue(tmp_path).claim("doomed")
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 7
+    record = queue.get(job.job_id)
+    assert (record.state, record.attempts) == ("pending", 0)
     claimed = queue.claim("worker-a")
-    assert claimed is not None and claimed.job_id == job.job_id
-    assert path.exists()
-    assert not list((tmp_path / "jobs").glob("*.claim-*"))
+    assert (claimed.job_id, claimed.worker_id, claimed.attempts) == (job.job_id, "worker-a", 1)
+    assert [path.name for path in (tmp_path / "jobs").iterdir()] == [f"{job.job_id}.json"]
 
 
 def test_get_unknown_job_raises(queue):
@@ -213,7 +223,7 @@ def test_records_survive_reopening_the_queue(queue, tmp_path, clock):
 
 
 def test_record_renamed_between_glob_and_read_is_skipped(queue, monkeypatch):
-    """A concurrent claim() may rename a record after list_jobs globbed it
+    """Another reader may move a record aside after list_jobs globbed it
     (or after get() resolved its path): the reader must not crash."""
     kept = queue.submit(SPEC)
     vanishing = queue.submit(SPEC)
@@ -221,7 +231,7 @@ def test_record_renamed_between_glob_and_read_is_skipped(queue, monkeypatch):
 
     def read_after_a_concurrent_claim(self, path, job_id):
         if job_id == vanishing.job_id:
-            os.replace(path, path.with_name(path.name + ".claim-other"))
+            os.replace(path, path.with_name(path.name + ".corrupt"))
         return real_read(self, path, job_id)
 
     monkeypatch.setattr(JobQueue, "_read", read_after_a_concurrent_claim)
@@ -287,17 +297,28 @@ def test_concurrent_submissions_of_one_spec_all_survive(tmp_path):
     assert sorted(job.job_id for job in JobQueue(tmp_path).list_jobs()) == sorted(ids)
 
 
-def test_submission_during_a_claim_does_not_take_the_claimed_id(queue, tmp_path):
-    """A claimer renames the record aside before restoring it; a submission
-    arriving in that window must not reuse the id (the restore or the
-    orphaned-claim sweep would drop one of the two records)."""
+def test_submission_during_a_claim_does_not_take_the_claimed_id(tmp_path, clock, monkeypatch):
+    """The record stays in place, locked, while a claim rewrites it: a
+    submission arriving then sees the id taken and both jobs survive."""
+    queue = JobQueue(tmp_path, clock=clock)
     first = queue.submit(SPEC)
-    record = tmp_path / "jobs" / f"{first.job_id}.json"
-    os.rename(record, record.with_name(record.name + ".claim-w1"))
-    second = queue.submit(SPEC)
-    assert second.job_id != first.job_id
-    queue._recover_orphaned_claims()
-    assert [job.job_id for job in queue.list_jobs()] == [first.job_id, second.job_id]
+    real_read = JobQueue._read
+    submitted = []
+
+    def read(self, path, record_id):
+        if self is queue and not submitted:
+            submitted.append(JobQueue(tmp_path, clock=clock).submit(SPEC))
+        return real_read(self, path, record_id)
+
+    monkeypatch.setattr(JobQueue, "_read", read)
+    claimed = queue.claim("worker-a")
+    monkeypatch.undo()
+    assert claimed.job_id == first.job_id
+    assert submitted[0].job_id != first.job_id
+    assert [(job.job_id, job.state) for job in queue.list_jobs()] == [
+        (first.job_id, "running"),
+        (submitted[0].job_id, "pending"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -305,50 +326,56 @@ def test_submission_during_a_claim_does_not_take_the_claimed_id(queue, tmp_path)
     [("lock", "worker-b"), ("read-before", "worker-a"), ("read-after", "worker-a")],
     ids=["before-the-lock", "before-the-read", "after-the-read"],
 )
-def test_a_sweep_never_takes_a_live_claim(tmp_path, clock, monkeypatch, hook, owner):
-    """B's claim() runs while A holds its claim token: before A has locked
-    the token (B's sweep may put it back and claim the job; A then loses
-    quietly), or after, just before or after A reads it (B's sweep passes
-    the locked token by).  Either way the job has exactly one owner and no
-    claimer raises."""
+def test_a_held_lock_makes_other_claimers_skip_the_record(
+    tmp_path, clock, monkeypatch, hook, owner
+):
+    """B's claim() runs inside A's: after A opened the record but before it
+    locked it (B claims the job; A then locks a replaced record, re-locks the
+    new one and finds it running), or while A holds the lock, just before or
+    after A reads it (B skips the record).  Either way the job has exactly
+    one owner and no claimer raises."""
     import repro.service.queue as queue_module
 
     a, b = JobQueue(tmp_path, clock=clock), JobQueue(tmp_path, clock=clock)
     job_id = a.submit(SPEC).job_id
+    path = tmp_path / "jobs" / f"{job_id}.json"
     b_claims = []
 
-    def b_claims_once(path):
-        if path.name.endswith(".claim-worker-a") and not b_claims:
-            b_claims.append(None)  # B's own sweep comes back through here
+    def b_claims_once():
+        if not b_claims:
+            b_claims.append(None)  # B's own claim comes back through the hook
             b_claims[0] = b.claim("worker-b")
 
     if hook == "lock":
-        real_lock = queue_module._lock
+        real_flock = queue_module.fcntl.flock
 
-        def lock(token):
-            b_claims_once(token)
-            return real_lock(token)
+        def flock(descriptor, operation):
+            b_claims_once()
+            return real_flock(descriptor, operation)
 
-        monkeypatch.setattr(queue_module, "_lock", lock)
-    else:
-        real_read = JobQueue._read
+        monkeypatch.setattr(queue_module.fcntl, "flock", flock)
+    real_read = JobQueue._read
 
-        def read(self, path, record_id):
-            if self is a and hook == "read-before":
-                b_claims_once(path)
-            record = real_read(self, path, record_id)
-            if self is a and hook == "read-after":
-                b_claims_once(path)
-            return record
+    def read(self, record_path, record_id):
+        if self is a:
+            # A reads only the record its lock covers.  flock locks belong
+            # to the open file description, so a second open in this
+            # process conflicts with A's lock.
+            assert queue_module._lock(path, wait=False) is None
+        if self is a and hook == "read-before":
+            b_claims_once()
+        record = real_read(self, record_path, record_id)
+        if self is a and hook == "read-after":
+            b_claims_once()
+        return record
 
-        monkeypatch.setattr(JobQueue, "_read", read)
+    monkeypatch.setattr(JobQueue, "_read", read)
     a_claim = a.claim("worker-a")
     monkeypatch.undo()
     claims = {"worker-a": a_claim, "worker-b": b_claims[0]}
     assert [worker for worker, job in claims.items() if job is not None] == [owner]
     record = a.get(job_id)
     assert (record.state, record.worker_id, record.attempts) == ("running", owner, 1)
-    assert not list((tmp_path / "jobs").glob("*.claim-*"))
     loser = "worker-a" if owner == "worker-b" else "worker-b"
     with pytest.raises(StaleLeaseError):
         a.complete(job_id, loser, {})
@@ -356,30 +383,60 @@ def test_a_sweep_never_takes_a_live_claim(tmp_path, clock, monkeypatch, hook, ow
 
 
 def test_owner_finishing_during_a_reclaim_keeps_the_job_done(tmp_path, clock, monkeypatch):
-    """A worker whose lease has lapsed can still finish while a reclaim holds
-    its record as a token: the reclaim must lose, not revive the job."""
-    queue = JobQueue(tmp_path, clock=clock)
-    job_id = queue.submit(SPEC, lease_seconds=1.0).job_id
-    queue.claim("slow")
-    clock.advance(2.0)
-    real_read = JobQueue._read
-    finished = []
+    """A worker whose lease has lapsed finishes while another claims the job:
+    whoever takes the record lock first wins, in either order.  The job has
+    one owner, is done once, and is never revived."""
+    import threading
 
-    def read(self, path, record_id):
-        record = real_read(self, path, record_id)
-        if path.name.endswith(".claim-worker-b") and not finished:
-            # The slow worker's complete() reads its record from the token.
-            finished.append(None)
-            finished[0] = JobQueue(tmp_path, clock=clock).complete(job_id, "slow", {"tier": "mst"})
-        return record
+    outcomes = {}
+    for order in ("owner-first", "reclaim-first"):
+        root = tmp_path / order
+        queue, owner = JobQueue(root, clock=clock), JobQueue(root, clock=clock)
+        job_id = queue.submit(SPEC, lease_seconds=1.0).job_id
+        queue.claim("slow")
+        clock.advance(2.0)
+        real_read = JobQueue._read
+        raced = []
 
-    monkeypatch.setattr(JobQueue, "_read", read)
-    assert queue.claim("worker-b") is None
-    monkeypatch.undo()
-    assert finished[0].state == "done"
-    assert queue.get(job_id).result == {"tier": "mst"}
-    assert not list((tmp_path / "jobs").glob("job-*"))
-    assert queue.claim("worker-b") is None
+        def complete_slow():
+            try:
+                raced.append(owner.complete(job_id, "slow", {"tier": "mst"}))
+            except StaleLeaseError as error:
+                raced.append(error)
+
+        def read(self, path, record_id):
+            record = real_read(self, path, record_id)
+            if order == "owner-first" and self is owner and not raced:
+                # The owner holds the lock: the reclaim passes the record by.
+                raced.append(queue.claim("worker-b"))
+            if order == "reclaim-first" and self is queue and not raced:
+                # The reclaim holds the lock: the owner's complete waits for it.
+                thread = threading.Thread(target=complete_slow)
+                thread.start()
+                thread.join(timeout=0.2)
+                assert thread.is_alive() and not raced
+                raced.append(thread)
+            return record
+
+        monkeypatch.setattr(JobQueue, "_read", read)
+        if order == "owner-first":
+            done = owner.complete(job_id, "slow", {"tier": "mst"})
+            assert raced == [None]
+        else:
+            reclaimed = queue.claim("worker-b")
+            raced[0].join(timeout=30)
+            assert reclaimed.worker_id == "worker-b"
+            assert isinstance(raced[1], StaleLeaseError)
+            done = queue.complete(job_id, "worker-b", {"tier": "greedy"})
+        monkeypatch.undo()
+        assert done.state == "done"
+        record = queue.get(job_id)
+        assert record.history[-1].endswith(f"completed by {done.history[-1].split()[-1]}")
+        assert sum("completed" in line for line in record.history) == 1
+        assert not list((root / "jobs").glob("job-*"))
+        assert queue.claim("worker-c") is None
+        outcomes[order] = (record.result, record.attempts)
+    assert outcomes == {"owner-first": ({"tier": "mst"}, 1), "reclaim-first": ({"tier": "greedy"}, 2)}
 
 
 def test_concurrent_claimers_run_each_job_once(tmp_path):
@@ -435,7 +492,7 @@ def test_concurrent_claimers_run_each_job_once(tmp_path):
     assert [(job.job_id, job.state, job.attempts) for job in records] == [
         (job_id, "done", 1) for job_id in job_ids
     ]
-    assert not list((tmp_path / "jobs").glob("*.claim-*"))
+    assert [path.name for path in (tmp_path / "jobs").iterdir()] == ["finished"]
 
 
 def test_claim_writes_the_running_record_once(queue, tmp_path, monkeypatch):
@@ -446,12 +503,12 @@ def test_claim_writes_the_running_record_once(queue, tmp_path, monkeypatch):
     real_write = queue_module.atomic_write_json
 
     def counting_write(path, document, **kwargs):
-        writes.append((Path(path).name, document["state"], kwargs.get("exclusive")))
+        writes.append((Path(path).name, document["state"], kwargs.get("exclusive", False)))
         return real_write(path, document, **kwargs)
 
     monkeypatch.setattr(queue_module, "atomic_write_json", counting_write)
     assert queue.claim("worker-a") is not None
-    assert writes == [(f"{job.job_id}.json", "running", True)]
+    assert writes == [(f"{job.job_id}.json", "running", False)]
     assert queue.get(job.job_id).state == "running"
 
 
@@ -459,11 +516,14 @@ def test_claim_writes_the_running_record_once(queue, tmp_path, monkeypatch):
     "error", [OSError(28, "No space left on device"), KeyboardInterrupt()], ids=["enospc", "ctrl-c"]
 )
 def test_a_claim_that_raises_before_its_link_loses_no_job(queue, tmp_path, monkeypatch, error):
-    """Between the rename and the link the claim token is the job's only
-    record: an error there must leave it for the sweep, not delete it."""
+    """A claim whose write of the running record raises (a full disk,
+    Ctrl-C) before the record is replaced leaves the pending record as it
+    was, unlocked, and the next claim takes it."""
     import repro.service.queue as queue_module
 
     job_id = queue.submit(SPEC).job_id
+    path = tmp_path / "jobs" / f"{job_id}.json"
+    before = path.read_bytes()
 
     def failing_write(path, document, **kwargs):
         raise error
@@ -472,12 +532,10 @@ def test_a_claim_that_raises_before_its_link_loses_no_job(queue, tmp_path, monke
     with pytest.raises(type(error)):
         queue.claim("worker-a")
     monkeypatch.undo()
-    assert not (tmp_path / "jobs" / f"{job_id}.json").exists()
-    record = queue.get(job_id)
-    assert (record.state, record.attempts) == ("pending", 0)
+    assert path.read_bytes() == before
     claimed = JobQueue(tmp_path).claim("worker-b")
     assert (claimed.job_id, claimed.state, claimed.attempts) == (job_id, "running", 1)
-    assert not list((tmp_path / "jobs").glob("*.claim-*"))
+    assert [path.name for path in (tmp_path / "jobs").iterdir()] == [f"{job_id}.json"]
 
 
 def test_terminal_records_move_to_finished(queue, tmp_path):
@@ -570,3 +628,26 @@ def test_claim_reads_only_active_records(queue):
     assert claimed is not None and claimed.job_id == pending.job_id
     assert queue.counters["records_read"] == 1
     assert len(queue.list_jobs(state="done")) == 200
+
+
+def test_the_201st_submission_of_a_spec_probes_few_sequence_numbers(queue, tmp_path, monkeypatch):
+    """Submit gallops to the first free sequence number and bisects, so the
+    k-th submission of one spec looks at O(log k) numbers, not k."""
+    ids = [queue.submit(SPEC).job_id for _ in range(200)]
+    for job_id in ids[:100]:  # half of the ids are only in finished/
+        queue.claim("worker-a")
+        queue.complete(job_id, "worker-a", {"tier": "mst"})
+    probed = set()
+    real_exists = type(tmp_path).exists
+
+    def exists(path):
+        probed.add(path.name)
+        return real_exists(path)
+
+    monkeypatch.setattr(type(tmp_path), "exists", exists)
+    ids.append(queue.submit(SPEC).job_id)
+    monkeypatch.undo()
+    assert len(probed) <= 20
+    prefix = ids[0][: -len("0000")]
+    assert ids == [f"{prefix}{sequence:04d}" for sequence in range(201)]
+    assert [job.job_id for job in queue.list_jobs()] == ids

@@ -326,6 +326,41 @@ def test_sigkilled_claimers_job_is_reclaimed_and_completed(tmp_path):
     assert summary["worker_jobs_done"] == 1
 
 
+@pytest.mark.parametrize("when", ["in-the-build", "before-complete"])
+def test_a_lost_lease_is_counted_and_the_worker_drains_on(tmp_path, when):
+    """The clock jumps past a 1 s lease while the worker serves its job and
+    a thief reclaims it: the worker's heartbeat (or its complete) raises
+    StaleLeaseError, which must not end the run."""
+    now = [1000.0]
+    queue = JobQueue(tmp_path, clock=lambda: now[0])
+    worker = ServiceWorker(queue, ArtifactCache(tmp_path / "cache"), "slow")
+    stolen = queue.submit(SPEC, lease_seconds=1.0).job_id
+    other = queue.submit(dict(SPEC, stretch=2.0)).job_id
+    real_process = worker.process
+
+    def steal() -> None:
+        now[0] += 5.0
+        assert JobQueue(tmp_path, clock=lambda: now[0]).claim("thief").job_id == stolen
+
+    def process(job):
+        if job.job_id != stolen:
+            return real_process(job)
+        if when == "in-the-build":
+            steal()  # the heartbeat after the build finds the lease lost
+            return real_process(job)
+        result = real_process(job)
+        steal()  # complete finds the lease lost
+        return result
+
+    worker.process = process
+    counters = worker.run()
+    assert (counters["leases_lost"], counters["jobs_done"], counters["jobs_failed"]) == (1, 1, 0)
+    record = queue.get(stolen)
+    assert (record.state, record.worker_id, record.attempts) == ("running", "thief", 2)
+    assert queue.get(other).state == "done"
+    assert queue.complete(stolen, "thief", {"tier": "greedy"}).state == "done"
+
+
 def test_run_service_summary_merges_all_counters(tmp_path):
     queue = JobQueue(tmp_path)
     queue.submit(SPEC)
