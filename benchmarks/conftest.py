@@ -4,14 +4,15 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Each benchmark file regenerates one of experiments E1–E8 (``repro experiment``).
-Two things happen per file:
+Each benchmark file regenerates one of experiments E1–E9 (``repro
+experiment``) or runs rows of one ``BENCH_*.json`` trajectory (``repro bench
+<name>``).  Two things happen per file:
 
 * pytest-benchmark times the core construction step (the timing columns of
   the tables ``scripts/regenerate_experiments.py`` writes), and
-* the full experiment table is printed to stdout (``-s`` not required: the
-  tables are emitted through the ``record_property`` mechanism *and* printed at
-  the end of the run via a session-scoped report collector).
+* the experiment table, or the table ``repro bench <name>`` prints for the
+  timed row, is printed at the end of the run via a session-scoped report
+  collector (``-s`` not required).
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.experiments.bench import BenchSpec, render_rows
+from repro.experiments.reporting import render_table
 
 # The test oracles (tests/oracles/) that some benchmarks compare against.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -46,6 +50,19 @@ def record_experiment_report(text: str) -> None:
 def experiment_report_collector():
     """Fixture handing benchmarks the report collector."""
     return record_experiment_report
+
+
+@pytest.fixture(scope="session")
+def bench_report_collector():
+    """Fixture collecting a bench run's table as ``repro bench <name>`` prints it."""
+
+    def collect(run: dict, spec: BenchSpec) -> None:
+        key = spec.workload_key(run["workload"])
+        record_experiment_report(
+            render_table(render_rows(run, spec), title=f"bench {spec.name}: {key}")
+        )
+
+    return collect
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -1,4 +1,4 @@
-"""E14 — the construction matrix.
+"""``repro bench build`` — the construction matrix.
 
 Benchmarks the CI-sized construction rows (bucketed-geometric n=300 and the
 streamed-metric n=150 row), asserts the byte-identical-build contract across
@@ -25,7 +25,6 @@ from repro.experiments.build_bench import (
     euclidean_build_workload,
     run_build_bench,
 )
-from repro.experiments.experiments import experiment_build_matrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_build.json"
@@ -44,13 +43,13 @@ def euclidean_run():
     return run_build_bench(EUCLIDEAN_BENCH)
 
 
-def test_bench_build_matrix_bucketed(benchmark, experiment_report_collector):
-    """Time the bucketed-geometric construction row and collect the E14 table."""
+def test_bench_build_matrix_bucketed(benchmark, bench_report_collector):
+    """Time the bucketed-geometric construction row and collect its table."""
     run = benchmark.pedantic(
         run_build_bench, args=(BUCKETED_BENCH,), rounds=1, iterations=1,
     )
     assert run["builds_match"] is True
-    experiment_report_collector(experiment_build_matrix(n=150).render())
+    bench_report_collector(run, SPEC)
 
 
 def test_bench_build_cross_checks(bucketed_run, euclidean_run):

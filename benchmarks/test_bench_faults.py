@@ -1,4 +1,4 @@
-"""E13 — the fault-injection matrix.
+"""``repro bench faults`` — the fault-injection matrix.
 
 Benchmarks the CI-sized fault row (geometric n=300, 5% drop, heavy-band edge
 failures, node crashes), asserts the robustness contract (delivery completes
@@ -22,7 +22,6 @@ from oracles.distributed import resilient_flood_reference
 
 from repro.core.greedy import greedy_spanner
 from repro.distributed.resilient import delivery_report, resilient_echo
-from repro.experiments.experiments import experiment_fault_matrix
 from repro.experiments.bench import merge_run_into_file
 from repro.experiments.fault_bench import (
     SPEC,
@@ -53,13 +52,13 @@ def geometric_run():
     return run_fault_bench(GEOMETRIC_BENCH)
 
 
-def test_bench_fault_matrix_geometric(benchmark, experiment_report_collector):
-    """Time the CI fault row and collect the E13 table."""
+def test_bench_fault_matrix_geometric(benchmark, bench_report_collector):
+    """Time the CI fault row and collect its table."""
     run = benchmark.pedantic(
         run_fault_bench, args=(GEOMETRIC_BENCH,), rounds=1, iterations=1
     )
     assert set(run["strategies"]) == {"indexed", "repair"}
-    experiment_report_collector(experiment_fault_matrix(n=150).render())
+    bench_report_collector(run, SPEC)
 
 
 def test_bench_fault_contract_flags(geometric_run):

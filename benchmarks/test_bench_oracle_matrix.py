@@ -1,4 +1,4 @@
-"""E10 — the distance-oracle strategy matrix on the greedy hot path.
+"""``repro bench oracles`` — the distance-oracle matrix on the greedy hot path.
 
 Benchmarks the default (cached) greedy path, cross-checks that both oracle
 strategies build the *identical* greedy spanner while the cached one does
@@ -20,7 +20,6 @@ from oracles.cluster import ReplayClusterGraph
 
 import repro.core.approximate_greedy
 from repro.core.greedy import greedy_spanner_of_metric
-from repro.experiments.experiments import experiment_oracle_matrix
 from repro.experiments.bench import merge_run_into_file
 from repro.experiments.oracle_bench import (
     SPEC,
@@ -65,13 +64,12 @@ def test_bench_default_greedy_path(benchmark):
     assert spanner.metadata["cache_hits"] > 0
 
 
-def test_bench_oracle_matrix_euclidean(euclidean_run, experiment_report_collector):
+def test_bench_oracle_matrix_euclidean(euclidean_run, bench_report_collector):
     """Both strategies agree on the Euclidean workload; the cached one does less work."""
     assert euclidean_run["identical_edge_sets"]
     strategies = euclidean_run["strategies"]
     assert strategies["cached"]["dijkstra_settles"] < strategies["bounded"]["dijkstra_settles"]
-    result = experiment_oracle_matrix(n=int(EUCLIDEAN_BENCH["n"]))
-    experiment_report_collector(result.render())
+    bench_report_collector(euclidean_run, SPEC)
 
 
 def test_bench_oracle_matrix_general_graph(graph_run):

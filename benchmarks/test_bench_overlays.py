@@ -1,4 +1,4 @@
-"""E11 — the overlay matrix on the indexed distributed engine.
+"""``repro bench overlays`` — the overlay matrix on the indexed distributed engine.
 
 Benchmarks the CI-sized overlay rows (geometric n=300, uniform n=400),
 asserts the Section 1.1 trade-off shape per registry builder, and — under
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.experiments import experiment_overlay_matrix
 from repro.experiments.oracle_bench import euclidean_workload
 from repro.experiments.bench import merge_run_into_file
 from repro.experiments.overlay_bench import (
@@ -43,14 +42,14 @@ def euclidean_run():
     return run_overlay_bench(EUCLIDEAN_BENCH, DEFAULT_METRIC_BUILDERS)
 
 
-def test_bench_overlay_matrix_geometric(benchmark, experiment_report_collector):
-    """Time the graph-workload overlay row and collect the E11 table."""
+def test_bench_overlay_matrix_geometric(benchmark, bench_report_collector):
+    """Time the graph-workload overlay row and collect its table."""
     run = benchmark.pedantic(
         run_overlay_bench, args=(GEOMETRIC_BENCH, DEFAULT_GRAPH_BUILDERS),
         rounds=1, iterations=1,
     )
     assert set(run["strategies"]) == set(DEFAULT_GRAPH_BUILDERS)
-    experiment_report_collector(experiment_overlay_matrix(n=150).render())
+    bench_report_collector(run, SPEC)
 
 
 def test_bench_overlay_tradeoff_shape_geometric(geometric_run):

@@ -1,4 +1,4 @@
-"""E15 — the query-throughput matrix.
+"""``repro bench queries`` — the query-throughput matrix.
 
 Benchmarks the CI-sized query row (bucketed-geometric n=2000, 512 queries
 over an 8-source pool), asserts the exact-distance contract between the

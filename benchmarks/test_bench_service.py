@@ -1,4 +1,4 @@
-"""E15 — the service chaos matrix.
+"""``repro bench service`` — the service chaos matrix.
 
 Benchmarks the CI-sized service row (geometric n=300), asserts the recovery
 contract (the cold build's spanner is re-verified, a bit-flipped artifact is quarantined and rebuilt byte-identical rather
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.experiments import experiment_service_matrix
 from repro.experiments.overlay_bench import geometric_workload
 from repro.experiments.bench import merge_run_into_file
 from repro.experiments.service_bench import SPEC, run_service_bench
@@ -33,13 +32,13 @@ def geometric_run():
     return run_service_bench(GEOMETRIC_BENCH)
 
 
-def test_bench_service_matrix_geometric(benchmark, experiment_report_collector):
-    """Time the CI service row and collect the E15 table."""
+def test_bench_service_matrix_geometric(benchmark, bench_report_collector):
+    """Time the CI service row and collect its table."""
     run = benchmark.pedantic(
         run_service_bench, args=(GEOMETRIC_BENCH,), rounds=1, iterations=1
     )
     assert set(run["strategies"]) == {"service"}
-    experiment_report_collector(experiment_service_matrix(n=150).render())
+    bench_report_collector(run, SPEC)
 
 
 def test_bench_service_contract_flags(geometric_run):

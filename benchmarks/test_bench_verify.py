@@ -1,4 +1,4 @@
-"""E12 — the batch verification matrix.
+"""``repro bench verify`` — the batch verification matrix.
 
 Benchmarks the CI-sized verification rows (geometric n=300 with the greedy
 builder, uniform n=150 with theta), asserts the engine-vs-reference contract
@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 from oracles.verification import profile_reference, verify_edges_reference
 
-from repro.experiments.experiments import experiment_verify_matrix
 from repro.experiments.oracle_bench import euclidean_workload
 from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS, geometric_workload
 from repro.experiments.bench import merge_run_into_file
@@ -67,13 +66,13 @@ def euclidean_run():
     return run_verify_bench(EUCLIDEAN_BENCH)
 
 
-def test_bench_verify_matrix_geometric(benchmark, experiment_report_collector):
-    """Time the graph-workload verification row and collect the E12 table."""
+def test_bench_verify_matrix_geometric(benchmark, bench_report_collector):
+    """Time the graph-workload verification row and collect its table."""
     run = benchmark.pedantic(
         run_verify_bench, args=(GEOMETRIC_BENCH,), rounds=1, iterations=1
     )
     assert set(run["strategies"]) == {"indexed"}
-    experiment_report_collector(experiment_verify_matrix(n=150).render())
+    bench_report_collector(run, SPEC)
 
 
 def test_bench_verify_cross_checks(geometric_run, euclidean_run):

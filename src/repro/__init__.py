@@ -14,7 +14,8 @@ The package is organised around the paper's structure:
 * :mod:`repro.distributed` — the motivating application substrate
   (broadcast / synchronizers over spanner overlays, Section 1.1),
 * :mod:`repro.experiments` — the harness that regenerates the paper's
-  figures and claims (``repro experiment <id>``, E1–E15).
+  figures and claims (``repro experiment <id>``, E1–E9) and the
+  ``BENCH_*.json`` perf trajectories (``repro bench <name>``).
 
 Quickstart::
 

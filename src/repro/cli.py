@@ -6,7 +6,7 @@ Entry points (also usable as ``python -m repro.cli <command>``):
 * ``list-builders`` — print the spanner-builder registry.
 * ``figure1`` — reproduce the paper's Figure 1 example.
 * ``experiment <id>`` — run one experiment of the ``_EXPERIMENTS`` index
-  below (E1–E15) and print its table.  ``--quick`` shrinks the workloads.
+  below (E1–E9) and print its table.  ``--quick`` shrinks the workloads.
 * ``compare`` — run the Euclidean construction comparison on a chosen
   workload size and stretch.
 * ``spanner`` — build a spanner of a registered workload with any registered
@@ -21,8 +21,8 @@ Entry points (also usable as ``python -m repro.cli <command>``):
 * ``service submit|status|run-workers|cache`` — the crash-safe job service
   (:mod:`repro.service`): submit a build request to the durable queue,
   inspect job records (``status <job-id>`` exits nonzero with the stored
-  traceback for failed/quarantined jobs), drain the queue with supervised
-  workers, and audit the content-addressed artifact cache (``cache
+  traceback for failed/quarantined jobs), drain the queue with one
+  supervised worker, and audit the content-addressed artifact cache (``cache
   --verify`` exits nonzero with the checksum digests on a corrupt
   artifact).  See docs/SERVICE.md.
 
@@ -56,12 +56,6 @@ _EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "E7": exp.experiment_broadcast,
     "E8": exp.experiment_degree,
     "E9": exp.experiment_routing,
-    "E10": exp.experiment_oracle_matrix,
-    "E11": exp.experiment_overlay_matrix,
-    "E12": exp.experiment_verify_matrix,
-    "E13": exp.experiment_fault_matrix,
-    "E14": exp.experiment_build_matrix,
-    "E15": exp.experiment_service_matrix,
 }
 
 _QUICK_ARGUMENTS: dict[str, dict[str, object]] = {
@@ -74,12 +68,6 @@ _QUICK_ARGUMENTS: dict[str, dict[str, object]] = {
     "E7": {"n": 60},
     "E8": {"star_sizes": (10, 20), "euclidean_sizes": (40,)},
     "E9": {"n": 50, "demand_count": 40},
-    "E10": {"n": 60},
-    "E11": {"n": 60},
-    "E12": {"n": 60},
-    "E13": {"n": 60},
-    "E14": {"n": 60},
-    "E15": {"n": 60},
 }
 
 
@@ -411,42 +399,22 @@ def _command_service_status(args: argparse.Namespace) -> int:
 
 
 def _command_service_run_workers(args: argparse.Namespace) -> int:
-    from repro.service.cache import ArtifactCache
     from repro.service.queue import JobQueue
-    from repro.service.workers import ServiceWorker
+    from repro.service.workers import run_service
 
-    queue = JobQueue(args.root)
-    cache = ArtifactCache(args.root / "cache")
     # Leases are owned by worker id, so ids must differ between processes
-    # sharing one --root: tag them with the process id.
-    workers = [
-        ServiceWorker(queue, cache, f"worker-{os.getpid()}-{index}", verify=not args.no_verify)
-        for index in range(max(1, args.workers))
+    # sharing one --root: tag it with the process id.
+    summary = run_service(
+        args.root,
+        worker_id=f"worker-{os.getpid()}",
+        max_jobs=args.max_jobs,
+        verify=not args.no_verify,
+    )
+    for name, value in sorted(summary.items()):
+        print(f"{name}: {value}")
+    failed = [
+        job for job in JobQueue(args.root).list_jobs() if job.state in ("failed", "quarantined")
     ]
-    # Round-robin so every worker identity takes claims from the shared
-    # queue — the lease law, not worker count, is what guards exclusivity.
-    processed = 0
-    while args.max_jobs is None or processed < args.max_jobs:
-        progressed = False
-        for worker in workers:
-            if args.max_jobs is not None and processed >= args.max_jobs:
-                break
-            if worker.run_once() is not None:
-                progressed = True
-                processed += 1
-        if not progressed:
-            break
-    totals: dict[str, int] = {}
-    for worker in workers:
-        for name, value in worker.counters.items():
-            totals[name] = totals.get(name, 0) + value
-    for name in sorted(totals):
-        print(f"{name}: {totals[name]}")
-    for name, value in sorted(queue.counters.items()):
-        print(f"queue_{name}: {value}")
-    for name, value in sorted(cache.counters.items()):
-        print(f"cache_{name}: {value}")
-    failed = [job for job in queue.list_jobs() if job.state in ("failed", "quarantined")]
     for job in failed:
         print(f"\n{job.job_id} is {job.state}; last error:\n{job.error or '(no error recorded)'}")
     return 1 if failed else 0
@@ -502,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure1_parser.add_argument("--stretch", type=float, default=3.0)
     figure1_parser.set_defaults(handler=_command_figure1)
 
-    experiment_parser = subparsers.add_parser("experiment", help="run one experiment (E1-E14)")
+    experiment_parser = subparsers.add_parser("experiment", help="run one experiment (E1-E9)")
     experiment_parser.add_argument("id", help="experiment id, e.g. E3")
     experiment_parser.add_argument("--quick", action="store_true", help="use reduced workloads")
     experiment_parser.set_defaults(handler=_command_experiment)
@@ -704,12 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     status_parser.set_defaults(handler=_command_service_status)
 
     run_parser = service_subparsers.add_parser(
-        "run-workers", help="drain the queue with supervised workers"
+        "run-workers", help="drain the queue with one supervised worker"
     )
     _add_root(run_parser)
-    run_parser.add_argument(
-        "--workers", type=int, default=1, help="worker identities to round-robin"
-    )
     run_parser.add_argument(
         "--max-jobs", type=int, default=None, help="stop after this many jobs"
     )

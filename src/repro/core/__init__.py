@@ -1,12 +1,7 @@
 """The paper's contribution: the greedy spanner, its optimality, and approximate-greedy."""
 
 from repro.core.spanner import Spanner, SpannerStatistics
-from repro.core.greedy import (
-    greedy_spanner,
-    greedy_spanner_edges,
-    greedy_spanner_of_metric,
-    rerun_greedy_on_spanner,
-)
+from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.core.approximate_greedy import (
     ApproximateGreedyParameters,
     approximate_greedy_spanner,
@@ -18,7 +13,7 @@ from repro.core.parallel_greedy import (
     parallel_greedy_spanner_of_metric,
 )
 from repro.core.cluster_graph import ClusterGraph
-from repro.core.query_engine import QueryEngine, reference_queries, reference_queries_ids
+from repro.core.query_engine import QueryEngine, reference_queries_ids
 from repro.core.distance_oracle import (
     BoundedDijkstraOracle,
     CachedDijkstraOracle,
@@ -54,9 +49,7 @@ __all__ = [
     "Spanner",
     "SpannerStatistics",
     "greedy_spanner",
-    "greedy_spanner_edges",
     "greedy_spanner_of_metric",
-    "rerun_greedy_on_spanner",
     "ApproximateGreedyParameters",
     "approximate_greedy_spanner",
     "derive_parameters",
@@ -65,7 +58,6 @@ __all__ = [
     "parallel_greedy_spanner_of_metric",
     "ClusterGraph",
     "QueryEngine",
-    "reference_queries",
     "reference_queries_ids",
     "BoundedDijkstraOracle",
     "CachedDijkstraOracle",

@@ -33,9 +33,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.errors import InvalidStretchError
-from repro.core.distance_oracle import DistanceOracle, make_oracle
+from repro.core.distance_oracle import make_oracle
 from repro.core.spanner import Spanner
-from repro.graph.weighted_graph import Vertex, WeightedEdge, WeightedGraph
+from repro.graph.weighted_graph import WeightedEdge, WeightedGraph
 from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
 from repro.metric.stream import sorted_pair_stream
@@ -191,18 +191,3 @@ def greedy_spanner_of_metric(
     spanner.algorithm = "greedy-metric"
     return spanner
 
-
-def greedy_spanner_edges(graph: WeightedGraph, t: float) -> list[tuple[Vertex, Vertex, float]]:
-    """Convenience wrapper returning only the greedy spanner's edge list."""
-    return list(greedy_spanner(graph, t).subgraph.edges())
-
-
-def rerun_greedy_on_spanner(spanner: Spanner) -> Spanner:
-    """Run the greedy algorithm (same stretch) on a spanner's own subgraph.
-
-    Lemma 3 of the paper states that the only ``t``-spanner of the greedy
-    ``t``-spanner is itself, so for a greedy-produced ``spanner`` the result
-    must have exactly the same edge set; the optimality tests use this
-    function to exercise that claim directly.
-    """
-    return greedy_spanner(spanner.subgraph, spanner.stretch)

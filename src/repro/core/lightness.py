@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.spanner import Spanner
-from repro.graph.mst import kruskal_mst, mst_weight_indexed
+from repro.graph.mst import mst_weight_indexed
 from repro.graph.weighted_graph import WeightedGraph
 
 
@@ -46,27 +45,6 @@ def normalized_size(subgraph: WeightedGraph) -> float:
     if n == 0:
         return 0.0
     return subgraph.number_of_edges / n
-
-
-def excess_weight_over_mst(subgraph: WeightedGraph, base: WeightedGraph) -> float:
-    """Return ``w(H) - w(MST(G))``, the weight the spanner pays beyond the MST."""
-    return subgraph.total_weight() - mst_weight_indexed(base)
-
-
-def mst_fraction_of_spanner(spanner: Spanner) -> float:
-    """Return the fraction of the spanner's weight contributed by MST edges.
-
-    Observation 2 guarantees that the greedy spanner contains all edges of
-    some MST; this helper quantifies how much of the spanner *is* that MST.
-    """
-    mst = kruskal_mst(spanner.base)
-    mst_edges_weight = sum(
-        weight for u, v, weight in mst.edges() if spanner.subgraph.has_edge(u, v)
-    )
-    total = spanner.weight
-    if total == 0.0:
-        return 1.0
-    return mst_edges_weight / total
 
 
 # ---------------------------------------------------------------------------

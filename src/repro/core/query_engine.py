@@ -301,21 +301,3 @@ def reference_queries_ids(
                     heappush(heap, (new_dist, neighbour))
         results.append(found)
     return results, settles
-
-
-def reference_queries(
-    graph: Union[IndexedGraph, WeightedGraph],
-    sources: Sequence[Vertex],
-    targets: Sequence[Vertex],
-) -> tuple[list[float], int]:
-    """Vertex-level wrapper of :func:`reference_queries_ids`."""
-    if isinstance(graph, IndexedGraph):
-        indexed = graph
-    else:
-        indexed = IndexedGraph.from_weighted_graph(graph)
-    id_of = indexed.id_of
-    return reference_queries_ids(
-        indexed,
-        [id_of(vertex) for vertex in sources],
-        [id_of(vertex) for vertex in targets],
-    )

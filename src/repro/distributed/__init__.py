@@ -17,14 +17,11 @@ from repro.distributed.engine import (
 from repro.distributed.broadcast import (
     BroadcastResult,
     broadcast_over_overlay,
-    compare_broadcast_overlays,
-    echo_statistics,
     flood_broadcast,
     flood_broadcast_with_tree,
 )
 from repro.distributed.synchronizer import (
     SynchronizerCost,
-    compare_synchronizer_overlays,
     synchronizer_cost,
 )
 from repro.distributed.routing import (
@@ -32,7 +29,6 @@ from repro.distributed.routing import (
     Route,
     RoutingReport,
     RoutingScheme,
-    compare_routing_overlays,
     evaluate_detour_routing,
     evaluate_routing,
     random_demands,
@@ -64,18 +60,14 @@ __all__ = [
     "indexed_overlay",
     "BroadcastResult",
     "broadcast_over_overlay",
-    "compare_broadcast_overlays",
-    "echo_statistics",
     "flood_broadcast",
     "flood_broadcast_with_tree",
     "SynchronizerCost",
-    "compare_synchronizer_overlays",
     "synchronizer_cost",
     "DetourReport",
     "Route",
     "RoutingReport",
     "RoutingScheme",
-    "compare_routing_overlays",
     "evaluate_detour_routing",
     "evaluate_routing",
     "random_demands",

@@ -22,7 +22,8 @@ both report identical statistics rows — including the first-delivery tree,
 over which the optional **echo** (convergecast acknowledgement) phase is
 accounted.
 
-:func:`compare_broadcast_overlays` packages the comparison for experiment E7.
+:func:`repro.distributed.comparison.compare_overlays` runs the comparison
+for experiment E7.
 """
 
 from __future__ import annotations
@@ -156,34 +157,6 @@ def flood_broadcast_with_tree(
     return statistics, delivery_time, parent
 
 
-def echo_statistics(
-    overlay: WeightedGraph,
-    source: Vertex,
-    delivery_time: dict[Vertex, float],
-    parent: FloodTree,
-) -> EchoResult:
-    """Account the echo (convergecast) phase over a recorded flood tree.
-
-    Engine-independent by construction: the accounting is a pure bottom-up
-    pass over ``(delivery_time, parent)``, which the flood engine and the
-    seed simulator report identically.
-    """
-    indexed = indexed_overlay(overlay)
-    n = indexed.number_of_vertices
-    delivery = [math.inf] * n
-    parents = [-1] * n
-    for vertex, time in delivery_time.items():
-        delivery[indexed.id_of(vertex)] = time
-    for vertex, up in parent.items():
-        if up is not None:
-            parents[indexed.id_of(vertex)] = indexed.id_of(up)
-    run = FloodRun(
-        messages=0, cost=0.0, completion_time=0.0, events=0,
-        delivery=delivery, parent=parents,
-    )
-    return echo_convergecast(indexed, indexed.id_of(source), run)
-
-
 def broadcast_over_overlay(
     full_graph: WeightedGraph,
     overlay: WeightedGraph,
@@ -224,18 +197,3 @@ def broadcast_over_overlay(
         stretch_vs_optimal=stretch,
         echo=echo,
     )
-
-
-def compare_broadcast_overlays(
-    graph: WeightedGraph,
-    overlays: dict[str, WeightedGraph],
-    source: Optional[Vertex] = None,
-) -> list[BroadcastResult]:
-    """Broadcast from ``source`` over each overlay and return one result per overlay.
-
-    ``overlays`` maps a label to an overlay graph on the same vertex set; the
-    full graph itself is usually included under the label ``"graph"``.
-    """
-    from repro.distributed.comparison import compare_overlays
-
-    return compare_overlays(graph, overlays, protocols=("broadcast",), source=source).broadcast

@@ -1,10 +1,10 @@
 """One harness for every overlay comparison: broadcast, routing, synchronizer.
 
-The seed code grew three nearly identical ``compare_*_overlays`` helpers —
-each iterated a ``{label: overlay}`` dict and called its protocol's
-evaluator.  This module is the single implementation behind all three (they
-are now thin wrappers), and adds the registry-driven entry point the
-experiments, examples and the overlay bench share:
+Each protocol has one evaluator (:func:`broadcast_over_overlay`,
+:func:`evaluate_routing`, :func:`synchronizer_cost`); this module runs any of
+them over a ``{label: overlay}`` dict with shared inputs, and adds the
+registry-driven entry point the experiments, examples and the overlay bench
+share:
 
 * :func:`compare_overlays` — run any subset of the three protocols over the
   same overlays with one shared demand set / source;

@@ -31,9 +31,9 @@ The scheme fails fast on a disconnected overlay with a
 count — one connectivity sweep up front instead of discovering the hole
 after ``n`` full Dijkstras.
 
-:func:`compare_routing_overlays` runs the same demands over several overlays
-(full graph, MST, greedy spanner, ...), reproducing the trade-off the paper
-describes.
+:func:`repro.distributed.comparison.compare_overlays` runs the same demands
+over several overlays (full graph, MST, greedy spanner, ...), reproducing the
+trade-off the paper describes.
 """
 
 from __future__ import annotations
@@ -513,22 +513,3 @@ def random_demands(
     if len(vertices) < 2:
         return []
     return [tuple(rng.sample(vertices, 2)) for _ in range(count)]
-
-
-def compare_routing_overlays(
-    graph: WeightedGraph,
-    overlays: dict[str, WeightedGraph],
-    *,
-    demand_count: int = 100,
-    seed: Optional[int] = None,
-) -> list[RoutingReport]:
-    """Route the same random demand set over each overlay and report per overlay."""
-    from repro.distributed.comparison import compare_overlays
-
-    return compare_overlays(
-        graph,
-        overlays,
-        protocols=("routing",),
-        demand_count=demand_count,
-        seed=seed,
-    ).routing

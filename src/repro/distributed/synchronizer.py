@@ -110,22 +110,3 @@ def synchronizer_cost(
         total_cost=pulses * (communication + delay),
         settles=settles,
     )
-
-
-def compare_synchronizer_overlays(
-    overlays: dict[str, WeightedGraph],
-    *,
-    pulses: int = 10,
-    diameter_method: str = "exact",
-) -> list[SynchronizerCost]:
-    """Return the synchronizer cost of each overlay, in the given order."""
-    from repro.distributed.comparison import compare_overlays
-
-    comparison = compare_overlays(
-        None,
-        overlays,
-        protocols=("synchronizer",),
-        pulses=pulses,
-        diameter_method=diameter_method,
-    )
-    return comparison.synchronizer

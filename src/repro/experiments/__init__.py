@@ -7,39 +7,31 @@ and its bench modules (``repro bench <name>``); they are imported on use.
 
 from repro.experiments.harness import (
     ExperimentResult,
-    Stopwatch,
     deterministic_shards,
     merge_counters,
     run_sharded,
     timed,
 )
-from repro.experiments.reporting import render_comparison, render_table
+from repro.experiments.reporting import render_table
 from repro.experiments.workloads import WorkloadSpec, get_workload, list_workloads, register
 from repro.experiments.experiments import (
     experiment_approximate_greedy,
     experiment_broadcast,
-    experiment_build_matrix,
     experiment_comparison,
     experiment_degree,
     experiment_doubling_metrics,
     experiment_figure1,
     experiment_general_graphs,
     experiment_lemma3,
-    experiment_oracle_matrix,
-    experiment_overlay_matrix,
     experiment_routing,
-    experiment_verify_matrix,
-    run_all_experiments,
 )
 
 __all__ = [
     "ExperimentResult",
-    "Stopwatch",
     "timed",
     "deterministic_shards",
     "merge_counters",
     "run_sharded",
-    "render_comparison",
     "render_table",
     "WorkloadSpec",
     "get_workload",
@@ -47,16 +39,11 @@ __all__ = [
     "register",
     "experiment_approximate_greedy",
     "experiment_broadcast",
-    "experiment_build_matrix",
     "experiment_comparison",
     "experiment_degree",
     "experiment_doubling_metrics",
     "experiment_figure1",
     "experiment_general_graphs",
     "experiment_lemma3",
-    "experiment_oracle_matrix",
-    "experiment_overlay_matrix",
     "experiment_routing",
-    "experiment_verify_matrix",
-    "run_all_experiments",
 ]

@@ -1,4 +1,4 @@
-"""One function per paper claim: experiments E1–E8 of ``repro experiment``.
+"""One function per paper claim: experiments E1–E9 of ``repro experiment``.
 
 Each function regenerates the measurable content of one figure, corollary or
 quoted empirical claim of *The Greedy Spanner is Existentially Optimal* and
@@ -27,8 +27,7 @@ from repro.core.optimality import (
     verify_lemma3_self_spanner,
     verify_observation2,
 )
-from repro.distributed.broadcast import compare_broadcast_overlays
-from repro.distributed.comparison import overlays_from_builders
+from repro.distributed.comparison import compare_overlays, overlays_from_builders
 from repro.experiments.harness import ExperimentResult, timed
 from repro.graph.generators import random_connected_graph, random_geometric_graph
 from repro.metric.generators import uniform_points
@@ -372,8 +371,8 @@ def experiment_broadcast(
             },
             stretch,
         )
-        source = next(iter(graph.vertices()))
-        for outcome in compare_broadcast_overlays(graph, overlays, source):
+        comparison = compare_overlays(graph, overlays, protocols=("broadcast",))
+        for outcome in comparison.broadcast:
             row = {"overlay": outcome.overlay_name}
             row.update(outcome.as_row())
             result.add_row(**row)
@@ -454,8 +453,6 @@ def experiment_routing(
     seed: int = 47,
 ) -> ExperimentResult:
     """Routing state (ports) vs route stretch over full graph / greedy / Baswana–Sen / MST."""
-    from repro.distributed.routing import compare_routing_overlays
-
     result = ExperimentResult(
         experiment_id="E9",
         title="Section 1.1 motivation: compact routing over spanner overlays",
@@ -476,9 +473,10 @@ def experiment_routing(
             },
             stretch,
         )
-        for report in compare_routing_overlays(
-            graph, overlays, demand_count=demand_count, seed=seed
-        ):
+        comparison = compare_overlays(
+            graph, overlays, protocols=("routing",), demand_count=demand_count, seed=seed
+        )
+        for report in comparison.routing:
             row = {"overlay": report.overlay_name}
             row.update(report.as_row())
             result.add_row(**row)
@@ -488,375 +486,3 @@ def experiment_routing(
             "the MST has the fewest ports but the worst routes."
         )
     return result
-
-
-# ---------------------------------------------------------------------------
-# E10 — distance-oracle strategy matrix (the greedy hot path)
-# ---------------------------------------------------------------------------
-def experiment_oracle_matrix(
-    n: int = 150,
-    *,
-    dim: int = 2,
-    seed: int = 7,
-    stretch: float = 2.0,
-    strategies: Sequence[str] = ("bounded", "cached"),
-) -> ExperimentResult:
-    """Compare the distance-oracle strategies on one Euclidean greedy run.
-
-    The strategies answer the same "is δ_H(u, v) ≤ t·w(u, v)?" queries and
-    must produce the identical spanner; they differ only in operation counts
-    and wall clock.  ``repro bench oracles`` runs the same matrix and persists
-    the numbers to ``BENCH_oracles.json`` (see docs/PERFORMANCE.md).
-    """
-    from repro.experiments.bench import render_rows
-    from repro.experiments.oracle_bench import SPEC, euclidean_workload, run_oracle_matrix
-
-    result = ExperimentResult(
-        experiment_id="E10",
-        title="Distance-oracle strategy matrix on the greedy hot path",
-        paper_claim=(
-            "The greedy algorithm's running time is dominated by the δ_H(u, v) "
-            "queries (Section 3); the textbook bounded oracle and the cached "
-            "oracle answer them with identical outcomes at very different costs."
-        ),
-    )
-    with timed(result):
-        run = run_oracle_matrix(
-            euclidean_workload(n=n, dim=dim, seed=seed, stretch=stretch),
-            strategies=strategies,
-        )
-        for row in render_rows(run, SPEC):
-            result.add_row(**row)
-        result.add_note(
-            "identical_edge_sets=%s — all strategies must build the same greedy "
-            "spanner; speedup_vs_bounded is the wall-clock ratio against the "
-            "textbook cutoff-pruned Dijkstra." % run["identical_edge_sets"]
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# E11 — the overlay matrix (Section 1.1 applications on the indexed engine)
-# ---------------------------------------------------------------------------
-def experiment_overlay_matrix(
-    n: int = 150,
-    *,
-    stretch: float = 1.5,
-    seed: int = 7,
-    demand_count: int = 32,
-) -> ExperimentResult:
-    """Broadcast / routing / synchronizer over every registry overlay.
-
-    The E7-style comparison generalized: one row per registry builder, all
-    three Section 1.1 protocols driven over each overlay by the indexed
-    engine, with the deterministic ``overlay_*`` operation counts the bench
-    persists to ``BENCH_overlays.json`` (see ``repro bench overlays`` and
-    docs/PERFORMANCE.md).
-    """
-    from repro.experiments.bench import render_rows
-    from repro.experiments.oracle_bench import euclidean_workload
-    from repro.experiments.overlay_bench import (
-        DEFAULT_METRIC_BUILDERS,
-        SPEC,
-        run_overlay_bench,
-    )
-
-    result = ExperimentResult(
-        experiment_id="E11",
-        title="Overlay matrix: Section 1.1 applications per registry builder",
-        paper_claim=(
-            "Light, sparse, low-degree spanners serve as overlays for broadcast, "
-            "routing and synchronizers; their communication cost tracks the "
-            "overlay's weight/size and their delivery/route delay its stretch, "
-            "whichever construction built the overlay."
-        ),
-    )
-    with timed(result):
-        run = run_overlay_bench(
-            euclidean_workload(n=n, seed=seed, stretch=stretch),
-            DEFAULT_METRIC_BUILDERS,
-            demand_count=demand_count,
-        )
-        for row in render_rows(run, SPEC):
-            result.add_row(**row)
-        result.add_note(
-            "Shape check: per overlay, broadcast cost and per-pulse "
-            "communication track spanner_edges/overlay_weight while delay_stretch "
-            "and route_stretch_* stay within each builder's stretch bound; the "
-            "MST row is cheapest and slowest."
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# E12 — the verification matrix (quality checks on the indexed batch engine)
-# ---------------------------------------------------------------------------
-def experiment_verify_matrix(
-    n: int = 150,
-    *,
-    radius: float = 0.16,
-    stretch: float = 1.5,
-    seed: int = 7,
-    builder: str = "greedy",
-) -> ExperimentResult:
-    """Exact edge verification + stretch profile on the batch engine.
-
-    The paper's claims are quality claims — stretch above all — so measuring
-    a spanner must scale like building one.  The batch engine runs one
-    cutoff-bounded search per distinct edge source and one SSSP per profile
-    source; its verdicts and profile floats match the seed per-pair
-    reference bit for bit (a tier-1 test).  ``repro bench verify`` persists
-    the same row to ``BENCH_verify.json`` (see docs/PERFORMANCE.md).
-    """
-    from repro.experiments.bench import render_rows
-    from repro.experiments.overlay_bench import geometric_workload
-    from repro.experiments.verify_bench import SPEC, run_verify_bench, verify_workload
-
-    result = ExperimentResult(
-        experiment_id="E12",
-        title="Batch verification: exact quality checks on the indexed engine",
-        paper_claim=(
-            "Bounding the stretch on the base graph's edges bounds it on all "
-            "vertex pairs (Section 2); the batch engine runs that check — and "
-            "the full per-pair stretch profile — with per-source grouped "
-            "searches at identical verdicts and profile floats."
-        ),
-    )
-    with timed(result):
-        run = run_verify_bench(
-            verify_workload(
-                geometric_workload(n=n, radius=radius, seed=seed, stretch=stretch),
-                builder,
-            )
-        )
-        for row in render_rows(run, SPEC):
-            result.add_row(**row)
-        record = run["strategies"]["indexed"]
-        result.add_note(
-            "verify_ok=%s sampled_ok=%s — every base edge and every sampled "
-            "pair within stretch; verify_settles=%d profile_settles=%d on "
-            "this row."
-            % (
-                bool(record["verify_ok"]),
-                bool(record["sampled_ok"]),
-                record["verify_settles"],
-                record["profile_settles"],
-            )
-        )
-    return result
-
-
-def experiment_fault_matrix(
-    n: int = 150,
-    *,
-    radius: float = 0.16,
-    stretch: float = 1.5,
-    seed: int = 7,
-    fault_seed: int = 11,
-    edge_failure_rate: float = 0.05,
-    drop_rate: float = 0.05,
-    node_crash_rate: float = 0.02,
-) -> ExperimentResult:
-    """Hardened broadcast, self-healing repair and detour routing under faults.
-
-    A seeded :class:`~repro.distributed.faults.FaultPlan` drops messages,
-    severs the overlay's heaviest links and crashes nodes; the hardened
-    flood/echo must still deliver to every surviving-reachable vertex, the
-    greedy spanner is then repaired around the failed edges and
-    cross-checked bit-identical against a full rebuild, and routing detours
-    around the failures with the pre-failure tables.  ``repro bench faults``
-    persists the same matrix to ``BENCH_faults.json`` (see
-    docs/RESILIENCE.md).
-    """
-    from repro.experiments.bench import render_rows
-    from repro.experiments.fault_bench import SPEC, fault_workload, run_fault_bench
-    from repro.experiments.overlay_bench import geometric_workload
-
-    result = ExperimentResult(
-        experiment_id="E13",
-        title="Fault matrix: hardened protocols and self-healing repair",
-        paper_claim=(
-            "The greedy spanner's usefulness as a broadcast/routing overlay "
-            "(Section 1.1) survives a lossy network: ack/retry hardening "
-            "completes delivery under message loss, and greedy's canonical "
-            "examination order makes the post-failure spanner recoverable by "
-            "replaying only the suffix after the first failed spanner edge — "
-            "bit-identical to rebuilding from scratch."
-        ),
-    )
-    with timed(result):
-        run = run_fault_bench(
-            fault_workload(
-                geometric_workload(n=n, radius=radius, seed=seed, stretch=stretch),
-                fault_seed=fault_seed,
-                edge_failure_rate=edge_failure_rate,
-                node_crash_rate=node_crash_rate,
-                drop_rate=drop_rate,
-            )
-        )
-        for row in render_rows(run, SPEC):
-            result.add_row(**row)
-        flags = SPEC.flag_values(run)
-        result.add_note(
-            "fault plan: %s; delivery_rate=%.3f; flags: %s"
-            % (
-                run["fault_plan"],
-                run["delivery_rate"],
-                " ".join(f"{name}={value}" for name, value in sorted(flags.items())),
-            )
-        )
-        if "repair_speedup" in run:
-            result.add_note(
-                "repair vs rebuild: %.2fx fewer settles on this row"
-                % run["repair_speedup"]
-            )
-    return result
-
-
-def experiment_build_matrix(
-    n: int = 300,
-    *,
-    degree: float = 16.0,
-    stretch: float = 2.0,
-    seed: int = 3,
-) -> ExperimentResult:
-    """Greedy construction strategies: per-edge, cached, band filter.
-
-    Builds the same greedy spanner with every construction strategy of
-    ``repro bench build`` — the per-edge bounded-ball list path, the cached
-    serial path, and the band filter — and checks the edge sets are byte-identical
-    (``builds_match``), the empirical teeth behind the deterministic
-    frozen-filter/canonical-replay argument of
-    :mod:`repro.core.parallel_greedy`.  ``repro bench build`` persists the
-    same matrix (including the gated ``n = 10⁵`` scale row) to
-    ``BENCH_build.json``.
-    """
-    from repro.experiments.bench import render_rows
-    from repro.experiments.build_bench import SPEC, bucketed_workload, run_build_bench
-
-    result = ExperimentResult(
-        experiment_id="E14",
-        title="Construction matrix: band-filter greedy vs serial paths",
-        paper_claim=(
-            "Existential optimality (Theorem 10) is a statement about the "
-            "greedy spanner itself, so any faster construction must produce "
-            "the *same* spanner: the band filter rejects edges against a "
-            "frozen snapshot (sound, because spanners only grow) and replays "
-            "the surviving candidates in canonical order, reproducing "
-            "Algorithm 1's edge set byte for byte at any band count."
-        ),
-    )
-    with timed(result):
-        run = run_build_bench(
-            bucketed_workload(n=n, degree=degree, seed=seed, stretch=stretch)
-        )
-        for row in render_rows(run, SPEC):
-            result.add_row(**row)
-        result.add_note(
-            "builds_match=%s — every strategy must emit the identical greedy "
-            "edge set; build_speedup=%.2fx vs the per-edge list path, "
-            "cached_speedup=%.2fx vs the cached serial path."
-            % (
-                run.get("builds_match"),
-                run.get("build_speedup", float("nan")),
-                run.get("cached_speedup", float("nan")),
-            )
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Convenience: run everything (used by scripts/regenerate_experiments.py)
-# ---------------------------------------------------------------------------
-def experiment_service_matrix(
-    n: int = 150,
-    *,
-    radius: float = 0.16,
-    stretch: float = 1.5,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Crash-safe job service: induced failures and the recovery ledger.
-
-    Drives the full :mod:`repro.service` chaos sequence against a throwaway
-    service root: a verified cold build, a bit-flipped cached artifact that
-    must be quarantined and rebuilt byte-identical rather than served, a
-    warm resubmit that must hit the verified cache, and an abandoned claim
-    whose expired lease the worker must reclaim.  ``repro bench service`` persists
-    the same matrix to ``BENCH_service.json`` (see docs/SERVICE.md).
-    """
-    from repro.experiments.overlay_bench import geometric_workload
-    from repro.experiments.bench import render_rows
-    from repro.experiments.service_bench import SPEC, run_service_bench
-
-    result = ExperimentResult(
-        experiment_id="E15",
-        title="Service matrix: crash-safe queue, verified cache, degradation",
-        paper_claim=(
-            "Existential optimality makes the greedy spanner the artifact a "
-            "serving layer should cache and recover, not recompute: because "
-            "the construction is deterministic (canonical examination "
-            "order), every recovery path — re-running a dead worker's job, "
-            "rebuilding a corrupted artifact — must land on the "
-            "byte-identical edge set, which is exactly what this matrix "
-            "re-proves under induced failures."
-        ),
-    )
-    with timed(result):
-        run = run_service_bench(
-            geometric_workload(n=n, radius=radius, seed=seed, stretch=stretch)
-        )
-        for row in render_rows(run, SPEC):
-            result.add_row(**row)
-        flags = SPEC.flag_values(run)
-        result.add_note(
-            "served by tier=%s; flags: %s — "
-            "corrupt_quarantined=%d, lease_reclaims=%d, warm_serve_ratio=%.4f."
-            % (
-                run.get("tier"),
-                ", ".join(f"{name}={value}" for name, value in sorted(flags.items())),
-                int(run["strategies"]["service"]["service_corrupt_quarantined"]),
-                int(run["strategies"]["service"]["service_lease_reclaims"]),
-                float(run["warm_serve_ratio"]),
-            )
-        )
-    return result
-
-
-def run_all_experiments(*, quick: bool = False) -> list[ExperimentResult]:
-    """Run every experiment; ``quick=True`` shrinks the workloads for smoke runs."""
-    if quick:
-        return [
-            experiment_figure1(epsilons=(0.1,)),
-            experiment_lemma3(sizes=(20,), stretches=(2.0,)),
-            experiment_general_graphs(sizes=(50,), ks=(2,)),
-            experiment_doubling_metrics(sizes=(40,), epsilons=(0.5,)),
-            experiment_approximate_greedy(sizes=(40,)),
-            experiment_comparison(n=60),
-            experiment_broadcast(n=60),
-            experiment_degree(star_sizes=(10, 20), euclidean_sizes=(40,)),
-            experiment_routing(n=50, demand_count=40),
-            experiment_oracle_matrix(n=60),
-            experiment_overlay_matrix(n=60),
-            experiment_verify_matrix(n=60),
-            experiment_fault_matrix(n=60),
-            experiment_build_matrix(n=60),
-            experiment_service_matrix(n=60),
-        ]
-    return [
-        experiment_figure1(),
-        experiment_lemma3(),
-        experiment_general_graphs(),
-        experiment_doubling_metrics(),
-        experiment_approximate_greedy(),
-        experiment_comparison(),
-        experiment_comparison(clustered=True),
-        experiment_broadcast(),
-        experiment_degree(),
-        experiment_routing(),
-        experiment_oracle_matrix(),
-        experiment_overlay_matrix(),
-        experiment_verify_matrix(),
-        experiment_fault_matrix(),
-        experiment_build_matrix(),
-        experiment_service_matrix(),
-    ]

@@ -1,7 +1,7 @@
 """Experiment harness: result records, timing helpers and the sharded executor.
 
 Every experiment in :mod:`repro.experiments.experiments` returns an
-:class:`ExperimentResult` — the ``repro experiment`` id (``E1``–``E15``), the
+:class:`ExperimentResult` — the ``repro experiment`` id (``E1``–``E9``), the
 rows of the regenerated table, and free-text notes recording the paper claim
 the rows should be compared against.  Benchmarks print the rendered table so
 that ``pytest benchmarks/ --benchmark-only`` output doubles as the data of
@@ -332,16 +332,3 @@ def merge_counters(parts: Iterable[Mapping[str, float]]) -> dict[str, float]:
             merged[key] = merged.get(key, 0) + value
     return merged
 
-
-@dataclass
-class Stopwatch:
-    """A tiny helper to time individual steps inside an experiment."""
-
-    _start: float = field(default_factory=time.perf_counter)
-
-    def lap(self) -> float:
-        """Return seconds since construction or the previous lap, and reset."""
-        now = time.perf_counter()
-        elapsed = now - self._start
-        self._start = now
-        return elapsed

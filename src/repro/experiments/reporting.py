@@ -9,7 +9,7 @@ produced from the same code.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 
 def format_value(value: object, *, precision: int = 3) -> str:
@@ -72,31 +72,3 @@ def render_table(
         lines.append(" | ".join(cell.ljust(width) for cell, width in zip(row, widths)))
     return "\n".join(lines)
 
-
-def render_comparison(
-    baseline_name: str,
-    rows: Sequence[Mapping[str, object]],
-    *,
-    ratio_columns: Iterable[str],
-    name_column: str = "algorithm",
-    precision: int = 2,
-) -> str:
-    """Render rows with extra ``<column>_ratio`` cells relative to a named baseline row.
-
-    Used by the comparison experiment (E6) to print "times sparser / times
-    lighter than the greedy spanner" columns directly.
-    """
-    baseline = next((row for row in rows if row.get(name_column) == baseline_name), None)
-    if baseline is None:
-        return render_table(rows, precision=precision)
-    augmented = []
-    for row in rows:
-        extended = dict(row)
-        for column in ratio_columns:
-            base_value = float(baseline.get(column, 0.0) or 0.0)
-            value = float(row.get(column, 0.0) or 0.0)
-            extended[f"{column}_vs_{baseline_name}"] = (
-                value / base_value if base_value else float("inf")
-            )
-        augmented.append(extended)
-    return render_table(augmented, precision=precision)

@@ -1,9 +1,8 @@
 """Weighted-graph substrate: the graphs the spanner algorithms operate on.
 
 The subpackage provides the :class:`~repro.graph.weighted_graph.WeightedGraph`
-container, shortest paths, minimum spanning trees, traversal and girth
-utilities, generators for all workload families and (de)serialisation
-helpers.
+container, shortest paths, minimum spanning trees, connectivity and girth
+utilities, generators for all workload families and atomic file writers.
 """
 
 from repro.graph.weighted_graph import WeightedGraph
@@ -19,22 +18,8 @@ from repro.graph.shortest_paths import (
     shortest_path,
     single_source_distances,
 )
-from repro.graph.mst import (
-    DisjointSet,
-    contains_spanning_tree_edges,
-    is_spanning_tree,
-    kruskal_mst,
-    mst_weight,
-    mst_weight_indexed,
-    prim_mst,
-)
-from repro.graph.traversal import (
-    connected_components,
-    is_connected,
-    is_forest,
-    is_tree,
-    spanning_forest,
-)
+from repro.graph.mst import DisjointSet, kruskal_mst, mst_weight, mst_weight_indexed
+from repro.graph.traversal import connected_components, is_connected
 from repro.graph.girth import unweighted_girth, weighted_girth
 
 __all__ = [
@@ -50,17 +35,11 @@ __all__ = [
     "shortest_path",
     "single_source_distances",
     "DisjointSet",
-    "contains_spanning_tree_edges",
-    "is_spanning_tree",
     "kruskal_mst",
     "mst_weight",
     "mst_weight_indexed",
-    "prim_mst",
     "connected_components",
     "is_connected",
-    "is_forest",
-    "is_tree",
-    "spanning_forest",
     "unweighted_girth",
     "weighted_girth",
 ]

@@ -1,10 +1,11 @@
 """Minimum spanning trees and the disjoint-set (union-find) structure.
 
 Lightness — the central quantity of the paper — is defined as
-``Ψ(H) = w(H) / w(MST(G))`` (Section 2).  Two classic MST algorithms are
-provided (Kruskal and Prim) together with the union-find structure Kruskal
-needs; both are used by the tests to cross-check each other and by the
-lightness accounting in :mod:`repro.core.lightness`.
+``Ψ(H) = w(H) / w(MST(G))`` (Section 2).  Kruskal's algorithm (with the
+union-find structure it needs) builds the tree, and an indexed Prim
+computes its weight for the lightness accounting in
+:mod:`repro.core.lightness`; the tests cross-check both against the Prim
+reference in ``tests/oracles/graph.py``.
 
 Observation 2 of the paper states that the greedy spanner contains all edges
 of *some* MST of the input graph.  :func:`kruskal_mst` uses the same
@@ -22,8 +23,8 @@ from typing import Optional
 import heapq
 import math
 
-from repro.errors import DisconnectedGraphError, VertexNotFoundError
-from repro.graph.weighted_graph import Vertex, WeightedGraph
+from repro.errors import DisconnectedGraphError
+from repro.graph.weighted_graph import WeightedGraph
 
 
 class DisjointSet:
@@ -101,49 +102,6 @@ def kruskal_mst(graph: WeightedGraph) -> WeightedGraph:
     for u, v, weight in graph.edges_sorted_by_weight():
         if components.union(u, v):
             forest.add_edge(u, v, weight)
-    return forest
-
-
-def prim_mst(graph: WeightedGraph, root: Optional[Vertex] = None) -> WeightedGraph:
-    """Return a minimum spanning forest computed by Prim's algorithm.
-
-    If ``root`` is given, the tree containing it is grown first; other
-    components (if any) are then processed in vertex-iteration order.
-    """
-    forest = graph.empty_spanning_subgraph()
-    if graph.number_of_vertices == 0:
-        return forest
-    if root is not None and not graph.has_vertex(root):
-        raise VertexNotFoundError(root)
-
-    visited: set[Vertex] = set()
-    start_order = list(graph.vertices())
-    if root is not None:
-        start_order.remove(root)
-        start_order.insert(0, root)
-
-    push = heapq.heappush
-    pop = heapq.heappop
-    incident = graph.incident
-    for start in start_order:
-        if start in visited:
-            continue
-        visited.add(start)
-        heap: list[tuple[float, int, Vertex, Vertex]] = []
-        counter = 0
-        for neighbour, weight in incident(start):
-            push(heap, (weight, counter, start, neighbour))
-            counter += 1
-        while heap:
-            weight, _, u, v = pop(heap)
-            if v in visited:
-                continue
-            visited.add(v)
-            forest.add_edge(u, v, weight)
-            for neighbour, edge_weight in incident(v):
-                if neighbour not in visited:
-                    counter += 1
-                    push(heap, (edge_weight, counter, v, neighbour))
     return forest
 
 
@@ -229,34 +187,3 @@ def mst_weight_indexed(graph: WeightedGraph) -> float:
             f"({reached - 1} tree edges for {n} vertices)"
         )
     return total
-
-
-def is_spanning_tree(graph: WeightedGraph, tree: WeightedGraph) -> bool:
-    """Return True if ``tree`` is a spanning tree of ``graph``.
-
-    A spanning tree must cover every vertex, have exactly ``n - 1`` edges, all
-    of them edges of ``graph``, and be connected (acyclicity follows from the
-    edge count).
-    """
-    n = graph.number_of_vertices
-    if tree.number_of_vertices != n or tree.number_of_edges != n - 1:
-        return False
-    for vertex in graph.vertices():
-        if not tree.has_vertex(vertex):
-            return False
-    components = DisjointSet(tree.vertices())
-    for u, v, _ in tree.edges():
-        if not graph.has_edge(u, v):
-            return False
-        if not components.union(u, v):
-            return False
-    return components.number_of_sets == 1
-
-
-def contains_spanning_tree_edges(spanner: WeightedGraph, tree: WeightedGraph) -> bool:
-    """Return True if every edge of ``tree`` is an edge of ``spanner``.
-
-    This is the check behind Observation 2: the greedy spanner contains all
-    edges of some MST of the input graph.
-    """
-    return all(spanner.has_edge(u, v) for u, v, _ in tree.edges())

@@ -2,14 +2,12 @@
 
 Spanners are only defined for connected graphs (the paper assumes ``G`` is
 connected), so the algorithms and the experiment harness need fast
-connectivity checks, component decomposition and hop-based traversals.
+connectivity checks and component decomposition.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
-from typing import Optional
 
 from repro.errors import VertexNotFoundError
 from repro.graph.weighted_graph import Vertex, WeightedGraph
@@ -32,39 +30,6 @@ def bfs_order(graph: WeightedGraph, source: Vertex) -> list[Vertex]:
     return order
 
 
-def bfs_hop_distances(graph: WeightedGraph, source: Vertex) -> dict[Vertex, int]:
-    """Return unweighted (hop-count) distances from ``source``."""
-    if not graph.has_vertex(source):
-        raise VertexNotFoundError(source)
-    hops: dict[Vertex, int] = {source: 0}
-    queue: deque[Vertex] = deque([source])
-    while queue:
-        vertex = queue.popleft()
-        for neighbour in graph.neighbours(vertex):
-            if neighbour not in hops:
-                hops[neighbour] = hops[vertex] + 1
-                queue.append(neighbour)
-    return hops
-
-
-def dfs_order(graph: WeightedGraph, source: Vertex) -> list[Vertex]:
-    """Return the vertices reachable from ``source`` in depth-first (preorder)."""
-    if not graph.has_vertex(source):
-        raise VertexNotFoundError(source)
-    order: list[Vertex] = []
-    visited: set[Vertex] = set()
-    stack: list[Vertex] = [source]
-    while stack:
-        vertex = stack.pop()
-        if vertex in visited:
-            continue
-        visited.add(vertex)
-        order.append(vertex)
-        # Push neighbours in reverse so iteration order matches a recursive DFS.
-        stack.extend(reversed(list(graph.neighbours(vertex))))
-    return order
-
-
 def connected_components(graph: WeightedGraph) -> list[set[Vertex]]:
     """Return the connected components as a list of vertex sets."""
     components: list[set[Vertex]] = []
@@ -84,64 +49,3 @@ def is_connected(graph: WeightedGraph) -> bool:
         return True
     first = next(iter(graph.vertices()))
     return len(bfs_order(graph, first)) == graph.number_of_vertices
-
-
-def is_forest(graph: WeightedGraph) -> bool:
-    """Return True if the graph contains no cycle."""
-    visited: set[Vertex] = set()
-    for root in graph.vertices():
-        if root in visited:
-            continue
-        # Iterative DFS tracking the parent to detect a back edge.
-        stack: list[tuple[Vertex, Optional[Vertex]]] = [(root, None)]
-        parents: dict[Vertex, Optional[Vertex]] = {root: None}
-        while stack:
-            vertex, parent = stack.pop()
-            if vertex in visited:
-                continue
-            visited.add(vertex)
-            for neighbour in graph.neighbours(vertex):
-                if neighbour == parent:
-                    continue
-                if neighbour in visited:
-                    return False
-                stack.append((neighbour, vertex))
-                parents[neighbour] = vertex
-    return True
-
-
-def is_tree(graph: WeightedGraph) -> bool:
-    """Return True if the graph is connected and acyclic."""
-    return (
-        graph.number_of_vertices > 0
-        and graph.number_of_edges == graph.number_of_vertices - 1
-        and is_connected(graph)
-    )
-
-
-def spanning_forest(graph: WeightedGraph) -> WeightedGraph:
-    """Return an arbitrary spanning forest (BFS trees of each component)."""
-    forest = graph.empty_spanning_subgraph()
-    visited: set[Vertex] = set()
-    for root in graph.vertices():
-        if root in visited:
-            continue
-        visited.add(root)
-        queue: deque[Vertex] = deque([root])
-        while queue:
-            vertex = queue.popleft()
-            for neighbour, weight in graph.incident(vertex):
-                if neighbour not in visited:
-                    visited.add(neighbour)
-                    forest.add_edge(vertex, neighbour, weight)
-                    queue.append(neighbour)
-    return forest
-
-
-def vertices_within_hops(
-    graph: WeightedGraph, source: Vertex, hops: int
-) -> Iterator[Vertex]:
-    """Yield the vertices at hop distance at most ``hops`` from ``source``."""
-    for vertex, hop in bfs_hop_distances(graph, source).items():
-        if hop <= hops:
-            yield vertex

@@ -11,7 +11,7 @@ from repro.metric.doubling import (
     packing_number,
     verify_packing_lemma,
 )
-from repro.metric.nets import NetHierarchy, greedy_net, is_r_net, net_assignment
+from repro.metric.nets import NetHierarchy, greedy_net, is_r_net
 from repro.metric.generators import (
     circle_points,
     clustered_points,
@@ -42,7 +42,6 @@ __all__ = [
     "NetHierarchy",
     "greedy_net",
     "is_r_net",
-    "net_assignment",
     "circle_points",
     "clustered_points",
     "concentric_shells_metric",

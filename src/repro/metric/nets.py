@@ -57,27 +57,6 @@ def is_r_net(metric: FiniteMetric, net: Sequence[Point], radius: float, *, toler
     return True
 
 
-def net_assignment(
-    metric: FiniteMetric, net: Sequence[Point], radius: float
-) -> dict[Point, Point]:
-    """Assign every point to its nearest net point (ties broken by net order).
-
-    Every point is guaranteed to be within ``radius`` of its assigned centre
-    when ``net`` is an ``r``-net.
-    """
-    assignment: dict[Point, Point] = {}
-    for p in metric.points():
-        best = None
-        best_dist = math.inf
-        for centre in net:
-            d = metric.distance(p, centre)
-            if d < best_dist:
-                best = centre
-                best_dist = d
-        assignment[p] = best
-    return assignment
-
-
 @dataclass
 class NetLevel:
     """A single level of a net hierarchy.

@@ -288,16 +288,6 @@ def sorted_pair_stream(
             )
 
 
-def stream_is_order_identical(metric: FiniteMetric, **kwargs: object) -> bool:
-    """Cross-check helper: does the stream equal the materialized sorted edges?
-
-    Materializes the complete graph, so only suitable for tests and small
-    instances — this is the invariant the streaming pipeline guarantees.
-    """
-    materialized = metric.complete_graph().edges_sorted_by_weight()
-    return list(sorted_pair_stream(metric, **kwargs)) == materialized
-
-
 def edge_bands(
     edges: "Iterator[PairTriple] | Sequence[PairTriple]", band_size: int
 ) -> Iterator[list[PairTriple]]:

@@ -197,6 +197,9 @@ class JobQueue:
     def _path(self, job_id: str) -> Path:
         return self.jobs_dir / f"{job_id}.json"
 
+    def _corrupt_path(self, job_id: str) -> Path:
+        return self.jobs_dir / f"{job_id}.json.corrupt"
+
     def _write(self, job: Job) -> None:
         job.updated_at = self.clock()
         atomic_write_json(self._path(job.job_id), job.as_dict())
@@ -226,7 +229,7 @@ class JobQueue:
             return Job.from_dict(data)
         except (ValueError, TypeError) as error:
             try:
-                os.replace(path, self._path(job_id).with_suffix(".json.corrupt"))
+                os.replace(path, self._corrupt_path(job_id))
             except FileNotFoundError:
                 pass  # another reader moved it aside first
             self.counters["corrupt_records"] += 1
@@ -279,10 +282,16 @@ class JobQueue:
         self._write(job)
 
     def _taken(self, job_id: str) -> bool:
-        """True if ``job_id`` has a record, active or finished."""
+        """True if ``job_id`` has a record: active, finished or moved aside.
+
+        A moved-aside ``.corrupt`` copy keeps its id taken, so a later
+        submission never reuses it (and a later corruption of that id never
+        overwrites the first copy).
+        """
         return (
             self._path(job_id).exists()
             or (self.finished_dir / f"{job_id}.json").exists()
+            or self._corrupt_path(job_id).exists()
         )
 
     def submit(

@@ -20,7 +20,6 @@ from repro.spanners.trivial import (
     identity_spanner,
     metric_mst_spanner,
     mst_spanner,
-    shortest_path_tree_spanner,
 )
 from repro.spanners.verification import (
     EdgeVerification,
@@ -54,7 +53,6 @@ __all__ = [
     "complete_metric_spanner",
     "identity_spanner",
     "mst_spanner",
-    "shortest_path_tree_spanner",
     "EdgeVerification",
     "ProfileStats",
     "StretchProfile",

@@ -1,4 +1,4 @@
-"""Trivial spanner baselines: MST, complete graph, shortest-path tree.
+"""Trivial spanner baselines: MST and complete graph.
 
 These anchor the two ends of the size/lightness spectrum in the comparison
 experiments:
@@ -6,22 +6,16 @@ experiments:
 * the **MST** is the lightest possible connected subgraph (lightness exactly
   1) but its stretch can be as bad as ``n - 1``,
 * the **complete graph** (or the input graph itself) has stretch exactly 1
-  but maximal size and weight,
-* a **shortest-path tree** has ``n - 1`` edges and stretch bounded by twice
-  the distance to the root, a classic cheap-but-weak baseline for broadcast
-  overlays (Section 1.1 of the paper).
+  but maximal size and weight.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.core.spanner import Spanner
 from repro.graph.mst import kruskal_mst
-from repro.graph.shortest_paths import dijkstra
-from repro.graph.weighted_graph import Vertex, WeightedGraph
+from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
 
@@ -94,27 +88,3 @@ def complete_metric_spanner(metric: FiniteMetric) -> Spanner:
     """
     complete = MetricClosure(metric)
     return Spanner(base=complete, subgraph=complete.copy(), stretch=1.0, algorithm="complete")
-
-
-def shortest_path_tree_spanner(
-    graph: WeightedGraph, root: Optional[Vertex] = None
-) -> Spanner:
-    """Return a shortest-path tree rooted at ``root`` (default: first vertex).
-
-    The stretch of a shortest-path tree is unbounded in general; the spanner
-    records ``n - 1`` as a safe upper bound for connected graphs.
-    """
-    if root is None:
-        root = next(iter(graph.vertices()))
-    _, predecessors = dijkstra(graph, root)
-    tree = graph.empty_spanning_subgraph()
-    for vertex, parent in predecessors.items():
-        if parent is not None:
-            tree.add_edge(vertex, parent, graph.weight(vertex, parent))
-    return Spanner(
-        base=graph,
-        subgraph=tree,
-        stretch=float(max(graph.number_of_vertices - 1, 1)),
-        algorithm="shortest-path-tree",
-        metadata={"root": 0.0},
-    )

@@ -6,12 +6,7 @@ import math
 
 import pytest
 
-from repro.core.greedy import (
-    greedy_spanner,
-    greedy_spanner_edges,
-    greedy_spanner_of_metric,
-    rerun_greedy_on_spanner,
-)
+from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.errors import InvalidStretchError, UnknownOracleError
 from repro.graph.generators import (
     complete_graph,
@@ -155,13 +150,8 @@ class TestStructuralProperties:
     def test_rerun_on_own_output_is_identity(self, medium_random_graph):
         """Lemma 3 in algorithmic form."""
         spanner = greedy_spanner(medium_random_graph, 2.0)
-        rerun = rerun_greedy_on_spanner(spanner)
+        rerun = greedy_spanner(spanner.subgraph, spanner.stretch)
         assert rerun.subgraph.same_edges(spanner.subgraph)
-
-    def test_edge_list_helper(self, small_random_graph):
-        edges = greedy_spanner_edges(small_random_graph, 2.0)
-        spanner = greedy_spanner(small_random_graph, 2.0)
-        assert len(edges) == spanner.number_of_edges
 
 
 class TestMetricGreedy:

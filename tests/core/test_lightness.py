@@ -5,16 +5,15 @@ from __future__ import annotations
 import math
 
 import pytest
+from oracles.spanner import excess_weight_over_mst, mst_fraction_of_spanner
 
 from repro.core.greedy import greedy_spanner
 from repro.core.lightness import (
     althofer_size_bound,
     chechik_wulffnilsen_lightness_bound,
     erdos_girth_size_lower_bound,
-    excess_weight_over_mst,
     gottlieb_lightness_bound,
     lightness,
-    mst_fraction_of_spanner,
     normalized_size,
     smid_doubling_lightness_bound,
 )

@@ -16,13 +16,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.queries import reference_queries
 
 from repro.core import query_engine
-from repro.core.query_engine import (
-    QueryEngine,
-    reference_queries,
-    reference_queries_ids,
-)
+from repro.core.query_engine import QueryEngine, reference_queries_ids
 from repro.distributed.routing import RoutingScheme
 from repro.errors import VertexNotFoundError
 from repro.graph.indexed_graph import IndexedGraph

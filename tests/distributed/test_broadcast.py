@@ -5,11 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.greedy import greedy_spanner
-from repro.distributed.broadcast import (
-    broadcast_over_overlay,
-    compare_broadcast_overlays,
-    flood_broadcast,
-)
+from repro.distributed.broadcast import broadcast_over_overlay, flood_broadcast
+from repro.distributed.comparison import compare_overlays
 from repro.graph.generators import path_graph, random_geometric_graph, star_graph
 from repro.graph.shortest_paths import single_source_distances
 from repro.spanners.trivial import mst_spanner
@@ -66,9 +63,10 @@ class TestOverlayComparison:
             "mst": mst_spanner(geometric_network).subgraph,
             "greedy": greedy.subgraph,
         }
-        results = {r.overlay_name: r for r in compare_broadcast_overlays(
-            geometric_network, overlays, source
-        )}
+        comparison = compare_overlays(
+            geometric_network, overlays, protocols=("broadcast",), source=source
+        )
+        results = {r.overlay_name: r for r in comparison.broadcast}
         # Everyone reaches all vertices.
         for result in results.values():
             assert result.vertices_reached == geometric_network.number_of_vertices
@@ -88,7 +86,7 @@ class TestOverlayComparison:
         assert results["greedy"].stretch_vs_optimal <= results["mst"].stretch_vs_optimal + 1e-9
 
     def test_default_source_is_first_vertex(self, geometric_network):
-        results = compare_broadcast_overlays(
-            geometric_network, {"full": geometric_network}
-        )
+        results = compare_overlays(
+            geometric_network, {"full": geometric_network}, protocols=("broadcast",)
+        ).broadcast
         assert len(results) == 1

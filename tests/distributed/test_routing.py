@@ -6,12 +6,8 @@ import pytest
 from oracles.distributed import ReferenceRoutingScheme
 
 from repro.core.greedy import greedy_spanner
-from repro.distributed.routing import (
-    RoutingScheme,
-    compare_routing_overlays,
-    evaluate_routing,
-    random_demands,
-)
+from repro.distributed.comparison import compare_overlays
+from repro.distributed.routing import RoutingScheme, evaluate_routing, random_demands
 from repro.errors import DisconnectedGraphError
 from repro.graph.generators import path_graph, random_geometric_graph
 from repro.graph.shortest_paths import pair_distance
@@ -87,16 +83,17 @@ class TestEvaluation:
         greedy = greedy_spanner(geometric_network, 1.5)
         reports = {
             r.overlay_name: r
-            for r in compare_routing_overlays(
+            for r in compare_overlays(
                 geometric_network,
                 {
                     "full": geometric_network,
                     "greedy": greedy.subgraph,
                     "mst": mst_spanner(geometric_network).subgraph,
                 },
+                protocols=("routing",),
                 demand_count=40,
                 seed=4,
-            )
+            ).routing
         }
         # Port counts (per-vertex load) shrink from full graph to spanner to MST-ish.
         assert reports["greedy"].max_ports <= reports["full"].max_ports

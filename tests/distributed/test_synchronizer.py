@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.greedy import greedy_spanner
-from repro.distributed.synchronizer import compare_synchronizer_overlays, synchronizer_cost
+from repro.distributed.comparison import compare_overlays
+from repro.distributed.synchronizer import synchronizer_cost
 from repro.graph.generators import path_graph
 from repro.spanners.trivial import mst_spanner
 
@@ -43,13 +44,15 @@ class TestOverlayComparison:
         greedy = greedy_spanner(geometric_network, 1.5)
         costs = {
             c.overlay_name: c
-            for c in compare_synchronizer_overlays(
+            for c in compare_overlays(
+                None,
                 {
                     "full": geometric_network,
                     "greedy": greedy.subgraph,
                     "mst": mst_spanner(geometric_network).subgraph,
-                }
-            )
+                },
+                protocols=("synchronizer",),
+            ).synchronizer
         }
         assert (
             costs["greedy"].communication_per_pulse

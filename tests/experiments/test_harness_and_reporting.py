@@ -5,13 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import UnknownWorkloadError
-from repro.experiments.harness import (
-    ExperimentResult,
-    Stopwatch,
-    timed,
-    traced_peak_memory,
-)
-from repro.experiments.reporting import format_value, render_comparison, render_table
+from repro.experiments.harness import ExperimentResult, timed, traced_peak_memory
+from repro.experiments.reporting import format_value, render_table
 from repro.experiments.workloads import WorkloadSpec, get_workload, list_workloads, register
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
@@ -37,12 +32,6 @@ class TestExperimentResult:
         with timed(result):
             sum(range(1000))
         assert result.elapsed_seconds >= 0.0
-
-    def test_stopwatch_laps(self):
-        watch = Stopwatch()
-        first = watch.lap()
-        second = watch.lap()
-        assert first >= 0.0 and second >= 0.0
 
     def test_timed_records_peak_memory(self):
         result = ExperimentResult("E0", "x", "y")
@@ -124,20 +113,6 @@ class TestReporting:
         table = render_table([{"z": 1, "a": 2}], columns=["a", "z"])
         header = table.splitlines()[0]
         assert header.index("a") < header.index("z")
-
-    def test_render_comparison_adds_ratio_columns(self):
-        rows = [
-            {"algorithm": "greedy", "edges": 10.0},
-            {"algorithm": "other", "edges": 30.0},
-        ]
-        text = render_comparison("greedy", rows, ratio_columns=["edges"])
-        assert "edges_vs_greedy" in text
-        assert "3" in text
-
-    def test_render_comparison_missing_baseline_falls_back(self):
-        rows = [{"algorithm": "other", "edges": 30.0}]
-        text = render_comparison("greedy", rows, ratio_columns=["edges"])
-        assert "edges_vs_greedy" not in text
 
 
 class TestWorkloadRegistry:

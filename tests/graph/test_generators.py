@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles.graph import is_tree
 
 from repro.errors import GraphError
 from repro.graph.generators import (
@@ -23,7 +24,7 @@ from repro.graph.generators import (
     uniform_weight_graph_from_edges,
 )
 from repro.graph.girth import unweighted_girth
-from repro.graph.traversal import is_connected, is_tree
+from repro.graph.traversal import is_connected
 
 
 class TestDeterministicFamilies:

@@ -12,11 +12,11 @@ import math
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.graph import is_forest, prim_mst, to_networkx
 
-from repro.graph.io import to_networkx
-from repro.graph.mst import DisjointSet, kruskal_mst, prim_mst
+from repro.graph.mst import DisjointSet, kruskal_mst
 from repro.graph.shortest_paths import pair_distance, single_source_distances
-from repro.graph.traversal import is_connected, is_forest
+from repro.graph.traversal import is_connected
 from repro.graph.weighted_graph import WeightedGraph
 
 

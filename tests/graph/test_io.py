@@ -1,53 +1,13 @@
-"""Unit tests for graph serialization and networkx interoperability."""
+"""Unit tests for the networkx bridge the graph tests cross-check against."""
 
 from __future__ import annotations
 
 import pytest
 
 import networkx as nx
+from oracles.graph import from_networkx, to_networkx
 
 from repro.errors import GraphError
-from repro.graph.generators import random_connected_graph
-from repro.graph.io import (
-    from_dict,
-    from_networkx,
-    load_json,
-    relabel_to_integers,
-    save_json,
-    to_dict,
-    to_edge_list,
-    to_networkx,
-)
-from repro.graph.weighted_graph import WeightedGraph
-
-
-class TestDictRoundTrip:
-    def test_round_trip_preserves_graph(self, small_random_graph):
-        restored = from_dict(to_dict(small_random_graph))
-        assert restored.same_edges(small_random_graph)
-        assert restored.number_of_vertices == small_random_graph.number_of_vertices
-
-    def test_round_trip_preserves_isolated_vertices(self):
-        graph = WeightedGraph(vertices=[1, 2, 3])
-        graph.add_edge(1, 2, 1.0)
-        restored = from_dict(to_dict(graph))
-        assert restored.has_vertex(3)
-
-    def test_non_serialisable_vertices_rejected(self):
-        graph = WeightedGraph(edges=[((0, 0), (0, 1), 1.0)])
-        with pytest.raises(GraphError):
-            to_dict(graph)
-
-    def test_edge_list_sorted(self, small_random_graph):
-        weights = [w for _, _, w in to_edge_list(small_random_graph)]
-        assert weights == sorted(weights)
-
-
-class TestJsonFiles:
-    def test_save_and_load(self, tmp_path, small_random_graph):
-        path = tmp_path / "graph.json"
-        save_json(small_random_graph, path)
-        assert load_json(path).same_edges(small_random_graph)
 
 
 class TestNetworkxBridge:
@@ -73,18 +33,3 @@ class TestNetworkxBridge:
     def test_multigraph_rejected(self):
         with pytest.raises(GraphError):
             from_networkx(nx.MultiGraph([(1, 2)]))
-
-
-class TestRelabel:
-    def test_relabel_to_integers(self):
-        graph = WeightedGraph(edges=[("a", "b", 1.0), ("b", "c", 2.0)])
-        relabelled, mapping = relabel_to_integers(graph)
-        assert set(relabelled.vertices()) == {0, 1, 2}
-        assert relabelled.number_of_edges == 2
-        assert relabelled.weight(mapping["a"], mapping["b"]) == 1.0
-
-    def test_relabel_reproducible(self, small_random_graph):
-        g1, m1 = relabel_to_integers(small_random_graph)
-        g2, m2 = relabel_to_integers(small_random_graph)
-        assert m1 == m2
-        assert g1.same_edges(g2)

@@ -5,19 +5,17 @@ from __future__ import annotations
 import pytest
 
 import networkx as nx
+from oracles.graph import (
+    contains_spanning_tree_edges,
+    is_spanning_tree,
+    is_tree,
+    prim_mst,
+    to_networkx,
+)
 
 from repro.errors import DisconnectedGraphError
 from repro.graph.generators import cycle_graph, path_graph, random_connected_graph
-from repro.graph.io import to_networkx
-from repro.graph.mst import (
-    DisjointSet,
-    contains_spanning_tree_edges,
-    is_spanning_tree,
-    kruskal_mst,
-    mst_weight,
-    prim_mst,
-)
-from repro.graph.traversal import is_tree
+from repro.graph.mst import DisjointSet, kruskal_mst, mst_weight
 from repro.graph.weighted_graph import WeightedGraph
 
 

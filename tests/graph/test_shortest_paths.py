@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from oracles.graph import to_networkx
 
 from repro.errors import VertexNotFoundError
 from repro.graph.generators import grid_graph, path_graph, random_connected_graph
 from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.io import to_networkx
 from repro.graph.shortest_paths import (
     dijkstra,
     dijkstra_with_cutoff,

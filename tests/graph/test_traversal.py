@@ -3,20 +3,18 @@
 from __future__ import annotations
 
 import pytest
-
-from repro.errors import VertexNotFoundError
-from repro.graph.generators import cycle_graph, grid_graph, path_graph, star_graph
-from repro.graph.traversal import (
+from oracles.graph import (
     bfs_hop_distances,
-    bfs_order,
-    connected_components,
     dfs_order,
-    is_connected,
     is_forest,
     is_tree,
     spanning_forest,
     vertices_within_hops,
 )
+
+from repro.errors import VertexNotFoundError
+from repro.graph.generators import cycle_graph, grid_graph, path_graph, star_graph
+from repro.graph.traversal import bfs_order, connected_components, is_connected
 from repro.graph.weighted_graph import WeightedGraph
 
 

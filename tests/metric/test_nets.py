@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 
 import pytest
+from oracles.metric import net_assignment
 
 from repro.errors import EmptyMetricError
 from repro.metric.base import ExplicitMetric
 from repro.metric.generators import line_points, uniform_points
-from repro.metric.nets import NetHierarchy, greedy_net, is_r_net, net_assignment
+from repro.metric.nets import NetHierarchy, greedy_net, is_r_net
 
 
 class TestGreedyNet:

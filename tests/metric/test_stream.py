@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles.metric import stream_is_order_identical
 from oracles.order import canonical_sorted, pair_sort_key
 
 from repro.errors import EmptyMetricError, MetricAxiomError
@@ -26,7 +27,6 @@ from repro.metric.stream import (
     effective_buffer_pairs,
     iter_pairs,
     sorted_pair_stream,
-    stream_is_order_identical,
 )
 
 

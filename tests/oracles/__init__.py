@@ -20,6 +20,18 @@ keep comparing against them without a ``mode=`` knob in the public API:
 * :mod:`oracles.service` — the canonical spanner edge list, ``repr`` per
   edge endpoint.
 
+Other references left the library because nothing but the tests called
+them:
+
+* :mod:`oracles.graph` — Prim's MST, the spanning-tree/forest/tree checks,
+  BFS hop distances, DFS order, the hop ball and the networkx bridge (the
+  only place networkx is imported);
+* :mod:`oracles.spanner` — the shortest-path-tree baseline and the MST
+  weight shares of a spanner;
+* :mod:`oracles.metric` — nearest-net-point assignment and the check that
+  the streamed pair order equals the materialized sorted edges;
+* :mod:`oracles.queries` — the per-query reference search on vertices.
+
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` put ``tests/`` on
 ``sys.path``, so both suites import them as ``oracles.<layer>``.
 """

@@ -4,7 +4,8 @@ Each runs on the vertex-keyed :class:`~repro.graph.weighted_graph.WeightedGraph`
 and is what the flat-array production engine replays tie for tie: the
 :class:`~repro.distributed.network.Network` flood, nested-dict routing
 tables and the hardened ack/timeout/retry flood — plus the synchronizer's
-seed diameter, :func:`weighted_diameter`, one dict Dijkstra per vertex.
+seed diameter, :func:`weighted_diameter`, one dict Dijkstra per vertex, and
+:func:`echo_statistics`, the echo accounting over a recorded flood tree.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 import sys
 from typing import Optional
 
-from repro.distributed.broadcast import BroadcastResult, FloodTree, echo_statistics
+from repro.distributed.broadcast import BroadcastResult, FloodTree
+from repro.distributed.engine import EchoResult, FloodRun, echo_convergecast, indexed_overlay
 from repro.distributed.faults import FaultPlan
 from repro.distributed.network import Message, Network, NetworkStatistics
 from repro.distributed.resilient import (
@@ -52,6 +54,33 @@ def flood_reference(
     return statistics, delivery_time, parent
 
 
+def echo_statistics(
+    overlay: WeightedGraph,
+    source: Vertex,
+    delivery_time: dict[Vertex, float],
+    parent: FloodTree,
+) -> EchoResult:
+    """Account the echo (convergecast) phase over a recorded flood tree.
+
+    Engine-independent by construction: the accounting is a pure bottom-up
+    pass over ``(delivery_time, parent)``, which the flood engine and the
+    seed simulator report identically.
+    """
+    indexed = indexed_overlay(overlay)
+    n = indexed.number_of_vertices
+    delivery = [math.inf] * n
+    parents = [-1] * n
+    for vertex, time in delivery_time.items():
+        delivery[indexed.id_of(vertex)] = time
+    for vertex, up in parent.items():
+        if up is not None:
+            parents[indexed.id_of(vertex)] = indexed.id_of(up)
+    run = FloodRun(
+        messages=0, cost=0.0, completion_time=0.0, events=0,
+        delivery=delivery, parent=parents,
+    )
+    return echo_convergecast(indexed, indexed.id_of(source), run)
+
 
 def weighted_diameter(graph: WeightedGraph) -> float:
     """The seed weighted diameter: one dict Dijkstra per vertex (inf if disconnected)."""
@@ -62,6 +91,7 @@ def weighted_diameter(graph: WeightedGraph) -> float:
             return math.inf
         diameter = max(diameter, max(distances.values(), default=0.0))
     return diameter
+
 
 def broadcast_reference(
     full_graph: WeightedGraph, overlay: WeightedGraph, source: Vertex, *, name: str = "overlay"

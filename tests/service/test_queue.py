@@ -196,6 +196,21 @@ def test_get_corrupt_record_raises_typed_error(queue, tmp_path):
     assert queue.claim("worker-a") is None
 
 
+def test_a_moved_aside_record_keeps_its_id_taken(queue, tmp_path):
+    first = queue.submit(SPEC)
+    second = queue.submit(SPEC)
+    assert [first.job_id[-4:], second.job_id[-4:]] == ["0000", "0001"]
+    (tmp_path / "jobs" / f"{first.job_id}.json").write_text("[1]")
+    with pytest.raises(CorruptJobRecordError):
+        queue.get(first.job_id)
+    corrupt = tmp_path / "jobs" / f"{first.job_id}.json.corrupt"
+    assert corrupt.read_text() == "[1]"
+    third = queue.submit(SPEC)
+    assert third.job_id == first.job_id[:-4] + "0002"
+    assert corrupt.read_text() == "[1]"
+    assert not (tmp_path / "jobs" / f"{first.job_id}.json").exists()
+
+
 def test_illegal_transition_raises(queue, clock):
     job = queue.submit(SPEC)
     record = queue.get(job.job_id)
@@ -641,7 +656,7 @@ def test_the_201st_submission_of_a_spec_probes_few_sequence_numbers(queue, tmp_p
     real_exists = type(tmp_path).exists
 
     def exists(path):
-        probed.add(path.name)
+        probed.add(path.name.partition(".")[0])  # the job id of any of its paths
         return real_exists(path)
 
     monkeypatch.setattr(type(tmp_path), "exists", exists)

@@ -5,17 +5,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from oracles.spanner import shortest_path_tree_spanner
 
 from repro.core.greedy import greedy_spanner
 from repro.core.spanner import Spanner
 from repro.graph.generators import path_graph, random_connected_graph
 from repro.graph.mst import kruskal_mst
-from repro.spanners.trivial import (
-    complete_metric_spanner,
-    identity_spanner,
-    mst_spanner,
-    shortest_path_tree_spanner,
-)
+from repro.spanners.trivial import complete_metric_spanner, identity_spanner, mst_spanner
 from repro.errors import InvalidStretchError, VertexNotFoundError
 from repro.graph.weighted_graph import WeightedGraph
 from repro.spanners.verification import (

@@ -7,6 +7,7 @@ them, and feed them to the application layer.
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import subprocess
@@ -28,7 +29,7 @@ from repro import (
     metric_optimality_certificate,
 )
 from repro.core.optimality import verify_lemma3_self_spanner, verify_observation2
-from repro.distributed.broadcast import compare_broadcast_overlays
+from repro.distributed.comparison import compare_overlays
 from repro.experiments.workloads import get_workload
 from repro.graph.generators import random_geometric_graph
 from repro.metric.generators import uniform_points
@@ -46,6 +47,22 @@ class TestPublicApi:
             "approximate_greedy_spanner",
             "analyse_figure1",
         }
+        packages = [
+            "repro",
+            "repro.core",
+            "repro.distributed",
+            "repro.experiments",
+            "repro.graph",
+            "repro.metric",
+            "repro.service",
+            "repro.spanners",
+        ]
+        for name in packages:
+            module = importlib.import_module(name)
+            exported = module.__all__
+            assert len(exported) == len(set(exported)), f"{name}.__all__ lists a name twice"
+            missing = [item for item in exported if not hasattr(module, item)]
+            assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
     def test_version_matches_pyproject(self):
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -140,7 +157,8 @@ class TestDistributedPipeline:
             "greedy": greedy_spanner(graph, 1.5).subgraph,
             "mst": mst_spanner(graph).subgraph,
         }
-        results = {r.overlay_name: r for r in compare_broadcast_overlays(graph, overlays)}
+        comparison = compare_overlays(graph, overlays, protocols=("broadcast",))
+        results = {r.overlay_name: r for r in comparison.broadcast}
         assert results["greedy"].vertices_reached == graph.number_of_vertices
         assert (
             results["greedy"].statistics.total_communication_cost
