@@ -37,7 +37,6 @@ class DisjointSet:
     def __init__(self, elements: Optional[Iterable[Hashable]] = None) -> None:
         self._parent: dict[Hashable, Hashable] = {}
         self._rank: dict[Hashable, int] = {}
-        self._count = 0
         if elements is not None:
             for element in elements:
                 self.add(element)
@@ -47,7 +46,6 @@ class DisjointSet:
         if element not in self._parent:
             self._parent[element] = element
             self._rank[element] = 0
-            self._count += 1
 
     def find(self, element: Hashable) -> Hashable:
         """Return the representative of the set containing ``element``."""
@@ -73,17 +71,7 @@ class DisjointSet:
         self._parent[root_b] = root_a
         if self._rank[root_a] == self._rank[root_b]:
             self._rank[root_a] += 1
-        self._count -= 1
         return True
-
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        """Return True if ``a`` and ``b`` are in the same set."""
-        return self.find(a) == self.find(b)
-
-    @property
-    def number_of_sets(self) -> int:
-        """The current number of disjoint sets."""
-        return self._count
 
     def __len__(self) -> int:
         return len(self._parent)

@@ -12,12 +12,15 @@ built once, on first use.  The edge check is the library's only stretch
 checker: :class:`~repro.core.spanner.Spanner`'s ``is_valid``,
 ``verify_stretch`` and ``statistics(measure_stretch=True)`` all run it.
 It hands each source its base edges to larger ids — a graph base's edges
-grouped by smaller endpoint, or a metric base's row, built one source at a
-time (zero-distance pairs skipped).  A base edge ``(u, v, w)`` whose own
-subgraph edge weighs at most both ``w`` and its bound ``t·w·(1 +
-tolerance)`` is certified with no search; the source's remaining targets
-share *one* Dijkstra on the subgraph's weight-sorted rows, pruned at the
-largest remaining bound and stopped as soon as the last of them settles.
+grouped by smaller endpoint, or a metric base's row (zero-distance pairs
+skipped).  A base edge ``(u, v, w)`` whose own subgraph edge weighs at most
+both ``w`` and its bound ``t·w·(1 + tolerance)`` is certified with no
+search.  On a graph base the source's remaining targets share *one*
+Dijkstra on the subgraph's weight-sorted rows, pruned at the largest
+remaining bound and stopped as soon as the last of them settles.  On a
+metric base, where every pair is a base edge, a block of sources runs
+those same Dijkstras in lockstep on flat numpy arrays, popping vertices in
+the heap's order, so every report field and counter is the heap kernel's.
 The report carries the first failing edge (``witness``) and the largest
 settled ``d / w`` (``max_stretch``); at ``t = inf`` nothing is pruned, so
 ``max_stretch`` is the exact maximum edge stretch.  The exact stretch
@@ -80,7 +83,8 @@ class VerificationEngine:
     lazy complete-graph view over a metric, base distance *rows* are served
     from the metric itself (``δ(u, ·)`` is the direct-edge row by the
     triangle inequality) instead of searching the Θ(n²) closure; they are
-    also the edge check's per-source base edges.
+    also the edge check's base edges, and the padded subgraph rows are its
+    block kernel's.
 
     The edge check's scratch makes an engine single-threaded; the
     ``workers=`` shards each get their own copy by fork.
@@ -98,6 +102,7 @@ class VerificationEngine:
         "_base_indexed",
         "_sub_indexed",
         "_sub_rows",
+        "_padded_rows",
         "_grouped",
     )
 
@@ -117,6 +122,7 @@ class VerificationEngine:
         self._base_indexed: Optional[IndexedGraph] = None
         self._sub_indexed: Optional[IndexedGraph] = None
         self._sub_rows: Optional[list[list[tuple[float, int]]]] = None
+        self._padded_rows: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._grouped: Optional[dict[int, tuple[list[int], list[float]]]] = None
 
     @property
@@ -162,6 +168,36 @@ class VerificationEngine:
             self._sub_rows = rows
         return self._sub_rows
 
+    @property
+    def padded_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The subgraph as ``(neighbours, weights)`` arrays of shape ``(n, width)``.
+
+        ``width`` is the largest degree (at least 1).  Row ``v`` is padded
+        with ``v`` itself at weight 0: a padding slot offers the popped
+        vertex its own label, which a strict ``<`` never takes.
+        """
+        if self._padded_rows is None:
+            id_of = self.id_of
+            triples = np.array(
+                [(id_of[u], id_of[v], weight) for u, v, weight in self.subgraph.edges()],
+                dtype=float,
+            ).reshape(-1, 3)
+            ends = triples[:, :2].astype(np.intp)
+            source = np.concatenate((ends[:, 0], ends[:, 1]))
+            ranks = np.argsort(source, kind="stable")
+            source = source[ranks]
+            target = np.concatenate((ends[:, 1], ends[:, 0]))[ranks]
+            weight = np.tile(triples[:, 2], 2)[ranks]
+            degree = np.bincount(source, minlength=self.n)
+            width = max(1, int(degree.max(initial=0)))
+            slot = np.arange(source.size) - np.repeat(np.cumsum(degree) - degree, degree)
+            neighbours = np.repeat(np.arange(self.n), width).reshape(self.n, width)
+            weights = np.zeros((self.n, width))
+            neighbours[source, slot] = target
+            weights[source, slot] = weight
+            self._padded_rows = (neighbours, weights)
+        return self._padded_rows
+
     # -- distance rows --------------------------------------------------
     def base_row(self, source_id: int) -> tuple[np.ndarray, int]:
         """Return ``(distances from source to every id, settles)`` in the base.
@@ -185,6 +221,19 @@ class VerificationEngine:
         dist, _, settles = indexed_sssp(self.base_indexed, source_id)
         return np.asarray(dist, dtype=float), settles
 
+    def metric_rows(self, source_ids: Sequence[int]) -> np.ndarray:
+        """The metric base rows of ``source_ids`` as one ``(len, n)`` array.
+
+        Contiguous ids take one vectorized ``block_distances`` call (entry
+        for entry the floats of :meth:`base_row`); any other run stacks
+        :meth:`base_row`.
+        """
+        first, count = source_ids[0], len(source_ids)
+        block_distances = getattr(self.metric, "block_distances", None)
+        if block_distances is not None and list(source_ids) == list(range(first, first + count)):
+            return block_distances(first, first + count)
+        return np.stack([self.base_row(source_id)[0] for source_id in source_ids])
+
     def sub_row(self, source_id: int) -> tuple[np.ndarray, int]:
         """Return ``(distances in the subgraph, settles)`` via one indexed SSSP."""
         dist, _, settles = indexed_sssp(self.sub_indexed, source_id)
@@ -197,8 +246,8 @@ class VerificationEngine:
         Returns ``{source_id: (target_ids, weights)}``; each undirected edge
         appears exactly once, under its smaller id, and sources keep the
         order of their first edge in ``base.edges()``.  Metric bases are
-        never grouped this way (every pair is an edge, Θ(n²) entries):
-        :meth:`base_edges_from` slices their rows one source at a time.
+        never grouped this way (every pair is an edge, Θ(n²) entries): the
+        block kernel reads their rows a block of sources at a time.
         """
         if self._grouped is None:
             id_of = self.id_of
@@ -215,20 +264,6 @@ class VerificationEngine:
                 slot[1].append(weight)
             self._grouped = grouped
         return self._grouped
-
-    def base_edges_from(self, source_id: int) -> tuple[list[int], list[float]]:
-        """``(target_ids, weights)`` of the base edges from ``source_id`` to larger ids.
-
-        Metric bases slice the metric row (zero-distance pairs skipped), so
-        the edge check holds one O(n) row at a time.
-        """
-        if self.metric is None:
-            return self.grouped_base_edges().get(source_id, ([], []))
-        row, _ = self.base_row(source_id)
-        tail = row[source_id + 1 :]
-        mask = tail > 0.0
-        targets = np.flatnonzero(mask) + (source_id + 1)
-        return targets.tolist(), tail[mask].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +384,28 @@ def _verify_sources(
     t: float,
     tolerance: float,
 ) -> EdgeVerification:
-    """Run :func:`_verify_one_source` over every source, failing ones included.
+    """Check every source's base edges to larger ids, failing ones included.
 
+    Metric bases run :func:`_verify_metric_block` on consecutive blocks of
+    sources; graph bases run :func:`_verify_one_source` per source.
     ``sources`` counts searches (a search settles at least its source); the
     witness is the first failure in ``source_ids`` order.
     """
+    if engine.metric is not None:
+        size = max(1, BLOCK_CELLS // engine.n)
+        return _merge_reports(
+            [
+                _verify_metric_block(engine, source_ids[start : start + size], t, tolerance)
+                for start in range(0, len(source_ids), size)
+            ]
+        )
     vertices = engine.vertices
-    edges_from = engine.base_edges_from
+    grouped = engine.grouped_base_edges()
     witness = None
     worst = 1.0
     edges = sources = settles = 0
     for source_id in source_ids:
-        targets, weights = edges_from(source_id)
+        targets, weights = grouped[source_id]
         failed, stretch, spent = _verify_one_source(
             engine, source_id, targets, weights, t, tolerance
         )
@@ -378,6 +423,20 @@ def _verify_sources(
         settles=settles,
         witness=witness,
         max_stretch=worst,
+    )
+
+
+def _merge_reports(reports: Sequence[EdgeVerification]) -> EdgeVerification:
+    """Fold reports of consecutive source runs: counters add, ``max_stretch``
+    is the max and the witness is the first one."""
+    witness = next((report.witness for report in reports if report.witness is not None), None)
+    return EdgeVerification(
+        ok=witness is None,
+        edges_checked=sum(report.edges_checked for report in reports),
+        sources=sum(report.sources for report in reports),
+        settles=sum(report.settles for report in reports),
+        witness=witness,
+        max_stretch=max((report.max_stretch for report in reports), default=1.0),
     )
 
 
@@ -471,6 +530,147 @@ def _verify_one_source(
     return None, math.inf, settles
 
 
+#: Cells (sources × vertices) of one metric block: caps the block kernel's
+#: scratch at a few ``float64`` arrays of this size.
+BLOCK_CELLS = 1 << 15
+
+
+def _verify_metric_block(
+    engine: VerificationEngine, source_ids: Sequence[int], t: float, tolerance: float
+) -> EdgeVerification:
+    """:func:`_verify_one_source` for a block of metric sources, in lockstep.
+
+    The block's base rows come from one metric call.  A source whose
+    targets all have a light enough own edge never enters the loop; the
+    others run :func:`_lockstep_pops`, whose pops up to a row's cutoff are
+    the heap kernel's settles in the heap kernel's order.  Its stop (the
+    first target above its bound, the last pending target, or an empty
+    heap) and every report field are rebuilt from that pop sequence.
+    """
+    n = engine.n
+    scale = 1.0 + tolerance
+    ids = np.asarray(source_ids)
+    base = engine.metric_rows(source_ids)
+    with np.errstate(invalid="ignore"):  # ∞·0 on the diagonal, never a target
+        bound = t * base * scale
+    targets = (np.arange(n) > ids[:, None]) & (base > 0.0)
+    edges = int(np.count_nonzero(targets))
+    neighbours, weights = engine.padded_rows
+    own = np.full(base.shape, np.inf)
+    np.put_along_axis(own, neighbours[ids], weights[ids], axis=1)
+    pending = targets & ~((own <= base) & (own <= bound))
+    searched = np.flatnonzero(pending.any(axis=1))
+    if searched.size == 0:
+        return EdgeVerification(ok=True, edges_checked=edges, sources=0, settles=0)
+    ids, base, bound, pending = ids[searched], base[searched], bound[searched], pending[searched]
+    rows = ids.size
+    # Rounding is monotone, so the largest bound is the largest weight's.
+    cutoff = t * np.where(pending, base, -np.inf).max(axis=1) * scale
+    # A pop above the limit means the heap kernel's heap ran empty; the
+    # source itself always pops, whatever ``t``.
+    limit = np.clip(cutoff, 0.0, np.finfo(float).max)
+
+    order, popped = _lockstep_pops(neighbours, weights, ids, pending, limit)
+    steps = order.shape[1]
+    row = np.arange(rows)[:, None]
+    live = popped <= limit[:, None]  # the heap kernel's pops, a prefix of each row
+    hit = pending[row, order] & live
+    weight = base[row, order]
+    over = hit & (popped > bound[row, order])
+    failed = over.any(axis=1)
+    first = np.where(failed, over.argmax(axis=1), steps)
+    complete = ~failed & (np.count_nonzero(hit, axis=1) == np.count_nonzero(pending, axis=1))
+    last = steps - 1 - hit[:, ::-1].argmax(axis=1)
+    counted = hit & (np.arange(steps) < first[:, None])
+    stretch = np.divide(popped, weight, out=np.ones_like(popped), where=counted)
+    worst = stretch.max(axis=1)
+    # The heap ran empty: the first target of finite bound left pending fails.
+    stranded = pending & (bound < np.inf)
+    hit_rows, hit_steps = np.nonzero(hit)
+    stranded[hit_rows, order[hit_rows, hit_steps]] = False
+    stuck = ~failed & ~complete & stranded.any(axis=1)
+    worst[~failed & ~complete & ~stuck] = np.inf
+    settles = np.where(
+        failed, first + 1, np.where(complete, last + 1, np.count_nonzero(live, axis=1))
+    )
+
+    witness = None
+    broken = np.flatnonzero(failed | stuck)
+    if broken.size:
+        index = broken[0]
+        if failed[index]:
+            target = order[index, first[index]]
+        else:
+            target = stranded[index].argmax()
+        vertices = engine.vertices
+        witness = (vertices[ids[index]], vertices[target], float(base[index, target]))
+    return EdgeVerification(
+        ok=witness is None,
+        edges_checked=edges,
+        sources=rows,
+        settles=int(settles.sum()),
+        witness=witness,
+        max_stretch=float(worst.max()),
+    )
+
+
+def _lockstep_pops(
+    neighbours: np.ndarray,
+    weights: np.ndarray,
+    ids: np.ndarray,
+    pending: np.ndarray,
+    limit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one Dijkstra per row from ``ids`` in lockstep; return the pop
+    sequence as ``(vertex, distance)`` arrays of shape ``(rows, steps)``.
+
+    The state is flat ``(rows, n)`` arrays of labels and open labels.  A
+    step pops every row's ``argmin`` — the heap's ``(d, id)`` order, ties to
+    the smaller id — and relaxes the popped vertices' padded neighbour rows
+    in one strict-``<`` masked scatter, so each label is the same
+    left-folded float sum the heap kernel computes, and a settled vertex
+    (label at most the popped one, weights positive) is never relaxed
+    again.  Relaxations past a row's cutoff are not pruned: those labels
+    exceed every label the heap kernel settles, so they pop only after its
+    heap would have run empty.  The loop ends once every row has settled
+    its last ``pending`` target or popped a label above its ``limit``;
+    a row that ran out of vertices pops ``inf``.
+    """
+    rows, n = pending.shape
+    labels = np.full((rows, n), np.inf)
+    labels[np.arange(rows), ids] = 0.0
+    frontier = labels.copy()  # open labels: ``inf`` once settled
+    flat_labels = labels.reshape(-1)
+    flat_frontier = frontier.reshape(-1)
+    flat_pending = pending.reshape(-1)
+    offsets = np.arange(rows) * n
+    row_offsets = offsets[:, None]
+    # One step per row of these (contiguous per-step writes).
+    order = np.zeros((n, rows), dtype=np.intp)
+    popped = np.full((n, rows), np.inf)
+    remaining = np.count_nonzero(pending, axis=1)
+    steps = 0
+    while steps < n:
+        vertex = frontier.argmin(axis=1)
+        cells = offsets + vertex
+        dist = flat_frontier[cells]
+        flat_frontier[cells] = np.inf
+        order[steps] = vertex
+        popped[steps] = dist
+        steps += 1
+        remaining -= flat_pending[cells]
+        slots = row_offsets + neighbours.take(vertex, axis=0)
+        relaxed = dist[:, None] + weights.take(vertex, axis=0)
+        better = relaxed < flat_labels.take(slots)
+        slots, relaxed = slots[better], relaxed[better]
+        flat_labels[slots] = relaxed
+        flat_frontier[slots] = relaxed
+        # Pops only grow, so an overrun of a few steps changes no field.
+        if steps % 4 == 0 and not np.any((remaining > 0) & (dist <= limit)):
+            break
+    return order[:steps].T, popped[:steps].T
+
+
 def _run_engine_shards(task, shards, workers):
     """Run shards through :func:`repro.experiments.harness.run_sharded`.
 
@@ -534,11 +734,13 @@ def verify_spanner_edges_detailed(
 def _verify_edges_indexed(
     engine: VerificationEngine, t: float, tolerance: float, workers: Optional[int]
 ) -> EdgeVerification:
+    # The rows and groups are built here, so forked shards inherit them.
     if engine.metric is None:
         source_ids = list(engine.grouped_base_edges())
+        engine.sub_rows
     else:
         source_ids = list(range(engine.n - 1))
-    engine.sub_rows  # built here, so forked shards inherit the rows and groups
+        engine.padded_rows
     # A serial run skips the harness import (multiprocessing costs ~2 MB).
     serial = workers is None or workers == 1
     shards = [source_ids] if serial else _shard_sources(source_ids, workers)
@@ -552,15 +754,7 @@ def _verify_edges_indexed(
     finally:
         _PARALLEL_ENGINE = None
         _PARALLEL_PARAMS = {}
-    witness = next((result.witness for result in results if result.witness is not None), None)
-    return EdgeVerification(
-        ok=witness is None,
-        edges_checked=sum(result.edges_checked for result in results),
-        sources=sum(result.sources for result in results),
-        settles=sum(result.settles for result in results),
-        witness=witness,
-        max_stretch=max(result.max_stretch for result in results),
-    )
+    return _merge_reports(results)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ per-source ball sets replaced it, so any change to the coverage engine that
 moves a verdict, a hit, a miss or a settle fails here.  ``coverage_entries``
 (ids held across the ball sets) is pinned separately: it measures the
 representation, which a coverage change may legitimately shrink.
+
+The metric edge check is pinned the same way on the ``metric-build``
+benchmark size: its counters and ``max_stretch`` were recorded on the
+per-source heap kernel, before metric bases moved to the lockstep block
+kernel, which must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.graph.generators import bucketed_geometric_graph
 from repro.metric.generators import uniform_points
 from repro.service.workers import canonical_spanner_edges
+from repro.spanners.registry import build_spanner
+from repro.spanners.verification import verify_spanner_edges_detailed
 
 
 def _uniform_metric():
@@ -65,3 +72,22 @@ def test_greedy_build_is_pinned(name):
     assert hashlib.sha256(edges).hexdigest() == sha
     assert {key: spanner.metadata[key] for key in counters} == counters
     assert spanner.metadata["coverage_entries"] == coverage_entries
+
+
+#: ``uniform_points(250, 2, seed)`` → ``greedy`` at ``t = 1.5``, checked at 1.5:
+#: (verify_settles, verify_sources, verify_edges_checked, max_stretch).
+PINNED_METRIC_CHECKS = {
+    1: (61540, 249, 31125, 1.4994943004334709),
+    2: (61428, 249, 31125, 1.4972556190575055),
+    3: (61580, 249, 31125, 1.4992145529198169),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_METRIC_CHECKS))
+def test_metric_edge_check_is_pinned(seed):
+    spanner = build_spanner("greedy", uniform_points(250, 2, seed=seed), 1.5)
+    report = verify_spanner_edges_detailed(spanner.subgraph, spanner.base, 1.5)
+    assert report.ok and report.witness is None
+    assert (
+        report.settles, report.sources, report.edges_checked, report.max_stretch
+    ) == PINNED_METRIC_CHECKS[seed]

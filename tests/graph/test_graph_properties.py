@@ -110,7 +110,7 @@ def test_disjoint_set_equivalence_relation(pairs):
             adjacency[member] = merged
     for a in range(21):
         for b in range(21):
-            assert ds.connected(a, b) == (b in adjacency[a])
+            assert (ds.find(a) == ds.find(b)) == (b in adjacency[a])
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,17 +19,22 @@ from repro.graph.mst import DisjointSet, kruskal_mst, mst_weight
 from repro.graph.weighted_graph import WeightedGraph
 
 
+def _sets(ds: DisjointSet, elements) -> int:
+    """The number of distinct roots among ``elements``."""
+    return len({ds.find(element) for element in elements})
+
+
 class TestDisjointSet:
     def test_initially_disjoint(self):
         ds = DisjointSet([1, 2, 3])
-        assert ds.number_of_sets == 3
-        assert not ds.connected(1, 2)
+        assert _sets(ds, [1, 2, 3]) == 3
+        assert ds.find(1) != ds.find(2)
 
     def test_union_merges(self):
         ds = DisjointSet()
         assert ds.union(1, 2) is True
-        assert ds.connected(1, 2)
-        assert ds.number_of_sets == 1
+        assert ds.find(1) == ds.find(2)
+        assert _sets(ds, [1, 2]) == 1
 
     def test_union_idempotent(self):
         ds = DisjointSet()
@@ -41,9 +46,9 @@ class TestDisjointSet:
         ds.union(1, 2)
         ds.union(2, 3)
         ds.union(4, 5)
-        assert ds.connected(1, 3)
-        assert not ds.connected(1, 4)
-        assert ds.number_of_sets == 2
+        assert ds.find(1) == ds.find(3)
+        assert ds.find(1) != ds.find(4)
+        assert _sets(ds, [1, 2, 3, 4, 5]) == 2
 
     def test_lazy_element_registration(self):
         ds = DisjointSet()
@@ -54,8 +59,8 @@ class TestDisjointSet:
         ds = DisjointSet(range(100))
         for i in range(99):
             ds.union(i, i + 1)
-        assert ds.number_of_sets == 1
-        assert ds.connected(0, 99)
+        assert _sets(ds, range(100)) == 1
+        assert ds.find(0) == ds.find(99)
 
 
 class TestMST:

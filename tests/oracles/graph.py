@@ -85,7 +85,7 @@ def is_spanning_tree(graph: WeightedGraph, tree: WeightedGraph) -> bool:
             return False
         if not components.union(u, v):
             return False
-    return components.number_of_sets == 1
+    return len({components.find(vertex) for vertex in tree.vertices()}) == 1
 
 
 def contains_spanning_tree_edges(spanner: WeightedGraph, tree: WeightedGraph) -> bool:

@@ -18,7 +18,11 @@ Three contracts are driven over random inputs:
   ``target <= source`` skip);
 * **parallel determinism** — sharding the per-source loops across worker
   processes changes nothing: same profile floats, same merged operation
-  counters for 1 and N workers.
+  counters for 1 and N workers;
+* **metric block kernel** — on metric bases the lockstep block kernel
+  reports every ``EdgeVerification`` field exactly as a per-source loop of
+  the heap kernel over the same engine, whatever the blocks, shards and
+  metric row source.
 """
 
 from __future__ import annotations
@@ -42,13 +46,16 @@ from repro.core.spanner import Spanner
 from repro.graph.generators import random_connected_graph
 from repro.graph.mst import kruskal_mst, mst_weight, mst_weight_indexed
 from repro.graph.weighted_graph import WeightedGraph
+from repro.metric.base import ExplicitMetric
 from repro.metric.closure import MetricClosure
 from repro.metric.euclidean import EuclideanMetric
 from repro.metric.generators import uniform_points
+from repro.spanners import verification
 from repro.spanners.registry import build_spanner
 from repro.spanners.verification import (
     EdgeVerification,
     VerificationEngine,
+    _verify_one_source,
     stretch_profile,
     stretch_profile_detailed,
     verify_spanner_edges,
@@ -461,3 +468,172 @@ def test_disconnected_subgraph_fails_verification(small_random_graph):
     empty = small_random_graph.empty_spanning_subgraph()
     assert not verify_spanner_edges(empty, small_random_graph, 100.0)
     assert not verify_edges_reference(empty, small_random_graph, 100.0).ok
+
+
+class _RepeatedPoints(EuclideanMetric):
+    """Euclidean points that may repeat: zero-distance pairs, vectorized rows."""
+
+    def __init__(self, coordinates) -> None:
+        self._coordinates = np.asarray(coordinates, dtype=float)
+        self._points = list(range(self._coordinates.shape[0]))
+
+
+def _metric_of(points: list[tuple[int, int]], vectorized: bool):
+    """The points as a metric with ``block_distances``, or as an explicit
+    table over string labels that has neither it nor ``distances_from``."""
+    metric = _RepeatedPoints(points)
+    if vectorized:
+        return metric
+    n = len(points)
+    return ExplicitMetric(
+        [f"p{i}" for i in range(n)],
+        {(f"p{i}", f"p{j}"): metric.distance(i, j) for i in range(n) for j in range(i + 1, n)},
+    )
+
+
+def _per_source_loop(
+    engine: VerificationEngine, t: float, tolerance: float = 1e-9
+) -> EdgeVerification:
+    """The heap kernel on a metric base: one ``_verify_one_source`` per source
+    over its row to larger ids, zero-distance pairs skipped."""
+    witness = None
+    worst = 1.0
+    edges = sources = settles = 0
+    for source_id in range(engine.n - 1):
+        tail = engine.base_row(source_id)[0][source_id + 1 :]
+        targets = np.flatnonzero(tail > 0.0) + (source_id + 1)
+        failed, stretch, spent = _verify_one_source(
+            engine, source_id, targets.tolist(), tail[tail > 0.0].tolist(), t, tolerance
+        )
+        edges += len(targets)
+        sources += spent > 0
+        settles += spent
+        worst = max(worst, stretch)
+        if failed is not None and witness is None:
+            vertices = engine.vertices
+            witness = (vertices[source_id], vertices[failed[0]], failed[1])
+    return EdgeVerification(witness is None, edges, sources, settles, witness, worst)
+
+
+def _metric_subgraph(closure: MetricClosure, case: str, pick: int) -> WeightedGraph:
+    """A greedy 1.5-spanner of the closure's positive pairs, broken as ``case`` says."""
+    points = list(closure.vertices())
+    positive = WeightedGraph(vertices=points)
+    for index, u in enumerate(points):
+        for v in points[index + 1 :]:
+            weight = closure.metric.distance(u, v)
+            if weight > 0.0:
+                positive.add_edge(u, v, weight)
+    subgraph = greedy_spanner(positive, 1.5).subgraph
+    edges = list(subgraph.edges())
+    if case == "drop" and edges:
+        for index in (pick, pick // 3, pick // 7):
+            u, v, _ = edges[index % len(edges)]
+            if subgraph.has_edge(u, v):
+                subgraph.remove_edge(u, v)
+    elif case == "disconnect":
+        vertex = list(subgraph.vertices())[pick % subgraph.number_of_vertices]
+        for neighbour in list(subgraph.neighbours(vertex)):
+            subgraph.remove_edge(vertex, neighbour)
+    elif case == "complete":
+        subgraph = positive
+    return subgraph
+
+
+grid_points = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12)),
+    min_size=2,
+    max_size=24,
+)
+
+
+class TestMetricBlockKernel:
+    """The lockstep block kernel against the per-source heap kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=grid_points,
+        case=st.sampled_from(["none", "drop", "disconnect", "complete"]),
+        pick=st.integers(min_value=0, max_value=1_000),
+        stretch=st.sampled_from([1.0, 1.3, 1.5, math.inf]),
+        vectorized=st.booleans(),
+        block_rows=st.sampled_from([1, 3, None]),
+    )
+    def test_every_field_matches_the_heap_kernel(
+        self, points, case, pick, stretch, vectorized, block_rows
+    ):
+        closure = MetricClosure(_metric_of(points, vectorized))
+        subgraph = _metric_subgraph(closure, case, pick)
+        engine = VerificationEngine(closure, subgraph)
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:  # several blocks, down to one source each
+                patch.setattr(verification, "BLOCK_CELLS", block_rows * engine.n)
+            block = verify_spanner_edges_detailed(
+                subgraph, closure, stretch, workers=1, engine=engine
+            )
+        assert block == _per_source_loop(engine, stretch)
+
+    def test_failures_duplicates_and_infinite_stretch_occur(self):
+        """The property above sees failing, passing and ``inf`` reports and
+        skips zero-distance pairs (guards against a vacuous strategy)."""
+        points = [(0, 0), (3, 0), (3, 0), (0, 4), (6, 8), (1, 1), (5, 5), (0, 0)]
+        closure = MetricClosure(_metric_of(points, vectorized=True))
+        assert closure.metric.distance(1, 2) == 0.0
+        seen = set()
+        for case in ("none", "drop", "disconnect"):
+            subgraph = _metric_subgraph(closure, case, 5)
+            for stretch in (1.5, math.inf):
+                report = verify_spanner_edges_detailed(subgraph, closure, stretch)
+                assert report == _per_source_loop(VerificationEngine(closure, subgraph), stretch)
+                assert report.edges_checked == 28 - 2  # two duplicate pairs
+                seen.add((report.ok, report.max_stretch == math.inf))
+        assert {(True, False), (False, False), (True, True)} <= seen
+
+    def test_target_exactly_at_its_bound_settles(self):
+        """A detour of exactly ``t·w`` at zero tolerance is the search's
+        cutoff: it settles and passes.  A hair less stretch fails, and so do
+        ``t = 0`` and ``t = -inf``, where only the source settles."""
+        path = WeightedGraph(edges=[(0, 1, 2.0), (1, 2, 2.0)])
+        line = MetricClosure(EuclideanMetric([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)]))
+        cases = ((1.0, True), (math.nextafter(1.0, 0.0), False), (0.0, False), (-math.inf, False))
+        for stretch, ok in cases:
+            report = verify_spanner_edges_detailed(path, line, stretch, tolerance=0.0)
+            assert report == _per_source_loop(VerificationEngine(line, path), stretch, 0.0)
+            assert report.ok is ok
+
+    def test_complete_subgraph_searches_nothing(self):
+        closure = MetricClosure(uniform_points(40, 2, seed=5))
+        report = verify_spanner_edges_detailed(_metric_subgraph(closure, "complete", 0), closure, 1.0)
+        assert report == EdgeVerification(ok=True, edges_checked=780, sources=0, settles=0)
+
+    @pytest.mark.parametrize("block_rows", [2, None])
+    def test_shards_and_blocks(self, monkeypatch, block_rows):
+        """``workers=2`` shards start mid-range, so their blocks are not the
+        serial run's; a small block constant cuts each shard into many."""
+        spanner = build_spanner("theta", uniform_points(60, 2, seed=11), 1.5)
+        if block_rows is not None:
+            monkeypatch.setattr(verification, "BLOCK_CELLS", block_rows * 60)
+        for stretch in (1.05, 1.3, 1.5, math.inf):
+            engine = VerificationEngine(spanner.base, spanner.subgraph)
+            reference = _per_source_loop(engine, stretch)
+            for workers in (1, 2):
+                report = verify_spanner_edges_detailed(
+                    spanner.subgraph, spanner.base, stretch, workers=workers
+                )
+                assert report == reference
+
+    def test_metric_bases_run_only_the_block_kernel(self, monkeypatch, small_random_graph):
+        """Metric bases never reach the heap kernel; graph bases still do."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return _verify_one_source(*args)
+
+        monkeypatch.setattr(verification, "_verify_one_source", counting)
+        metric_spanner = build_spanner("greedy", uniform_points(50, 2, seed=2), 1.5)
+        assert verify_spanner_edges(metric_spanner.subgraph, metric_spanner.base, 1.5)
+        assert calls == []
+        graph_spanner = greedy_spanner(small_random_graph, 1.5)
+        verify_spanner_edges(graph_spanner.subgraph, small_random_graph, 1.2)
+        assert calls
