@@ -27,7 +27,6 @@ from repro.core.optimality import (
     brute_force_optimal_spanner,
     existential_optimality_certificate,
     greedy_is_fixed_point,
-    is_t_spanner_of,
     metric_optimality_certificate,
     verify_lemma3_self_spanner,
     verify_lemma7_weight,
@@ -69,7 +68,6 @@ __all__ = [
     "brute_force_optimal_spanner",
     "existential_optimality_certificate",
     "greedy_is_fixed_point",
-    "is_t_spanner_of",
     "metric_optimality_certificate",
     "verify_lemma3_self_spanner",
     "verify_lemma7_weight",

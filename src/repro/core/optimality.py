@@ -71,25 +71,6 @@ def greedy_is_fixed_point(spanner: Spanner) -> bool:
     return rerun.subgraph.same_edges(spanner.subgraph)
 
 
-def is_t_spanner_of(
-    candidate: WeightedGraph,
-    base: WeightedGraph,
-    t: float,
-    *,
-    tolerance: float = 1e-9,
-) -> bool:
-    """Return True if ``candidate`` (a subgraph of ``base``) is a ``t``-spanner of ``base``.
-
-    Checked edge-by-edge, which suffices by the standard argument of
-    Section 2 — via the batch verification engine of
-    :mod:`repro.spanners.verification` (one cutoff-bounded search per
-    distinct edge source).
-    """
-    from repro.spanners.verification import verify_spanner_edges
-
-    return verify_spanner_edges(candidate, base, t, tolerance=tolerance)
-
-
 def verify_lemma3_self_spanner(spanner: Spanner) -> bool:
     """Exhaustively check Lemma 3 on a concrete greedy spanner.
 
@@ -351,7 +332,9 @@ def analyse_figure1(epsilon: float = 0.1, stretch: float = 3.0) -> Figure1Report
     star_subgraph = combined.subgraph_with_edges(
         [(u, v) for u, v, _ in star.edges()]
     )
-    star_valid = is_t_spanner_of(star_subgraph, combined, stretch)
+    from repro.spanners.verification import verify_spanner_edges
+
+    star_valid = verify_spanner_edges(star_subgraph, combined, stretch)
 
     greedy_on_petersen = greedy_spanner(petersen, stretch)
 
@@ -393,6 +376,7 @@ def brute_force_optimal_spanner(
         )
     if objective not in {"weight", "size"}:
         raise ValueError("objective must be 'weight' or 'size'")
+    from repro.spanners.verification import verify_spanner_edges
 
     best_subgraph: WeightedGraph | None = None
     best_value = math.inf
@@ -402,7 +386,7 @@ def brute_force_optimal_spanner(
             candidate = graph.subgraph_with_edges(
                 [(edges[i][0], edges[i][1]) for i in subset]
             )
-            if not is_t_spanner_of(candidate, graph, t):
+            if not verify_spanner_edges(candidate, graph, t):
                 continue
             value = (
                 candidate.total_weight() if objective == "weight" else float(candidate.number_of_edges)

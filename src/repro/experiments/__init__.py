@@ -8,7 +8,6 @@ and its bench modules (``repro bench <name>``); they are imported on use.
 from repro.experiments.harness import (
     ExperimentResult,
     deterministic_shards,
-    merge_counters,
     run_sharded,
     timed,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "ExperimentResult",
     "timed",
     "deterministic_shards",
-    "merge_counters",
     "run_sharded",
     "render_table",
     "WorkloadSpec",

@@ -7,14 +7,14 @@ the rows should be compared against.  Benchmarks print the rendered table so
 that ``pytest benchmarks/ --benchmark-only`` output doubles as the data of
 the tables ``scripts/regenerate_experiments.py`` writes.
 
-The sharded executor (:func:`run_sharded` with :func:`deterministic_shards`
-and :func:`merge_counters`) is the ``multiprocessing`` fan-out behind the
-batch verification engine and ``repro bench verify --workers``: work items
-are split into contiguous, order-preserving shards, each shard is processed
-by one worker process, and the per-shard results come back in shard order —
-so any reduction that is a function of the *sequence* of per-item results
-(summed operation counters, ``fsum``-folded profile rows) is identical for
-one worker and for N, which is what the determinism property tests pin down.
+The sharded executor (:func:`run_sharded` with :func:`deterministic_shards`)
+is the ``multiprocessing`` fan-out behind the batch verification engine and
+``repro bench verify --workers``: work items are split into contiguous,
+order-preserving shards, each shard is processed by one worker process, and
+the per-shard results come back in shard order — so any reduction that is a
+function of the *sequence* of per-item results (summed operation counters,
+``fsum``-folded profile rows) is identical for one worker and for N, which
+is what the determinism property tests pin down.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from repro.experiments.reporting import render_table
 
@@ -317,18 +317,4 @@ def run_sharded(
             except Exception as exc:  # noqa: BLE001
                 raise ShardFailureError(index, len(shards), exc) from None
     return results
-
-
-def merge_counters(parts: Iterable[Mapping[str, float]]) -> dict[str, float]:
-    """Sum per-shard operation-counter dictionaries key-wise.
-
-    Addition over ints (the counters are settle/pair counts) is associative
-    and commutative, so the merge is independent of the sharding — the
-    counter half of the determinism contract.
-    """
-    merged: dict[str, float] = {}
-    for part in parts:
-        for key, value in part.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
 

@@ -5,10 +5,11 @@ checks* — exact edge verification and the exact stretch profile — end to
 end on the batch verification engine of :mod:`repro.spanners.verification`.
 
 One run takes a workload, builds one spanner with a registry builder
-(:mod:`repro.spanners.registry`), and runs the checkers once on the engine:
-one cutoff-bounded search per distinct edge source, one full indexed SSSP
-per profile source, vectorized ratio reduction, optionally sharded across
-worker processes (``--workers``).
+(:mod:`repro.spanners.registry`), and runs both checks once on one engine:
+one cutoff-bounded search per distinct edge source (a lockstep block of
+sources on metric bases), one full indexed SSSP per profile source,
+vectorized ratio reduction, optionally sharded across worker processes
+(``--workers``).
 
 The record holds wall-clock seconds plus the deterministic
 ``verify_settles`` / ``profile_settles`` operation counts that
@@ -16,7 +17,9 @@ The record holds wall-clock seconds plus the deterministic
 in ``benchmarks/BENCH_verify.json`` (machine-independent, noise-free).  The
 engine's agreement with the seed per-pair reference (identical verdicts,
 bit-identical profile floats) is a tier-1 test on the CI rows
-(``tests/experiments/test_verify_bench.py``).
+(``tests/experiments/test_verify_bench.py``).  The committed rows still
+carry ``sampled_seconds`` / ``sampled_ok`` from the deleted sampled spot
+check until that file is re-emitted; fresh rows have neither.
 
 Large rows (``n = 10⁴``) keep edge verification exact over every base edge,
 while the profile sweeps a deterministic evenly-strided source shard
@@ -44,9 +47,8 @@ from repro.metric.base import FiniteMetric
 from repro.spanners.registry import build_spanner
 from repro.spanners.verification import (
     VerificationEngine,
-    stretch_profile_detailed,
+    stretch_profile,
     verify_spanner_edges_detailed,
-    verify_spanner_sampled,
 )
 
 #: The record keys the engine's counters under this label, as the committed
@@ -133,9 +135,8 @@ def run_verify_bench(
     *,
     workers: Optional[int] = None,
     profile_sources: Optional[int] = None,
-    samples: int = 128,
 ) -> dict[str, object]:
-    """Run edge verification + exact profile + sampled check; returns one run record.
+    """Run edge verification + exact profile; returns one run record.
 
     The record mirrors the oracle/overlay bench shape (``"strategies"``
     holding the engine's counters under :data:`ENGINE`) so
@@ -165,23 +166,15 @@ def run_verify_bench(
     verify_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    profile, profile_stats = stretch_profile_detailed(
-        spanner, exact=True, workers=workers, sources=sources, engine=engine
+    profile, profile_stats = stretch_profile(
+        spanner, sources=sources, workers=workers, engine=engine
     )
     profile_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sampled_ok = verify_spanner_sampled(
-        spanner, samples=samples, seed=int(workload.get("seed", 7)), engine=engine
-    )
-    sampled_seconds = time.perf_counter() - start
 
     record: dict[str, float] = {
         "verify_seconds": verify_seconds,
         "profile_seconds": profile_seconds,
-        "sampled_seconds": sampled_seconds,
         "verify_ok": float(verification.ok),
-        "sampled_ok": float(sampled_ok),
     }
     record.update(verification.counters())
     record.update(profile_stats.counters())

@@ -27,10 +27,8 @@ from repro.spanners.verification import (
     StretchProfile,
     VerificationEngine,
     stretch_profile,
-    stretch_profile_detailed,
     verify_spanner_edges,
     verify_spanner_edges_detailed,
-    verify_spanner_sampled,
 )
 from repro.spanners.wspd import build_split_tree, separation_for_stretch, wspd_pairs, wspd_spanner
 from repro.spanners.yao_graph import yao_cones_for_stretch, yao_graph_spanner, yao_graph_stretch
@@ -58,10 +56,8 @@ __all__ = [
     "StretchProfile",
     "VerificationEngine",
     "stretch_profile",
-    "stretch_profile_detailed",
     "verify_spanner_edges",
     "verify_spanner_edges_detailed",
-    "verify_spanner_sampled",
     "build_split_tree",
     "separation_for_stretch",
     "wspd_pairs",

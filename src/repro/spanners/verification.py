@@ -2,11 +2,10 @@
 
 Section 2 of the paper notes that to bound the stretch of a spanner it
 suffices to look at the edges of the base graph; :func:`verify_spanner_edges`
-implements exactly that check, :func:`verify_spanner_sampled` spot-checks
-random vertex pairs, and :func:`stretch_profile` returns the distribution of
-per-pair stretches used by the comparison experiments.
+implements exactly that check, and :func:`stretch_profile` returns the exact
+distribution of per-pair stretches (``repro bench verify`` records it).
 
-Every checker runs on one batch engine over a shared id map (ids assigned
+Both checks run on one batch engine over a shared id map (ids assigned
 in ``base.vertices()`` order); each translation of base or subgraph is
 built once, on first use.  The edge check is the library's only stretch
 checker: :class:`~repro.core.spanner.Spanner`'s ``is_valid``,
@@ -41,7 +40,9 @@ order-independently (per-source ``math.fsum`` rows folded by an outer
 hypothesis-tested for exact equality.  Pairs are deduped by shared-id order,
 for every vertex type.
 
-``workers=N`` shards the per-source loops across forked worker processes via
+Both checks run their per-source loop through one runner: ``workers`` of
+None, 0 or 1 runs it inline (without importing ``multiprocessing``), and
+``workers=N`` shards it across forked worker processes via
 :func:`repro.experiments.harness.run_sharded`; shard order is preserved,
 counters merge by addition, ``max_stretch`` by ``max`` and the witness is
 the first in shard order, so the merged result is identical for 1 and N
@@ -54,10 +55,9 @@ operation counts to ``BENCH_verify.json``, gated by
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -352,32 +352,8 @@ def _reduce_profile(rows: Sequence[_ProfileRow]) -> StretchProfile:
 
 
 # ---------------------------------------------------------------------------
-# Parallel shard workers (module-level so the forked pool can address them;
-# the engine itself is inherited by fork, never pickled)
+# Per-source kernels
 # ---------------------------------------------------------------------------
-_PARALLEL_ENGINE: Optional[VerificationEngine] = None
-_PARALLEL_PARAMS: dict[str, float] = {}
-
-
-def _profile_shard(source_ids: list[int]) -> tuple[list[_ProfileRow], dict[str, float]]:
-    """Profile one shard of sources on the inherited engine."""
-    engine = _PARALLEL_ENGINE
-    rows: list[_ProfileRow] = []
-    settles = 0
-    for source_id in source_ids:
-        row, spent = _profile_one_source(engine, source_id)
-        rows.append(row)
-        settles += spent
-    return rows, {"settles": settles}
-
-
-def _verify_shard(source_ids: list[int]) -> EdgeVerification:
-    """Verify one shard of edge sources on the inherited engine."""
-    return _verify_sources(
-        _PARALLEL_ENGINE, source_ids, _PARALLEL_PARAMS["t"], _PARALLEL_PARAMS["tolerance"]
-    )
-
-
 def _verify_sources(
     engine: VerificationEngine,
     source_ids: Sequence[int],
@@ -438,6 +414,19 @@ def _merge_reports(reports: Sequence[EdgeVerification]) -> EdgeVerification:
         witness=witness,
         max_stretch=max((report.max_stretch for report in reports), default=1.0),
     )
+
+
+def _profile_sources(
+    engine: VerificationEngine, source_ids: Sequence[int]
+) -> tuple[list[_ProfileRow], int]:
+    """Profile rows of ``source_ids`` and the settles they cost."""
+    rows: list[_ProfileRow] = []
+    settles = 0
+    for source_id in source_ids:
+        row, spent = _profile_one_source(engine, source_id)
+        rows.append(row)
+        settles += spent
+    return rows, settles
 
 
 def _profile_one_source(
@@ -671,24 +660,43 @@ def _lockstep_pops(
     return order[:steps].T, popped[:steps].T
 
 
-def _run_engine_shards(task, shards, workers):
-    """Run shards through :func:`repro.experiments.harness.run_sharded`.
+# ---------------------------------------------------------------------------
+# The per-source runner (the forked pool inherits the task, never pickles it)
+# ---------------------------------------------------------------------------
+_SHARD_TASK: Optional[Callable[[list[int]], object]] = None
 
-    Imported lazily to keep the spanners layer import-independent of the
-    experiments layer at module load.
+
+def _run_shard(source_ids: list[int]) -> object:
+    """Run one shard of sources through the task the parent published."""
+    return _SHARD_TASK(source_ids)
+
+
+def _run_sources(
+    task: Callable[[list[int]], object], source_ids: list[int], workers: Optional[int]
+) -> list:
+    """Apply ``task`` to ``source_ids``; return its results in shard order.
+
+    ``workers`` of None, 0 or 1 makes one inline call and imports nothing
+    (the harness pulls in ``multiprocessing``, ~2 MB).  Otherwise the ids
+    are cut into a few contiguous shards per worker for
+    :func:`repro.experiments.harness.run_sharded`, whose forked workers
+    inherit ``task`` and its engine through a module global.
     """
-    from repro.experiments.harness import run_sharded
+    if workers in (None, 0, 1):
+        return [task(source_ids)]
+    from repro.experiments.harness import deterministic_shards, resolve_worker_count, run_sharded
 
-    return run_sharded(task, shards, workers=workers)
-
-
-def _shard_sources(items: list, workers: Optional[int]) -> list[list]:
-    from repro.experiments.harness import deterministic_shards, resolve_worker_count
-
-    worker_count = resolve_worker_count(workers)
     # A few shards per worker keeps the pool busy without costing determinism
     # (results are reduced in shard order either way).
-    return deterministic_shards(items, max(1, worker_count * 4))
+    shards = deterministic_shards(source_ids, resolve_worker_count(workers) * 4)
+    if len(shards) <= 1:
+        return [task(source_ids)]
+    global _SHARD_TASK
+    _SHARD_TASK = task
+    try:
+        return run_sharded(_run_shard, shards, workers=workers)
+    finally:
+        _SHARD_TASK = None
 
 
 # ---------------------------------------------------------------------------
@@ -728,12 +736,6 @@ def verify_spanner_edges_detailed(
         raise InvalidStretchError(f"stretch must be a number, got {t}")
     if engine is None:
         engine = VerificationEngine(base, subgraph)
-    return _verify_edges_indexed(engine, t, tolerance, workers)
-
-
-def _verify_edges_indexed(
-    engine: VerificationEngine, t: float, tolerance: float, workers: Optional[int]
-) -> EdgeVerification:
     # The rows and groups are built here, so forked shards inherit them.
     if engine.metric is None:
         source_ids = list(engine.grouped_base_edges())
@@ -741,87 +743,10 @@ def _verify_edges_indexed(
     else:
         source_ids = list(range(engine.n - 1))
         engine.padded_rows
-    # A serial run skips the harness import (multiprocessing costs ~2 MB).
-    serial = workers is None or workers == 1
-    shards = [source_ids] if serial else _shard_sources(source_ids, workers)
-    if len(shards) <= 1:
-        return _verify_sources(engine, source_ids, t, tolerance)
-    global _PARALLEL_ENGINE, _PARALLEL_PARAMS
-    _PARALLEL_ENGINE = engine
-    _PARALLEL_PARAMS = {"t": t, "tolerance": tolerance}
-    try:
-        results = _run_engine_shards(_verify_shard, shards, workers)
-    finally:
-        _PARALLEL_ENGINE = None
-        _PARALLEL_PARAMS = {}
-    return _merge_reports(results)
-
-
-# ---------------------------------------------------------------------------
-# Sampled verification
-# ---------------------------------------------------------------------------
-def _sampled_pair_distances(
-    engine: VerificationEngine, pairs: Sequence[tuple[Vertex, Vertex]]
-) -> tuple[list[tuple[float, float]], int, int]:
-    """Resolve sampled pairs to ``(base_distance, sub_distance)`` tuples.
-
-    The sampled checks share this loop: one cached row per distinct
-    sampled source (base rows free on metric bases), pairs with zero or
-    infinite base distance skipped.  Returns ``(distances, distinct_sources,
-    settles)``.
-    """
-    id_of = engine.id_of
-    base_rows: dict[int, np.ndarray] = {}
-    sub_rows: dict[int, np.ndarray] = {}
-    distances: list[tuple[float, float]] = []
-    settles = 0
-    for u, v in pairs:
-        uid, vid = id_of[u], id_of[v]
-        base_row = base_rows.get(uid)
-        if base_row is None:
-            base_row, base_settles = engine.base_row(uid)
-            base_rows[uid] = base_row
-            settles += base_settles
-        base_distance = float(base_row[vid])
-        if base_distance == 0.0 or math.isinf(base_distance):
-            continue
-        sub_row = sub_rows.get(uid)
-        if sub_row is None:
-            sub_row, sub_settles = engine.sub_row(uid)
-            sub_rows[uid] = sub_row
-            settles += sub_settles
-        distances.append((base_distance, float(sub_row[vid])))
-    return distances, len(base_rows), settles
-
-
-def verify_spanner_sampled(
-    spanner: Spanner,
-    *,
-    samples: int = 200,
-    seed: Optional[int] = None,
-    tolerance: float = 1e-9,
-    engine: Optional[VerificationEngine] = None,
-) -> bool:
-    """Spot-check the stretch guarantee on ``samples`` random vertex pairs.
-
-    The engine caches one full subgraph SSSP row per distinct sampled
-    source, so repeated sources (and metric bases, whose base distance is
-    the direct edge) cost no extra search.
-    """
-    rng = random.Random(seed)
-    vertices = list(spanner.base.vertices())
-    if len(vertices) < 2:
-        return True
-    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(samples)]
-    threshold = spanner.stretch * (1.0 + tolerance)
-
-    if engine is None:
-        engine = VerificationEngine(spanner.base, spanner.subgraph)
-    distances, _, _ = _sampled_pair_distances(engine, pairs)
-    return all(
-        sub_distance <= threshold * base_distance
-        for base_distance, sub_distance in distances
+    reports = _run_sources(
+        lambda ids: _verify_sources(engine, ids, t, tolerance), source_ids, workers
     )
+    return _merge_reports(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -830,101 +755,29 @@ def verify_spanner_sampled(
 def stretch_profile(
     spanner: Spanner,
     *,
-    exact: bool = True,
-    samples: int = 500,
-    seed: Optional[int] = None,
-    workers: Optional[int] = None,
     sources: Optional[Sequence[Vertex]] = None,
-    engine: Optional[VerificationEngine] = None,
-) -> StretchProfile:
-    """Compute the stretch distribution of a spanner.
-
-    With ``exact=True`` (the default) every vertex pair is measured — each
-    unordered pair once, from its smaller shared-id endpoint — via one SSSP
-    per source; ``sources`` restricts the exact sweep to the given source
-    vertices (their rows stay exact; the bench uses this to profile
-    ``n = 10⁴`` instances from a deterministic source shard).  Otherwise
-    ``samples`` random pairs are used.
-    """
-    profile, _ = stretch_profile_detailed(
-        spanner,
-        exact=exact,
-        samples=samples,
-        seed=seed,
-        workers=workers,
-        sources=sources,
-        engine=engine,
-    )
-    return profile
-
-
-def stretch_profile_detailed(
-    spanner: Spanner,
-    *,
-    exact: bool = True,
-    samples: int = 500,
-    seed: Optional[int] = None,
     workers: Optional[int] = None,
-    sources: Optional[Sequence[Vertex]] = None,
     engine: Optional[VerificationEngine] = None,
 ) -> tuple[StretchProfile, ProfileStats]:
-    """:func:`stretch_profile` plus the engine's operation counts."""
-    if not exact:
-        return _profile_sampled(spanner, samples, seed, engine)
+    """Return the exact stretch distribution of a spanner and its operation counts.
+
+    Every vertex pair is measured — each unordered pair once, from its
+    smaller shared-id endpoint — via one SSSP per source.  ``sources``
+    restricts the sweep to the given source vertices (their rows stay
+    exact; the bench uses this to profile ``n = 10⁴`` instances from a
+    deterministic source shard); an unknown one raises
+    :class:`~repro.errors.VertexNotFoundError`.
+    """
     if engine is None:
         engine = VerificationEngine(spanner.base, spanner.subgraph)
     if sources is None:
         source_ids = list(range(engine.n))
     else:
-        source_ids = [engine.id_of[vertex] for vertex in sources]
-    shards = _shard_sources(source_ids, workers)
-    if len(shards) <= 1 or workers is None or workers == 1:
-        rows: list[_ProfileRow] = []
-        settles = 0
-        for source_id in source_ids:
-            row, spent = _profile_one_source(engine, source_id)
-            rows.append(row)
-            settles += spent
-    else:
-        global _PARALLEL_ENGINE
-        _PARALLEL_ENGINE = engine
         try:
-            results = _run_engine_shards(_profile_shard, shards, workers)
-        finally:
-            _PARALLEL_ENGINE = None
-        from repro.experiments.harness import merge_counters
-
-        rows = [row for shard_rows, _ in results for row in shard_rows]
-        settles = int(merge_counters(counters for _, counters in results).get("settles", 0))
+            source_ids = [engine.id_of[vertex] for vertex in sources]
+        except KeyError as missing:
+            raise VertexNotFoundError(missing.args[0]) from None
+    results = _run_sources(lambda ids: _profile_sources(engine, ids), source_ids, workers)
+    rows = [row for shard_rows, _ in results for row in shard_rows]
+    settles = sum(spent for _, spent in results)
     return _reduce_profile(rows), ProfileStats(sources=len(source_ids), settles=settles)
-
-
-def _profile_sampled(
-    spanner: Spanner,
-    samples: int,
-    seed: Optional[int],
-    engine: Optional[VerificationEngine],
-) -> tuple[StretchProfile, ProfileStats]:
-    """Sampled profile; the engine caches one SSSP row per sampled source."""
-    rng = random.Random(seed)
-    vertices = list(spanner.base.vertices())
-    if engine is None:
-        engine = VerificationEngine(spanner.base, spanner.subgraph)
-    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(samples)]
-    distances, sources, settles = _sampled_pair_distances(engine, pairs)
-    stretches = [sub_distance / base_distance for base_distance, sub_distance in distances]
-    return _profile_from_samples(stretches), ProfileStats(sources=sources, settles=settles)
-
-
-def _profile_from_samples(stretches: list[float]) -> StretchProfile:
-    """Reduce a flat sampled ratio list (one ``fsum``; sampled rows have no
-    per-source structure to preserve)."""
-    if not stretches:
-        return StretchProfile(0, 1.0, 1.0, 1.0)
-    at_one = sum(1 for s in stretches if s <= 1.0 + 1e-9)
-    return StretchProfile(
-        pairs_checked=len(stretches),
-        max_stretch=max(stretches),
-        mean_stretch=math.fsum(stretches) / len(stretches),
-        fraction_at_stretch_one=at_one / len(stretches),
-    )

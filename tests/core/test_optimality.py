@@ -11,7 +11,6 @@ from repro.core.optimality import (
     build_metric_spanner_of_greedy,
     existential_optimality_certificate,
     greedy_is_fixed_point,
-    is_t_spanner_of,
     metric_optimality_certificate,
     project_metric_spanner_onto_graph,
     verify_lemma3_self_spanner,
@@ -30,6 +29,7 @@ from repro.graph.generators import (
 from repro.graph.mst import kruskal_mst
 from repro.metric.generators import uniform_points
 from repro.spanners.trivial import mst_spanner
+from repro.spanners.verification import verify_spanner_edges
 
 
 class TestObservation2:
@@ -173,7 +173,7 @@ class TestBruteForce:
 
     def test_brute_force_validates_result(self, triangle_graph):
         optimal = brute_force_optimal_spanner(triangle_graph, 1.5)
-        assert is_t_spanner_of(optimal, triangle_graph, 1.5)
+        assert verify_spanner_edges(optimal, triangle_graph, 1.5)
 
     def test_brute_force_rejects_large_graphs(self, medium_random_graph):
         with pytest.raises(SpannerError):

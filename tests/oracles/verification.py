@@ -1,7 +1,7 @@
 """The seed per-pair stretch checks the batch verification engine replaces.
 
-One dict-based Dijkstra per base edge, per profile source or per sampled
-pair; :func:`max_edge_stretch_reference` is the seed
+One dict-based Dijkstra per base edge or per profile source;
+:func:`max_edge_stretch_reference` is the seed
 ``Spanner.max_stretch_over_edges`` loop.  :mod:`repro.spanners.verification`
 must reproduce these verdicts, maximum edge stretches, profiles and pair
 counts *bit for bit* (see its module docstring for why
@@ -12,7 +12,6 @@ searching the Θ(n²) closure per pair is the wall the engine removes.
 from __future__ import annotations
 
 import math
-import random
 from typing import Optional, Sequence
 
 from repro.core.spanner import Spanner
@@ -22,7 +21,6 @@ from repro.spanners.verification import (
     EdgeVerification,
     ProfileStats,
     StretchProfile,
-    _profile_from_samples,
     _reduce_profile,
 )
 
@@ -59,54 +57,18 @@ def max_edge_stretch_reference(spanner: Spanner) -> float:
     return worst
 
 
-def _base_distance(spanner: Spanner, u: Vertex, v: Vertex) -> float:
-    if getattr(spanner.base, "metric", None) is not None:
-        return spanner.base.weight(u, v)
-    return pair_distance(spanner.base, u, v)
-
-
-def verify_sampled_reference(spanner: Spanner, *, samples: int, seed: int) -> bool:
-    """The seeded pair sequence of :func:`verify_spanner_sampled`, one search per pair."""
-    rng = random.Random(seed)
-    vertices = list(spanner.base.vertices())
-    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(samples)]
-    threshold = spanner.stretch * (1.0 + 1e-9)
-    for u, v in pairs:
-        base_distance = _base_distance(spanner, u, v)
-        if base_distance == 0.0 or math.isinf(base_distance):
-            continue
-        if pair_distance(spanner.subgraph, u, v) > threshold * base_distance:
-            return False
-    return True
-
-
 def profile_reference(
     spanner: Spanner,
     *,
-    exact: bool = True,
-    samples: int = 500,
-    seed: Optional[int] = None,
     sources: Optional[Sequence[Vertex]] = None,
 ) -> tuple[StretchProfile, ProfileStats]:
-    """The seed stretch profile, shaped like :func:`stretch_profile_detailed`.
+    """The seed stretch profile, shaped like :func:`stretch_profile`.
 
-    The exact profile runs one dict Dijkstra pair per source, dedupes pairs
-    by shared-id order for every vertex type and enumerates targets in id
-    order, so its per-source rows line up with the engine's bit for bit.
-    The sampled profile reports no settles.
+    One dict Dijkstra pair per source; pairs are deduped by shared-id order
+    for every vertex type and targets enumerated in id order, so the
+    per-source rows line up with the engine's bit for bit.
     """
     vertices = list(spanner.base.vertices())
-    if not exact:
-        rng = random.Random(seed)
-        stretches = []
-        for _ in range(samples):
-            u, v = rng.sample(vertices, 2)
-            original = _base_distance(spanner, u, v)
-            if original == 0.0 or math.isinf(original):
-                continue
-            stretches.append(pair_distance(spanner.subgraph, u, v) / original)
-        return _profile_from_samples(stretches), ProfileStats(sources=samples, settles=0)
-
     id_of = {vertex: vid for vid, vertex in enumerate(vertices)}
     metric = getattr(spanner.base, "metric", None)
     chosen = vertices if sources is None else list(sources)

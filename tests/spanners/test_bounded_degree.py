@@ -7,7 +7,6 @@ import pytest
 from repro.errors import InvalidStretchError
 from repro.metric.generators import circle_points, line_points, uniform_points
 from repro.spanners.bounded_degree import bounded_degree_spanner, theoretical_degree_bound
-from repro.spanners.verification import verify_spanner_sampled
 
 
 class TestConstruction:
@@ -44,7 +43,7 @@ class TestConstruction:
 
     def test_spot_check_helper(self, small_points):
         spanner = bounded_degree_spanner(small_points, 0.5)
-        assert verify_spanner_sampled(spanner, samples=200, seed=7)
+        assert spanner.is_valid()
 
 
 class TestDegreeBound:

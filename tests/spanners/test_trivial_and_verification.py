@@ -8,7 +8,6 @@ import pytest
 from oracles.spanner import shortest_path_tree_spanner
 
 from repro.core.greedy import greedy_spanner
-from repro.core.spanner import Spanner
 from repro.graph.generators import path_graph, random_connected_graph
 from repro.graph.mst import kruskal_mst
 from repro.spanners.trivial import complete_metric_spanner, identity_spanner, mst_spanner
@@ -18,7 +17,6 @@ from repro.spanners.verification import (
     stretch_profile,
     verify_spanner_edges,
     verify_spanner_edges_detailed,
-    verify_spanner_sampled,
 )
 
 
@@ -85,37 +83,28 @@ class TestVerificationHelpers:
                 verify_spanner_edges(subgraph, base, 2.0)
             assert excinfo.value.vertex == missing
 
-    def test_verify_spanner_sampled(self, medium_random_graph):
-        spanner = greedy_spanner(medium_random_graph, 2.0)
-        assert verify_spanner_sampled(spanner, samples=80, seed=0)
-
-    def test_verify_spanner_sampled_trivial_graph(self):
-        graph = path_graph(1)
-        spanner = Spanner(base=graph, subgraph=graph.copy(), stretch=1.0)
-        assert verify_spanner_sampled(spanner, samples=5, seed=0)
-
     def test_stretch_profile_exact(self, small_random_graph):
         spanner = greedy_spanner(small_random_graph, 2.0)
-        profile = stretch_profile(spanner, exact=True)
+        profile, _ = stretch_profile(spanner)
         assert profile.pairs_checked > 0
         assert 1.0 <= profile.mean_stretch <= profile.max_stretch <= 2.0 + 1e-9
         assert 0.0 <= profile.fraction_at_stretch_one <= 1.0
 
-    def test_stretch_profile_sampled(self, medium_random_graph):
-        spanner = greedy_spanner(medium_random_graph, 3.0)
-        profile = stretch_profile(spanner, exact=False, samples=60, seed=4)
-        assert profile.pairs_checked <= 60
-        assert profile.max_stretch <= 3.0 + 1e-9
+    def test_stretch_profile_unknown_source_raises(self, small_random_graph):
+        spanner = greedy_spanner(small_random_graph, 2.0)
+        with pytest.raises(VertexNotFoundError) as excinfo:
+            stretch_profile(spanner, sources=[0, "nope"])
+        assert excinfo.value.vertex == "nope"
 
     def test_stretch_profile_identity_graph_all_ones(self, small_random_graph):
         spanner = identity_spanner(small_random_graph)
-        profile = stretch_profile(spanner, exact=True)
+        profile, _ = stretch_profile(spanner)
         assert profile.max_stretch == pytest.approx(1.0)
         assert profile.fraction_at_stretch_one == pytest.approx(1.0)
 
     def test_profile_as_row(self, small_random_graph):
         spanner = greedy_spanner(small_random_graph, 2.0)
-        row = stretch_profile(spanner, exact=False, samples=20, seed=1).as_row()
+        row = stretch_profile(spanner)[0].as_row()
         assert set(row) == {
             "pairs_checked",
             "max_stretch",

@@ -4,7 +4,7 @@ Three contracts are driven over random inputs:
 
 * **reference equivalence** — the batch engine and the seed per-pair
   reference (``tests/oracles/verification.py``) agree on every verdict
-  (edge, sampled, Lemma 3) and produce *bit-identical* stretch-profile
+  (edge, Lemma 3) and produce *bit-identical* stretch-profile
   floats, on weighted graphs with dyadic tie-heavy weights (the
   adversarial family for float-boundary verdicts), on string-vertex
   graphs (the family the seed dedup bug double-counted), and on lazy metric
@@ -37,11 +37,10 @@ from oracles.verification import (
     max_edge_stretch_reference,
     profile_reference,
     verify_edges_reference,
-    verify_sampled_reference,
 )
 
 from repro.core.greedy import greedy_spanner
-from repro.core.optimality import is_t_spanner_of, verify_lemma3_self_spanner
+from repro.core.optimality import verify_lemma3_self_spanner
 from repro.core.spanner import Spanner
 from repro.graph.generators import random_connected_graph
 from repro.graph.mst import kruskal_mst, mst_weight, mst_weight_indexed
@@ -57,10 +56,8 @@ from repro.spanners.verification import (
     VerificationEngine,
     _verify_one_source,
     stretch_profile,
-    stretch_profile_detailed,
     verify_spanner_edges,
     verify_spanner_edges_detailed,
-    verify_spanner_sampled,
 )
 
 # Dyadic weights (multiples of 1/8): sums and ratios hit exact float ties,
@@ -115,9 +112,7 @@ class TestModeEquivalence:
             indexed = verify_spanner_edges(candidate, graph, stretch)
             reference = verify_edges_reference(candidate, graph, stretch).ok
             assert indexed == reference
-        profile_indexed = stretch_profile(spanner, exact=True)
-        profile_ref, _ = profile_reference(spanner)
-        assert profile_indexed == profile_ref  # bit-identical floats
+        assert stretch_profile(spanner)[0] == profile_reference(spanner)[0]  # bit-identical
 
     @settings(max_examples=15, deadline=None)
     @given(graph=dyadic_graphs, stretch=st.sampled_from([1.5, 2.0]))
@@ -127,29 +122,7 @@ class TestModeEquivalence:
         assert verify_spanner_edges(
             spanner.subgraph, relabelled, stretch
         ) == verify_edges_reference(spanner.subgraph, relabelled, stretch).ok
-        assert stretch_profile(spanner, exact=True) == profile_reference(spanner)[0]
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        graph=dyadic_graphs,
-        stretch=st.sampled_from([1.5, 2.0]),
-        seed=st.integers(min_value=0, max_value=100),
-    )
-    def test_sampled_verdicts(self, graph, stretch, seed):
-        spanner = greedy_spanner(graph, stretch)
-        assert verify_spanner_sampled(
-            spanner, samples=40, seed=seed
-        ) == verify_sampled_reference(spanner, samples=40, seed=seed)
-        weak = Spanner(
-            base=graph, subgraph=kruskal_mst(graph), stretch=1.01, algorithm="mst"
-        )
-        assert verify_spanner_sampled(
-            weak, samples=40, seed=seed
-        ) == verify_sampled_reference(weak, samples=40, seed=seed)
-        for checked in (spanner, weak):
-            assert stretch_profile(
-                checked, exact=False, samples=40, seed=seed
-            ) == profile_reference(checked, exact=False, samples=40, seed=seed)[0]
+        assert stretch_profile(spanner)[0] == profile_reference(spanner)[0]
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -189,13 +162,13 @@ class TestModeEquivalence:
         spanner = build_spanner("theta", metric, 1.5)
         assert verify_spanner_edges(spanner.subgraph, spanner.base, 1.5)
         assert verify_edges_reference(spanner.subgraph, spanner.base, 1.5).ok
-        assert stretch_profile(spanner, exact=True) == profile_reference(spanner)[0]
+        assert stretch_profile(spanner)[0] == profile_reference(spanner)[0]
 
     def test_is_t_spanner_of_modes(self, medium_random_graph):
         spanner = greedy_spanner(medium_random_graph, 2.0)
         mst = kruskal_mst(medium_random_graph)
         for candidate, expected in ((spanner.subgraph, True), (mst, None)):
-            indexed = is_t_spanner_of(candidate, medium_random_graph, 2.0)
+            indexed = verify_spanner_edges(candidate, medium_random_graph, 2.0)
             reference = verify_edges_reference(candidate, medium_random_graph, 2.0).ok
             assert indexed == reference
             if expected is not None:
@@ -219,7 +192,7 @@ class TestModeEquivalence:
             or subgraph.weight(u, v) > 2.0 * weight * (1.0 + 1e-9)
         }
         assert indexed.sources == len(searched) < reference.sources
-        _, stats_indexed = stretch_profile_detailed(spanner, exact=True)
+        _, stats_indexed = stretch_profile(spanner)
         _, stats_reference = profile_reference(spanner)
         assert stats_indexed.sources == stats_reference.sources
 
@@ -293,7 +266,6 @@ class TestEarlyStoppingCheck:
         base = WeightedGraph(edges=[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.5)])
         subgraph = WeightedGraph(vertices=[0, 1, 2], edges=[(0, 1, 1.0)])
         assert verify_spanner_edges(subgraph, base, math.inf)
-        assert is_t_spanner_of(subgraph, base, math.inf)
         assert Spanner(base=base, subgraph=subgraph, stretch=math.inf).is_valid()
         assert verify_edges_reference(subgraph, base, math.inf).ok
         result = verify_spanner_edges_detailed(subgraph, base, math.inf)
@@ -362,13 +334,13 @@ class TestPairDedup:
         graph.add_edge("b", "c", 1.0)
         graph.add_edge("c", "d", 1.0)
         spanner = greedy_spanner(graph, 2.0)
-        for profile in (stretch_profile(spanner, exact=True), profile_reference(spanner)[0]):
+        for profile, _ in (stretch_profile(spanner), profile_reference(spanner)):
             assert profile.pairs_checked == 6  # C(4, 2), not 12
 
     def test_int_vertices_unchanged(self, small_random_graph):
         spanner = greedy_spanner(small_random_graph, 2.0)
         n = small_random_graph.number_of_vertices
-        profile = stretch_profile(spanner, exact=True)
+        profile, _ = stretch_profile(spanner)
         assert profile.pairs_checked == n * (n - 1) // 2
 
     def test_orientation_is_shared_id_order(self):
@@ -379,7 +351,7 @@ class TestPairDedup:
         graph.add_edge(2, 5, 2.0)
         graph.add_edge(9, 5, 2.5)
         spanner = greedy_spanner(graph, 2.0)
-        assert stretch_profile(spanner, exact=True) == profile_reference(spanner)[0]
+        assert stretch_profile(spanner)[0] == profile_reference(spanner)[0]
 
 
 class TestParallelDeterminism:
@@ -388,13 +360,9 @@ class TestParallelDeterminism:
     def test_profile_workers_identical(self, graph, stretch):
         spanner = greedy_spanner(graph, stretch)
         engine = VerificationEngine(graph, spanner.subgraph)
-        baseline, stats_1 = stretch_profile_detailed(
-            spanner, exact=True, workers=1, engine=engine
-        )
+        baseline, stats_1 = stretch_profile(spanner, workers=1, engine=engine)
         for workers in (2, 3):
-            parallel, stats_n = stretch_profile_detailed(
-                spanner, exact=True, workers=workers, engine=engine
-            )
+            parallel, stats_n = stretch_profile(spanner, workers=workers, engine=engine)
             assert parallel == baseline  # bit-identical floats
             assert stats_n.counters() == stats_1.counters()  # merged counters
 
@@ -424,10 +392,11 @@ class TestParallelDeterminism:
         for those sources (here: all sources, so the full profile)."""
         spanner = greedy_spanner(medium_random_graph, 2.0)
         vertices = list(medium_random_graph.vertices())
-        full = stretch_profile(spanner, exact=True)
-        assert stretch_profile(spanner, exact=True, sources=vertices) == full
-        some = stretch_profile(spanner, exact=True, sources=vertices[:5])
-        assert 0 < some.pairs_checked < full.pairs_checked
+        full = stretch_profile(spanner)
+        assert stretch_profile(spanner, sources=vertices) == full
+        some, stats = stretch_profile(spanner, sources=vertices[:5])
+        assert 0 < some.pairs_checked < full[0].pairs_checked
+        assert stats.sources == 5
 
 
 class TestMstFastPath:
@@ -451,16 +420,13 @@ class TestMstFastPath:
 
 
 def test_engine_reuse_across_checks(small_random_graph):
-    """One engine serves edge check, profile and sampled check identically."""
+    """One engine serves the edge check and the profile identically."""
     spanner = greedy_spanner(small_random_graph, 2.0)
     engine = VerificationEngine(small_random_graph, spanner.subgraph)
     assert verify_spanner_edges(
         spanner.subgraph, small_random_graph, 2.0, engine=engine
     ) == verify_spanner_edges(spanner.subgraph, small_random_graph, 2.0)
-    assert stretch_profile(spanner, exact=True, engine=engine) == stretch_profile(
-        spanner, exact=True
-    )
-    assert verify_spanner_sampled(spanner, samples=30, seed=2, engine=engine) is True
+    assert stretch_profile(spanner, engine=engine) == stretch_profile(spanner)
 
 
 def test_disconnected_subgraph_fails_verification(small_random_graph):

@@ -309,7 +309,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         ("name", "key", "column"),
         [
-            ("verify", "geometric-n60-r0.16-seed7-t1.5-bgreedy", "sampled_ok"),
+            ("verify", "geometric-n60-r0.16-seed7-t1.5-bgreedy", "verify_ok"),
             (
                 "faults",
                 "geometric-n60-r0.16-seed7-t1.5-f11-ef0.05-fb0.3-nc0.02-dr0.05-dj0.25-ocached",
