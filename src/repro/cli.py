@@ -263,9 +263,9 @@ def _command_profile(args: argparse.Namespace) -> int:
         from repro.core.query_engine import QueryEngine
         from repro.experiments.query_bench import (
             _build_instance,
-            draw_queries,
             query_workload,
             run_query_bench,
+            skewed_batches,
         )
 
         workload = query_workload(
@@ -273,16 +273,21 @@ def _command_profile(args: argparse.Namespace) -> int:
             queries=args.queries, sources=args.sources,
         )
         indexed, _ = _build_instance(workload)
-        sources, targets = draw_queries(workload)
-        warm = QueryEngine(indexed)
-        warm.run_queries_ids(sources, targets)
-        # The bench row (per-query reference and a fresh engine), then the
-        # same batch again on an engine that answered it once: its searches
-        # resume from their parked state.
+        batches = skewed_batches(indexed.number_of_vertices)
+        engine = QueryEngine(indexed)
+        # The bench row (per-query reference and a fresh engine), then one
+        # engine answering the skewed stream, which resumes and evicts
+        # parked searches.
         profiler.enable()
         run_query_bench(workload)
-        warm.run_queries_ids(sources, targets)
+        for sources, targets in batches:
+            engine.run_queries_ids(sources, targets)
         profiler.disable()
+        counters = engine.counters()
+        header = f"skewed stream ({len(batches)} batches): " + " / ".join(
+            f"{key} {counters['engine_' + key]:.0f}"
+            for key in ("sources", "resumed", "evicted", "settles")
+        ) + "\n"
 
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)

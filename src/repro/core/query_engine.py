@@ -10,13 +10,18 @@ settles.  A batch with ``q`` queries over ``s`` distinct sources costs
 (many demands, few distinct sources).
 
 Searches also outlive their batch.  When a source's targets have settled,
-its state (distances, settled marks, heap) is *parked* in a small LRU; the
-next batch that asks from the same source answers already-settled targets
-straight from it and resumes popping only for the rest.  Skewed traffic
-(the same few hot sources in every batch) thus stops re-searching the same
-ball.  The LRU holds :data:`PARKED_SLOTS` distance slots in total, and any
-mutation of the graph (its :attr:`~repro.graph.indexed_graph.IndexedGraph.version`)
-drops every parked search.
+its state (distances, settled marks, heap) is *parked*; the next batch that
+asks from the same source answers already-settled targets straight from it
+and resumes popping only for the rest.  Skewed traffic (the same few hot
+sources in every batch) thus stops re-searching the same ball.  The parked
+searches hold :data:`PARKED_SLOTS` distance slots in total and are kept by
+request count: every batch counts one request per distinct source, a full
+engine drops the parked search with the fewest requests (the least recently
+used among ties), and the counts are halved whenever they sum to
+:data:`_HALVE_AT` times the capacity, so one-off sources cannot push out
+the hot ones while a shifted hot set still takes over.  Any mutation of the
+graph (its :attr:`~repro.graph.indexed_graph.IndexedGraph.version`) drops
+every parked search.
 
 The search itself is the seed's relaxation loop — ``(dist, id)`` tuples on
 C :mod:`heapq`, strict ``<`` improvement, stale pops skipped — over a flat
@@ -51,13 +56,19 @@ from repro.errors import VertexNotFoundError
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
-#: Distance slots all parked searches of one engine hold together: the LRU
-#: keeps ``max(1, PARKED_SLOTS // n)`` searches (104 at n = 10⁴).  The
-#: budget, not a search count, bounds the memory at any ``n``; it must still
-#: hold the ~20 distinct hot sources a Zipf-skewed batch draws, or they push
-#: each other out before the next batch (16 searches gave no gain on the
-#: repository benchmark, 256 cost 50 % more peak memory).
+#: Distance slots all parked searches of one engine hold together: the engine
+#: keeps ``max(1, PARKED_SLOTS // n)`` searches (104 at n = 10⁴, and every
+#: source below n = 1024).  The budget, not a search count, bounds the memory
+#: at any ``n``; it must still hold the ~20 distinct hot sources a
+#: Zipf-skewed batch draws plus the mid-rank ones that come back (16
+#: searches gave no gain on the repository benchmark, 256 cost 50 % more
+#: peak memory).
 PARKED_SLOTS = 1 << 20
+
+#: The request counts are halved, and zeros dropped, whenever they sum to
+#: this many times the capacity: a formerly hot source loses its lead within
+#: a bounded number of requests, and the count table stays bounded.
+_HALVE_AT = 40
 
 
 def _dense_id(vid: object, n: int) -> int:
@@ -83,22 +94,25 @@ class QueryEngine:
         (translated once at construction).
 
     The engine parks each source's search between batches and resumes it
-    when the source comes back (least recently used searches are dropped
-    past :data:`PARKED_SLOTS`).  It observes edges, weights and vertices
-    added to a shared ``IndexedGraph`` after construction: the adjacency
-    arrays are live, and a change of the graph's ``version`` drops every
-    parked search, so one engine can serve a growing spanner mirror.  All
-    counters are cumulative across batches.
+    when the source comes back (past :data:`PARKED_SLOTS`, the search with
+    the fewest counted requests is dropped).  It observes edges, weights
+    and vertices added to a shared ``IndexedGraph`` after construction: the
+    adjacency arrays are live, and a change of the graph's ``version``
+    drops every parked search, so one engine can serve a growing spanner
+    mirror.  All counters are cumulative across batches.
     """
 
     __slots__ = (
         "_indexed",
         "_parked",
+        "_requests",
+        "_request_total",
         "_version",
         "query_count",
         "batch_count",
         "source_count",
         "resumed_count",
+        "evicted_count",
         "settled_count",
     )
 
@@ -109,6 +123,10 @@ class QueryEngine:
             self._indexed = IndexedGraph.from_weighted_graph(graph)
         #: source -> (dist, settled marks, heap), least recently used first.
         self._parked: dict[int, tuple[list[float], bytearray, list[tuple[float, int]]]] = {}
+        #: source -> batches that asked it since the counts were last halved
+        #: (parked or not), and the sum of those counts.
+        self._requests: dict[int, int] = {}
+        self._request_total = 0
         #: The graph version the parked searches were computed on.
         self._version = self._indexed.version
         #: Queries answered (one per (source, target) pair).
@@ -120,6 +138,9 @@ class QueryEngine:
         self.source_count = 0
         #: Searches resumed from a parked state (part of ``source_count``).
         self.resumed_count = 0
+        #: Parked searches dropped to stay within the capacity, counting a
+        #: just-finished search that was not kept.
+        self.evicted_count = 0
         #: Heap pops actually run (non-stale) across all searches.
         self.settled_count = 0
 
@@ -135,6 +156,7 @@ class QueryEngine:
             "engine_batches": float(self.batch_count),
             "engine_sources": float(self.source_count),
             "engine_resumed": float(self.resumed_count),
+            "engine_evicted": float(self.evicted_count),
             "engine_settles": float(self.settled_count),
         }
 
@@ -203,10 +225,19 @@ class QueryEngine:
             parked.clear()
             self._version = indexed.version
         capacity = max(1, PARKED_SLOTS // max(1, n))
+        requests = self._requests
+        total = self._request_total
         neighbour_ids, neighbour_weights = indexed.adjacency_arrays()
         inf = math.inf
-        settled = resumed = 0
+        settled = resumed = evicted = 0
         for source, target_slots in pending.items():
+            requests[source] = requests.get(source, 0) + 1
+            total += 1
+            if total >= _HALVE_AT * capacity:
+                requests = self._requests = {
+                    vertex: count >> 1 for vertex, count in requests.items() if count > 1
+                }
+                total = sum(requests.values())
             # Popped, not read: an interrupted search is dropped, never
             # parked half-relaxed.  A fresh search is an empty parked one.
             search = parked.pop(source, None)
@@ -243,9 +274,15 @@ class QueryEngine:
                         results[slot] = distance
             parked[source] = (dist, done, heap)
             if len(parked) > capacity:
-                del parked[next(iter(parked))]
+                # The fewest requests goes; ``min`` keeps the first of a
+                # tie, the least recently used, so the search just parked
+                # goes only if its count is strictly the lowest.
+                del parked[min(parked, key=lambda vertex: requests.get(vertex, 0))]
+                evicted += 1
+        self._request_total = total
         self.settled_count += settled
         self.resumed_count += resumed
+        self.evicted_count += evicted
         self.query_count += len(sources)
         self.batch_count += 1
         self.source_count += len(pending)

@@ -23,6 +23,7 @@ build trajectory.  Rows marked ``gate_query_speedup`` additionally hold
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -115,6 +116,31 @@ def draw_queries(workload: dict[str, object]) -> tuple[list[int], list[int]]:
     sources = [pool[i % pool_size] for i in range(count)]
     targets = [rng.randrange(n) for _ in range(count)]
     return sources, targets
+
+
+def skewed_batches(n: int) -> list[tuple[list[int], list[int]]]:
+    """Perfbench's ``query-batches`` traffic on ``range(n)`` as id batches.
+
+    40 cycles from ``random.Random(7)``; each cycle is one 128-pair batch
+    whose sources follow a Zipf law (exponent 1.8) over a seeded
+    permutation of the vertices, with uniform targets, then two one-source
+    queries from a uniform source to 8 uniform targets.  The draws are made
+    in perfbench's order, so the stream has its mix of hot, mid-rank and
+    one-off sources.  The query profile replays it, and
+    ``tests/core/test_pinned_counters.py`` pins the engine's counters on it.
+    """
+    rng = random.Random(7)
+    vertices = range(n)
+    popularity = list(vertices)
+    rng.shuffle(popularity)
+    cumulative = list(itertools.accumulate((rank + 1) ** -1.8 for rank in vertices))
+    batches = []
+    for _ in range(40):
+        sources = rng.choices(popularity, cum_weights=cumulative, k=128)
+        batches.append((sources, rng.choices(vertices, k=128)))
+        for _ in range(2):
+            batches.append(([rng.choice(vertices)] * 8, rng.choices(vertices, k=8)))
+    return batches
 
 
 def run_query_bench(

@@ -22,6 +22,10 @@ One :class:`ServiceWorker` drains the durable queue:
    job transitions to ``done``.  Any exception is captured as a traceback
    on the job record (retry → quarantine per the queue's attempt law).
 
+A cold job's queue record carries ``phase_seconds``, its wall time split
+over :data:`COLD_PHASES`; the cached payload does not, as it cannot hold
+its own put time.  A warm (cache-hit) result carries none.
+
 Execution is at-least-once: a worker that dies after building but before
 committing leaves an expired lease, and the re-run either hits the cache
 (if the put committed) or rebuilds deterministically — the content address
@@ -41,6 +45,11 @@ from repro.service.degrade import DEFAULT_CHAIN, check_request, run_with_degrada
 from repro.service.queue import Job, JobQueue
 
 PAYLOAD_SCHEMA_VERSION = 2
+
+#: A cold job's phases, in order: the cache lookup, building the instance,
+#: the tier build (with the lease refresh after it), verification (with
+#: the optional measured stretch) and the canonical edges plus the put.
+COLD_PHASES = ("cache_get", "instance", "build", "verify", "put")
 
 
 def build_workload_instance(workload: dict):
@@ -167,6 +176,8 @@ class ServiceWorker:
         key = artifact_key(workload, chain, stretch, params)
         request = canonical_request(workload, chain, stretch, params)
 
+        clock = time.perf_counter
+        marks = [clock()]
         corruption: Optional[str] = None
         try:
             head = self.cache.get(key, head=True)
@@ -174,6 +185,7 @@ class ServiceWorker:
             # Quarantined by the cache; remember why and rebuild below.
             corruption = str(error)
             head = None
+        marks.append(clock())
         if head is not None:
             self.counters["cache_hits"] += 1
             return {
@@ -189,6 +201,7 @@ class ServiceWorker:
         if corruption is not None:
             self.counters["corrupt_rebuilds"] += 1
         instance = build_workload_instance(workload)
+        marks.append(clock())
         outcome = run_with_degradation(
             instance,
             stretch,
@@ -202,6 +215,7 @@ class ServiceWorker:
         # stole the job meanwhile, StaleLeaseError aborts it here (counted in
         # ``leases_lost``) — the new owner's rebuild is byte-identical.
         self.queue.beat(job.job_id, self.worker_id)
+        marks.append(clock())
         if outcome.degraded:
             self.counters["degraded_serves"] += 1
         if outcome.deadline_exceeded:
@@ -222,6 +236,7 @@ class ServiceWorker:
         measured = None
         if spec.get("measure_stretch"):
             measured = spanner.statistics(measure_stretch=True).measured_stretch
+        marks.append(clock())
 
         edges = canonical_spanner_edges(spanner)
         payload = {
@@ -246,6 +261,7 @@ class ServiceWorker:
             "rebuilt_after_corruption": corruption,
         }
         self.cache.put(key, payload, request=request)
+        marks.append(clock())
         return {
             "artifact_key": key,
             "cache_hit": False,
@@ -257,6 +273,10 @@ class ServiceWorker:
             "measured_stretch": measured,
             "spanner_edges": len(edges),
             "build_seconds": outcome.elapsed_seconds,
+            "phase_seconds": {
+                phase: end - start
+                for phase, start, end in zip(COLD_PHASES, marks, marks[1:])
+            },
         }
 
 

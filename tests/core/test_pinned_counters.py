@@ -10,6 +10,10 @@ The metric edge check is pinned the same way on the ``metric-build``
 benchmark size: its counters and ``max_stretch`` were recorded on the
 per-source heap kernel, before metric bases moved to the lockstep block
 kernel, which must reproduce them exactly.
+
+The query engine is pinned on a skewed stream whose parked searches do not
+all fit, so the rule that picks which searches stay parked shows in every
+counter it pins.
 """
 
 from __future__ import annotations
@@ -20,7 +24,10 @@ import math
 
 import pytest
 
+from repro.core import query_engine
 from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
+from repro.core.query_engine import QueryEngine, reference_queries_ids
+from repro.experiments.query_bench import skewed_batches
 from repro.graph.generators import bucketed_geometric_graph
 from repro.metric.generators import uniform_points
 from repro.service.workers import canonical_spanner_edges
@@ -91,3 +98,27 @@ def test_metric_edge_check_is_pinned(seed):
     assert (
         report.settles, report.sources, report.edges_checked, report.max_stretch
     ) == PINNED_METRIC_CHECKS[seed]
+
+
+#: The skewed stream's 40 cycles (120 batches) on the greedy ``t = 2``
+#: spanner of a bucketed n = 2000, degree-16 graph, with 16 parked searches.
+#: The least-recently-used rule this replaced read settles 1,069,619,
+#: resumed 77, sources 876 and evicted 783.
+PINNED_QUERY_STREAM = {
+    "engine_settles": 536888, "engine_resumed": 426,
+    "engine_sources": 876, "engine_evicted": 434,
+}
+
+
+def test_skewed_query_stream_is_pinned(monkeypatch):
+    n, degree = 2000, 16.0
+    radius = math.sqrt(degree / (math.pi * n))
+    spanner = greedy_spanner(bucketed_geometric_graph(n, radius, seed=3), 2.0)
+    monkeypatch.setattr(query_engine, "PARKED_SLOTS", 16 * n)
+    engine = QueryEngine(spanner.subgraph)
+    batches = skewed_batches(n)
+    answers = [engine.run_queries_ids(sources, targets) for sources, targets in batches]
+    counters = engine.counters()
+    assert {key: counters[key] for key in PINNED_QUERY_STREAM} == PINNED_QUERY_STREAM
+    for (sources, targets), got in list(zip(batches, answers))[::20]:
+        assert got == reference_queries_ids(engine.indexed, sources, targets)[0]

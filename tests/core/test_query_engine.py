@@ -6,7 +6,8 @@ running one early-stopped search per distinct source and resuming it in
 later batches.  The hypothesis cases draw tie-heavy dyadic weights — where
 pop ordering could actually diverge — plus disconnected graphs (``inf``
 answers), repeated sources, degenerate ``source == target`` pairs, graph
-mutations between batches and a parking LRU shrunk to one or two searches.
+mutations between batches and a parking capacity shrunk to one or two
+searches.  Unit cases pin which parked search the request counts keep.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def test_answers_stay_exact_while_the_shared_graph_mutates(case):
 @settings(max_examples=80, deadline=None)
 @given(case=graph_with_batches(max_batches=8), capacity=st.sampled_from((1, 2)))
 def test_eviction_keeps_answers_exact(case, capacity):
-    """An LRU of one or two searches evicts all the time; answers must not
+    """One or two parked searches evict all the time; answers must not
     notice, and no batch settles more than a fresh engine would."""
     graph, batches = case
     with pytest.MonkeyPatch.context() as patch:
@@ -284,14 +285,67 @@ def _path_engine(monkeypatch, capacity: int) -> QueryEngine:
     return QueryEngine(graph)
 
 
-@pytest.mark.parametrize("capacity, resumed", [(1, 0), (2, 1)])
-def test_least_recently_used_search_is_evicted(monkeypatch, capacity, resumed):
-    """Sources 0, 39, 0: a second parked search keeps source 0 alive."""
+@pytest.mark.parametrize("capacity, resumed, evicted", [(1, 0, 2), (2, 1, 0)])
+def test_fewest_requests_then_least_recent_search_is_evicted(
+    monkeypatch, capacity, resumed, evicted
+):
+    """Sources 0, 39, 0: equal counts evict the least recently used, so a
+    second parked search keeps source 0 alive and one does not."""
     engine = _path_engine(monkeypatch, capacity)
     for source in (0, 39, 0):
         assert engine.run_queries_ids([source], [20]) == [float(abs(source - 20))]
     assert engine.resumed_count == resumed
     assert engine.counters()["engine_resumed"] == resumed
+    assert engine.counters()["engine_evicted"] == evicted
+
+
+def _exact(engine: QueryEngine, sources: list[int], targets: list[int]) -> list[float]:
+    """Run one batch and check it against the per-query reference."""
+    got = engine.run_queries_ids(sources, targets)
+    assert got == reference_queries_ids(engine.indexed, sources, targets)[0]
+    return got
+
+
+def test_frequent_source_survives_one_off_sources(monkeypatch):
+    """A source asked in three batches outlives two one-off sources."""
+    engine = _path_engine(monkeypatch, 2)
+    for target in (10, 20, 5):
+        _exact(engine, [0], [target])
+    _exact(engine, [10], [39])
+    _exact(engine, [30], [39])
+    # Source 10 (one request, older than 30) went; least recently used
+    # would have dropped source 0.
+    assert engine.evicted_count == 1
+    resumed = engine.resumed_count
+    settled = engine.settled_count
+    assert _exact(engine, [0, 0], [15, 3]) == [15.0, 3.0]
+    assert engine.resumed_count == resumed + 1
+    assert engine.settled_count == settled
+
+
+def test_shifted_hot_source_is_kept_after_halving(monkeypatch):
+    """One parked search: the old hot source holds it only until halving.
+
+    The counts are halved whenever they sum to 40 (40 × the capacity), so
+    500 requests for source 0 leave it a count of 20, not 500.  Source 39
+    then needs 20 requests: the 20th brings the sum to 40, both counts halve
+    to 10, the tie evicts the less recent source 0, and the 21st request
+    resumes.  Without the halving it would take 500.
+    """
+    engine = _path_engine(monkeypatch, 1)
+    for _ in range(500):
+        _exact(engine, [0], [20])
+    assert engine.evicted_count == 0
+    kept_after = None
+    for request in range(1, 41):
+        resumed = engine.resumed_count
+        _exact(engine, [39], [request % 39])
+        if engine.resumed_count > resumed:
+            kept_after = request - 1
+            break
+    assert kept_after == 20
+    # 19 fresh searches for source 39 were not kept, then source 0 went.
+    assert engine.evicted_count == 20
 
 
 def test_rejected_batch_leaves_parked_searches_usable(monkeypatch):
@@ -380,6 +434,12 @@ def test_counters_shape():
     assert counters["engine_batches"] == 1.0
     assert counters["engine_sources"] == 1.0
     assert counters["engine_settles"] >= 1.0
+    assert counters["engine_resumed"] == 0.0
+    assert counters["engine_evicted"] == 0.0
+    assert set(counters) == {
+        "engine_queries", "engine_batches", "engine_sources",
+        "engine_resumed", "engine_evicted", "engine_settles",
+    }
 
 
 # ---------------------------------------------------------------------------

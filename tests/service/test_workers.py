@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from repro.graph.weighted_graph import WeightedGraph
 from repro.service.cache import ArtifactCache, artifact_key
 from repro.service.queue import JobQueue
 from repro.service.workers import (
+    COLD_PHASES,
     ServiceWorker,
     build_workload_instance,
     canonical_spanner_edges,
@@ -114,6 +116,22 @@ def test_cold_build_completes_verified_and_cached(service):
     assert record.result["verified"] is True
     assert cache.get(spec_key()) is not None
     assert worker.counters["jobs_done"] == 1
+
+
+def test_cold_result_records_phase_seconds(service):
+    queue, cache, worker = service
+    job = queue.submit(SPEC)
+    start = time.perf_counter()
+    worker.run_once()
+    wall = time.perf_counter() - start
+    phases = queue.get(job.job_id).result["phase_seconds"]
+    assert set(phases) == set(COLD_PHASES)
+    assert all(seconds >= 0.0 for seconds in phases.values())
+    assert sum(phases.values()) <= wall
+    assert "phase_seconds" not in cache.get(spec_key())
+    warm = queue.submit(SPEC)
+    worker.run_once()
+    assert "phase_seconds" not in queue.get(warm.job_id).result
 
 
 def test_warm_resubmit_serves_from_cache(service):

@@ -352,9 +352,17 @@ class TestCommands:
              "--sources", "4", "--top", "60", "--output", str(out)]
         ) == 0
         report = out.read_text().splitlines()
+        # One fresh batch for the bench row, then the 120-batch skewed stream
+        # on one engine, whose counters head the report.
         engine = next(line for line in report if "(run_queries_ids)" in line)
-        assert engine.split()[0] == "2"
+        assert engine.split()[0] == "121"
         assert any("(reference_queries_ids)" in line for line in report)
+        head = dict(
+            field.rsplit(" ", 1) for field in report[0].split(": ", 1)[1].split(" / ")
+        )
+        assert report[0].startswith("skewed stream (120 batches): ")
+        assert list(head) == ["sources", "resumed", "evicted", "settles"]
+        assert int(head["resumed"]) > 0
 
 
 class TestServiceCommands:
