@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -231,24 +232,24 @@ def _command_profile(args: argparse.Namespace) -> int:
     header = ""
     if args.workload == "build":
         from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
-        from repro.experiments.build_bench import (
-            _build_instance,
-            bucketed_workload,
-            run_build_bench,
-        )
+        from repro.experiments.build_bench import bucketed_workload, run_build_bench
         from repro.metric.generators import uniform_points
+        from repro.service.workers import build_workload_instance
         from repro.spanners.verification import verify_spanner_edges
 
         workload = bucketed_workload(n=args.n, degree=args.degree, seed=args.seed)
-        graph, _ = _build_instance(workload)
+        started = time.perf_counter()
+        graph = build_workload_instance(workload)
+        instance_seconds = time.perf_counter() - started
         stretch = float(workload["stretch"])
         spanner = greedy_spanner(graph, stretch)
         metric = uniform_points(250, 2, seed=args.seed)
-        # Both greedy builders, so the table covers the shared ball kernel
-        # from the oracle and from the band filter, then the base-edge check
-        # a service job runs on its greedy spanner, then one streamed metric
-        # build (n=250, t=1.5: the size of perfbench's metric-build op).
+        # A service job's instance, both greedy builders (the shared ball
+        # kernel from the oracle and from the band filter), the base-edge
+        # check a service job runs on its greedy spanner, then one streamed
+        # metric build (n=250, t=1.5: the size of perfbench's metric-build op).
         profiler.enable()
+        build_workload_instance(workload)
         run_build_bench(workload, strategies=("greedy-serial", "csr-parallel-w1"))
         verify_spanner_edges(spanner.subgraph, graph, stretch)
         metric_spanner = greedy_spanner_of_metric(metric, 1.5)
@@ -258,7 +259,7 @@ def _command_profile(args: argparse.Namespace) -> int:
             f"{key} {metric_spanner.metadata[key]:.0f}"
             for key in ("dijkstra_settles", "balls_resumed", "settles_resumed",
                         "cache_hits", "cache_misses", "coverage_entries")
-        ) + "\n"
+        ) + f"\ninstance (bucketed n={args.n}, unprofiled): {instance_seconds:.3f} s\n"
     else:
         from repro.core.query_engine import QueryEngine
         from repro.experiments.query_bench import (

@@ -33,6 +33,9 @@ ball from the old radius instead of settling the same vertices again; the
 resumed ball is the same computation as a fresh one, so only the settle
 count changes.
 
+The greedy loop asks on dense ids (the spanner's insertion order): the
+cached oracle answers on ids only, the base class maps them back to labels.
+
 All oracles count the number of queries and the number of heap settles so
 that the experiments can report *operation counts* alongside wall-clock time
 (Python constant factors make wall clock a poor proxy for the asymptotics the
@@ -56,12 +59,18 @@ from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 
 class DistanceOracle(abc.ABC):
-    """Answers "is δ_H(u, v) ≤ cutoff?" queries against a growing spanner ``H``."""
+    """Answers "is δ_H(u, v) ≤ cutoff?" queries against a growing spanner ``H``.
+
+    Vertex ``labels[i]`` (insertion order) has id ``i``, ``id_of`` maps
+    back.  The id methods here call the label methods on the labels.
+    """
 
     def __init__(self, spanner: WeightedGraph) -> None:
         self.spanner = spanner
         self.query_count = 0
         self.settled_count = 0
+        self.labels: list[Vertex] = list(spanner.vertices())
+        self.id_of: dict[Vertex, int] = {vertex: i for i, vertex in enumerate(self.labels)}
 
     @abc.abstractmethod
     def distance_within(self, u: Vertex, v: Vertex, cutoff: float) -> float:
@@ -72,11 +81,19 @@ class DistanceOracle(abc.ABC):
         same greedy decision.
         """
 
+    def distance_within_ids(self, uid: int, vid: int, cutoff: float) -> float:
+        """:meth:`distance_within` of the vertices with ids ``uid`` and ``vid``."""
+        return self.distance_within(self.labels[uid], self.labels[vid], cutoff)
+
     def notify_edge_added(self, u: Vertex, v: Vertex, weight: float) -> None:
         """Hook called by the greedy loop after an edge is added to ``H``.
 
         The base implementation does nothing; stateful oracles may override.
         """
+
+    def notify_edge_added_ids(self, uid: int, vid: int, weight: float) -> None:
+        """:meth:`notify_edge_added` of the vertices with ids ``uid`` and ``vid``."""
+        self.notify_edge_added(self.labels[uid], self.labels[vid], weight)
 
     def extra_metadata(self) -> dict[str, float]:
         """Strategy-specific counters merged into the ``Spanner`` metadata.
@@ -351,16 +368,15 @@ class CachedDijkstraOracle(DistanceOracle):
     ``settles_resumed`` count the resumed balls and the vertices they
     restored.
 
-    The searches run on the :class:`CoverageIndex` rows, keyed by dense ids
-    interned in first-seen order and kept in sync through
-    :meth:`notify_edge_added` (the greedy loop's mutation hook); direct
-    mutations of the spanner that bypass the hook are not observed.
+    The searches run on the :class:`CoverageIndex` rows by id, kept in sync
+    through :meth:`notify_edge_added_ids` (the greedy loop's mutation hook);
+    mutations that bypass the hook are not observed.  The label methods
+    look the ids up (a new label gets the next id) and call the id methods.
     """
 
     def __init__(self, spanner: WeightedGraph) -> None:
         super().__init__(spanner)
-        self._id_of: dict[Vertex, int] = {}
-        self._cover = CoverageIndex()
+        self._cover = CoverageIndex(len(self.labels))
         self._radius = 0.0
         self._bounds: dict[int, float] = {}
         self.cache_hits = 0
@@ -368,39 +384,28 @@ class CachedDijkstraOracle(DistanceOracle):
         self.peak_cached_bounds = 0
         self.balls_resumed = 0
         self.settles_resumed = 0
-        for vertex in spanner.vertices():
-            self._intern(vertex)
         # Edges already in the spanner are certified bounds from the start.
         for u, v, weight in spanner.edges():
-            self._add_edge(u, v, weight)
+            self.notify_edge_added_ids(self.id_of[u], self.id_of[v], weight)
 
     def _intern(self, vertex: Vertex) -> int:
-        vid = self._id_of.get(vertex)
+        vid = self.id_of.get(vertex)
         if vid is None:
-            vid = self._id_of[vertex] = self._cover.add_vertex()
+            vid = self.id_of[vertex] = self._cover.add_vertex()
+            self.labels.append(vertex)
         return vid
 
-    def _add_edge(self, u: Vertex, v: Vertex, weight: float) -> None:
-        uid = self._intern(u)
-        vid = self._intern(v)
-        self._cover.add_edge(uid, vid, weight)
-        key = ((uid << 32) | vid) if uid <= vid else ((vid << 32) | uid)
-        existing = self._bounds.get(key)
-        if existing is None or weight < existing:
-            self._bounds[key] = weight
-
     def distance_within(self, u: Vertex, v: Vertex, cutoff: float) -> float:
-        self.query_count += 1
-        id_of = self._id_of
-        if u == v:
-            if u not in id_of:
-                raise VertexNotFoundError(u)
-            return 0.0
         try:
-            uid = id_of[u]
-            vid = id_of[v]
+            uid, vid = self.id_of[u], self.id_of[v]
         except KeyError:
-            raise VertexNotFoundError(v if u in id_of else u) from None
+            raise VertexNotFoundError(v if u in self.id_of else u) from None
+        return self.distance_within_ids(uid, vid, cutoff)
+
+    def distance_within_ids(self, uid: int, vid: int, cutoff: float) -> float:
+        self.query_count += 1
+        if uid == vid:
+            return 0.0
         cover = self._cover
         radius = self._radius
         covered = cover.covered
@@ -427,7 +432,14 @@ class CachedDijkstraOracle(DistanceOracle):
         return cover.dist[vid] if cover.stamp[vid] == cover.gen else math.inf
 
     def notify_edge_added(self, u: Vertex, v: Vertex, weight: float) -> None:
-        self._add_edge(u, v, weight)
+        self.notify_edge_added_ids(self._intern(u), self._intern(v), weight)
+
+    def notify_edge_added_ids(self, uid: int, vid: int, weight: float) -> None:
+        self._cover.add_edge(uid, vid, weight)
+        key = ((uid << 32) | vid) if uid <= vid else ((vid << 32) | uid)
+        existing = self._bounds.get(key)
+        if existing is None or weight < existing:
+            self._bounds[key] = weight
 
     def extra_metadata(self) -> dict[str, float]:
         return {

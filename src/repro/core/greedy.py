@@ -26,21 +26,27 @@ The edge-examination order breaks weight ties deterministically (see
 :meth:`WeightedGraph.edges_sorted_by_weight`), so for a fixed input the
 "greedy spanner" is a single well-defined graph, as assumed throughout the
 paper (Section 2.2).
+
+The loop runs on the oracle's dense vertex ids (see :func:`_id_edges`);
+``H`` still gets each edge through ``add_edge`` when it is added.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from repro.errors import InvalidStretchError
+from repro.errors import InvalidStretchError, VertexNotFoundError
 from repro.core.distance_oracle import make_oracle
 from repro.core.spanner import Spanner
-from repro.graph.weighted_graph import WeightedEdge, WeightedGraph
+from repro.graph.weighted_graph import WeightedEdge, WeightedGraph, canonical_order, repr_ranks
 from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
 from repro.metric.stream import sorted_pair_stream
 
 ProgressCallback = Callable[[int, int], None]
+
+#: Sorted edges turned from id arrays into Python scalars at a time.
+CHUNK = 4096
 
 
 def check_stretch(t: float) -> None:
@@ -53,6 +59,29 @@ def check_stretch(t: float) -> None:
     """
     if not t >= 1.0:
         raise InvalidStretchError(f"stretch must be at least 1, got {t}")
+
+
+def _id_edges(graph, edges, id_of: dict) -> Iterator[tuple[int, int, float]]:
+    """Yield the examination order as ``(u_id, v_id, weight)`` triples.
+
+    A graph base is sorted from its :meth:`~WeightedGraph.edge_arrays`, whose
+    ids are the spanner's (same vertex order).  Label triples (``edges=``, a
+    :class:`MetricClosure` stream) go through ``id_of``.
+    """
+    if edges is None and not isinstance(graph, MetricClosure):
+        vertices, u_ids, v_ids, weights = graph.edge_arrays()
+        order = canonical_order(u_ids, v_ids, weights, repr_ranks(vertices))
+        for start in range(0, order.size, CHUNK):
+            block = order[start : start + CHUNK]
+            yield from zip(u_ids[block].tolist(), v_ids[block].tolist(), weights[block].tolist())
+        return
+    if edges is None:
+        edges = graph.edges_sorted_by_weight()
+    for u, v, weight in edges:
+        try:
+            yield id_of[u], id_of[v], weight
+        except KeyError:
+            raise VertexNotFoundError(v if u in id_of else u) from None
 
 
 def greedy_spanner(
@@ -123,21 +152,21 @@ def greedy_spanner(
             seeded += 1
     distance_oracle = make_oracle(oracle, spanner_graph)
 
-    if edges is None:
-        edges = graph.edges_sorted_by_weight()
     try:
         total = len(edges)  # type: ignore[arg-type]
     except TypeError:
         total = graph.number_of_edges
     added = 0
     examined = 0
+    labels = distance_oracle.labels
+    within = distance_oracle.distance_within_ids
 
-    for u, v, weight in edges:
+    for uid, vid, weight in _id_edges(graph, edges, distance_oracle.id_of):
         examined += 1
         cutoff = t * weight
-        if distance_oracle.distance_within(u, v, cutoff) > cutoff:
-            spanner_graph.add_edge(u, v, weight)
-            distance_oracle.notify_edge_added(u, v, weight)
+        if within(uid, vid, cutoff) > cutoff:
+            spanner_graph.add_edge(labels[uid], labels[vid], weight)
+            distance_oracle.notify_edge_added_ids(uid, vid, weight)
             added += 1
         if progress is not None:
             progress(examined, total)

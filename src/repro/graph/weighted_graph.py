@@ -18,6 +18,7 @@ existing edge overwrites its weight).
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,8 @@ from repro.errors import (
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
 WeightedEdge = tuple[Vertex, Vertex, float]
+EdgeArrays = tuple[tuple[Vertex, ...], np.ndarray, np.ndarray, np.ndarray]
+_INF = float("inf")
 
 
 def _validate_weight(weight: float) -> float:
@@ -95,7 +98,7 @@ class WeightedGraph:
     2.0
     """
 
-    __slots__ = ("_adjacency", "_edge_count")
+    __slots__ = ("_adjacency", "_edge_count", "_arrays")
 
     def __init__(
         self,
@@ -104,6 +107,7 @@ class WeightedGraph:
     ) -> None:
         self._adjacency: dict[Vertex, dict[Vertex, float]] = {}
         self._edge_count = 0
+        self._arrays: Optional[EdgeArrays] = None
         if vertices is not None:
             for vertex in vertices:
                 self.add_vertex(vertex)
@@ -118,6 +122,7 @@ class WeightedGraph:
         """Add ``vertex`` to the graph (a no-op if it is already present)."""
         if vertex not in self._adjacency:
             self._adjacency[vertex] = {}
+            self._arrays = None
 
     def add_vertices(self, vertices: Iterable[Vertex]) -> None:
         """Add every vertex in ``vertices``."""
@@ -128,17 +133,19 @@ class WeightedGraph:
         """Add the undirected edge ``(u, v)`` with the given positive weight.
 
         Missing endpoints are created.  If the edge already exists its weight
-        is overwritten.
+        is overwritten.  A rejected weight changes nothing.
         """
         if u == v:
             raise SelfLoopError(f"self-loop on vertex {u!r} is not allowed")
-        value = _validate_weight(weight)
-        self.add_vertex(u)
-        self.add_vertex(v)
-        if v not in self._adjacency[u]:
+        if type(weight) is not float or not 0.0 < weight < _INF:
+            weight = _validate_weight(weight)
+        row_u = self._adjacency.setdefault(u, {})
+        row_v = self._adjacency.setdefault(v, {})
+        if v not in row_u:
             self._edge_count += 1
-        self._adjacency[u][v] = value
-        self._adjacency[v][u] = value
+        row_u[v] = weight
+        row_v[u] = weight
+        self._arrays = None
 
     def add_edges(self, edges: Iterable[WeightedEdge]) -> None:
         """Add every ``(u, v, weight)`` triple in ``edges``."""
@@ -152,6 +159,7 @@ class WeightedGraph:
         del self._adjacency[u][v]
         del self._adjacency[v][u]
         self._edge_count -= 1
+        self._arrays = None
 
     def remove_vertex(self, vertex: Vertex) -> None:
         """Remove ``vertex`` and all incident edges."""
@@ -161,6 +169,7 @@ class WeightedGraph:
             del self._adjacency[neighbour][vertex]
         self._edge_count -= len(self._adjacency[vertex])
         del self._adjacency[vertex]
+        self._arrays = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -228,18 +237,36 @@ class WeightedGraph:
         return iter(self._adjacency)
 
     def edges(self) -> Iterator[WeightedEdge]:
-        """Iterate over edges as ``(u, v, weight)``, each undirected edge once.
-
-        Dedup is by insertion rank instead of a seen-pair set: an edge is
-        yielded from the endpoint that was added to the graph first, which
-        is exactly when the old ``(v, u) in seen`` test passed — same yield
-        sequence, but no per-edge tuple allocation or set churn.
-        """
+        """Iterate over edges as ``(u, v, weight)``, each undirected edge once,
+        from the endpoint that was added to the graph first."""
         rank = {v: i for i, v in enumerate(self._adjacency)}
         for iu, (u, nbrs) in enumerate(self._adjacency.items()):
             for v, weight in nbrs.items():
                 if rank[v] >= iu:
                     yield (u, v, weight)
+
+    def edge_arrays(self) -> EdgeArrays:
+        """Return the edges as ``(vertices, u_ids, v_ids, weights)`` arrays.
+
+        Vertex ``vertices[i]`` (insertion order) has id ``i``; edge ``k`` is
+        ``(vertices[u_ids[k]], vertices[v_ids[k]], weights[k])`` in :meth:`edges`
+        order, so ``u_ids[k] < v_ids[k]`` and ``u_ids`` is non-decreasing.  Built
+        in one pass, memoized (read-only arrays) and dropped by every mutator.
+        """
+        if self._arrays is None:
+            vertices = tuple(self._adjacency)
+            rows = self._adjacency.values()
+            index = {vertex: i for i, vertex in enumerate(vertices)}
+            n, slots = len(vertices), 2 * self._edge_count
+            sources = np.repeat(np.arange(n, dtype=np.int64), np.fromiter(map(len, rows), int, n))
+            targets = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), int, slots)
+            weights = np.fromiter(chain.from_iterable(map(dict.values, rows)), float, slots)
+            keep = targets > sources  # each edge once, as edges() yields it
+            arrays = (sources[keep], targets[keep], weights[keep])
+            for array in arrays:
+                array.flags.writeable = False
+            self._arrays = (vertices, *arrays)
+        return self._arrays
 
     def edges_sorted_by_weight(self) -> list[WeightedEdge]:
         """Return the edges sorted by non-decreasing weight.
@@ -251,20 +278,14 @@ class WeightedGraph:
         and reproducible across runs.  Edges whose keys are equal keep their
         :meth:`edges` order.
 
-        The :meth:`edges` triples are keyed by their endpoints' insertion
-        ids and sorted with one :func:`canonical_order` over
-        :func:`repr_ranks`, so ``repr`` runs once per vertex instead of twice
-        per edge.
+        The order is one :func:`canonical_order` over :meth:`edge_arrays`,
+        which the greedy loop walks as ids without building this list.
         """
-        triples = list(self.edges())
-        vertices = list(self._adjacency)
-        index = {vertex: i for i, vertex in enumerate(vertices)}
-        count = len(triples)
-        u_ids = np.fromiter((index[u] for u, _, _ in triples), dtype=np.int64, count=count)
-        v_ids = np.fromiter((index[v] for _, v, _ in triples), dtype=np.int64, count=count)
-        weights = np.fromiter((w for _, _, w in triples), dtype=float, count=count)
+        vertices, u_ids, v_ids, weights = self.edge_arrays()
         order = canonical_order(u_ids, v_ids, weights, repr_ranks(vertices))
-        return list(map(triples.__getitem__, order.tolist()))
+        label = vertices.__getitem__
+        us, vs = map(label, u_ids[order].tolist()), map(label, v_ids[order].tolist())
+        return list(zip(us, vs, weights[order].tolist()))
 
     def total_weight(self) -> float:
         """Return ``w(G)``, the sum of all edge weights."""

@@ -244,25 +244,22 @@ class VerificationEngine:
         """Group a graph base's edges by their smaller endpoint id (built once).
 
         Returns ``{source_id: (target_ids, weights)}``; each undirected edge
-        appears exactly once, under its smaller id, and sources keep the
-        order of their first edge in ``base.edges()``.  Metric bases are
+        appears exactly once, under its smaller id, sources ascending and
+        targets in ``base.edges()`` order.  The groups are runs of the base's
+        memoized :meth:`~WeightedGraph.edge_arrays`, whose ids are the
+        engine's (both follow ``base.vertices()``).  Metric bases are
         never grouped this way (every pair is an edge, Θ(n²) entries): the
         block kernel reads their rows a block of sources at a time.
         """
         if self._grouped is None:
-            id_of = self.id_of
-            grouped: dict[int, tuple[list[int], list[float]]] = {}
-            for u, v, weight in self.base.edges():
-                uid, vid = id_of[u], id_of[v]
-                if vid < uid:
-                    uid, vid = vid, uid
-                slot = grouped.get(uid)
-                if slot is None:
-                    slot = ([], [])
-                    grouped[uid] = slot
-                slot[0].append(vid)
-                slot[1].append(weight)
-            self._grouped = grouped
+            _, u_ids, v_ids, weights = self.base.edge_arrays()
+            starts = np.flatnonzero(np.diff(u_ids, prepend=-1)).tolist()
+            ends = starts[1:] + [len(u_ids)]
+            targets, values = v_ids.tolist(), weights.tolist()
+            self._grouped = {
+                source: (targets[start:end], values[start:end])
+                for source, start, end in zip(u_ids[starts].tolist(), starts, ends)
+            }
         return self._grouped
 
 

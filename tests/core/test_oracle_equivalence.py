@@ -25,6 +25,7 @@ from repro.core.distance_oracle import (
     ORACLE_FACTORIES,
 )
 from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
+from repro.errors import VertexNotFoundError
 from repro.graph.generators import random_connected_graph
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import pair_distance
@@ -229,55 +230,107 @@ class TestAnyCutoffOrder:
         assert oracle.distance_within("new", 0, 2.5) == math.inf
 
 
+#: Vertex labels for the greedy runs, so that the loop's dense ids differ
+#: from the labels: reversed ints, strings and tuples.
+LABELLINGS = {
+    "int": lambda i: i,
+    "reversed": lambda i: 99 - i,
+    "str": lambda i: f"v{i}",
+    "tuple": lambda i: (i % 3, str(i)),
+}
+
+
 @st.composite
 def greedy_runs(draw):
     """A small connected graph, a stretch and a repair-style warm start.
 
-    ``split`` cuts the canonical edge order: the greedy spanner's edges
-    before it are seeded, the edges after it are replayed (``split == 0``
-    is a plain run).
+    Vertex ``i`` is labelled by one of :data:`LABELLINGS`.  Some vertices
+    are inserted up front in a shuffled order, the others are first created
+    by ``add_edge``, and up to two isolated vertices are added.  ``split``
+    cuts the canonical edge order: the greedy spanner's edges before it are
+    seeded, the edges after it are replayed (``split == 0`` is a plain run).
     """
     n = draw(st.integers(min_value=2, max_value=14))
     weights = st.one_of(
         st.sampled_from((0.5, 1.0, 1.5, 2.0)),
         st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
     )
-    graph = WeightedGraph(vertices=range(n))
+    label = LABELLINGS[draw(st.sampled_from(sorted(LABELLINGS)))]
+    upfront = draw(st.lists(st.integers(0, n + 1), unique=True))
+    graph = WeightedGraph(vertices=[label(i) for i in upfront])
+    for isolated in (n, n + 1):
+        if draw(st.booleans()):
+            graph.add_vertex(label(isolated))
     for v in range(1, n):
-        graph.add_edge(draw(st.integers(min_value=0, max_value=v - 1)), v, draw(weights))
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        graph.add_edge(label(u), label(v), draw(weights))
     for _ in range(draw(st.integers(min_value=0, max_value=3 * n))):
         u = draw(st.integers(min_value=0, max_value=n - 1))
         v = draw(st.integers(min_value=0, max_value=n - 1))
-        if u != v and not graph.has_edge(u, v):
-            graph.add_edge(u, v, draw(weights))
+        if u != v and not graph.has_edge(label(u), label(v)):
+            graph.add_edge(label(u), label(v), draw(weights))
     stretch = draw(st.sampled_from((1.0, 1.2, 1.5, 2.0, 3.0, 5.0)))
     split = draw(st.integers(min_value=0, max_value=graph.number_of_edges))
     return graph, stretch, split
 
 
+def assert_matches_value_cache(spanner, reference, oracle, examined):
+    """``H.edges()`` in order, ``w(H)`` bit for bit and every counter the
+    reference keeps (settles once the resumed ones are added back)."""
+    metadata = spanner.metadata
+    assert list(spanner.subgraph.edges()) == list(reference.edges())
+    assert spanner.weight.hex() == reference.total_weight().hex()
+    assert metadata["edges_examined"] == examined
+    assert metadata["distance_queries"] == oracle.query_count
+    assert metadata["cache_hits"] == oracle.cache_hits
+    assert metadata["cache_misses"] == oracle.cache_misses
+    assert metadata["dijkstra_settles"] + metadata["settles_resumed"] == oracle.settled_count
+    added = metadata["edges_added"] + metadata.get("edges_seeded", 0)
+    assert added == reference.number_of_edges
+
+
 @settings(max_examples=120, deadline=None)
 @given(run=greedy_runs())
 def test_cached_oracle_matches_the_value_cache_reference(run):
-    """Spanner, hits and misses equal the value-cache reference's, with and
-    without a warm-start prefix; so do the settles once the ones a resumed
-    ball restored are added back."""
+    """Spanner, hits and misses equal the value-cache reference's, from the
+    graph's own order, from an ``edges=`` suffix and with a warm-start
+    prefix; so do the settles once the ones a resumed ball restored are
+    added back."""
     graph, stretch, split = run
     order = graph.edges_sorted_by_weight()
-    full = greedy_spanner(graph, stretch).subgraph
-    seeds = [(u, v, w) for u, v, w in order[:split] if full.has_edge(u, v)]
+    full = greedy_spanner(graph, stretch)
+    reference, oracle = value_cache_greedy(graph, stretch)
+    assert_matches_value_cache(full, reference, oracle, len(order))
+    seeds = [(u, v, w) for u, v, w in order[:split] if full.subgraph.has_edge(u, v)]
     suffix = order[split:]
     spanner = greedy_spanner(
         graph, stretch, edges=suffix, seed_edges=seeds if split else None
     )
     reference, oracle = value_cache_greedy(graph, stretch, edges=suffix, seed_edges=seeds)
-    assert spanner.subgraph.same_edges(reference)
-    assert spanner.subgraph.same_edges(full)
-    assert spanner.metadata["cache_hits"] == oracle.cache_hits
-    assert spanner.metadata["cache_misses"] == oracle.cache_misses
-    assert (
-        spanner.metadata["dijkstra_settles"] + spanner.metadata["settles_resumed"]
-        == oracle.settled_count
-    )
+    assert_matches_value_cache(spanner, reference, oracle, len(suffix))
+    assert spanner.subgraph.same_edges(full.subgraph)
+    bounded = greedy_spanner(graph, stretch, oracle="bounded")
+    assert list(bounded.subgraph.edges()) == list(full.subgraph.edges())
+
+
+@pytest.mark.parametrize("oracle", ALL_STRATEGIES)
+def test_edges_naming_an_unknown_vertex_raise(oracle):
+    graph = WeightedGraph(edges=[("a", "b", 1.0), ("b", "c", 1.0)])
+    for edges, missing in (([("a", "z", 2.0)], "z"), ([("z", "a", 2.0)], "z")):
+        with pytest.raises(VertexNotFoundError) as raised:
+            greedy_spanner(graph, 2.0, oracle=oracle, edges=edges)
+        assert raised.value.vertex == missing
+
+
+@pytest.mark.parametrize("oracle", ALL_STRATEGIES)
+def test_self_pair_is_examined_but_not_added(oracle):
+    graph = WeightedGraph(edges=[("a", "b", 1.0), ("b", "c", 1.0)])
+    edges = [("a", "a", 0.5), ("a", "b", 1.0), ("b", "b", 1.0), ("b", "c", 1.0)]
+    spanner = greedy_spanner(graph, 2.0, oracle=oracle, edges=edges)
+    assert list(spanner.subgraph.edges()) == [("a", "b", 1.0), ("b", "c", 1.0)]
+    assert spanner.metadata["edges_examined"] == 4
+    assert spanner.metadata["edges_added"] == 2
+    assert spanner.metadata["distance_queries"] == 4
 
 
 @st.composite

@@ -4,7 +4,10 @@ The values were recorded on the packed-pair coverage set, before the
 per-source ball sets replaced it, so any change to the coverage engine that
 moves a verdict, a hit, a miss or a settle fails here.  ``coverage_entries``
 (ids held across the ball sets) is pinned separately: it measures the
-representation, which a coverage change may legitimately shrink.
+representation, which a coverage change may legitimately shrink.  The
+relabelled bucketed row was recorded while the greedy loop still ran on
+labels; its shuffled string vertices make the loop's ids differ from both
+the labels and their ``repr`` order.
 
 The metric edge check is pinned the same way on the ``metric-build``
 benchmark size: its counters and ``max_stretch`` were recorded on the
@@ -21,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -29,6 +33,7 @@ from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
 from repro.core.query_engine import QueryEngine, reference_queries_ids
 from repro.experiments.query_bench import skewed_batches
 from repro.graph.generators import bucketed_geometric_graph
+from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.generators import uniform_points
 from repro.service.workers import canonical_spanner_edges
 from repro.spanners.registry import build_spanner
@@ -43,6 +48,24 @@ def _bucketed_graph():
     n, degree = 400, 16.0
     radius = math.sqrt(degree / (math.pi * n))
     return greedy_spanner(bucketed_geometric_graph(n, radius, seed=3), 2.0)
+
+
+def _relabelled_bucketed_graph():
+    """The bucketed row's graph with vertex ``i`` named ``f"v{i}"`` and its
+    vertices and edges inserted in shuffled orders, so the build's dense ids
+    follow neither the labels nor their ``repr`` order."""
+    n, degree = 400, 16.0
+    radius = math.sqrt(degree / (math.pi * n))
+    source = bucketed_geometric_graph(n, radius, seed=3)
+    rng = random.Random(3)
+    vertices = list(source.vertices())
+    edges = list(source.edges())
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    graph = WeightedGraph(vertices=[f"v{i}" for i in vertices])
+    for u, v, weight in edges:
+        graph.add_edge(f"v{u}", f"v{v}", weight)
+    return greedy_spanner(graph, 2.0)
 
 
 PINNED = {
@@ -67,6 +90,17 @@ PINNED = {
             "edges_added": 554, "peak_cached_bounds": 554,
         },
         8108,
+    ),
+    "bucketed-n400-d16-seed3-t2-relabelled": (
+        _relabelled_bucketed_graph,
+        "5cc4439e662f608b1d2ef1483ec7f5ef60c206bac82a02006bdc1abc8331fe81",
+        {
+            "distance_queries": 2950, "dijkstra_settles": 13404,
+            "cache_hits": 1764, "cache_misses": 1186,
+            "balls_resumed": 0, "settles_resumed": 0,
+            "edges_added": 554, "peak_cached_bounds": 554,
+        },
+        8163,
     ),
 }
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.order import canonical_sorted
@@ -60,11 +61,34 @@ class TestConstruction:
         with pytest.raises(SelfLoopError):
             graph.add_edge(1, 1, 1.0)
 
-    @pytest.mark.parametrize("bad_weight", [0.0, -1.0, math.inf, math.nan, "x"])
-    def test_invalid_weights_rejected(self, bad_weight):
-        graph = WeightedGraph()
-        with pytest.raises(InvalidWeightError):
+    @pytest.mark.parametrize(
+        "bad_weight, message",
+        [
+            pytest.param(0.0, "edge weight must be positive, got 0.0", id="0.0"),
+            pytest.param(-1.0, "edge weight must be positive, got -1.0", id="-1.0"),
+            pytest.param(math.inf, "edge weight must be finite, got inf", id="inf"),
+            pytest.param(-math.inf, "edge weight must be positive, got -inf", id="-inf"),
+            pytest.param(math.nan, "edge weight must be finite, got nan", id="nan"),
+            pytest.param("x", "edge weight 'x' is not a number", id="x"),
+            pytest.param(None, "edge weight None is not a number", id="None"),
+            # Accepted, and stored as Python floats.
+            pytest.param(3, None, id="int"),
+            pytest.param(np.float64(2.5), None, id="float64"),
+            pytest.param(True, None, id="True"),
+        ],
+    )
+    def test_invalid_weights_rejected(self, bad_weight, message):
+        graph = WeightedGraph(vertices=[1])
+        if message is None:
             graph.add_edge(1, 2, bad_weight)
+            assert type(graph.weight(1, 2)) is float
+            assert type(graph.weight(2, 1)) is float
+            assert graph.weight(1, 2) == float(bad_weight)
+            return
+        with pytest.raises(InvalidWeightError) as raised:
+            graph.add_edge(1, 2, bad_weight)
+        assert str(raised.value) == message
+        assert list(graph.vertices()) == [1] and graph.number_of_edges == 0
 
     def test_tuple_vertices(self):
         graph = WeightedGraph()
@@ -206,6 +230,70 @@ class TestComparisons:
     def test_repr_contains_counts(self, triangle_graph):
         text = repr(triangle_graph)
         assert "n=3" in text and "m=3" in text
+
+
+def _grouped_by_smaller_id(graph: WeightedGraph) -> dict:
+    """The verification grouping computed straight from ``graph.edges()``."""
+    id_of = {vertex: i for i, vertex in enumerate(graph.vertices())}
+    grouped: dict = {}
+    for u, v, weight in graph.edges():
+        source, target = sorted((id_of[u], id_of[v]))
+        targets, weights = grouped.setdefault(source, ([], []))
+        targets.append(target)
+        weights.append(weight)
+    return grouped
+
+
+class TestEdgeArrays:
+    def test_arrays_follow_edges_and_are_memoized(self, triangle_graph):
+        vertices, u_ids, v_ids, weights = triangle_graph.edge_arrays()
+        assert vertices == tuple(triangle_graph.vertices())
+        assert list(zip(u_ids.tolist(), v_ids.tolist(), weights.tolist())) == [
+            (vertices.index(u), vertices.index(v), w) for u, v, w in triangle_graph.edges()
+        ]
+        assert triangle_graph.edge_arrays() is triangle_graph.edge_arrays()
+        assert not u_ids.flags.writeable and not weights.flags.writeable
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_vertex("z"),
+            lambda g: g.add_edge("a", "z", 0.5),
+            lambda g: g.add_edge("a", "b", 9.0),  # overwrites an existing weight
+            lambda g: g.remove_edge("a", "b"),
+            lambda g: g.remove_vertex("a"),
+        ],
+        ids=["add_vertex", "add_edge", "overwrite_weight", "remove_edge", "remove_vertex"],
+    )
+    def test_every_mutator_drops_the_memo(self, triangle_graph, mutate):
+        from repro.spanners.verification import VerificationEngine
+
+        graph = triangle_graph
+        graph.add_edge("c", "d", 2.0)
+        before = graph.edge_arrays()
+        assert VerificationEngine(graph, graph).grouped_base_edges() == _grouped_by_smaller_id(graph)
+        mutate(graph)
+        assert graph.edge_arrays() is not before
+        assert graph.edges_sorted_by_weight() == canonical_sorted(graph.edges())
+        grouped = VerificationEngine(graph, graph).grouped_base_edges()
+        assert grouped == _grouped_by_smaller_id(graph)
+        assert list(grouped) == list(_grouped_by_smaller_id(graph))
+
+    def test_metric_closure_builds_never_call_edge_arrays(self, monkeypatch):
+        from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
+        from repro.metric.closure import MetricClosure
+        from repro.metric.generators import uniform_points
+        from repro.spanners.verification import verify_spanner_edges
+
+        def refuse(graph):
+            raise AssertionError("edge_arrays called")
+
+        monkeypatch.setattr(WeightedGraph, "edge_arrays", refuse)
+        metric = uniform_points(30, 2, seed=4)
+        streamed = greedy_spanner_of_metric(metric, 1.5)
+        closure = greedy_spanner(MetricClosure(metric), 1.5)
+        assert closure.subgraph.same_edges(streamed.subgraph)
+        assert verify_spanner_edges(streamed.subgraph, streamed.base, 1.5)
 
 
 class Labelled:

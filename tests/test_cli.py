@@ -340,6 +340,10 @@ class TestCommands:
         assert " / balls_resumed " in resumes and " / settles_resumed " in resumes
         for key in ("cache_hits", "cache_misses", "coverage_entries"):
             assert f" / {key} " in resumes
+        instance = report.splitlines()[1]
+        assert instance.startswith("instance (bucketed n=300, unprofiled): ")
+        assert float(instance.split(": ")[1].removesuffix(" s")) > 0
+        assert "(build_workload_instance)" in report
         assert "(greedy_spanner)" in report
         assert "(parallel_greedy_spanner)" in report
         assert "(ball)" in report
