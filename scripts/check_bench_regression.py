@@ -1,25 +1,24 @@
 #!/usr/bin/env python
 """Gate every committed BENCH trajectory, and diff it against fresh runs.
 
-The seven trajectories ``benchmarks/BENCH_<name>.json`` (emitted by
+The six trajectories ``benchmarks/BENCH_<name>.json`` (emitted by
 ``repro bench <name>``) record deterministic operation counts per strategy.
 Unlike wall-clock time these are fixed for a fixed workload, so they can be
 diffed machine-independently: a count that grew means the hot path really
 does more work, not that CI got a noisy neighbour.
 
 For each committed document the checker takes the bench's spec from
-:data:`repro.experiments.bench.BENCHES` (counters, cross-check flags,
-floors and the one gate) and:
+:data:`repro.experiments.bench.BENCHES` (counters, cross-check flags and
+the one gate) and:
 
-* checks the gate on every committed row marked for it (e.g. the ≥5×
-  repair-vs-rebuild bar on the gated fault row), so the committed scale
+* checks the gate on every committed row marked for it (e.g. the ≥3×
+  query-vs-baseline bar on the gated query row), so the committed scale
   evidence is re-validated even when CI regenerates only the small rows;
 * if ``--fresh-dir`` holds a document with the same file name, diffs every
   shared workload key: each spec counter of a shared strategy may grow by at
   most ``--threshold`` (a zero baseline must stay zero, and a counter the
   baseline records may not vanish from the fresh record), every cross-check
-  flag must be true, floor fields (``delivery_rate``) may not drop, and the
-  gate holds on fresh rows too.
+  flag must be true, and the gate holds on fresh rows too.
 
 Usage::
 
@@ -79,13 +78,6 @@ def find_regressions(
                 problems.append(
                     f"{key}: {flag} is false — a cross-checked engine diverged "
                     "or a guarantee was violated in the fresh run"
-                )
-        for floor in spec.floors:
-            base_value, fresh_value = base_run.get(floor), fresh_run.get(floor)
-            if base_value is not None and (fresh_value is None or fresh_value < base_value - 1e-12):
-                problems.append(
-                    f"{key}: {floor} dropped from {base_value} to {fresh_value} "
-                    "(the floor is the baseline value)"
                 )
         base_strategies = base_run.get("strategies", {})
         fresh_strategies = fresh_run.get("strategies", {})

@@ -11,9 +11,9 @@ Entry points (also usable as ``python -m repro.cli <command>``):
   workload size and stretch.
 * ``spanner`` — build a spanner of a registered workload with any registered
   builder (``--builder``, default greedy) and print its statistics.
-* ``bench <name>`` — run rows of one of the seven perf trajectories
-  (``oracles``, ``overlays``, ``verify``, ``faults``, ``build``,
-  ``queries``, ``service``; :data:`repro.experiments.bench.BENCHES`), print
+* ``bench <name>`` — run rows of one of the six perf trajectories
+  (``oracles``, ``overlays``, ``verify``, ``build``, ``queries``,
+  ``service``; :data:`repro.experiments.bench.BENCHES`), print
   each row's table and cross-check flags, and merge the runs into
   ``BENCH_<name>.json`` (see docs/PERFORMANCE.md).  ``--workloads`` takes
   preset keys, ``all``, or any other well-formed key of the bench, so an

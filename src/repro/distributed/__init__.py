@@ -1,9 +1,7 @@
 """Distributed-application substrate over spanner overlays.
 
-Broadcast, routing and synchronizers on a perfect network, plus the
-robustness layer: seeded fault plans (:mod:`repro.distributed.faults`),
-ack/retry-hardened protocols (:mod:`repro.distributed.resilient`) and
-detour routing around failed links (:mod:`repro.distributed.routing`).
+Broadcast, routing and synchronizers on a perfect network (Section 1.1 of
+the paper): the applications whose costs a sparse, light overlay lowers.
 """
 
 from repro.distributed.network import Message, Network, NetworkStatistics
@@ -25,23 +23,11 @@ from repro.distributed.synchronizer import (
     synchronizer_cost,
 )
 from repro.distributed.routing import (
-    DetourReport,
     Route,
     RoutingReport,
     RoutingScheme,
-    evaluate_detour_routing,
     evaluate_routing,
     random_demands,
-)
-from repro.distributed.faults import FaultPlan, edge_key
-from repro.distributed.resilient import (
-    ResilientEchoResult,
-    ResilientParams,
-    ResilientResult,
-    ResilientStatistics,
-    delivery_report,
-    resilient_echo,
-    resilient_flood,
 )
 from repro.distributed.comparison import (
     OverlayComparison,
@@ -64,22 +50,11 @@ __all__ = [
     "flood_broadcast_with_tree",
     "SynchronizerCost",
     "synchronizer_cost",
-    "DetourReport",
     "Route",
     "RoutingReport",
     "RoutingScheme",
-    "evaluate_detour_routing",
     "evaluate_routing",
     "random_demands",
-    "FaultPlan",
-    "edge_key",
-    "ResilientEchoResult",
-    "ResilientParams",
-    "ResilientResult",
-    "ResilientStatistics",
-    "delivery_report",
-    "resilient_echo",
-    "resilient_flood",
     "OverlayComparison",
     "compare_overlays",
     "overlays_from_builders",

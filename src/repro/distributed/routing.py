@@ -29,7 +29,9 @@ oracle in ``tests/oracles/distributed.py``.
 The scheme fails fast on a disconnected overlay with a
 :class:`~repro.errors.DisconnectedGraphError` naming the unreachable vertex
 count — one connectivity sweep up front instead of discovering the hole
-after ``n`` full Dijkstras.
+after ``n`` full Dijkstras.  A vertex that is not in the overlay raises
+:class:`~repro.errors.VertexNotFoundError` (a :class:`KeyError`), checked
+once per call rather than once per hop.
 
 :func:`repro.distributed.comparison.compare_overlays` runs the same demands
 over several overlays (full graph, MST, greedy spanner, ...), reproducing the
@@ -46,15 +48,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.query_engine import QueryEngine
-from repro.errors import DisconnectedGraphError
+from repro.errors import DisconnectedGraphError, VertexNotFoundError
 from repro.distributed.engine import indexed_overlay
 from repro.graph.shortest_paths import indexed_sssp, pair_distance
 from repro.graph.weighted_graph import Vertex, WeightedGraph
-
-
-def _canonical_edge(u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
-    """Undirected edge key in canonical ``repr`` order (matches ``faults.edge_key``)."""
-    return (u, v) if repr(u) <= repr(v) else (v, u)
 
 
 @dataclass(frozen=True)
@@ -85,14 +82,6 @@ class RoutingScheme:
         Optional subset of destinations to build table rows for; ``None``
         builds the full table.  Routing towards a destination outside the
         subset raises :class:`KeyError`.
-    on_unreachable:
-        ``"raise"`` (default) fails fast on a disconnected overlay with a
-        :class:`~repro.errors.DisconnectedGraphError`; ``"partial"`` builds
-        the tables anyway — the repair-time regime, where an overlay with
-        failed edges removed may be transiently disconnected — and reports
-        the unreachable set through :attr:`unreachable` instead of
-        swallowing it (routing towards an unreachable destination then
-        raises :class:`KeyError` per lookup).
     """
 
     def __init__(
@@ -100,17 +89,8 @@ class RoutingScheme:
         overlay: WeightedGraph,
         *,
         destinations: Optional[Sequence[Vertex]] = None,
-        on_unreachable: str = "raise",
     ) -> None:
-        if on_unreachable not in ("raise", "partial"):
-            raise ValueError(
-                f"unknown on_unreachable {on_unreachable!r}; use 'raise' or 'partial'"
-            )
         self.overlay = overlay
-        self.on_unreachable = on_unreachable
-        #: Vertices unreachable from the overlay's first vertex (empty on a
-        #: connected overlay; only populated with ``on_unreachable="partial"``).
-        self.unreachable: frozenset[Vertex] = frozenset()
         #: Non-stale heap pops spent building the tables (the overlay bench's
         #: ``overlay_route_settles`` operation count).
         self.build_settles = 0
@@ -140,13 +120,6 @@ class RoutingScheme:
         self.build_settles += settles
         unreachable = sum(1 for distance in distances if math.isinf(distance))
         if unreachable:
-            if self.on_unreachable == "partial":
-                self.unreachable = frozenset(
-                    self._indexed.vertex_of(vid)
-                    for vid, distance in enumerate(distances)
-                    if math.isinf(distance)
-                )
-                return
             raise DisconnectedGraphError(
                 f"routing tables require a connected overlay: {unreachable} of "
                 f"{n} vertices are unreachable from {self._indexed.vertex_of(0)!r}"
@@ -158,23 +131,26 @@ class RoutingScheme:
         n = indexed.number_of_vertices
         self._dest_row = {vertex: row for row, vertex in enumerate(destinations)}
         self._table = np.full((len(destinations), n), -1, dtype=np.int32)
-        # Distance rows ride along for free (the sweep computes them anyway);
-        # detour forwarding steers by them when a next-hop link has failed.
-        self._distances = np.full((len(destinations), n), math.inf)
         for row, destination in enumerate(destinations):
-            distances, parents, settles = indexed_sssp(indexed, indexed.id_of(destination))
+            _, parents, settles = indexed_sssp(indexed, indexed.id_of(destination))
             self.build_settles += settles
             # Parents point towards `destination`, so parent[v] is exactly
             # the next hop from v — the whole table row in one assignment.
             self._table[row, :] = parents
-            self._distances[row, :] = distances
+
+    def _vertex_id(self, vertex: Vertex) -> int:
+        """The overlay id of ``vertex``; :class:`VertexNotFoundError` if absent."""
+        try:
+            return self._indexed.id_of(vertex)
+        except KeyError:
+            raise VertexNotFoundError(vertex) from None
 
     # ------------------------------------------------------------------
     # Table statistics
     # ------------------------------------------------------------------
     def table_entries(self, vertex: Vertex) -> int:
         """Number of next-hop entries stored at ``vertex`` (``n - 1`` when full)."""
-        column = self._table[:, self._indexed.id_of(vertex)]
+        column = self._table[:, self._vertex_id(vertex)]
         return int(np.count_nonzero(column != -1))
 
     def table_bytes(self) -> int:
@@ -198,6 +174,12 @@ class RoutingScheme:
     # ------------------------------------------------------------------
     def next_hop(self, source: Vertex, destination: Vertex) -> Optional[Vertex]:
         """Return the next hop from ``source`` towards ``destination`` (None at the destination)."""
+        self._vertex_id(source)
+        self._vertex_id(destination)
+        return self._next_hop(source, destination)
+
+    def _next_hop(self, source: Vertex, destination: Vertex) -> Optional[Vertex]:
+        """:meth:`next_hop` for two overlay vertices (the per-hop lookup)."""
         if source == destination:
             return None
         indexed = self._indexed
@@ -208,12 +190,14 @@ class RoutingScheme:
 
     def route(self, source: Vertex, destination: Vertex) -> Route:
         """Forward a packet hop by hop and return the realised route."""
+        self._vertex_id(source)
+        self._vertex_id(destination)
         path: list[Vertex] = [source]
         weight = 0.0
         current = source
         safety = self.overlay.number_of_vertices + 1
         while current != destination:
-            hop = self.next_hop(current, destination)
+            hop = self._next_hop(current, destination)
             weight += self.overlay.weight(current, hop)
             path.append(hop)
             current = hop
@@ -246,81 +230,6 @@ class RoutingScheme:
         weights on routed pairs (both are overlay shortest paths).
         """
         return self.query_engine.run_queries(sources, targets)
-
-    def table_distance(self, vertex: Vertex, destination: Vertex) -> float:
-        """The table's shortest-path distance from ``vertex`` to ``destination``.
-
-        ``math.inf`` for unreachable pairs (partial tables).  Detour
-        forwarding steers by this quantity.
-        """
-        if vertex == destination:
-            return 0.0
-        indexed = self._indexed
-        return float(
-            self._distances[self._dest_row[destination], indexed.id_of(vertex)]
-        )
-
-    def route_with_detours(
-        self,
-        source: Vertex,
-        destination: Vertex,
-        failed_edges: "frozenset[tuple[Vertex, Vertex]] | set[tuple[Vertex, Vertex]]",
-    ) -> tuple[Optional[Route], int]:
-        """Forward hop by hop, detouring around failed next-hop links.
-
-        ``failed_edges`` holds undirected pairs in canonical ``repr`` order
-        (see :func:`repro.distributed.faults.edge_key`).  At each hop the
-        primary table entry is used when its link survives; otherwise the
-        packet detours to the surviving, not-yet-visited neighbour
-        minimizing ``w(x, nbr) + δ_table(nbr, destination)`` — a greedy
-        geographic-style recovery using only local state plus the prebuilt
-        distance rows (which still describe the *pre-failure* overlay, so
-        the realised route can stretch; :func:`evaluate_detour_routing`
-        reports the degradation percentiles).  Returns ``(route, detours)``,
-        with ``route=None`` when the packet is stranded (every usable
-        neighbour failed or already visited — delivery is impossible or
-        would loop).
-        """
-        path: list[Vertex] = [source]
-        weight = 0.0
-        current = source
-        visited = {source}
-        detours = 0
-        while current != destination:
-            try:
-                primary = self.next_hop(current, destination)
-            except KeyError:
-                primary = None
-            hop = None
-            if (
-                primary is not None
-                and _canonical_edge(current, primary) not in failed_edges
-                and primary not in visited
-            ):
-                hop = primary
-            else:
-                best: Optional[tuple[float, str, Vertex]] = None
-                for neighbour, edge_weight in self.overlay.incident(current):
-                    if neighbour in visited:
-                        continue
-                    if _canonical_edge(current, neighbour) in failed_edges:
-                        continue
-                    towards = self.table_distance(neighbour, destination)
-                    if math.isinf(towards):
-                        continue
-                    candidate = (edge_weight + towards, repr(neighbour), neighbour)
-                    if best is None or candidate[:2] < best[:2]:
-                        best = candidate
-                if best is not None:
-                    hop = best[2]
-                    detours += 1
-            if hop is None:
-                return None, detours
-            weight += self.overlay.weight(current, hop)
-            path.append(hop)
-            visited.add(hop)
-            current = hop
-        return Route(path=tuple(path), weight=weight), detours
 
 
 @dataclass(frozen=True)
@@ -421,86 +330,6 @@ def evaluate_routing(
         stretch_p50=_nearest_rank(stretches, 0.50),
         stretch_p90=_nearest_rank(stretches, 0.90),
         table_bytes=scheme.table_bytes(),
-    )
-
-
-@dataclass(frozen=True)
-class DetourReport:
-    """Routing quality under failed links, measured against pre-failure routes.
-
-    ``degradation_*`` are nearest-rank percentiles of the per-demand ratio
-    (detoured route weight) / (pre-failure route weight) over delivered
-    demands; ``undelivered`` counts demands stranded by the failures (no
-    surviving usable neighbour).
-    """
-
-    demands: int
-    delivered: int
-    undelivered: int
-    detours: int
-    degradation_p50: float
-    degradation_p90: float
-    degradation_max: float
-    total_routed_weight: float
-
-    def as_row(self) -> dict[str, float]:
-        return {
-            "demands": float(self.demands),
-            "delivered": float(self.delivered),
-            "undelivered": float(self.undelivered),
-            "detours": float(self.detours),
-            "degradation_p50": self.degradation_p50,
-            "degradation_p90": self.degradation_p90,
-            "degradation_max": self.degradation_max,
-            "detour_routed_weight": self.total_routed_weight,
-        }
-
-
-def evaluate_detour_routing(
-    overlay: WeightedGraph,
-    demands: list[tuple[Vertex, Vertex]],
-    failed_edges: "frozenset[tuple[Vertex, Vertex]] | set[tuple[Vertex, Vertex]]",
-    *,
-    scheme: Optional[RoutingScheme] = None,
-) -> DetourReport:
-    """Route every demand with detour forwarding and report the degradation.
-
-    The scheme's tables describe the intact ``overlay``; ``failed_edges``
-    are applied only at forwarding time (the repair-time regime: failures
-    have happened, tables have not been rebuilt yet).  Pre-failure route
-    weights come from the same tables, so the percentiles isolate exactly
-    what the failures cost.
-    """
-    if scheme is None:
-        destinations = sorted({d for _, d in demands}, key=repr)
-        scheme = RoutingScheme(overlay, destinations=destinations)
-    failed = {_canonical_edge(u, v) for u, v in failed_edges}
-    ratios: list[float] = []
-    delivered = 0
-    undelivered = 0
-    detours = 0
-    total = 0.0
-    for source, destination in demands:
-        route, used = scheme.route_with_detours(source, destination, failed)
-        detours += used
-        if route is None:
-            undelivered += 1
-            continue
-        delivered += 1
-        total += route.weight
-        baseline = scheme.route(source, destination).weight
-        if baseline > 0:
-            ratios.append(route.weight / baseline)
-    ratios.sort()
-    return DetourReport(
-        demands=len(demands),
-        delivered=delivered,
-        undelivered=undelivered,
-        detours=detours,
-        degradation_p50=_nearest_rank(ratios, 0.50),
-        degradation_p90=_nearest_rank(ratios, 0.90),
-        degradation_max=ratios[-1] if ratios else 1.0,
-        total_routed_weight=total,
     )
 
 

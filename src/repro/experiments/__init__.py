@@ -1,7 +1,7 @@
 """Experiment harness: workloads, runners and the per-claim experiments.
 
 Each experiment runs from the command line as ``repro experiment <id>``.  The
-seven ``BENCH_*.json`` trajectories live in :mod:`repro.experiments.bench`
+six ``BENCH_*.json`` trajectories live in :mod:`repro.experiments.bench`
 and its bench modules (``repro bench <name>``); they are imported on use.
 """
 

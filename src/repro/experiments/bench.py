@@ -1,7 +1,7 @@
-"""One framework for the seven ``BENCH_*.json`` perf trajectories.
+"""One framework for the six ``BENCH_*.json`` perf trajectories.
 
 Each bench module (``oracle_bench``, ``overlay_bench``, ``verify_bench``,
-``fault_bench``, ``build_bench``, ``query_bench``, ``service_bench``) keeps
+``build_bench``, ``query_bench``, ``service_bench``) keeps
 its workload builders, its ``_build_instance`` and its ``run_*`` function,
 and describes its trajectory with one :class:`BenchSpec`.  The registry
 :data:`BENCHES` maps a bench name to that spec, and everything around the
@@ -36,7 +36,6 @@ BENCH_MODULES = {
     "oracles": "oracle_bench",
     "overlays": "overlay_bench",
     "verify": "verify_bench",
-    "faults": "fault_bench",
     "build": "build_bench",
     "queries": "query_bench",
     "service": "service_bench",
@@ -78,8 +77,7 @@ class BenchSpec:
     ``run_options`` names the common options it accepts (``workers``,
     ``measure_memory``).  ``counters`` are the deterministic per-strategy
     operation counts, ``flags`` the cross-check verdicts that must be true,
-    ``floors`` run fields that may never drop below the baseline, and
-    ``gate`` the one bar checked on rows marked ``gate.marker``.
+    and ``gate`` the one bar checked on rows marked ``gate.marker``.
     ``row_fields`` are run fields that map a strategy name to a value shown
     as a column of that strategy's table row.  A key
     that is not a preset runs ``default_strategies(workload)``, or every
@@ -96,7 +94,6 @@ class BenchSpec:
     counters: tuple[str, ...]
     flags: tuple[str, ...] = ()
     gate: Optional[Gate] = None
-    floors: tuple[str, ...] = ()
     row_fields: tuple[str, ...] = ()
     strategy_names: tuple[str, ...] = ()
     default_strategies: Optional[Callable[[dict], tuple[str, ...]]] = None
@@ -211,7 +208,7 @@ def render_rows(run: Mapping[str, object], spec: BenchSpec) -> list[dict[str, ob
 
 
 def __getattr__(name: str) -> dict[str, BenchSpec]:
-    # BENCHES imports all seven bench modules, so it is built on first use:
+    # BENCHES imports all six bench modules, so it is built on first use:
     # importing this module (as every bench module does) stays cheap.
     if name != "BENCHES":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -61,9 +61,8 @@ def _build_presets() -> dict[str, Preset]:
     """The named rows of the service matrix.
 
     The CI row is small (the full chaos sequence on every run); the scale
-    row is the gated serving-latency evidence — same ``n = 10⁴`` geometric
-    instance as the fault trajectory's acceptance row, where a warm hit
-    must serve in under 1% of the cold build.
+    row is the gated serving-latency evidence — an ``n = 10⁴`` geometric
+    instance, where a warm hit must serve in under 1% of the cold build.
     """
     rows = (
         (geometric_workload(n=300, radius=0.12, seed=7, stretch=1.5), False),

@@ -14,6 +14,9 @@ benchmark size: its counters and ``max_stretch`` were recorded on the
 per-source heap kernel, before metric bases moved to the lockstep block
 kernel, which must reproduce them exactly.
 
+Repair is pinned on the bucketed row: its 10 heaviest spanner edges fail,
+and the replayed suffix must match a full rebuild.
+
 The query engine is pinned on a skewed stream whose parked searches do not
 all fit, so the rule that picks which searches stay parked shows in every
 counter it pins.
@@ -113,6 +116,24 @@ def test_greedy_build_is_pinned(name):
     assert hashlib.sha256(edges).hexdigest() == sha
     assert {key: spanner.metadata[key] for key in counters} == counters
     assert spanner.metadata["coverage_entries"] == coverage_entries
+
+
+#: The bucketed row's spanner with its 10 heaviest edges (canonical
+#: ``(w, repr(u), repr(v))`` order) failed, repaired on the default oracle.
+PINNED_REPAIR = {
+    "repair_settles": 8074, "rebuild_settles": 13160,
+    "replayed_edges": 569, "kept_edges": 544, "repair_edges_added": 3,
+}
+
+
+def test_heaviest_band_repair_is_pinned():
+    spanner = _bucketed_graph()
+    edges = sorted(spanner.subgraph.edges(), key=lambda e: (e[2], repr(e[0]), repr(e[1])))
+    failed = [(u, v) for u, v, _ in edges[-10:]]
+    result = spanner.repair(failed, cross_check=True)
+    assert result.matches_rebuild and result.verified
+    row = result.counters()
+    assert {key: row[key] for key in PINNED_REPAIR} == PINNED_REPAIR
 
 
 #: ``uniform_points(250, 2, seed)`` → ``greedy`` at ``t = 1.5``, checked at 1.5:

@@ -8,7 +8,7 @@ from oracles.distributed import ReferenceRoutingScheme
 from repro.core.greedy import greedy_spanner
 from repro.distributed.comparison import compare_overlays
 from repro.distributed.routing import RoutingScheme, evaluate_routing, random_demands
-from repro.errors import DisconnectedGraphError
+from repro.errors import DisconnectedGraphError, VertexNotFoundError
 from repro.graph.generators import path_graph, random_geometric_graph
 from repro.graph.shortest_paths import pair_distance
 from repro.graph.weighted_graph import WeightedGraph
@@ -54,6 +54,34 @@ class TestRoutingScheme:
         graph = path_graph(6)
         route = RoutingScheme(graph).route(0, 5)
         assert route.hops == 5
+
+
+class TestUnknownVertices:
+    """A vertex outside the overlay raises the typed ``VertexNotFoundError``."""
+
+    @pytest.mark.parametrize("scheme_class", [RoutingScheme, ReferenceRoutingScheme])
+    @pytest.mark.parametrize("source, destination", [(9, 2), (0, 9), (9, 9)])
+    def test_route_and_next_hop_name_the_missing_vertex(
+        self, scheme_class, source, destination
+    ):
+        scheme = scheme_class(path_graph(3))
+        for lookup in (scheme.route, scheme.next_hop):
+            with pytest.raises(VertexNotFoundError) as raised:
+                lookup(source, destination)
+            assert raised.value.vertex == 9
+            assert isinstance(raised.value, KeyError)
+
+    def test_table_entries_of_a_missing_vertex(self):
+        with pytest.raises(VertexNotFoundError):
+            RoutingScheme(path_graph(3)).table_entries(9)
+
+    def test_destination_without_a_row_keeps_its_plain_key_error(self):
+        scheme = RoutingScheme(path_graph(3), destinations=[0])
+        assert scheme.route(2, 0).path == (2, 1, 0)
+        for lookup in (scheme.route, scheme.next_hop):
+            with pytest.raises(KeyError) as raised:
+                lookup(0, 2)
+            assert not isinstance(raised.value, VertexNotFoundError)
 
 
 class TestEvaluation:
@@ -116,101 +144,3 @@ class TestEvaluation:
             "total_routed_weight",
             "table_bytes",
         }
-
-
-class TestPartialTables:
-    """``on_unreachable="partial"`` keeps repair-time routing possible."""
-
-    def test_raise_mode_rejects_disconnected(self):
-        graph = WeightedGraph(edges=[(1, 2, 1.0), (3, 4, 1.0)])
-        with pytest.raises(DisconnectedGraphError):
-            RoutingScheme(graph, on_unreachable="raise")
-
-    def test_partial_mode_reports_unreachable_set(self):
-        graph = WeightedGraph(edges=[(1, 2, 1.0), (3, 4, 1.0)])
-        scheme = RoutingScheme(graph, on_unreachable="partial")
-        assert scheme.unreachable  # the smaller component, from some source
-        assert scheme.unreachable in ({1, 2}, {3, 4})
-
-    def test_partial_mode_routes_within_component(self):
-        graph = WeightedGraph(edges=[(1, 2, 1.0), (2, 3, 1.0), (4, 5, 1.0)])
-        for scheme_class in (RoutingScheme, ReferenceRoutingScheme):
-            scheme = scheme_class(graph, on_unreachable="partial")
-            route = scheme.route(1, 3)
-            assert route.path == (1, 2, 3)
-
-    def test_invalid_policy_rejected(self):
-        graph = WeightedGraph(edges=[(1, 2, 1.0)])
-        with pytest.raises(ValueError):
-            RoutingScheme(graph, on_unreachable="ignore")
-
-    def test_connected_graph_has_empty_unreachable(self, geometric_network):
-        scheme = RoutingScheme(geometric_network, on_unreachable="partial")
-        assert scheme.unreachable == frozenset()
-
-
-class TestDetourRouting:
-    """Hop-by-hop detours around failed links, with pre-failure tables."""
-
-    def _overlay(self):
-        from repro.graph.generators import random_geometric_graph
-
-        graph = random_geometric_graph(60, 0.3, seed=13)
-        return greedy_spanner(graph, 1.5).subgraph
-
-    def test_no_failures_means_no_detours(self):
-        from repro.distributed.routing import evaluate_detour_routing
-
-        overlay = self._overlay()
-        demands = random_demands(overlay, 20, seed=3)
-        report = evaluate_detour_routing(overlay, demands, set())
-        assert report.detours == 0
-        assert report.undelivered == 0
-        assert report.degradation_max == pytest.approx(1.0)
-
-    def test_detour_reports_identical_across_modes(self):
-        from repro.distributed.faults import FaultPlan
-        from repro.distributed.routing import evaluate_detour_routing
-
-        overlay = self._overlay()
-        plan = FaultPlan.sample(overlay, seed=11, edge_failure_rate=0.1)
-        failed = set(plan.failed_edges())
-        demands = random_demands(overlay, 30, seed=3)
-        destinations = sorted({d for _, d in demands}, key=repr)
-        reference = ReferenceRoutingScheme(overlay, destinations=destinations)
-        assert (
-            evaluate_detour_routing(overlay, demands, failed).as_row()
-            == evaluate_detour_routing(overlay, demands, failed, scheme=reference).as_row()
-        )
-
-    def test_detoured_routes_avoid_failed_links_and_arrive(self):
-        from repro.distributed.faults import FaultPlan, edge_key
-        from repro.distributed.routing import RoutingScheme
-
-        overlay = self._overlay()
-        plan = FaultPlan.sample(overlay, seed=11, edge_failure_rate=0.1)
-        failed = set(plan.failed_edges())
-        scheme = RoutingScheme(overlay)
-        demands = random_demands(overlay, 30, seed=3)
-        delivered = 0
-        for source, destination in demands:
-            route, _ = scheme.route_with_detours(source, destination, failed)
-            if route is None:
-                continue
-            delivered += 1
-            assert route.path[0] == source and route.path[-1] == destination
-            for a, b in zip(route.path, route.path[1:]):
-                assert edge_key(a, b) not in failed
-        assert delivered > 0
-
-    def test_degradation_at_least_one(self):
-        from repro.distributed.faults import FaultPlan
-        from repro.distributed.routing import evaluate_detour_routing
-
-        overlay = self._overlay()
-        plan = FaultPlan.sample(overlay, seed=11, edge_failure_rate=0.15)
-        demands = random_demands(overlay, 30, seed=3)
-        report = evaluate_detour_routing(overlay, demands, set(plan.failed_edges()))
-        assert report.degradation_p50 >= 1.0 - 1e-12
-        assert report.degradation_p90 <= report.degradation_max + 1e-12
-        assert report.delivered + report.undelivered == report.demands

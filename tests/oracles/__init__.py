@@ -12,8 +12,8 @@ keep comparing against them without a ``mode=`` knob in the public API:
   cluster engine;
 * :mod:`oracles.verification` — the per-pair stretch checks and the
   copy-and-remove Lemma 3 check;
-* :mod:`oracles.distributed` — the dict-graph flood, routing tables,
-  hardened flood and synchronizer diameter;
+* :mod:`oracles.distributed` — the dict-graph flood, routing tables and
+  synchronizer diameter;
 * :mod:`oracles.greedy` — the value-cache distance oracle;
 * :mod:`oracles.order` — the ``(weight, repr(u), repr(v))`` sort of the
   greedy examination order;

@@ -293,10 +293,10 @@ class TestCommands:
         assert "unknown build workload keys" in capsys.readouterr().out
 
     def test_bench_rejects_options_the_bench_does_not_take(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_faults.json"
-        key = "geometric-n40-r0.3-seed7-t1.5-f11-ef0.05-fb0.3-nc0.0-dr0.05-dj0.25-ocached"
+        out = tmp_path / "BENCH_overlays.json"
         assert main(
-            ["bench", "faults", "--workloads", key, "--workers", "2", "--output", str(out)]
+            ["bench", "overlays", "--workloads", "geometric-n40-r0.3-seed7-t1.5",
+             "--workers", "2", "--output", str(out)]
         ) == 2
         assert "takes no workers option" in capsys.readouterr().out
         assert main(
@@ -310,15 +310,10 @@ class TestCommands:
         ("name", "key", "column"),
         [
             ("verify", "geometric-n60-r0.16-seed7-t1.5-bgreedy", "verify_ok"),
-            (
-                "faults",
-                "geometric-n60-r0.16-seed7-t1.5-f11-ef0.05-fb0.3-nc0.02-dr0.05-dj0.25-ocached",
-                "repair_settles",
-            ),
             ("build", "bucketed-n60-d16.0-seed3-t2.0", "build_filter_settles"),
             ("service", "geometric-n60-r0.16-seed7-t1.5", "service_lease_reclaims"),
         ],
-        ids=["verify", "faults", "build", "service"],
+        ids=["verify", "build", "service"],
     )
     def test_bench_row_prints_its_table_and_flags(self, capsys, tmp_path, name, key, column):
         """One small row of each trajectory prints its table; exit 0 means
