@@ -56,6 +56,16 @@ class TestRoutingScheme:
         assert route.hops == 5
 
 
+class TestPartialTables:
+    """A disconnected overlay gets no partial tables: construction raises."""
+
+    def test_raise_mode_rejects_disconnected(self):
+        graph = WeightedGraph(edges=[(1, 2, 1.0), (3, 4, 1.0)])
+        for destinations in (None, [1, 2]):
+            with pytest.raises(DisconnectedGraphError, match="2 of 4 vertices"):
+                RoutingScheme(graph, destinations=destinations)
+
+
 class TestUnknownVertices:
     """A vertex outside the overlay raises the typed ``VertexNotFoundError``."""
 
