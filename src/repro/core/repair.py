@@ -47,7 +47,7 @@ every repair returns a *verified* ``t``-spanner, not a trusted one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.spanner import Spanner
@@ -104,7 +104,6 @@ class RepairResult:
     verify_settles: float
     rebuild_settles: Optional[float] = None
     matches_rebuild: Optional[bool] = None
-    extra: dict[str, float] = field(default_factory=dict)
 
     def counters(self) -> dict[str, float]:
         """The deterministic operation counts the bench trajectory records."""
@@ -120,7 +119,6 @@ class RepairResult:
         }
         if self.rebuild_settles is not None:
             row["rebuild_settles"] = self.rebuild_settles
-        row.update(self.extra)
         return row
 
 

@@ -27,8 +27,12 @@ oracle/overlay/verify trajectories.  Rows marked ``gate_build_speedup``
 additionally hold ``build_speedup`` to the 3× bar of :data:`SPEC`.
 
 The scale rows use :func:`repro.graph.generators.bucketed_geometric_graph`
-(the O(n + m) spatial-hash generator): at ``n = 10⁵`` the quadratic
-all-pairs generator would dwarf construction itself.
+(the O(n + m) cell-grid generator, on numpy arrays, built into the graph
+by one :meth:`~repro.graph.weighted_graph.WeightedGraph.from_edge_arrays`
+call): at ``n = 10⁵`` the quadratic all-pairs generator would dwarf
+construction itself.  :func:`bucketed_radius` turns a spec's average degree
+into the radius and rejects a degree that is not positive; the query bench
+and the job service build their bucketed instances the same way.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from repro.core.parallel_greedy import (
     parallel_greedy_spanner_of_metric,
 )
 from repro.core.spanner import Spanner
+from repro.errors import GraphError
 from repro.experiments.bench import BenchSpec, Gate, Preset, key_parser
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
@@ -98,6 +103,17 @@ def workload_key(workload: dict[str, object]) -> str:
     return _oracle_workload_key(workload)
 
 
+def bucketed_radius(n: int, degree: float) -> float:
+    """The radius with expected degree ``degree`` at ``n`` points: ``π·r²·n = degree``.
+
+    Raises :class:`GraphError` unless ``degree > 0`` (NaN included), before
+    the square root could fail on it.
+    """
+    if not degree > 0.0:
+        raise GraphError(f"degree must be positive, got {degree}")
+    return math.sqrt(degree / (math.pi * max(1, n)))
+
+
 def _build_instance(
     workload: dict[str, object],
 ) -> tuple[Optional[WeightedGraph], Optional[FiniteMetric]]:
@@ -106,7 +122,7 @@ def _build_instance(
         from repro.graph.generators import bucketed_geometric_graph
 
         n = int(workload["n"])
-        radius = math.sqrt(float(workload["degree"]) / (math.pi * max(1, n)))
+        radius = bucketed_radius(n, float(workload["degree"]))
         return bucketed_geometric_graph(n, radius, seed=int(workload["seed"])), None
     from repro.experiments.oracle_bench import _build_instance as _oracle_instance
 

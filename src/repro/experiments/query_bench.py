@@ -24,7 +24,6 @@ build trajectory.  Rows marked ``gate_query_speedup`` additionally hold
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
 from typing import Sequence
@@ -91,11 +90,12 @@ def _query_presets() -> dict[str, Preset]:
 
 def _build_instance(workload: dict[str, object]):
     """Instantiate the workload graph as an :class:`IndexedGraph`."""
+    from repro.experiments.build_bench import bucketed_radius
     from repro.graph.generators import bucketed_geometric_graph
     from repro.graph.indexed_graph import IndexedGraph
 
     n = int(workload["n"])
-    radius = math.sqrt(float(workload["degree"]) / (math.pi * max(1, n)))
+    radius = bucketed_radius(n, float(workload["degree"]))
     graph = bucketed_geometric_graph(n, radius, seed=int(workload["seed"]))
     return IndexedGraph.from_weighted_graph(graph), graph.number_of_edges
 

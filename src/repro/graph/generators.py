@@ -26,6 +26,8 @@ import math
 import random
 from typing import Optional
 
+import numpy as np
+
 from repro.errors import GraphError
 from repro.graph.weighted_graph import WeightedGraph
 
@@ -282,61 +284,118 @@ def bucketed_geometric_graph(
 
     Same distribution as :func:`random_geometric_graph` with ``dimension=2``
     — ``n`` uniform points, an edge of weight ``d(u, v)`` whenever
-    ``d(u, v) ≤ radius`` — but pairs are found through a spatial hash with
-    cells of side ``radius`` (each point only compares against its 3×3 cell
-    neighbourhood), so the expected cost is ``Θ(n + m)`` instead of the
-    all-pairs ``Θ(n²)`` scan.  This is the generator the ``n = 10⁵`` build
-    benchmarks use, where the quadratic scan alone would dwarf construction.
+    ``0 < d(u, v) ≤ radius`` — but pairs are found by the fixed-radius
+    near-neighbour cell grid (Bentley, Stanat and Williams, 1977): cells of
+    side ``radius``, each point compared only against its 3×3 cell
+    neighbourhood, so the expected cost is ``Θ(n + m)`` instead of the
+    all-pairs ``Θ(n²)`` scan.  This is the generator of the build, query and
+    service workloads.
+
+    Everything after drawing the points runs on numpy arrays: a dense cell
+    table (``bincount`` / ``cumsum``), one batch of candidate pairs per
+    neighbour offset, squared distances through ``numpy.float_power`` (the
+    libm ``pow`` of Python's ``x ** 2``, so every weight is the float the
+    per-pair loop computed) and one argsort that restores the per-pair
+    loop's edge order: ``u`` ascending, then the offset ``(dx, dy)`` in
+    row-major order, then ``v`` ascending.  The graph is built in one
+    :meth:`WeightedGraph.from_edge_arrays` call.  The per-pair loop is kept
+    as the test reference.
 
     With ``ensure_connected=True`` connectivity is restored in ``O(n + m)``
     as well: connected components are chained by an edge between consecutive
-    component representatives, weighted by their Euclidean distance (a
-    cheaper guarantee than the Euclidean MST of the quadratic generator, and
+    component minima, weighted by their Euclidean distance (a cheaper
+    guarantee than the Euclidean MST of the quadratic generator, and
     irrelevant at benchmark densities where the radius graph is already
-    connected or nearly so).
+    connected or nearly so).  Raises :class:`GraphError` unless ``n ≥ 0``
+    and ``radius > 2⁻⁶²`` (points are multiples of ``2⁻⁵³``, so no smaller
+    radius joins two of them, and a cell index must fit in int64).
     """
-    if radius <= 0.0:
-        raise GraphError("radius must be positive")
-    rng = _rng(seed)
-    points = [(rng.random(), rng.random()) for _ in range(n)]
-    graph = WeightedGraph(vertices=range(n))
-
-    cells: dict[tuple[int, int], list[int]] = {}
-    inv = 1.0 / radius
-    cell_of = [(int(x * inv), int(y * inv)) for x, y in points]
-    for vid, cell in enumerate(cell_of):
-        cells.setdefault(cell, []).append(vid)
-
-    r_sq = radius * radius
-    for u in range(n):
-        ux, uy = points[u]
-        cx, cy = cell_of[u]
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                bucket = cells.get((cx + dx, cy + dy))
-                if bucket is None:
-                    continue
-                for v in bucket:
-                    if v <= u:
-                        continue
-                    vx, vy = points[v]
-                    d_sq = (ux - vx) ** 2 + (uy - vy) ** 2
-                    if d_sq <= r_sq and d_sq > 0.0:
-                        graph.add_edge(u, v, math.sqrt(d_sq))
+    if n < 0:
+        raise GraphError(f"n must be non-negative, got {n}")
+    if not radius > 0.0:
+        raise GraphError(f"radius must be positive, got {radius}")
+    if not 1.0 / radius < 2.0**62:
+        raise GraphError(f"radius {radius} is too small to grid")
+    # x0, y0, x1, y1, ...: the 2n draws of the per-pair loop, in its order.
+    coords = np.fromiter(iter(_rng(seed).random, None), float, 2 * n)
+    xs, ys = coords[0::2], coords[1::2]
+    u, v, weights = _grid_pairs(xs, ys, radius)
 
     if ensure_connected and n > 1:
-        from repro.graph.traversal import connected_components
+        label = _component_minima(n, u, v)
+        minima = np.flatnonzero(label == np.arange(n))
+        a, b = minima[:-1], minima[1:]
+        d = np.sqrt(np.float_power(xs[a] - xs[b], 2.0) + np.float_power(ys[a] - ys[b], 2.0))
+        u, v = np.concatenate((u, a)), np.concatenate((v, b))
+        weights = np.concatenate((weights, np.where(d > 0.0, d, float(radius))))
+    return WeightedGraph.from_edge_arrays(n, u, v, weights)
 
-        components = connected_components(graph)
-        if len(components) > 1:
-            reps = [min(component) for component in components]
-            reps.sort()
-            for a, b in zip(reps, reps[1:]):
-                ax, ay = points[a]
-                bx, by = points[b]
-                d = math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
-                graph.add_edge(a, b, d if d > 0.0 else radius)
-    return graph
+
+def _grid_pairs(
+    xs: np.ndarray, ys: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return ``(u, v, d)`` for every pair ``u < v`` of points in 3×3-neighbouring
+    cells of side ``radius`` with ``0 < d ≤ radius``, in the per-pair loop's
+    order: ``u``, then the offset ``(dx, dy)`` row-major, then ``v``.
+    """
+    n, inv = xs.size, 1.0 / radius
+    # int(x * inv) for x in [0, 1) lies in [0, int(inv)].  A coarse cell
+    # merges 2**shift cells a side so that the dense table stays O(n); a
+    # border of empty cells gives every cell all eight neighbours.
+    cx, cy = (xs * inv).astype(np.int64), (ys * inv).astype(np.int64)
+    shift = (int(inv) // (math.isqrt(4 * n) + 4)).bit_length()
+    side = (int(inv) >> shift) + 3
+    cell_of = ((cx >> shift) + 1) * side + (cy >> shift) + 1
+    count = np.bincount(cell_of, minlength=side * side)
+    first = np.cumsum(count) - count
+    members = np.argsort(cell_of, kind="stable")
+    ids = np.arange(n)
+
+    r_sq = radius * radius
+    found = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            cell = cell_of + (dx * side + dy)
+            sizes = count[cell]
+            u = np.repeat(ids, sizes)
+            v = members[np.arange(u.size) + np.repeat(first[cell] - np.cumsum(sizes) + sizes, sizes)]
+            later = v > u
+            u, v = u[later], v[later]
+            d_sq = np.float_power(xs[u] - xs[v], 2.0) + np.float_power(ys[u] - ys[v], 2.0)
+            near = (d_sq <= r_sq) & (d_sq > 0.0)
+            u, v, d_sq = u[near], v[near], d_sq[near]
+            # v's cell lies at offset (sx, sy) from u's: (dx, dy) at shift 0.
+            # Pairs of cells farther apart were never compared.
+            sx, sy = cx[v] - cx[u], cy[v] - cy[u]
+            near = (sx * sx <= 1) & (sy * sy <= 1)
+            key = ((u * 3 + sx) * 3 + sy + 4) * n + v
+            found.append((key[near], u[near], v[near], d_sq[near]))
+    # The keys (u · 9 + offset) · n + v are distinct: sorted, they are the
+    # per-pair loop's order (a stable sort, as in from_edge_arrays).
+    key, u, v, d_sq = (np.concatenate(column) for column in zip(*found))
+    order = np.argsort(key, kind="stable")
+    return u[order], v[order], np.sqrt(d_sq[order])
+
+
+def _component_minima(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Label every vertex of the graph ``(range(n), zip(u, v))`` with the
+    smallest vertex of its component.
+
+    Each round hooks every root onto the smallest root it shares an edge
+    with, then pointer-jumps every label to its root, until no edge joins
+    two roots (3–6 rounds on the benchmark instances).  Labels only
+    decrease, so a component's root is its minimum.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        hooked = label.copy()
+        np.minimum.at(hooked, np.maximum(lu, lv), np.minimum(lu, lv))
+        for _ in range(n.bit_length()):  # a jump halves every path to a root
+            hooked = hooked[hooked]
+        if hooked.tobytes() == label.tobytes():
+            return label
+        label = hooked
 
 
 # ---------------------------------------------------------------------------

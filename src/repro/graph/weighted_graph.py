@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import (
     EdgeNotFoundError,
+    GraphError,
     InvalidWeightError,
     SelfLoopError,
     VertexNotFoundError,
@@ -76,6 +77,28 @@ def canonical_order(
     return np.lexsort((ranks[v_ids], ranks[u_ids], weights))
 
 
+def _check_edge_arrays(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+    """Raise as :meth:`WeightedGraph.from_edge_arrays` documents."""
+    if n < 0:
+        raise GraphError(f"n must be non-negative, got {n}")
+    if u.ndim != 1 or u.shape != v.shape or u.shape != w.shape:
+        raise GraphError("u_ids, v_ids and weights must be 1-D arrays of one length")
+    outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+    if outside.size:
+        k = int(outside[0])
+        raise VertexNotFoundError(int(u[k]) if not 0 <= u[k] < n else int(v[k]))
+    loops = np.flatnonzero(u == v)
+    if loops.size:
+        raise SelfLoopError(f"self-loop on vertex {int(u[loops[0]])} is not allowed")
+    bad = np.flatnonzero(~((w > 0.0) & (w < _INF)))
+    if bad.size:
+        _validate_weight(float(w[bad[0]]))
+    pairs = np.minimum(u, v) * n + np.maximum(u, v)
+    pairs = pairs[np.argsort(pairs, kind="stable")]  # see from_edge_arrays
+    if np.flatnonzero(np.diff(pairs) == 0).size:
+        raise GraphError("an unordered pair of vertex ids appears twice")
+
+
 class WeightedGraph:
     """An undirected graph with positive edge weights.
 
@@ -114,6 +137,59 @@ class WeightedGraph:
         if edges is not None:
             for u, v, weight in edges:
                 self.add_edge(u, v, weight)
+
+    @classmethod
+    def from_edge_arrays(
+        cls, n: int, u_ids: np.ndarray, v_ids: np.ndarray, weights: np.ndarray
+    ) -> "WeightedGraph":
+        """Return the graph on ``0 .. n-1`` whose edge ``k`` joins ``u_ids[k]``
+        and ``v_ids[k]`` with weight ``weights[k]``.
+
+        The result equals ``WeightedGraph(range(n))`` followed by one
+        ``add_edge`` per ``k`` in array order: the same rows, in the same
+        order, with one int object per vertex and one float object per edge
+        shared by both rows.  Each row is built by one ``dict(zip(...))``,
+        and :meth:`edge_arrays` comes back memoized without a pass over the
+        rows.  Raises :class:`VertexNotFoundError` for an id outside
+        ``0 .. n-1``, :class:`SelfLoopError`, :class:`InvalidWeightError`
+        for a weight that is not positive and finite, and
+        :class:`GraphError` for a repeated pair (which ``add_edge`` would
+        overwrite).
+        """
+        u = np.asarray(u_ids, dtype=np.int64)
+        v = np.asarray(v_ids, dtype=np.int64)
+        w = np.asarray(weights, dtype=float)
+        _check_edge_arrays(n, u, v, w)
+        # Slot 2k is edge k in u's row, slot 2k + 1 in v's; a stable sort by
+        # row owner leaves every row's slots in edge order.  Every sort here
+        # is numpy's stable one, which canonical_order's lexsort runs anyway:
+        # the default sort would page in about 0.25 MB more of numpy's code.
+        owner = np.column_stack((u, v)).ravel()
+        slots = np.argsort(owner, kind="stable")
+        owner = owner[slots]
+        target = np.column_stack((v, u)).ravel()[slots]
+        keep = target > owner  # each edge once, as edges() yields it
+        arrays = (owner[keep], target[keep], w[slots[keep] >> 1])
+        for array in arrays:
+            array.flags.writeable = False
+        ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+        # Each array is dropped once spent: the rows below are the peak.
+        del owner, keep
+        vertices = tuple(range(n))
+        # A take from an object array shares its objects: one float per
+        # edge and one int per vertex, as add_edge stores them.
+        values = np.array(w.tolist(), dtype=object)[slots >> 1].tolist()
+        del slots
+        targets = np.array(vertices, dtype=object)[target].tolist()
+        del target
+        graph = cls()
+        graph._adjacency = {
+            vertex: dict(zip(targets[start:end], values[start:end]))
+            for vertex, start, end in zip(vertices, [0, *ends], ends)
+        }
+        graph._edge_count = w.size
+        graph._arrays = (vertices, *arrays)
+        return graph
 
     # ------------------------------------------------------------------
     # Construction and mutation

@@ -247,7 +247,8 @@ class VerificationEngine:
         appears exactly once, under its smaller id, sources ascending and
         targets in ``base.edges()`` order.  The groups are runs of the base's
         memoized :meth:`~WeightedGraph.edge_arrays`, whose ids are the
-        engine's (both follow ``base.vertices()``).  Metric bases are
+        engine's (both follow ``base.vertices()``); the target ids are taken
+        from one int object per vertex, not one per edge.  Metric bases are
         never grouped this way (every pair is an edge, Θ(n²) entries): the
         block kernel reads their rows a block of sources at a time.
         """
@@ -255,7 +256,8 @@ class VerificationEngine:
             _, u_ids, v_ids, weights = self.base.edge_arrays()
             starts = np.flatnonzero(np.diff(u_ids, prepend=-1)).tolist()
             ends = starts[1:] + [len(u_ids)]
-            targets, values = v_ids.tolist(), weights.tolist()
+            ids = np.array(range(self.n), dtype=object)
+            targets, values = ids[v_ids].tolist(), weights.tolist()
             self._grouped = {
                 source: (targets[start:end], values[start:end])
                 for source, start, end in zip(u_ids[starts].tolist(), starts, ends)

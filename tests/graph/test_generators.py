@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from oracles.graph import is_tree
+from oracles.graph import is_tree, reference_bucketed_geometric_graph
 
 from repro.errors import GraphError
 from repro.graph.generators import (
+    bucketed_geometric_graph,
     complete_graph,
     cycle_graph,
     figure1_instance,
@@ -112,6 +115,62 @@ class TestRandomFamilies:
         assert is_connected(graph)
         for _, _, weight in graph.edges():
             assert 0.0 < weight <= 2.0 ** 0.5 + 1e-9
+
+
+def assert_same_graph(graph, reference):
+    """Vertex order, every row's neighbour order and weight bits, the edge
+    count, and the seeded ``edge_arrays()`` against fresh passes."""
+    assert list(graph.vertices()) == list(reference.vertices())
+    for vertex in reference.vertices():
+        row = [(v, w.hex()) for v, w in graph.incident(vertex)]
+        assert row == [(v, w.hex()) for v, w in reference.incident(vertex)], vertex
+    assert graph.number_of_edges == reference.number_of_edges
+    seeded = graph.edge_arrays()
+    for fresh in (graph.copy().edge_arrays(), reference.edge_arrays()):
+        assert seeded[0] == fresh[0]
+        for array, expected in zip(seeded[1:], fresh[1:]):
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
+
+
+class TestBucketedGeometric:
+    """The array generator against the per-pair loop it replaced."""
+
+    @pytest.mark.parametrize("degree", [0.5, 1.0, 4.0, 16.0, 40.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 300, 2500])
+    def test_matches_the_per_pair_loop(self, n, degree):
+        radius = math.sqrt(degree / (math.pi * max(1, n)))
+        for seed in (3, 11) if n == 2500 else (1, 3, 7, 11):
+            assert_same_graph(
+                bucketed_geometric_graph(n, radius, seed=seed),
+                reference_bucketed_geometric_graph(n, radius, seed=seed),
+            )
+
+    @pytest.mark.parametrize("radius", [2.0**-61, 1e-9, 1e-3, 0.7, 1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("ensure_connected", [True, False])
+    def test_matches_the_per_pair_loop_at_any_radius(self, radius, ensure_connected):
+        # The three smallest take the coarse cell table, 2.0 and inf one cell.
+        for n in (1, 5, 200):
+            assert_same_graph(
+                bucketed_geometric_graph(n, radius, seed=2, ensure_connected=ensure_connected),
+                reference_bucketed_geometric_graph(
+                    n, radius, seed=2, ensure_connected=ensure_connected
+                ),
+            )
+
+    def test_disconnected_radius_is_chained_into_one_component(self):
+        graph = bucketed_geometric_graph(300, 0.01, seed=4)
+        assert is_connected(graph)
+        assert not is_connected(bucketed_geometric_graph(300, 0.01, seed=4, ensure_connected=False))
+
+    @pytest.mark.parametrize(
+        "n, radius",
+        [(10, math.nan), (10, 0.0), (10, -0.5), (10, 5e-324), (10, 2.0**-63), (-3, 0.1)],
+        ids=["nan", "zero", "negative", "subnormal", "below-2**-62", "negative-n"],
+    )
+    def test_bad_arguments_raise_graph_error(self, n, radius):
+        with pytest.raises(GraphError):
+            bucketed_geometric_graph(n, radius, seed=1)
 
 
 class TestPaperConstructions:

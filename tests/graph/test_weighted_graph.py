@@ -11,6 +11,7 @@ from oracles.order import canonical_sorted
 
 from repro.errors import (
     EdgeNotFoundError,
+    GraphError,
     InvalidWeightError,
     SelfLoopError,
     VertexNotFoundError,
@@ -279,6 +280,30 @@ class TestEdgeArrays:
         assert grouped == _grouped_by_smaller_id(graph)
         assert list(grouped) == list(_grouped_by_smaller_id(graph))
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_vertex(9),
+            lambda g: g.add_edge(0, 9, 0.5),
+            lambda g: g.add_edge(0, 1, 9.0),  # overwrites an existing weight
+            lambda g: g.remove_edge(0, 1),
+            lambda g: g.remove_vertex(2),
+        ],
+        ids=["add_vertex", "add_edge", "overwrite_weight", "remove_edge", "remove_vertex"],
+    )
+    def test_every_mutator_drops_the_seeded_memo(self, mutate):
+        triples = [(1, 0, 1.0), (2, 3, 2.0), (0, 2, 4.0), (3, 1, 0.5)]
+        graph = WeightedGraph.from_edge_arrays(4, *map(np.array, zip(*triples)))
+        reference = _added_in_order(4, triples)
+        seeded = graph.edge_arrays()
+        mutate(graph)
+        mutate(reference)
+        after = graph.edge_arrays()
+        assert after is not seeded
+        assert after[0] == reference.edge_arrays()[0]
+        for array, expected in zip(after[1:], reference.edge_arrays()[1:]):
+            assert array.tolist() == expected.tolist()
+
     def test_metric_closure_builds_never_call_edge_arrays(self, monkeypatch):
         from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
         from repro.metric.closure import MetricClosure
@@ -294,6 +319,89 @@ class TestEdgeArrays:
         closure = greedy_spanner(MetricClosure(metric), 1.5)
         assert closure.subgraph.same_edges(streamed.subgraph)
         assert verify_spanner_edges(streamed.subgraph, streamed.base, 1.5)
+
+
+def _added_in_order(n: int, triples) -> WeightedGraph:
+    graph = WeightedGraph(range(n))
+    for u, v, weight in triples:
+        graph.add_edge(u, v, weight)
+    return graph
+
+
+@st.composite
+def _edge_lists(draw):
+    """``(n, [(u, v, weight), ...])`` with every unordered pair at most once,
+    each in a drawn orientation."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    triples = []
+    for u, v in chosen:
+        weight = draw(st.floats(min_value=1e-6, max_value=1e6))
+        triples.append((v, u, weight) if draw(st.booleans()) else (u, v, weight))
+    return n, triples
+
+
+class TestFromEdgeArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(_edge_lists())
+    def test_equals_add_edge_in_array_order(self, case):
+        n, triples = case
+        us, vs, weights = zip(*triples) if triples else ((), (), ())
+        graph = WeightedGraph.from_edge_arrays(
+            n, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(weights)
+        )
+        reference = _added_in_order(n, triples)
+        assert list(graph.vertices()) == list(reference.vertices())
+        for vertex in reference.vertices():
+            row = [(v, w.hex()) for v, w in graph.incident(vertex)]
+            assert row == [(v, w.hex()) for v, w in reference.incident(vertex)]
+        assert graph.number_of_edges == reference.number_of_edges
+        seeded, fresh = graph.edge_arrays(), reference.edge_arrays()
+        assert seeded[0] == fresh[0]
+        for array, expected in zip(seeded[1:], fresh[1:]):
+            assert array.dtype == expected.dtype and array.tobytes() == expected.tobytes()
+            assert not array.flags.writeable
+        for u, v, _ in triples:  # one float object per edge, in both rows
+            assert graph.adjacency(u)[v] is graph.adjacency(v)[u]
+
+    def test_rows_hold_each_vertex_own_int(self):
+        # Ids past 256 are not CPython's cached small ints.
+        rng = np.random.default_rng(3)
+        n = 700
+        u = rng.permutation(n)[:400]
+        v = (u + 1 + rng.integers(0, n - 1, u.size)) % n
+        graph = WeightedGraph.from_edge_arrays(n, u, v, rng.random(u.size) + 0.5)
+        own = {vertex: vertex for vertex in graph.vertices()}
+        for vertex in graph.vertices():
+            assert all(key is own[key] for key in graph.adjacency(vertex))
+        assert graph.number_of_edges == 400
+
+    @pytest.mark.parametrize(
+        "n, triples, error",
+        [
+            (3, [(0, 1, 1.0), (2, 2, 1.0)], SelfLoopError),
+            (3, [(0, 1, 0.0)], InvalidWeightError),
+            (3, [(0, 1, -1.0)], InvalidWeightError),
+            (3, [(0, 1, math.nan)], InvalidWeightError),
+            (3, [(0, 1, math.inf)], InvalidWeightError),
+            (3, [(0, 3, 1.0)], VertexNotFoundError),
+            (3, [(-1, 1, 1.0)], VertexNotFoundError),
+            (3, [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0)], GraphError),
+            (3, [(0, 1, 1.0), (0, 1, 1.0)], GraphError),
+            (-1, [], GraphError),
+        ],
+        ids=["self-loop", "zero", "negative", "nan", "inf", "id-n", "id-negative",
+             "reversed-repeat", "repeat", "negative-n"],
+    )
+    def test_bad_edges_raise_typed_errors(self, n, triples, error):
+        columns = list(zip(*triples)) if triples else [(), (), ()]
+        with pytest.raises(error):
+            WeightedGraph.from_edge_arrays(n, *(np.array(column) for column in columns))
+
+    def test_mismatched_lengths_raise(self):
+        with pytest.raises(GraphError):
+            WeightedGraph.from_edge_arrays(3, np.array([0, 1]), np.array([1]), np.array([1.0]))
 
 
 class Labelled:

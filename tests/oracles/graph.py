@@ -4,19 +4,22 @@ The library builds MSTs with Kruskal (weights with an indexed Prim) and
 checks connectivity with BFS; these are the independent implementations
 the graph tests check them against, plus the two converters that hand a
 graph to :mod:`networkx` (imported inside them, so the library never
-needs it).
+needs it), and the per-pair bucketed geometric generator that the array
+generator must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import random
 from collections import deque
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import GraphError, VertexNotFoundError
 from repro.graph.mst import DisjointSet
-from repro.graph.traversal import is_connected
+from repro.graph.traversal import connected_components, is_connected
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 if TYPE_CHECKING:
@@ -212,4 +215,62 @@ def from_networkx(nx_graph: nx.Graph, *, default_weight: float = 1.0) -> Weighte
     graph = WeightedGraph(vertices=nx_graph.nodes())
     for u, v, data in nx_graph.edges(data=True):
         graph.add_edge(u, v, data.get("weight", default_weight))
+    return graph
+
+
+def reference_bucketed_geometric_graph(
+    n: int,
+    radius: float,
+    *,
+    seed: Optional[int] = None,
+    ensure_connected: bool = True,
+) -> WeightedGraph:
+    """The per-pair loop the array generator
+    :func:`repro.graph.generators.bucketed_geometric_graph` replaced.
+
+    A dict of cells of side ``radius``; every pair of 3×3-neighbouring
+    points is tested and added by one ``add_edge``, ``u`` ascending, then
+    the offset ``(dx, dy)`` in row-major order, then ``v`` ascending; the
+    components (a BFS) are chained between consecutive minima.  The array
+    generator must return this graph bit for bit.
+    """
+    if radius <= 0.0:
+        raise GraphError("radius must be positive")
+    rng = random.Random(seed)
+    points = [(rng.random(), rng.random()) for _ in range(n)]
+    graph = WeightedGraph(vertices=range(n))
+
+    cells: dict[tuple[int, int], list[int]] = {}
+    inv = 1.0 / radius
+    cell_of = [(int(x * inv), int(y * inv)) for x, y in points]
+    for vid, cell in enumerate(cell_of):
+        cells.setdefault(cell, []).append(vid)
+
+    r_sq = radius * radius
+    for u in range(n):
+        ux, uy = points[u]
+        cx, cy = cell_of[u]
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                bucket = cells.get((cx + dx, cy + dy))
+                if bucket is None:
+                    continue
+                for v in bucket:
+                    if v <= u:
+                        continue
+                    vx, vy = points[v]
+                    d_sq = (ux - vx) ** 2 + (uy - vy) ** 2
+                    if d_sq <= r_sq and d_sq > 0.0:
+                        graph.add_edge(u, v, math.sqrt(d_sq))
+
+    if ensure_connected and n > 1:
+        components = connected_components(graph)
+        if len(components) > 1:
+            reps = [min(component) for component in components]
+            reps.sort()
+            for a, b in zip(reps, reps[1:]):
+                ax, ay = points[a]
+                bx, by = points[b]
+                d = math.sqrt((ax - bx) ** 2 + (ay - by) ** 2)
+                graph.add_edge(a, b, d if d > 0.0 else radius)
     return graph

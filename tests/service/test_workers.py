@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles.service import canonical_spanner_edges as seed_canonical_spanner_edges
 from repro.core.spanner import Spanner
+from repro.errors import GraphError
 from repro.experiments.harness import fork_available
 from repro.graph.weighted_graph import WeightedGraph
 from repro.service.cache import ArtifactCache, artifact_key
@@ -103,6 +104,18 @@ def test_build_workload_instance_dispatches_all_kinds():
     from repro.metric.closure import MetricClosure
 
     assert isinstance(metric, MetricClosure)
+
+
+@pytest.mark.parametrize(
+    "n, degree",
+    [(10, float("nan")), (10, -4.0), (-3, 8.0)],
+    ids=["nan-degree", "negative-degree", "negative-n"],
+)
+def test_bad_bucketed_spec_raises_graph_error(n, degree):
+    with pytest.raises(GraphError):
+        build_workload_instance(
+            {"kind": "bucketed-geometric", "n": n, "degree": degree, "seed": 3, "stretch": 2.0}
+        )
 
 
 def test_cold_build_completes_verified_and_cached(service):
