@@ -21,16 +21,15 @@ import pytest
 from repro.experiments.bench import merge_run_into_file
 from repro.experiments.build_bench import (
     SPEC,
-    bucketed_workload,
-    euclidean_build_workload,
     run_build_bench,
 )
+from repro.workload_kinds import workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_build.json"
 
-BUCKETED_BENCH = bucketed_workload(n=300, degree=16.0)
-EUCLIDEAN_BENCH = euclidean_build_workload(n=150, stretch=1.5)
+BUCKETED_BENCH = workload("bucketed-geometric", n=300, degree=16.0)
+EUCLIDEAN_BENCH = workload("uniform-euclidean", n=150, stretch=1.5)
 
 
 @pytest.fixture(scope="module")

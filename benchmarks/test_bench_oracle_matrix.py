@@ -20,22 +20,16 @@ from oracles.cluster import ReplayClusterGraph
 
 import repro.core.approximate_greedy
 from repro.core.greedy import greedy_spanner_of_metric
-from repro.experiments.bench import merge_run_into_file
-from repro.experiments.oracle_bench import (
-    SPEC,
-    _build_instance,
-    _run_strategy,
-    euclidean_workload,
-    graph_workload,
-    run_oracle_matrix,
-)
+from repro.experiments.bench import instance_and_metric, merge_run_into_file
+from repro.experiments.oracle_bench import SPEC, _run_strategy, run_oracle_matrix
 from repro.metric.generators import uniform_points
+from repro.workload_kinds import workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_oracles.json"
 
-EUCLIDEAN_BENCH = euclidean_workload(n=150)
-GRAPH_BENCH = graph_workload(n=120, p=0.15)
+EUCLIDEAN_BENCH = workload("uniform-euclidean", n=150)
+GRAPH_BENCH = workload("erdos-renyi", n=120, p=0.15)
 APPROX_BENCH_KEY = "uniform-euclidean-n400-d2-seed7-t1.5"
 
 
@@ -85,10 +79,10 @@ def test_bench_approx_engines_agree_and_incremental_wins(approx_run, monkeypatch
     less (the committed n=2000 row in BENCH_oracles.json, measured when the
     replay was still a bench strategy, shows the same shape)."""
     incremental = approx_run["strategies"]["approx-greedy"]
-    workload = SPEC.presets[APPROX_BENCH_KEY].workload
-    graph, metric = _build_instance(workload)
+    row = SPEC.presets[APPROX_BENCH_KEY].workload
+    graph, metric = instance_and_metric(row)
     monkeypatch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
-    scratch, _ = _run_strategy("approx-greedy", graph, metric, float(workload["stretch"]))
+    scratch, _ = _run_strategy("approx-greedy", graph, metric, float(row["stretch"]))
     assert incremental["spanner_edges"] == scratch.number_of_edges
     assert incremental["cluster_query_settles"] == scratch.metadata["cluster_query_settles"]
     if incremental["cluster_transitions"] > 0:

@@ -15,21 +15,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.oracle_bench import euclidean_workload
 from repro.experiments.bench import merge_run_into_file
 from repro.experiments.overlay_bench import (
     DEFAULT_GRAPH_BUILDERS,
     DEFAULT_METRIC_BUILDERS,
     SPEC,
-    geometric_workload,
     run_overlay_bench,
 )
+from repro.workload_kinds import workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_overlays.json"
 
-GEOMETRIC_BENCH = geometric_workload(n=300)
-EUCLIDEAN_BENCH = euclidean_workload(n=400, stretch=1.5)
+GEOMETRIC_BENCH = workload("geometric", n=300)
+EUCLIDEAN_BENCH = workload("uniform-euclidean", n=400, stretch=1.5)
 
 
 @pytest.fixture(scope="module")

@@ -20,18 +20,13 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.bench import merge_run_into_file
-from repro.experiments.query_bench import (
-    SPEC,
-    draw_queries,
-    query_workload,
-    run_query_bench,
-    workload_key,
-)
+from repro.experiments.query_bench import SPEC, draw_queries, run_query_bench
+from repro.workload_kinds import workload, workload_key
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_queries.json"
 
-CI_BENCH = query_workload(n=2000, degree=8.0, queries=512, sources=8)
+CI_BENCH = workload("query-bucketed", n=2000, degree=8.0, queries=512, sources=8)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +61,7 @@ def test_bench_queries_speedup_bar(ci_run):
 
 def test_query_batch_is_deterministic():
     """The drawn query batch is a pure function of the workload descriptor."""
-    again = query_workload(n=2000, degree=8.0, queries=512, sources=8)
+    again = workload("query-bucketed", n=2000, degree=8.0, queries=512, sources=8)
     assert draw_queries(CI_BENCH) == draw_queries(again)
     sources, targets = draw_queries(CI_BENCH)
     assert len(sources) == len(targets) == 512

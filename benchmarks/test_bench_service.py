@@ -17,14 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.overlay_bench import geometric_workload
 from repro.experiments.bench import merge_run_into_file
 from repro.experiments.service_bench import SPEC, run_service_bench
+from repro.workload_kinds import workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_service.json"
 
-GEOMETRIC_BENCH = geometric_workload(n=300, radius=0.12, seed=7, stretch=1.5)
+GEOMETRIC_BENCH = workload("geometric", n=300, radius=0.12, seed=7, stretch=1.5)
 
 
 @pytest.fixture(scope="module")

@@ -20,30 +20,25 @@ from pathlib import Path
 import pytest
 from oracles.verification import profile_reference, verify_edges_reference
 
-from repro.experiments.oracle_bench import euclidean_workload
-from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS, geometric_workload
-from repro.experiments.bench import merge_run_into_file
-from repro.experiments.verify_bench import (
-    SPEC,
-    _build_instance,
-    run_verify_bench,
-    verify_workload,
-)
+from repro.experiments.bench import instance_and_metric, merge_run_into_file
+from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS
+from repro.experiments.verify_bench import SPEC, run_verify_bench, verify_workload
+from repro.workload_kinds import workload
 from repro.spanners.registry import build_spanner
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_verify.json"
 
-GEOMETRIC_BENCH = verify_workload(geometric_workload(n=300), "greedy")
-EUCLIDEAN_BENCH = verify_workload(euclidean_workload(n=150, stretch=1.5), "theta")
+GEOMETRIC_BENCH = verify_workload(workload("geometric", n=300), "greedy")
+EUCLIDEAN_BENCH = verify_workload(workload("uniform-euclidean", n=150, stretch=1.5), "theta")
 
 
 def _reference_record(run):
     """The seed per-pair checks on the run's spanner: verdict, profile, work."""
-    workload = run["workload"]
-    graph, metric = _build_instance(workload)
-    stretch = float(workload["stretch"])
-    builder = workload["builder"]
+    row = run["workload"]
+    graph, metric = instance_and_metric(row)
+    stretch = float(row["stretch"])
+    builder = row["builder"]
     spanner = build_spanner(
         builder, metric if metric is not None else graph, stretch,
         **DEFAULT_BUILDER_PARAMS.get(builder, {}),

@@ -232,12 +232,15 @@ def _command_profile(args: argparse.Namespace) -> int:
     header = ""
     if args.workload == "build":
         from repro.core.greedy import greedy_spanner, greedy_spanner_of_metric
-        from repro.experiments.build_bench import bucketed_workload, run_build_bench
+        from repro.experiments.build_bench import run_build_bench
         from repro.metric.generators import uniform_points
         from repro.service.workers import build_workload_instance
         from repro.spanners.verification import verify_spanner_edges
+        from repro.workload_kinds import workload as make_workload
 
-        workload = bucketed_workload(n=args.n, degree=args.degree, seed=args.seed)
+        workload = make_workload(
+            "bucketed-geometric", n=args.n, degree=args.degree, seed=args.seed
+        )
         started = time.perf_counter()
         graph = build_workload_instance(workload)
         instance_seconds = time.perf_counter() - started
@@ -262,18 +265,15 @@ def _command_profile(args: argparse.Namespace) -> int:
         ) + f"\ninstance (bucketed n={args.n}, unprofiled): {instance_seconds:.3f} s\n"
     else:
         from repro.core.query_engine import QueryEngine
-        from repro.experiments.query_bench import (
-            _build_instance,
-            query_workload,
-            run_query_bench,
-            skewed_batches,
-        )
+        from repro.experiments.query_bench import run_query_bench, skewed_batches
+        from repro.graph.indexed_graph import IndexedGraph
+        from repro.workload_kinds import build_instance, workload as make_workload
 
-        workload = query_workload(
-            n=args.n, degree=args.degree, seed=args.seed,
+        workload = make_workload(
+            "query-bucketed", n=args.n, degree=args.degree, seed=args.seed,
             queries=args.queries, sources=args.sources,
         )
-        indexed, _ = _build_instance(workload)
+        indexed = IndexedGraph.from_weighted_graph(build_instance(workload))
         batches = skewed_batches(indexed.number_of_vertices)
         engine = QueryEngine(indexed)
         # The bench row (per-query reference and a fresh engine), then one
@@ -301,30 +301,24 @@ def _command_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_workload(args: argparse.Namespace) -> dict[str, object]:
-    """The workload dictionary of one ``service submit`` invocation."""
-    from repro.experiments.build_bench import bucketed_workload
-    from repro.experiments.oracle_bench import (
-        clustered_workload,
-        euclidean_workload,
-        graph_workload,
-        grid_workload,
-    )
-    from repro.experiments.overlay_bench import geometric_workload
+#: ``service submit --kind`` spelling -> workload kind.
+_SUBMIT_KINDS = {
+    "geometric": "geometric",
+    "euclidean": "uniform-euclidean",
+    "clustered": "clustered-euclidean",
+    "grid": "grid-euclidean",
+    "graph": "erdos-renyi",
+    "bucketed": "bucketed-geometric",
+}
 
-    if args.kind == "euclidean":
-        return euclidean_workload(n=args.n, dim=args.dim, seed=args.seed, stretch=args.stretch)
-    if args.kind == "clustered":
-        return clustered_workload(
-            n=args.n, dim=args.dim, clusters=args.clusters, seed=args.seed, stretch=args.stretch
-        )
-    if args.kind == "grid":
-        return grid_workload(side=args.side, dim=args.dim, stretch=args.stretch)
-    if args.kind == "graph":
-        return graph_workload(n=args.n, p=args.p, seed=args.seed, stretch=args.stretch)
-    if args.kind == "bucketed":
-        return bucketed_workload(n=args.n, degree=args.degree, seed=args.seed, stretch=args.stretch)
-    return geometric_workload(n=args.n, radius=args.radius, seed=args.seed, stretch=args.stretch)
+
+def _submit_workload(args: argparse.Namespace) -> dict[str, object]:
+    """The workload dictionary of one ``service submit`` invocation: the
+    kind's fields, each from the flag of its name."""
+    from repro.workload_kinds import KINDS, workload
+
+    kind = _SUBMIT_KINDS[args.kind]
+    return workload(kind, **{name: getattr(args, name) for name in KINDS[kind].fields})
 
 
 def _command_service_submit(args: argparse.Namespace) -> int:
@@ -604,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_root(submit_parser)
     submit_parser.add_argument(
         "--kind",
-        choices=["geometric", "euclidean", "clustered", "grid", "graph", "bucketed"],
+        choices=list(_SUBMIT_KINDS),
         default="geometric",
         help="workload family (same generators as the bench commands)",
     )

@@ -146,8 +146,10 @@ class ExperimentError(ReproError):
 
 
 class UnknownWorkloadError(ExperimentError, KeyError):
-    """A workload name was not found in the workload registry, or a bench
-    workload key does not parse as a key of its bench."""
+    """A workload name was not found in the workload registry, a bench
+    workload key does not parse as a key of its bench, or a workload
+    description names an unknown kind or lacks (or misnames) a field of
+    its kind (:mod:`repro.workload_kinds`)."""
 
 
 class BenchDocumentError(ExperimentError):

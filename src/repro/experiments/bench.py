@@ -1,9 +1,11 @@
 """One framework for the six ``BENCH_*.json`` perf trajectories.
 
 Each bench module (``oracle_bench``, ``overlay_bench``, ``verify_bench``,
-``build_bench``, ``query_bench``, ``service_bench``) keeps
-its workload builders, its ``_build_instance`` and its ``run_*`` function,
-and describes its trajectory with one :class:`BenchSpec`.  The registry
+``build_bench``, ``query_bench``, ``service_bench``) keeps its ``run_*``
+function and describes its trajectory with one :class:`BenchSpec`, which
+names the workload kinds it accepts.  The workloads themselves — their
+dicts, keys, key parser and instances — are :mod:`repro.workload_kinds`,
+shared with the job service and the CLI.  The registry
 :data:`BENCHES` maps a bench name to that spec, and everything around the
 runs reads from it: ``repro bench <name>`` (run rows, print them, merge them
 into ``BENCH_<name>.json``) and ``scripts/check_bench_regression.py`` (which
@@ -11,9 +13,9 @@ counters, cross-check flags and bars gate the document).
 
 A document is ``{"schema": 1, "description": ..., "runs": {key: run}}``: one
 run record per workload key, latest run wins.  A key is the stable name of
-one workload (``"geometric-n300-r0.12-seed7-t1.5"``); every spec can parse
-any well-formed key back into its workload, so a row that is not a preset
-runs from its key alone.  See docs/PERFORMANCE.md for how to read the
+one workload (``"geometric-n300-r0.12-seed7-t1.5"``); every spec parses
+any well-formed key of its kinds back into its workload, so a row that is
+not a preset runs from its key alone.  See docs/PERFORMANCE.md for how to read the
 documents.
 """
 
@@ -21,13 +23,16 @@ from __future__ import annotations
 
 import importlib
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from repro.errors import BenchDocumentError, UnknownWorkloadError
+from repro.errors import BenchDocumentError
 from repro.graph.io import atomic_write_json
+from repro.graph.weighted_graph import WeightedGraph
+from repro.metric.base import FiniteMetric
+from repro.metric.closure import MetricClosure
+from repro.workload_kinds import build_instance, parse_key, workload_key
 
 SCHEMA_VERSION = 1
 
@@ -81,15 +86,15 @@ class BenchSpec:
     ``row_fields`` are run fields that map a strategy name to a value shown
     as a column of that strategy's table row.  A key
     that is not a preset runs ``default_strategies(workload)``, or every
-    strategy when that is not given.
+    strategy when that is not given.  ``kinds`` are the workload kinds its
+    keys may name (:data:`repro.workload_kinds.KINDS`).
     """
 
     name: str
     description: str
     label: str
     run: Callable[..., dict]
-    workload_key: Callable[[dict], str]
-    parse_key: Callable[[str], dict]
+    kinds: tuple[str, ...]
     presets: Mapping[str, Preset]
     counters: tuple[str, ...]
     flags: tuple[str, ...] = ()
@@ -98,6 +103,15 @@ class BenchSpec:
     strategy_names: tuple[str, ...] = ()
     default_strategies: Optional[Callable[[dict], tuple[str, ...]]] = None
     run_options: frozenset[str] = frozenset()
+
+    def workload_key(self, workload: Mapping[str, object]) -> str:
+        """The run key of ``workload``."""
+        return workload_key(workload)
+
+    def parse_key(self, key: str) -> dict[str, object]:
+        """The workload of ``key``; :class:`~repro.errors.UnknownWorkloadError`
+        unless it is a well-formed key of one of :attr:`kinds`."""
+        return parse_key(key, self.kinds)
 
     def run_key(
         self, key: str, strategies: Optional[Sequence[str]] = None, **options: object
@@ -126,38 +140,12 @@ class BenchSpec:
         return {flag: bool(run[flag]) for flag in self.flags if flag in run}
 
 
-def key_parser(
-    workload_key: Callable[[dict], str],
-    *formats: tuple[str, Callable[..., dict]],
-) -> Callable[[str], dict]:
-    """Build the inverse of ``workload_key`` from ``(template, builder)`` pairs.
-
-    A template spells the key with ``{field}`` placeholders, e.g.
-    ``"geometric-n{n}-r{radius}-seed{seed}-t{stretch}"``; the builder gets
-    the matched strings as keyword arguments (the workload builders
-    normalise the types).  Only keys that round-trip through
-    ``workload_key`` parse, so ``t2`` is rejected where ``t2.0`` is the key;
-    anything else raises :class:`~repro.errors.UnknownWorkloadError`.
-    """
-    patterns = [
-        (re.compile(re.sub(r"\{(\w+)\}", r"(?P<\1>.+?)", template)), build)
-        for template, build in formats
-    ]
-
-    def parse_key(key: str) -> dict[str, object]:
-        for pattern, build in patterns:
-            match = pattern.fullmatch(key)
-            if match is None:
-                continue
-            try:
-                workload = build(**match.groupdict())
-            except (ValueError, KeyError):
-                continue
-            if workload_key(workload) == key:
-                return workload
-        raise UnknownWorkloadError(key)
-
-    return parse_key
+def instance_and_metric(
+    workload: Mapping[str, object],
+) -> tuple[WeightedGraph, Optional[FiniteMetric]]:
+    """A workload's instance and, for a point-set kind, its metric (else ``None``)."""
+    graph = build_instance(workload)
+    return graph, graph.metric if isinstance(graph, MetricClosure) else None
 
 
 def load_document(path: str | Path) -> dict[str, object]:

@@ -26,18 +26,15 @@ committed baseline in ``benchmarks/BENCH_build.json`` exactly like the
 oracle/overlay/verify trajectories.  Rows marked ``gate_build_speedup``
 additionally hold ``build_speedup`` to the 3× bar of :data:`SPEC`.
 
-The scale rows use :func:`repro.graph.generators.bucketed_geometric_graph`
-(the O(n + m) cell-grid generator, on numpy arrays, built into the graph
-by one :meth:`~repro.graph.weighted_graph.WeightedGraph.from_edge_arrays`
-call): at ``n = 10⁵`` the quadratic all-pairs generator would dwarf
-construction itself.  :func:`bucketed_radius` turns a spec's average degree
-into the radius and rejects a degree that is not positive; the query bench
-and the job service build their bucketed instances the same way.
+The scale rows are ``bucketed-geometric`` workloads, pinned by average
+degree (:mod:`repro.workload_kinds`, which also builds them for the query
+bench and the job service): the O(n + m) cell-grid generator on numpy
+arrays, where at ``n = 10⁵`` the quadratic all-pairs generator would dwarf
+construction itself.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from typing import Optional, Sequence
@@ -48,10 +45,10 @@ from repro.core.parallel_greedy import (
     parallel_greedy_spanner_of_metric,
 )
 from repro.core.spanner import Spanner
-from repro.errors import GraphError
-from repro.experiments.bench import BenchSpec, Gate, Preset, key_parser
+from repro.experiments.bench import BenchSpec, Gate, Preset, instance_and_metric
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
+from repro.workload_kinds import workload, workload_key
 
 #: Strategy order is execution order; later derived ratios assume it.
 DEFAULT_STRATEGIES = (
@@ -59,86 +56,6 @@ DEFAULT_STRATEGIES = (
     "greedy-serial",
     "csr-parallel-w1",
 )
-
-
-def bucketed_workload(
-    n: int = 20000, degree: float = 96.0, seed: int = 3, stretch: float = 2.0
-) -> dict[str, object]:
-    """A bucketed geometric workload pinned by *average degree*, not radius.
-
-    The radius that yields the expected degree follows from the unit-square
-    point density: ``π·r²·n = degree``.
-    """
-    return {
-        "kind": "bucketed-geometric",
-        "n": int(n),
-        "degree": float(degree),
-        "seed": int(seed),
-        "stretch": float(stretch),
-    }
-
-
-def euclidean_build_workload(
-    n: int = 400, dim: int = 2, seed: int = 7, stretch: float = 2.0
-) -> dict[str, object]:
-    """A uniform-Euclidean metric workload (streamed complete graph)."""
-    return {
-        "kind": "uniform-euclidean",
-        "n": int(n),
-        "dim": int(dim),
-        "seed": int(seed),
-        "stretch": float(stretch),
-    }
-
-
-def workload_key(workload: dict[str, object]) -> str:
-    """Stable run key joining baseline and fresh runs of one workload."""
-    if workload["kind"] == "bucketed-geometric":
-        return "bucketed-n{}-d{}-seed{}-t{}".format(
-            int(workload["n"]), float(workload["degree"]), int(workload["seed"]),
-            float(workload["stretch"]),
-        )
-    from repro.experiments.oracle_bench import workload_key as _oracle_workload_key
-
-    return _oracle_workload_key(workload)
-
-
-def bucketed_radius(n: int, degree: float) -> float:
-    """The radius with expected degree ``degree`` at ``n`` points: ``π·r²·n = degree``.
-
-    Raises :class:`GraphError` unless ``degree > 0`` (NaN included), before
-    the square root could fail on it.
-    """
-    if not degree > 0.0:
-        raise GraphError(f"degree must be positive, got {degree}")
-    return math.sqrt(degree / (math.pi * max(1, n)))
-
-
-def _build_instance(
-    workload: dict[str, object],
-) -> tuple[Optional[WeightedGraph], Optional[FiniteMetric]]:
-    """Instantiate a workload as ``(graph, metric)`` (exactly one non-None)."""
-    if workload["kind"] == "bucketed-geometric":
-        from repro.graph.generators import bucketed_geometric_graph
-
-        n = int(workload["n"])
-        radius = bucketed_radius(n, float(workload["degree"]))
-        return bucketed_geometric_graph(n, radius, seed=int(workload["seed"])), None
-    from repro.experiments.oracle_bench import _build_instance as _oracle_instance
-
-    _, metric = _oracle_instance(workload)
-    return None, metric
-
-
-BUCKETED_KEY_FORMAT = ("bucketed-n{n}-d{degree}-seed{seed}-t{stretch}", bucketed_workload)
-
-
-def parse_key(key: str) -> dict[str, object]:
-    """Inverse of :func:`workload_key`: bucketed graphs and the oracle
-    bench's Euclidean metric kinds."""
-    from repro.experiments.oracle_bench import KEY_FORMATS
-
-    return key_parser(workload_key, BUCKETED_KEY_FORMAT, *KEY_FORMATS[:3])(key)
 
 
 def _build_presets() -> dict[str, Preset]:
@@ -152,24 +69,24 @@ def _build_presets() -> dict[str, Preset]:
     not in CI).
     """
     rows: tuple[tuple[dict[str, object], tuple[str, ...], bool], ...] = (
-        (bucketed_workload(n=300, degree=16.0), DEFAULT_STRATEGIES, False),
+        (workload("bucketed-geometric", n=300, degree=16.0), DEFAULT_STRATEGIES, False),
         # The metric row streams the complete graph; the per-edge baseline
         # pays Θ(n²) balls, so it stays CI-sized.
-        (euclidean_build_workload(n=150, stretch=1.5), DEFAULT_STRATEGIES, False),
-        (bucketed_workload(n=20000, degree=96.0), DEFAULT_STRATEGIES, False),
-        (bucketed_workload(n=100000, degree=96.0), DEFAULT_STRATEGIES, True),
+        (workload("uniform-euclidean", n=150, stretch=1.5), DEFAULT_STRATEGIES, False),
+        (workload("bucketed-geometric", n=20000, degree=96.0), DEFAULT_STRATEGIES, False),
+        (workload("bucketed-geometric", n=100000, degree=96.0), DEFAULT_STRATEGIES, True),
         # The stretch row toward n = 10⁶: the per-edge baseline is
         # dropped (the edge-list path alone would cost the better part of an
         # hour) so the row stays regenerable inside one offline bench budget;
         # builds_match still cross-checks the band path against the serial
         # builder edge-for-edge.
         (
-            bucketed_workload(n=500000, degree=16.0),
+            workload("bucketed-geometric", n=500000, degree=16.0),
             ("greedy-serial", "csr-parallel-w1"),
             False,
         ),
     )
-    return {workload_key(w): Preset(w, strategies, gated) for w, strategies, gated in rows}
+    return {workload_key(row): Preset(row, strategies, gated) for row, strategies, gated in rows}
 
 
 def _canonical_edges(spanner: Spanner) -> list[tuple[object, object, float]]:
@@ -184,7 +101,7 @@ def _canonical_edges(spanner: Spanner) -> list[tuple[object, object, float]]:
 
 def _run_strategy(
     name: str,
-    graph: Optional[WeightedGraph],
+    graph: WeightedGraph,
     metric: Optional[FiniteMetric],
     stretch: float,
 ) -> Spanner:
@@ -215,7 +132,7 @@ def run_build_bench(
     generated once and shared; every strategy's edge set is compared exactly
     (``builds_match``).
     """
-    graph, metric = _build_instance(workload)
+    graph, metric = instance_and_metric(workload)
     stretch = float(workload["stretch"])
 
     records: dict[str, dict[str, float]] = {}
@@ -235,10 +152,8 @@ def run_build_bench(
     result: dict[str, object] = {
         "workload": dict(workload),
         "strategies": records,
-        "n": graph.number_of_vertices if graph is not None else int(workload["n"]),
-        "edges": float(graph.number_of_edges) if graph is not None else float(
-            int(workload["n"]) * (int(workload["n"]) - 1) // 2
-        ),
+        "n": graph.number_of_vertices,
+        "edges": float(graph.number_of_edges),
         "cpu_count": float(os.cpu_count() or 1),
     }
     if len(edge_sets) > 1:
@@ -271,8 +186,7 @@ SPEC = BenchSpec(
     ),
     label="strategy",
     run=run_build_bench,
-    workload_key=workload_key,
-    parse_key=parse_key,
+    kinds=("bucketed-geometric", "uniform-euclidean", "clustered-euclidean", "grid-euclidean"),
     presets=_build_presets(),
     counters=("build_filter_settles", "build_replay_settles", "build_candidate_edges"),
     flags=("builds_match",),

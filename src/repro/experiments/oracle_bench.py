@@ -36,14 +36,12 @@ from typing import Optional, Sequence
 from repro.core.approximate_greedy import approximate_greedy_spanner
 from repro.core.distance_oracle import ORACLE_FACTORIES
 from repro.core.greedy import greedy_spanner
-from repro.experiments.bench import BenchSpec, Preset, key_parser
+from repro.experiments.bench import BenchSpec, Preset, instance_and_metric
 from repro.experiments.harness import traced_peak_memory
-from repro.graph.generators import random_connected_graph
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
-from repro.metric.closure import MetricClosure
 from repro.metric.euclidean import EuclideanMetric
-from repro.metric.generators import clustered_points, grid_points, uniform_points
+from repro.workload_kinds import workload, workload_key
 
 DEFAULT_STRATEGIES = ("bounded", "cached")
 
@@ -78,122 +76,6 @@ _COUNTER_KEYS = (
 )
 
 
-def workload_key(workload: dict[str, object]) -> str:
-    """Return the stable run key of a workload description, e.g.
-    ``"uniform-euclidean-n400-d2-seed7-t2.0"``.
-
-    Numeric fields are normalised (ints as ints, stretch/p as floats) so that
-    e.g. ``stretch=2`` and ``stretch=2.0`` map to the same key — the key is
-    what the regression checker joins baseline and fresh runs on.
-    """
-    kind = workload["kind"]
-    if kind == "uniform-euclidean":
-        return "uniform-euclidean-n{}-d{}-seed{}-t{}".format(
-            int(workload["n"]), int(workload["dim"]), int(workload["seed"]),
-            float(workload["stretch"]),
-        )
-    if kind == "clustered-euclidean":
-        return "clustered-euclidean-n{}-d{}-c{}-seed{}-t{}".format(
-            int(workload["n"]), int(workload["dim"]), int(workload["clusters"]),
-            int(workload["seed"]), float(workload["stretch"]),
-        )
-    if kind == "grid-euclidean":
-        return "grid-euclidean-s{}-d{}-t{}".format(
-            int(workload["side"]), int(workload["dim"]), float(workload["stretch"]),
-        )
-    return "erdos-renyi-n{}-p{}-seed{}-t{}".format(
-        int(workload["n"]), float(workload["p"]), int(workload["seed"]),
-        float(workload["stretch"]),
-    )
-
-
-def _build_instance(
-    workload: dict[str, object],
-) -> tuple[WeightedGraph, Optional[FiniteMetric]]:
-    """Instantiate a workload as ``(graph, metric)``; ``metric`` is ``None``
-    for graph workloads.
-
-    Metric workloads are returned as lazy complete-graph views
-    (:class:`MetricClosure`): the greedy runs stream the sorted pairs, so
-    the bench scales to large ``n`` without Θ(n²) memory.
-    """
-    kind = workload["kind"]
-    if kind == "uniform-euclidean":
-        metric = uniform_points(
-            int(workload["n"]), int(workload["dim"]), seed=int(workload["seed"])
-        )
-    elif kind == "clustered-euclidean":
-        metric = clustered_points(
-            int(workload["n"]),
-            int(workload["dim"]),
-            clusters=int(workload["clusters"]),
-            seed=int(workload["seed"]),
-        )
-    elif kind == "grid-euclidean":
-        metric = grid_points(int(workload["side"]), int(workload["dim"]))
-    else:
-        graph = random_connected_graph(
-            int(workload["n"]), float(workload["p"]), seed=int(workload["seed"])
-        )
-        return graph, None
-    return MetricClosure(metric), metric
-
-
-def euclidean_workload(n: int = 400, dim: int = 2, seed: int = 7, stretch: float = 2.0) -> dict[str, object]:
-    """The default bench workload: ``n`` uniform points in the unit ``dim``-cube."""
-    return {
-        "kind": "uniform-euclidean",
-        "n": int(n),
-        "dim": int(dim),
-        "seed": int(seed),
-        "stretch": float(stretch),
-    }
-
-
-def clustered_workload(
-    n: int = 10000, dim: int = 2, clusters: int = 50, seed: int = 7, stretch: float = 1.5
-) -> dict[str, object]:
-    """A clustered-Gaussian bench workload (light spanners' home turf)."""
-    return {
-        "kind": "clustered-euclidean",
-        "n": int(n),
-        "dim": int(dim),
-        "clusters": int(clusters),
-        "seed": int(seed),
-        "stretch": float(stretch),
-    }
-
-
-def grid_workload(side: int = 100, dim: int = 2, stretch: float = 1.5) -> dict[str, object]:
-    """A regular-grid bench workload (``side**dim`` points, maximal weight ties)."""
-    return {
-        "kind": "grid-euclidean",
-        "side": int(side),
-        "dim": int(dim),
-        "stretch": float(stretch),
-    }
-
-
-def graph_workload(n: int = 200, p: float = 0.1, seed: int = 7, stretch: float = 2.0) -> dict[str, object]:
-    """An Erdős–Rényi bench workload (the Section 3 general-graph setting)."""
-    return {
-        "kind": "erdos-renyi",
-        "n": int(n),
-        "p": float(p),
-        "seed": int(seed),
-        "stretch": float(stretch),
-    }
-
-
-#: Key templates of the four workload kinds (the inverse of :func:`workload_key`).
-KEY_FORMATS = (
-    ("uniform-euclidean-n{n}-d{dim}-seed{seed}-t{stretch}", euclidean_workload),
-    ("clustered-euclidean-n{n}-d{dim}-c{clusters}-seed{seed}-t{stretch}", clustered_workload),
-    ("grid-euclidean-s{side}-d{dim}-t{stretch}", grid_workload),
-    ("erdos-renyi-n{n}-p{p}-seed{seed}-t{stretch}", graph_workload),
-)
-
-
 def _build_presets() -> dict[str, Preset]:
     """The named rows of the bench matrix, keyed by workload signature.
 
@@ -202,19 +84,19 @@ def _build_presets() -> dict[str, Preset]:
     near-linear cluster-graph path can go.
     """
     rows: tuple[tuple[dict[str, object], tuple[str, ...]], ...] = (
-        (euclidean_workload(n=150), DEFAULT_STRATEGIES),
-        (euclidean_workload(n=400), DEFAULT_STRATEGIES),
-        (euclidean_workload(n=1000), ("cached",)),
-        (euclidean_workload(n=2000), ("cached",)),
-        (graph_workload(n=120, p=0.15), DEFAULT_STRATEGIES),
-        (euclidean_workload(n=400, stretch=1.5), ("cached", "approx-greedy")),
-        (euclidean_workload(n=2000, stretch=1.5), ("approx-greedy",)),
-        (euclidean_workload(n=20000, stretch=1.5), ("approx-greedy",)),
-        (clustered_workload(n=10000, clusters=50, stretch=1.5), ("approx-greedy",)),
-        (grid_workload(side=100, stretch=1.5), ("approx-greedy",)),
-        (euclidean_workload(n=500, dim=8, stretch=1.9), ("approx-greedy",)),
+        (workload("uniform-euclidean", n=150), DEFAULT_STRATEGIES),
+        (workload("uniform-euclidean", n=400), DEFAULT_STRATEGIES),
+        (workload("uniform-euclidean", n=1000), ("cached",)),
+        (workload("uniform-euclidean", n=2000), ("cached",)),
+        (workload("erdos-renyi", n=120, p=0.15), DEFAULT_STRATEGIES),
+        (workload("uniform-euclidean", n=400, stretch=1.5), ("cached", "approx-greedy")),
+        (workload("uniform-euclidean", n=2000, stretch=1.5), ("approx-greedy",)),
+        (workload("uniform-euclidean", n=20000, stretch=1.5), ("approx-greedy",)),
+        (workload("clustered-euclidean", n=10000, clusters=50, stretch=1.5), ("approx-greedy",)),
+        (workload("grid-euclidean", side=100, stretch=1.5), ("approx-greedy",)),
+        (workload("uniform-euclidean", n=500, dim=8, stretch=1.9), ("approx-greedy",)),
     )
-    return {workload_key(workload): Preset(workload, strategies) for workload, strategies in rows}
+    return {workload_key(row): Preset(row, strategies) for row, strategies in rows}
 
 
 def approx_epsilon(stretch: float) -> float:
@@ -269,7 +151,7 @@ def run_oracle_matrix(
     ``identical_edge_sets`` within the exact family.  Memory tracing roughly
     doubles the wall-clock numbers; they remain comparable within one run.
     """
-    graph, metric = _build_instance(workload)
+    graph, metric = instance_and_metric(workload)
     stretch = float(workload["stretch"])
 
     records: dict[str, dict[str, float]] = {}
@@ -332,8 +214,7 @@ SPEC = BenchSpec(
     ),
     label="oracle",
     run=run_oracle_matrix,
-    workload_key=workload_key,
-    parse_key=key_parser(workload_key, *KEY_FORMATS),
+    kinds=("uniform-euclidean", "clustered-euclidean", "grid-euclidean", "erdos-renyi"),
     presets=_build_presets(),
     counters=(
         "dijkstra_settles",

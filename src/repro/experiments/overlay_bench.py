@@ -33,23 +33,15 @@ simulator stopped around ``n = 400``.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.distributed.broadcast import broadcast_over_overlay
 from repro.distributed.routing import RoutingScheme, evaluate_routing, random_demands
 from repro.distributed.synchronizer import synchronizer_cost
-from repro.experiments.bench import BenchSpec, Preset, key_parser
-from repro.experiments.oracle_bench import (
-    KEY_FORMATS as _ORACLE_KEY_FORMATS,
-    _build_instance as _build_oracle_instance,
-    euclidean_workload,
-    workload_key as _oracle_workload_key,
-)
-from repro.graph.generators import random_geometric_graph
+from repro.experiments.bench import BenchSpec, Preset, instance_and_metric
 from repro.graph.shortest_paths import single_source_distances
-from repro.graph.weighted_graph import WeightedGraph
-from repro.metric.base import FiniteMetric
 from repro.spanners.registry import build_spanner, builder_names
+from repro.workload_kinds import workload, workload_key
 
 #: Parameter pins applied whenever a builder is requested by bare name.
 #: Baswana–Sen's ``k`` is pinned to 2 (a 3-spanner): deriving it from a
@@ -86,47 +78,6 @@ DEFAULT_METRIC_BUILDERS = ("theta", "yao", "mst", "greedy")
 EXACT_DIAMETER_LIMIT = 2000
 
 
-def geometric_workload(
-    n: int = 300, radius: float = 0.12, seed: int = 7, stretch: float = 1.5
-) -> dict[str, object]:
-    """A random geometric ("wireless") graph workload, the E7 setting."""
-    return {
-        "kind": "geometric",
-        "n": int(n),
-        "radius": float(radius),
-        "seed": int(seed),
-        "stretch": float(stretch),
-    }
-
-
-def workload_key(workload: dict[str, object]) -> str:
-    """Stable run key of an overlay workload (joins baseline and fresh runs)."""
-    if workload["kind"] == "geometric":
-        return "geometric-n{}-r{}-seed{}-t{}".format(
-            int(workload["n"]), float(workload["radius"]), int(workload["seed"]),
-            float(workload["stretch"]),
-        )
-    return _oracle_workload_key(workload)
-
-
-def _build_instance(
-    workload: dict[str, object],
-) -> tuple[WeightedGraph, Optional[FiniteMetric]]:
-    """Instantiate a workload as ``(graph, metric)`` (``metric`` None for graphs)."""
-    if workload["kind"] == "geometric":
-        graph = random_geometric_graph(
-            int(workload["n"]), float(workload["radius"]), seed=int(workload["seed"])
-        )
-        return graph, None
-    return _build_oracle_instance(workload)
-
-
-#: Key templates: the oracle bench's four kinds plus random geometric graphs.
-KEY_FORMATS = _ORACLE_KEY_FORMATS + (
-    ("geometric-n{n}-r{radius}-seed{seed}-t{stretch}", geometric_workload),
-)
-
-
 def _build_presets() -> dict[str, Preset]:
     """The named rows of the overlay matrix, keyed by workload signature.
 
@@ -136,12 +87,18 @@ def _build_presets() -> dict[str, Preset]:
     seed simulator's ``n ≈ 400`` ceiling.
     """
     rows: tuple[tuple[dict[str, object], Sequence[str] | dict[str, dict[str, object]]], ...] = (
-        (geometric_workload(n=300), DEFAULT_GRAPH_BUILDERS),
-        (euclidean_workload(n=400, stretch=1.5), DEFAULT_METRIC_BUILDERS),
-        (euclidean_workload(n=2000, stretch=1.5), ("theta", "yao", "mst", "approx-greedy")),
-        (euclidean_workload(n=10000, stretch=1.5), ("theta", "yao", "mst", "approx-greedy")),
+        (workload("geometric", n=300), DEFAULT_GRAPH_BUILDERS),
+        (workload("uniform-euclidean", n=400, stretch=1.5), DEFAULT_METRIC_BUILDERS),
+        (
+            workload("uniform-euclidean", n=2000, stretch=1.5),
+            ("theta", "yao", "mst", "approx-greedy"),
+        ),
+        (
+            workload("uniform-euclidean", n=10000, stretch=1.5),
+            ("theta", "yao", "mst", "approx-greedy"),
+        ),
     )
-    return {workload_key(workload): Preset(workload, strategies) for workload, strategies in rows}
+    return {workload_key(row): Preset(row, strategies) for row, strategies in rows}
 
 
 def run_overlay_bench(
@@ -163,7 +120,7 @@ def run_overlay_bench(
     :func:`scripts.check_bench_regression.find_regressions` gates both
     files with the same code.
     """
-    graph, metric = _build_instance(workload)
+    graph, metric = instance_and_metric(workload)
     stretch = float(workload["stretch"])
     n = graph.number_of_vertices
 
@@ -265,8 +222,9 @@ SPEC = BenchSpec(
     ),
     label="builder",
     run=run_overlay_bench,
-    workload_key=workload_key,
-    parse_key=key_parser(workload_key, *KEY_FORMATS),
+    kinds=(
+        "uniform-euclidean", "clustered-euclidean", "grid-euclidean", "erdos-renyi", "geometric",
+    ),
     presets=_build_presets(),
     counters=(
         "overlay_broadcast_messages",

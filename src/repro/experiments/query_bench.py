@@ -28,48 +28,15 @@ import random
 import time
 from typing import Sequence
 
-from repro.experiments.bench import BenchSpec, Gate, Preset, key_parser
+from repro.experiments.bench import BenchSpec, Gate, Preset
+from repro.graph.indexed_graph import IndexedGraph
+from repro.workload_kinds import build_instance, workload, workload_key
 
 #: Strategy order is execution order; the speedup ratio assumes it.
 DEFAULT_STRATEGIES = (
     "per-query-heapq",
     "batched-engine",
 )
-
-
-def query_workload(
-    n: int = 2000,
-    degree: float = 8.0,
-    seed: int = 3,
-    queries: int = 256,
-    sources: int = 16,
-    query_seed: int = 11,
-) -> dict[str, object]:
-    """A bucketed geometric graph plus a deterministic query batch.
-
-    ``sources`` bounds the number of distinct query sources: batching pays
-    off exactly when queries share sources, so the source-pool size is the
-    knob that moves the engine between "one SSSP amortized over many
-    targets" and "no reuse at all".
-    """
-    return {
-        "kind": "query-bucketed",
-        "n": int(n),
-        "degree": float(degree),
-        "seed": int(seed),
-        "queries": int(queries),
-        "sources": int(sources),
-        "query_seed": int(query_seed),
-    }
-
-
-def workload_key(workload: dict[str, object]) -> str:
-    """Stable run key joining baseline and fresh runs of one workload."""
-    return "queries-bucketed-n{}-d{}-seed{}-q{}-s{}-qs{}".format(
-        int(workload["n"]), float(workload["degree"]), int(workload["seed"]),
-        int(workload["queries"]), int(workload["sources"]),
-        int(workload["query_seed"]),
-    )
 
 
 def _query_presets() -> dict[str, Preset]:
@@ -81,23 +48,11 @@ def _query_presets() -> dict[str, Preset]:
     at ``n = 10⁵``).
     """
     rows: tuple[tuple[dict[str, object], bool], ...] = (
-        (query_workload(n=2000, degree=8.0, queries=512, sources=8), True),
-        (query_workload(n=20000, degree=6.0, queries=1024, sources=32), True),
-        (query_workload(n=100000, degree=6.0, queries=2048, sources=64), True),
+        (workload("query-bucketed", n=2000, degree=8.0, queries=512, sources=8), True),
+        (workload("query-bucketed", n=20000, degree=6.0, queries=1024, sources=32), True),
+        (workload("query-bucketed", n=100000, degree=6.0, queries=2048, sources=64), True),
     )
-    return {workload_key(w): Preset(w, DEFAULT_STRATEGIES, gated) for w, gated in rows}
-
-
-def _build_instance(workload: dict[str, object]):
-    """Instantiate the workload graph as an :class:`IndexedGraph`."""
-    from repro.experiments.build_bench import bucketed_radius
-    from repro.graph.generators import bucketed_geometric_graph
-    from repro.graph.indexed_graph import IndexedGraph
-
-    n = int(workload["n"])
-    radius = bucketed_radius(n, float(workload["degree"]))
-    graph = bucketed_geometric_graph(n, radius, seed=int(workload["seed"]))
-    return IndexedGraph.from_weighted_graph(graph), graph.number_of_edges
+    return {workload_key(row): Preset(row, DEFAULT_STRATEGIES, gated) for row, gated in rows}
 
 
 def draw_queries(workload: dict[str, object]) -> tuple[list[int], list[int]]:
@@ -155,7 +110,7 @@ def run_query_bench(
     """
     from repro.core.query_engine import QueryEngine, reference_queries_ids
 
-    indexed, edge_count = _build_instance(workload)
+    indexed = IndexedGraph.from_weighted_graph(build_instance(workload))
     sources, targets = draw_queries(workload)
 
     records: dict[str, dict[str, float]] = {}
@@ -188,7 +143,7 @@ def run_query_bench(
         "workload": dict(workload),
         "strategies": records,
         "n": indexed.number_of_vertices,
-        "edges": float(edge_count),
+        "edges": float(indexed.number_of_edges),
         "queries": float(len(sources)),
         "sources": float(len(set(sources))),
     }
@@ -215,14 +170,7 @@ SPEC = BenchSpec(
     ),
     label="strategy",
     run=run_query_bench,
-    workload_key=workload_key,
-    parse_key=key_parser(
-        workload_key,
-        (
-            "queries-bucketed-n{n}-d{degree}-seed{seed}-q{queries}-s{sources}-qs{query_seed}",
-            query_workload,
-        ),
-    ),
+    kinds=("query-bucketed",),
     presets=_query_presets(),
     counters=("query_settles", "engine_sources"),
     flags=("queries_match",),

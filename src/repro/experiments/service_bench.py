@@ -38,23 +38,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.bench import BenchSpec, Gate, Preset, key_parser
-from repro.experiments.overlay_bench import (
-    KEY_FORMATS as _OVERLAY_KEY_FORMATS,
-    geometric_workload,
-    workload_key as _overlay_workload_key,
-)
-from repro.experiments.build_bench import (
-    BUCKETED_KEY_FORMAT,
-    workload_key as _build_workload_key,
-)
-
-
-def workload_key(workload: dict[str, object]) -> str:
-    """Stable run key: the key of the base workload it builds."""
-    if workload.get("kind") == "bucketed-geometric":
-        return _build_workload_key(workload)
-    return _overlay_workload_key(workload)
+from repro.experiments.bench import BenchSpec, Gate, Preset
+from repro.workload_kinds import workload, workload_key
 
 
 def _build_presets() -> dict[str, Preset]:
@@ -65,10 +50,10 @@ def _build_presets() -> dict[str, Preset]:
     instance, where a warm hit must serve in under 1% of the cold build.
     """
     rows = (
-        (geometric_workload(n=300, radius=0.12, seed=7, stretch=1.5), False),
-        (geometric_workload(n=10000, radius=0.025, seed=7, stretch=1.2), True),
+        (workload("geometric", n=300, radius=0.12, seed=7, stretch=1.5), False),
+        (workload("geometric", n=10000, radius=0.025, seed=7, stretch=1.2), True),
     )
-    return {workload_key(workload): Preset(workload, gated=gated) for workload, gated in rows}
+    return {workload_key(row): Preset(row, gated=gated) for row, gated in rows}
 
 
 def run_service_bench(
@@ -197,8 +182,14 @@ SPEC = BenchSpec(
     ),
     label="phase_set",
     run=run_service_bench,
-    workload_key=workload_key,
-    parse_key=key_parser(workload_key, BUCKETED_KEY_FORMAT, *_OVERLAY_KEY_FORMATS),
+    kinds=(
+        "bucketed-geometric",
+        "uniform-euclidean",
+        "clustered-euclidean",
+        "grid-euclidean",
+        "erdos-renyi",
+        "geometric",
+    ),
     presets=_build_presets(),
     # ``service_``-prefixed so they never collide with another trajectory's keys.
     counters=(

@@ -33,18 +33,12 @@ import time
 from typing import Optional
 
 from repro.core.spanner import Spanner
-from repro.experiments.bench import BenchSpec, Preset, key_parser
-from repro.experiments.oracle_bench import euclidean_workload
-from repro.experiments.overlay_bench import (
-    DEFAULT_BUILDER_PARAMS,
-    SPEC as _OVERLAY_SPEC,
-    _build_instance as _build_overlay_instance,
-    geometric_workload,
-    workload_key as _overlay_workload_key,
-)
+from repro.errors import UnknownWorkloadError
+from repro.experiments.bench import BenchSpec, Preset, instance_and_metric
+from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS, SPEC as _OVERLAY_SPEC
 from repro.graph.weighted_graph import WeightedGraph
-from repro.metric.base import FiniteMetric
 from repro.spanners.registry import build_spanner
+from repro.workload_kinds import workload, workload_key as base_workload_key
 from repro.spanners.verification import (
     VerificationEngine,
     stretch_profile,
@@ -65,24 +59,22 @@ def verify_workload(
     return workload
 
 
-def _without_builder(workload: dict[str, object]) -> dict[str, object]:
-    return {key: value for key, value in workload.items() if key != "builder"}
-
-
 def workload_key(workload: dict[str, object]) -> str:
-    """Stable run key: the overlay workload key plus the builder suffix.
-
-    Delegating to :func:`repro.experiments.overlay_bench.workload_key` keeps
-    the key format in one place — a silent divergence would make the
-    regression checker join fresh runs against nothing.
-    """
-    return f"{_overlay_workload_key(_without_builder(workload))}-b{workload['builder']}"
+    """Stable run key: the base workload's key plus the builder suffix."""
+    return f"{base_workload_key(workload)}-b{workload['builder']}"
 
 
-def _build_instance(
-    workload: dict[str, object],
-) -> tuple[WeightedGraph, Optional[FiniteMetric]]:
-    return _build_overlay_instance(_without_builder(workload))
+class VerifySpec(BenchSpec):
+    """The overlay bench's kinds, each key with its ``-b{builder}`` suffix."""
+
+    def workload_key(self, workload: dict[str, object]) -> str:
+        return workload_key(workload)
+
+    def parse_key(self, key: str) -> dict[str, object]:
+        base, _, builder = key.partition("-b")
+        if not builder:
+            raise UnknownWorkloadError(key)
+        return verify_workload(super().parse_key(base), builder)
 
 
 def _build_presets() -> dict[str, Preset]:
@@ -93,21 +85,21 @@ def _build_presets() -> dict[str, Preset]:
     reference); the scale rows profile an evenly-strided source shard.
     """
     rows: tuple[tuple[dict[str, object], Optional[int]], ...] = (
-        (verify_workload(geometric_workload(n=300), "greedy"), None),
-        (verify_workload(euclidean_workload(n=150, stretch=1.5), "theta"), None),
-        (verify_workload(euclidean_workload(n=2000, stretch=1.5), "theta"), 256),
+        (verify_workload(workload("geometric", n=300), "greedy"), None),
+        (verify_workload(workload("uniform-euclidean", n=150, stretch=1.5), "theta"), None),
+        (verify_workload(workload("uniform-euclidean", n=2000, stretch=1.5), "theta"), 256),
         # Baswana–Sen's pinned k=2 yields a 3-spanner, so the scale row
         # verifies against t=3 (the guarantee it actually makes).
         (
             verify_workload(
-                geometric_workload(n=10000, radius=0.025, stretch=3.0), "baswana-sen"
+                workload("geometric", n=10000, radius=0.025, stretch=3.0), "baswana-sen"
             ),
             64,
         ),
     )
     return {
-        workload_key(workload): Preset(workload, extra={"profile_sources": sources})
-        for workload, sources in rows
+        workload_key(row): Preset(row, extra={"profile_sources": sources})
+        for row, sources in rows
     }
 
 
@@ -145,7 +137,7 @@ def run_verify_bench(
     :class:`VerificationEngine`, which is the engine's intended amortization
     (translate once, verify many).
     """
-    graph, metric = _build_instance(workload)
+    graph, metric = instance_and_metric(workload)
     stretch = float(workload["stretch"])
     builder = str(workload.get("builder", "greedy"))
     params = dict(DEFAULT_BUILDER_PARAMS.get(builder, {}))
@@ -193,7 +185,7 @@ def run_verify_bench(
     }
 
 
-SPEC = BenchSpec(
+SPEC = VerifySpec(
     name="verify",
     description=(
         "Batch verification benchmark trajectory (exact edge checks / "
@@ -202,14 +194,7 @@ SPEC = BenchSpec(
     ),
     label="mode",
     run=run_verify_bench,
-    workload_key=workload_key,
-    parse_key=key_parser(
-        workload_key,
-        (
-            "{base}-b{builder}",
-            lambda base, builder: verify_workload(_OVERLAY_SPEC.parse_key(base), builder),
-        ),
-    ),
+    kinds=_OVERLAY_SPEC.kinds,
     presets=_build_presets(),
     counters=("verify_settles", "profile_settles"),
     run_options=frozenset({"workers"}),

@@ -19,7 +19,7 @@ from repro.graph.shortest_paths import (
     single_source_distances,
 )
 from repro.graph.mst import DisjointSet, kruskal_mst, mst_weight, mst_weight_indexed
-from repro.graph.traversal import connected_components, is_connected
+from repro.graph.traversal import is_connected
 from repro.graph.girth import unweighted_girth, weighted_girth
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "kruskal_mst",
     "mst_weight",
     "mst_weight_indexed",
-    "connected_components",
     "is_connected",
     "unweighted_girth",
     "weighted_girth",

@@ -2,7 +2,7 @@
 
 Spanners are only defined for connected graphs (the paper assumes ``G`` is
 connected), so the algorithms and the experiment harness need fast
-connectivity checks and component decomposition.
+connectivity checks.
 """
 
 from __future__ import annotations
@@ -28,19 +28,6 @@ def bfs_order(graph: WeightedGraph, source: Vertex) -> list[Vertex]:
                 visited.add(neighbour)
                 queue.append(neighbour)
     return order
-
-
-def connected_components(graph: WeightedGraph) -> list[set[Vertex]]:
-    """Return the connected components as a list of vertex sets."""
-    components: list[set[Vertex]] = []
-    visited: set[Vertex] = set()
-    for vertex in graph.vertices():
-        if vertex in visited:
-            continue
-        component = set(bfs_order(graph, vertex))
-        visited |= component
-        components.append(component)
-    return components
 
 
 def is_connected(graph: WeightedGraph) -> bool:

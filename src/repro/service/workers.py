@@ -43,6 +43,7 @@ from repro.errors import ArtifactIntegrityError, StaleLeaseError, UnverifiedArti
 from repro.service.cache import ArtifactCache, artifact_key, canonical_request
 from repro.service.degrade import DEFAULT_CHAIN, check_request, run_with_degradation
 from repro.service.queue import Job, JobQueue
+from repro.workload_kinds import build_instance
 
 PAYLOAD_SCHEMA_VERSION = 2
 
@@ -53,24 +54,15 @@ COLD_PHASES = ("cache_get", "instance", "build", "verify", "put")
 
 
 def build_workload_instance(workload: dict):
-    """Instantiate a bench workload description for the builder registry.
+    """Instantiate a workload description for the builder registry.
 
-    Accepts every workload family the bench layer defines: ``geometric``
-    (overlay bench), ``bucketed-geometric`` (build bench), the Euclidean
-    metric families and Erdős–Rényi graphs (oracle bench).  Metric families
-    come back as their lazy :class:`MetricClosure` view, so the registry's
-    metric builders and the streamed greedy path both apply.
+    Accepts every kind of :data:`repro.workload_kinds.KINDS`; a point-set
+    kind comes back as its lazy :class:`MetricClosure` view, so the
+    registry's metric builders and the streamed greedy path both apply.  An
+    unknown kind or a missing field raises
+    :class:`~repro.errors.UnknownWorkloadError`.
     """
-    kind = str(workload.get("kind", ""))
-    if kind == "bucketed-geometric":
-        from repro.experiments.build_bench import _build_instance
-
-        graph, _ = _build_instance(workload)
-        return graph
-    from repro.experiments.overlay_bench import _build_instance as _overlay_instance
-
-    graph, metric = _overlay_instance(workload)
-    return graph
+    return build_instance(workload)
 
 
 def canonical_spanner_edges(spanner: Spanner) -> list[list[object]]:

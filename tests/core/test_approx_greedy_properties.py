@@ -180,10 +180,11 @@ def test_committed_oracle_workload_matches_the_replay_oracle():
     (a ``BENCH_oracles.json`` workload the CI re-emits): the incremental
     engine and the replay oracle build the same edge set and do the same
     query work."""
-    from repro.experiments.oracle_bench import SPEC, _build_instance, _run_strategy
+    from repro.experiments.bench import instance_and_metric
+    from repro.experiments.oracle_bench import SPEC, _run_strategy
 
     workload = SPEC.presets["uniform-euclidean-n400-d2-seed7-t1.5"].workload
-    graph, metric = _build_instance(workload)
+    graph, metric = instance_and_metric(workload)
     stretch = float(workload["stretch"])
     incremental, _ = _run_strategy("approx-greedy", graph, metric, stretch)
     with pytest.MonkeyPatch.context() as patch:

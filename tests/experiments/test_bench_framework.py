@@ -67,6 +67,10 @@ def test_keys_round_trip(name):
         assert spec.parse_key(key) == preset.workload
     for key in AD_HOC_KEYS[name]:
         assert spec.workload_key(spec.parse_key(key)) == key
+    committed = load_document(REPO_ROOT / "benchmarks" / f"BENCH_{name}.json")["runs"]
+    for key, run in committed.items():
+        assert spec.workload_key(spec.parse_key(key)) == key
+        assert spec.workload_key(run["workload"]) == key
     for workload in [preset.workload for preset in spec.presets.values()]:
         assert spec.parse_key(spec.workload_key(workload)) == workload
 

@@ -11,23 +11,21 @@ from repro.experiments.bench import Preset, merge_run_into_file, render_rows
 from repro.experiments.build_bench import (
     DEFAULT_STRATEGIES,
     SPEC,
-    bucketed_workload,
-    euclidean_build_workload,
     run_build_bench,
-    workload_key,
 )
+from repro.workload_kinds import workload, workload_key
 
 OPERATION_COUNT_KEYS = SPEC.counters
 
 
 @pytest.fixture(scope="module")
 def small_run():
-    return run_build_bench(bucketed_workload(n=80, degree=8.0))
+    return run_build_bench(workload("bucketed-geometric", n=80, degree=8.0))
 
 
 @pytest.fixture(scope="module")
 def metric_run():
-    return run_build_bench(euclidean_build_workload(n=40, stretch=1.5))
+    return run_build_bench(workload("uniform-euclidean", n=40, stretch=1.5))
 
 
 class TestBuildBench:
@@ -56,10 +54,10 @@ class TestBuildBench:
 
     def test_workload_key_formats(self):
         assert (
-            workload_key(bucketed_workload(n=80, degree=8.0))
+            workload_key(workload("bucketed-geometric", n=80, degree=8.0))
             == "bucketed-n80-d8.0-seed3-t2.0"
         )
-        assert workload_key(euclidean_build_workload(n=40)).startswith(
+        assert workload_key(workload("uniform-euclidean", n=40)).startswith(
             "uniform-euclidean-n40"
         )
 
@@ -86,19 +84,19 @@ class TestBuildBench:
         assert {row["strategy"] for row in rows} == set(DEFAULT_STRATEGIES)
 
     def test_gated_flag_round_trips(self):
-        workload = bucketed_workload(n=60, degree=6.0)
+        row = workload("bucketed-geometric", n=60, degree=6.0)
         strategies = ("greedy-serial", "csr-parallel-w1")
         gated = replace(
-            SPEC, presets={workload_key(workload): Preset(workload, strategies, gated=True)}
+            SPEC, presets={workload_key(row): Preset(row, strategies, gated=True)}
         )
-        run = gated.run_key(workload_key(workload))
+        run = gated.run_key(workload_key(row))
         assert run["gate_build_speedup"] is True
         assert "build_speedup" not in run  # no edge-list strategy requested
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown build strategy"):
             run_build_bench(
-                bucketed_workload(n=40, degree=6.0), strategies=("warp-drive",)
+                workload("bucketed-geometric", n=40, degree=6.0), strategies=("warp-drive",)
             )
 
     def test_regression_gate_integration(self, small_run):

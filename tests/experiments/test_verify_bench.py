@@ -14,17 +14,17 @@ from repro.experiments.harness import (
     resolve_worker_count,
     run_sharded,
 )
-from repro.experiments.bench import merge_run_into_file, render_rows
+from repro.experiments.bench import instance_and_metric, merge_run_into_file, render_rows
 from repro.experiments.verify_bench import (
     SPEC,
-    _build_instance,
     profile_source_vertices,
     run_verify_bench,
     verify_workload,
     workload_key,
 )
-from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS, geometric_workload
+from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS
 from repro.spanners.registry import build_spanner
+from repro.workload_kinds import workload
 
 #: The verify rows the ``repro bench verify`` CI step emits.
 CI_VERIFY_KEYS = (
@@ -37,7 +37,7 @@ PROFILE_FIELDS = ("pairs_checked", "max_stretch", "mean_stretch", "fraction_at_s
 
 def _bench_spanner(workload):
     """The spanner a verify row checks, built exactly as the bench builds it."""
-    graph, metric = _build_instance(workload)
+    graph, metric = instance_and_metric(workload)
     builder = str(workload["builder"])
     return build_spanner(
         builder,
@@ -127,7 +127,7 @@ class TestVerifyBench:
     @pytest.fixture(scope="class")
     def small_run(self):
         return run_verify_bench(
-            verify_workload(geometric_workload(n=60, radius=0.3), "greedy")
+            verify_workload(workload("geometric", n=60, radius=0.3), "greedy")
         )
 
     def test_record_shape(self, small_run):
@@ -145,8 +145,8 @@ class TestVerifyBench:
             assert indexed[field] == value, field
 
     def test_workload_key_includes_builder(self):
-        workload = verify_workload(geometric_workload(n=60), "mst")
-        assert workload_key(workload).endswith("-bmst")
+        row = verify_workload(workload("geometric", n=60), "mst")
+        assert workload_key(row).endswith("-bmst")
 
     def test_presets_include_cross_check_and_scale_rows(self):
         assert set(CI_VERIFY_KEYS) <= set(SPEC.presets), "the CI cross-check rows"
@@ -197,9 +197,9 @@ class TestVerifyBench:
         )
 
     def test_workers_do_not_change_the_record(self):
-        workload = verify_workload(geometric_workload(n=60, radius=0.3), "greedy")
-        serial = run_verify_bench(workload)
-        parallel = run_verify_bench(workload, workers=2)
+        row = verify_workload(workload("geometric", n=60, radius=0.3), "greedy")
+        serial = run_verify_bench(row)
+        parallel = run_verify_bench(row, workers=2)
         serial_record = serial["strategies"]["indexed"]
         parallel_record = parallel["strategies"]["indexed"]
         for field, value in serial_record.items():

@@ -6,6 +6,7 @@ import pytest
 
 import networkx as nx
 from oracles.graph import (
+    connected_components,
     contains_spanning_tree_edges,
     is_spanning_tree,
     is_tree,
@@ -115,8 +116,6 @@ class TestMST:
             # Remove the edge from the MST: this splits it into two components.
             cut_tree = mst.copy()
             cut_tree.remove_edge(u, v)
-            from repro.graph.traversal import connected_components
-
             components = connected_components(cut_tree)
             side = next(c for c in components if u in c)
             # No graph edge across the cut may be lighter.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from oracles.graph import (
     bfs_hop_distances,
+    connected_components,
     dfs_order,
     is_forest,
     is_tree,
@@ -14,7 +15,7 @@ from oracles.graph import (
 
 from repro.errors import VertexNotFoundError
 from repro.graph.generators import cycle_graph, grid_graph, path_graph, star_graph
-from repro.graph.traversal import bfs_order, connected_components, is_connected
+from repro.graph.traversal import bfs_order, is_connected
 from repro.graph.weighted_graph import WeightedGraph
 
 

@@ -19,11 +19,24 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import GraphError, VertexNotFoundError
 from repro.graph.mst import DisjointSet
-from repro.graph.traversal import connected_components, is_connected
+from repro.graph.traversal import bfs_order, is_connected
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 
 if TYPE_CHECKING:
     import networkx as nx
+
+
+def connected_components(graph: WeightedGraph) -> list[set[Vertex]]:
+    """Return the connected components as a list of vertex sets."""
+    components: list[set[Vertex]] = []
+    visited: set[Vertex] = set()
+    for vertex in graph.vertices():
+        if vertex in visited:
+            continue
+        component = set(bfs_order(graph, vertex))
+        visited |= component
+        components.append(component)
+    return components
 
 
 def prim_mst(graph: WeightedGraph, root: Optional[Vertex] = None) -> WeightedGraph:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles.service import canonical_spanner_edges as seed_canonical_spanner_edges
 from repro.core.spanner import Spanner
-from repro.errors import GraphError
+from repro.errors import GraphError, UnknownWorkloadError
 from repro.experiments.harness import fork_available
 from repro.graph.weighted_graph import WeightedGraph
 from repro.service.cache import ArtifactCache, artifact_key
@@ -32,6 +32,7 @@ from repro.service.workers import (
     run_service,
 )
 from repro.spanners.registry import build_spanner
+from repro.workload_kinds import workload, workload_key
 
 SPEC = {
     "workload": {"kind": "geometric", "n": 80, "radius": 0.25, "seed": 3, "stretch": 1.5},
@@ -116,6 +117,39 @@ def test_bad_bucketed_spec_raises_graph_error(n, degree):
         build_workload_instance(
             {"kind": "bucketed-geometric", "n": n, "degree": degree, "seed": 3, "stretch": 2.0}
         )
+
+
+#: A misspelt kind, which once fell through to an Erdős–Rényi graph.
+MISSPELT = {"kind": "bucketed-geomtric", "n": 30, "p": 0.2, "seed": 1}
+
+
+def test_misspelt_kind_raises_instead_of_building_a_graph():
+    with pytest.raises(UnknownWorkloadError, match="bucketed-geomtric"):
+        build_workload_instance(MISSPELT)
+    with pytest.raises(UnknownWorkloadError, match="bucketed-geomtric"):
+        workload_key(MISSPELT)
+
+
+def test_missing_or_unknown_field_raises_the_typed_error_naming_it():
+    spec = {"kind": "geometric", "n": 30, "seed": 1, "stretch": 1.5}
+    with pytest.raises(UnknownWorkloadError, match="geometric workload needs radius"):
+        build_workload_instance(spec)
+    with pytest.raises(UnknownWorkloadError, match="radius"):
+        workload_key(spec)
+    with pytest.raises(UnknownWorkloadError, match="no field radious"):
+        workload("geometric", radious=0.1)
+
+
+def test_job_with_a_misspelt_kind_ends_without_an_artifact(service):
+    queue, cache, worker = service
+    bad = {"workload": dict(MISSPELT, stretch=2.0), "stretch": 2.0}
+    job = queue.submit(bad, max_attempts=1)
+    worker.run()
+    record = queue.get(job.job_id)
+    assert record.state == "quarantined"
+    assert "UnknownWorkloadError" in (record.error or "")
+    assert cache.get(spec_key(bad)) is None
+    assert cache.counters["puts"] == 0
 
 
 def test_cold_build_completes_verified_and_cached(service):

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _submit_workload, build_parser, main
 
 
 class TestParser:
@@ -452,6 +452,47 @@ class TestServiceCommands:
         assert main(["service", "cache", "--verify"] + root) == 0
         assert "corrupt: 0; stale: 1" in capsys.readouterr().out
         assert path.exists(), "a stale artifact is left for the rebuild, not quarantined"
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            (
+                "geometric",
+                {"kind": "geometric", "n": 300, "radius": 0.12, "seed": 7, "stretch": 1.5},
+            ),
+            (
+                "euclidean",
+                {"kind": "uniform-euclidean", "n": 300, "dim": 2, "seed": 7, "stretch": 1.5},
+            ),
+            (
+                "clustered",
+                {"kind": "clustered-euclidean", "n": 300, "dim": 2, "clusters": 50, "seed": 7,
+                 "stretch": 1.5},
+            ),
+            ("grid", {"kind": "grid-euclidean", "side": 100, "dim": 2, "stretch": 1.5}),
+            ("graph", {"kind": "erdos-renyi", "n": 300, "p": 0.15, "seed": 7, "stretch": 1.5}),
+            (
+                "bucketed",
+                {"kind": "bucketed-geometric", "n": 300, "degree": 96.0, "seed": 7,
+                 "stretch": 1.5},
+            ),
+        ],
+    )
+    def test_submit_writes_each_kinds_default_workload(self, kind, expected, capsys, tmp_path):
+        """Every ``--kind`` with default flags: the job record carries the
+        exact workload (fields and types), built in the expected key order."""
+        from repro.service.queue import JobQueue
+
+        argv = ["service", "submit", "--kind", kind] + self._root(tmp_path)
+        assert main(argv) == 0
+        (job,) = JobQueue(tmp_path / "svc").list_jobs()
+        workload = job.spec["workload"]
+        assert workload == expected
+        assert {name: type(value) for name, value in workload.items()} == {
+            name: type(value) for name, value in expected.items()
+        }
+        submitted = _submit_workload(build_parser().parse_args(argv))
+        assert list(submitted.items()) == list(expected.items())
 
     def test_submit_rejects_unknown_chain_builder(self, capsys, tmp_path):
         assert main(self.SUBMIT + self._root(tmp_path) + ["--chain", "nope"]) == 2

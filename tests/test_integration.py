@@ -106,6 +106,24 @@ class TestPublicApi:
         )
         assert result.returncode == 0, result.stderr
 
+    def test_service_instances_import_no_bench_module(self):
+        """A job's instance comes from the workload kinds alone: building one
+        pulls in no ``repro.experiments`` module."""
+        code = (
+            "import sys\n"
+            "from repro.service.workers import build_workload_instance\n"
+            "graph = build_workload_instance({'kind': 'bucketed-geometric', 'n': 200,\n"
+            "                                 'degree': 8.0, 'seed': 3, 'stretch': 2.0})\n"
+            "assert graph.number_of_vertices == 200\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('repro.experiments'))\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_quickstart_snippet(self):
         """The snippet from the package docstring / README must keep working."""
         from repro.graph.generators import random_connected_graph
