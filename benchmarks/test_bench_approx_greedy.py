@@ -2,7 +2,8 @@
 
 Times the approximate-greedy construction and reports the quality
 (lightness/degree within constants of exact greedy) and work (distance-query
-counts: quadratic for exact, near-linear for approximate) table across n.
+counts: quadratic for exact, one per base-spanner edge for approximate)
+table across n.
 """
 
 from __future__ import annotations

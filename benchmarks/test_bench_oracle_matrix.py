@@ -2,9 +2,7 @@
 
 Benchmarks the default (cached) greedy path, cross-checks that both oracle
 strategies build the *identical* greedy spanner while the cached one does
-strictly less work, that the incremental cluster engine matches the replay
-oracle of ``tests/oracles/cluster.py`` at a fraction of its transition
-work, and — under the ``bench_regression`` marker — emits a
+strictly less work, and — under the ``bench_regression`` marker — emits a
 fresh ``BENCH_oracles.json`` run and diffs its deterministic operation
 counts against the committed baseline in ``benchmarks/BENCH_oracles.json``
 via ``scripts/check_bench_regression.py`` (threshold +25%).
@@ -16,12 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles.cluster import ReplayClusterGraph
 
-import repro.core.approximate_greedy
 from repro.core.greedy import greedy_spanner_of_metric
-from repro.experiments.bench import instance_and_metric, merge_run_into_file
-from repro.experiments.oracle_bench import SPEC, _run_strategy, run_oracle_matrix
+from repro.experiments.bench import merge_run_into_file
+from repro.experiments.oracle_bench import SPEC, run_oracle_matrix
 from repro.metric.generators import uniform_points
 from repro.workload_kinds import workload
 
@@ -71,24 +67,6 @@ def test_bench_oracle_matrix_general_graph(graph_run):
     assert graph_run["identical_edge_sets"]
     strategies = graph_run["strategies"]
     assert strategies["cached"]["dijkstra_settles"] <= strategies["bounded"]["dijkstra_settles"]
-
-
-def test_bench_approx_engines_agree_and_incremental_wins(approx_run, monkeypatch):
-    """The incremental cluster engine builds the same approximate-greedy
-    spanner as the replay oracle, and its transitions settle at least 5x
-    less (the committed n=2000 row in BENCH_oracles.json, measured when the
-    replay was still a bench strategy, shows the same shape)."""
-    incremental = approx_run["strategies"]["approx-greedy"]
-    row = SPEC.presets[APPROX_BENCH_KEY].workload
-    graph, metric = instance_and_metric(row)
-    monkeypatch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
-    scratch, _ = _run_strategy("approx-greedy", graph, metric, float(row["stretch"]))
-    assert incremental["spanner_edges"] == scratch.number_of_edges
-    assert incremental["cluster_query_settles"] == scratch.metadata["cluster_query_settles"]
-    if incremental["cluster_transitions"] > 0:
-        assert scratch.metadata["cluster_transition_settles"] >= 5.0 * max(
-            incremental["cluster_transition_settles"], 1.0
-        )
 
 
 @pytest.mark.bench_regression

@@ -14,41 +14,20 @@ via ``scripts/check_bench_regression.py`` (threshold +25%).
 from __future__ import annotations
 
 import sys
-import time
 from pathlib import Path
 
 import pytest
-from oracles.verification import profile_reference, verify_edges_reference
+from oracles.verification import reference_record
 
-from repro.experiments.bench import instance_and_metric, merge_run_into_file
-from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS
+from repro.experiments.bench import merge_run_into_file
 from repro.experiments.verify_bench import SPEC, run_verify_bench, verify_workload
 from repro.workload_kinds import workload
-from repro.spanners.registry import build_spanner
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "BENCH_verify.json"
 
 GEOMETRIC_BENCH = verify_workload(workload("geometric", n=300), "greedy")
 EUCLIDEAN_BENCH = verify_workload(workload("uniform-euclidean", n=150, stretch=1.5), "theta")
-
-
-def _reference_record(run):
-    """The seed per-pair checks on the run's spanner: verdict, profile, work."""
-    row = run["workload"]
-    graph, metric = instance_and_metric(row)
-    stretch = float(row["stretch"])
-    builder = row["builder"]
-    spanner = build_spanner(
-        builder, metric if metric is not None else graph, stretch,
-        **DEFAULT_BUILDER_PARAMS.get(builder, {}),
-    )
-    start = time.perf_counter()
-    verification = verify_edges_reference(spanner.subgraph, spanner.base, stretch)
-    profile, _ = profile_reference(spanner)
-    seconds = time.perf_counter() - start
-    return {"seconds": seconds, **verification.counters(), "verify_ok": float(verification.ok),
-            **profile.as_row()}
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +54,7 @@ def test_bench_verify_cross_checks(geometric_run, euclidean_run):
     bit-identical."""
     for run in (geometric_run, euclidean_run):
         record = run["strategies"]["indexed"]
-        reference = _reference_record(run)
+        reference = reference_record(run["workload"])
         assert record["verify_ok"] == reference["verify_ok"] == 1.0
         for field in ("pairs_checked", "max_stretch", "mean_stretch", "fraction_at_stretch_one"):
             assert record[field] == reference[field], field
@@ -85,7 +64,7 @@ def test_bench_verify_metric_row_speedup(euclidean_run):
     """The metric row is where the per-pair reference collapses: the batch
     engine must beat it by an order of magnitude even at n=150."""
     indexed = euclidean_run["strategies"]["indexed"]
-    reference = _reference_record(euclidean_run)
+    reference = reference_record(euclidean_run["workload"])
     engine_seconds = indexed["verify_seconds"] + indexed["profile_seconds"]
     assert reference["seconds"] >= 10.0 * engine_seconds
     assert indexed["verify_settles"] < reference["verify_settles"] / 5

@@ -7,13 +7,15 @@ Builds (1+ε)-spanners of growing Euclidean point sets two ways:
   distances, and
 * Algorithm Approximate-Greedy, which starts from a bounded-degree base
   spanner (Θ-graph here, the substrate of the original Euclidean algorithm of
-  Das–Narasimhan / Gudmundsson et al.) and simulates the greedy algorithm on
-  a coarse cluster graph,
+  Das–Narasimhan / Gudmundsson et al.) and runs the greedy algorithm over
+  the base spanner's edges only,
 
 and prints the quality (edges, lightness, degree) and work (distance-query
 counts, wall-clock) side by side.  The shape to look for is the paper's
-Theorem 6: quality within a constant factor, work dropping from quadratic to
-near-linear.
+Theorem 6: quality within a constant factor, distance queries dropping from
+quadratic to one per base-spanner edge (linear in n).  On a 2-CPU host the
+approximate build ties the exact one through n = 160 and is faster from
+n = 320.
 
 Run with::
 
@@ -54,7 +56,7 @@ def main() -> None:
                 "exact degree": exact.max_degree,
                 "approx degree": approx.max_degree,
                 "exact queries": exact.metadata["distance_queries"],
-                "approx queries": approx.metadata["approximate_queries"],
+                "approx queries": approx.metadata["distance_queries"],
                 "exact sec": exact_seconds,
                 "approx sec": approx_seconds,
             }
@@ -64,8 +66,8 @@ def main() -> None:
     print()
     print(
         "Quality stays within a small constant factor while the exact algorithm's "
-        "distance-query count grows quadratically and the approximate one's stays "
-        "near-linear — Theorem 6 of the paper in action."
+        "distance-query count grows quadratically and the approximate one's grows "
+        "linearly (one query per base-spanner edge) — Theorem 6 of the paper in action."
     )
 
 

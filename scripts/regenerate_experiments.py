@@ -61,7 +61,7 @@ rerunning `python scripts/regenerate_experiments.py`.
 | E2 | Lemma 3 / Obs. 2 | greedy spanner is a fixed point, no redundant edge, contains an MST — on every instance | yes |
 | E3 | Corollary 4 | greedy size under `n^(1+1/k)`, greedy ≤ Baswana–Sen in size and lightness | yes |
 | E4 | Corollary 10 | edges/point and lightness flat in `n` for greedy (1+ε)-spanners of doubling metrics | yes |
-| E5 | Theorem 6 | approximate-greedy within a small constant of exact greedy; distance queries near-linear vs quadratic | yes |
+| E5 | Theorem 6 | approximate-greedy within a small constant of exact greedy; distance queries linear (one per base edge) vs quadratic | yes |
 | E6 | §1.2 quoted experiments | greedy sparsest and lightest among Θ-graph / WSPD / net-tree at equal stretch, by large factors | yes |
 | E7 | §1.1 motivation | greedy overlay broadcasts near MST cost with near-optimal delay | yes |
 | E8 | degree remark ([HM06, Smi09]) | greedy degree = n−1 on star metrics, flat on Euclidean workloads | yes |

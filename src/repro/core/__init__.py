@@ -12,7 +12,6 @@ from repro.core.parallel_greedy import (
     parallel_greedy_spanner,
     parallel_greedy_spanner_of_metric,
 )
-from repro.core.cluster_graph import ClusterGraph
 from repro.core.query_engine import QueryEngine, reference_queries_ids
 from repro.core.distance_oracle import (
     BoundedDijkstraOracle,
@@ -55,7 +54,6 @@ __all__ = [
     "DEFAULT_BANDS",
     "parallel_greedy_spanner",
     "parallel_greedy_spanner_of_metric",
-    "ClusterGraph",
     "QueryEngine",
     "reference_queries_ids",
     "BoundedDijkstraOracle",

@@ -216,7 +216,7 @@ class CoverageIndex:
         :attr:`dist` under stamp :attr:`gen` (``stamp[x] == gen`` is the
         membership test).  The settled set, its ``(dist, id)`` settle order
         and the IEEE distance sums are those of the seed heap ball
-        (``indexed_ball`` in ``tests/oracles/cluster.py``).  Unlike that loop,
+        (``indexed_ball`` in ``tests/oracles/graph.py``).  Unlike that loop,
         non-improving pushes are pruned through the stamped scratch: a
         pruned entry is never the minimum entry of its vertex, so the order
         of first pops is untouched while the heap stays small.  Under the

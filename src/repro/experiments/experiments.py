@@ -224,9 +224,11 @@ def experiment_approximate_greedy(
         title="Theorem 6: Algorithm Approximate-Greedy in doubling metrics",
         paper_claim=(
             "Approximate-Greedy returns a (1+eps)-spanner with constant lightness "
-            "and degree in eps^{-O(ddim)} n log n time; its lightness is within a "
-            "constant factor of the exact greedy spanner's while the number of "
-            "distance queries drops from Theta(n^2) to O(n)."
+            "and degree; its lightness is within a constant factor of the exact "
+            "greedy spanner's while the number of distance queries drops from "
+            "Theta(n^2) to one per edge of the O(n)-edge base spanner. (This "
+            "implementation runs exact greedy on the base spanner, not the "
+            "cluster graphs behind the paper's eps^{-O(ddim)} n log n RAM bound.)"
         ),
     )
     with timed(result):
@@ -262,15 +264,19 @@ def experiment_approximate_greedy(
                 exact_degree=exact_stats.max_degree,
                 approx_degree=approx_stats.max_degree,
                 exact_distance_queries=exact.metadata.get("distance_queries", 0.0),
-                approx_distance_queries=approx.metadata.get("approximate_queries", 0.0),
+                approx_distance_queries=approx.metadata["distance_queries"],
                 exact_seconds=exact_seconds,
                 approx_seconds=approx_seconds,
                 approx_valid=approx.is_valid(),
             )
         result.add_note(
             "Shape check: exact_distance_queries grows quadratically (it equals "
-            "n(n-1)/2) while approx_distance_queries grows near-linearly; the "
-            "lightness ratio stays bounded by a small constant."
+            "n(n-1)/2) while approx_distance_queries equals the base spanner's "
+            "edge count, linear in n; the lightness ratio stays bounded by a "
+            "small constant. Measured wall clock (2-CPU host, this experiment's "
+            "points, eps = 0.5): the two builds tie through n = 160 (0.044 s "
+            "against 0.046 s) and approx-greedy wins from n = 320 (0.13 s "
+            "against 0.22 s; 0.37 s against 0.78 s at n = 640)."
         )
     return result
 

@@ -8,10 +8,10 @@ mark of each construction.  Strategies come in two families:
   (:mod:`repro.core.distance_oracle` — ``bounded`` / ``cached``), which are
   interchangeable by construction, so the bench cross-checks that they
   produced the *identical* spanner edge set;
-* the Approximate-Greedy row (``approx-greedy``, the incremental
-  cluster-graph engine), whose spanner differs from the exact greedy's by
-  design.  Its equality with the replay oracle that recomputes every
-  cluster level from nothing is a tier-1 test on the committed n=400
+* the Approximate-Greedy row (``approx-greedy``: greedy at the simulation
+  stretch over a bounded-degree base spanner), whose spanner differs from
+  the exact greedy's by design.  That it is exactly
+  ``Greedy_{√(t·t')}(G')`` is a tier-1 test on the committed n=400
   workload (``tests/core/test_approx_greedy_properties.py``).
 
 Euclidean workloads are built as lazy
@@ -33,14 +33,13 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
-from repro.core.approximate_greedy import approximate_greedy_spanner
 from repro.core.distance_oracle import ORACLE_FACTORIES
 from repro.core.greedy import greedy_spanner
 from repro.experiments.bench import BenchSpec, Preset, instance_and_metric
 from repro.experiments.harness import traced_peak_memory
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
-from repro.metric.euclidean import EuclideanMetric
+from repro.spanners.registry import build_spanner, stretch_epsilon
 from repro.workload_kinds import workload, workload_key
 
 DEFAULT_STRATEGIES = ("bounded", "cached")
@@ -60,19 +59,7 @@ _COUNTER_KEYS = (
     "balls_resumed",
     "settles_resumed",
     # Approximate-Greedy rows:
-    "approximate_queries",
-    "buckets",
     "base_edges",
-    "light_edges",
-    "heavy_edges",
-    "edges_added_by_simulation",
-    "cluster_rebuilds",
-    "cluster_merges",
-    "cluster_transitions",
-    "cluster_skipped_transitions",
-    "cluster_initial_settles",
-    "cluster_transition_settles",
-    "cluster_query_settles",
 )
 
 
@@ -80,8 +67,8 @@ def _build_presets() -> dict[str, Preset]:
     """The named rows of the bench matrix, keyed by workload signature.
 
     Exact-oracle rows stop at n=2000 (the wall the exact path cannot cross);
-    the approx-greedy rows extend the matrix to n=10⁴–2·10⁴, where only the
-    near-linear cluster-graph path can go.
+    the approx-greedy rows extend the matrix to n=10⁴–2·10⁴, where greedy
+    runs only over the bounded-degree base spanner's edges.
     """
     rows: tuple[tuple[dict[str, object], tuple[str, ...]], ...] = (
         (workload("uniform-euclidean", n=150), DEFAULT_STRATEGIES),
@@ -99,24 +86,19 @@ def _build_presets() -> dict[str, Preset]:
     return {workload_key(row): Preset(row, strategies) for row, strategies in rows}
 
 
-def approx_epsilon(stretch: float) -> float:
-    """Map a bench stretch ``t`` to the Approximate-Greedy ``ε`` (``t = 1+ε``).
-
-    ``derive_parameters`` requires ``ε ∈ (0, 1)``; stretches of 2 and above
-    are clamped just below 1 so the approx rows stay runnable on the same
-    workloads the exact strategies use (the achieved target is recorded in
-    the strategy record as ``epsilon``).
-    """
-    return min(stretch - 1.0, 0.99)
-
-
 def _run_strategy(
     name: str,
     graph: WeightedGraph,
     metric: Optional[FiniteMetric],
     stretch: float,
 ):
-    """Build one spanner with the named strategy; returns ``(spanner, extras)``."""
+    """Build one spanner with the named strategy; returns ``(spanner, extras)``.
+
+    ``approx-greedy`` runs through the registry adapter, which picks the base
+    spanner and maps ``stretch`` to ``ε`` with
+    :func:`~repro.spanners.registry.stretch_epsilon` (stretches of 2 and above
+    are clamped below 1); the ``ε`` used is recorded as ``epsilon``.
+    """
     if name != APPROX_STRATEGY:
         return greedy_spanner(graph, stretch, oracle=name), {}
     if metric is None:
@@ -124,13 +106,8 @@ def _run_strategy(
             f"strategy {name!r} runs Approximate-Greedy and needs a metric "
             f"workload, not {graph!r}"
         )
-    epsilon = approx_epsilon(stretch)
-    base = (
-        "theta"
-        if isinstance(metric, EuclideanMetric) and metric.dimension == 2
-        else "net-tree"
-    )
-    spanner = approximate_greedy_spanner(metric, epsilon, base=base)
+    epsilon = stretch_epsilon(stretch)
+    spanner = build_spanner(APPROX_STRATEGY, metric, stretch, epsilon=epsilon)
     return spanner, {"epsilon": epsilon}
 
 
@@ -219,11 +196,6 @@ SPEC = BenchSpec(
     counters=(
         "dijkstra_settles",
         "distance_queries",
-        "approximate_queries",
-        "cluster_merges",
-        "cluster_initial_settles",
-        "cluster_transition_settles",
-        "cluster_query_settles",
     ),
     flags=("identical_edge_sets",),
     row_fields=("speedup_vs_bounded",),

@@ -13,7 +13,6 @@ from repro.graph.shortest_paths import (
     dijkstra_with_cutoff,
     dijkstra_with_cutoff_stats,
     indexed_bidirectional_cutoff,
-    indexed_dijkstra_with_cutoff,
     pair_distance,
     shortest_path,
     single_source_distances,
@@ -30,7 +29,6 @@ __all__ = [
     "dijkstra_with_cutoff",
     "dijkstra_with_cutoff_stats",
     "indexed_bidirectional_cutoff",
-    "indexed_dijkstra_with_cutoff",
     "pair_distance",
     "shortest_path",
     "single_source_distances",

@@ -18,11 +18,9 @@ representation optimised for exactly that access pattern:
   the per-edge ``seen``-set of the dict representation.
 
 The indexed search routines that run on this structure live in
-:mod:`repro.graph.shortest_paths` (``indexed_dijkstra_with_cutoff``,
-``indexed_bidirectional_cutoff``, ``indexed_greedy_clustering``,
-``indexed_sssp``); the band builder's replay, the cluster graphs of
-:mod:`repro.core.cluster_graph`, the verification engine's stretch profile
-and the distributed overlays are their consumers.  The query engine keeps
+:mod:`repro.graph.shortest_paths` (``indexed_bidirectional_cutoff``,
+``indexed_sssp``); the band builder's replay, the verification engine's
+stretch profile and the distributed overlays are their consumers.  The query engine keeps
 its own search on this structure.  See ``docs/PERFORMANCE.md`` for
 measurements.
 """
@@ -101,8 +99,7 @@ class IndexedGraph:
         """Intern ``vertices`` in iteration order (batch form of :meth:`intern`).
 
         Interning is *stable*: ids already assigned never move, and new ids
-        continue from the current count — the append-capable id map the
-        incremental cluster engine relies on (a consumer can cache ids across
+        continue from the current count (a consumer can cache ids across
         arbitrarily many later appends).
         """
         for vertex in vertices:
@@ -138,12 +135,7 @@ class IndexedGraph:
         """Add (or overwrite) the undirected edge ``(u, v)``, interning endpoints."""
         if u == v:
             raise SelfLoopError(f"self-loop on vertex {u!r} is not allowed")
-        self.add_edge_ids(self.intern(u), self.intern(v), weight)
-
-    def add_edge_ids(self, uid: int, vid: int, weight: float) -> None:
-        """Add (or overwrite) the edge between the already-interned ids."""
-        if uid == vid:
-            raise SelfLoopError(f"self-loop on vertex {self._vertex_of[uid]!r} is not allowed")
+        uid, vid = self.intern(u), self.intern(v)
         value = _validate_weight(weight)
         nbrs = self._neighbour_ids[uid]
         try:
@@ -158,34 +150,18 @@ class IndexedGraph:
             self._neighbour_weights[vid][back] = value
         self._version += 1
 
-    def append_edge_unchecked(self, u: Vertex, v: Vertex, weight: float) -> None:
-        """Append the edge ``(u, v)`` *assuming it is not already present*.
-
-        Skips the O(degree) duplicate scan of :meth:`add_edge`; the greedy
-        loop's notify hook uses this because the algorithm adds every edge at
-        most once.  Appending an edge that does already exist duplicates the
-        adjacency entry and corrupts the edge count — the caller must
-        guarantee absence.
-        """
-        if u == v:
-            raise SelfLoopError(f"self-loop on vertex {u!r} is not allowed")
-        value = _validate_weight(weight)
-        uid = self.intern(u)
-        vid = self.intern(v)
-        self._append_half_edge(uid, vid, value)
-        self._append_half_edge(vid, uid, value)
-        self._edge_count += 1
-        self._version += 1
-
     def append_edge_unchecked_ids(self, uid: int, vid: int, weight: float) -> None:
-        """Id-based :meth:`append_edge_unchecked` for already-interned endpoints.
+        """Append the edge between the already-interned ids *assuming it is absent*.
 
-        The amortized O(1) growth path of the live spanner index: the adjacency
-        arrays are plain Python lists, whose append is amortized constant time
-        via capacity doubling, so a graph built through this method costs
+        Skips the O(degree) duplicate scan of :meth:`add_edge`, for callers
+        that add every edge at most once (the band builder's mirror, the
+        verification engine).
+        The adjacency arrays are plain Python lists, whose append is
+        amortized constant time, so a graph built through this method costs
         O(m) total regardless of interleaving with searches — no
-        re-snapshotting needed.  As with :meth:`append_edge_unchecked`, the
-        caller must guarantee the edge is absent.
+        re-snapshotting needed.  Appending an edge that does already exist
+        duplicates the adjacency entry and corrupts the edge count — the
+        caller must guarantee absence.
         """
         if uid == vid:
             raise SelfLoopError(f"self-loop on vertex {self._vertex_of[uid]!r} is not allowed")
@@ -222,10 +198,6 @@ class IndexedGraph:
         overwrite through :meth:`add_edge` keeps both.
         """
         return self._version
-
-    def has_edge_ids(self, uid: int, vid: int) -> bool:
-        """Return True if the edge between the two ids exists."""
-        return vid in self._neighbour_ids[uid]
 
     def weight_ids(self, uid: int, vid: int) -> float:
         """Return the weight of the edge between the two ids.
@@ -285,7 +257,7 @@ class IndexedGraph:
         for u, v, weight in graph.edges():
             uid, vid = id_of[u], id_of[v]
             # `graph` has no parallel edges, so raw appends are safe and skip
-            # the duplicate scan of `add_edge_ids`.
+            # the duplicate scan of `add_edge`.
             append(uid, vid, weight)
             append(vid, uid, weight)
             count += 1

@@ -18,18 +18,12 @@ compares it to ``t * w(u, v)``.  This module provides the distance machinery:
 
 The ``indexed_*`` variants run on the dense-integer
 :class:`~repro.graph.indexed_graph.IndexedGraph` representation and are the
-hot-path versions used by the band builder's replay, the overlays and the
-cluster graphs (see ``docs/PERFORMANCE.md``):
+hot-path versions used by the band builder's replay and the overlays (see
+``docs/PERFORMANCE.md``):
 
-* :func:`indexed_dijkstra_with_cutoff` — bounded single-pair search
-  (cluster-graph queries),
 * :func:`indexed_bidirectional_cutoff` — meet-in-the-middle bounded search:
   two half-radius balls instead of one full-radius ball (the band
   builder's replay),
-* :func:`indexed_greedy_clustering` — greedy ``r``-net centre selection plus
-  closest-centre assignment as *one* batched multi-source sweep (the cluster
-  graphs' construction kernel; provably identical to one bounded ball per
-  centre, at a fraction of the settles),
 * :func:`indexed_sssp` / :func:`indexed_eccentricity` /
   :func:`indexed_weighted_diameter` / :func:`indexed_double_sweep_diameter` —
   full single-source sweeps with flat distance/parent arrays: the
@@ -195,45 +189,6 @@ def dijkstra_with_cutoff_stats(
 # ----------------------------------------------------------------------
 # Indexed (dense integer id) fast-path searches
 # ----------------------------------------------------------------------
-def indexed_dijkstra_with_cutoff(
-    graph: IndexedGraph,
-    source: int,
-    target: int,
-    cutoff: float,
-) -> tuple[float, dict[int, float]]:
-    """Bounded single-pair Dijkstra over an :class:`IndexedGraph`.
-
-    Returns ``(distance, settled)`` where ``distance`` is ``δ(source, target)``
-    if at most ``cutoff`` (else ``math.inf``) and ``settled`` maps every
-    settled vertex id to its exact distance from ``source``.  Callers that
-    only need the distance may discard the map; its size is the search's
-    operation count.
-    """
-    if source == target:
-        return 0.0, {source: 0.0}
-    settled: dict[int, float] = {}
-    neighbour_ids, neighbour_weights = graph.adjacency_arrays()
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        dist, vertex = pop(heap)
-        if dist > cutoff:
-            return math.inf, settled
-        if vertex in settled:
-            continue
-        settled[vertex] = dist
-        if vertex == target:
-            return dist, settled
-        for neighbour, weight in zip(neighbour_ids[vertex], neighbour_weights[vertex]):
-            if neighbour in settled:
-                continue
-            new_dist = dist + weight
-            if new_dist <= cutoff:
-                push(heap, (new_dist, neighbour))
-    return math.inf, settled
-
-
 def indexed_bidirectional_cutoff(
     graph: IndexedGraph,
     source: int,
@@ -305,74 +260,6 @@ def indexed_bidirectional_cutoff(
     if best <= cutoff:
         return best, settled_f, settled_b
     return math.inf, settled_f, settled_b
-
-
-def indexed_greedy_clustering(
-    graph: IndexedGraph, radius: float
-) -> tuple[list[int], list[int], list[float], int]:
-    """Greedy ``radius``-net plus closest-centre assignment in one batched sweep.
-
-    Scans the vertex ids in order; any id not yet within ``radius`` of an
-    existing centre becomes a centre itself and its ball is expanded.  All
-    balls share **one** heap and one distance array: a vertex settled at
-    distance ``d`` by an earlier centre is re-settled by a later centre only
-    on a *strict* improvement, so the result is exactly the per-centre-ball
-    construction (centre set, closest-centre assignment with earliest-centre
-    tie-breaking, exact offsets) while each vertex is settled once per
-    distinct improvement instead of once per covering ball.
-
-    Two structural fast paths keep the work proportional to the vertices
-    actually touched:
-
-    * a vertex whose lightest incident edge exceeds ``radius`` can neither
-      absorb nor be absorbed through its neighbours, so it is classified as a
-      singleton centre without touching the heap;
-    * the heap is fully drained after each new centre, so coverage checks are
-      plain array reads.
-
-    Returns ``(centres, centre_of, offset_of, settles)``: ``centres`` is the
-    centre ids in creation (= id) order, ``centre_of[v]`` the id of the
-    closest centre of ``v``, ``offset_of[v]`` the exact distance to it, and
-    ``settles`` the number of non-stale heap pops (the operation count the
-    benches report — singleton fast-path centres cost no settle).
-    """
-    neighbour_ids, neighbour_weights = graph.adjacency_arrays()
-    n = graph.number_of_vertices
-    inf = math.inf
-    dist: list[float] = [inf] * n
-    centre: list[int] = [-1] * n
-    centres: list[int] = []
-    settles = 0
-    heap: list[tuple[float, int]] = []
-    push = heapq.heappush
-    pop = heapq.heappop
-
-    for vid in range(n):
-        if dist[vid] <= radius:
-            continue  # covered by an earlier centre's ball
-        centres.append(vid)
-        dist[vid] = 0.0
-        centre[vid] = vid
-        weights = neighbour_weights[vid]
-        if not weights or min(weights) > radius:
-            continue  # singleton: nothing reachable within the radius
-        push(heap, (0.0, vid))
-        while heap:
-            d, x = pop(heap)
-            if d > dist[x]:
-                continue  # stale entry superseded by a strict improvement
-            settles += 1
-            owner = centre[x]
-            for neighbour, weight in zip(neighbour_ids[x], neighbour_weights[x]):
-                new_dist = d + weight
-                if new_dist <= radius and new_dist < dist[neighbour]:
-                    dist[neighbour] = new_dist
-                    centre[neighbour] = owner
-                    push(heap, (new_dist, neighbour))
-
-    # Every id is either absorbed or promoted to a centre during the scan, so
-    # `dist` is fully populated: it doubles as the offset array.
-    return centres, centre, dist, settles
 
 
 def indexed_sssp(graph: IndexedGraph, source: int) -> tuple[list[float], list[int], int]:

@@ -48,11 +48,11 @@ from repro.spanners.registry import Workload, get_builder
 #: The default fallback chain, strongest guarantee first.  greedy is the
 #: serial exact greedy (the existentially optimal artifact; the band builder
 #: ``greedy-parallel`` builds the same edges more slowly and is still
-#: available by name).  The later tiers carry weaker guarantees but are not
-#: all faster: approx-greedy measured 2–2.5x slower than greedy on uniform
-#: 2-D points through n = 1000 (2.5 s against 1.0 s at n = 500).  The chain
-#: ends at the MST, which always exists and is the cheapest connected
-#: fallback.
+#: available by name).  The later tiers carry weaker guarantees and are
+#: faster from moderate sizes on: approx-greedy ties greedy on uniform 2-D
+#: points through n = 160 and is faster from n = 320 (0.7 s against 2.0 s
+#: at n = 1000, 2-CPU host).  The chain ends at the MST, which always exists
+#: and is the cheapest connected fallback.
 DEFAULT_CHAIN: tuple[str, ...] = (
     "greedy",
     "approx-greedy",

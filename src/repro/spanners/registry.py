@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.core.spanner import Spanner
-from repro.errors import UnsupportedWorkloadError
+from repro.errors import InvalidStretchError, UnsupportedWorkloadError
 from repro.graph.weighted_graph import WeightedGraph
 from repro.metric.base import FiniteMetric
 from repro.metric.closure import MetricClosure
@@ -82,6 +82,24 @@ def stretch_epsilon(stretch: float) -> float:
     require ``ε < 1``); the builder records the parameter it actually used.
     """
     return min(stretch - 1.0, 0.99)
+
+
+def _slack_for(stretch: float, epsilon: Optional[float]) -> float:
+    """The ``ε`` a ``(1+ε)``-family adapter builds with for ``stretch``.
+
+    Defaults to :func:`stretch_epsilon`.  An explicit ``epsilon`` looser than
+    the requested stretch (``ε > t - 1``) would return a spanner that fails
+    stretch ``t``, so it raises :class:`InvalidStretchError` (written so NaN
+    fails too).
+    """
+    if epsilon is None:
+        return stretch_epsilon(stretch)
+    if not epsilon <= stretch - 1.0:
+        raise InvalidStretchError(
+            f"epsilon {epsilon} is looser than the requested stretch {stretch} "
+            f"(needs epsilon <= stretch - 1)"
+        )
+    return epsilon
 
 
 def baswana_sen_k(stretch: float) -> int:
@@ -223,8 +241,7 @@ def _build_approx_greedy(
     from repro.core.approximate_greedy import approximate_greedy_spanner
 
     metric = as_metric(workload)
-    if epsilon is None:
-        epsilon = stretch_epsilon(stretch)
+    epsilon = _slack_for(stretch, epsilon)
     if base is None:
         base = (
             "theta"
@@ -258,8 +275,7 @@ def _build_bounded_degree(
     workload: Workload, stretch: float, *, epsilon: Optional[float] = None, scale_factor: float = 0.5
 ) -> Spanner:
     metric = as_metric(workload)
-    if epsilon is None:
-        epsilon = stretch_epsilon(stretch)
+    epsilon = _slack_for(stretch, epsilon)
     return bounded_degree_spanner(metric, epsilon, scale_factor=scale_factor)
 
 
@@ -294,7 +310,10 @@ def _register_default_builders() -> None:
     ))
     register_builder(SpannerBuilder(
         name="approx-greedy",
-        description="Algorithm Approximate-Greedy (Section 5; near-linear, (1+eps)-stretch)",
+        description=(
+            "Approximate-Greedy (Section 5): greedy on a bounded-degree base, "
+            "(1+eps)-stretch"
+        ),
         domain="finite metrics",
         supports=_metric_only,
         build_fn=_build_approx_greedy,

@@ -1,23 +1,17 @@
-"""Property tests for Approximate-Greedy and the incremental cluster engine.
+"""Property tests for Approximate-Greedy: greedy at the simulation stretch on ``G'``.
 
-Three claims are driven over random inputs:
+Two claims are driven over random inputs and pinned instances:
 
 * **stretch** — the output is a valid ``(1+ε)``-spanner (measured stretch at
   most ``t`` on every pair) on random Euclidean point sets and on random
-  doubling-ish metrics, including runs forced through many bucket
-  transitions (``bucket_ratio=2``) and through *empty* buckets (exponential
-  line points make the geometric weight partition skip indices, so the
-  radius jumps across several bucket boundaries at one transition);
-* **engine equivalence** — the incremental merge engine and the replay
-  oracle (``tests/oracles/cluster.py``, every level recomputed from nothing)
-  compute the *identical* cluster hierarchy (same centres, assignments,
-  offsets, bounds), hence the identical spanner edge set — on random inputs
-  and on the committed ``BENCH_oracles.json`` workload; every incremental
-  merge is additionally self-checked against the per-centre-ball reference
-  by running the stretch tests on ``VerifyingClusterGraph``;
-* **sweep equivalence** — the batched multi-source clustering sweep equals
-  the sequential per-centre-ball construction exactly (this is the kernel
-  both engines and both claims above stand on).
+  doubling-ish metrics, including exponentially spaced line points whose
+  edge weights span many orders of magnitude;
+* **contract** — the output ``A`` is exactly ``Greedy_{√(t·t')}(G')`` of its
+  bounded-degree base spanner ``G'``: it equals greedy run on ``G'``, it is
+  its own greedy spanner at the simulation stretch (Lemma 3 at
+  ``√(t·t')``), it is a subgraph of ``G'`` with no larger maximum degree,
+  and it passes the edge check at ``1 + ε`` — on random inputs, on the
+  committed ``BENCH_oracles.json`` workload, and on a clustered instance.
 """
 
 from __future__ import annotations
@@ -27,17 +21,22 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles.cluster import ReplayClusterGraph, VerifyingClusterGraph, cluster_by_balls
 
-import repro.core.approximate_greedy
-from repro.core.approximate_greedy import approximate_greedy_spanner
-from repro.core.cluster_graph import ClusterGraph
-from repro.graph.generators import random_connected_graph
-from repro.graph.indexed_graph import IndexedGraph
-from repro.graph.shortest_paths import indexed_greedy_clustering
+from repro.core.approximate_greedy import (
+    _build_base_spanner,
+    approximate_greedy_spanner,
+    derive_parameters,
+)
+from repro.core.greedy import greedy_spanner
 from repro.metric.euclidean import EuclideanMetric
-from repro.metric.generators import line_points, random_graph_metric
-from repro.spanners.verification import verify_spanner_edges_detailed
+from repro.metric.generators import (
+    clustered_points,
+    grid_points,
+    line_points,
+    random_graph_metric,
+    uniform_points,
+)
+from repro.spanners.verification import verify_spanner_edges, verify_spanner_edges_detailed
 
 euclidean_metrics = st.builds(
     lambda pts: EuclideanMetric(np.array(sorted(pts), dtype=float)),
@@ -59,17 +58,26 @@ def _max_stretch(spanner) -> float:
     return verify_spanner_edges_detailed(spanner.subgraph, spanner.base, math.inf).max_stretch
 
 
-def _with_engine(engine: type[ClusterGraph], *args, **kwargs):
-    """Approximate-Greedy with ``engine`` as its cluster engine."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(repro.core.approximate_greedy, "ClusterGraph", engine)
-        return approximate_greedy_spanner(*args, **kwargs)
+def assert_greedy_on_base(spanner, metric, epsilon: float, base: str) -> None:
+    """``spanner`` is ``Greedy_{√(t·t')}(G')`` and meets its ``1 + ε`` target."""
+    params = derive_parameters(epsilon)
+    simulation_stretch = spanner.metadata["simulation_stretch"]
+    assert simulation_stretch == params.simulation_stretch
+    base_graph = _build_base_spanner(
+        metric, base, max(params.base_stretch - 1.0, 1e-9)
+    ).subgraph
+    output = spanner.subgraph
+    assert greedy_spanner(base_graph, simulation_stretch).subgraph.same_edges(output)
+    assert greedy_spanner(output, simulation_stretch).subgraph.same_edges(output)
+    assert output.is_subgraph_of(base_graph)
+    assert spanner.max_degree <= base_graph.max_degree()
+    assert verify_spanner_edges(output, spanner.base, 1.0 + epsilon)
 
 
 @settings(max_examples=25, deadline=None)
 @given(metric=euclidean_metrics, epsilon=epsilons)
 def test_stretch_within_target_on_random_euclidean(metric, epsilon):
-    spanner = _with_engine(VerifyingClusterGraph, metric, epsilon, bucket_ratio=2.0)
+    spanner = approximate_greedy_spanner(metric, epsilon)
     assert _max_stretch(spanner) <= (1.0 + epsilon) * (1.0 + 1e-9)
 
 
@@ -77,122 +85,70 @@ def test_stretch_within_target_on_random_euclidean(metric, epsilon):
 @given(seed=st.integers(min_value=0, max_value=10_000), epsilon=epsilons)
 def test_stretch_within_target_on_random_doubling(seed, epsilon):
     metric = random_graph_metric(14, extra_edge_probability=0.3, seed=seed)
-    spanner = _with_engine(VerifyingClusterGraph, metric, epsilon, bucket_ratio=2.0)
+    spanner = approximate_greedy_spanner(metric, epsilon)
     assert _max_stretch(spanner) <= (1.0 + epsilon) * (1.0 + 1e-9)
 
 
 @settings(max_examples=25, deadline=None)
-@given(metric=euclidean_metrics, epsilon=epsilons)
-def test_incremental_equals_from_scratch_spanner(metric, epsilon):
-    incremental = approximate_greedy_spanner(metric, epsilon, bucket_ratio=2.0)
-    scratch = _with_engine(ReplayClusterGraph, metric, epsilon, bucket_ratio=2.0)
-    assert incremental.subgraph.same_edges(scratch.subgraph)
-    # The two engines also do the same *query* work, because the cluster
-    # structures they serve queries from are identical.
-    assert (
-        incremental.metadata["cluster_query_settles"]
-        == scratch.metadata["cluster_query_settles"]
-    )
+@given(metric=euclidean_metrics, epsilon=epsilons, base=st.sampled_from(["net-tree", "theta"]))
+def test_output_is_greedy_on_its_base(metric, epsilon, base):
+    spanner = approximate_greedy_spanner(metric, epsilon, base=base)
+    assert_greedy_on_base(spanner, metric, epsilon, base)
 
 
-class TestForcedBucketShapes:
-    def test_exponential_line_forces_empty_buckets(self):
-        """Exponential gaps leave whole weight buckets empty: the radius jumps
-        across several bucket boundaries at one transition and the output is
-        still a valid spanner, with both engines in agreement."""
-        metric = line_points(12, spacing=1.0, exponential=True)
-        incremental = _with_engine(VerifyingClusterGraph, metric, 0.5, bucket_ratio=2.0)
-        scratch = _with_engine(ReplayClusterGraph, metric, 0.5, bucket_ratio=2.0)
-        assert incremental.metadata["buckets"] >= 2
-        assert incremental.is_valid()
-        assert incremental.subgraph.same_edges(scratch.subgraph)
-
-    def test_single_bucket_run_has_no_transitions(self):
-        metric = line_points(8, spacing=1.0)
-        spanner = approximate_greedy_spanner(metric, 0.5, bucket_ratio=1e9)
-        assert spanner.metadata["buckets"] == 1.0
-        assert spanner.metadata["cluster_transitions"] == 0.0
-        assert spanner.is_valid()
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    radius=st.floats(min_value=0.0, max_value=30.0),
-)
-def test_sweep_equals_per_centre_balls(seed, radius):
-    """The batched clustering sweep is *exactly* the per-centre-ball
-    construction: same centres, same assignments, same float offsets."""
-    graph = random_connected_graph(24, 0.15, seed=seed)
-    index = IndexedGraph.from_weighted_graph(graph)
-    fast = indexed_greedy_clustering(index, radius)
-    reference = cluster_by_balls(index, radius)
-    assert fast[:3] == reference[:3]
-    # The batched sweep never settles more than the per-ball construction.
-    assert fast[3] <= reference[3]
+#: Deterministic instances for the contract, each with a base it supports:
+#: the Θ-graph only on planar Euclidean points, the net-tree everywhere.
+#: The grid's equal weights exercise greedy's tie-breaking on ``G'`` and on
+#: its own output.
+CONTRACT_INSTANCES = {
+    "uniform-2d-theta": (lambda: uniform_points(80, 2, seed=11), "theta"),
+    "uniform-2d-net-tree": (lambda: uniform_points(50, 2, seed=11), "net-tree"),
+    "clustered-2d-theta": (lambda: clustered_points(80, 2, clusters=4, seed=5), "theta"),
+    "clustered-2d-net-tree": (lambda: clustered_points(50, 2, clusters=4, seed=5), "net-tree"),
+    "grid-2d-theta": (lambda: grid_points(8), "theta"),
+    "uniform-3d-net-tree": (lambda: uniform_points(40, 3, seed=13), "net-tree"),
+    "line-net-tree": (lambda: line_points(25, spacing=1.0), "net-tree"),
+    "random-graph-net-tree": (
+        lambda: random_graph_metric(20, extra_edge_probability=0.3, seed=17),
+        "net-tree",
+    ),
+}
 
 
-class TestClusterGraphEngineEquivalence:
-    def _drive(self, engine: type[ClusterGraph], seed: int) -> ClusterGraph:
-        """Drive one cluster engine through a transition/notify op sequence."""
-        graph = random_connected_graph(30, 0.12, seed=seed)
-        clusters = engine(graph, 0.5)
-        rng = np.random.default_rng(seed)
-        vertices = list(graph.vertices())
-        radius = 0.5
-        for step in range(4):
-            radius *= 2.5
-            clusters.transition(radius)
-            for _ in range(3):
-                u, v = rng.choice(len(vertices), size=2, replace=False)
-                u, v = vertices[int(u)], vertices[int(v)]
-                if not graph.has_edge(u, v):
-                    weight = float(rng.uniform(0.5, 3.0))
-                    graph.add_edge(u, v, weight)
-                    clusters.notify_edge_added(u, v, weight)
-        return clusters
-
-    @pytest.mark.parametrize("seed", [3, 17, 91])
-    def test_identical_hierarchy_state(self, seed):
-        incremental = self._drive(VerifyingClusterGraph, seed)
-        scratch = self._drive(ReplayClusterGraph, seed)
-        assert incremental._centres == scratch._centres
-        assert incremental._centre_vid == scratch._centre_vid
-        assert incremental._offset == scratch._offset
-        assert incremental._cluster_bounds == scratch._cluster_bounds
-        assert incremental.merge_count > 0
-        assert scratch.rebuild_count > incremental.rebuild_count
-
-    @pytest.mark.parametrize("seed", [5, 23])
-    def test_identical_queries(self, seed):
-        incremental = self._drive(VerifyingClusterGraph, seed)
-        scratch = self._drive(ReplayClusterGraph, seed)
-        vertices = list(incremental.spanner.vertices())
-        for u in vertices[:6]:
-            for v in vertices[-6:]:
-                assert incremental.approximate_distance(
-                    u, v, math.inf
-                ) == scratch.approximate_distance(u, v, math.inf)
+@pytest.mark.parametrize("epsilon", [0.3, 0.8])
+@pytest.mark.parametrize("instance", sorted(CONTRACT_INSTANCES))
+def test_contract_on_fixed_instances(instance, epsilon):
+    make_metric, base = CONTRACT_INSTANCES[instance]
+    metric = make_metric()
+    spanner = approximate_greedy_spanner(metric, epsilon, base=base)
+    assert_greedy_on_base(spanner, metric, epsilon, base)
 
 
-def test_committed_oracle_workload_matches_the_replay_oracle():
+def test_exponential_line_is_greedy_on_its_base():
+    """Exponential gaps make the base edge weights span many scales."""
+    metric = line_points(12, spacing=1.0, exponential=True)
+    spanner = approximate_greedy_spanner(metric, 0.5)
+    assert spanner.is_valid()
+    assert_greedy_on_base(spanner, metric, 0.5, "net-tree")
+
+
+def test_clustered_instance_is_greedy_on_its_base():
+    """The output is its own greedy spanner at ``√(t·t')`` (Lemma 3).  The
+    light-edge and bucketed cluster-graph simulation this module replaced
+    kept 376 edges here, of which greedy on them kept only 371."""
+    metric = clustered_points(200, 2, clusters=5, seed=2)
+    spanner = approximate_greedy_spanner(metric, 0.5, base="theta")
+    assert_greedy_on_base(spanner, metric, 0.5, "theta")
+
+
+def test_committed_oracle_workload_is_greedy_on_its_base():
     """The ``approx-greedy`` row of ``uniform-euclidean-n400-d2-seed7-t1.5``
-    (a ``BENCH_oracles.json`` workload the CI re-emits): the incremental
-    engine and the replay oracle build the same edge set and do the same
-    query work."""
+    (a ``BENCH_oracles.json`` workload the CI re-emits)."""
     from repro.experiments.bench import instance_and_metric
     from repro.experiments.oracle_bench import SPEC, _run_strategy
 
     workload = SPEC.presets["uniform-euclidean-n400-d2-seed7-t1.5"].workload
     graph, metric = instance_and_metric(workload)
-    stretch = float(workload["stretch"])
-    incremental, _ = _run_strategy("approx-greedy", graph, metric, stretch)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
-        replayed, _ = _run_strategy("approx-greedy", graph, metric, stretch)
-    assert incremental.number_of_edges == 841
-    assert incremental.subgraph.same_edges(replayed.subgraph)
-    assert (
-        incremental.metadata["cluster_query_settles"]
-        == replayed.metadata["cluster_query_settles"]
-    )
+    spanner, extras = _run_strategy("approx-greedy", graph, metric, float(workload["stretch"]))
+    assert spanner.number_of_edges == 841
+    assert_greedy_on_base(spanner, metric, extras["epsilon"], "theta")

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-from oracles.cluster import ReplayClusterGraph, VerifyingClusterGraph
+import math
 
-import repro.core.approximate_greedy
+import pytest
+
 from repro.core.approximate_greedy import (
     approximate_greedy_spanner,
     derive_parameters,
@@ -17,28 +17,32 @@ from repro.metric.generators import clustered_points, line_points, uniform_point
 
 class TestParameterDerivation:
     def test_stretch_split_multiplies_to_target(self):
-        params = derive_parameters(0.5, 100)
+        params = derive_parameters(0.5)
         assert params.base_stretch * params.simulation_stretch == pytest.approx(1.5)
         assert 1.0 < params.base_stretch < params.simulation_stretch < 1.5
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(InvalidStretchError):
-            derive_parameters(0.0, 10)
+            derive_parameters(0.0)
         with pytest.raises(InvalidStretchError):
-            derive_parameters(1.5, 10)
+            derive_parameters(1.5)
 
-    def test_invalid_n_rejected(self):
-        with pytest.raises(ValueError):
-            derive_parameters(0.5, 0)
+    @pytest.mark.parametrize("epsilon", [0.05, 0.3, 0.5, 0.99])
+    def test_split_uses_t_prime_half_epsilon(self, epsilon):
+        """``t = 1 + ε`` and ``t' = 1 + ε/2``: the base and simulation
+        stretches are ``√(t/t')`` and ``√(t·t')``."""
+        params = derive_parameters(epsilon)
+        t_prime = 1.0 + epsilon / 2.0
+        assert params.t == 1.0 + epsilon
+        assert params.base_stretch == pytest.approx(math.sqrt(params.t / t_prime))
+        assert params.simulation_stretch == pytest.approx(math.sqrt(params.t * t_prime))
+        assert params.base_stretch * params.simulation_stretch <= params.t * (1.0 + 1e-12)
+        assert 1.0 < params.base_stretch < params.simulation_stretch < params.t
 
-    def test_bucket_ratio_override(self):
-        params = derive_parameters(0.5, 100, bucket_ratio=3.0)
-        assert params.bucket_ratio == 3.0
-
-    def test_default_bucket_ratio_grows_with_n(self):
-        small = derive_parameters(0.5, 16)
-        large = derive_parameters(0.5, 4096)
-        assert large.bucket_ratio > small.bucket_ratio
+    @pytest.mark.parametrize("epsilon", [-0.1, 0.0, 1.0, 1.5, math.nan])
+    def test_epsilon_outside_open_unit_interval_rejected(self, epsilon):
+        with pytest.raises(InvalidStretchError):
+            derive_parameters(epsilon)
 
 
 class TestNetTreeBase:
@@ -54,57 +58,13 @@ class TestNetTreeBase:
         assert spanner.max_degree <= spanner.metadata["base_max_degree"]
 
     def test_metadata_accounting(self, small_points):
+        """Greedy on ``G'`` examines every base edge once and keeps the output's edges."""
         spanner = approximate_greedy_spanner(small_points, 0.5)
         metadata = spanner.metadata
-        assert metadata["light_edges"] + metadata["heavy_edges"] == metadata["base_edges"]
-        assert metadata["edges_added_by_simulation"] <= metadata["heavy_edges"]
-        assert metadata["buckets"] >= 1
-        # Every bucket is served by exactly one cluster refresh: the initial
-        # build plus, per transition, a merge or a recorded skip.
-        refreshes = (
-            metadata["cluster_rebuilds"]
-            + metadata["cluster_merges"]
-            + metadata["cluster_skipped_transitions"]
-        )
-        assert refreshes == metadata["buckets"]
-        assert metadata["cluster_transitions"] == metadata["buckets"] - 1
-
-    def test_incremental_is_default_and_merges(self, small_points):
-        spanner = approximate_greedy_spanner(small_points, 0.5, bucket_ratio=2.0)
-        metadata = spanner.metadata
-        assert metadata["cluster_rebuilds"] == 1.0
-        if metadata["buckets"] > 1:
-            assert (
-                metadata["cluster_merges"] + metadata["cluster_skipped_transitions"]
-                == metadata["buckets"] - 1
-            )
-
-    def test_from_scratch_mode_rebuilds_each_bucket(self, small_points, monkeypatch):
-        """The replay oracle recomputes every level: no merges, one rebuild
-        (or recorded skip) per bucket."""
-        monkeypatch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
-        spanner = approximate_greedy_spanner(small_points, 0.5, bucket_ratio=2.0)
-        metadata = spanner.metadata
-        assert spanner.is_valid()
-        assert metadata["cluster_merges"] == 0.0
-        assert (
-            metadata["cluster_rebuilds"] + metadata["cluster_skipped_transitions"]
-            == metadata["buckets"]
-        )
-
-    def test_modes_produce_identical_edge_sets(
-        self, small_points, clustered_metric, monkeypatch
-    ):
-        for metric in (small_points, clustered_metric):
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    repro.core.approximate_greedy, "ClusterGraph", VerifyingClusterGraph
-                )
-                incremental = approximate_greedy_spanner(metric, 0.5, bucket_ratio=2.0)
-            with monkeypatch.context() as patch:
-                patch.setattr(repro.core.approximate_greedy, "ClusterGraph", ReplayClusterGraph)
-                replayed = approximate_greedy_spanner(metric, 0.5, bucket_ratio=2.0)
-            assert incremental.subgraph.same_edges(replayed.subgraph)
+        assert metadata["edges_examined"] == metadata["base_edges"]
+        assert metadata["distance_queries"] == metadata["base_edges"]
+        assert metadata["edges_added"] == spanner.number_of_edges
+        assert metadata["simulation_stretch"] == derive_parameters(0.5).simulation_stretch
 
     def test_works_on_line_metric(self):
         metric = line_points(30, spacing=1.0)
@@ -118,6 +78,12 @@ class TestNetTreeBase:
     def test_invalid_epsilon(self, small_points):
         with pytest.raises(InvalidStretchError):
             approximate_greedy_spanner(small_points, 2.0)
+
+    @pytest.mark.parametrize("option", ["bucket_ratio", "cluster_radius_factor"])
+    def test_cluster_graph_options_are_gone(self, small_points, option):
+        """The greedy loop on ``G'`` has no buckets and no cluster radius."""
+        with pytest.raises(TypeError):
+            approximate_greedy_spanner(small_points, 0.5, **{option: 2.0})
 
     def test_unknown_base_rejected(self, small_points):
         with pytest.raises(ValueError):
@@ -140,6 +106,22 @@ class TestThetaBase:
             approximate_greedy_spanner(metric, 0.5, base="theta")
 
 
+@pytest.mark.parametrize("base", ["net-tree", "theta"])
+class TestOutputShape:
+    def test_base_is_the_metric_closure(self, small_points, base):
+        """Stretch and lightness are measured against the metric, not ``G'``."""
+        spanner = approximate_greedy_spanner(small_points, 0.5, base=base)
+        n = small_points.size
+        assert spanner.base.number_of_edges == n * (n - 1) // 2
+        assert spanner.algorithm == "approximate-greedy"
+
+    def test_deterministic(self, small_points, base):
+        first = approximate_greedy_spanner(small_points, 0.5, base=base)
+        second = approximate_greedy_spanner(small_points, 0.5, base=base)
+        assert first.subgraph.same_edges(second.subgraph)
+        assert first.metadata == second.metadata
+
+
 class TestQualityVersusExactGreedy:
     def test_lightness_within_constant_of_exact(self, medium_points):
         """The Theorem 6 / Lemma 13 shape: approximate-greedy lightness is within
@@ -159,4 +141,4 @@ class TestQualityVersusExactGreedy:
         epsilon = 0.5
         n = medium_points.size
         approx = approximate_greedy_spanner(medium_points, epsilon, base="theta")
-        assert approx.metadata["approximate_queries"] < n * (n - 1) / 2
+        assert approx.metadata["distance_queries"] < n * (n - 1) / 2

@@ -16,8 +16,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles.cluster import indexed_ball
 from oracles.coverage import PackedPairCoverage
+from oracles.graph import indexed_ball
 from oracles.greedy import ValueCacheOracle, value_cache_greedy
 from repro.core.distance_oracle import (
     BoundedDijkstraOracle,

@@ -227,7 +227,7 @@ def _mutate(indexed: IndexedGraph, mutation: tuple) -> None:
     kind = mutation[0]
     if kind == "append":
         _, u, v, weight = mutation
-        if u != v and not indexed.has_edge_ids(u, v):
+        if u != v and v not in indexed.adjacency_arrays()[0][u]:
             indexed.append_edge_unchecked_ids(u, v, weight)
     elif kind == "overwrite":
         _, pick, weight = mutation
@@ -413,11 +413,11 @@ def test_input_validation():
 def test_engine_observes_growing_shared_graph():
     """Edges and vertices appended to a shared IndexedGraph are served."""
     indexed = IndexedGraph(vertices=[0, 1])
-    indexed.append_edge_unchecked(0, 1, 1.0)
+    indexed.append_edge_unchecked_ids(0, 1, 1.0)
     engine = QueryEngine(indexed)
     assert engine.run_queries_ids([0], [1]) == [1.0]
     # A shortcut edge appended later must be observed (live adjacency)...
-    indexed.append_edge_unchecked(0, 1, 0.5)
+    indexed.append_edge_unchecked_ids(0, 1, 0.5)
     assert engine.run_queries_ids([0], [1]) == [0.5]
     # ...and so must newly interned vertices.
     indexed.add_edge(1, 2, 1.0)

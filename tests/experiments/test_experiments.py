@@ -76,7 +76,7 @@ class TestApproximateGreedyExperiment:
             assert row["approx_valid"] is True
             assert row["lightness_ratio"] <= 3.0
             assert row["approx_distance_queries"] <= row["exact_distance_queries"]
-        # The query gap widens with n (quadratic vs near-linear).
+        # The query gap widens with n (quadratic vs one query per base edge).
         small, large = result.rows[0], result.rows[-1]
         gap_small = small["exact_distance_queries"] / max(small["approx_distance_queries"], 1)
         gap_large = large["exact_distance_queries"] / max(large["approx_distance_queries"], 1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from oracles.verification import profile_reference, verify_edges_reference
+from oracles.verification import bench_spanner, profile_reference, reference_record
 
 from repro.experiments.harness import (
     available_workers,
@@ -14,7 +14,7 @@ from repro.experiments.harness import (
     resolve_worker_count,
     run_sharded,
 )
-from repro.experiments.bench import instance_and_metric, merge_run_into_file, render_rows
+from repro.experiments.bench import merge_run_into_file, render_rows
 from repro.experiments.verify_bench import (
     SPEC,
     profile_source_vertices,
@@ -22,8 +22,6 @@ from repro.experiments.verify_bench import (
     verify_workload,
     workload_key,
 )
-from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS
-from repro.spanners.registry import build_spanner
 from repro.workload_kinds import workload
 
 #: The verify rows the ``repro bench verify`` CI step emits.
@@ -33,18 +31,6 @@ CI_VERIFY_KEYS = (
 )
 
 PROFILE_FIELDS = ("pairs_checked", "max_stretch", "mean_stretch", "fraction_at_stretch_one")
-
-
-def _bench_spanner(workload):
-    """The spanner a verify row checks, built exactly as the bench builds it."""
-    graph, metric = instance_and_metric(workload)
-    builder = str(workload["builder"])
-    return build_spanner(
-        builder,
-        metric if metric is not None else graph,
-        float(workload["stretch"]),
-        **DEFAULT_BUILDER_PARAMS.get(builder, {}),
-    )
 
 
 def _square(shard: list[int]) -> list[int]:
@@ -139,7 +125,7 @@ class TestVerifyBench:
 
     def test_profiles_bit_identical_across_modes(self, small_run):
         """The recorded profile floats equal the seed per-pair reference's."""
-        profile, _ = profile_reference(_bench_spanner(small_run["workload"]))
+        profile, _ = profile_reference(bench_spanner(small_run["workload"]))
         indexed = small_run["strategies"]["indexed"]
         for field, value in profile.as_row().items():
             assert indexed[field] == value, field
@@ -214,10 +200,19 @@ def test_ci_rows_match_the_reference(key):
     reference's, and its exact profile is bit-identical."""
     run = SPEC.run_key(key)
     record = run["strategies"]["indexed"]
-    spanner = _bench_spanner(run["workload"])
-    stretch = float(run["workload"]["stretch"])
-    assert record["verify_ok"] == float(
-        verify_edges_reference(spanner.subgraph, spanner.base, stretch).ok
-    ) == 1.0
-    profile, _ = profile_reference(spanner)
-    assert {field: record[field] for field in PROFILE_FIELDS} == profile.as_row()
+    reference = reference_record(run["workload"])
+    assert record["verify_ok"] == reference["verify_ok"] == 1.0
+    assert {field: record[field] for field in PROFILE_FIELDS} == {
+        field: reference[field] for field in PROFILE_FIELDS
+    }
+
+
+def test_reference_record_is_computed_once_per_workload_key():
+    """The seed reference is cached by workload key: an equal row reuses
+    the record, another builder gets its own."""
+    row = verify_workload(workload("geometric", n=40, radius=0.35), "greedy")
+    first = reference_record(row)
+    assert first["verify_ok"] == 1.0
+    assert reference_record(dict(row)) is first
+    other = reference_record(verify_workload(workload("geometric", n=40, radius=0.35), "mst"))
+    assert other is not first

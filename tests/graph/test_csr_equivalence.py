@@ -2,12 +2,12 @@
 
 Each search kind on :class:`IndexedGraph` has one production kernel in
 :mod:`repro.graph.shortest_paths`.  These tests check each one against an
-independent reference: the dict-based :class:`WeightedGraph` seed searches
-(:func:`dijkstra`, :func:`dijkstra_with_cutoff_stats`) run on the same
-edges, plus the kernels' documented total settle order ``(dist, vertex id)``.
-From the seed distances alone that order fixes every settled map (contents
-**and** insertion order) and therefore every settle count.  The generated
-graphs include **tie-heavy** ones whose weights come from a tiny pool of
+independent reference: the dict-based :class:`WeightedGraph` seed search
+(:func:`dijkstra`) run on the same edges, plus the kernels' documented
+total settle order ``(dist, vertex id)``.  From the seed distances alone
+that order fixes every settled map (contents **and** insertion order) and
+therefore every settle count.  The generated graphs include
+**tie-heavy** ones whose weights come from a tiny pool of
 exactly-representable dyadic values, so equal-distance pop races actually
 occur, and **string-vertex** ones, so the dense-id interning layer is
 exercised too.
@@ -17,7 +17,7 @@ the :class:`IndexedGraph` as built, searched by the C-``heapq`` loop.  The
 cached oracle's weight-sorted ball kernel
 (:class:`~repro.core.distance_oracle.CoverageIndex`) is checked against the
 same seed settle order, and its resumed balls against the seed heap ball
-(``oracles.cluster.indexed_ball``); its ball sets are compared with the
+(``oracles.graph.indexed_ball``); its ball sets are compared with the
 packed-pair set they replaced (``oracles.coverage``).
 """
 
@@ -27,16 +27,14 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles.cluster import indexed_ball
 from oracles.coverage import PackedPairCoverage, packed_pairs
+from oracles.graph import indexed_ball
 
 from repro.core.distance_oracle import CoverageIndex
 from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.shortest_paths import (
     dijkstra,
-    dijkstra_with_cutoff_stats,
     indexed_bidirectional_cutoff,
-    indexed_dijkstra_with_cutoff,
     indexed_sssp,
 )
 from repro.graph.weighted_graph import WeightedGraph
@@ -101,35 +99,6 @@ def settle_order(
     distances, _ = dijkstra(reference, source)
     ball = [(vertex, dist) for vertex, dist in distances.items() if dist <= radius]
     return sorted(ball, key=lambda item: (item[1], item[0]))
-
-
-def expected_bounded(
-    reference: WeightedGraph, source: int, target: int, cutoff: float
-) -> tuple[float, list[tuple[int, float]]]:
-    """The bounded single-pair search's answer: stop once ``target`` settles."""
-    order = settle_order(reference, source, cutoff)
-    for position, (vertex, dist) in enumerate(order):
-        if vertex == target:
-            return dist, order[: position + 1]
-    return math.inf, order
-
-
-@pytest.mark.parametrize("adjacency", ["heap"])
-@settings(max_examples=80, deadline=None)
-@given(case=search_cases())
-def test_bounded_single_pair_identical(adjacency, case):
-    """Bounded cutoff search: distance and settled map (order included) match."""
-    graph, source, target, cutoff = case
-    reference = seed_graph(graph)
-    distance, settled = indexed_dijkstra_with_cutoff(
-        graph, source, target, cutoff
-    )
-    expected_distance, expected_order = expected_bounded(
-        reference, source, target, cutoff
-    )
-    assert distance == expected_distance
-    assert distance == dijkstra_with_cutoff_stats(reference, source, target, cutoff)[0]
-    assert list(settled.items()) == expected_order
 
 
 @pytest.mark.parametrize("adjacency", ["heap"])

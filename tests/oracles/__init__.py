@@ -1,15 +1,12 @@
 """Seed engines kept only as test oracles.
 
 Each production engine in ``src/`` replaced a simpler seed implementation
-and promises to reproduce it exactly: the same cluster hierarchy, the same
-verdicts and bit-identical profile floats, the same flood statistics and
-trees tie for tie.  The seed implementations live here, outside the
-library, so the equivalence tests (and the benchmarks that cite them) can
-keep comparing against them without a ``mode=`` knob in the public API:
+and promises to reproduce it exactly: the same verdicts and bit-identical
+profile floats, the same flood statistics and trees tie for tie.  The seed
+implementations live here, outside the library, so the equivalence tests
+(and the benchmarks that cite them) can keep comparing against them without
+a ``mode=`` knob in the public API:
 
-* :mod:`oracles.cluster` — the seed heap ball and per-centre-ball
-  clustering, the cluster-hierarchy replay engine and the merge-verifying
-  cluster engine;
 * :mod:`oracles.verification` — the per-pair stretch checks and the
   copy-and-remove Lemma 3 check;
 * :mod:`oracles.distributed` — the dict-graph flood, routing tables and
@@ -24,8 +21,9 @@ Other references left the library because nothing but the tests called
 them:
 
 * :mod:`oracles.graph` — Prim's MST, the spanning-tree/forest/tree checks,
-  BFS hop distances, DFS order, the hop ball and the networkx bridge (the
-  only place networkx is imported);
+  BFS hop distances, DFS order, the hop ball, the seed heap ball the cached
+  oracle's ball is checked against, and the networkx bridge (the only place
+  networkx is imported);
 * :mod:`oracles.spanner` — the shortest-path-tree baseline and the MST
   weight shares of a spanner;
 * :mod:`oracles.metric` — nearest-net-point assignment and the check that

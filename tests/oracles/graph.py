@@ -4,8 +4,10 @@ The library builds MSTs with Kruskal (weights with an indexed Prim) and
 checks connectivity with BFS; these are the independent implementations
 the graph tests check them against, plus the two converters that hand a
 graph to :mod:`networkx` (imported inside them, so the library never
-needs it), and the per-pair bucketed geometric generator that the array
-generator must reproduce bit for bit.
+needs it), the per-pair bucketed geometric generator that the array
+generator must reproduce bit for bit, and :func:`indexed_ball`, the seed
+heap ball (every vertex within a radius) that the cached oracle's
+weight-sorted ball is checked against.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import GraphError, VertexNotFoundError
+from repro.graph.indexed_graph import IndexedGraph
 from repro.graph.mst import DisjointSet
 from repro.graph.traversal import bfs_order, is_connected
 from repro.graph.weighted_graph import Vertex, WeightedGraph
@@ -37,6 +40,24 @@ def connected_components(graph: WeightedGraph) -> list[set[Vertex]]:
         visited |= component
         components.append(component)
     return components
+
+
+def indexed_ball(graph: IndexedGraph, source: int, radius: float) -> dict[int, float]:
+    """Return ``{vertex_id: distance}`` for every vertex within ``radius`` of ``source``."""
+    settled: dict[int, float] = {}
+    neighbour_ids, neighbour_weights = graph.adjacency_arrays()
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    while heap:
+        dist, vertex = heapq.heappop(heap)
+        if dist > radius:
+            break
+        if vertex in settled:
+            continue
+        settled[vertex] = dist
+        for neighbour, weight in zip(neighbour_ids[vertex], neighbour_weights[vertex]):
+            if neighbour not in settled and dist + weight <= radius:
+                heapq.heappush(heap, (dist + weight, neighbour))
+    return settled
 
 
 def prim_mst(graph: WeightedGraph, root: Optional[Vertex] = None) -> WeightedGraph:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-from oracles.cluster import indexed_ball
+from oracles.graph import indexed_ball
 
 from repro.core.distance_oracle import DistanceOracle
 from repro.graph.indexed_graph import IndexedGraph
@@ -64,8 +64,9 @@ class ValueCacheOracle(DistanceOracle):
         return settled.get(vid, math.inf)
 
     def notify_edge_added(self, u: Vertex, v: Vertex, weight: float) -> None:
-        self._index.append_edge_unchecked(u, v, weight)
-        key = _pair_key(self._index.id_of(u), self._index.id_of(v))
+        uid, vid = self._index.id_of(u), self._index.id_of(v)
+        self._index.append_edge_unchecked_ids(uid, vid, weight)
+        key = _pair_key(uid, vid)
         existing = self._bounds.get(key)
         if existing is None or weight < existing:
             self._bounds[key] = weight

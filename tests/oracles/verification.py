@@ -7,14 +7,22 @@ must reproduce these verdicts, maximum edge stretches, profiles and pair
 counts *bit for bit* (see its module docstring for why
 that holds); lazy closure bases read base distances from the metric, since
 searching the Θ(n²) closure per pair is the wall the engine removes.
+
+:func:`reference_record` runs both seed checks on a ``repro bench verify``
+row's spanner once per test session, keyed by the row's workload key: the
+n=150 theta row alone takes about 7 s, and three tests compare against it.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from typing import Optional, Sequence
 
 from repro.core.spanner import Spanner
+from repro.experiments.bench import instance_and_metric
+from repro.experiments.overlay_bench import DEFAULT_BUILDER_PARAMS
+from repro.experiments.verify_bench import workload_key
 from repro.graph.shortest_paths import dijkstra, pair_distance
 from repro.graph.weighted_graph import Vertex, WeightedGraph
 from repro.spanners.verification import (
@@ -23,6 +31,10 @@ from repro.spanners.verification import (
     StretchProfile,
     _reduce_profile,
 )
+from repro.spanners.registry import build_spanner
+
+#: :func:`reference_record` results by verify-row workload key.
+_REFERENCE_RECORDS: dict[str, dict[str, float]] = {}
 
 
 def verify_edges_reference(
@@ -110,3 +122,40 @@ def lemma3_reference(spanner: Spanner) -> bool:
         if pair_distance(pruned, u, v) <= t * weight * (1.0 + 1e-12):
             return False
     return True
+
+
+def bench_spanner(workload: dict[str, object]) -> Spanner:
+    """The spanner a verify row checks, built exactly as the bench builds it."""
+    graph, metric = instance_and_metric(workload)
+    builder = str(workload["builder"])
+    return build_spanner(
+        builder,
+        metric if metric is not None else graph,
+        float(workload["stretch"]),
+        **DEFAULT_BUILDER_PARAMS.get(builder, {}),
+    )
+
+
+def reference_record(workload: dict[str, object]) -> dict[str, float]:
+    """The seed checks on a verify row's spanner: verdict, profile, work.
+
+    Times :func:`verify_edges_reference` plus :func:`profile_reference` on
+    :func:`bench_spanner` and returns ``seconds``, ``verify_ok``, the
+    verification counters and the profile row.  Computed once per session
+    per workload key; callers must not mutate the returned record.
+    """
+    key = workload_key(workload)
+    if key not in _REFERENCE_RECORDS:
+        spanner = bench_spanner(workload)
+        stretch = float(workload["stretch"])
+        start = time.perf_counter()
+        verification = verify_edges_reference(spanner.subgraph, spanner.base, stretch)
+        profile, _ = profile_reference(spanner)
+        seconds = time.perf_counter() - start
+        _REFERENCE_RECORDS[key] = {
+            "seconds": seconds,
+            **verification.counters(),
+            "verify_ok": float(verification.ok),
+            **profile.as_row(),
+        }
+    return _REFERENCE_RECORDS[key]

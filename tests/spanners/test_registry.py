@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.errors import UnsupportedWorkloadError
+from repro.errors import InvalidStretchError, UnsupportedWorkloadError
 from repro.metric.closure import MetricClosure
+from repro.metric.generators import uniform_points
 from repro.spanners.registry import (
     as_metric,
     baswana_sen_k,
@@ -15,6 +18,7 @@ from repro.spanners.registry import (
     list_builders,
     stretch_epsilon,
 )
+from repro.spanners.verification import verify_spanner_edges
 
 EXPECTED_NAMES = {
     "greedy",
@@ -107,3 +111,48 @@ class TestBuildSpanner:
             spanner = build_spanner("mst", workload, 2.0)
             assert spanner.lightness() == pytest.approx(1.0)
             assert spanner.number_of_edges == len(spanner.subgraph) - 1
+
+
+class TestEpsilonAgainstStretch:
+    """An explicit ``epsilon`` looser than the requested stretch is refused:
+    the ``(1+ε)``-spanner it would build can fail stretch ``t``."""
+
+    @pytest.mark.parametrize("name", ["approx-greedy", "bounded-degree"])
+    def test_epsilon_looser_than_stretch_rejected(self, name):
+        metric = uniform_points(60, 2, seed=3)
+        with pytest.raises(InvalidStretchError, match="epsilon"):
+            build_spanner(name, metric, 1.1, epsilon=0.9)
+
+    @pytest.mark.parametrize("name", ["approx-greedy", "bounded-degree"])
+    @pytest.mark.parametrize(
+        "stretch, epsilon", [(1.5, 0.5000001), (1.25, 0.3), (1.5, math.nan)]
+    )
+    def test_any_looser_epsilon_rejected(self, name, stretch, epsilon):
+        metric = uniform_points(30, 2, seed=3)
+        with pytest.raises(InvalidStretchError, match="epsilon"):
+            build_spanner(name, metric, stretch, epsilon=epsilon)
+
+    @pytest.mark.parametrize("name", ["approx-greedy", "bounded-degree"])
+    @pytest.mark.parametrize("stretch", [1.3, 1.5])
+    def test_epsilon_at_the_stretch_is_accepted(self, name, stretch):
+        """``epsilon = stretch - 1.0``, the subtraction E6 passes, is allowed
+        and the result meets the requested stretch."""
+        metric = uniform_points(30, 2, seed=3)
+        spanner = build_spanner(name, metric, stretch, epsilon=stretch - 1.0)
+        assert spanner.stretch <= stretch
+        assert verify_spanner_edges(spanner.subgraph, spanner.base, stretch)
+
+    @pytest.mark.parametrize("name", ["approx-greedy", "bounded-degree"])
+    @pytest.mark.parametrize("stretch", [1.2, 3.0])
+    def test_default_epsilon_meets_the_stretch(self, name, stretch):
+        """Without ``epsilon`` the adapters use :func:`stretch_epsilon`."""
+        metric = uniform_points(30, 2, seed=3)
+        spanner = build_spanner(name, metric, stretch)
+        assert spanner.stretch == pytest.approx(1.0 + stretch_epsilon(stretch))
+        assert verify_spanner_edges(spanner.subgraph, spanner.base, stretch)
+
+    @pytest.mark.parametrize("option", ["bucket_ratio", "cluster_radius_factor"])
+    def test_cluster_graph_options_are_not_accepted(self, option):
+        metric = uniform_points(30, 2, seed=3)
+        with pytest.raises(TypeError):
+            build_spanner("approx-greedy", metric, 1.5, **{option: 2.0})
